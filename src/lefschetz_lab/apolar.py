@@ -2,8 +2,10 @@
 
 The graded quotient A = (operator ring)/Ann(f) is represented throughout by
 its derivative spaces: degree-k operators are identified with the polynomials
-they produce from f, so dim A_k is the rank of the degree-k catalecticant and
-multiplication never needs quotient-ring arithmetic.
+they produce from f, so dim A_k is the size of a greedy basis of the degree-k
+derivatives and multiplication never needs quotient-ring arithmetic.  The
+explicit catalecticant matrix, whose rank is the same number, is kept as API
+and as an independent reference.
 """
 
 from __future__ import annotations
@@ -188,12 +190,11 @@ class HilbertVector:
         return self.dims[1] if len(self.dims) > 1 else 0
 
 
-@functools.lru_cache(maxsize=512)
 def hilbert_vector(f: Poly) -> HilbertVector:
-    """Hilbert vector via catalecticant ranks in every degree."""
+    """Hilbert vector from the A_k bases up to d/2, mirrored by Gorenstein symmetry."""
     d = _require_degree(f)
-    dims = tuple(catalecticant(f, k).rank() for k in range(d + 1))
-    return HilbertVector(dims)
+    half = [len(ak_basis(f, k)) for k in range(d // 2 + 1)]
+    return HilbertVector(tuple(half + [half[d - k] for k in range(d // 2 + 1, d + 1)]))
 
 
 def is_unimodal(hv: HilbertVector | Sequence[int]) -> bool:
@@ -223,4 +224,4 @@ def first_dip(hv: HilbertVector | Sequence[int]) -> Optional[int]:
 def depends_on_all_vars(f: Poly) -> bool:
     """True iff no degree-1 operator annihilates f (all variables essential)."""
     _require_degree(f)
-    return catalecticant(f, 1).rank() == len(f.vars)
+    return len(ak_basis(f, 1)) == len(f.vars)

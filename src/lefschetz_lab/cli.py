@@ -1,7 +1,7 @@
 """Command-line front end: analyze a form, generate a family, run the suite.
 
 Exit codes: 0 success, 1 suite fixtures failed, 2 usage or validation error,
-3 only-undetermined verdicts under --strict.  The LEFSCHETZ_LAB_SEED
+3 an undetermined SLP or WLP verdict under --strict.  The LEFSCHETZ_LAB_SEED
 environment variable supplies the default seed.
 """
 
@@ -32,7 +32,9 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        return 0
+        raise LefschetzLabError(
+            f"LEFSCHETZ_LAB_SEED must be an integer, got {raw!r}"
+        ) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--seed", type=int, default=None)
     pa.add_argument("--json", dest="json_path", help="write the full report as JSON")
     pa.add_argument("--max-k", type=int, default=None, help="cap the Hessian profile order")
-    pa.add_argument("--strict", action="store_true", help="exit 3 when the only verdicts are undetermined")
+    pa.add_argument("--strict", action="store_true", help="exit 3 when the SLP or WLP verdict is undetermined")
 
     pg = sub.add_parser("generate", help="generate a family instance")
     pg.add_argument("--family", required=True, choices=FAMILY_KINDS)
@@ -174,7 +176,7 @@ def cmd_analyze(args) -> int:
             fh.write("\n")
         print(f"report written  {args.json_path}")
 
-    if args.strict and wlp.verdict == "undetermined":
+    if args.strict and "undetermined" in (report["slp"]["verdict"], wlp.verdict):
         return STRICT_UNDETERMINED
     return 0
 

@@ -92,15 +92,38 @@ def hessian_matrix(f: Poly, k: int, basis: Optional[AkBasis] = None) -> HessianM
         basis = ak_basis(f, k)
     else:
         _validate_basis(f, k, basis)
-    derived = basis.derived
-    n = len(basis)
-    rows: list[list[Poly]] = [[None] * n for _ in range(n)]  # type: ignore[list-item]
+    return HessianMatrix(f, k, basis, _entries(basis, basis, symmetric=True))
+
+
+def mixed_hessian(f: Poly, k: int, l: int) -> tuple[tuple[Poly, ...], ...]:
+    """Mixed Hessian (a_i b_j (f)) over the greedy bases (a_i) of A_k, (b_j) of A_l.
+
+    Its entries have degree d-k-l.  Evaluated at the coefficients of a linear
+    form L, its rank is the rank of multiplication by L^(d-k-l) from A_k to
+    A_(d-l) (Maeno-Watanabe); l = k gives the pure order-k Hessian.
+    """
+    if f.is_zero():
+        raise ZeroPolynomialError("Hessians of the zero polynomial are undefined")
+    d = f.degree
+    if k < 0 or l < 0 or k + l > d:
+        raise DegreeRangeError(f"orders ({k}, {l}) out of range for d={d}")
+    rows = ak_basis(f, k)
+    return _entries(rows, rows if l == k else ak_basis(f, l), symmetric=l == k)
+
+
+def _entries(
+    rows: AkBasis, cols: AkBasis, *, symmetric: bool
+) -> tuple[tuple[Poly, ...], ...]:
+    """(rows.ops[i] applied to cols.derived[j]); symmetric fills one triangle."""
+    n, m = len(rows), len(cols)
+    out: list[list[Poly]] = [[None] * m for _ in range(n)]  # type: ignore[list-item]
     for i in range(n):
-        for j in range(i, n):
-            entry = diff_apply(basis.ops[i], derived[j])
-            rows[i][j] = entry
-            rows[j][i] = entry
-    return HessianMatrix(f, k, basis, tuple(tuple(r) for r in rows))
+        for j in range(i if symmetric else 0, m):
+            entry = diff_apply(rows.ops[i], cols.derived[j])
+            out[i][j] = entry
+            if symmetric:
+                out[j][i] = entry
+    return tuple(tuple(r) for r in out)
 
 
 def _validate_basis(f: Poly, k: int, basis: AkBasis) -> None:

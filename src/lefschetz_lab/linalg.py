@@ -205,15 +205,3 @@ class SparseSpan:
         for tag, val in combo.items():
             out[tag] = -val
         return out
-
-    def coords(self, vec: Vec) -> Optional[list[Fraction]]:
-        """Coordinates of `vec` with respect to the stored (reduced) rows.
-
-        Since each reduced row is a known combination of the added vectors and
-        the added vectors were all independent, these are also the coordinates
-        with respect to the added vectors.  None when not in the span.
-        """
-        dep = self.dependency(vec)
-        if dep is None:
-            return None
-        return dep

@@ -192,13 +192,6 @@ class Poly:
             return None
         return max(mono_degree(e) for e in self._terms)
 
-    def involved_variables(self) -> set[int]:
-        """Indices of variables occurring with positive exponent somewhere."""
-        out: set[int] = set()
-        for expo in self._terms:
-            out.update(i for i, e in enumerate(expo) if e)
-        return out
-
     def supported_on(self, indices: Iterable[int]) -> bool:
         """True iff every term involves only the given variable indices."""
         allowed = set(indices)

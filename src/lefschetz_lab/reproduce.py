@@ -291,8 +291,9 @@ def _prop_hilbert_symmetry(config: SuiteConfig) -> tuple[bool, str]:
     for trial in range(100):
         f = _random_form(rng, rng.randint(2, 4), rng.randint(2, 5))
         dims = hilbert_vector(f).dims
-        if any(dims[i] != dims[-1 - i] for i in range(len(dims))):
-            return False, f"asymmetric at trial {trial}: {dims}"
+        ranks = tuple(catalecticant(f, k).rank() for k in range(f.degree + 1))
+        if dims != ranks:
+            return False, f"catalecticant ranks {ranks} != {dims} at trial {trial}"
     return True, "100 instances"
 
 

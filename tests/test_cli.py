@@ -141,6 +141,12 @@ class TestSeedEnvFallback:
         assert code == 0
         assert json.loads(path.read_text())["seed"] == 9
 
+    def test_invalid_env_seed_exit_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("LEFSCHETZ_LAB_SEED", "abc")
+        code, _, err = run(IKEDA_ARGS, capsys)
+        assert code == 2
+        assert "error: LEFSCHETZ_LAB_SEED must be an integer, got 'abc'" in err
+
 
 class TestStrict:
     def test_exit_three_on_undetermined(self, capsys, monkeypatch):
@@ -159,6 +165,12 @@ class TestStrict:
         )
         assert code == 3
         assert "undetermined" in out
+
+    def test_exit_three_on_undetermined_slp(self, capsys):
+        code, out, _ = run(IKEDA_ARGS + ["--max-k", "1", "--strict"], capsys)
+        assert code == 3
+        assert "strong property undetermined" in out
+        assert "weak property   fails" in out
 
 
 class TestExactSuite:

@@ -11,6 +11,7 @@ from lefschetz_lab.errors import NoSplitError
 from lefschetz_lab.families import (
     gen_exceptional,
     gen_gnp,
+    gen_ikeda,
     gen_prop44,
     gen_thmwlp,
     gen_wlpodd,
@@ -229,7 +230,34 @@ class TestWlpObstruction:
             assert linalg.rank(mult_map(f, L, 1, 1)) < h1
 
 
+def assert_levels_match_mult_map(f, L):
+    """Every rank the element checks report equals the explicit mult_map rank."""
+    for check_element in (slp_check_element, wlp_check_element):
+        _, checks = check_element(f, L)
+        for c in checks:
+            assert c.rank == linalg.rank(mult_map(f, L, c.i, c.step)), (check_element, c)
+
+
 class TestRankConsistency:
+    @given(homogeneous_polys(max_vars=3, min_degree=1, max_degree=5), st.data())
+    @settings(max_examples=25)
+    def test_check_element_ranks_match_mult_map(self, f, data):
+        coeffs = [data.draw(st.integers(-5, 5)) for _ in range(len(f.vars))]
+        if not any(coeffs):
+            coeffs[0] = 1
+        assert_levels_match_mult_map(f, LinearForm.from_coeffs(coeffs))
+
+    @pytest.mark.parametrize(
+        "make",
+        [gen_ikeda, lambda: gen_wlpodd(4, 5), lambda: gen_thmwlp(5, 4), lambda: gen_prop44("i")],
+        ids=["ikeda", "wlpodd-4-5", "thmwlp-5-4", "prop44-i"],
+    )
+    def test_check_element_ranks_match_mult_map_on_families(self, make):
+        f = make().f
+        rng = random.Random(5)
+        for _ in range(2):
+            assert_levels_match_mult_map(f, random_linear_form(rng, len(f.vars)))
+
     @given(homogeneous_polys(max_vars=3, min_degree=2, max_degree=5), st.data())
     @settings(max_examples=30)
     def test_hessian_rank_equals_multiplication_rank(self, f, data):

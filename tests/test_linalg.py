@@ -51,9 +51,9 @@ def test_sparse_span_coords():
     assert span.try_add(v1)
     assert span.try_add(v2)
     target = {"a": Fraction(2), "b": Fraction(5), "c": Fraction(1)}
-    coords = span.coords(target)
+    coords = span.dependency(target)
     assert coords == [Fraction(2), Fraction(1)]
-    assert span.coords({"d": Fraction(1)}) is None
+    assert span.dependency({"d": Fraction(1)}) is None
 
 
 def test_sparse_span_dependency_witness():
