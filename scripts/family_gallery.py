@@ -6,7 +6,8 @@ Usage: python scripts/family_gallery.py [--seed N]
 
 import argparse
 
-from lefschetz_lab.apolar import hilbert_vector, is_unimodal
+from lefschetz_lab.analysis import Analysis
+from lefschetz_lab.apolar import is_unimodal
 from lefschetz_lab.families import (
     gen_exceptional,
     gen_gn,
@@ -41,10 +42,9 @@ def main() -> None:
         gen_prop44("i", seed=args.seed),
     ]
     for inst in gallery:
-        hv = hilbert_vector(inst.f)
-        profile = "".join(
-            "0" if v.vanishes else "+" for v in hess_profile(inst.f, seed=args.seed)
-        )
+        an = Analysis(inst.f, "probabilistic", args.seed)
+        hv = an.hilbert()
+        profile = "".join("0" if v.vanishes else "+" for v in hess_profile(an))
         label = f"{inst.spec.kind}{inst.spec.params}"
         print(
             f"{label:55s} hilb={hv.dims} unimodal={is_unimodal(hv)} "

@@ -13,7 +13,8 @@ import random
 import time
 from fractions import Fraction
 
-from lefschetz_lab.hessian import hessian_vanishes, is_cone
+from lefschetz_lab.analysis import Analysis
+from lefschetz_lab.hessian import is_cone
 from lefschetz_lab.polycore import Poly, VariableSet, mono_basis
 
 
@@ -45,7 +46,7 @@ def main() -> None:
             cones += 1
             continue
         start = time.perf_counter()
-        verdict = hessian_vanishes(f, 1, seed=args.seed)
+        verdict = Analysis(f, "probabilistic", args.seed).verdict(1)
         worst_ms = max(worst_ms, (time.perf_counter() - start) * 1000)
         if verdict.vanishes:
             vanishing += 1

@@ -7,6 +7,7 @@ properties, and generate certified counterexample families.
 
 __version__ = "0.1.0"
 
+from .analysis import Analysis
 from .apolar import (
     AkBasis,
     Catalecticant,
@@ -54,6 +55,7 @@ from .hessian import (
     hessian_matrix,
     hessian_vanishes,
     is_cone,
+    mixed_hessian,
     second_partials_det_vanishes,
 )
 from .lefschetz import (

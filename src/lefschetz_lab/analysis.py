@@ -1,0 +1,69 @@
+"""One form's analysis: each piece computed once and read by every verdict.
+
+An `Analysis` holds a form f with the decision mode and the seed, and
+memoizes what the profile, the Lefschetz verdicts and the certificates read:
+the A_k bases, the Hilbert vector, the assembled (mixed) Hessians and each
+order's vanishing verdict.  A piece is computed on its first request by the
+module-level function that defines it (`ak_basis`, `hilbert_vector`,
+`mixed_hessian`, `hessian_vanishes`) and reused afterwards, so one report
+decides each higher Hessian once and in one mode.
+
+Every function that reads the bases takes the Analysis in place of the bare
+form (and of any mode and seed); constructions on f alone (`ak_basis`,
+`catalecticant`, `is_cone`, the certificate searches) keep taking f.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, TypeVar
+
+from .apolar import AkBasis, HilbertVector, ak_basis, hilbert_vector
+from .errors import ZeroPolynomialError
+from .hessian import Matrix, VanishingVerdict, hessian_vanishes, mixed_hessian
+from .polycore import Poly
+
+MODES = ("probabilistic", "exact")
+
+T = TypeVar("T")
+
+
+class Analysis:
+    """The form f, its decision mode and seed, and everything derived from them."""
+
+    def __init__(self, f: Poly, mode: str, seed: int) -> None:
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+        if f.is_zero():
+            raise ZeroPolynomialError("the zero polynomial has no graded algebra")
+        self.f = f
+        self.mode = mode
+        self.seed = seed
+        self._memo: dict[tuple, object] = {}
+        self._reused = 0
+
+    def _get(self, key: tuple, compute: Callable[[], T]) -> T:
+        if key in self._memo:
+            self._reused += 1
+            return self._memo[key]  # type: ignore[return-value]
+        value = self._memo[key] = compute()
+        return value
+
+    def basis(self, k: int) -> AkBasis:
+        """The greedy basis of A_k."""
+        return self._get(("basis", k), lambda: ak_basis(self.f, k))
+
+    def hilbert(self) -> HilbertVector:
+        return self._get(("hilbert",), lambda: hilbert_vector(self))
+
+    def hessian(self, k: int, l: int) -> Matrix:
+        """Entries of the mixed Hessian over the bases of A_k and A_l."""
+        return self._get(("hessian", k, l), lambda: mixed_hessian(self, k, l))
+
+    def verdict(self, k: int) -> VanishingVerdict:
+        """Whether the order-k Hessian vanishes, decided in this mode and seed."""
+        return self._get(("verdict", k), lambda: hessian_vanishes(self, k))
+
+    def counts(self) -> dict:
+        """Hessian vanishing decisions taken and memo hits so far."""
+        decisions = sum(1 for key in self._memo if key[0] == "verdict")
+        return {"hessian_decisions": decisions, "reused": self._reused}

@@ -5,19 +5,23 @@ its derivative spaces: degree-k operators are identified with the polynomials
 they produce from f, so dim A_k is the size of a greedy basis of the degree-k
 derivatives and multiplication never needs quotient-ring arithmetic.  The
 explicit catalecticant matrix, whose rank is the same number, is kept as API
-and as an independent reference.
+and as an independent reference.  Facts read off the bases (the Hilbert
+vector, essential variables) take the form's `Analysis`, which computes each
+basis once.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import linalg
 from .errors import DegreeRangeError, DependentPrefixError, ZeroPolynomialError
 from .polycore import DiffOp, Monomial, Poly, diff_apply, mono_basis
+
+if TYPE_CHECKING:
+    from .analysis import Analysis
 
 
 @dataclass(frozen=True)
@@ -111,45 +115,22 @@ def ak_basis(
     order and kept whenever their derivative is independent of what has been
     kept so far, so the result is deterministic.  A dependent prefix operator
     is an error (certificates rely on the stated prefix), reported with its
-    index.
+    index.  Nothing is cached here: `Analysis.basis` keeps one form's bases.
     """
     d = _require_degree(f)
     if not 0 <= k <= d:
         raise DegreeRangeError(f"k={k} out of range 0..{d}")
-    if preferred_prefix is None:
-        return _ak_basis_default(f, k)
     dual = f.vars.dual()
     span = linalg.SparseSpan()
     ops: list[DiffOp] = []
     derived: list[Poly] = []
-    prefix = tuple(preferred_prefix)
-    for i, op in enumerate(prefix):
+    prefix = None if preferred_prefix is None else tuple(preferred_prefix)
+    for i, op in enumerate(prefix or ()):
         g = diff_apply(op, f)
         if not span.try_add(g.coeff_map()):
             raise DependentPrefixError(i)
         ops.append(op)
         derived.append(g)
-    _extend_with_monomials(f, k, span, ops, derived)
-    return AkBasis(k, tuple(ops), tuple(derived), prefix)
-
-
-@functools.lru_cache(maxsize=512)
-def _ak_basis_default(f: Poly, k: int) -> AkBasis:
-    span = linalg.SparseSpan()
-    ops: list[DiffOp] = []
-    derived: list[Poly] = []
-    _extend_with_monomials(f, k, span, ops, derived)
-    return AkBasis(k, tuple(ops), tuple(derived), None)
-
-
-def _extend_with_monomials(
-    f: Poly,
-    k: int,
-    span: linalg.SparseSpan,
-    ops: list[DiffOp],
-    derived: list[Poly],
-) -> None:
-    dual = f.vars.dual()
     for expo in mono_basis(dual, k):
         op = Poly.monomial(dual, expo)
         g = diff_apply(op, f)
@@ -158,6 +139,7 @@ def _extend_with_monomials(
         if span.try_add(g.coeff_map()):
             ops.append(op)
             derived.append(g)
+    return AkBasis(k, tuple(ops), tuple(derived), prefix)
 
 
 @dataclass(frozen=True)
@@ -190,10 +172,10 @@ class HilbertVector:
         return self.dims[1] if len(self.dims) > 1 else 0
 
 
-def hilbert_vector(f: Poly) -> HilbertVector:
+def hilbert_vector(an: Analysis) -> HilbertVector:
     """Hilbert vector from the A_k bases up to d/2, mirrored by Gorenstein symmetry."""
-    d = _require_degree(f)
-    half = [len(ak_basis(f, k)) for k in range(d // 2 + 1)]
+    d = an.f.degree
+    half = [len(an.basis(k)) for k in range(d // 2 + 1)]
     return HilbertVector(tuple(half + [half[d - k] for k in range(d // 2 + 1, d + 1)]))
 
 
@@ -221,7 +203,6 @@ def first_dip(hv: HilbertVector | Sequence[int]) -> Optional[int]:
     return None
 
 
-def depends_on_all_vars(f: Poly) -> bool:
+def depends_on_all_vars(an: Analysis) -> bool:
     """True iff no degree-1 operator annihilates f (all variables essential)."""
-    _require_degree(f)
-    return len(ak_basis(f, 1)) == len(f.vars)
+    return len(an.basis(1)) == len(an.f.vars)

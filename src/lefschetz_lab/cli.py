@@ -15,7 +15,8 @@ import time
 from typing import Optional
 
 from . import __version__
-from .apolar import hilbert_vector, is_unimodal
+from .analysis import Analysis
+from .apolar import is_unimodal
 from .errors import LefschetzLabError
 from .families import FAMILY_KINDS, FamilySpec, generate
 from .hessian import hess_profile, is_cone
@@ -108,6 +109,7 @@ def cmd_analyze(args) -> int:
     if f.is_zero():
         raise LefschetzLabError("the zero polynomial has nothing to analyze")
     d = f.degree
+    an = Analysis(f, mode, seed)
     timing: dict[str, float] = {}
 
     def stage(name: str, fn):
@@ -116,15 +118,13 @@ def cmd_analyze(args) -> int:
         timing[name] = round((time.perf_counter() - start) * 1000.0, 3)
         return value
 
-    hv = stage("hilbert", lambda: hilbert_vector(f))
+    hv = stage("hilbert", an.hilbert)
     unimodal = is_unimodal(hv)
     cone = stage("cone", lambda: is_cone(f))
-    profile = stage(
-        "hess_profile", lambda: hess_profile(f, mode, seed, max_k=args.max_k)
-    )
+    profile = stage("hess_profile", lambda: hess_profile(an, max_k=args.max_k))
     full_profile = args.max_k is None or args.max_k >= d // 2
-    slp = stage("slp", lambda: slp_generic(f, seed=seed)) if full_profile else None
-    wlp = stage("wlp", lambda: wlp_generic(f, seed=seed))
+    slp = stage("slp", lambda: slp_generic(an)) if full_profile else None
+    wlp = stage("wlp", lambda: wlp_generic(an))
     certificates = []
     if vs.has_split:
         for k in range(1, d // 2 + 1):
@@ -149,6 +149,7 @@ def cmd_analyze(args) -> int:
         "slp": slp.to_json_dict() if slp else {"verdict": "undetermined", "reason": "profile capped by --max-k"},
         "wlp": wlp.to_json_dict(),
         "certificates": certificates,
+        "counts": an.counts(),
         "timing_ms": timing,
     }
 

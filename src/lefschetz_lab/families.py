@@ -19,14 +19,16 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Mapping, Optional, Sequence
 
-from .apolar import catalecticant, depends_on_all_vars, hilbert_vector, is_unimodal
+from .analysis import Analysis
+from .apolar import catalecticant, depends_on_all_vars, is_unimodal
 from .errors import (
     DegenerateInstanceError,
     InfeasibleParametersError,
     RetriesExhaustedError,
 )
-from .hessian import hessian_vanishes, is_cone
+from .hessian import VanishingVerdict, is_cone
 from .lefschetz import (
+    LefschetzReport,
     LinearForm,
     key_criterion,
     verify_key_certificate,
@@ -34,7 +36,15 @@ from .lefschetz import (
     wlp_check_element,
     wlp_obstruction,
 )
-from .polycore import Monomial, Poly, VariableSet, mono_basis, mono_count, poly_sum
+from .polycore import (
+    Monomial,
+    Poly,
+    VariableSet,
+    mono_basis,
+    mono_count,
+    parse_poly,
+    poly_sum,
+)
 
 FAMILY_KINDS = (
     "ikeda",
@@ -150,9 +160,28 @@ def _verify(cond: bool, message: str) -> None:
         raise DegenerateInstanceError(message)
 
 
-def _check_nondegenerate(f: Poly, what: str) -> None:
-    _verify(depends_on_all_vars(f), f"{what}: some variable is superfluous")
+def _x_uv_vars(top: int) -> VariableSet:
+    """x2 .. x{top} followed by u, v (the exceptional and thmwlp families)."""
+    x_names = tuple(f"x{i}" for i in range(2, top + 1))
+    return VariableSet(x_names + ("u", "v"), n_x=len(x_names))
+
+
+def _xu_vars(m: int, n: int) -> VariableSet:
+    """x0 .. xn followed by u1 .. um (the perazzo and permutti families)."""
+    x_names = tuple(f"x{j}" for j in range(n + 1))
+    u_names = tuple(f"u{j}" for j in range(1, m + 1))
+    return VariableSet(x_names + u_names, n_x=n + 1)
+
+
+_PROP44_VARS = VariableSet(("x0", "x1", "x2", "u", "v"), n_x=3)
+
+
+def _checked(f: Poly, seed: int, what: str) -> Analysis:
+    """The probabilistic Analysis of a nondegenerate (all variables, no cone) f."""
+    an = Analysis(f, "probabilistic", seed)
+    _verify(depends_on_all_vars(an), f"{what}: some variable is superfluous")
     _verify(not is_cone(f).is_cone, f"{what}: instance is a cone")
+    return an
 
 
 # -- the fixed codimension-4 example ------------------------------------------
@@ -204,8 +233,8 @@ def gen_exceptional(
     _require(n >= 3, "need n >= 3")
     _require(d >= 5, "need d >= 5")
     _require(2 <= k and 2 * k < d, "need 2 <= k < d/2")
-    x_names = tuple(f"x{i}" for i in range(2, n + 1))
-    vs = VariableSet(x_names + ("u", "v"), n_x=len(x_names))
+    vs = _x_uv_vars(n)
+    x_names = vs.x_names
     core = poly_sum(
         vs,
         [
@@ -249,19 +278,19 @@ def gen_exceptional(
     for attempt in range(4):
         f = core + base_h + perturbation.scale(attempt) + tail_p
         try:
-            _check_nondegenerate(f, "exceptional")
+            an = _checked(f, seed, "exceptional")
             for r in range(2, k + 1):
                 _verify(
                     key_criterion(f, r) is not None,
                     f"exceptional: no vanishing certificate at order {r}",
                 )
             _verify(
-                not hessian_vanishes(f, 1, seed=seed).vanishes,
+                not an.verdict(1).vanishes,
                 "exceptional: classical Hessian vanished",
             )
             if check_above:
                 _verify(
-                    not hessian_vanishes(f, k + 1, seed=seed).vanishes,
+                    not an.verdict(k + 1).vanishes,
                     f"exceptional: Hessian of order {k + 1} vanished",
                 )
             return FamilyInstance(f, spec, manifest)
@@ -349,7 +378,7 @@ def gen_gnp(
     else:
         raise InfeasibleParametersError(f"unknown gnp variant {variant!r}")
 
-    _check_nondegenerate(f, f"gnp/{variant}")
+    _checked(f, seed, f"gnp/{variant}")
     _verify(
         key_criterion(f, k) is not None,
         f"gnp/{variant}: no vanishing certificate at order {k}",
@@ -403,9 +432,7 @@ def gen_perazzo(
         n + 1 <= mono_count(m, d - 1),
         f"need {n + 1} distinct degree-{d - 1} monomials in {m} variables",
     )
-    x_names = tuple(f"x{j}" for j in range(n + 1))
-    u_names = tuple(f"u{j}" for j in range(1, m + 1))
-    vs = VariableSet(x_names + u_names, n_x=n + 1)
+    vs = _xu_vars(m, n)
     if gs is None:
         g_monos = _covering_monomials(m, d - 1, n + 1)
         gs_polys = [Poly.monomial(vs, (0,) * (n + 1) + tuple(gm)) for gm in g_monos]
@@ -420,7 +447,7 @@ def gen_perazzo(
         )
         parts.append(h)
     f = poly_sum(vs, parts)
-    _check_nondegenerate(f, "perazzo")
+    _checked(f, seed, "perazzo")
     _verify(key_criterion(f, 1) is not None, "perazzo: no vanishing certificate")
     manifest = Manifest(
         hess_pattern=((1, True),),
@@ -468,9 +495,7 @@ def gen_permutti(
         n + 1 <= mono_count(m, e - 1),
         f"need {n + 1} distinct degree-{e - 1} monomials in {m} variables",
     )
-    x_names = tuple(f"x{j}" for j in range(n + 1))
-    u_names = tuple(f"u{j}" for j in range(1, m + 1))
-    vs = VariableSet(x_names + u_names, n_x=n + 1)
+    vs = _xu_vars(m, n)
     g_monos = _covering_monomials(m, e - 1, n + 1)
     Q = poly_sum(
         vs,
@@ -494,9 +519,9 @@ def gen_permutti(
         parts.append(Q**j * pj)
     f = poly_sum(vs, parts)
     _verify(not f.is_zero(), "permutti: all biform parts were zero")
-    _check_nondegenerate(f, "permutti")
+    an = _checked(f, seed, "permutti")
     _verify(
-        hessian_vanishes(f, 1, seed=seed).vanishes,
+        an.verdict(1).vanishes,
         "permutti: classical Hessian did not vanish",
     )
     manifest = Manifest(
@@ -594,9 +619,9 @@ def gen_gn(
             term = term * cores[l] ** ee
         parts.append(term)
     f = poly_sum(vs, parts)
-    _check_nondegenerate(f, "gn")
+    an = _checked(f, seed, "gn")
     _verify(
-        hessian_vanishes(f, 1, seed=seed).vanishes,
+        an.verdict(1).vanishes,
         "gn: classical Hessian did not vanish",
     )
     manifest = Manifest(
@@ -662,7 +687,7 @@ def gen_wlpodd(N: int, d: int, *, seed: int = 0) -> FamilyInstance:
         half.append(hk)
     hilbert = tuple(half + half[::-1])
 
-    _check_nondegenerate(f, "wlpodd")
+    _checked(f, seed, "wlpodd")
     _verify(key_criterion(f, q) is not None, "wlpodd: no middle vanishing certificate")
     manifest = Manifest(
         hess_pattern=((q, True),),
@@ -711,7 +736,6 @@ def gen_thmwlp(
     _require(N >= 3, "need N >= 3")
     if d == 4:
         _require(N >= 5, "d = 4 needs N >= 5")
-        core_x = ("x2", "x3", "x4", "x5")
         core = [
             {"x2": 1, "u": 3},
             {"x3": 1, "u": 2, "v": 1},
@@ -722,7 +746,6 @@ def gen_thmwlp(
         spare_from = 6
     elif d == 6:
         _require(N >= 4, "d = 6 needs N >= 4")
-        core_x = ("x2", "x3", "x4")
         core = [
             {"x2": 1, "u": 2, "v": 3},
             {"x3": 1, "u": 4, "v": 1},
@@ -732,7 +755,6 @@ def gen_thmwlp(
         spare_from = 5
     else:
         q = d // 2
-        core_x = ("x2", "x3")
         core = [
             {"x2": 1, "u": q - 2, "v": q + 1},
             {"x3": 1, "u": 2 * q - 3, "v": 2},
@@ -740,8 +762,7 @@ def gen_thmwlp(
         level, size = q - 1, q + 2
         spare_from = 4
     spare = tuple(f"x{i}" for i in range(spare_from, N + 1))
-    x_names = core_x + spare
-    vs = VariableSet(x_names + ("u", "v"), n_x=len(x_names))
+    vs = _x_uv_vars(N)  # the core x-variables, then the spare ones
     uv = {vs.index("u"), vs.index("v")}
     if g is not None:
         _require(g.is_zero() or (g.degree == d and g.supported_on(uv)), "g must be degree d in u, v")
@@ -758,7 +779,7 @@ def gen_thmwlp(
     elif (N, d) == (4, 6):
         hilbert = (1, 5, 8, 8, 8, 5, 1)
 
-    _check_nondegenerate(f, "thmwlp")
+    _checked(f, seed, "thmwlp")
     cert = wlp_obstruction(f, level)
     _verify(cert is not None, f"thmwlp: no obstruction at level {level}")
     _verify(
@@ -794,7 +815,7 @@ def gen_prop44(case: str, h: Optional[Poly] = None, *, seed: int = 0) -> FamilyI
     """
     if case not in ("i", "ii", "iii"):
         raise InfeasibleParametersError(f"unknown case {case!r}, expected i, ii or iii")
-    vs = VariableSet(("x0", "x1", "x2", "u", "v"), n_x=3)
+    vs = _PROP44_VARS
     uv = {vs.index("u"), vs.index("v")}
     if case == "iii":
         core = poly_sum(
@@ -815,12 +836,12 @@ def gen_prop44(case: str, h: Optional[Poly] = None, *, seed: int = 0) -> FamilyI
         _require(h.is_zero() or (h.degree == 4 and h.supported_on(uv)), "h must be a binary quartic in u, v")
     h_poly = h if h is not None else _power_sum(vs, ("u", "v"), 4)
     f = core + h_poly
-    _check_nondegenerate(f, "prop44")
+    an = _checked(f, seed, "prop44")
     _verify(
-        hessian_vanishes(f, 1, seed=seed).vanishes,
+        an.verdict(1).vanishes,
         "prop44: classical Hessian did not vanish",
     )
-    ok, _ = wlp_check_element(f, witness)
+    ok, _ = wlp_check_element(an, witness)
     _verify(ok, "prop44: the canonical witness fails for this h")
     manifest = Manifest(
         hess_pattern=((1, True),),
@@ -844,11 +865,14 @@ def replay_manifest(
     """Re-verify every manifest claim through the analysis modules.
 
     Returns (claim, passed, detail) triples; certificates are re-searched and
-    independently replayed, never trusted from the instance.
+    independently replayed, never trusted from the instance.  One Analysis in
+    `mode` serves every claim, so each Hessian is decided once and the SLP
+    and WLP claims are decided in the same mode as the profile.
     """
     from .lefschetz import slp_generic, wlp_generic  # local to avoid cycle at import
 
     f = inst.f
+    an = Analysis(f, mode, seed)
     man = inst.manifest
     results: list[tuple[str, bool, str]] = []
 
@@ -856,17 +880,17 @@ def replay_manifest(
         results.append((name, ok, detail))
 
     for k, expect_vanish in man.hess_pattern:
-        verdict = hessian_vanishes(f, k, mode, seed)
+        verdict = an.verdict(k)
         check(
             f"hess[{k}] {'=0' if expect_vanish else '!=0'}",
             verdict.vanishes == expect_vanish,
             verdict.mode,
         )
     if man.hilbert is not None:
-        hv = hilbert_vector(f)
+        hv = an.hilbert()
         check("hilbert", hv.dims == man.hilbert, f"{hv.dims} vs {man.hilbert}")
     if man.unimodal is not None:
-        check("unimodal", is_unimodal(hilbert_vector(f)) == man.unimodal)
+        check("unimodal", is_unimodal(an.hilbert()) == man.unimodal)
     if man.cone is not None:
         check("cone", is_cone(f).is_cone == man.cone)
     if man.dim_a1 is not None:
@@ -885,33 +909,49 @@ def replay_manifest(
             ok = cert.s == man.obstruction_size
         check(f"obstruction[{man.obstruction_level}]", ok)
     if man.slp is not None:
-        report = slp_generic(f, seed=seed)
+        report = slp_generic(an)
         ok = report.verdict == man.slp
         if ok and man.slp_fail_level is not None:
             ok = report.level == man.slp_fail_level
-        check("slp", ok, report.verdict)
+        check("slp", ok, _decided(report))
     if man.wlp is not None:
         if man.wlp_witness is not None:
-            ok, _ = wlp_check_element(f, man.wlp_witness)
+            ok, _ = wlp_check_element(an, man.wlp_witness)
             check("wlp_witness", ok == (man.wlp == "holds"))
         else:
-            report = wlp_generic(f, seed=seed)
+            report = wlp_generic(an)
             ok = report.verdict == man.wlp
             if ok and man.wlp_fail_level is not None:
                 ok = report.level == man.wlp_fail_level
-            check("wlp", ok, report.verdict)
+            check("wlp", ok, _decided(report))
     return results
 
 
+def _decided(report: LefschetzReport) -> str:
+    """A report's verdict, with the mode of the Hessian verdict behind it."""
+    cert = report.certificate
+    if isinstance(cert, VanishingVerdict):
+        return f"{report.verdict} ({cert.mode})"
+    return report.verdict
+
+
 def generate(spec: FamilySpec) -> FamilyInstance:
-    """Dispatch a FamilySpec to its generator."""
+    """Dispatch a FamilySpec to its generator, overrides included.
+
+    Each override text is parsed over the family's variable set and passed
+    to the generator under its recorded name, so `generate` rebuilds from a
+    serialized spec the instance that produced it.
+    """
     kind = spec.kind
     params = dict(spec.params)
     seed = spec.seed
+    over = _parsed_overrides(spec)
     if kind == "ikeda":
         return gen_ikeda()
     if kind == "exceptional":
-        return gen_exceptional(params["n"], params["d"], params["k"], seed=seed)
+        return gen_exceptional(
+            params["n"], params["d"], params["k"], h=over.get("h"), p=over.get("p"), seed=seed
+        )
     if kind == "gnp":
         return gen_gnp(
             params["m"],
@@ -922,9 +962,12 @@ def generate(spec: FamilySpec) -> FamilyInstance:
             seed=seed,
         )
     if kind == "perazzo":
-        return gen_perazzo(params["m"], params["n"], params["d"], seed=seed)
+        n = params["n"]
+        gs = [over[f"g{i}"] for i in range(n + 1) if f"g{i}" in over] or None
+        return gen_perazzo(params["m"], n, params["d"], gs=gs, h=over.get("h"), seed=seed)
     if kind == "permutti":
-        return gen_permutti(params["m"], params["n"], params["e"], params["d"], seed=seed)
+        Ps = {int(name[1:]): poly for name, poly in over.items()} or None
+        return gen_permutti(params["m"], params["n"], params["e"], params["d"], Ps=Ps, seed=seed)
     if kind == "gn":
         return gen_gn(
             params["m"], params["n"], params["r"], params["e"], params["d"], seed=seed
@@ -932,7 +975,31 @@ def generate(spec: FamilySpec) -> FamilyInstance:
     if kind == "wlpodd":
         return gen_wlpodd(params["N"], params["d"], seed=seed)
     if kind == "thmwlp":
-        return gen_thmwlp(params["N"], params["d"], seed=seed)
+        return gen_thmwlp(params["N"], params["d"], g=over.get("g"), h=over.get("h"), seed=seed)
     if kind == "prop44":
-        return gen_prop44(params["case"], seed=seed)
+        return gen_prop44(params["case"], over.get("h"), seed=seed)
     raise InfeasibleParametersError(f"unknown family kind {spec.kind!r}")
+
+
+def _parsed_overrides(spec: FamilySpec) -> dict[str, Poly]:
+    """The spec's override texts parsed over its family's variable set."""
+    if not spec.overrides:
+        return {}
+    params = spec.params
+    if spec.kind in ("exceptional", "thmwlp"):
+        vs = _x_uv_vars(params["n" if spec.kind == "exceptional" else "N"])
+        names = {"h", "p"} if spec.kind == "exceptional" else {"g", "h"}
+    elif spec.kind == "perazzo":
+        vs = _xu_vars(params["m"], params["n"])
+        names = {"h"} | {f"g{i}" for i in range(params["n"] + 1)}
+    elif spec.kind == "permutti":
+        vs = _xu_vars(params["m"], params["n"])
+        names = {f"P{j}" for j in range(params["d"] // params["e"] + 1)}
+    elif spec.kind == "prop44":
+        vs, names = _PROP44_VARS, {"h"}
+    else:
+        vs, names = None, set()
+    unknown = sorted(set(spec.overrides) - names)
+    if unknown:
+        raise InfeasibleParametersError(f"{spec.kind} takes no override named {unknown[0]!r}")
+    return {name: parse_poly(text, vs) for name, text in spec.overrides.items()}

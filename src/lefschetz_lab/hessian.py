@@ -14,7 +14,8 @@ one.  Two decision routes are implemented:
 
 Probabilistic runs escalate to the exact route when the matrix is small
 enough; above the cutoff a vanishing verdict keeps its (tiny) error bound
-unless the caller forces exact mode.
+unless the form's Analysis runs in exact mode.  The Hessians and verdicts of
+one form are read through its `Analysis`, which builds and decides each once.
 """
 
 from __future__ import annotations
@@ -24,15 +25,20 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import linalg
-from .apolar import AkBasis, ak_basis, depends_on_all_vars
+from .apolar import AkBasis, depends_on_all_vars
 from .errors import DegreeRangeError, ZeroPolynomialError
 from .polycore import Monomial, Poly, diff_apply, eval_poly, partial
 
+if TYPE_CHECKING:
+    from .analysis import Analysis
+
 DEFAULT_EXACT_CUTOFF = 12
 DEFAULT_TRIALS = 5
+
+Matrix = tuple[tuple[Poly, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -42,7 +48,7 @@ class HessianMatrix:
     f: Poly
     k: int
     basis: AkBasis
-    entries: tuple[tuple[Poly, ...], ...]
+    entries: Matrix
 
     @property
     def size(self) -> int:
@@ -85,35 +91,31 @@ class VanishingVerdict:
         return out
 
 
-def hessian_matrix(f: Poly, k: int, basis: Optional[AkBasis] = None) -> HessianMatrix:
-    """Build the order-k Hessian; the default basis is the greedy monomial one."""
-    d = _checked_degree(f, k)
+def hessian_matrix(an: Analysis, k: int, basis: Optional[AkBasis] = None) -> HessianMatrix:
+    """The order-k Hessian; the default basis is the greedy monomial one."""
+    _checked_degree(an.f, k)
     if basis is None:
-        basis = ak_basis(f, k)
-    else:
-        _validate_basis(f, k, basis)
-    return HessianMatrix(f, k, basis, _entries(basis, basis, symmetric=True))
+        return HessianMatrix(an.f, k, an.basis(k), an.hessian(k, k))
+    _validate_basis(an, k, basis)
+    return HessianMatrix(an.f, k, basis, _entries(basis, basis, symmetric=True))
 
 
-def mixed_hessian(f: Poly, k: int, l: int) -> tuple[tuple[Poly, ...], ...]:
+def mixed_hessian(an: Analysis, k: int, l: int) -> Matrix:
     """Mixed Hessian (a_i b_j (f)) over the greedy bases (a_i) of A_k, (b_j) of A_l.
 
     Its entries have degree d-k-l.  Evaluated at the coefficients of a linear
     form L, its rank is the rank of multiplication by L^(d-k-l) from A_k to
-    A_(d-l) (Maeno-Watanabe); l = k gives the pure order-k Hessian.
+    A_(d-l) (Maeno-Watanabe); l = k gives the pure order-k Hessian.  The
+    matrix for (l, k) is the transpose of the one for (k, l).
     """
-    if f.is_zero():
-        raise ZeroPolynomialError("Hessians of the zero polynomial are undefined")
-    d = f.degree
+    d = an.f.degree
     if k < 0 or l < 0 or k + l > d:
         raise DegreeRangeError(f"orders ({k}, {l}) out of range for d={d}")
-    rows = ak_basis(f, k)
-    return _entries(rows, rows if l == k else ak_basis(f, l), symmetric=l == k)
+    rows = an.basis(k)
+    return _entries(rows, rows if l == k else an.basis(l), symmetric=l == k)
 
 
-def _entries(
-    rows: AkBasis, cols: AkBasis, *, symmetric: bool
-) -> tuple[tuple[Poly, ...], ...]:
+def _entries(rows: AkBasis, cols: AkBasis, *, symmetric: bool) -> Matrix:
     """(rows.ops[i] applied to cols.derived[j]); symmetric fills one triangle."""
     n, m = len(rows), len(cols)
     out: list[list[Poly]] = [[None] * m for _ in range(n)]  # type: ignore[list-item]
@@ -126,77 +128,55 @@ def _entries(
     return tuple(tuple(r) for r in out)
 
 
-def _validate_basis(f: Poly, k: int, basis: AkBasis) -> None:
+def _validate_basis(an: Analysis, k: int, basis: AkBasis) -> None:
     if basis.k != k:
         raise ValueError(f"basis is for degree {basis.k}, not {k}")
-    if len(basis) != len(ak_basis(f, k)):
+    if len(basis) != len(an.basis(k)):
         raise ValueError("basis has the wrong dimension for this polynomial")
     span = linalg.SparseSpan()
     for op, g in zip(basis.ops, basis.derived):
-        if diff_apply(op, f) != g or not span.try_add(g.coeff_map()):
+        if diff_apply(op, an.f) != g or not span.try_add(g.coeff_map()):
             raise ValueError("invalid basis: derivatives inconsistent or dependent")
 
 
-def _checked_degree(f: Poly, k: int) -> int:
-    if f.is_zero():
-        raise ZeroPolynomialError("Hessians of the zero polynomial are undefined")
+def _checked_degree(f: Poly, k: int) -> None:
     d = f.degree
     if not 0 <= k <= d // 2:
         raise DegreeRangeError(f"k={k} out of range 0..{d // 2}")
-    return d
 
 
 def hessian_vanishes(
-    f: Poly,
-    k: int,
-    mode: str = "probabilistic",
-    seed: int = 0,
-    *,
-    basis: Optional[AkBasis] = None,
-    trials: int = DEFAULT_TRIALS,
-    exact_cutoff: int = DEFAULT_EXACT_CUTOFF,
+    an: Analysis, k: int, *, basis: Optional[AkBasis] = None
 ) -> VanishingVerdict:
-    """Decide whether the order-k Hessian determinant vanishes identically."""
-    if mode not in ("probabilistic", "exact"):
-        raise ValueError(f"unknown mode {mode!r}")
-    d = _checked_degree(f, k)
-    H = hessian_matrix(f, k, basis)
-    degree_bound = H.size * (d - 2 * k)
+    """Decide whether the order-k Hessian determinant vanishes identically.
+
+    The decision runs in the Analysis's mode and seed.  `Analysis.verdict`
+    keeps the result; this function decides afresh on every call.
+    """
+    H = hessian_matrix(an, k, basis)
     return _det_vanishes(
         H.entries,
-        degree_bound=degree_bound,
-        mode=mode,
-        seed=seed,
-        trials=trials,
-        exact_cutoff=exact_cutoff,
+        degree_bound=H.size * (an.f.degree - 2 * k),
+        mode=an.mode,
+        seed=an.seed,
+        trials=DEFAULT_TRIALS,
+        exact_cutoff=DEFAULT_EXACT_CUTOFF,
         salt=f"hess:{k}",
     )
 
 
-def hess_profile(
-    f: Poly,
-    mode: str = "probabilistic",
-    seed: int = 0,
-    *,
-    max_k: Optional[int] = None,
-    exact_cutoff: int = DEFAULT_EXACT_CUTOFF,
-) -> list[VanishingVerdict]:
+def hess_profile(an: Analysis, *, max_k: Optional[int] = None) -> list[VanishingVerdict]:
     """Vanishing verdicts for every order k = 0 .. floor(d/2)."""
-    if f.is_zero():
-        raise ZeroPolynomialError("profile of the zero polynomial is undefined")
-    if not depends_on_all_vars(f):
+    if not depends_on_all_vars(an):
         warnings.warn(
             "input has annihilating degree-1 operators (cone-like degenerate); "
             "profile is computed on the quotient basis",
             stacklevel=2,
         )
-    top = f.degree // 2
+    top = an.f.degree // 2
     if max_k is not None:
         top = min(top, max_k)
-    return [
-        hessian_vanishes(f, k, mode, seed, exact_cutoff=exact_cutoff)
-        for k in range(top + 1)
-    ]
+    return [an.verdict(k) for k in range(top + 1)]
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 The rank of multiplication by L^(d-k-l): A_k -> A_(d-l) is the rank of the
 mixed Hessian (a_i b_j (f)) evaluated at the coefficients of L, so every
-Lefschetz check takes that rank.  The explicit multiplication matrix, built
+Lefschetz check takes that rank, over the Hessians its form's `Analysis`
+assembles once.  The explicit multiplication matrix, built
 from exact coordinate solves in the derivative spaces, is kept as API and as
 an independent reference.  Specific elements are checked directly; generic
 verdicts combine a random witness search (maximal rank is
@@ -23,20 +24,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import linalg
-from .apolar import (
-    AkBasis,
-    HilbertVector,
-    ak_basis,
-    depends_on_all_vars,
-    first_dip,
-    hilbert_vector,
-    is_unimodal,
-)
+from .apolar import HilbertVector, first_dip, is_unimodal
 from .errors import DegreeRangeError, NoSplitError, ZeroPolynomialError
-from .hessian import hessian_vanishes, mixed_hessian
 from .polycore import (
     DiffOp,
     Poly,
@@ -46,6 +38,9 @@ from .polycore import (
     eval_poly,
     mono_basis,
 )
+
+if TYPE_CHECKING:
+    from .analysis import Analysis
 
 GENERIC_TRIALS = 12
 
@@ -79,7 +74,7 @@ class LinearForm:
         return [str(c) for c in self.coeffs]
 
 
-def mult_map(f: Poly, L: LinearForm, i: int, k: int) -> list[list[Fraction]]:
+def mult_map(an: Analysis, L: LinearForm, i: int, k: int) -> list[list[Fraction]]:
     """Matrix of multiplication by L^k from the degree-i piece to degree i+k.
 
     Rows are indexed by the target basis, columns by the source basis (both
@@ -87,17 +82,15 @@ def mult_map(f: Poly, L: LinearForm, i: int, k: int) -> list[list[Fraction]]:
     dim A_i columns.  The Lefschetz checks take the same ranks from
     mixed Hessians; this explicit matrix is the independent reference.
     """
-    if f.is_zero():
-        raise ZeroPolynomialError("multiplication maps of the zero polynomial")
-    d = f.degree
+    d = an.f.degree
     if i < 0 or k < 0 or i + k > d:
         raise DegreeRangeError(f"map degrees ({i} -> {i + k}) out of range for d={d}")
-    src = ak_basis(f, i)
-    dst = ak_basis(f, i + k)
+    src = an.basis(i)
+    dst = an.basis(i + k)
     span = linalg.SparseSpan()
     for g in dst.derived:
         span.try_add(g.coeff_map())
-    op = L.as_operator(f.vars) ** k
+    op = L.as_operator(an.f.vars) ** k
     columns: list[list[Fraction]] = []
     for g in src.derived:
         image = diff_apply(op, g)
@@ -132,42 +125,37 @@ class LevelCheck:
         }
 
 
-def _rank_at(f: Poly, k: int, l: int, L: LinearForm) -> int:
+def _rank_at(an: Analysis, k: int, l: int, L: LinearForm) -> int:
     """Rank of L^(d-k-l): A_k -> A_(d-l), from the mixed Hessian at L."""
-    H = mixed_hessian(f, k, l)
+    H = an.hessian(k, l)
     return linalg.rank([[eval_poly(e, L.coeffs) for e in row] for row in H])
 
 
-def slp_check_element(f: Poly, L: LinearForm) -> tuple[bool, list[LevelCheck]]:
+def slp_check_element(an: Analysis, L: LinearForm) -> tuple[bool, list[LevelCheck]]:
     """Is L a strong Lefschetz element?  Each order-k Hessian at L has full rank."""
-    if f.is_zero():
-        raise ZeroPolynomialError("Lefschetz checks on the zero polynomial")
-    d = f.degree
-    checks: list[LevelCheck] = []
-    ok = True
-    for k in range(d // 2 + 1):
-        rank = _rank_at(f, k, k, L)
-        size = len(ak_basis(f, k))
-        checks.append(LevelCheck(k, d - 2 * k, rank, size))
-        ok = ok and rank == size
-    return ok, checks
+    d = an.f.degree
+    hv = an.hilbert()
+    checks = [
+        LevelCheck(k, d - 2 * k, _rank_at(an, k, k, L), hv[k]) for k in range(d // 2 + 1)
+    ]
+    return all(c.maximal for c in checks), checks
 
 
-def wlp_check_element(f: Poly, L: LinearForm) -> tuple[bool, list[LevelCheck]]:
-    """Does every consecutive map `L : A_i -> A_{i+1}` have maximal rank?"""
-    if f.is_zero():
-        raise ZeroPolynomialError("Lefschetz checks on the zero polynomial")
-    d = f.degree
-    checks: list[LevelCheck] = []
-    ok = True
-    for i in range(d):
-        hi = len(ak_basis(f, i))
-        hj = len(ak_basis(f, i + 1))
-        rank = _rank_at(f, i, d - i - 1, L)
-        required = min(hi, hj)
-        checks.append(LevelCheck(i, 1, rank, required))
-        ok = ok and rank == required
-    return ok, checks
+def wlp_check_element(an: Analysis, L: LinearForm) -> tuple[bool, list[LevelCheck]]:
+    """Does every consecutive map `L : A_i -> A_{i+1}` have maximal rank?
+
+    The map at level d-1-i has the transposed Hessian of the map at level i
+    and, by Gorenstein symmetry, the same maximal rank, so only the levels
+    i <= (d-1)/2 are ranked and the rest mirror them.
+    """
+    d = an.f.degree
+    hv = an.hilbert()
+    ranks = [_rank_at(an, i, d - 1 - i, L) for i in range((d + 1) // 2)]
+    checks = [
+        LevelCheck(i, 1, ranks[min(i, d - 1 - i)], min(hv[i], hv[i + 1]))
+        for i in range(d)
+    ]
+    return all(c.maximal for c in checks), checks
 
 
 @dataclass(frozen=True)
@@ -220,20 +208,20 @@ def _random_linear_form(rng: random.Random, n: int, bound: int) -> LinearForm:
             return LinearForm.from_coeffs(coeffs)
 
 
-def slp_generic(f: Poly, seed: int = 0, trials: int = GENERIC_TRIALS) -> LefschetzReport:
+def slp_generic(an: Analysis, trials: int = GENERIC_TRIALS) -> LefschetzReport:
     """Generic strong-Lefschetz verdict from the Hessian profile.
 
     Holds iff no Hessian vanishes identically; the witness is found by
     testing the nonvanishing certificates' evaluation points first and random
     points after that.
     """
-    hv = hilbert_vector(f)
+    f = an.f
+    hv = an.hilbert()
     uni = is_unimodal(hv)
     d = f.degree
-    verdicts = [hessian_vanishes(f, k, seed=seed) for k in range(d // 2 + 1)]
+    verdicts = [an.verdict(k) for k in range(d // 2 + 1)]
     for k, verdict in enumerate(verdicts):
         if verdict.vanishes:
-            size = len(ak_basis(f, k))
             return LefschetzReport(
                 "SLP",
                 "fails",
@@ -241,7 +229,7 @@ def slp_generic(f: Poly, seed: int = 0, trials: int = GENERIC_TRIALS) -> Lefsche
                 uni,
                 level=k,
                 map=(k, d - k),
-                required=size,
+                required=hv[k],
                 certificate=verdict,
             )
     candidates = [v.witness_point for v in verdicts if v.witness_point is not None]
@@ -250,7 +238,7 @@ def slp_generic(f: Poly, seed: int = 0, trials: int = GENERIC_TRIALS) -> Lefsche
     while True:
         for point in candidates:
             L = LinearForm.from_coeffs(point)
-            ok, checks = slp_check_element(f, L)
+            ok, checks = slp_check_element(an, L)
             if ok:
                 return LefschetzReport(
                     "SLP", "holds", hv, uni, witness=L, levels=tuple(checks)
@@ -260,16 +248,14 @@ def slp_generic(f: Poly, seed: int = 0, trials: int = GENERIC_TRIALS) -> Lefsche
                 "all Hessians are nonzero but no witness point was found; "
                 "this contradicts nonvanishing (bug)"
             )
-        rng = random.Random(f"slp:{seed}:{attempt}")
+        rng = random.Random(f"slp:{an.seed}:{attempt}")
         candidates = [tuple(rng.randint(-bound, bound) for _ in range(len(f.vars)))
                       for _ in range(4)]
         candidates = [c for c in candidates if any(c)]
         attempt += 1
 
 
-def wlp_generic(
-    f: Poly, trials: int = GENERIC_TRIALS, seed: int = 0
-) -> LefschetzReport:
+def wlp_generic(an: Analysis, trials: int = GENERIC_TRIALS) -> LefschetzReport:
     """Generic weak-Lefschetz verdict.
 
     Failure is only ever declared on structural evidence (non-unimodal
@@ -277,7 +263,8 @@ def wlp_generic(
     injectivity obstruction certificate); a random witness settles "holds";
     otherwise the verdict is undetermined.
     """
-    hv = hilbert_vector(f)
+    f = an.f
+    hv = an.hilbert()
     uni = is_unimodal(hv)
     d = f.degree
 
@@ -295,7 +282,7 @@ def wlp_generic(
 
     if d % 2 == 1:
         q = d // 2
-        middle = hessian_vanishes(f, q, seed=seed)
+        middle = an.verdict(q)
         if middle.vanishes:
             return LefschetzReport(
                 "WLP",
@@ -327,9 +314,9 @@ def wlp_generic(
 
     bound = 64 * (d + 1)
     for t in range(trials):
-        rng = random.Random(f"wlp:{seed}:{t}")
+        rng = random.Random(f"wlp:{an.seed}:{t}")
         L = _random_linear_form(rng, len(f.vars), bound)
-        ok, checks = wlp_check_element(f, L)
+        ok, checks = wlp_check_element(an, L)
         if ok:
             return LefschetzReport(
                 "WLP", "holds", hv, uni, witness=L, levels=tuple(checks)

@@ -143,11 +143,11 @@ class SparseSpan:
     largest key as pivot, which makes membership tests and coordinate
     extraction cheap.  Each stored row remembers its expansion in terms of the
     vectors that were added, so dependencies come with explicit witnesses.
+    The t-th successfully added vector has tag t; rejected vectors take none.
     """
 
     def __init__(self) -> None:
         self._rows: list[tuple[Hashable, Vec, dict[int, Fraction]]] = []
-        self.added = 0  # number of try_add calls so far (tags 0,1,2,...)
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -179,12 +179,10 @@ class SparseSpan:
 
     def try_add(self, vec: Vec) -> bool:
         """Add `vec` if independent of the rows so far; return True if added."""
-        tag = self.added
-        self.added += 1
         residual, combo = self._reduce(vec)
         if not residual:
             return False
-        combo[tag] = Fraction(1)
+        combo[len(self._rows)] = Fraction(1)
         pivot = max(residual)
         inv = 1 / residual[pivot]
         residual = {k: v * inv for k, v in residual.items()}
@@ -201,7 +199,7 @@ class SparseSpan:
         residual, combo = self._reduce(vec)
         if residual:
             return None
-        out = [Fraction(0)] * self.added
+        out = [Fraction(0)] * len(self._rows)
         for tag, val in combo.items():
             out[tag] = -val
         return out

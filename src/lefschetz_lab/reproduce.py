@@ -16,7 +16,8 @@ from math import comb
 from typing import Callable, Sequence
 
 from . import linalg
-from .apolar import ak_basis, catalecticant, hilbert_vector
+from .analysis import Analysis
+from .apolar import AkBasis, ak_basis, catalecticant
 from .errors import InfeasibleParametersError
 from .families import (
     FamilyInstance,
@@ -93,14 +94,14 @@ def _named(results: Sequence[tuple[str, bool, str]]) -> tuple[bool, str]:
 def _run_ikeda(config: SuiteConfig) -> tuple[bool, str]:
     inst = gen_ikeda()
     results = replay_manifest(inst, mode=config.mode, seed=config.seed)
-    hv = hilbert_vector(inst.f)
-    results.append(("dim_a2", hv[2] == 10, str(hv[2])))
+    dim_a2 = len(ak_basis(inst.f, 2))
+    results.append(("dim_a2", dim_a2 == 10, str(dim_a2)))
     return _named(results)
 
 
 def _run_perazzo(config: SuiteConfig) -> tuple[bool, str]:
     inst = gen_perazzo(2, 2, 3)
-    verdict = hessian_vanishes(inst.f, 1, "exact", config.seed)
+    verdict = Analysis(inst.f, "exact", config.seed).verdict(1)
     cone = is_cone(inst.f)
     return _named(
         [
@@ -148,7 +149,7 @@ def _gnp_lemma_fixture(k: int, e: int) -> Fixture:
         cert = key_criterion(inst.f, k)
         results = [
             ("key_certificate", cert is not None and verify_key_certificate(inst.f, cert), ""),
-            ("hess=0(exact)", hessian_vanishes(inst.f, k, "exact", config.seed).vanishes, ""),
+            ("hess=0(exact)", Analysis(inst.f, "exact", config.seed).verdict(k).vanishes, ""),
             ("dim_a1=5", catalecticant(inst.f, 1).rank() == 5, ""),
         ]
         return _named(results)
@@ -185,7 +186,8 @@ def _middle_never_injective(
     inst: FamilyInstance, level: int, config: SuiteConfig, trials: int = 20
 ) -> tuple[bool, str]:
     f = inst.f
-    h_src = len(ak_basis(f, level))
+    an = Analysis(f, config.mode, config.seed)
+    h_src = len(an.basis(level))
     worst = 0
     for t in range(trials):
         rng = random.Random(f"middle:{config.seed}:{t}")
@@ -193,7 +195,7 @@ def _middle_never_injective(
         if not any(coeffs):
             coeffs[0] = 1
         L = LinearForm.from_coeffs(coeffs)
-        r = linalg.rank(mult_map(f, L, level, 1))
+        r = linalg.rank(mult_map(an, L, level, 1))
         worst = max(worst, r)
         if r >= h_src:
             return False, f"injective at trial {t}"
@@ -290,7 +292,7 @@ def _prop_hilbert_symmetry(config: SuiteConfig) -> tuple[bool, str]:
     rng = random.Random(f"sym:{config.seed}")
     for trial in range(100):
         f = _random_form(rng, rng.randint(2, 4), rng.randint(2, 5))
-        dims = hilbert_vector(f).dims
+        dims = Analysis(f, config.mode, config.seed).hilbert().dims
         ranks = tuple(catalecticant(f, k).rank() for k in range(f.degree + 1))
         if dims != ranks:
             return False, f"catalecticant ranks {ranks} != {dims} at trial {trial}"
@@ -325,18 +327,17 @@ def _prop_rank_consistency(config: SuiteConfig) -> tuple[bool, str]:
         if not any(coeffs):
             coeffs[0] = 1
         L = LinearForm.from_coeffs(coeffs)
-        H = hessian_matrix(f, k)
+        an = Analysis(f, config.mode, config.seed)
+        H = hessian_matrix(an, k)
         evaluated = [[eval_poly(e, L.coeffs) for e in row] for row in H.entries]
         hess_rank = linalg.rank(evaluated)
-        mult_rank = linalg.rank(mult_map(f, L, k, d - 2 * k))
+        mult_rank = linalg.rank(mult_map(an, L, k, d - 2 * k))
         if hess_rank != mult_rank:
             return False, f"rank mismatch {hess_rank} vs {mult_rank} at trial {trial}"
     return True, "50 instances"
 
 
 def _prop_basis_change(config: SuiteConfig) -> tuple[bool, str]:
-    from .apolar import AkBasis
-
     rng = random.Random(f"basis:{config.seed}")
     for trial in range(50):
         f = _random_form(rng, rng.randint(2, 4), rng.randint(2, 5))
@@ -344,7 +345,8 @@ def _prop_basis_change(config: SuiteConfig) -> tuple[bool, str]:
         k = rng.randint(1, max(1, d // 2))
         if k > d // 2:
             continue
-        base = ak_basis(f, k)
+        an = Analysis(f, config.mode, config.seed)
+        base = an.basis(k)
         u = _random_unimodular(rng, len(base))
         new_ops = []
         for i in range(len(base)):
@@ -355,10 +357,8 @@ def _prop_basis_change(config: SuiteConfig) -> tuple[bool, str]:
             new_ops.append(op)
         new_derived = tuple(diff_apply(op, f) for op in new_ops)
         changed = AkBasis(k, tuple(new_ops), new_derived, None)
-        flag_default = hessian_vanishes(f, k, config.mode, config.seed).vanishes
-        flag_changed = hessian_vanishes(
-            f, k, config.mode, config.seed, basis=changed
-        ).vanishes
+        flag_default = an.verdict(k).vanishes
+        flag_changed = hessian_vanishes(an, k, basis=changed).vanishes
         if flag_default != flag_changed:
             return False, f"basis change flipped the flag at trial {trial}"
     return True, "50 instances"
@@ -372,8 +372,8 @@ def _prop_variable_change(config: SuiteConfig) -> tuple[bool, str]:
         k = rng.randint(0, d // 2)
         m = _random_unimodular(rng, len(f.vars))
         g = linear_change(f, m)
-        a = hessian_vanishes(f, k, config.mode, config.seed).vanishes
-        b = hessian_vanishes(g, k, config.mode, config.seed).vanishes
+        a = Analysis(f, config.mode, config.seed).verdict(k).vanishes
+        b = Analysis(g, config.mode, config.seed).verdict(k).vanishes
         if a != b:
             return False, f"variable change flipped the flag at trial {trial}"
     return True, "50 instances"
@@ -387,7 +387,7 @@ def _prop_noncone_nonvanishing(config: SuiteConfig) -> tuple[bool, str]:
         if is_cone(f).is_cone:
             continue
         found += 1
-        if hessian_vanishes(f, 1, config.mode, config.seed).vanishes:
+        if Analysis(f, config.mode, config.seed).verdict(1).vanishes:
             return False, f"non-cone form with vanishing Hessian: {f.to_text()}"
     return True, "50 non-cone instances"
 
@@ -409,9 +409,9 @@ def _prop_separated(config: SuiteConfig) -> tuple[bool, str]:
         for mo, c in h.coeff_map().items():
             terms[(0,) * a + tuple(mo)] = terms.get((0,) * a + tuple(mo), Fraction(0)) + c
         f = Poly(vs, terms)
-        dims_f = hilbert_vector(f).dims
-        dims_g = hilbert_vector(g).dims
-        dims_h = hilbert_vector(h).dims
+        dims_f, dims_g, dims_h = (
+            Analysis(p, config.mode, config.seed).hilbert().dims for p in (f, g, h)
+        )
         for k in range(1, d):
             if dims_f[k] != dims_g[k] + dims_h[k]:
                 return False, f"additivity failed at trial {trial}, degree {k}"
@@ -422,13 +422,14 @@ def _prop_separated(config: SuiteConfig) -> tuple[bool, str]:
 
 
 def _mode_agreement(config: SuiteConfig) -> tuple[bool, str]:
-    fixtures: list[tuple[str, Poly, int]] = []
+    fixtures: list[tuple[str, Analysis, Analysis, int]] = []
 
     def add(name: str, f: Poly) -> None:
-        d = f.degree
-        for k in range(d // 2 + 1):
-            if len(ak_basis(f, k)) <= 8:
-                fixtures.append((f"{name}[k={k}]", f, k))
+        prob = Analysis(f, "probabilistic", config.seed)
+        exact = Analysis(f, "exact", config.seed)
+        for k in range(f.degree // 2 + 1):
+            if len(prob.basis(k)) <= 8:
+                fixtures.append((f"{name}[k={k}]", prob, exact, k))
 
     add("ikeda", gen_ikeda().f)
     add("perazzo", gen_perazzo(2, 2, 3).f)
@@ -440,10 +441,8 @@ def _mode_agreement(config: SuiteConfig) -> tuple[bool, str]:
     e_vs = VariableSet(("x", "y", "z", "u", "v"), n_x=3)
     add("mixed-quartic", parse_poly("x*u^3 + y*u^2*v + z*u*v^2 + v^4", e_vs))
     checked = 0
-    for name, f, k in fixtures:
-        prob = hessian_vanishes(f, k, "probabilistic", config.seed).vanishes
-        exact = hessian_vanishes(f, k, "exact", config.seed).vanishes
-        if prob != exact:
+    for name, prob, exact, k in fixtures:
+        if prob.verdict(k).vanishes != exact.verdict(k).vanishes:
             return False, f"modes disagree on {name}"
         checked += 1
     return True, f"{checked} matrices"

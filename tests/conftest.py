@@ -5,6 +5,7 @@ import hypothesis
 import hypothesis.strategies as st
 import pytest
 
+from lefschetz_lab.analysis import Analysis
 from lefschetz_lab.polycore import Poly, VariableSet, mono_basis
 
 hypothesis.settings.register_profile(
@@ -14,6 +15,16 @@ hypothesis.settings.register_profile(
     "thorough", max_examples=200, deadline=None
 )
 hypothesis.settings.load_profile("default")
+
+
+def prob(f):
+    """The probabilistic-mode Analysis of f at seed 0."""
+    return Analysis(f, "probabilistic", 0)
+
+
+def exact(f):
+    """The exact-mode Analysis of f at seed 0."""
+    return Analysis(f, "exact", 0)
 
 
 @st.composite

@@ -17,6 +17,8 @@ from lefschetz_lab.families import gen_wlpodd
 from lefschetz_lab.hessian import DEFAULT_TRIALS, hessian_vanishes
 from lefschetz_lab.reproduce import FIXTURES, SuiteConfig, run_suite
 
+from conftest import prob
+
 CONFIG = SuiteConfig(seed=0, mode="probabilistic")
 
 # wall-clock budgets per criterion, seconds
@@ -48,7 +50,7 @@ def test_probabilistic_error_bound_below_threshold():
     # five trials at 64x the determinant degree compound below 1e-9
     assert Fraction(1, 64) ** DEFAULT_TRIALS < Fraction(1, 10**9)
     big = gen_wlpodd(5, 7).f
-    verdict = hessian_vanishes(big, 3, "probabilistic")
+    verdict = hessian_vanishes(prob(big), 3)
     assert verdict.vanishes
     assert verdict.error_bound is not None and verdict.error_bound < Fraction(1, 10**9)
 
@@ -64,7 +66,7 @@ def test_odd_case_hilbert_formula_is_corrected():
     are asserted instead, against independently computed ranks.
     """
     inst = gen_wlpodd(5, 7)
-    computed = hilbert_vector(inst.f).dims
+    computed = hilbert_vector(prob(inst.f)).dims
     assert computed == (1, 6, 14, 25, 25, 14, 6, 1)
     assert computed == inst.manifest.hilbert
     literal = tuple(2 * k + comb(4 + k, 4) for k in (1, 2, 3))

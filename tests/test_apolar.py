@@ -24,7 +24,7 @@ from lefschetz_lab.polycore import (
     parse_poly,
 )
 
-from conftest import homogeneous_polys
+from conftest import homogeneous_polys, prob
 
 IKEDA_VARS = VariableSet(("x0", "x1", "u1", "u2"), n_x=2)
 IKEDA = parse_poly("x0*u1^3*u2 + x1*u1*u2^3 + x0^3*x1^2", IKEDA_VARS)
@@ -140,29 +140,29 @@ class TestAkBasis:
 class TestHilbert:
     def test_power(self):
         vs = VariableSet(("x", "y"))
-        assert hilbert_vector(parse_poly("x^4", vs)).dims == (1, 1, 1, 1, 1)
+        assert hilbert_vector(prob(parse_poly("x^4", vs))).dims == (1, 1, 1, 1, 1)
 
     def test_quartic_core(self):
         f = gen_thmwlp(5, 4).f
-        assert hilbert_vector(f).dims == (1, 6, 6, 6, 1)
+        assert hilbert_vector(prob(f)).dims == (1, 6, 6, 6, 1)
 
     def test_wlpodd45(self):
         f = gen_wlpodd(4, 5).f
-        assert hilbert_vector(f).dims == (1, 5, 12, 12, 5, 1)
+        assert hilbert_vector(prob(f)).dims == (1, 5, 12, 12, 5, 1)
 
     def test_ikeda(self):
-        assert hilbert_vector(IKEDA).dims == (1, 4, 10, 10, 4, 1)
+        assert hilbert_vector(prob(IKEDA)).dims == (1, 4, 10, 10, 4, 1)
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroPolynomialError):
-            hilbert_vector(Poly.zero(IKEDA_VARS))
+            hilbert_vector(prob(Poly.zero(IKEDA_VARS)))
 
     @given(homogeneous_polys(max_vars=4, max_degree=5))
     @settings(max_examples=40)
     def test_symmetry(self, f):
         # The vector mirrors its lower half, so check every degree against
         # catalecticant ranks computed independently.
-        dims = hilbert_vector(f).dims
+        dims = hilbert_vector(prob(f)).dims
         assert dims == tuple(catalecticant(f, k).rank() for k in range(f.degree + 1))
 
     def test_invalid_vector_rejected(self):
@@ -188,9 +188,9 @@ class TestSeparatedVariables:
         for mo, c in h.coeff_map().items():
             terms[(0,) * a + tuple(mo)] = c
         f = Poly(vs, terms)
-        dims_f = hilbert_vector(f).dims
-        dims_g = hilbert_vector(g).dims
-        dims_h = hilbert_vector(h).dims
+        dims_f = hilbert_vector(prob(f)).dims
+        dims_g = hilbert_vector(prob(g)).dims
+        dims_h = hilbert_vector(prob(h)).dims
         for k in range(1, d):
             assert dims_f[k] == dims_g[k] + dims_h[k]
 
@@ -212,13 +212,13 @@ class TestUnimodal:
 class TestDependsOnAllVars:
     def test_missing_variable(self):
         vs = VariableSet(("x", "y"))
-        assert not depends_on_all_vars(parse_poly("x^2", vs))
+        assert not depends_on_all_vars(prob(parse_poly("x^2", vs)))
 
     def test_ikeda(self):
-        assert depends_on_all_vars(IKEDA)
+        assert depends_on_all_vars(prob(IKEDA))
 
     def test_perazzo(self):
-        assert depends_on_all_vars(PERAZZO)
+        assert depends_on_all_vars(prob(PERAZZO))
 
 
 def test_catalecticant_json_rows():

@@ -56,6 +56,9 @@ class TestAnalyze:
         for rep in reports:
             rep.pop("timing_ms")
         assert reports[0] == reports[1]
+        # the counts block is deterministic: one decision per order 0..2
+        assert reports[0]["counts"]["hessian_decisions"] == 3
+        assert reports[0]["counts"]["reused"] > 0
 
     def test_json_round_trip_stable(self, capsys, tmp_path):
         path = tmp_path / "r.json"
@@ -186,3 +189,48 @@ class TestMaxK:
         assert code == 0
         assert "hessian[2]" not in out
         assert "strong property undetermined" in out
+
+
+def write_instance(inst, tmp_path):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(inst.to_json_dict()))
+    return path
+
+
+class TestOneAnalysisPerForm:
+    def test_exact_mode_reaches_every_verdict(self, capsys, tmp_path):
+        from lefschetz_lab.families import gen_wlpodd
+
+        path = write_instance(gen_wlpodd(5, 7), tmp_path)
+        report = tmp_path / "r.json"
+        code, out, _ = run(["analyze", "--in", str(path), "--mode", "exact", "--json", str(report)], capsys)
+        assert code == 0
+        data = json.loads(report.read_text())
+        verdicts = data["hess_profile"] + [data["slp"]["certificate"], data["wlp"]["certificate"]]
+        assert len(verdicts) == 6
+        for verdict in verdicts:
+            assert verdict["mode"] == "exact" and "error_bound" not in verdict
+        assert "counts" not in out and "reused" not in out
+
+    def test_each_order_decided_once(self, capsys, monkeypatch, tmp_path):
+        import lefschetz_lab.hessian as hessian_mod
+        from lefschetz_lab.families import gen_wlpodd
+
+        salts = []
+        real = hessian_mod._det_vanishes
+
+        def counting(entries, **kwargs):
+            salts.append(kwargs["salt"])
+            return real(entries, **kwargs)
+
+        monkeypatch.setattr(hessian_mod, "_det_vanishes", counting)
+        path = write_instance(gen_wlpodd(4, 7), tmp_path)
+        report = tmp_path / "r.json"
+        code, _, _ = run(["analyze", "--in", str(path), "--json", str(report)], capsys)
+        assert code == 0
+        data = json.loads(report.read_text())
+        assert data["hess_profile"][3]["vanishes"]
+        assert data["slp"]["verdict"] == data["wlp"]["verdict"] == "fails"
+        assert salts == [f"hess:{k}" for k in range(4)]
+        assert data["counts"]["hessian_decisions"] == 4
+

@@ -20,6 +20,13 @@ from lefschetz_lab.hessian import hessian_vanishes
 from lefschetz_lab.lefschetz import wlp_check_element
 from lefschetz_lab.polycore import VariableSet, parse_poly
 
+from conftest import exact, prob
+
+
+XU_VARS = VariableSet(("x0", "x1", "x2", "u1", "u2"), n_x=3)
+THMWLP_64_VARS = VariableSet(("x2", "x3", "x4", "x5", "x6", "u", "v"), n_x=5)
+PROP44_VARS = VariableSet(("x0", "x1", "x2", "u", "v"), n_x=3)
+
 
 def assert_replays(instance, **kwargs):
     results = replay_manifest(instance, **kwargs)
@@ -45,6 +52,13 @@ SMALLEST = [
 @pytest.mark.parametrize("build", SMALLEST, ids=lambda b: b().spec.kind)
 def test_smallest_instances_replay(build):
     assert_replays(build())
+
+
+def test_exact_replay_decides_slp_and_wlp_exactly():
+    details = {name: detail for name, _, detail in replay_manifest(gen_wlpodd(5, 7), mode="exact")}
+    assert details["hess[3] =0"] == "exact"
+    assert details["slp"] == "fails (exact)"
+    assert details["wlp"] == "fails (exact)"
 
 
 @pytest.mark.parametrize("build", SMALLEST, ids=lambda b: b().spec.kind)
@@ -130,7 +144,7 @@ class TestPerazzo:
 
     def test_quartic_vanishes(self):
         inst = gen_perazzo(2, 3, 4)
-        assert hessian_vanishes(inst.f, 1, "exact").vanishes
+        assert hessian_vanishes(exact(inst.f), 1).vanishes
 
     def test_needs_more_x_than_u(self):
         with pytest.raises(InfeasibleParametersError):
@@ -151,7 +165,7 @@ class TestPermutti:
 
     def test_higher_power_vanishes(self):
         inst = gen_permutti(2, 2, 3, 6)
-        assert hessian_vanishes(inst.f, 1).vanishes
+        assert hessian_vanishes(prob(inst.f), 1).vanishes
 
     def test_degree_two_core_impossible(self):
         # linear base forms cannot be both linearly independent and
@@ -167,7 +181,7 @@ class TestPermutti:
 
         trimmed = gp(2, 2, 3, 6, Ps={1: None})
         assert trimmed.f != inst.f
-        assert hessian_vanishes(trimmed.f, 1).vanishes
+        assert hessian_vanishes(prob(trimmed.f), 1).vanishes
 
 
 class TestGn:
@@ -176,7 +190,7 @@ class TestGn:
 
     def test_two_cores(self):
         inst = gen_gn(2, 3, 1, 2, 4)
-        assert hessian_vanishes(inst.f, 1, "exact").vanishes
+        assert hessian_vanishes(exact(inst.f), 1).vanishes
         assert catalecticant(inst.f, 1).rank() == 6
 
     def test_degenerate_parameters_rejected(self):
@@ -195,7 +209,7 @@ class TestWlpOdd:
     def test_computed_hilbert_matches(self):
         for N, d in ((4, 5), (5, 7)):
             inst = gen_wlpodd(N, d)
-            assert hilbert_vector(inst.f).dims == inst.manifest.hilbert
+            assert hilbert_vector(prob(inst.f)).dims == inst.manifest.hilbert
 
     def test_parameter_validation(self):
         with pytest.raises(InfeasibleParametersError):
@@ -238,12 +252,12 @@ class TestProp44:
     def test_zero_tail_is_allowed(self):
         vs = VariableSet(("x0", "x1", "x2", "u", "v"), n_x=3)
         inst = gen_prop44("ii", h=parse_poly("0", vs))
-        assert hessian_vanishes(inst.f, 1, "exact").vanishes
+        assert hessian_vanishes(exact(inst.f), 1).vanishes
 
     def test_case_iii_with_pure_power(self):
         vs = VariableSet(("x0", "x1", "x2", "u", "v"), n_x=3)
         inst = gen_prop44("iii", h=parse_poly("u^4", vs))
-        ok, _ = wlp_check_element(inst.f, inst.manifest.wlp_witness)
+        ok, _ = wlp_check_element(prob(inst.f), inst.manifest.wlp_witness)
         assert ok
 
     def test_unknown_case(self):
@@ -281,3 +295,25 @@ class TestOverrideSerialization:
 
     def test_absent_by_default(self):
         assert "overrides" not in gen_perazzo(2, 2, 3).to_json_dict()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: gen_perazzo(2, 2, 3, h=parse_poly("u1^3", XU_VARS)),
+            lambda: gen_permutti(2, 2, 3, 3, Ps={0: parse_poly("u2^3", XU_VARS)}),
+            lambda: gen_thmwlp(6, 4, h=parse_poly("2*x6^4", THMWLP_64_VARS)),
+            lambda: gen_prop44("ii", h=parse_poly("u^4 + 2*v^4", PROP44_VARS)),
+        ],
+        ids=["perazzo", "permutti", "thmwlp", "prop44"],
+    )
+    def test_generate_honours_overrides_after_json_round_trip(self, build):
+        inst = build()
+        assert inst.spec.overrides
+        rebuilt = generate(FamilySpec(**inst.spec.to_json_dict()))
+        assert rebuilt.f == inst.f
+        assert rebuilt.spec == inst.spec
+
+    def test_unknown_override_rejected(self):
+        spec = FamilySpec("perazzo", {"m": 2, "n": 2, "d": 3}, 0, {"q": "u1^3"})
+        with pytest.raises(InfeasibleParametersError, match="'q'"):
+            generate(spec)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from lefschetz_lab.analysis import Analysis
 from lefschetz_lab.apolar import AkBasis, ak_basis
 from lefschetz_lab.errors import DegreeRangeError, ZeroPolynomialError
 from lefschetz_lab.families import gen_exceptional, gen_gnp
@@ -26,7 +27,7 @@ from lefschetz_lab.polycore import (
     poly_sum,
 )
 
-from conftest import homogeneous_polys
+from conftest import exact, homogeneous_polys, prob
 
 IKEDA_VARS = VariableSet(("x0", "x1", "u1", "u2"), n_x=2)
 IKEDA = parse_poly("x0*u1^3*u2 + x1*u1*u2^3 + x0^3*x1^2", IKEDA_VARS)
@@ -36,23 +37,23 @@ PERAZZO = parse_poly("x*u^2 + y*u*v + z*v^2", PERAZZO_VARS)
 
 class TestHessianMatrix:
     def test_order_zero_is_f(self):
-        H = hessian_matrix(IKEDA, 0)
+        H = hessian_matrix(prob(IKEDA), 0)
         assert H.size == 1
         assert H.entries[0][0] == IKEDA
 
     def test_cubic_single_variable(self):
         vs = VariableSet(("x",))
-        H = hessian_matrix(parse_poly("x^3", vs), 1)
+        H = hessian_matrix(prob(parse_poly("x^3", vs)), 1)
         assert H.entries[0][0] == parse_poly("6*x", vs)
 
     def test_symmetry(self):
-        H = hessian_matrix(IKEDA, 2)
+        H = hessian_matrix(prob(IKEDA), 2)
         for i in range(H.size):
             for j in range(H.size):
                 assert H.entries[i][j] == H.entries[j][i]
 
     def test_ikeda_mixed_rows_supported_on_u_columns(self):
-        H = hessian_matrix(IKEDA, 2)
+        H = hessian_matrix(prob(IKEDA), 2)
         ops = [op.to_text() for op in H.basis.ops]
         mixed = [ops.index(t) for t in ("X0*U1", "X0*U2", "X1*U1", "X1*U2")]
         pure_u = {ops.index(t) for t in ("U1^2", "U1*U2", "U2^2")}
@@ -63,64 +64,64 @@ class TestHessianMatrix:
 
     def test_zero_poly_rejected(self):
         with pytest.raises(ZeroPolynomialError):
-            hessian_matrix(Poly.zero(IKEDA_VARS), 0)
+            hessian_matrix(prob(Poly.zero(IKEDA_VARS)), 0)
 
     def test_k_out_of_range(self):
         with pytest.raises(DegreeRangeError):
-            hessian_matrix(IKEDA, 3)
+            hessian_matrix(prob(IKEDA), 3)
 
 
 class TestVanishing:
     def test_perazzo(self):
-        assert hessian_vanishes(PERAZZO, 1).vanishes
+        assert hessian_vanishes(prob(PERAZZO), 1).vanishes
 
     def test_ikeda_profile_values(self):
-        assert not hessian_vanishes(IKEDA, 1).vanishes
-        assert hessian_vanishes(IKEDA, 2).vanishes
+        assert not hessian_vanishes(prob(IKEDA), 1).vanishes
+        assert hessian_vanishes(prob(IKEDA), 2).vanishes
 
     def test_fermat_cubic_surface(self):
         vs = VariableSet(("x", "y", "z"))
         f = parse_poly("x^3 + y^3 + z^3", vs)
-        verdict = hessian_vanishes(f, 1)
+        verdict = hessian_vanishes(prob(f), 1)
         assert not verdict.vanishes
         assert verdict.witness_point is not None
         assert verdict.det_value != 0
 
     def test_exact_mode_unconditional(self):
-        verdict = hessian_vanishes(PERAZZO, 1, "exact")
+        verdict = hessian_vanishes(exact(PERAZZO), 1)
         assert verdict.vanishes and verdict.mode == "exact"
         assert verdict.error_bound is None
         assert verdict.transcript_hash
 
     def test_exact_transcript_deterministic(self):
-        a = hessian_vanishes(PERAZZO, 1, "exact")
-        b = hessian_vanishes(PERAZZO, 1, "exact")
+        a = hessian_vanishes(exact(PERAZZO), 1)
+        b = hessian_vanishes(exact(PERAZZO), 1)
         assert a.transcript_hash == b.transcript_hash
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            hessian_vanishes(IKEDA, 1, "fast")
+            Analysis(IKEDA, "fast", 0)
 
 
 class TestProfile:
     def test_ikeda(self):
-        flags = [v.vanishes for v in hess_profile(IKEDA)]
+        flags = [v.vanishes for v in hess_profile(prob(IKEDA))]
         assert flags == [False, False, True]
 
     def test_binary_quintic(self):
         vs = VariableSet(("x", "y"))
-        flags = [v.vanishes for v in hess_profile(parse_poly("x^5 + y^5", vs))]
+        flags = [v.vanishes for v in hess_profile(prob(parse_poly("x^5 + y^5", vs)))]
         assert flags == [False, False, False]
 
     def test_exceptional_373(self):
         f = gen_exceptional(3, 7, 3).f
-        flags = [v.vanishes for v in hess_profile(f)]
+        flags = [v.vanishes for v in hess_profile(prob(f))]
         assert flags == [False, False, True, True]
 
     def test_degenerate_warns(self):
         vs = VariableSet(("x", "y"))
         with pytest.warns(UserWarning, match="cone-like"):
-            hess_profile(parse_poly("x^2", vs))
+            hess_profile(prob(parse_poly("x^2", vs)))
 
 
 class TestCone:
@@ -156,7 +157,7 @@ class TestSecondPartials:
         for f in (IKEDA, PERAZZO):
             assert (
                 second_partials_det_vanishes(f).vanishes
-                == hessian_vanishes(f, 1).vanishes
+                == hessian_vanishes(prob(f), 1).vanishes
             )
 
 
@@ -168,7 +169,8 @@ class TestInvariance:
         if d < 2:
             return
         k = data.draw(st.integers(1, d // 2))
-        base = ak_basis(f, k)
+        an = prob(f)
+        base = an.basis(k)
         n = len(base)
         coeffs = [
             [data.draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)
@@ -183,8 +185,8 @@ class TestInvariance:
         )
         changed = AkBasis(k, new_ops, tuple(diff_apply(op, f) for op in new_ops))
         assert (
-            hessian_vanishes(f, k).vanishes
-            == hessian_vanishes(f, k, basis=changed).vanishes
+            hessian_vanishes(an, k).vanishes
+            == hessian_vanishes(an, k, basis=changed).vanishes
         )
 
     @given(homogeneous_polys(max_vars=3, min_degree=2, max_degree=4), st.data())
@@ -201,8 +203,8 @@ class TestInvariance:
         assert linalg.det(m) != 0
         k = data.draw(st.integers(0, f.degree // 2))
         assert (
-            hessian_vanishes(f, k).vanishes
-            == hessian_vanishes(linear_change(f, m), k).vanishes
+            hessian_vanishes(prob(f), k).vanishes
+            == hessian_vanishes(prob(linear_change(f, m)), k).vanishes
         )
 
 
@@ -219,8 +221,8 @@ class TestKeyCriterionSoundness:
     def test_certificate_implies_vanishing(self, build, k):
         f = build()
         assert key_criterion(f, k) is not None
-        assert hessian_vanishes(f, k).vanishes
-        assert hessian_vanishes(f, k, "exact").vanishes
+        assert hessian_vanishes(prob(f), k).vanishes
+        assert hessian_vanishes(exact(f), k).vanishes
 
 
 class TestModeAgreement:
@@ -231,8 +233,8 @@ class TestModeAgreement:
         if len(ak_basis(f, k)) > 8:
             return
         assert (
-            hessian_vanishes(f, k, "probabilistic").vanishes
-            == hessian_vanishes(f, k, "exact").vanishes
+            hessian_vanishes(prob(f), k).vanishes
+            == hessian_vanishes(exact(f), k).vanishes
         )
 
 

@@ -31,7 +31,7 @@ from lefschetz_lab.lefschetz import (
 )
 from lefschetz_lab.polycore import VariableSet, eval_poly, parse_poly
 
-from conftest import homogeneous_polys
+from conftest import homogeneous_polys, prob
 
 IKEDA_VARS = VariableSet(("x0", "x1", "u1", "u2"), n_x=2)
 IKEDA = parse_poly("x0*u1^3*u2 + x1*u1*u2^3 + x0^3*x1^2", IKEDA_VARS)
@@ -59,13 +59,13 @@ class TestMultMap:
     def test_one_variable_isomorphism(self):
         vs = VariableSet(("x",))
         f = parse_poly("x^3", vs)
-        m = mult_map(f, LinearForm.from_coeffs((1,)), 1, 1)
+        m = mult_map(prob(f), LinearForm.from_coeffs((1,)), 1, 1)
         assert len(m) == 1 and m[0][0] != 0
 
     def test_quartic_injective_level_one(self):
         vs = VariableSet(("x", "y", "z", "u", "v"), n_x=3)
         f = parse_poly("x*u^3 + y*u^2*v + z*u*v^2 + v^4", vs)
-        m = mult_map(f, LinearForm.from_coeffs((0, 0, 0, 1, 1)), 1, 1)
+        m = mult_map(prob(f), LinearForm.from_coeffs((0, 0, 0, 1, 1)), 1, 1)
         assert len(m[0]) == 5
         assert linalg.rank(m) == 5
 
@@ -73,7 +73,7 @@ class TestMultMap:
         rng = random.Random(7)
         for _ in range(3):
             L = random_linear_form(rng, 4)
-            m = mult_map(IKEDA, L, 2, 1)
+            m = mult_map(prob(IKEDA), L, 2, 1)
             assert len(m) == 10 and len(m[0]) == 10
             assert linalg.rank(m) < 10
 
@@ -82,39 +82,39 @@ class TestSlpElement:
     def test_binary_quintic(self):
         vs = VariableSet(("x", "y"))
         ok, checks = slp_check_element(
-            parse_poly("x^5 + y^5", vs), LinearForm.from_coeffs((1, 1))
+            prob(parse_poly("x^5 + y^5", vs)), LinearForm.from_coeffs((1, 1))
         )
         assert ok and all(c.maximal for c in checks)
 
     def test_ikeda_fails_for_every_form(self):
         rng = random.Random(3)
         for _ in range(3):
-            ok, checks = slp_check_element(IKEDA, random_linear_form(rng, 4))
+            ok, checks = slp_check_element(prob(IKEDA), random_linear_form(rng, 4))
             assert not ok
             assert not checks[2].maximal
 
     def test_binary_quadric(self):
         vs = VariableSet(("x", "y"))
         ok, _ = slp_check_element(
-            parse_poly("x^2 + y^2", vs), LinearForm.from_coeffs((1, 0))
+            prob(parse_poly("x^2 + y^2", vs)), LinearForm.from_coeffs((1, 0))
         )
         assert ok
 
 
 class TestSlpGeneric:
     def test_exceptional_fails_at_two(self):
-        report = slp_generic(gen_exceptional(3, 5, 2).f)
+        report = slp_generic(prob(gen_exceptional(3, 5, 2).f))
         assert report.verdict == "fails" and report.level == 2
 
     def test_fermat_holds_with_witness(self):
         vs = VariableSet(("x", "y", "z"))
-        report = slp_generic(parse_poly("x^4 + y^4 + z^4", vs))
+        report = slp_generic(prob(parse_poly("x^4 + y^4 + z^4", vs)))
         assert report.verdict == "holds"
-        ok, _ = slp_check_element(parse_poly("x^4 + y^4 + z^4", vs), report.witness)
+        ok, _ = slp_check_element(prob(parse_poly("x^4 + y^4 + z^4", vs)), report.witness)
         assert ok
 
     def test_perazzo_shape_fails_at_one(self):
-        report = slp_generic(gen_gnp(2, 2, 1, 2).f)
+        report = slp_generic(prob(gen_gnp(2, 2, 1, 2).f))
         assert report.verdict == "fails" and report.level == 1
 
 
@@ -122,39 +122,39 @@ class TestWlpElement:
     def test_quartic_example_level_one(self):
         vs = VariableSet(("x", "y", "z", "u", "v"), n_x=3)
         f = parse_poly("x*u^3 + y*u^2*v + z*u*v^2 + v^4", vs)
-        _, checks = wlp_check_element(f, LinearForm.from_coeffs((0, 0, 0, 1, 1)))
+        _, checks = wlp_check_element(prob(f), LinearForm.from_coeffs((0, 0, 0, 1, 1)))
         assert checks[1].rank == 5 and checks[1].required == 5
 
     def test_prop44_witness(self):
         inst = gen_prop44("i")
-        ok, _ = wlp_check_element(inst.f, inst.manifest.wlp_witness)
+        ok, _ = wlp_check_element(prob(inst.f), inst.manifest.wlp_witness)
         assert ok
 
     def test_cubic_single_variable(self):
         vs = VariableSet(("x",))
-        ok, _ = wlp_check_element(parse_poly("x^3", vs), LinearForm.from_coeffs((1,)))
+        ok, _ = wlp_check_element(prob(parse_poly("x^3", vs)), LinearForm.from_coeffs((1,)))
         assert ok
 
 
 class TestWlpGeneric:
     def test_thmwlp54_fails_with_certificate(self):
-        report = wlp_generic(gen_thmwlp(5, 4).f)
+        report = wlp_generic(prob(gen_thmwlp(5, 4).f))
         assert report.verdict == "fails"
         assert report.level == 1 and report.map == (1, 2)
         assert report.certificate is not None
 
     def test_wlpodd45_fails_middle(self):
-        report = wlp_generic(gen_wlpodd(4, 5).f)
+        report = wlp_generic(prob(gen_wlpodd(4, 5).f))
         assert report.verdict == "fails" and report.level == 2
 
     def test_fermat_holds(self):
         vs = VariableSet(("x", "y", "z"))
-        report = wlp_generic(parse_poly("x^4 + y^4 + z^4", vs))
+        report = wlp_generic(prob(parse_poly("x^4 + y^4 + z^4", vs)))
         assert report.verdict == "holds"
         assert report.witness is not None
 
     def test_report_serializes(self):
-        report = wlp_generic(gen_thmwlp(5, 4).f)
+        report = wlp_generic(prob(gen_thmwlp(5, 4).f))
         data = report.to_json_dict()
         assert data["verdict"] == "fails"
         assert data["certificate"]["ops"] == ["X2", "X3", "X4", "X5"]
@@ -227,15 +227,19 @@ class TestWlpObstruction:
         h1 = len(ak_basis(f, 1))
         for _ in range(20):
             L = random_linear_form(rng, len(f.vars))
-            assert linalg.rank(mult_map(f, L, 1, 1)) < h1
+            assert linalg.rank(mult_map(prob(f), L, 1, 1)) < h1
 
 
 def assert_levels_match_mult_map(f, L):
-    """Every rank the element checks report equals the explicit mult_map rank."""
+    """Every rank the element checks report equals the explicit mult_map rank.
+
+    The oracle reads its own Analysis, so no memoized piece is shared.
+    """
+    an, oracle = prob(f), prob(f)
     for check_element in (slp_check_element, wlp_check_element):
-        _, checks = check_element(f, L)
+        _, checks = check_element(an, L)
         for c in checks:
-            assert c.rank == linalg.rank(mult_map(f, L, c.i, c.step)), (check_element, c)
+            assert c.rank == linalg.rank(mult_map(oracle, L, c.i, c.step)), (check_element, c)
 
 
 class TestRankConsistency:
@@ -267,9 +271,9 @@ class TestRankConsistency:
         if not any(coeffs):
             coeffs[0] = 1
         L = LinearForm.from_coeffs(coeffs)
-        H = hessian_matrix(f, k)
+        H = hessian_matrix(prob(f), k)
         evaluated = [[eval_poly(e, L.coeffs) for e in row] for row in H.entries]
-        assert linalg.rank(evaluated) == linalg.rank(mult_map(f, L, k, d - 2 * k))
+        assert linalg.rank(evaluated) == linalg.rank(mult_map(prob(f), L, k, d - 2 * k))
 
     @given(homogeneous_polys(max_vars=3, min_degree=2, max_degree=5), st.data())
     @settings(max_examples=20)
@@ -280,8 +284,8 @@ class TestRankConsistency:
         if not any(coeffs):
             coeffs[0] = 1
         L = LinearForm.from_coeffs(coeffs)
-        r1 = linalg.rank(mult_map(f, L, i, 1))
-        r2 = linalg.rank(mult_map(f, L, d - i - 1, 1))
+        r1 = linalg.rank(mult_map(prob(f), L, i, 1))
+        r2 = linalg.rank(mult_map(prob(f), L, d - i - 1, 1))
         assert r1 == r2
 
     @given(homogeneous_polys(max_vars=3, min_degree=2, max_degree=4), st.data())
@@ -293,8 +297,8 @@ class TestRankConsistency:
         c = data.draw(st.sampled_from((2, -1, 7, Fraction(1, 3))))
         L = LinearForm.from_coeffs(coeffs)
         scaled = LinearForm.from_coeffs([c * x for x in coeffs])
-        ok1, checks1 = wlp_check_element(f, L)
-        ok2, checks2 = wlp_check_element(f, scaled)
+        ok1, checks1 = wlp_check_element(prob(f), L)
+        ok2, checks2 = wlp_check_element(prob(f), scaled)
         assert ok1 == ok2
         assert [c.rank for c in checks1] == [c.rank for c in checks2]
 
@@ -302,7 +306,7 @@ class TestRankConsistency:
 class TestUndetermined:
     def test_no_trials_no_certificate(self):
         vs = VariableSet(("x", "y", "z"))
-        report = wlp_generic(parse_poly("x^4 + y^4 + z^4", vs), trials=0)
+        report = wlp_generic(prob(parse_poly("x^4 + y^4 + z^4", vs)), trials=0)
         assert report.verdict == "undetermined"
         assert report.witness is None
 
@@ -312,8 +316,8 @@ class TestNonUnimodalFailure:
         from lefschetz_lab.families import gen_gnp
 
         f = gen_gnp(3, None, 1, 3, "maximal").f
-        assert hilbert_vector(f).dims == (1, 13, 12, 13, 1)
-        report = wlp_generic(f)
+        assert hilbert_vector(prob(f)).dims == (1, 13, 12, 13, 1)
+        report = wlp_generic(prob(f))
         assert report.verdict == "fails"
         assert "non-unimodal" in str(report.certificate)
 
@@ -332,4 +336,4 @@ class TestKeyCriterionSoundnessRandom:
             cert = key_criterion(f, k)
             if cert is not None:
                 assert verify_key_certificate(f, cert)
-                assert hessian_vanishes(f, k).vanishes
+                assert hessian_vanishes(prob(f), k).vanishes

@@ -64,5 +64,14 @@ def test_sparse_span_dependency_witness():
     assert dep == [Fraction(3), Fraction(-2)]
 
 
+def test_sparse_span_dependency_skips_rejected_vectors():
+    span = linalg.SparseSpan()
+    assert span.try_add({"a": Fraction(1)})
+    assert not span.try_add({"a": Fraction(2)})
+    assert span.try_add({"b": Fraction(1)})
+    assert len(span) == 2
+    assert span.dependency({"a": Fraction(1), "b": Fraction(1)}) == [Fraction(1), Fraction(1)]
+
+
 def test_rank_empty():
     assert linalg.rank([]) == 0
