@@ -2,11 +2,13 @@
 
 An `Analysis` holds a form f with the decision mode and the seed, and
 memoizes what the profile, the Lefschetz verdicts and the certificates read:
-the A_k bases, the Hilbert vector, the assembled (mixed) Hessians and each
-order's vanishing verdict.  A piece is computed on its first request by the
-module-level function that defines it (`ak_basis`, `hilbert_vector`,
-`mixed_hessian`, `hessian_vanishes`) and reused afterwards, so one report
-decides each higher Hessian once and in one mode.
+the A_k bases, the Hilbert vector, the assembled (mixed) Hessians, each
+order's vanishing verdict and each level's WLP obstruction certificate.  A
+piece is computed on its first request by the module-level function that
+defines it (`ak_basis`, `hilbert_vector`, `mixed_hessian`,
+`hessian_vanishes`, `wlp_obstruction`) and reused afterwards, so one report
+decides each higher Hessian once and in one mode, and searches each level
+for an obstruction once.
 
 Every function that reads the bases takes the Analysis in place of the bare
 form (and of any mode and seed); constructions on f alone (`ak_basis`,
@@ -15,14 +17,13 @@ form (and of any mode and seed); constructions on f alone (`ak_basis`,
 
 from __future__ import annotations
 
-from typing import Callable, TypeVar
+from typing import Callable, Optional, TypeVar
 
 from .apolar import AkBasis, HilbertVector, ak_basis, hilbert_vector
 from .errors import ZeroPolynomialError
-from .hessian import Matrix, VanishingVerdict, hessian_vanishes, mixed_hessian
+from .hessian import MODES, Matrix, VanishingVerdict, hessian_vanishes, mixed_hessian
+from .lefschetz import ObstructionCertificate, wlp_obstruction
 from .polycore import Poly
-
-MODES = ("probabilistic", "exact")
 
 T = TypeVar("T")
 
@@ -63,7 +64,15 @@ class Analysis:
         """Whether the order-k Hessian vanishes, decided in this mode and seed."""
         return self._get(("verdict", k), lambda: hessian_vanishes(self, k))
 
+    def obstruction(self, k: int) -> Optional[ObstructionCertificate]:
+        """The never-injective certificate at A_k -> A_(k+1), if one exists."""
+        return self._get(("obstruction", k), lambda: wlp_obstruction(self.f, k))
+
     def counts(self) -> dict:
-        """Hessian vanishing decisions taken and memo hits so far."""
-        decisions = sum(1 for key in self._memo if key[0] == "verdict")
-        return {"hessian_decisions": decisions, "reused": self._reused}
+        """Hessian decisions taken, those that ran elimination, and memo hits."""
+        verdicts = [v for key, v in self._memo.items() if key[0] == "verdict"]
+        return {
+            "hessian_decisions": len(verdicts),
+            "eliminations": sum(1 for v in verdicts if v.eliminated),
+            "reused": self._reused,
+        }

@@ -20,7 +20,7 @@ from .apolar import is_unimodal
 from .errors import LefschetzLabError
 from .families import FAMILY_KINDS, FamilySpec, generate
 from .hessian import hess_profile, is_cone
-from .lefschetz import key_criterion, slp_generic, wlp_generic, wlp_obstruction
+from .lefschetz import key_criterion, slp_generic, wlp_generic
 from .polycore import VariableSet, parse_poly
 from .reproduce import SuiteConfig, format_table, run_suite
 
@@ -132,7 +132,7 @@ def cmd_analyze(args) -> int:
             if cert is not None:
                 certificates.append(cert.to_json_dict())
         for k in range(1, (d + 1) // 2):
-            cert = wlp_obstruction(f, k)
+            cert = an.obstruction(k)
             if cert is not None:
                 certificates.append(cert.to_json_dict())
 

@@ -903,7 +903,7 @@ def replay_manifest(
             cert is not None and verify_key_certificate(f, cert),
         )
     if man.obstruction_level is not None:
-        cert = wlp_obstruction(f, man.obstruction_level)
+        cert = an.obstruction(man.obstruction_level)
         ok = cert is not None and verify_obstruction_certificate(f, cert)
         if ok and man.obstruction_size is not None:
             ok = cert.s == man.obstruction_size

@@ -3,19 +3,20 @@
 The order-k Hessian of f is the symmetric matrix (a_i a_j (f)) over an ordered
 basis (a_i) of the degree-k graded piece.  Whether its determinant vanishes
 identically does not depend on the basis, so verdicts are reported without
-one.  Two decision routes are implemented:
+one.  Both modes decide along one path:
 
-  * probabilistic — evaluate the matrix at integer points and take exact
-    rational determinants; a single nonzero value is an unconditional
-    nonvanishing proof, while repeated zeros give a Schwartz-Zippel bound;
-  * exact — fraction-free elimination of the polynomial matrix over the
-    rational function field, with fewest-terms pivoting and early exit on a
-    zero row/column, which certifies vanishing unconditionally.
+  * evaluate the matrix at seeded integer points and take exact rational
+    determinants; a single nonzero value is an unconditional nonvanishing
+    proof in either mode, so it settles the verdict at once;
+  * when every value is zero, fraction-free elimination of the polynomial
+    matrix over the rational function field (fewest-terms pivoting, early
+    exit on a zero row/column) certifies vanishing unconditionally.
 
-Probabilistic runs escalate to the exact route when the matrix is small
-enough; above the cutoff a vanishing verdict keeps its (tiny) error bound
-unless the form's Analysis runs in exact mode.  The Hessians and verdicts of
-one form are read through its `Analysis`, which builds and decides each once.
+Elimination runs only after all evaluations were zero, and then only in exact
+mode or when the matrix is small enough; above the cutoff a probabilistic
+vanishing verdict keeps its (tiny) Schwartz-Zippel error bound.  The Hessians
+and verdicts of one form are read through its `Analysis`, which builds and
+decides each once.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ if TYPE_CHECKING:
 
 DEFAULT_EXACT_CUTOFF = 12
 DEFAULT_TRIALS = 5
+MODES = ("probabilistic", "exact")
 
 Matrix = tuple[tuple[Poly, ...], ...]
 
@@ -62,7 +64,8 @@ class VanishingVerdict:
     Nonvanishing verdicts always carry an evaluation point with a nonzero
     determinant value (an unconditional witness).  Exact vanishing verdicts
     carry a hash of the elimination transcript; probabilistic ones carry the
-    compounded failure bound instead.
+    compounded failure bound instead.  `eliminated` records whether
+    polynomial elimination ran; it is not part of the serialized verdict.
     """
 
     vanishes: bool
@@ -71,6 +74,7 @@ class VanishingVerdict:
     det_value: Optional[Fraction] = None
     error_bound: Optional[Fraction] = None
     transcript_hash: Optional[str] = None
+    eliminated: bool = False
 
     def __post_init__(self) -> None:
         if not self.vanishes and self.witness_point is None:
@@ -218,6 +222,8 @@ def second_partials_det_vanishes(
     f: Poly, mode: str = "probabilistic", seed: int = 0
 ) -> VanishingVerdict:
     """Vanishing of the full matrix of second partials (no quotient taken)."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     if f.is_zero():
         raise ZeroPolynomialError("second partials of the zero polynomial")
     d = f.degree
@@ -274,9 +280,6 @@ def _det_vanishes(
             True, "exact", transcript_hash=_hash_transcript(["constant-matrix", str(size)])
         )
 
-    if mode == "exact":
-        return _exact_verdict(entries, seed, salt)
-
     bound_B = 64 * degree_bound
     rng_base = f"{salt}:{seed}"
     for trial in range(trials):
@@ -285,10 +288,8 @@ def _det_vanishes(
         matrix = [[eval_poly(e, point) for e in row] for row in entries]
         value = linalg.det(matrix)
         if value:
-            return VanishingVerdict(
-                False, "probabilistic", witness_point=point, det_value=value
-            )
-    if size <= exact_cutoff:
+            return VanishingVerdict(False, mode, witness_point=point, det_value=value)
+    if mode == "exact" or size <= exact_cutoff:
         return _exact_verdict(entries, seed, salt)
     per_trial = Fraction(degree_bound, bound_B)
     return VanishingVerdict(True, "probabilistic", error_bound=per_trial**trials)
@@ -299,10 +300,15 @@ def _exact_verdict(
 ) -> VanishingVerdict:
     vanishes, transcript, det_poly = poly_det_vanishes(entries)
     if vanishes:
-        return VanishingVerdict(True, "exact", transcript_hash=_hash_transcript(transcript))
+        return VanishingVerdict(
+            True, "exact", transcript_hash=_hash_transcript(transcript), eliminated=True
+        )
     assert det_poly is not None
+    # nonzero, yet zero at every sampled point: search on the determinant
     point, value = _nonzero_point(det_poly, seed, salt)
-    return VanishingVerdict(False, "exact", witness_point=point, det_value=value)
+    return VanishingVerdict(
+        False, "exact", witness_point=point, det_value=value, eliminated=True
+    )
 
 
 def _nonzero_point(g: Poly, seed: int, salt: str) -> tuple[tuple[int, ...], Fraction]:

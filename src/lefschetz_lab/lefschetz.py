@@ -299,7 +299,7 @@ def wlp_generic(an: Analysis, trials: int = GENERIC_TRIALS) -> LefschetzReport:
         for k in range(1, (d + 1) // 2):
             if hv[k] > hv[k + 1]:
                 continue  # non-injectivity would not contradict maximal rank
-            cert = wlp_obstruction(f, k)
+            cert = an.obstruction(k)
             if cert is not None:
                 return LefschetzReport(
                     "WLP",

@@ -234,3 +234,49 @@ class TestOneAnalysisPerForm:
         assert salts == [f"hess:{k}" for k in range(4)]
         assert data["counts"]["hessian_decisions"] == 4
 
+    def test_eliminations_counted(self, capsys, tmp_path):
+        from lefschetz_lab.families import gen_wlpodd
+
+        cases = [
+            (["analyze", "--poly", "x^3+y^3+z^3", "--vars", "x,y,z"], None),
+            (["analyze", "--in", str(write_instance(gen_wlpodd(5, 7), tmp_path))], 3),
+        ]
+        counts = []
+        for args, middle in cases:
+            report = tmp_path / "r.json"
+            code, out, _ = run(args + ["--mode", "exact", "--json", str(report)], capsys)
+            assert code == 0
+            assert "eliminations" not in out.replace(str(report), "")
+            data = json.loads(report.read_text())
+            if middle is not None:
+                assert data["hess_profile"][middle]["vanishes"]
+            counts.append(data["counts"]["eliminations"])
+        # a nonzero value settles the Fermat cubic; the vanishing middle
+        # Hessian of wlpodd(5,7) needs elimination to be certified
+        assert counts[0] == 0
+        assert counts[1] >= 1
+
+    def test_each_obstruction_level_searched_once(self, capsys, monkeypatch, tmp_path):
+        import lefschetz_lab.analysis as analysis_mod
+        import lefschetz_lab.cli as cli_mod
+        import lefschetz_lab.lefschetz as lefschetz_mod
+        from lefschetz_lab.families import gen_thmwlp
+
+        levels = []
+        real = lefschetz_mod.wlp_obstruction
+
+        def counting(f, k):
+            levels.append(k)
+            return real(f, k)
+
+        for mod in (analysis_mod, cli_mod, lefschetz_mod):
+            monkeypatch.setattr(mod, "wlp_obstruction", counting, raising=False)
+        path = write_instance(gen_thmwlp(5, 8), tmp_path)
+        report = tmp_path / "r.json"
+        code, _, _ = run(["analyze", "--in", str(path), "--json", str(report)], capsys)
+        assert code == 0
+        data = json.loads(report.read_text())
+        assert data["wlp"]["verdict"] == "fails"
+        assert any(c["type"] == "never-injective" for c in data["certificates"])
+        assert sorted(levels) == list(range(1, 4))
+

@@ -4,11 +4,15 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import lefschetz_lab.hessian as hessian_mod
+from lefschetz_lab import linalg
 from lefschetz_lab.analysis import Analysis
 from lefschetz_lab.apolar import AkBasis, ak_basis
 from lefschetz_lab.errors import DegreeRangeError, ZeroPolynomialError
 from lefschetz_lab.families import gen_exceptional, gen_gnp
 from lefschetz_lab.hessian import (
+    DEFAULT_EXACT_CUTOFF,
+    _det_vanishes,
     hess_profile,
     hessian_matrix,
     hessian_vanishes,
@@ -22,6 +26,7 @@ from lefschetz_lab.polycore import (
     Poly,
     VariableSet,
     diff_apply,
+    eval_poly,
     linear_change,
     parse_poly,
     poly_sum,
@@ -153,6 +158,10 @@ class TestSecondPartials:
     def test_perazzo(self):
         assert second_partials_det_vanishes(PERAZZO).vanishes
 
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError):
+            second_partials_det_vanishes(PERAZZO, mode="prob")
+
     def test_agrees_with_quotient_hessian(self):
         for f in (IKEDA, PERAZZO):
             assert (
@@ -192,8 +201,6 @@ class TestInvariance:
     @given(homogeneous_polys(max_vars=3, min_degree=2, max_degree=4), st.data())
     @settings(max_examples=25)
     def test_variable_change(self, f, data):
-        from lefschetz_lab import linalg
-
         n = len(f.vars)
         m = [[data.draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)]
         for i in range(n):
@@ -232,10 +239,58 @@ class TestModeAgreement:
         k = data.draw(st.integers(0, f.degree // 2))
         if len(ak_basis(f, k)) > 8:
             return
-        assert (
-            hessian_vanishes(prob(f), k).vanishes
-            == hessian_vanishes(exact(f), k).vanishes
+        an = prob(f)
+        oracle = poly_det_vanishes(an.hessian(k, k))[0]
+        assert hessian_vanishes(an, k).vanishes == oracle
+        assert hessian_vanishes(exact(f), k).vanishes == oracle
+
+
+def replays(entries, verdict):
+    """The witness point gives the claimed nonzero determinant over Q."""
+    point = verdict.witness_point
+    value = linalg.det([[eval_poly(e, point) for e in row] for row in entries])
+    return value == verdict.det_value != 0
+
+
+class TestEvaluateFirst:
+    def test_exact_nonvanishing_needs_no_elimination(self, monkeypatch):
+        calls = []
+        real = hessian_mod.poly_det_vanishes
+
+        def counting(entries):
+            calls.append(len(entries))
+            return real(entries)
+
+        monkeypatch.setattr(hessian_mod, "poly_det_vanishes", counting)
+        vs = VariableSet(("x", "y", "z"))
+        an = exact(parse_poly("x^3 + y^3 + z^3", vs))
+        verdict = hessian_vanishes(an, 1)
+        assert not verdict.vanishes and verdict.mode == "exact"
+        assert verdict.error_bound is None and verdict.witness_point is not None
+        assert not verdict.eliminated
+        assert replays(an.hessian(1, 1), verdict)
+        assert calls == []
+
+    def test_exact_vanishing_still_eliminates(self):
+        verdict = hessian_vanishes(exact(PERAZZO), 1)
+        assert verdict.vanishes and verdict.eliminated and verdict.transcript_hash
+
+    def test_elimination_fallback_witness_replays(self):
+        vs = VariableSet(("x", "y", "z"))
+        an = exact(parse_poly("x^3 + y^3 + z^3 + x*y*z", vs))
+        entries = an.hessian(1, 1)
+        verdict = _det_vanishes(
+            entries,
+            degree_bound=3,
+            mode="exact",
+            seed=0,
+            trials=0,
+            exact_cutoff=DEFAULT_EXACT_CUTOFF,
+            salt="hess:1",
         )
+        assert not verdict.vanishes and verdict.mode == "exact"
+        assert verdict.eliminated and verdict.error_bound is None
+        assert replays(entries, verdict)
 
 
 class TestPolyDet:
