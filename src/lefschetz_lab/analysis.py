@@ -41,6 +41,8 @@ class Analysis:
         self.seed = seed
         self._memo: dict[tuple, object] = {}
         self._reused = 0
+        # rank checks whose rank mod p was not maximal and was taken over Q
+        self.rational_ranks = 0
 
     def _get(self, key: tuple, compute: Callable[[], T]) -> T:
         if key in self._memo:
@@ -69,10 +71,12 @@ class Analysis:
         return self._get(("obstruction", k), lambda: wlp_obstruction(self.f, k))
 
     def counts(self) -> dict:
-        """Hessian decisions taken, those that ran elimination, and memo hits."""
+        """Hessian decisions taken, those that ran elimination, memo hits, and
+        the rank checks that fell back to an exact rank."""
         verdicts = [v for key, v in self._memo.items() if key[0] == "verdict"]
         return {
             "hessian_decisions": len(verdicts),
             "eliminations": sum(1 for v in verdicts if v.eliminated),
             "reused": self._reused,
+            "rational_ranks": self.rational_ranks,
         }

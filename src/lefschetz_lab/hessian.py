@@ -5,18 +5,26 @@ basis (a_i) of the degree-k graded piece.  Whether its determinant vanishes
 identically does not depend on the basis, so verdicts are reported without
 one.  Both modes decide along one path:
 
-  * evaluate the matrix at seeded integer points and take exact rational
-    determinants; a single nonzero value is an unconditional nonvanishing
-    proof in either mode, so it settles the verdict at once;
-  * when every value is zero, fraction-free elimination of the polynomial
+  * compile the matrix once into an integer kernel (`polycore.IntMatrix`,
+    rows scaled to integer coefficients), evaluate it at seeded integer
+    points and take the determinant modulo a prime drawn at random from
+    [2^60, 2^61) for this decision; a nonzero residue proves the integer
+    determinant nonzero, an unconditional nonvanishing witness in either
+    mode, and its exact value is then computed once, by integer Bareiss;
+  * when every residue is zero, fraction-free elimination of the polynomial
     matrix over the rational function field (fewest-terms pivoting, early
     exit on a zero row/column) certifies vanishing unconditionally.
 
 Elimination runs only after all evaluations were zero, and then only in exact
 mode or when the matrix is small enough; above the cutoff a probabilistic
-vanishing verdict keeps its (tiny) Schwartz-Zippel error bound.  The Hessians
-and verdicts of one form are read through its `Analysis`, which builds and
-decides each once.
+vanishing verdict states its error bound (deg/B)^trials + ceil(bits(N)/60) /
+2^54: Schwartz-Zippel over F_p for the B-wide sample box, plus the chance
+that the prime divides the content of a nonzero determinant polynomial,
+whose coefficients are bounded by N, the product of the rows' coefficient
+1-norms.  The prime is random, not fixed, because a fixed p can divide that
+content: 2^61-1 divides every value of the order-1 Hessian determinant of
+(2^61-1) x0^3 + x1^3 + ... + x12^3.  The Hessians and verdicts of one form
+are read through its `Analysis`, which builds and decides each once.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from . import linalg
 from .apolar import AkBasis, depends_on_all_vars
 from .errors import DegreeRangeError, ZeroPolynomialError
-from .polycore import Monomial, Poly, diff_apply, eval_poly, partial
+from .polycore import IntMatrix, Monomial, Poly, diff_apply, partial
 
 if TYPE_CHECKING:
     from .analysis import Analysis
@@ -262,37 +270,76 @@ def _det_vanishes(
     salt: str,
 ) -> VanishingVerdict:
     size = len(entries)
-    nvars = len(entries[0][0].vars) if size else 0
     if size == 0:
         raise ValueError("empty matrix")
+    kernel = IntMatrix(entries)
 
     if degree_bound == 0 or all(
         e.is_zero() or e.degree == 0 for row in entries for e in row
     ):
         # constant matrix: its determinant is the answer, unconditionally
-        matrix = [[e.coefficient((0,) * nvars) for e in row] for row in entries]
-        value = linalg.det(matrix)
+        point = (1,) * kernel.nvars
+        value = Fraction(linalg.det_int(kernel.at(point)), kernel.scale)
         if value:
-            return VanishingVerdict(
-                False, "exact", witness_point=(1,) * nvars, det_value=value
-            )
+            return VanishingVerdict(False, "exact", witness_point=point, det_value=value)
         return VanishingVerdict(
             True, "exact", transcript_hash=_hash_transcript(["constant-matrix", str(size)])
         )
 
     bound_B = 64 * degree_bound
     rng_base = f"{salt}:{seed}"
+    p = _decision_prime(salt, seed)
     for trial in range(trials):
         rng = random.Random(f"{rng_base}:{trial}")
-        point = tuple(rng.randint(1, bound_B) for _ in range(nvars))
-        matrix = [[eval_poly(e, point) for e in row] for row in entries]
-        value = linalg.det(matrix)
-        if value:
+        point = tuple(rng.randint(1, bound_B) for _ in range(kernel.nvars))
+        matrix = kernel.at(point)
+        if linalg.det_mod(matrix, p):
+            value = Fraction(linalg.det_int(matrix), kernel.scale)
             return VanishingVerdict(False, mode, witness_point=point, det_value=value)
     if mode == "exact" or size <= exact_cutoff:
         return _exact_verdict(entries, seed, salt)
+    # Schwartz-Zippel over F_p for every trial, plus the chance that p
+    # divides the content of a nonzero integer determinant polynomial: at
+    # most bits/60 primes >= 2^60 do, out of more than 2^54 to draw from
     per_trial = Fraction(degree_bound, bound_B)
-    return VanishingVerdict(True, "probabilistic", error_bound=per_trial**trials)
+    bad_primes = -(-kernel.norm_bound.bit_length() // 60)
+    return VanishingVerdict(
+        True, "probabilistic", error_bound=per_trial**trials + Fraction(bad_primes, 2**54)
+    )
+
+
+def _decision_prime(salt: str, seed: int) -> int:
+    """A prime drawn uniformly from [2^60, 2^61), determined by salt and seed."""
+    rng = random.Random(f"prime:{salt}:{seed}")
+    while True:
+        candidate = rng.randrange(2**60 + 1, 2**61, 2)
+        if _is_prime(candidate):
+            return candidate
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the bases 2..37, deterministic below 3.3 * 10^24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for q in bases:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _exact_verdict(
@@ -312,15 +359,15 @@ def _exact_verdict(
 
 
 def _nonzero_point(g: Poly, seed: int, salt: str) -> tuple[tuple[int, ...], Fraction]:
-    nvars = len(g.vars)
+    kernel = IntMatrix([[g]])
     bound = 64 * max(g.total_degree() or 1, 1)
     attempt = 0
     while True:
         rng = random.Random(f"witness:{salt}:{seed}:{attempt}")
-        point = tuple(rng.randint(1, bound) for _ in range(nvars))
-        value = eval_poly(g, point)
+        point = tuple(rng.randint(1, bound) for _ in range(kernel.nvars))
+        value = kernel.at(point)[0][0]
         if value:
-            return point, value
+            return point, Fraction(value, kernel.scale)
         attempt += 1
         bound *= 2
 

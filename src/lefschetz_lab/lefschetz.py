@@ -3,7 +3,10 @@
 The rank of multiplication by L^(d-k-l): A_k -> A_(d-l) is the rank of the
 mixed Hessian (a_i b_j (f)) evaluated at the coefficients of L, so every
 Lefschetz check takes that rank, over the Hessians its form's `Analysis`
-assembles once.  The explicit multiplication matrix, built
+assembles once.  The Hessian is evaluated through the integer kernel
+`polycore.IntMatrix` at L scaled to integers and ranked modulo 2^61-1; a
+maximal rank there is the rank over Q, and only a smaller one is recomputed
+exactly.  The explicit multiplication matrix, built
 from exact coordinate solves in the derivative spaces, is kept as API and as
 an independent reference.  Specific elements are checked directly; generic
 verdicts combine a random witness search (maximal rank is
@@ -23,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import linalg
@@ -31,11 +34,11 @@ from .apolar import HilbertVector, first_dip, is_unimodal
 from .errors import DegreeRangeError, NoSplitError, ZeroPolynomialError
 from .polycore import (
     DiffOp,
+    IntMatrix,
     Poly,
     Scalar,
     VariableSet,
     diff_apply,
-    eval_poly,
     mono_basis,
 )
 
@@ -43,6 +46,7 @@ if TYPE_CHECKING:
     from .analysis import Analysis
 
 GENERIC_TRIALS = 12
+RANK_PRIME = 2**61 - 1
 
 
 @dataclass(frozen=True)
@@ -126,9 +130,21 @@ class LevelCheck:
 
 
 def _rank_at(an: Analysis, k: int, l: int, L: LinearForm) -> int:
-    """Rank of L^(d-k-l): A_k -> A_(d-l), from the mixed Hessian at L."""
-    H = an.hessian(k, l)
-    return linalg.rank([[eval_poly(e, L.coeffs) for e in row] for row in H])
+    """Rank of L^(d-k-l): A_k -> A_(d-l), from the mixed Hessian at L.
+
+    The Hessian's rows are scaled to integer coefficients and L to the
+    integer point cL; H(cL) = c^(d-k-l) H(L), so neither changes the rank.
+    Reduction mod a prime can only lower the rank, so a maximal rank mod p
+    is the rank over Q; any other rank is taken exactly and counted in the
+    Analysis's `rational_ranks`.
+    """
+    c = lcm(*(x.denominator for x in L.coeffs))
+    matrix = IntMatrix(an.hessian(k, l)).at(tuple(int(x * c) for x in L.coeffs))
+    r = linalg.rank_mod(matrix, RANK_PRIME)
+    if r == min(len(matrix), len(matrix[0])):
+        return r
+    an.rational_ranks += 1
+    return linalg.rank(matrix)
 
 
 def slp_check_element(an: Analysis, L: LinearForm) -> tuple[bool, list[LevelCheck]]:

@@ -1,8 +1,12 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals and the integers, and modulo primes.
 
-Dense routines (rank, determinant, kernel) run fraction-free on integer rows
-after clearing denominators, so the bulk of the elimination is big-integer
-arithmetic rather than Fraction normalization.  Sparse vectors — coefficient
+Dense rational routines (rank, determinant, kernel) run fraction-free on
+integer rows after clearing denominators, so the bulk of the elimination is
+big-integer arithmetic rather than Fraction normalization; the determinant
+shares its integer Bareiss body with `det_int`.  `det_mod` and `rank_mod`
+eliminate an integer matrix modulo a prime, with stdlib ints only: a nonzero
+determinant mod p proves a nonzero integer determinant, and the rank mod p is
+at most the rank over Q.  Sparse vectors — coefficient
 maps of polynomials, keyed by monomial — are handled by `SparseSpan`, an
 incremental row-reduction structure that also tracks how each reduced row was
 combined from the original inputs (needed for dependency witnesses and for
@@ -12,7 +16,7 @@ expressing a vector in a given basis).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Hashable, Optional, Sequence
 
 Vec = dict  # sparse vector: hashable key -> Fraction
@@ -26,17 +30,17 @@ def _exq(a: int, b: int) -> int:
     return q
 
 
-def _int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[Fraction]]:
+def _int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
     """Scale each row by the lcm of its denominators.  Returns rows and scales."""
     out: list[list[int]] = []
-    scales: list[Fraction] = []
+    scales: list[int] = []
     for row in rows:
         fr = [Fraction(x) for x in row]
         denom = 1
         for x in fr:
             denom = lcm(denom, x.denominator)
         out.append([int(x * denom) for x in fr])
-        scales.append(Fraction(denom))
+        scales.append(denom)
     return out, scales
 
 
@@ -68,30 +72,85 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
 
 def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant of a square rational matrix (fraction-free)."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix is not square")
     m, scales = _int_rows(rows)
+    return Fraction(det_int(m), prod(scales))
+
+
+def det_int(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix, by Bareiss elimination.
+
+    Rows leave the active block as they become pivots; each remaining entry
+    is then an exact minor quotient, so every division is exact.
+    """
+    _check_square(rows)
+    m = [list(row) for row in rows]
     sign = 1
     prev = 1
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
+    while m:
+        piv = next((i for i, row in enumerate(m) if row[0]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
+            return 0
+        prow = m.pop(piv)
+        if piv % 2:
             sign = -sign
-        for i in range(col + 1, n):
-            for j in range(col + 1, n):
-                m[i][j] = _exq(m[col][col] * m[i][j] - m[i][col] * m[col][j], prev)
-            m[i][col] = 0
-        prev = m[col][col]
-    scale = Fraction(1)
-    for s in scales:
-        scale *= s
-    return Fraction(sign * m[n - 1][n - 1]) / scale
+        lead = prow[0]
+        if not m:
+            return sign * lead
+        tail = prow[1:]
+        m = [
+            [_exq(lead * a - row[0] * b, prev) for a, b in zip(row[1:], tail)]
+            for row in m
+        ]
+        prev = lead
+    return 1
+
+
+def det_mod(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Determinant of a square integer matrix modulo the prime p, in range(p)."""
+    _check_square(rows)
+    m = [[x % p for x in row] for row in rows]
+    value = 1
+    while m:
+        piv = next((i for i, row in enumerate(m) if row[0]), None)
+        if piv is None:
+            return 0
+        prow = m.pop(piv)
+        if piv % 2:
+            value = -value
+        value = value * prow[0] % p
+        m = _eliminate_mod(m, prow, p)
+    return value % p
+
+
+def rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Rank of an integer matrix modulo the prime p."""
+    m = [[x % p for x in row] for row in rows]
+    r = 0
+    while m and m[0]:
+        piv = next((i for i, row in enumerate(m) if row[0]), None)
+        if piv is None:
+            m = [row[1:] for row in m]
+            continue
+        m = _eliminate_mod(m, m.pop(piv), p)
+        r += 1
+    return r
+
+
+def _eliminate_mod(m: list[list[int]], prow: list[int], p: int) -> list[list[int]]:
+    """Clear the first column of `m` against the pivot row; drop that column."""
+    inv = pow(prow[0], -1, p)
+    tail = [x * inv % p for x in prow[1:]]
+    out = []
+    for row in m:
+        c = row[0]
+        out.append([(a - c * b) % p for a, b in zip(row[1:], tail)] if c else row[1:])
+    return out
+
+
+def _check_square(rows: Sequence[Sequence]) -> None:
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix is not square")
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

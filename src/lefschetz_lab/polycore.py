@@ -4,7 +4,10 @@ A polynomial is a map from exponent tuples to nonzero `Fraction`s over an
 ordered, immutable `VariableSet`.  Differential operators are ordinary
 polynomials over the *dual* variable set (names with the first letter
 upper-cased, so ``x0 -> X0``, ``u1 -> U1``); `diff_apply` lets an operator act
-by plain partial differentiation, position by position.
+by plain partial differentiation, position by position.  `IntMatrix`
+compiles a matrix of polynomials once for evaluation at integer points: the
+one evaluation kernel behind the Hessian determinant decisions and the
+Lefschetz ranks (`eval_poly` is the rational reference).
 
 Conventions baked in here and relied on everywhere else:
 
@@ -25,7 +28,8 @@ import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, perm
+from math import comb, lcm, perm, prod
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from . import linalg
@@ -383,6 +387,71 @@ def eval_poly(f: Poly, point: Sequence[Scalar]) -> Fraction:
                 val *= x**e
         total += val
     return total
+
+
+class IntMatrix:
+    """A matrix of polynomials compiled for evaluation at integer points.
+
+    Row i is scaled by the lcm of its coefficient denominators, so every term
+    becomes an int coefficient times a monomial.  Each distinct monomial of
+    the matrix is kept once, as a sparse exponent: the positions of its
+    variable powers in a per-point power table.  `at(point)` gives the
+    integer matrix whose row i is row i of the polynomial matrix at `point`
+    times that row's scale; `scale` is the product of the row scales, so the
+    determinant at the point is `det_int(at(point)) / scale`.
+    """
+
+    __slots__ = ("nvars", "scale", "norm_bound", "_top", "_monos", "_rows")
+
+    def __init__(self, entries: Sequence[Sequence[Poly]]):
+        self.nvars = len(entries[0][0].vars) if entries and entries[0] else 0
+        monos: dict[Monomial, int] = {}
+        # a symmetric matrix holds each off-diagonal Poly twice
+        compiled: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        zero: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
+        self.scale = 1
+        # product over rows of the summed |coefficients|: a bound on every
+        # coefficient of the (scaled) determinant polynomial
+        self.norm_bound = 1
+        self._rows = []
+        for row in entries:
+            denom = lcm(*(c.denominator for entry in row for c in entry._terms.values()))
+            out = []
+            for entry in row:
+                if not entry._terms:
+                    out.append(zero)
+                    continue
+                key = (id(entry), denom)
+                if key not in compiled:
+                    compiled[key] = (
+                        tuple(c.numerator * (denom // c.denominator) for c in entry._terms.values()),
+                        tuple(monos.setdefault(expo, len(monos)) for expo in entry._terms),
+                    )
+                out.append(compiled[key])
+            self._rows.append(out)
+            self.scale *= denom
+            self.norm_bound *= sum(sum(map(abs, coeffs)) for coeffs, _ in out)
+        self._top = top = max((e for expo in monos for e in expo), default=0)
+        self._monos = [
+            tuple(i * top + e - 1 for i, e in enumerate(expo) if e) for expo in monos
+        ]
+
+    def at(self, point: Sequence[int]) -> list[list[int]]:
+        """The scaled integer matrix at an integer point."""
+        if len(point) != self.nvars:
+            raise ValueError(f"point has {len(point)} coordinates, expected {self.nvars}")
+        table: list[int] = []
+        for x in point:
+            power = 1
+            for _ in range(self._top):
+                power *= x
+                table.append(power)
+        power_at = table.__getitem__
+        value = [prod(map(power_at, idx)) for idx in self._monos].__getitem__
+        return [
+            [sum(map(mul, coeffs, map(value, monos))) if coeffs else 0 for coeffs, monos in row]
+            for row in self._rows
+        ]
 
 
 def linear_change(f: Poly, matrix: Sequence[Sequence[Scalar]]) -> Poly:

@@ -280,3 +280,23 @@ class TestOneAnalysisPerForm:
         assert any(c["type"] == "never-injective" for c in data["certificates"])
         assert sorted(levels) == list(range(1, 4))
 
+
+    def test_rational_ranks_counted(self, capsys, tmp_path):
+        from lefschetz_lab.lefschetz import GENERIC_TRIALS
+
+        # thmwlp(5,4) without its x/u split: no obstruction search runs, and
+        # A_1 -> A_2 has a kernel for every L, so each WLP trial's rank at
+        # that level is not maximal mod p and is taken over Q
+        unsplit = "x2*u^3 + x3*u^2*v + x4*u*v^2 + x5*v^3 + u^4 + v^4"
+        cases = [
+            (["--poly", "x^3+y^3+z^3", "--vars", "x,y,z"], 0),
+            (["--poly", unsplit, "--vars", "x2,x3,x4,x5,u,v"], GENERIC_TRIALS),
+        ]
+        for args, expected in cases:
+            report = tmp_path / "r.json"
+            code, out, _ = run(["analyze", *args, "--json", str(report)], capsys)
+            assert code == 0
+            assert "rational_ranks" not in out.replace(str(report), "")
+            data = json.loads(report.read_text())
+            assert data["counts"]["rational_ranks"] == expected
+        assert data["wlp"]["verdict"] == "undetermined"

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,10 @@ from lefschetz_lab.errors import DegreeRangeError, ZeroPolynomialError
 from lefschetz_lab.families import gen_exceptional, gen_gnp
 from lefschetz_lab.hessian import (
     DEFAULT_EXACT_CUTOFF,
+    DEFAULT_TRIALS,
+    _decision_prime,
     _det_vanishes,
+    _is_prime,
     hess_profile,
     hessian_matrix,
     hessian_vanishes,
@@ -356,3 +360,87 @@ class TestPolyDetOracle:
                 )
             )
             assert sympy.expand(got - expected) == 0
+
+
+MERSENNE_61 = 2**61 - 1
+
+
+def fermat_cubic(nvars, first_coeff):
+    vs = VariableSet(tuple(f"x{i}" for i in range(nvars)))
+    cubes = [tuple(3 if j == i else 0 for j in range(nvars)) for i in range(nvars)]
+    return Poly(vs, {c: first_coeff if i == 0 else 1 for i, c in enumerate(cubes)})
+
+
+class TestRandomPrime:
+    def test_determinant_divisible_by_a_fixed_prime_is_nonvanishing(self):
+        # hess^1 is diagonal with determinant 6^13 (2^61-1) x0 ... x12, zero
+        # mod 2^61-1 at every point, and 13x13 is above the elimination cutoff
+        an = prob(fermat_cubic(13, MERSENNE_61))
+        entries = an.hessian(1, 1)
+        assert len(entries) > DEFAULT_EXACT_CUTOFF
+        verdict = hessian_vanishes(an, 1)
+        assert not verdict.vanishes and verdict.mode == "probabilistic"
+        assert verdict.det_value == 6**13 * MERSENNE_61 * prod(verdict.witness_point)
+        assert replays(entries, verdict)
+
+    def test_prime_is_deterministic_in_range_and_prime(self):
+        import sympy
+
+        for salt in ("hess:1", "hess:3", "classical"):
+            for seed in (0, 1, 7):
+                p = _decision_prime(salt, seed)
+                assert p == _decision_prime(salt, seed)
+                assert 2**60 <= p < 2**61 and sympy.isprime(p)
+        assert len({_decision_prime("hess:1", seed) for seed in range(6)}) == 6
+        assert _decision_prime("hess:1", 0) != _decision_prime("hess:2", 0)
+
+    def test_miller_rabin_matches_sympy(self):
+        import sympy
+
+        strong_pseudoprimes = [2047, 1373653, 25326001, 3215031751, 2152302898747]
+        numbers = list(range(200)) + strong_pseudoprimes + [
+            MERSENNE_61,
+            MERSENNE_61 * 3,
+            (2**31 - 1) * (2**30 + 3),
+            2**60 + 33,
+        ]
+        for n in numbers:
+            assert _is_prime(n) == sympy.isprime(n), n
+
+    def test_probabilistic_vanishing_error_bound(self):
+        from lefschetz_lab.families import gen_wlpodd
+
+        verdict = hessian_vanishes(prob(gen_wlpodd(5, 7).f), 3)
+        assert verdict.vanishes and verdict.mode == "probabilistic"
+        # Schwartz-Zippel alone gives (1/64)^5; the content term adds to it
+        assert Fraction(1, 64) ** DEFAULT_TRIALS < verdict.error_bound < Fraction(1, 10**9)
+
+
+def with_rational_coefficients(f, denominators):
+    terms = f.coeff_map()
+    return Poly(f.vars, {e: c / d for (e, c), d in zip(sorted(terms.items()), denominators)})
+
+
+class TestWitnessReplay:
+    @given(
+        homogeneous_polys(max_vars=3, max_degree=5),
+        st.lists(st.integers(1, 6), min_size=6, max_size=6),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=25)
+    def test_every_nonvanishing_value_is_the_rational_determinant(self, f, dens, seed):
+        f = with_rational_coefficients(f, dens)
+        for mode in ("probabilistic", "exact"):
+            an = Analysis(f, mode, seed)
+            for k in range(f.degree // 2 + 1):
+                verdict = an.verdict(k)
+                if not verdict.vanishes:
+                    assert replays(an.hessian(k, k), verdict)
+        if f.degree >= 2:
+            verdict = second_partials_det_vanishes(f, seed=seed)
+            if not verdict.vanishes:
+                n = len(f.vars)
+                dual = f.vars.dual()
+                ops = [Poly.variable(dual, i) for i in range(n)]
+                entries = [[diff_apply(a, diff_apply(b, f)) for b in ops] for a in ops]
+                assert replays(entries, verdict)

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
+import pytest
 import sympy
+import hypothesis.strategies as st
 from hypothesis import given
 
 from lefschetz_lab import linalg
@@ -75,3 +77,59 @@ def test_sparse_span_dependency_skips_rejected_vectors():
 
 def test_rank_empty():
     assert linalg.rank([]) == 0
+
+
+MERSENNE_61 = 2**61 - 1
+
+
+@st.composite
+def integer_matrices(draw, max_n=6):
+    """Square integer matrices; about half get a last row dependent on the others."""
+    n = draw(st.integers(1, max_n))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+    if n > 1 and draw(st.booleans()):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[n // 2])]
+    return rows
+
+
+@given(integer_matrices())
+def test_integer_kernels_match_rational_oracles(rows):
+    exact_det = linalg.det(rows)
+    exact_rank = linalg.rank(rows)
+    assert linalg.det_int(rows) == exact_det
+    # |det| and every minor stay far below 2^61 here, so reduction mod the
+    # Mersenne prime loses nothing
+    assert linalg.det_mod(rows, MERSENNE_61) == exact_det % MERSENNE_61
+    assert linalg.rank_mod(rows, MERSENNE_61) == exact_rank
+    # a small prime can only lower the rank, and kills exactly the
+    # determinants it divides
+    assert linalg.det_mod(rows, 7) == exact_det % 7
+    assert linalg.rank_mod(rows, 7) <= exact_rank
+    assert (linalg.rank_mod(rows, 7) == len(rows)) == (exact_det % 7 != 0)
+
+
+@given(integer_matrices(), st.integers(1, 3))
+def test_rank_mod_of_rectangular_matrices(rows, drop):
+    wide = [row[drop:] for row in rows]
+    tall = rows[drop:]
+    for m in (wide, tall):
+        if m and m[0]:
+            assert linalg.rank_mod(m, MERSENNE_61) == linalg.rank(m)
+
+
+def test_integer_kernels_on_edge_cases():
+    assert linalg.det_int([]) == 1
+    assert linalg.det_mod([], 7) == 1
+    assert linalg.rank_mod([], 7) == 0
+    assert linalg.det_mod([[0, 1], [1, 0]], 7) == 6
+    assert linalg.det_int([[0, 1], [1, 0]]) == -1
+    assert linalg.rank_mod([[7, 14], [1, 2]], 7) == 1
+    with pytest.raises(ValueError):
+        linalg.det_int([[1, 2]])
+    with pytest.raises(ValueError):
+        linalg.det_mod([[1, 2]], 7)

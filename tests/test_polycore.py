@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
@@ -12,6 +13,7 @@ from lefschetz_lab.errors import (
     VariableMismatchError,
 )
 from lefschetz_lab.polycore import (
+    IntMatrix,
     Poly,
     VariableSet,
     diff_apply,
@@ -216,3 +218,46 @@ def test_composition_arbitrary_degrees(f, data):
     a = Poly.monomial(dual, data.draw(st.sampled_from(mono_basis(dual, ka))))
     b = Poly.monomial(dual, data.draw(st.sampled_from(mono_basis(dual, kb))))
     assert diff_apply(a * b, f) == diff_apply(a, diff_apply(b, f))
+
+
+@st.composite
+def rational_poly_matrices(draw):
+    """Small matrices of polynomials with rational coefficients and zero entries."""
+    nvars = draw(st.integers(1, 3))
+    vs = VariableSet(tuple(f"x{i}" for i in range(nvars)))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    expos = st.tuples(*[st.integers(0, 4)] * nvars)
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    entries = [
+        [Poly(vs, draw(st.dictionaries(expos, coeffs, max_size=4))) for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    point = draw(st.lists(st.integers(-20, 20), min_size=nvars, max_size=nvars))
+    return entries, tuple(point)
+
+
+class TestIntMatrix:
+    @given(rational_poly_matrices())
+    def test_matches_eval_poly_after_row_scaling(self, case):
+        entries, point = case
+        kernel = IntMatrix(entries)
+        values = kernel.at(point)
+        scale = 1
+        for row, out in zip(entries, values):
+            row_scale = lcm(*(c.denominator for e in row for c in e.coeff_map().values()))
+            assert out == [eval_poly(e, point) * row_scale for e in row]
+            scale *= row_scale
+        assert kernel.scale == scale
+
+    def test_norm_bound_is_the_product_of_row_norms(self):
+        vs = XY
+        entries = [
+            [parse_poly("1/2*x - y", vs), parse_poly("3*y", vs)],
+            [parse_poly("x^2", vs), Poly.zero(vs)],
+        ]
+        # row scales 2 and 1: |1| + |-2| + |6| = 9 and |1| = 1
+        assert IntMatrix(entries).norm_bound == 9
+
+    def test_rejects_a_point_of_the_wrong_length(self):
+        with pytest.raises(ValueError):
+            IntMatrix([[IKEDA]]).at((1, 2))
