@@ -21,7 +21,6 @@ from .apolar import (
 )
 from .errors import (
     DegenerateInstanceError,
-    DependentPrefixError,
     HomogeneityError,
     InfeasibleParametersError,
     LefschetzLabError,

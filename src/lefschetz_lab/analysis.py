@@ -2,13 +2,15 @@
 
 An `Analysis` holds a form f with the decision mode and the seed, and
 memoizes what the profile, the Lefschetz verdicts and the certificates read:
-the A_k bases, the Hilbert vector, the assembled (mixed) Hessians, each
-order's vanishing verdict and each level's WLP obstruction certificate.  A
-piece is computed on its first request by the module-level function that
-defines it (`ak_basis`, `hilbert_vector`, `mixed_hessian`,
-`hessian_vanishes`, `wlp_obstruction`) and reused afterwards, so one report
-decides each higher Hessian once and in one mode, and searches each level
-for an obstruction once.
+the monomial derivatives of f, the A_k bases, the Hilbert vector, the
+assembled (mixed) Hessians, each order's vanishing verdict and each level's
+WLP obstruction certificate.  A piece is computed on its first request by
+the module-level function that defines it (`ak_basis`, `hilbert_vector`,
+`mixed_hessian`, `hessian_vanishes`, `wlp_obstruction`) and reused
+afterwards, so one report decides each higher Hessian once and in one mode,
+and searches each level for an obstruction once.  Each basis of A_k grows
+from that of A_(k-1), and the bases and every Hessian cell read the
+derivatives of f from one memo.
 
 Every function that reads the bases takes the Analysis in place of the bare
 form (and of any mode and seed); constructions on f alone (`ak_basis`,
@@ -23,7 +25,7 @@ from .apolar import AkBasis, HilbertVector, ak_basis, hilbert_vector
 from .errors import ZeroPolynomialError
 from .hessian import MODES, Matrix, VanishingVerdict, hessian_vanishes, mixed_hessian
 from .lefschetz import ObstructionCertificate, wlp_obstruction
-from .polycore import Poly
+from .polycore import Derivatives, Poly
 
 T = TypeVar("T")
 
@@ -41,6 +43,7 @@ class Analysis:
         self.seed = seed
         self._memo: dict[tuple, object] = {}
         self._reused = 0
+        self.derivatives = Derivatives(f)
         # rank checks whose rank mod p was not maximal and was taken over Q
         self.rational_ranks = 0
 
@@ -52,8 +55,9 @@ class Analysis:
         return value
 
     def basis(self, k: int) -> AkBasis:
-        """The greedy basis of A_k."""
-        return self._get(("basis", k), lambda: ak_basis(self.f, k))
+        """The greedy basis of A_k, grown from that of A_(k-1)."""
+        return self._get(("basis", k), lambda: ak_basis(
+            self.f, k, below=self.basis(k - 1) if k else None, derivatives=self.derivatives))
 
     def hilbert(self) -> HilbertVector:
         return self._get(("hilbert",), lambda: hilbert_vector(self))
@@ -71,12 +75,14 @@ class Analysis:
         return self._get(("obstruction", k), lambda: wlp_obstruction(self.f, k))
 
     def counts(self) -> dict:
-        """Hessian decisions taken, those that ran elimination, memo hits, and
-        the rank checks that fell back to an exact rank."""
+        """Hessian decisions, those that eliminated, memo hits, exact rank
+        fallbacks, monomial derivatives of f computed, basis candidates reduced."""
         verdicts = [v for key, v in self._memo.items() if key[0] == "verdict"]
         return {
             "hessian_decisions": len(verdicts),
             "eliminations": sum(1 for v in verdicts if v.eliminated),
             "reused": self._reused,
             "rational_ranks": self.rational_ranks,
+            "derivatives": len(self.derivatives) - 1,
+            "basis_candidates": sum(b.candidates for key, b in self._memo.items() if key[0] == "basis"),
         }

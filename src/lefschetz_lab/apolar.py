@@ -4,10 +4,11 @@ The graded quotient A = (operator ring)/Ann(f) is represented throughout by
 its derivative spaces: degree-k operators are identified with the polynomials
 they produce from f, so dim A_k is the size of a greedy basis of the degree-k
 derivatives and multiplication never needs quotient-ring arithmetic.  The
-explicit catalecticant matrix, whose rank is the same number, is kept as API
-and as an independent reference.  Facts read off the bases (the Hilbert
-vector, essential variables) take the form's `Analysis`, which computes each
-basis once.
+greedy monomials form an order ideal, so each basis grows from the one below
+it and no degree is scanned in full.  The explicit catalecticant matrix,
+whose rank is the same number, is kept as API and as an independent
+reference.  Facts read off the bases (the Hilbert vector, essential
+variables) take the form's `Analysis`, which computes each basis once.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import linalg
-from .errors import DegreeRangeError, DependentPrefixError, ZeroPolynomialError
-from .polycore import DiffOp, Monomial, Poly, diff_apply, mono_basis
+from .errors import DegreeRangeError, ZeroPolynomialError
+from .polycore import Derivatives, DiffOp, Monomial, Poly, diff_apply, mono_basis
 
 if TYPE_CHECKING:
     from .analysis import Analysis
@@ -52,14 +53,14 @@ class AkBasis:
     """Ordered operator basis of A_k together with the derivatives it spans.
 
     `derived[i]` is ops[i] applied to f; the derived polynomials are linearly
-    independent and their number is dim A_k.  When a preferred prefix was
-    supplied it appears verbatim at the front of `ops`.
+    independent and their number is dim A_k.  `candidates` counts the
+    monomial operators whose derivatives were reduced to find the basis.
     """
 
     k: int
     ops: tuple[DiffOp, ...]
     derived: tuple[Poly, ...]
-    preferred_prefix: Optional[tuple[DiffOp, ...]] = None
+    candidates: int = 0
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -79,67 +80,58 @@ def catalecticant(f: Poly, k: int) -> Catalecticant:
     dual = f.vars.dual()
     col_monos = tuple(mono_basis(dual, k))
     row_monos = tuple(mono_basis(f.vars, d - k))
-    row_index = {m: i for i, m in enumerate(row_monos)}
-    columns = []
-    for expo in col_monos:
-        g = diff_apply(Poly.monomial(dual, expo), f)
-        col = [Fraction(0)] * len(row_monos)
-        for e, c in g.coeff_map().items():
-            col[row_index[e]] = c
-        columns.append(col)
-    matrix = tuple(
-        tuple(columns[j][i] for j in range(len(col_monos)))
-        for i in range(len(row_monos))
-    )
+    columns = [diff_apply(Poly.monomial(dual, expo), f).coeff_map() for expo in col_monos]
+    zero = Fraction(0)
+    matrix = tuple(tuple(g.get(m, zero) for g in columns) for m in row_monos)
     return Catalecticant(f, k, row_monos, col_monos, matrix)
 
 
 def ann_basis(f: Poly, k: int) -> list[DiffOp]:
     """Basis of the degree-k operators annihilating f (catalecticant kernel)."""
     cat = catalecticant(f, k)
-    dual = f.vars.dual()
     kernel = linalg.kernel_basis(cat.matrix, len(cat.col_monos))
-    out = []
-    for vec in kernel:
-        terms = {m: c for m, c in zip(cat.col_monos, vec) if c}
-        out.append(Poly(dual, terms))
-    return out
+    return [Poly(f.vars.dual(), dict(zip(cat.col_monos, vec))) for vec in kernel]
 
 
 def ak_basis(
-    f: Poly, k: int, preferred_prefix: Optional[Sequence[DiffOp]] = None
+    f: Poly, k: int, *, below: Optional[AkBasis] = None, derivatives: Optional[Derivatives] = None
 ) -> AkBasis:
-    """Greedy monomial basis of A_k, honoring an optional leading block.
+    """Greedy monomial basis of A_k, grown from `below`, the basis of A_(k-1).
 
-    Candidate monomial operators are scanned in descending lexicographic
-    order and kept whenever their derivative is independent of what has been
-    kept so far, so the result is deterministic.  A dependent prefix operator
-    is an error (certificates rely on the stated prefix), reported with its
-    index.  Nothing is cached here: `Analysis.basis` keeps one form's bases.
+    Greedy: in descending lex order, keep each monomial operator whose
+    derivative of f is independent of those kept before.  A rejected m is a
+    combination of larger monomials modulo the ideal Ann(f), and lex order is
+    multiplicative, so every x_i*m is rejected too: the candidates are the
+    monomials whose degree-(k-1) divisors are all in `below` (grown from A_0
+    if not given), each derivative is a partial of its parent's, and the
+    basis is that of a full scan.  Derivatives are read from `derivatives`.
     """
     d = _require_degree(f)
     if not 0 <= k <= d:
         raise DegreeRangeError(f"k={k} out of range 0..{d}")
     dual = f.vars.dual()
+    if k == 0:
+        return AkBasis(0, (Poly.monomial(dual, (0,) * len(dual)),), (f,))
+    derivatives = Derivatives(f) if derivatives is None else derivatives
+    if below is None:
+        below = ak_basis(f, k - 1, derivatives=derivatives)
+    elif below.k != k - 1:
+        raise ValueError(f"basis of A_{below.k} given to grow A_{k}")
+    parents = {next(iter(op.coeff_map())) for op in below.ops}
+    found = {m[:i] + (m[i] + 1,) + m[i + 1 :] for m in parents for i in range(len(m))}
+    candidates = sorted(
+        (e for e in found if all(e[:j] + (x - 1,) + e[j + 1 :] in parents for j, x in enumerate(e) if x)),
+        reverse=True,
+    )
     span = linalg.SparseSpan()
     ops: list[DiffOp] = []
     derived: list[Poly] = []
-    prefix = None if preferred_prefix is None else tuple(preferred_prefix)
-    for i, op in enumerate(prefix or ()):
-        g = diff_apply(op, f)
-        if not span.try_add(g.coeff_map()):
-            raise DependentPrefixError(i)
-        ops.append(op)
-        derived.append(g)
-    for expo in mono_basis(dual, k):
-        op = Poly.monomial(dual, expo)
-        g = diff_apply(op, f)
-        if g.is_zero():
-            continue
-        if span.try_add(g.coeff_map()):
-            ops.append(op)
-            derived.append(g)
-    return AkBasis(k, tuple(ops), tuple(derived), prefix)
+    for e in candidates:
+        h = derivatives[e]
+        if h and span.try_add(h.coeff_map()):
+            ops.append(Poly.monomial(dual, e))
+            derived.append(h)
+    return AkBasis(k, tuple(ops), tuple(derived), len(candidates))
 
 
 @dataclass(frozen=True)

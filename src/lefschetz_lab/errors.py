@@ -35,14 +35,6 @@ class ZeroPolynomialError(LefschetzLabError, ValueError):
     """The zero polynomial was passed where a nonzero one is required."""
 
 
-class DependentPrefixError(LefschetzLabError, ValueError):
-    """A requested leading block of basis operators is dependent modulo the annihilator."""
-
-    def __init__(self, index: int):
-        super().__init__(f"preferred prefix operator #{index} is dependent on the previous ones modulo the annihilator")
-        self.index = index
-
-
 class NoSplitError(LefschetzLabError, ValueError):
     """The operation needs a declared x-block/u-block partition of the variables."""
 

@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from . import linalg
 from .apolar import AkBasis, depends_on_all_vars
 from .errors import DegreeRangeError, ZeroPolynomialError
-from .polycore import IntMatrix, Monomial, Poly, diff_apply, partial
+from .polycore import IntMatrix, Monomial, Poly, diff_apply, mono_mul, partial
 
 if TYPE_CHECKING:
     from .analysis import Analysis
@@ -109,7 +109,7 @@ def hessian_matrix(an: Analysis, k: int, basis: Optional[AkBasis] = None) -> Hes
     if basis is None:
         return HessianMatrix(an.f, k, an.basis(k), an.hessian(k, k))
     _validate_basis(an, k, basis)
-    return HessianMatrix(an.f, k, basis, _entries(basis, basis, symmetric=True))
+    return HessianMatrix(an.f, k, basis, _entries(an, basis, basis, symmetric=True))
 
 
 def mixed_hessian(an: Analysis, k: int, l: int) -> Matrix:
@@ -124,16 +124,24 @@ def mixed_hessian(an: Analysis, k: int, l: int) -> Matrix:
     if k < 0 or l < 0 or k + l > d:
         raise DegreeRangeError(f"orders ({k}, {l}) out of range for d={d}")
     rows = an.basis(k)
-    return _entries(rows, rows if l == k else an.basis(l), symmetric=l == k)
+    return _entries(an, rows, rows if l == k else an.basis(l), symmetric=l == k)
 
 
-def _entries(rows: AkBasis, cols: AkBasis, *, symmetric: bool) -> Matrix:
-    """(rows.ops[i] applied to cols.derived[j]); symmetric fills one triangle."""
+def _entries(an: Analysis, rows: AkBasis, cols: AkBasis, *, symmetric: bool) -> Matrix:
+    """(rows.ops[i] cols.ops[j] (f)); symmetric fills one triangle.  A cell of
+    two monomial operators is read from the Analysis's derivative memo by the
+    exponent sum, so cells and matrices share one `Poly` per derivative."""
     n, m = len(rows), len(cols)
+    row_terms = [op.coeff_map() for op in rows.ops]
+    col_terms = row_terms if rows is cols else [op.coeff_map() for op in cols.ops]
     out: list[list[Poly]] = [[None] * m for _ in range(n)]  # type: ignore[list-item]
     for i in range(n):
         for j in range(i if symmetric else 0, m):
-            entry = diff_apply(rows.ops[i], cols.derived[j])
+            a, b = row_terms[i], col_terms[j]
+            if len(a) == 1 == len(b) and 1 in a.values() and 1 in b.values():
+                entry = an.derivatives[mono_mul(*a, *b)]
+            else:
+                entry = diff_apply(rows.ops[i], cols.derived[j])
             out[i][j] = entry
             if symmetric:
                 out[j][i] = entry
@@ -212,17 +220,12 @@ def is_cone(f: Poly) -> ConeReport:
     n = len(f.vars)
     span = linalg.SparseSpan()
     for i in range(n):
-        g = partial(f, i)
-        dep = span.dependency(g.coeff_map())
-        if dep is not None:
-            witness = [Fraction(0)] * n
-            for j, c in enumerate(dep):
-                witness[j] = -c
-            witness[i] = Fraction(1)
-            lead = next(c for c in witness if c)
-            witness = [c / lead for c in witness]
-            return ConeReport(True, tuple(witness))
-        span.try_add(g.coeff_map())
+        g = partial(f, i).coeff_map()
+        if span.try_add(g):
+            continue
+        witness = [-c for c in span.dependency(g)] + [Fraction(1)] + [Fraction(0)] * (n - i - 1)
+        lead = next(c for c in witness if c)
+        return ConeReport(True, tuple(c / lead for c in witness))
     return ConeReport(False, None)
 
 
@@ -239,12 +242,8 @@ def second_partials_det_vanishes(
         # every second partial is zero
         return VanishingVerdict(True, "exact", transcript_hash=_hash_transcript(["degree<2"]))
     n = len(f.vars)
-    dual = f.vars.dual()
-    ops = [Poly.variable(dual, i) for i in range(n)]
-    firsts = [diff_apply(op, f) for op in ops]
-    entries = tuple(
-        tuple(diff_apply(ops[i], firsts[j]) for j in range(n)) for i in range(n)
-    )
+    firsts = [partial(f, j) for j in range(n)]
+    entries = tuple(tuple(partial(g, i) for g in firsts) for i in range(n))
     return _det_vanishes(
         entries,
         degree_bound=n * (d - 2),

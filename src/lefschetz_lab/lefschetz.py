@@ -102,10 +102,7 @@ def mult_map(an: Analysis, L: LinearForm, i: int, k: int) -> list[list[Fraction]
         if coords is None:
             raise ArithmeticError("image escaped the derivative space (bug)")
         columns.append(coords)
-    return [
-        [columns[c][r] for c in range(len(src))]
-        for r in range(len(dst))
-    ]
+    return [list(row) for row in zip(*columns)]
 
 
 @dataclass(frozen=True)

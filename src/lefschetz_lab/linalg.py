@@ -6,17 +6,17 @@ big-integer arithmetic rather than Fraction normalization; the determinant
 shares its integer Bareiss body with `det_int`.  `det_mod` and `rank_mod`
 eliminate an integer matrix modulo a prime, with stdlib ints only: a nonzero
 determinant mod p proves a nonzero integer determinant, and the rank mod p is
-at most the rank over Q.  Sparse vectors — coefficient
-maps of polynomials, keyed by monomial — are handled by `SparseSpan`, an
-incremental row-reduction structure that also tracks how each reduced row was
-combined from the original inputs (needed for dependency witnesses and for
-expressing a vector in a given basis).
+at most the rank over Q.  Sparse rational vectors — coefficient maps of
+polynomials, keyed by monomial — are handled by `SparseSpan`, an
+incremental reduction of primitive integer rows that recovers, on demand,
+how a vector in the span combines the vectors added (for dependency
+witnesses and for coordinates in a given basis).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Hashable, Optional, Sequence
 
 Vec = dict  # sparse vector: hashable key -> Fraction
@@ -36,9 +36,7 @@ def _int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list
     scales: list[int] = []
     for row in rows:
         fr = [Fraction(x) for x in row]
-        denom = 1
-        for x in fr:
-            denom = lcm(denom, x.denominator)
+        denom = lcm(*(x.denominator for x in fr))
         out.append([int(x * denom) for x in fr])
         scales.append(denom)
     return out, scales
@@ -196,57 +194,39 @@ def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fr
 
 
 class SparseSpan:
-    """Incrementally built independent set of sparse vectors.
+    """Incrementally built independent set of sparse rational vectors.
 
-    Stored rows are kept reduced against each other with the lexicographically
-    largest key as pivot, which makes membership tests and coordinate
-    extraction cheap.  Each stored row remembers its expansion in terms of the
-    vectors that were added, so dependencies come with explicit witnesses.
-    The t-th successfully added vector has tag t; rejected vectors take none.
+    Vectors are scaled to integers and reduced fraction-free against the
+    stored rows, in order; a stored row is primitive, positive at its pivot
+    (its largest key) and zero at the pivots of the rows before it.  The t-th
+    successfully added vector has tag t; rejected vectors take none.
+    `try_add` records no combinations: `dependency` recovers them by
+    replaying the added vectors once, with their tags as extra coordinates.
     """
 
     def __init__(self) -> None:
-        self._rows: list[tuple[Hashable, Vec, dict[int, Fraction]]] = []
+        self._rows: list[tuple[Hashable, dict]] = []
+        self._added: list[tuple[dict, int]] = []  # as integers, with the scale
+        # the rows again, keys as (0, key), with coordinates (1, tag) for their expansion
+        self._tagged: list[tuple[Hashable, dict]] = []
 
     def __len__(self) -> int:
         return len(self._rows)
 
     @property
     def pivot_keys(self) -> list[Hashable]:
-        return [p for p, _, _ in self._rows]
-
-    def _reduce(self, vec: Vec) -> tuple[Vec, dict[int, Fraction]]:
-        vec = dict(vec)
-        combo: dict[int, Fraction] = {}
-        for pivot, row, rcombo in self._rows:
-            c = vec.get(pivot)
-            if not c:
-                continue
-            for key, val in row.items():
-                nv = vec.get(key, Fraction(0)) - c * val
-                if nv:
-                    vec[key] = nv
-                else:
-                    vec.pop(key, None)
-            for tag, val in rcombo.items():
-                nv = combo.get(tag, Fraction(0)) - c * val
-                if nv:
-                    combo[tag] = nv
-                else:
-                    combo.pop(tag, None)
-        return vec, combo
+        return [p for p, _ in self._rows]
 
     def try_add(self, vec: Vec) -> bool:
         """Add `vec` if independent of the rows so far; return True if added."""
-        residual, combo = self._reduce(vec)
+        ints, scale = _integral(vec)
+        residual = _reduce(self._rows, ints)
         if not residual:
             return False
-        combo[len(self._rows)] = Fraction(1)
         pivot = max(residual)
-        inv = 1 / residual[pivot]
-        residual = {k: v * inv for k, v in residual.items()}
-        combo = {k: v * inv for k, v in combo.items()}
-        self._rows.append((pivot, residual, combo))
+        content = gcd(*residual.values()) * (1 if residual[pivot] > 0 else -1)
+        self._rows.append((pivot, {k: v // content for k, v in residual.items()}))
+        self._added.append((ints, scale))
         return True
 
     def dependency(self, vec: Vec) -> Optional[list[Fraction]]:
@@ -255,10 +235,45 @@ class SparseSpan:
         Returns None when `vec` is independent.  Indices refer to the vectors
         that were successfully added, in addition order.
         """
-        residual, combo = self._reduce(vec)
-        if residual:
+        for t in range(len(self._tagged), len(self._rows)):
+            row = {(0, k): v for k, v in self._added[t][0].items()}
+            self._tagged.append(((0, self._rows[t][0]), _reduce(self._tagged, {**row, (1, t): 1})))
+        ints, scale = _integral(vec)
+        out = _reduce(self._tagged, {**{(0, k): v for k, v in ints.items()}, (1, -1): 1})
+        if any(kind == 0 for kind, _ in out):
             return None
-        out = [Fraction(0)] * len(self._rows)
-        for tag, val in combo.items():
-            out[tag] = -val
-        return out
+        # 0 = own * scale * vec + sum_t out[t] * scale_t * added_t
+        own = out[1, -1]
+        return [Fraction(-out.get((1, t), 0) * s, own * scale) for t, (_, s) in enumerate(self._added)]
+
+
+def _integral(vec: Vec) -> tuple[dict, int]:
+    """`vec` times the lcm of its denominators, zeros dropped, and that lcm."""
+    scale = lcm(*(v.denominator for v in vec.values()))
+    return {k: v.numerator * (scale // v.denominator) for k, v in vec.items() if v}, scale
+
+
+def _reduce(rows: Sequence[tuple[Hashable, dict]], vec: dict) -> dict:
+    """Clear the integer vector `vec` at each row's pivot, rows in order: a step
+    is vec <- a*vec - b*row, with a and b the pivot entries over their gcd,
+    then divided by the content when a != 1."""
+    vec = dict(vec)
+    for pivot, row in rows:
+        b = vec.get(pivot)
+        if b is None:
+            continue
+        g = gcd(row[pivot], b)
+        a, b = row[pivot] // g, b // g
+        if a != 1:
+            vec = {k: a * v for k, v in vec.items()}
+        for key, val in row.items():
+            nv = vec.get(key, 0) - b * val
+            if nv:
+                vec[key] = nv
+            else:
+                del vec[key]
+        if a != 1 and (content := gcd(*vec.values())) > 1:
+            vec = {k: v // content for k, v in vec.items()}
+        if not vec:
+            break
+    return vec

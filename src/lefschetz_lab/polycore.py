@@ -368,8 +368,22 @@ def diff_apply(alpha: DiffOp, f: Poly) -> Poly:
 
 def partial(f: Poly, index: int) -> Poly:
     """First partial derivative with respect to variable `index`."""
-    op = Poly.variable(f.vars.dual(), index)
-    return diff_apply(op, f)
+    terms = f._terms.items()
+    return Poly(f.vars, {b[:index] + (b[index] - 1,) + b[index + 1 :]: c * b[index] for b, c in terms if b[index]})
+
+
+class Derivatives(dict):
+    """The monomial derivatives of f by exponent, each computed on first use:
+    the partial, by the exponent's first variable, of the one a degree lower."""
+
+    def __init__(self, f: Poly):
+        super().__init__({(0,) * len(f.vars): f})
+
+    def __missing__(self, expo: Monomial) -> Poly:
+        i = next(i for i, e in enumerate(expo) if e)
+        parent = self[expo[:i] + (expo[i] - 1,) + expo[i + 1 :]]
+        g = self[expo] = partial(parent, i) if parent else parent
+        return g
 
 
 def eval_poly(f: Poly, point: Sequence[Scalar]) -> Fraction:

@@ -356,7 +356,7 @@ def _prop_basis_change(config: SuiteConfig) -> tuple[bool, str]:
             )
             new_ops.append(op)
         new_derived = tuple(diff_apply(op, f) for op in new_ops)
-        changed = AkBasis(k, tuple(new_ops), new_derived, None)
+        changed = AkBasis(k, tuple(new_ops), new_derived)
         flag_default = an.verdict(k).vanishes
         flag_changed = hessian_vanishes(an, k, basis=changed).vanishes
         if flag_default != flag_changed:

@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 
 from lefschetz_lab.analysis import Analysis
-from lefschetz_lab.polycore import Poly, VariableSet, mono_basis
+from lefschetz_lab.polycore import Poly, VariableSet, linear_change, mono_basis
 
 hypothesis.settings.register_profile(
     "default", max_examples=30, deadline=None
@@ -52,6 +52,25 @@ def homogeneous_polys(
         )
     )
     return Poly(vs, dict(zip(chosen, coeffs)))
+
+
+@st.composite
+def rational_polys(draw, **kwargs):
+    """`homogeneous_polys` with each coefficient divided by a drawn 1..6."""
+    f = draw(homogeneous_polys(**kwargs))
+    return Poly(f.vars, {e: c / draw(st.integers(1, 6)) for e, c in f.coeff_map().items()})
+
+
+@st.composite
+def cone_polys(draw, max_vars=4, max_degree=4):
+    """Cones: forms in one variable fewer, with the missing variable mixed
+    back in by a unit upper triangular change of coordinates."""
+    g = draw(homogeneous_polys(min_vars=1, max_vars=max_vars - 1, max_degree=max_degree))
+    n = len(g.vars) + 1
+    vs = VariableSet(tuple(f"x{i}" for i in range(n)))
+    f = Poly(vs, {e + (0,): c for e, c in g.coeff_map().items()})
+    m = [[1 if j == i else (draw(st.integers(-2, 2)) if j > i else 0) for j in range(n)] for i in range(n)]
+    return linear_change(f, m)
 
 
 @st.composite

@@ -14,8 +14,8 @@ from lefschetz_lab.apolar import (
     hilbert_vector,
     is_unimodal,
 )
-from lefschetz_lab.errors import DegreeRangeError, DependentPrefixError, ZeroPolynomialError
-from lefschetz_lab.families import gen_thmwlp, gen_wlpodd
+from lefschetz_lab.errors import DegreeRangeError, ZeroPolynomialError
+from lefschetz_lab.families import gen_exceptional, gen_gnp, gen_thmwlp, gen_wlpodd
 from lefschetz_lab.polycore import (
     Poly,
     VariableSet,
@@ -24,7 +24,7 @@ from lefschetz_lab.polycore import (
     parse_poly,
 )
 
-from conftest import homogeneous_polys, prob
+from conftest import cone_polys, homogeneous_polys, prob, rational_polys
 
 IKEDA_VARS = VariableSet(("x0", "x1", "u1", "u2"), n_x=2)
 IKEDA = parse_poly("x0*u1^3*u2 + x1*u1*u2^3 + x0^3*x1^2", IKEDA_VARS)
@@ -106,27 +106,70 @@ class TestAnnBasis:
             assert diff_apply(op, f).is_zero()
 
 
+def scanned_basis(f, k):
+    """Reference greedy basis: every degree-k monomial in descending lex
+    order, kept when its derivative is independent of those kept before,
+    by dense rational row echelon form."""
+    dual = f.vars.dual()
+    keys = mono_basis(f.vars, f.degree - k)
+    echelon = []  # (pivot column, row scaled to 1 there)
+    kept = []
+    for expo in mono_basis(dual, k):
+        g = diff_apply(Poly.monomial(dual, expo), f)
+        row = [g.coefficient(m) for m in keys]
+        for p, r in echelon:
+            if row[p]:
+                c = row[p]
+                row = [x - c * y for x, y in zip(row, r)]
+        p = next((j for j, x in enumerate(row) if x), None)
+        if p is not None:
+            echelon.append((p, [x / row[p] for x in row]))
+            kept.append(expo)
+    return kept
+
+
+def assert_grown_bases_match_scan(f):
+    an = prob(f)
+    for k in range(f.degree + 1):
+        grown = ak_basis(f, k)
+        assert [next(iter(op.coeff_map())) for op in grown.ops] == scanned_basis(f, k)
+        assert all(diff_apply(op, f) == g for op, g in zip(grown.ops, grown.derived))
+        assert an.basis(k) == grown
+
+
+SMALL_FAMILY_MEMBERS = [
+    lambda: gen_wlpodd(4, 5).f,
+    lambda: gen_exceptional(3, 5, 2).f,
+    lambda: gen_thmwlp(5, 4).f,
+    lambda: gen_gnp(2, 2, 1, 2).f,
+    lambda: gen_gnp(2, None, 1, 2, "maximal").f,
+]
+
+
 class TestAkBasis:
+    @given(rational_polys(max_vars=4, max_degree=5))
+    @settings(max_examples=40)
+    def test_growth_matches_full_scan(self, f):
+        assert_grown_bases_match_scan(f)
+
+    @given(cone_polys())
+    def test_growth_matches_full_scan_on_cones(self, f):
+        assert_grown_bases_match_scan(f)
+
+    @pytest.mark.parametrize(
+        "build", SMALL_FAMILY_MEMBERS, ids=["wlpodd-4-5", "exceptional-3-5-2", "thmwlp-5-4", "gnp-2-2-1-2", "gnp-maximal-2-1-2"]
+    )
+    def test_growth_matches_full_scan_on_families(self, build):
+        assert_grown_bases_match_scan(build())
+
+    def test_below_must_be_the_previous_degree(self):
+        with pytest.raises(ValueError):
+            ak_basis(IKEDA, 2, below=ak_basis(IKEDA, 2))
+
     def test_power(self):
         vs = VariableSet(("x", "y"))
         basis = ak_basis(parse_poly("x^3", vs), 1)
         assert [op.to_text() for op in basis.ops] == ["X"]
-
-    def test_ikeda_prefix(self):
-        dual = IKEDA_VARS.dual()
-        prefix = [
-            parse_poly(t, dual) for t in ("X0*U2", "X0*U1", "X1*U2", "X1*U1")
-        ]
-        basis = ak_basis(IKEDA, 2, prefix)
-        assert len(basis) == 10
-        assert list(basis.ops[:4]) == prefix
-
-    def test_dependent_prefix_rejected(self):
-        dual = IKEDA_VARS.dual()
-        double = parse_poly("X0*U2", dual)
-        with pytest.raises(DependentPrefixError) as err:
-            ak_basis(IKEDA, 2, [double, double.scale(3)])
-        assert err.value.index == 1
 
     def test_perazzo_k1_size(self):
         assert len(ak_basis(PERAZZO, 1)) == 5

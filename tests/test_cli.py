@@ -1,4 +1,5 @@
 import json
+from math import comb
 
 import pytest
 
@@ -300,3 +301,42 @@ class TestOneAnalysisPerForm:
             data = json.loads(report.read_text())
             assert data["counts"]["rational_ranks"] == expected
         assert data["wlp"]["verdict"] == "undetermined"
+
+    def test_derivatives_and_basis_candidates_counted(self, capsys, tmp_path):
+        from lefschetz_lab.families import gen_exceptional
+
+        path = write_instance(gen_exceptional(6, 11, 3), tmp_path)
+        report = tmp_path / "r.json"
+        code, out, _ = run(["analyze", "--in", str(path), "--json", str(report)], capsys)
+        assert code == 0
+        out = out.replace(str(report), "")
+        assert "derivatives" not in out and "candidates" not in out
+        data = json.loads(report.read_text())
+        counts = data["counts"]
+        assert counts["basis_candidates"] == 154
+        assert counts["derivatives"] == 1732
+        # WLP reads A_0 .. A_(d-1); a scan of every monomial would reduce
+        # sum C(n+k-1, k) = 19448 candidates in these 7 variables
+        n, d = len(data["input"]["vars"]), data["degree"]
+        assert 100 * counts["basis_candidates"] < sum(comb(n + k - 1, k) for k in range(d))
+
+
+class TestPaperScale:
+    def test_exceptional_8_13_4_matches_its_manifest(self, capsys, tmp_path):
+        path, report = tmp_path / "e.json", tmp_path / "r.json"
+        flags = ["--family", "exceptional", "--n", "8", "--d", "13", "--k", "4"]
+        assert run(["generate", *flags, "--out", str(path)], capsys)[0] == 0
+        code, _, _ = run(["analyze", "--in", str(path), "--json", str(report)], capsys)
+        assert code == 0
+        manifest = json.loads(path.read_text())["manifest"]
+        data = json.loads(report.read_text())
+        for k, vanishes in manifest["hess_pattern"].items():
+            assert data["hess_profile"][int(k)]["vanishes"] == vanishes
+        assert data["cone"]["is_cone"] == manifest["cone"]
+        assert data["hilbert"][1] == manifest["dim_a1"]
+        assert (data["slp"]["verdict"], data["slp"]["level"]) == (manifest["slp"], manifest["slp_fail_level"])
+        orders = [c["k"] for c in data["certificates"] if c["type"] == "u-subring-overflow"]
+        assert orders == manifest["key_certificate_orders"]
+        # the manifest makes no Hilbert or WLP claim for this family
+        assert data["hilbert"] == [1, 9, 14, 16, 18, 19, 19, 19, 19, 18, 16, 14, 9, 1]
+        assert data["wlp"]["verdict"] == "holds" and data["wlp"]["witness_coeffs"]

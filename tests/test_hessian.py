@@ -10,7 +10,7 @@ from lefschetz_lab import linalg
 from lefschetz_lab.analysis import Analysis
 from lefschetz_lab.apolar import AkBasis, ak_basis
 from lefschetz_lab.errors import DegreeRangeError, ZeroPolynomialError
-from lefschetz_lab.families import gen_exceptional, gen_gnp
+from lefschetz_lab.families import gen_exceptional, gen_gnp, gen_thmwlp, gen_wlpodd
 from lefschetz_lab.hessian import (
     DEFAULT_EXACT_CUTOFF,
     DEFAULT_TRIALS,
@@ -36,7 +36,7 @@ from lefschetz_lab.polycore import (
     poly_sum,
 )
 
-from conftest import exact, homogeneous_polys, prob
+from conftest import cone_polys, exact, homogeneous_polys, prob, rational_polys
 
 IKEDA_VARS = VariableSet(("x0", "x1", "u1", "u2"), n_x=2)
 IKEDA = parse_poly("x0*u1^3*u2 + x1*u1*u2^3 + x0^3*x1^2", IKEDA_VARS)
@@ -148,6 +148,26 @@ class TestCone:
         report = is_cone(f)
         assert report.is_cone and report.witness == (Fraction(1), Fraction(-1))
 
+    def test_each_partial_reduced_once(self, monkeypatch):
+        reductions = []
+        real = linalg._reduce
+
+        def counting(*args):
+            reductions.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(linalg, "_reduce", counting)
+        assert not is_cone(PERAZZO).is_cone
+        assert len(reductions) == len(PERAZZO.vars)
+
+    @given(cone_polys())
+    def test_witness_annihilates_the_partials(self, f):
+        report = is_cone(f)
+        assert report.is_cone
+        dual = f.vars.dual()
+        op = poly_sum(dual, [Poly.variable(dual, i).scale(c) for i, c in enumerate(report.witness) if c])
+        assert diff_apply(op, f).is_zero()
+
 
 class TestSecondPartials:
     def test_zero_row(self):
@@ -217,6 +237,65 @@ class TestInvariance:
             hessian_vanishes(prob(f), k).vanishes
             == hessian_vanishes(prob(linear_change(f, m)), k).vanishes
         )
+
+
+def assert_cells_are_derivatives(an):
+    """Every pure and mixed Hessian cell, read from the Analysis's memo, is
+    a_i applied to b_j applied to f."""
+    f, d = an.f, an.f.degree
+    for k in range(d + 1):
+        for l in range(d - k + 1):
+            rows, cols = an.basis(k), an.basis(l)
+            H = an.hessian(k, l)
+            for a, row in zip(rows.ops, H):
+                for b, cell in zip(cols.ops, row):
+                    assert cell == diff_apply(a, diff_apply(b, f))
+
+
+class TestDerivativeMemo:
+    @given(st.one_of(rational_polys(max_vars=4, max_degree=5), cone_polys()))
+    @settings(max_examples=30)
+    def test_cells_match_diff_apply(self, f):
+        assert_cells_are_derivatives(prob(f))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: gen_wlpodd(4, 5).f,
+            lambda: gen_exceptional(3, 7, 3).f,
+            lambda: gen_thmwlp(5, 4).f,
+            lambda: gen_gnp(2, None, 1, 2, "maximal").f,
+        ],
+        ids=["wlpodd-4-5", "exceptional-3-7-3", "thmwlp-5-4", "gnp-maximal-2-1-2"],
+    )
+    def test_cells_match_diff_apply_on_families(self, build):
+        assert_cells_are_derivatives(prob(build()))
+
+    @given(rational_polys(max_vars=3, min_degree=2, max_degree=4), st.data())
+    @settings(max_examples=25)
+    def test_cells_over_a_changed_basis(self, f, data):
+        k = data.draw(st.integers(1, f.degree // 2))
+        an = prob(f)
+        base = an.basis(k)
+        n = len(base)
+        new_ops = tuple(
+            poly_sum(base.ops[0].vars, [base.ops[i]] + [base.ops[j].scale(data.draw(st.integers(-2, 2))) for j in range(i + 1, n)])
+            for i in range(n)
+        )
+        H = hessian_matrix(an, k, AkBasis(k, new_ops, tuple(diff_apply(op, f) for op in new_ops)))
+        for a, row in zip(new_ops, H.entries):
+            for b, cell in zip(new_ops, row):
+                assert cell == diff_apply(a, diff_apply(b, f))
+
+    def test_shared_cells_are_one_object(self):
+        an = prob(gen_wlpodd(4, 5).f)
+        H2, M13 = an.hessian(2, 2), an.hessian(1, 3)
+        cells = {}
+        for (k, l), H in (((2, 2), H2), ((1, 3), M13)):
+            for a, row in zip(an.basis(k).ops, H):
+                for b, cell in zip(an.basis(l).ops, row):
+                    expo = tuple(x + y for x, y in zip(*(next(iter(op.coeff_map())) for op in (a, b))))
+                    assert cells.setdefault(expo, cell) is cell
 
 
 class TestKeyCriterionSoundness:

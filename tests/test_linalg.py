@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -73,6 +74,47 @@ def test_sparse_span_dependency_skips_rejected_vectors():
     assert span.try_add({"b": Fraction(1)})
     assert len(span) == 2
     assert span.dependency({"a": Fraction(1), "b": Fraction(1)}) == [Fraction(1), Fraction(1)]
+
+
+@st.composite
+def sparse_rational_vectors(draw):
+    """Sparse vectors over monomial-like keys; about half are rational
+    combinations of the vectors drawn before them."""
+    keys = [(i, 3 - i) for i in range(draw(st.integers(1, 6)))]
+    entry = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    vecs = []
+    for _ in range(draw(st.integers(1, 9))):
+        if vecs and draw(st.booleans()):
+            coeffs = [draw(entry) for _ in vecs]
+            vec = {k: sum(c * v.get(k, 0) for c, v in zip(coeffs, vecs)) for k in keys}
+        else:
+            vec = {k: draw(entry) for k in draw(st.lists(st.sampled_from(keys), unique=True))}
+        vecs.append({k: x for k, x in vec.items() if x})
+    return keys, vecs
+
+
+@given(sparse_rational_vectors())
+def test_sparse_span_matches_dense_rank(drawn):
+    keys, vecs = drawn
+    dense = lambda v: [v.get(k, Fraction(0)) for k in keys]
+    span = linalg.SparseSpan()
+    added = []
+    for vec in vecs:
+        member = linalg.rank([dense(v) for v in added + [vec]]) == len(added)
+        coeffs = span.dependency(vec)
+        assert (coeffs is not None) == member
+        if member:
+            assert [sum(c * v.get(k, 0) for c, v in zip(coeffs, added)) for k in keys] == dense(vec)
+        assert span.try_add(vec) == (not member)
+        if not member:
+            added.append(vec)
+    assert len(span) == len(added)
+    # stored rows: primitive integers, positive at the pivot, which is the
+    # row's largest key, and zero at the pivots of the rows stored before
+    for t, (pivot, row) in enumerate(span._rows):
+        assert all(isinstance(x, int) for x in row.values())
+        assert gcd(*row.values()) == 1 and row[pivot] > 0 and pivot == max(row)
+        assert not any(p in row for p in span.pivot_keys[:t])
 
 
 def test_rank_empty():
