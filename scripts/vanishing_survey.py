@@ -42,11 +42,12 @@ def main() -> None:
     worst_ms = 0.0
     for _ in range(args.trials):
         f = random_form(rng, rng.randint(2, 4), rng.randint(3, 5))
-        if is_cone(f).is_cone:
+        an = Analysis(f, "probabilistic", args.seed)
+        if is_cone(an).is_cone:
             cones += 1
             continue
         start = time.perf_counter()
-        verdict = Analysis(f, "probabilistic", args.seed).verdict(1)
+        verdict = an.verdict(1)
         worst_ms = max(worst_ms, (time.perf_counter() - start) * 1000)
         if verdict.vanishes:
             vanishing += 1

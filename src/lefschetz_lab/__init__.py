@@ -13,9 +13,7 @@ from .apolar import (
     Catalecticant,
     HilbertVector,
     ak_basis,
-    ann_basis,
     catalecticant,
-    depends_on_all_vars,
     hilbert_vector,
     is_unimodal,
 )

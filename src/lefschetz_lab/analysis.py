@@ -3,18 +3,19 @@
 An `Analysis` holds a form f with the decision mode and the seed, and
 memoizes what the profile, the Lefschetz verdicts and the certificates read:
 the monomial derivatives of f, the A_k bases, the Hilbert vector, the
-assembled (mixed) Hessians, each order's vanishing verdict and each level's
-WLP obstruction certificate.  A piece is computed on its first request by
-the module-level function that defines it (`ak_basis`, `hilbert_vector`,
-`mixed_hessian`, `hessian_vanishes`, `wlp_obstruction`) and reused
-afterwards, so one report decides each higher Hessian once and in one mode,
-and searches each level for an obstruction once.  Each basis of A_k grows
-from that of A_(k-1), and the bases and every Hessian cell read the
+assembled (mixed) Hessians, each order's vanishing verdict, and each order's
+u-subring overflow certificate and each level's WLP obstruction certificate.
+A piece is computed on its first request by the module-level function that
+defines it (`ak_basis`, `hilbert_vector`, `mixed_hessian`, `hessian_vanishes`,
+`key_criterion`, `wlp_obstruction`) and reused afterwards, so one report
+decides each higher Hessian once and in one mode, and searches each order
+for a certificate once.  Each basis of A_k grows from that of A_(k-1), and
+the bases, every Hessian cell and both certificate searches read the
 derivatives of f from one memo.
 
-Every function that reads the bases takes the Analysis in place of the bare
-form (and of any mode and seed); constructions on f alone (`ak_basis`,
-`catalecticant`, `is_cone`, the certificate searches) keep taking f.
+Every function that reads the bases or the derivatives takes the Analysis in
+place of the bare form (and of any mode and seed); constructions on f alone
+(`ak_basis`, `catalecticant`) and the certificate verifiers keep taking f.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, Optional, TypeVar
 from .apolar import AkBasis, HilbertVector, ak_basis, hilbert_vector
 from .errors import ZeroPolynomialError
 from .hessian import MODES, Matrix, VanishingVerdict, hessian_vanishes, mixed_hessian
-from .lefschetz import ObstructionCertificate, wlp_obstruction
+from .lefschetz import KeyCertificate, ObstructionCertificate, key_criterion, wlp_obstruction
 from .polycore import Derivatives, Poly
 
 T = TypeVar("T")
@@ -70,9 +71,13 @@ class Analysis:
         """Whether the order-k Hessian vanishes, decided in this mode and seed."""
         return self._get(("verdict", k), lambda: hessian_vanishes(self, k))
 
+    def key(self, k: int) -> Optional[KeyCertificate]:
+        """The u-subring overflow certificate for the order-k Hessian, if one exists."""
+        return self._get(("key", k), lambda: key_criterion(self, k))
+
     def obstruction(self, k: int) -> Optional[ObstructionCertificate]:
         """The never-injective certificate at A_k -> A_(k+1), if one exists."""
-        return self._get(("obstruction", k), lambda: wlp_obstruction(self.f, k))
+        return self._get(("obstruction", k), lambda: wlp_obstruction(self, k))
 
     def counts(self) -> dict:
         """Hessian decisions, those that eliminated, memo hits, exact rank

@@ -1,4 +1,4 @@
-"""Catalecticant matrices, annihilator pieces, graded bases, Hilbert vectors.
+"""Catalecticant matrices, graded bases, Hilbert vectors.
 
 The graded quotient A = (operator ring)/Ann(f) is represented throughout by
 its derivative spaces: degree-k operators are identified with the polynomials
@@ -7,8 +7,8 @@ derivatives and multiplication never needs quotient-ring arithmetic.  The
 greedy monomials form an order ideal, so each basis grows from the one below
 it and no degree is scanned in full.  The explicit catalecticant matrix,
 whose rank is the same number, is kept as API and as an independent
-reference.  Facts read off the bases (the Hilbert vector, essential
-variables) take the form's `Analysis`, which computes each basis once.
+reference.  Facts read off the bases (the Hilbert vector here, the cone test
+in `hessian`) take the form's `Analysis`, which computes each basis once.
 """
 
 from __future__ import annotations
@@ -84,13 +84,6 @@ def catalecticant(f: Poly, k: int) -> Catalecticant:
     zero = Fraction(0)
     matrix = tuple(tuple(g.get(m, zero) for g in columns) for m in row_monos)
     return Catalecticant(f, k, row_monos, col_monos, matrix)
-
-
-def ann_basis(f: Poly, k: int) -> list[DiffOp]:
-    """Basis of the degree-k operators annihilating f (catalecticant kernel)."""
-    cat = catalecticant(f, k)
-    kernel = linalg.kernel_basis(cat.matrix, len(cat.col_monos))
-    return [Poly(f.vars.dual(), dict(zip(cat.col_monos, vec))) for vec in kernel]
 
 
 def ak_basis(
@@ -194,7 +187,3 @@ def first_dip(hv: HilbertVector | Sequence[int]) -> Optional[int]:
             return drop
     return None
 
-
-def depends_on_all_vars(an: Analysis) -> bool:
-    """True iff no degree-1 operator annihilates f (all variables essential)."""
-    return len(an.basis(1)) == len(an.f.vars)

@@ -20,7 +20,7 @@ from .apolar import is_unimodal
 from .errors import LefschetzLabError
 from .families import FAMILY_KINDS, FamilySpec, generate
 from .hessian import hess_profile, is_cone
-from .lefschetz import key_criterion, slp_generic, wlp_generic
+from .lefschetz import slp_generic, wlp_generic
 from .polycore import VariableSet, parse_poly
 from .reproduce import SuiteConfig, format_table, run_suite
 
@@ -89,9 +89,14 @@ def _load_input(args) -> tuple[str, VariableSet]:
             text = fh.read().strip()
         if text.startswith("{"):
             data = json.loads(text)
-            names = tuple(data["vars"])
-            split = data.get("split")
-            return data["poly"], VariableSet(names, split)
+            poly, names, split = data.get("poly"), data.get("vars"), data.get("split")
+            if not isinstance(poly, str):
+                raise LefschetzLabError("instance JSON needs a string 'poly'")
+            if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+                raise LefschetzLabError("instance JSON needs 'vars' as a list of strings")
+            if split is not None and (not isinstance(split, int) or isinstance(split, bool)):
+                raise LefschetzLabError("instance JSON needs 'split' as an integer or null")
+            return poly, VariableSet(tuple(names), split)
         poly_text = text
     else:
         poly_text = args.poly
@@ -120,7 +125,7 @@ def cmd_analyze(args) -> int:
 
     hv = stage("hilbert", an.hilbert)
     unimodal = is_unimodal(hv)
-    cone = stage("cone", lambda: is_cone(f))
+    cone = stage("cone", lambda: is_cone(an))
     profile = stage("hess_profile", lambda: hess_profile(an, max_k=args.max_k))
     full_profile = args.max_k is None or args.max_k >= d // 2
     slp = stage("slp", lambda: slp_generic(an)) if full_profile else None
@@ -128,7 +133,7 @@ def cmd_analyze(args) -> int:
     certificates = []
     if vs.has_split:
         for k in range(1, d // 2 + 1):
-            cert = key_criterion(f, k)
+            cert = an.key(k)
             if cert is not None:
                 certificates.append(cert.to_json_dict())
         for k in range(1, (d + 1) // 2):

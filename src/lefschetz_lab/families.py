@@ -20,7 +20,7 @@ from math import comb
 from typing import Mapping, Optional, Sequence
 
 from .analysis import Analysis
-from .apolar import catalecticant, depends_on_all_vars, is_unimodal
+from .apolar import catalecticant, is_unimodal
 from .errors import (
     DegenerateInstanceError,
     InfeasibleParametersError,
@@ -30,11 +30,9 @@ from .hessian import VanishingVerdict, is_cone
 from .lefschetz import (
     LefschetzReport,
     LinearForm,
-    key_criterion,
     verify_key_certificate,
     verify_obstruction_certificate,
     wlp_check_element,
-    wlp_obstruction,
 )
 from .polycore import (
     Monomial,
@@ -177,10 +175,9 @@ _PROP44_VARS = VariableSet(("x0", "x1", "x2", "u", "v"), n_x=3)
 
 
 def _checked(f: Poly, seed: int, what: str) -> Analysis:
-    """The probabilistic Analysis of a nondegenerate (all variables, no cone) f."""
+    """The probabilistic Analysis of a nondegenerate f: not a cone, so every variable is essential."""
     an = Analysis(f, "probabilistic", seed)
-    _verify(depends_on_all_vars(an), f"{what}: some variable is superfluous")
-    _verify(not is_cone(f).is_cone, f"{what}: instance is a cone")
+    _verify(not is_cone(an).is_cone, f"{what}: some variable is superfluous")
     return an
 
 
@@ -281,7 +278,7 @@ def gen_exceptional(
             an = _checked(f, seed, "exceptional")
             for r in range(2, k + 1):
                 _verify(
-                    key_criterion(f, r) is not None,
+                    an.key(r) is not None,
                     f"exceptional: no vanishing certificate at order {r}",
                 )
             _verify(
@@ -378,9 +375,9 @@ def gen_gnp(
     else:
         raise InfeasibleParametersError(f"unknown gnp variant {variant!r}")
 
-    _checked(f, seed, f"gnp/{variant}")
+    an = _checked(f, seed, f"gnp/{variant}")
     _verify(
-        key_criterion(f, k) is not None,
+        an.key(k) is not None,
         f"gnp/{variant}: no vanishing certificate at order {k}",
     )
     manifest = Manifest(
@@ -447,8 +444,8 @@ def gen_perazzo(
         )
         parts.append(h)
     f = poly_sum(vs, parts)
-    _checked(f, seed, "perazzo")
-    _verify(key_criterion(f, 1) is not None, "perazzo: no vanishing certificate")
+    an = _checked(f, seed, "perazzo")
+    _verify(an.key(1) is not None, "perazzo: no vanishing certificate")
     manifest = Manifest(
         hess_pattern=((1, True),),
         cone=False,
@@ -687,8 +684,8 @@ def gen_wlpodd(N: int, d: int, *, seed: int = 0) -> FamilyInstance:
         half.append(hk)
     hilbert = tuple(half + half[::-1])
 
-    _checked(f, seed, "wlpodd")
-    _verify(key_criterion(f, q) is not None, "wlpodd: no middle vanishing certificate")
+    an = _checked(f, seed, "wlpodd")
+    _verify(an.key(q) is not None, "wlpodd: no middle vanishing certificate")
     manifest = Manifest(
         hess_pattern=((q, True),),
         hilbert=hilbert,
@@ -779,8 +776,8 @@ def gen_thmwlp(
     elif (N, d) == (4, 6):
         hilbert = (1, 5, 8, 8, 8, 5, 1)
 
-    _checked(f, seed, "thmwlp")
-    cert = wlp_obstruction(f, level)
+    an = _checked(f, seed, "thmwlp")
+    cert = an.obstruction(level)
     _verify(cert is not None, f"thmwlp: no obstruction at level {level}")
     _verify(
         cert.s == size,
@@ -892,12 +889,12 @@ def replay_manifest(
     if man.unimodal is not None:
         check("unimodal", is_unimodal(an.hilbert()) == man.unimodal)
     if man.cone is not None:
-        check("cone", is_cone(f).is_cone == man.cone)
+        check("cone", is_cone(an).is_cone == man.cone)
     if man.dim_a1 is not None:
         got = catalecticant(f, 1).rank()
         check("dim_a1", got == man.dim_a1, f"{got} vs {man.dim_a1}")
     for k in man.key_certificate_orders:
-        cert = key_criterion(f, k)
+        cert = an.key(k)
         check(
             f"key_certificate[{k}]",
             cert is not None and verify_key_certificate(f, cert),

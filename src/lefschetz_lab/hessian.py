@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import linalg
-from .apolar import AkBasis, depends_on_all_vars
+from .apolar import AkBasis
 from .errors import DegreeRangeError, ZeroPolynomialError
 from .polycore import IntMatrix, Monomial, Poly, diff_apply, mono_mul, partial
 
@@ -187,7 +187,7 @@ def hessian_vanishes(
 
 def hess_profile(an: Analysis, *, max_k: Optional[int] = None) -> list[VanishingVerdict]:
     """Vanishing verdicts for every order k = 0 .. floor(d/2)."""
-    if not depends_on_all_vars(an):
+    if is_cone(an).is_cone:
         warnings.warn(
             "input has annihilating degree-1 operators (cone-like degenerate); "
             "profile is computed on the quotient basis",
@@ -213,20 +213,27 @@ class ConeReport:
         return out
 
 
-def is_cone(f: Poly) -> ConeReport:
-    """True iff the first partials are linearly dependent, with a witness."""
-    if f.is_zero():
-        raise ZeroPolynomialError("cone test undefined for the zero polynomial")
-    n = len(f.vars)
+def is_cone(an: Analysis) -> ConeReport:
+    """True iff the first partials are linearly dependent, with a witness.
+
+    The candidates of the basis of A_1 are X_0, X_1, ... in that order, so f
+    is a cone exactly when some X_i is missing from it; the partials kept
+    before the first missing X_i give the dependency.
+    """
+    n = len(an.f.vars)
+    a1 = an.basis(1)
+    if len(a1) == n:
+        return ConeReport(False, None)
+    kept = [next(iter(op.coeff_map())).index(1) for op in a1.ops]  # ascending
+    i = next(j for j, v in enumerate(kept + [n]) if v != j)
     span = linalg.SparseSpan()
-    for i in range(n):
-        g = partial(f, i).coeff_map()
-        if span.try_add(g):
-            continue
-        witness = [-c for c in span.dependency(g)] + [Fraction(1)] + [Fraction(0)] * (n - i - 1)
-        lead = next(c for c in witness if c)
-        return ConeReport(True, tuple(c / lead for c in witness))
-    return ConeReport(False, None)
+    for g in a1.derived[:i]:
+        span.try_add(g.coeff_map())
+    unit = tuple(int(j == i) for j in range(n))
+    witness = [-c for c in span.dependency(an.derivatives[unit].coeff_map())]
+    witness += [Fraction(1)] + [Fraction(0)] * (n - i - 1)
+    lead = next(c for c in witness if c)
+    return ConeReport(True, tuple(c / lead for c in witness))
 
 
 def second_partials_det_vanishes(

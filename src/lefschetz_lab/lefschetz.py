@@ -18,7 +18,10 @@ structural failure certificates that rule out every L at once:
     first-order multiplication (kernel forced in A_k -> A_{k+1}),
   * a non-unimodal Hilbert vector.
 
-Random sampling alone is never promoted to a failure verdict.
+Random sampling alone is never promoted to a failure verdict.  The two
+u-subring certificates (vanishing Hessian, never-injective map) come from one
+scan over the form's memoized derivatives; their verifiers replay each claim
+with `diff_apply` on f, independently of that scan.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import linalg
 from .apolar import HilbertVector, first_dip, is_unimodal
-from .errors import DegreeRangeError, NoSplitError, ZeroPolynomialError
+from .errors import DegreeRangeError, NoSplitError
 from .polycore import (
     DiffOp,
     IntMatrix,
@@ -375,48 +378,47 @@ class KeyCertificate:
         }
 
 
-def key_criterion(f: Poly, k: int) -> Optional[KeyCertificate]:
-    """Search for a u-subring overflow certificate for the order-k Hessian.
+def _u_subring_ops(an: Analysis, k: int, *, pure_u: bool) -> tuple[list[DiffOp], linalg.SparseSpan]:
+    """Degree-k monomial operators sending f into the u-subring, kept greedily.
 
-    Enumerates every degree-k monomial operator with at least one x-factor
-    whose application to f lands in the u-subring, keeps a maximal
-    independent subset, and returns a certificate exactly when that subset
-    outnumbers the degree-k monomials of the u-subring.
+    In descending lex order, keep each operator (pure-u ones only when
+    `pure_u`) whose derivative of f, read from the Analysis's memo, is
+    nonzero, lies in the u-subring and is independent of those kept before.
+    Returns the kept operators and the span of their derivatives.
     """
-    if not f.vars.has_split:
-        raise NoSplitError("key criterion needs a declared x/u split")
-    if f.is_zero():
-        raise ZeroPolynomialError("key criterion on the zero polynomial")
-    d = f.degree
-    if not 1 <= k <= d // 2:
-        raise DegreeRangeError(f"k={k} out of range 1..{d // 2}")
-    vs = f.vars
-    dual = vs.dual()
-    n_x = vs.n_x
-    m = len(vs) - n_x
-    u_indices = set(vs.u_indices)
-    bound = comb(m + k - 1, k)
+    dual = an.f.vars.dual()
+    n_x = an.f.vars.n_x
+    u_indices = set(an.f.vars.u_indices)
     span = linalg.SparseSpan()
     kept: list[DiffOp] = []
     for expo in mono_basis(dual, k):
-        if all(expo[i] == 0 for i in range(n_x)):
-            continue  # pure u-operator
-        op = Poly.monomial(dual, expo)
-        g = diff_apply(op, f)
-        if g.is_zero() or not g.supported_on(u_indices):
+        if not pure_u and not any(expo[:n_x]):
             continue
-        if span.try_add(g.coeff_map()):
-            kept.append(op)
+        g = an.derivatives[expo]
+        if g and g.supported_on(u_indices) and span.try_add(g.coeff_map()):
+            kept.append(Poly.monomial(dual, expo))
+    return kept, span
+
+
+def key_criterion(an: Analysis, k: int) -> Optional[KeyCertificate]:
+    """Search for a u-subring overflow certificate for the order-k Hessian.
+
+    Keeps a maximal independent set of the degree-k monomial operators with
+    at least one x-factor that send f into the u-subring, and returns a
+    certificate exactly when it outnumbers the degree-k monomials of the
+    u-subring.  `Analysis.key` keeps the result.
+    """
+    vs = an.f.vars
+    if not vs.has_split:
+        raise NoSplitError("key criterion needs a declared x/u split")
+    d = an.f.degree
+    if not 1 <= k <= d // 2:
+        raise DegreeRangeError(f"k={k} out of range 1..{d // 2}")
+    bound = comb(len(vs) - vs.n_x + k - 1, k)
+    kept, span = _u_subring_ops(an, k, pure_u=False)
     if len(kept) <= bound:
         return None
-    return KeyCertificate(
-        vs.x_names,
-        vs.u_names,
-        k,
-        tuple(kept),
-        bound,
-        tuple(span.pivot_keys),
-    )
+    return KeyCertificate(vs.x_names, vs.u_names, k, tuple(kept), bound, tuple(span.pivot_keys))
 
 
 def verify_key_certificate(f: Poly, cert: KeyCertificate) -> bool:
@@ -473,39 +475,27 @@ class ObstructionCertificate:
         }
 
 
-def wlp_obstruction(f: Poly, k: int) -> Optional[ObstructionCertificate]:
+def wlp_obstruction(an: Analysis, k: int) -> Optional[ObstructionCertificate]:
     """Search for a never-injective certificate at `A_k -> A_{k+1}`.
 
-    Qualifying operators are the degree-k monomials whose derivative of f is
-    mapped into the u-subring by every first-order operator.  Nothing is
-    returned when deg(f) <= 2k (the image degree gives no room) or when the
-    independent count stays within the bound.
+    Qualifying operators are the degree-k monomials whose derivative g of f
+    is mapped into the u-subring by every first-order operator.  Since
+    deg g = d-k >= 2, that holds exactly when g itself lies in the u-subring:
+    a term with an x-factor keeps an x-factor under some first partial, and
+    distinct monomials cannot cancel there.  So the search is the key
+    criterion's, pure-u operators included.  Nothing is returned when
+    deg(f) <= 2k (the image degree gives no room) or when the independent
+    count stays within the bound.  `Analysis.obstruction` keeps the result.
     """
-    if not f.vars.has_split:
+    vs = an.f.vars
+    if not vs.has_split:
         raise NoSplitError("obstruction search needs a declared x/u split")
-    if f.is_zero():
-        raise ZeroPolynomialError("obstruction search on the zero polynomial")
-    d = f.degree
+    d = an.f.degree
     if k < 1 or d - k <= k:
         return None
-    vs = f.vars
-    dual = vs.dual()
-    m = len(vs) - vs.n_x
-    u_indices = set(vs.u_indices)
     image_degree = d - k - 1
-    bound = comb(m - 1 + image_degree, image_degree)
-    span = linalg.SparseSpan()
-    kept: list[DiffOp] = []
-    firsts = [Poly.variable(dual, i) for i in range(len(vs))]
-    for expo in mono_basis(dual, k):
-        op = Poly.monomial(dual, expo)
-        g = diff_apply(op, f)
-        if g.is_zero():
-            continue
-        if not all(diff_apply(w, g).supported_on(u_indices) for w in firsts):
-            continue
-        if span.try_add(g.coeff_map()):
-            kept.append(op)
+    bound = comb(len(vs) - vs.n_x - 1 + image_degree, image_degree)
+    kept, _ = _u_subring_ops(an, k, pure_u=True)
     if len(kept) <= bound:
         return None
     return ObstructionCertificate(vs.x_names, vs.u_names, k, tuple(kept), bound)

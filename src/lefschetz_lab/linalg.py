@@ -1,6 +1,6 @@
 """Exact linear algebra over the rationals and the integers, and modulo primes.
 
-Dense rational routines (rank, determinant, kernel) run fraction-free on
+Dense rational routines (rank, determinant) run fraction-free on
 integer rows after clearing denominators, so the bulk of the elimination is
 big-integer arithmetic rather than Fraction normalization; the determinant
 shares its integer Bareiss body with `det_int`.  `det_mod` and `rank_mod`
@@ -149,48 +149,6 @@ def _check_square(rows: Sequence[Sequence]) -> None:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
-
-
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and pivot column indices."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return [], []
-    nrows, ncols = len(m), len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col] != 0:
-                c = m[i][col]
-                m[i] = [a - c * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
-
-
-def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right null space, one vector per free column of the RREF."""
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    basis: list[list[Fraction]] = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for r, pcol in enumerate(pivots):
-            vec[pcol] = -red[r][free]
-        basis.append(vec)
-    return basis
 
 
 class SparseSpan:

@@ -31,12 +31,7 @@ from .families import (
     replay_manifest,
 )
 from .hessian import hessian_matrix, hessian_vanishes, is_cone, poly_det_vanishes
-from .lefschetz import (
-    LinearForm,
-    key_criterion,
-    mult_map,
-    verify_key_certificate,
-)
+from .lefschetz import LinearForm, mult_map, verify_key_certificate
 from .polycore import (
     Poly,
     VariableSet,
@@ -101,8 +96,9 @@ def _run_ikeda(config: SuiteConfig) -> tuple[bool, str]:
 
 def _run_perazzo(config: SuiteConfig) -> tuple[bool, str]:
     inst = gen_perazzo(2, 2, 3)
-    verdict = Analysis(inst.f, "exact", config.seed).verdict(1)
-    cone = is_cone(inst.f)
+    an = Analysis(inst.f, "exact", config.seed)
+    verdict = an.verdict(1)
+    cone = is_cone(an)
     return _named(
         [
             ("hess=0(exact)", verdict.vanishes and verdict.mode == "exact", ""),
@@ -146,10 +142,11 @@ def _exceptional_fixture(n: int, d: int, k: int) -> Fixture:
 def _gnp_lemma_fixture(k: int, e: int) -> Fixture:
     def run(config: SuiteConfig) -> tuple[bool, str]:
         inst = gen_gnp(2, 2, k, e, "lemma_m2", seed=config.seed)
-        cert = key_criterion(inst.f, k)
+        an = Analysis(inst.f, "exact", config.seed)
+        cert = an.key(k)
         results = [
             ("key_certificate", cert is not None and verify_key_certificate(inst.f, cert), ""),
-            ("hess=0(exact)", Analysis(inst.f, "exact", config.seed).verdict(k).vanishes, ""),
+            ("hess=0(exact)", an.verdict(k).vanishes, ""),
             ("dim_a1=5", catalecticant(inst.f, 1).rank() == 5, ""),
         ]
         return _named(results)
@@ -384,10 +381,11 @@ def _prop_noncone_nonvanishing(config: SuiteConfig) -> tuple[bool, str]:
     found = 0
     while found < 50:
         f = _random_form(rng, rng.randint(2, 4), rng.randint(3, 5))
-        if is_cone(f).is_cone:
+        an = Analysis(f, config.mode, config.seed)
+        if is_cone(an).is_cone:
             continue
         found += 1
-        if Analysis(f, config.mode, config.seed).verdict(1).vanishes:
+        if an.verdict(1).vanishes:
             return False, f"non-cone form with vanishing Hessian: {f.to_text()}"
     return True, "50 non-cone instances"
 

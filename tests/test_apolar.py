@@ -8,14 +8,13 @@ import hypothesis.strategies as st
 from lefschetz_lab.apolar import (
     HilbertVector,
     ak_basis,
-    ann_basis,
     catalecticant,
-    depends_on_all_vars,
     hilbert_vector,
     is_unimodal,
 )
 from lefschetz_lab.errors import DegreeRangeError, ZeroPolynomialError
 from lefschetz_lab.families import gen_exceptional, gen_gnp, gen_thmwlp, gen_wlpodd
+from lefschetz_lab.hessian import is_cone
 from lefschetz_lab.polycore import (
     Poly,
     VariableSet,
@@ -76,34 +75,6 @@ class TestCatalecticant:
     def test_rank_duality(self, f, data):
         k = data.draw(st.integers(0, f.degree))
         assert catalecticant(f, k).rank() == catalecticant(f, f.degree - k).rank()
-
-
-class TestAnnBasis:
-    def test_square(self):
-        vs = VariableSet(("x", "y"))
-        basis = ann_basis(parse_poly("x^2", vs), 1)
-        assert len(basis) == 1
-        assert basis[0] == parse_poly("Y", vs.dual())
-
-    def test_ikeda_degree2_empty(self):
-        assert ann_basis(IKEDA, 2) == []
-
-    def test_wlpodd_degree2_kernel(self):
-        f = gen_wlpodd(4, 5).f
-        basis = ann_basis(f, 2)
-        assert len(basis) == 3
-        for op in basis:
-            assert diff_apply(op, f).is_zero()
-        dual = f.vars.dual()
-        for text in ("X0*X1", "X0*X2", "X0*U2"):
-            op = parse_poly(text, dual)
-            assert diff_apply(op, f).is_zero()
-
-    @given(homogeneous_polys(max_vars=3, max_degree=4), st.data())
-    def test_members_annihilate(self, f, data):
-        k = data.draw(st.integers(0, f.degree))
-        for op in ann_basis(f, k):
-            assert diff_apply(op, f).is_zero()
 
 
 def scanned_basis(f, k):
@@ -253,15 +224,17 @@ class TestUnimodal:
 
 
 class TestDependsOnAllVars:
+    """Every variable is essential exactly when f is not a cone."""
+
     def test_missing_variable(self):
         vs = VariableSet(("x", "y"))
-        assert not depends_on_all_vars(prob(parse_poly("x^2", vs)))
+        assert is_cone(prob(parse_poly("x^2", vs))).is_cone
 
     def test_ikeda(self):
-        assert depends_on_all_vars(prob(IKEDA))
+        assert not is_cone(prob(IKEDA)).is_cone
 
     def test_perazzo(self):
-        assert depends_on_all_vars(prob(PERAZZO))
+        assert not is_cone(prob(PERAZZO)).is_cone
 
 
 def test_catalecticant_json_rows():

@@ -73,6 +73,18 @@ class TestAnalyze:
         assert code == 0
         assert "hessian[1]      != 0   (exact)" in out
 
+    @pytest.mark.parametrize(
+        "instance",
+        [{"vars": ["x", "y"]}, {"poly": "x^2", "vars": 5}, {"poly": "x^2", "vars": ["x", "y"], "split": "a"}],
+        ids=["no-poly", "vars-int", "split-str"],
+    )
+    def test_malformed_instance_exit_two(self, capsys, tmp_path, instance):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(instance))
+        code, _, err = run(["analyze", "--in", str(path)], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and "instance JSON" in err
+
 
 class TestGenerate:
     def test_gnp_text(self, capsys):
@@ -266,13 +278,13 @@ class TestOneAnalysisPerForm:
         levels = []
         real = lefschetz_mod.wlp_obstruction
 
-        def counting(f, k):
+        def counting(an, k):
             levels.append(k)
-            return real(f, k)
+            return real(an, k)
 
+        path = write_instance(gen_thmwlp(5, 8), tmp_path)
         for mod in (analysis_mod, cli_mod, lefschetz_mod):
             monkeypatch.setattr(mod, "wlp_obstruction", counting, raising=False)
-        path = write_instance(gen_thmwlp(5, 8), tmp_path)
         report = tmp_path / "r.json"
         code, _, _ = run(["analyze", "--in", str(path), "--json", str(report)], capsys)
         assert code == 0
@@ -281,6 +293,28 @@ class TestOneAnalysisPerForm:
         assert any(c["type"] == "never-injective" for c in data["certificates"])
         assert sorted(levels) == list(range(1, 4))
 
+    def test_each_key_order_searched_once(self, capsys, monkeypatch, tmp_path):
+        import lefschetz_lab.analysis as analysis_mod
+        import lefschetz_lab.cli as cli_mod
+        import lefschetz_lab.lefschetz as lefschetz_mod
+        from lefschetz_lab.families import gen_wlpodd
+
+        orders = []
+        real = lefschetz_mod.key_criterion
+
+        def counting(an, k):
+            orders.append(k)
+            return real(an, k)
+
+        path = write_instance(gen_wlpodd(5, 7), tmp_path)
+        for mod in (analysis_mod, cli_mod, lefschetz_mod):
+            monkeypatch.setattr(mod, "key_criterion", counting, raising=False)
+        report = tmp_path / "r.json"
+        code, _, _ = run(["analyze", "--in", str(path), "--json", str(report)], capsys)
+        assert code == 0
+        data = json.loads(report.read_text())
+        assert [c["k"] for c in data["certificates"] if c["type"] == "u-subring-overflow"] == [3]
+        assert sorted(orders) == list(range(1, 4))
 
     def test_rational_ranks_counted(self, capsys, tmp_path):
         from lefschetz_lab.lefschetz import GENERIC_TRIALS
@@ -314,7 +348,8 @@ class TestOneAnalysisPerForm:
         data = json.loads(report.read_text())
         counts = data["counts"]
         assert counts["basis_candidates"] == 154
-        assert counts["derivatives"] == 1732
+        # the bases, the Hessians and both certificate searches share the memo
+        assert counts["derivatives"] == 2201
         # WLP reads A_0 .. A_(d-1); a scan of every monomial would reduce
         # sum C(n+k-1, k) = 19448 candidates in these 7 variables
         n, d = len(data["input"]["vars"]), data["degree"]

@@ -33,6 +33,7 @@ from lefschetz_lab.polycore import (
     eval_poly,
     linear_change,
     parse_poly,
+    partial,
     poly_sum,
 )
 
@@ -133,19 +134,34 @@ class TestProfile:
             hess_profile(prob(parse_poly("x^2", vs)))
 
 
+def partials_cone_oracle(f):
+    """The cone test's original definition: reduce the first partials in a
+    span of their own; the first dependent one gives the witness."""
+    n = len(f.vars)
+    span = linalg.SparseSpan()
+    for i in range(n):
+        g = partial(f, i).coeff_map()
+        if span.try_add(g):
+            continue
+        witness = [-c for c in span.dependency(g)] + [Fraction(1)] + [Fraction(0)] * (n - i - 1)
+        lead = next(c for c in witness if c)
+        return True, tuple(c / lead for c in witness)
+    return False, None
+
+
 class TestCone:
     def test_square(self):
         vs = VariableSet(("x", "y"))
-        report = is_cone(parse_poly("x^2", vs))
+        report = is_cone(prob(parse_poly("x^2", vs)))
         assert report.is_cone and report.witness == (Fraction(0), Fraction(1))
 
     def test_perazzo_not_cone(self):
-        assert not is_cone(PERAZZO).is_cone
+        assert not is_cone(prob(PERAZZO)).is_cone
 
     def test_binomial_cube(self):
         vs = VariableSet(("x", "y"))
         f = parse_poly("x^3 + 3*x^2*y + 3*x*y^2 + y^3", vs)
-        report = is_cone(f)
+        report = is_cone(prob(f))
         assert report.is_cone and report.witness == (Fraction(1), Fraction(-1))
 
     def test_each_partial_reduced_once(self, monkeypatch):
@@ -157,16 +173,22 @@ class TestCone:
             return real(*args)
 
         monkeypatch.setattr(linalg, "_reduce", counting)
-        assert not is_cone(PERAZZO).is_cone
+        assert not is_cone(prob(PERAZZO)).is_cone
         assert len(reductions) == len(PERAZZO.vars)
 
     @given(cone_polys())
     def test_witness_annihilates_the_partials(self, f):
-        report = is_cone(f)
+        report = is_cone(prob(f))
         assert report.is_cone
         dual = f.vars.dual()
         op = poly_sum(dual, [Poly.variable(dual, i).scale(c) for i, c in enumerate(report.witness) if c])
         assert diff_apply(op, f).is_zero()
+
+    @given(st.one_of(homogeneous_polys(max_vars=4, max_degree=4), cone_polys()))
+    @settings(max_examples=60)
+    def test_matches_first_partials_oracle(self, f):
+        report = is_cone(prob(f))
+        assert (report.is_cone, report.witness) == partials_cone_oracle(f)
 
 
 class TestSecondPartials:
@@ -310,7 +332,7 @@ class TestKeyCriterionSoundness:
     )
     def test_certificate_implies_vanishing(self, build, k):
         f = build()
-        assert key_criterion(f, k) is not None
+        assert key_criterion(prob(f), k) is not None
         assert hessian_vanishes(prob(f), k).vanishes
         assert hessian_vanishes(exact(f), k).vanishes
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -10,15 +11,20 @@ from lefschetz_lab.apolar import ak_basis, hilbert_vector
 from lefschetz_lab.errors import NoSplitError
 from lefschetz_lab.families import (
     gen_exceptional,
+    gen_gn,
     gen_gnp,
     gen_ikeda,
+    gen_perazzo,
+    gen_permutti,
     gen_prop44,
     gen_thmwlp,
     gen_wlpodd,
 )
 from lefschetz_lab.hessian import hessian_matrix
 from lefschetz_lab.lefschetz import (
+    KeyCertificate,
     LinearForm,
+    ObstructionCertificate,
     key_criterion,
     mult_map,
     slp_check_element,
@@ -29,7 +35,7 @@ from lefschetz_lab.lefschetz import (
     wlp_generic,
     wlp_obstruction,
 )
-from lefschetz_lab.polycore import VariableSet, eval_poly, parse_poly
+from lefschetz_lab.polycore import Poly, VariableSet, diff_apply, eval_poly, mono_basis, parse_poly
 
 from conftest import homogeneous_polys, prob
 
@@ -162,7 +168,7 @@ class TestWlpGeneric:
 
 class TestKeyCriterion:
     def test_ikeda(self):
-        cert = key_criterion(IKEDA, 2)
+        cert = key_criterion(prob(IKEDA), 2)
         assert cert is not None
         assert {op.to_text() for op in cert.ops} == {
             "X0*U1", "X0*U2", "X1*U1", "X1*U2",
@@ -174,20 +180,30 @@ class TestKeyCriterion:
         vs = VariableSet(("x", "y"), n_x=1)
         f = parse_poly("x^4 + y^4", vs)
         for k in (1, 2):
-            assert key_criterion(f, k) is None
+            assert key_criterion(prob(f), k) is None
 
     def test_gnp_dual_ops(self):
         f = gen_gnp(2, 2, 2, 3).f
-        cert = key_criterion(f, 2)
+        cert = key_criterion(prob(f), 2)
         assert cert is not None and cert.s == 4
+
+    def test_pure_u_operators_not_counted(self):
+        # U3 sends f to 4*u3^3, inside the u-subring, yet only operators with
+        # an x-factor count against the bound
+        vs = VariableSet(("x0", "x1", "x2", "x3", "u1", "u2", "u3"), n_x=4)
+        f = parse_poly("x0*u1^3 + x1*u1^2*u2 + x2*u1*u2^2 + x3*u2^3 + u3^4", vs)
+        cert = key_criterion(prob(f), 1)
+        assert [op.to_text() for op in cert.ops] == ["X0", "X1", "X2", "X3"]
+        assert cert.bound == 3
+        assert cert == oracle_key(f, 1)
 
     def test_requires_split(self):
         vs = VariableSet(("x", "y"))
         with pytest.raises(NoSplitError):
-            key_criterion(parse_poly("x^2 + y^2", vs), 1)
+            key_criterion(prob(parse_poly("x^2 + y^2", vs)), 1)
 
     def test_tampered_certificate_rejected(self):
-        cert = key_criterion(IKEDA, 2)
+        cert = key_criterion(prob(IKEDA), 2)
         from dataclasses import replace
 
         bad = replace(cert, bound=cert.s)
@@ -197,14 +213,14 @@ class TestKeyCriterion:
 class TestWlpObstruction:
     def test_degree_four(self):
         f = gen_thmwlp(5, 4).f
-        cert = wlp_obstruction(f, 1)
+        cert = wlp_obstruction(prob(f), 1)
         assert {op.to_text() for op in cert.ops} == {"X2", "X3", "X4", "X5"}
         assert cert.s == 4 and cert.bound == 3
         assert verify_obstruction_certificate(f, cert)
 
     def test_degree_six(self):
         f = gen_thmwlp(4, 6).f
-        cert = wlp_obstruction(f, 2)
+        cert = wlp_obstruction(prob(f), 2)
         assert cert.s == 5
         assert {op.to_text() for op in cert.ops} == {
             "X2*U", "X2*V", "X3*U", "X3*V", "X4*U",
@@ -212,22 +228,124 @@ class TestWlpObstruction:
 
     def test_degree_eight(self):
         f = gen_thmwlp(3, 8).f
-        cert = wlp_obstruction(f, 3)
+        cert = wlp_obstruction(prob(f), 3)
         assert cert.s == 6 and cert.bound == 5
+
+    def test_pure_u_operators_counted(self):
+        # the u-quadrics of x, y, z fill the degree-1 image bound by
+        # themselves; W, a pure-u operator, is the one that overflows it
+        vs = VariableSet(("x", "y", "z", "u", "v", "w"), n_x=3)
+        f = parse_poly("x*u^2 + y*u*v + z*v^2 + w^3", vs)
+        cert = wlp_obstruction(prob(f), 1)
+        assert [op.to_text() for op in cert.ops] == ["X", "Y", "Z", "W"]
+        assert cert.bound == 3
+        assert cert == oracle_obstruction(f, 1)
+        assert verify_obstruction_certificate(f, cert)
 
     def test_empty_regime(self):
         # image degree gives no room once deg(f) <= 2k
-        assert wlp_obstruction(IKEDA, 3) is None
+        assert wlp_obstruction(prob(IKEDA), 3) is None
 
     def test_certificate_forces_kernels(self):
         f = gen_thmwlp(5, 4).f
-        cert = wlp_obstruction(f, 1)
+        cert = wlp_obstruction(prob(f), 1)
         assert cert is not None
         rng = random.Random(11)
         h1 = len(ak_basis(f, 1))
         for _ in range(20):
             L = random_linear_form(rng, len(f.vars))
             assert linalg.rank(mult_map(prob(f), L, 1, 1)) < h1
+
+
+def oracle_scan(f, k, *, pure_u, first_order):
+    """The searches' original definition: apply every degree-k monomial
+    operator to all of f with `diff_apply`; keep it when the derivative g is
+    nonzero, lies in the u-subring (or, with `first_order`, is sent there by
+    every first-order operator) and is independent of those kept before."""
+    vs = f.vars
+    dual = vs.dual()
+    u = set(vs.u_indices)
+    firsts = [Poly.variable(dual, i) for i in range(len(vs))]
+    span = linalg.SparseSpan()
+    kept = []
+    for expo in mono_basis(dual, k):
+        if not pure_u and not any(expo[: vs.n_x]):
+            continue
+        op = Poly.monomial(dual, expo)
+        g = diff_apply(op, f)
+        if g.is_zero():
+            continue
+        inside = all(diff_apply(w, g).supported_on(u) for w in firsts) if first_order else g.supported_on(u)
+        if inside and span.try_add(g.coeff_map()):
+            kept.append(op)
+    return kept, span
+
+
+def oracle_key(f, k):
+    kept, span = oracle_scan(f, k, pure_u=False, first_order=False)
+    bound = comb(len(f.vars.u_names) + k - 1, k)
+    if len(kept) <= bound:
+        return None
+    vs = f.vars
+    return KeyCertificate(vs.x_names, vs.u_names, k, tuple(kept), bound, tuple(span.pivot_keys))
+
+
+def oracle_obstruction(f, k):
+    d = f.degree
+    if d - k <= k:
+        return None
+    kept, _ = oracle_scan(f, k, pure_u=True, first_order=True)
+    bound = comb(len(f.vars.u_names) - 1 + d - k - 1, d - k - 1)
+    if len(kept) <= bound:
+        return None
+    return ObstructionCertificate(f.vars.x_names, f.vars.u_names, k, tuple(kept), bound)
+
+
+def assert_searches_match_oracle(f):
+    """Both certificate searches equal the oracle at every order, and every
+    certificate found replays."""
+    an = prob(f)
+    for k in range(1, f.degree // 2 + 1):
+        cert = key_criterion(an, k)
+        assert cert == oracle_key(f, k)
+        assert cert is None or verify_key_certificate(f, cert)
+    for k in range(1, f.degree):
+        cert = wlp_obstruction(an, k)
+        assert cert == oracle_obstruction(f, k)
+        assert cert is None or verify_obstruction_certificate(f, cert)
+
+
+SPLIT_FAMILIES = [
+    lambda: gen_ikeda(),
+    lambda: gen_exceptional(3, 5, 2),
+    lambda: gen_exceptional(3, 7, 3),
+    lambda: gen_gnp(2, 2, 1, 2, "lemma_m2"),
+    lambda: gen_gnp(2, 2, 2, 3, "lemma_m2"),
+    lambda: gen_gnp(2, None, 1, 2, "maximal"),
+    lambda: gen_gnp(2, 2, 1, 2, "minimal"),
+    lambda: gen_perazzo(2, 2, 3),
+    lambda: gen_permutti(2, 2, 3, 3),
+    lambda: gen_gn(2, 2, 1, 3, 4),
+    lambda: gen_wlpodd(4, 5),
+    lambda: gen_wlpodd(5, 7),
+    lambda: gen_thmwlp(5, 4),
+    lambda: gen_thmwlp(4, 6),
+    lambda: gen_thmwlp(3, 8),
+    lambda: gen_prop44("i"),
+    lambda: gen_prop44("iii"),
+]
+
+
+class TestSingleScan:
+    @pytest.mark.parametrize("build", SPLIT_FAMILIES, ids=lambda b: b().spec.kind)
+    def test_families_match_oracle(self, build):
+        assert_searches_match_oracle(build().f)
+
+    @given(homogeneous_polys(min_vars=2, max_vars=4, min_degree=2, max_degree=6), st.data())
+    @settings(max_examples=40)
+    def test_split_forms_match_oracle(self, f, data):
+        n_x = data.draw(st.integers(1, len(f.vars) - 1))
+        assert_searches_match_oracle(Poly(VariableSet(f.vars.names, n_x), f.coeff_map()))
 
 
 def assert_levels_match_mult_map(f, L):
@@ -333,7 +451,7 @@ class TestKeyCriterionSoundnessRandom:
         vs = VariableSet(f.vars.names, n_x)
         f = Poly(vs, f.coeff_map())
         for k in range(1, f.degree // 2 + 1):
-            cert = key_criterion(f, k)
+            cert = key_criterion(prob(f), k)
             if cert is not None:
                 assert verify_key_certificate(f, cert)
                 assert hessian_vanishes(prob(f), k).vanishes

@@ -29,24 +29,6 @@ def test_det_matches_sympy(matrix):
     assert linalg.det(matrix) == Fraction(int(expected.p), int(expected.q))
 
 
-@given(rational_matrices())
-def test_kernel_vectors_annihilate(matrix):
-    cols = len(matrix[0])
-    kernel = linalg.kernel_basis(matrix, cols)
-    assert len(kernel) == cols - linalg.rank(matrix)
-    for vec in kernel:
-        for row in matrix:
-            assert sum(r * v for r, v in zip(row, vec)) == 0
-
-
-def test_rref_pivots():
-    m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    red, pivots = linalg.rref(m)
-    assert pivots == [0]
-    assert red[0] == [Fraction(1), Fraction(2)]
-    assert red[1] == [Fraction(0), Fraction(0)]
-
-
 def test_sparse_span_coords():
     span = linalg.SparseSpan()
     v1 = {"a": Fraction(1), "b": Fraction(2)}
