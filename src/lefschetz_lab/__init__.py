@@ -46,14 +46,12 @@ from .families import (
 )
 from .hessian import (
     ConeReport,
-    HessianMatrix,
     VanishingVerdict,
     hess_profile,
     hessian_matrix,
     hessian_vanishes,
     is_cone,
     mixed_hessian,
-    second_partials_det_vanishes,
 )
 from .lefschetz import (
     KeyCertificate,

@@ -2,11 +2,15 @@
 
 Every generator returns a `FamilyInstance`: the polynomial, its declared
 x/u-block split, and a manifest of expected properties that downstream
-modules can replay.  Generators validate their own output where the
-construction relies on genericity (witness evaluations, cone tests,
-certificate existence) and fail loudly instead of emitting an instance whose
-manifest might be wrong; the exceptional family additionally retries with a
-deterministic perturbation of its tail summand before giving up.
+modules can replay.  Each generator builds its manifest first and hands the
+form and the manifest to `_verified`, the one place where generated output is
+checked: on the probabilistic Analysis of f it confirms every structural
+claim (not a cone, the key certificates, the remaining Hessian orders, the
+obstruction, the WLP witness) and raises `DegenerateInstanceError` instead of
+emitting an instance whose manifest might be wrong.  The exceptional family
+retries with a deterministic perturbation of its tail summand before giving
+up.  `replay_manifest` is the independent replay of every claim, in a chosen
+mode.
 
 Canonical shapes only: the tail polynomials (g, h, p, the biform parts) have
 fixed monomial defaults, overridable by keyword.  Identical parameters always
@@ -30,9 +34,11 @@ from .hessian import VanishingVerdict, is_cone
 from .lefschetz import (
     LefschetzReport,
     LinearForm,
+    slp_generic,
     verify_key_certificate,
     verify_obstruction_certificate,
     wlp_check_element,
+    wlp_generic,
 )
 from .polycore import (
     Monomial,
@@ -174,11 +180,39 @@ def _xu_vars(m: int, n: int) -> VariableSet:
 _PROP44_VARS = VariableSet(("x0", "x1", "x2", "u", "v"), n_x=3)
 
 
-def _checked(f: Poly, seed: int, what: str) -> Analysis:
-    """The probabilistic Analysis of a nondegenerate f: not a cone, so every variable is essential."""
+def _verified(f: Poly, manifest: Manifest, seed: int, what: str) -> None:
+    """Check the structural claims of `manifest` on the probabilistic Analysis of f.
+
+    f is not a cone; each order in `key_certificate_orders` has a key
+    certificate; each other order of `hess_pattern` has the claimed verdict;
+    the obstruction at `obstruction_level` exists, with `obstruction_size`
+    operators; `wlp_witness` passes exactly when `wlp` holds.  A vanishing
+    claim at a key order is settled by the key.  The Hilbert vector, dim A_1
+    and the generic SLP/WLP reports are left to `replay_manifest`.
+    """
     an = Analysis(f, "probabilistic", seed)
     _verify(not is_cone(an).is_cone, f"{what}: some variable is superfluous")
-    return an
+    keys = manifest.key_certificate_orders
+    for k in keys:
+        _verify(an.key(k) is not None, f"{what}: no vanishing certificate at order {k}")
+    for k, vanishes in manifest.hess_pattern:
+        if not (vanishes and k in keys):
+            _verify(
+                an.verdict(k).vanishes == vanishes,
+                f"{what}: Hessian of order {k} " + ("did not vanish" if vanishes else "vanished"),
+            )
+    level, size = manifest.obstruction_level, manifest.obstruction_size
+    if level is not None:
+        cert = an.obstruction(level)
+        _verify(cert is not None, f"{what}: no obstruction at level {level}")
+        _verify(
+            size is None or cert.s == size,
+            f"{what}: obstruction has {cert.s} operators, expected {size}",
+        )
+    if manifest.wlp_witness is not None:
+        ok, _ = wlp_check_element(an, manifest.wlp_witness)
+        holds = manifest.wlp == "holds"
+        _verify(ok == holds, f"{what}: the WLP witness " + ("fails" if holds else "passes"))
 
 
 # -- the fixed codimension-4 example ------------------------------------------
@@ -205,6 +239,7 @@ def gen_ikeda() -> FamilyInstance:
         slp_fail_level=2,
         key_certificate_orders=(2,),
     )
+    _verified(f, manifest, 0, "ikeda")
     return FamilyInstance(f, FamilySpec("ikeda", {}), manifest)
 
 
@@ -257,8 +292,7 @@ def gen_exceptional(
     tail_p = p if p is not None else _power_sum(vs, spare, d)
 
     hess_pattern = [(1, False)] + [(r, True) for r in range(2, k + 1)]
-    check_above = 2 * (k + 1) <= d
-    if check_above:
+    if 2 * (k + 1) <= d:
         hess_pattern.append((k + 1, False))
     manifest = Manifest(
         hess_pattern=tuple(hess_pattern),
@@ -275,21 +309,7 @@ def gen_exceptional(
     for attempt in range(4):
         f = core + base_h + perturbation.scale(attempt) + tail_p
         try:
-            an = _checked(f, seed, "exceptional")
-            for r in range(2, k + 1):
-                _verify(
-                    an.key(r) is not None,
-                    f"exceptional: no vanishing certificate at order {r}",
-                )
-            _verify(
-                not an.verdict(1).vanishes,
-                "exceptional: classical Hessian vanished",
-            )
-            if check_above:
-                _verify(
-                    not an.verdict(k + 1).vanishes,
-                    f"exceptional: Hessian of order {k + 1} vanished",
-                )
+            _verified(f, manifest, seed, "exceptional")
             return FamilyInstance(f, spec, manifest)
         except DegenerateInstanceError as exc:
             last_error = str(exc)
@@ -375,11 +395,6 @@ def gen_gnp(
     else:
         raise InfeasibleParametersError(f"unknown gnp variant {variant!r}")
 
-    an = _checked(f, seed, f"gnp/{variant}")
-    _verify(
-        an.key(k) is not None,
-        f"gnp/{variant}: no vanishing certificate at order {k}",
-    )
     manifest = Manifest(
         hess_pattern=((k, True),),
         cone=False,
@@ -387,6 +402,7 @@ def gen_gnp(
         slp="fails",
         key_certificate_orders=(k,),
     )
+    _verified(f, manifest, seed, f"gnp/{variant}")
     return FamilyInstance(f, FamilySpec("gnp", params, seed), manifest)
 
 
@@ -444,8 +460,6 @@ def gen_perazzo(
         )
         parts.append(h)
     f = poly_sum(vs, parts)
-    an = _checked(f, seed, "perazzo")
-    _verify(an.key(1) is not None, "perazzo: no vanishing certificate")
     manifest = Manifest(
         hess_pattern=((1, True),),
         cone=False,
@@ -454,6 +468,7 @@ def gen_perazzo(
         slp_fail_level=1,
         key_certificate_orders=(1,),
     )
+    _verified(f, manifest, seed, "perazzo")
     spec = FamilySpec(
         "perazzo",
         {"m": m, "n": n, "d": d},
@@ -516,11 +531,6 @@ def gen_permutti(
         parts.append(Q**j * pj)
     f = poly_sum(vs, parts)
     _verify(not f.is_zero(), "permutti: all biform parts were zero")
-    an = _checked(f, seed, "permutti")
-    _verify(
-        an.verdict(1).vanishes,
-        "permutti: classical Hessian did not vanish",
-    )
     manifest = Manifest(
         hess_pattern=((1, True),),
         cone=False,
@@ -528,6 +538,7 @@ def gen_permutti(
         slp="fails",
         slp_fail_level=1,
     )
+    _verified(f, manifest, seed, "permutti")
     p_over = {}
     if Ps:
         p_over = {f"P{j}": ("0" if pj is None else pj.to_text()) for j, pj in Ps.items()}
@@ -616,11 +627,6 @@ def gen_gn(
             term = term * cores[l] ** ee
         parts.append(term)
     f = poly_sum(vs, parts)
-    an = _checked(f, seed, "gn")
-    _verify(
-        an.verdict(1).vanishes,
-        "gn: classical Hessian did not vanish",
-    )
     manifest = Manifest(
         hess_pattern=((1, True),),
         cone=False,
@@ -628,6 +634,7 @@ def gen_gn(
         slp="fails",
         slp_fail_level=1,
     )
+    _verified(f, manifest, seed, "gn")
     return FamilyInstance(
         f,
         FamilySpec("gn", {"m": m, "n": n, "r": r, "e": e, "d": d}, seed),
@@ -684,8 +691,6 @@ def gen_wlpodd(N: int, d: int, *, seed: int = 0) -> FamilyInstance:
         half.append(hk)
     hilbert = tuple(half + half[::-1])
 
-    an = _checked(f, seed, "wlpodd")
-    _verify(an.key(q) is not None, "wlpodd: no middle vanishing certificate")
     manifest = Manifest(
         hess_pattern=((q, True),),
         hilbert=hilbert,
@@ -698,6 +703,7 @@ def gen_wlpodd(N: int, d: int, *, seed: int = 0) -> FamilyInstance:
         wlp_fail_level=q,
         key_certificate_orders=(q,),
     )
+    _verified(f, manifest, seed, "wlpodd")
     return FamilyInstance(f, FamilySpec("wlpodd", {"N": N, "d": d}, seed), manifest)
 
 
@@ -776,13 +782,6 @@ def gen_thmwlp(
     elif (N, d) == (4, 6):
         hilbert = (1, 5, 8, 8, 8, 5, 1)
 
-    an = _checked(f, seed, "thmwlp")
-    cert = an.obstruction(level)
-    _verify(cert is not None, f"thmwlp: no obstruction at level {level}")
-    _verify(
-        cert.s == size,
-        f"thmwlp: obstruction has {cert.s} operators, expected {size}",
-    )
     manifest = Manifest(
         hilbert=hilbert,
         unimodal=True,
@@ -793,6 +792,7 @@ def gen_thmwlp(
         obstruction_level=level,
         obstruction_size=size,
     )
+    _verified(f, manifest, seed, "thmwlp")
     spec = FamilySpec("thmwlp", {"N": N, "d": d}, seed, _override_texts(g=g, h=h))
     return FamilyInstance(f, spec, manifest)
 
@@ -833,13 +833,6 @@ def gen_prop44(case: str, h: Optional[Poly] = None, *, seed: int = 0) -> FamilyI
         _require(h.is_zero() or (h.degree == 4 and h.supported_on(uv)), "h must be a binary quartic in u, v")
     h_poly = h if h is not None else _power_sum(vs, ("u", "v"), 4)
     f = core + h_poly
-    an = _checked(f, seed, "prop44")
-    _verify(
-        an.verdict(1).vanishes,
-        "prop44: classical Hessian did not vanish",
-    )
-    ok, _ = wlp_check_element(an, witness)
-    _verify(ok, "prop44: the canonical witness fails for this h")
     manifest = Manifest(
         hess_pattern=((1, True),),
         cone=False,
@@ -849,6 +842,7 @@ def gen_prop44(case: str, h: Optional[Poly] = None, *, seed: int = 0) -> FamilyI
         wlp="holds",
         wlp_witness=witness,
     )
+    _verified(f, manifest, seed, "prop44")
     spec = FamilySpec("prop44", {"case": case}, seed, _override_texts(h=h))
     return FamilyInstance(f, spec, manifest)
 
@@ -866,8 +860,6 @@ def replay_manifest(
     `mode` serves every claim, so each Hessian is decided once and the SLP
     and WLP claims are decided in the same mode as the profile.
     """
-    from .lefschetz import slp_generic, wlp_generic  # local to avoid cycle at import
-
     f = inst.f
     an = Analysis(f, mode, seed)
     man = inst.manifest

@@ -38,8 +38,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import linalg
 from .apolar import AkBasis
-from .errors import DegreeRangeError, ZeroPolynomialError
-from .polycore import IntMatrix, Monomial, Poly, diff_apply, mono_mul, partial
+from .errors import DegreeRangeError
+from .polycore import IntMatrix, Monomial, Poly, diff_apply, mono_mul
 
 if TYPE_CHECKING:
     from .analysis import Analysis
@@ -49,20 +49,6 @@ DEFAULT_TRIALS = 5
 MODES = ("probabilistic", "exact")
 
 Matrix = tuple[tuple[Poly, ...], ...]
-
-
-@dataclass(frozen=True)
-class HessianMatrix:
-    """Order-k Hessian of f over an explicit basis."""
-
-    f: Poly
-    k: int
-    basis: AkBasis
-    entries: Matrix
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -103,13 +89,14 @@ class VanishingVerdict:
         return out
 
 
-def hessian_matrix(an: Analysis, k: int, basis: Optional[AkBasis] = None) -> HessianMatrix:
-    """The order-k Hessian; the default basis is the greedy monomial one."""
+def hessian_matrix(an: Analysis, k: int, basis: Optional[AkBasis] = None) -> Matrix:
+    """Entries of the order-k Hessian; the default basis is the greedy monomial
+    one, `an.basis(k)`, whose matrix the Analysis keeps."""
     _checked_degree(an.f, k)
     if basis is None:
-        return HessianMatrix(an.f, k, an.basis(k), an.hessian(k, k))
+        return an.hessian(k, k)
     _validate_basis(an, k, basis)
-    return HessianMatrix(an.f, k, basis, _entries(an, basis, basis, symmetric=True))
+    return _entries(an, basis, basis, symmetric=True)
 
 
 def mixed_hessian(an: Analysis, k: int, l: int) -> Matrix:
@@ -175,8 +162,8 @@ def hessian_vanishes(
     """
     H = hessian_matrix(an, k, basis)
     return _det_vanishes(
-        H.entries,
-        degree_bound=H.size * (an.f.degree - 2 * k),
+        H,
+        degree_bound=len(H) * (an.f.degree - 2 * k),
         mode=an.mode,
         seed=an.seed,
         trials=DEFAULT_TRIALS,
@@ -186,7 +173,9 @@ def hessian_vanishes(
 
 
 def hess_profile(an: Analysis, *, max_k: Optional[int] = None) -> list[VanishingVerdict]:
-    """Vanishing verdicts for every order k = 0 .. floor(d/2)."""
+    """Vanishing verdicts for every order k = 0 .. floor(d/2), or up to max_k >= 0."""
+    if max_k is not None and max_k < 0:
+        raise DegreeRangeError(f"max_k={max_k} is negative")
     if is_cone(an).is_cone:
         warnings.warn(
             "input has annihilating degree-1 operators (cone-like degenerate); "
@@ -234,32 +223,6 @@ def is_cone(an: Analysis) -> ConeReport:
     witness += [Fraction(1)] + [Fraction(0)] * (n - i - 1)
     lead = next(c for c in witness if c)
     return ConeReport(True, tuple(c / lead for c in witness))
-
-
-def second_partials_det_vanishes(
-    f: Poly, mode: str = "probabilistic", seed: int = 0
-) -> VanishingVerdict:
-    """Vanishing of the full matrix of second partials (no quotient taken)."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if f.is_zero():
-        raise ZeroPolynomialError("second partials of the zero polynomial")
-    d = f.degree
-    if d < 2:
-        # every second partial is zero
-        return VanishingVerdict(True, "exact", transcript_hash=_hash_transcript(["degree<2"]))
-    n = len(f.vars)
-    firsts = [partial(f, j) for j in range(n)]
-    entries = tuple(tuple(partial(g, i) for g in firsts) for i in range(n))
-    return _det_vanishes(
-        entries,
-        degree_bound=n * (d - 2),
-        mode=mode,
-        seed=seed,
-        trials=DEFAULT_TRIALS,
-        exact_cutoff=DEFAULT_EXACT_CUTOFF,
-        salt="classical",
-    )
 
 
 # -- determinant decisions ---------------------------------------------------

@@ -35,9 +35,8 @@ def _int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list
     out: list[list[int]] = []
     scales: list[int] = []
     for row in rows:
-        fr = [Fraction(x) for x in row]
-        denom = lcm(*(x.denominator for x in fr))
-        out.append([int(x * denom) for x in fr])
+        denom = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (denom // x.denominator) for x in row])
         scales.append(denom)
     return out, scales
 

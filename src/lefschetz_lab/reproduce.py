@@ -326,7 +326,7 @@ def _prop_rank_consistency(config: SuiteConfig) -> tuple[bool, str]:
         L = LinearForm.from_coeffs(coeffs)
         an = Analysis(f, config.mode, config.seed)
         H = hessian_matrix(an, k)
-        evaluated = [[eval_poly(e, L.coeffs) for e in row] for row in H.entries]
+        evaluated = [[eval_poly(e, L.coeffs) for e in row] for row in H]
         hess_rank = linalg.rank(evaluated)
         mult_rank = linalg.rank(mult_map(an, L, k, d - 2 * k))
         if hess_rank != mult_rank:
@@ -451,35 +451,31 @@ def _mode_agreement(config: SuiteConfig) -> tuple[bool, str]:
 # -- registry -------------------------------------------------------------------
 
 
-def _fixture(fid: str, criterion: int, description: str, fn) -> Fixture:
-    return Fixture(fid, criterion, description, fn)
-
-
 FIXTURES: list[Fixture] = (
     [
-        _fixture("ikeda/full", 1, "profile, Hilbert vector, strong-property failure", _run_ikeda),
-        _fixture("perazzo/vanishing-noncone", 2, "classical vanishing Hessian, not a cone", _run_perazzo),
+        Fixture("ikeda/full", 1, "profile, Hilbert vector, strong-property failure", _run_ikeda),
+        Fixture("perazzo/vanishing-noncone", 2, "classical vanishing Hessian, not a cone", _run_perazzo),
     ]
     + [_exceptional_fixture(n, d, k) for n, d, k in EXCEPTIONAL_SWEEP]
     + [_gnp_lemma_fixture(k, e) for k, e in ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4))]
     + [_gnp_maximal_fixture(m, e) for m in (2, 3) for e in (2, 3)]
-    + [_fixture("gnp/minimal-dimA1", 4, "minimal instances have five essential variables", lambda c: (
+    + [Fixture("gnp/minimal-dimA1", 4, "minimal instances have five essential variables", lambda c: (
         catalecticant(gen_gnp(2, 2, 1, 2, "minimal", seed=c.seed).f, 1).rank() == 5,
         "",
     ))]
-    + [_fixture("gnp/boundary-k-equals-e", 4, "k = e rejected", _gnp_boundary)]
+    + [Fixture("gnp/boundary-k-equals-e", 4, "k = e rejected", _gnp_boundary)]
     + [_wlpodd_fixture(N, d) for N, d in ((4, 5), (6, 5), (5, 7))]
     + [_thmwlp_fixture(N, d) for N, d in ((5, 4), (4, 6), (3, 8))]
     + [_prop44_fixture(case) for case in ("i", "ii", "iii")]
     + [
-        _fixture("properties/hilbert-symmetry", 8, "Hilbert vectors are symmetric", _prop_hilbert_symmetry),
-        _fixture("properties/euler-identity", 8, "sum of x_i d_i f equals deg(f) f", _prop_euler),
-        _fixture("properties/rank-consistency", 8, "Hessian rank at a point equals multiplication rank", _prop_rank_consistency),
-        _fixture("properties/basis-change", 8, "vanishing flag survives basis changes", _prop_basis_change),
-        _fixture("properties/variable-change", 8, "vanishing flag survives coordinate changes", _prop_variable_change),
-        _fixture("properties/noncone-nonvanishing", 8, "non-cones in few variables have nonzero Hessian", _prop_noncone_nonvanishing),
-        _fixture("properties/separated-additivity", 8, "split-variable Hilbert additivity", _prop_separated),
-        _fixture("modes/agreement", 9, "probabilistic and exact flags agree on small matrices", _mode_agreement),
+        Fixture("properties/hilbert-symmetry", 8, "Hilbert vectors are symmetric", _prop_hilbert_symmetry),
+        Fixture("properties/euler-identity", 8, "sum of x_i d_i f equals deg(f) f", _prop_euler),
+        Fixture("properties/rank-consistency", 8, "Hessian rank at a point equals multiplication rank", _prop_rank_consistency),
+        Fixture("properties/basis-change", 8, "vanishing flag survives basis changes", _prop_basis_change),
+        Fixture("properties/variable-change", 8, "vanishing flag survives coordinate changes", _prop_variable_change),
+        Fixture("properties/noncone-nonvanishing", 8, "non-cones in few variables have nonzero Hessian", _prop_noncone_nonvanishing),
+        Fixture("properties/separated-additivity", 8, "split-variable Hilbert additivity", _prop_separated),
+        Fixture("modes/agreement", 9, "probabilistic and exact flags agree on small matrices", _mode_agreement),
     ]
 )
 

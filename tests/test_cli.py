@@ -203,6 +203,11 @@ class TestMaxK:
         assert "hessian[2]" not in out
         assert "strong property undetermined" in out
 
+    def test_negative_cap_exit_two(self, capsys):
+        code, out, err = run(IKEDA_ARGS + ["--max-k", "-1", "--strict"], capsys)
+        assert code == 2
+        assert "max_k=-1" in err and "hessian[" not in out
+
 
 def write_instance(inst, tmp_path):
     path = tmp_path / "instance.json"

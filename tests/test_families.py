@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import pytest
 
 from lefschetz_lab.apolar import catalecticant, hilbert_vector
-from lefschetz_lab.errors import InfeasibleParametersError
+from lefschetz_lab.errors import DegenerateInstanceError, InfeasibleParametersError
 from lefschetz_lab.families import (
     FamilySpec,
+    _verified,
     gen_exceptional,
     gen_gn,
     gen_gnp,
@@ -17,7 +20,7 @@ from lefschetz_lab.families import (
     replay_manifest,
 )
 from lefschetz_lab.hessian import hessian_vanishes
-from lefschetz_lab.lefschetz import wlp_check_element
+from lefschetz_lab.lefschetz import LinearForm, wlp_check_element
 from lefschetz_lab.polycore import VariableSet, parse_poly
 
 from conftest import exact, prob
@@ -149,6 +152,11 @@ class TestPerazzo:
     def test_needs_more_x_than_u(self):
         with pytest.raises(InfeasibleParametersError):
             gen_perazzo(3, 2, 3)
+
+    def test_cone_rejected(self):
+        # (x0 + x1 + x2) * u1^2 depends on two variables only
+        with pytest.raises(DegenerateInstanceError, match="superfluous"):
+            gen_perazzo(2, 2, 3, gs=[parse_poly("u1^2", XU_VARS)] * 3)
 
     def test_needs_enough_monomials(self):
         with pytest.raises(InfeasibleParametersError):
@@ -317,3 +325,26 @@ class TestOverrideSerialization:
         spec = FamilySpec("perazzo", {"m": 2, "n": 2, "d": 3}, 0, {"q": "u1^3"})
         with pytest.raises(InfeasibleParametersError, match="'q'"):
             generate(spec)
+
+
+class TestVerified:
+    """Each claim kind of a manifest, altered alone, is caught at generation."""
+
+    @pytest.mark.parametrize(
+        "build,change,message",
+        [
+            (gen_ikeda, {"key_certificate_orders": (1, 2)}, "no vanishing certificate at order 1"),
+            (gen_ikeda, {"hess_pattern": ((1, True), (2, True))}, "order 1 did not vanish"),
+            (gen_ikeda, {"hess_pattern": ((1, False), (2, False))}, "order 2 vanished"),
+            (gen_ikeda, {"wlp": "holds", "wlp_witness": LinearForm.from_coeffs((1, 1, 1, 1))}, "witness fails"),
+            (lambda: gen_prop44("i"), {"wlp": "fails"}, "witness passes"),
+            (lambda: gen_thmwlp(5, 4), {"obstruction_level": 2}, "no obstruction at level 2"),
+            (lambda: gen_thmwlp(5, 4), {"obstruction_size": 5}, "4 operators, expected 5"),
+        ],
+        ids=["key", "hess-vanishes", "hess-nonvanishing", "witness-fails", "witness-passes", "obstruction-level", "obstruction-size"],
+    )
+    def test_altered_claim_raises(self, build, change, message):
+        inst = build()
+        _verified(inst.f, inst.manifest, 0, "test")
+        with pytest.raises(DegenerateInstanceError, match=message):
+            _verified(inst.f, replace(inst.manifest, **change), 0, "test")

@@ -23,7 +23,6 @@ from lefschetz_lab.hessian import (
     is_cone,
     poly_det_vanishes,
     poly_divexact,
-    second_partials_det_vanishes,
 )
 from lefschetz_lab.lefschetz import key_criterion
 from lefschetz_lab.polycore import (
@@ -48,28 +47,29 @@ PERAZZO = parse_poly("x*u^2 + y*u*v + z*v^2", PERAZZO_VARS)
 class TestHessianMatrix:
     def test_order_zero_is_f(self):
         H = hessian_matrix(prob(IKEDA), 0)
-        assert H.size == 1
-        assert H.entries[0][0] == IKEDA
+        assert len(H) == 1
+        assert H[0][0] == IKEDA
 
     def test_cubic_single_variable(self):
         vs = VariableSet(("x",))
         H = hessian_matrix(prob(parse_poly("x^3", vs)), 1)
-        assert H.entries[0][0] == parse_poly("6*x", vs)
+        assert H[0][0] == parse_poly("6*x", vs)
 
     def test_symmetry(self):
         H = hessian_matrix(prob(IKEDA), 2)
-        for i in range(H.size):
-            for j in range(H.size):
-                assert H.entries[i][j] == H.entries[j][i]
+        for i in range(len(H)):
+            for j in range(len(H)):
+                assert H[i][j] == H[j][i]
 
     def test_ikeda_mixed_rows_supported_on_u_columns(self):
-        H = hessian_matrix(prob(IKEDA), 2)
-        ops = [op.to_text() for op in H.basis.ops]
+        an = prob(IKEDA)
+        H = hessian_matrix(an, 2)
+        ops = [op.to_text() for op in an.basis(2).ops]
         mixed = [ops.index(t) for t in ("X0*U1", "X0*U2", "X1*U1", "X1*U2")]
         pure_u = {ops.index(t) for t in ("U1^2", "U1*U2", "U2^2")}
         for i in mixed:
-            for j in range(H.size):
-                if not H.entries[i][j].is_zero():
+            for j in range(len(H)):
+                if not H[i][j].is_zero():
                     assert j in pure_u
 
     def test_zero_poly_rejected(self):
@@ -191,31 +191,6 @@ class TestCone:
         assert (report.is_cone, report.witness) == partials_cone_oracle(f)
 
 
-class TestSecondPartials:
-    def test_zero_row(self):
-        vs = VariableSet(("x", "y"))
-        assert second_partials_det_vanishes(parse_poly("x^2", vs)).vanishes
-
-    def test_diagonal(self):
-        vs = VariableSet(("x", "y"))
-        verdict = second_partials_det_vanishes(parse_poly("x^2 + y^2", vs))
-        assert not verdict.vanishes and verdict.det_value == 4
-
-    def test_perazzo(self):
-        assert second_partials_det_vanishes(PERAZZO).vanishes
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            second_partials_det_vanishes(PERAZZO, mode="prob")
-
-    def test_agrees_with_quotient_hessian(self):
-        for f in (IKEDA, PERAZZO):
-            assert (
-                second_partials_det_vanishes(f).vanishes
-                == hessian_vanishes(prob(f), 1).vanishes
-            )
-
-
 class TestInvariance:
     @given(homogeneous_polys(max_vars=3, max_degree=4), st.data())
     @settings(max_examples=25)
@@ -305,7 +280,7 @@ class TestDerivativeMemo:
             for i in range(n)
         )
         H = hessian_matrix(an, k, AkBasis(k, new_ops, tuple(diff_apply(op, f) for op in new_ops)))
-        for a, row in zip(new_ops, H.entries):
+        for a, row in zip(new_ops, H):
             for b, cell in zip(new_ops, row):
                 assert cell == diff_apply(a, diff_apply(b, f))
 
@@ -537,11 +512,3 @@ class TestWitnessReplay:
                 verdict = an.verdict(k)
                 if not verdict.vanishes:
                     assert replays(an.hessian(k, k), verdict)
-        if f.degree >= 2:
-            verdict = second_partials_det_vanishes(f, seed=seed)
-            if not verdict.vanishes:
-                n = len(f.vars)
-                dual = f.vars.dual()
-                ops = [Poly.variable(dual, i) for i in range(n)]
-                entries = [[diff_apply(a, diff_apply(b, f)) for b in ops] for a in ops]
-                assert replays(entries, verdict)

@@ -390,7 +390,7 @@ class TestRankConsistency:
             coeffs[0] = 1
         L = LinearForm.from_coeffs(coeffs)
         H = hessian_matrix(prob(f), k)
-        evaluated = [[eval_poly(e, L.coeffs) for e in row] for row in H.entries]
+        evaluated = [[eval_poly(e, L.coeffs) for e in row] for row in H]
         assert linalg.rank(evaluated) == linalg.rank(mult_map(prob(f), L, k, d - 2 * k))
 
     @given(homogeneous_polys(max_vars=3, min_degree=2, max_degree=5), st.data())
