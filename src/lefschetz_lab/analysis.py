@@ -3,15 +3,17 @@
 An `Analysis` holds a form f with the decision mode and the seed, and
 memoizes what the profile, the Lefschetz verdicts and the certificates read:
 the monomial derivatives of f, the A_k bases, the Hilbert vector, the
-assembled (mixed) Hessians, each order's vanishing verdict, and each order's
-u-subring overflow certificate and each level's WLP obstruction certificate.
-A piece is computed on its first request by the module-level function that
-defines it (`ak_basis`, `hilbert_vector`, `mixed_hessian`, `hessian_vanishes`,
-`key_criterion`, `wlp_obstruction`) and reused afterwards, so one report
-decides each higher Hessian once and in one mode, and searches each order
-for a certificate once.  Each basis of A_k grows from that of A_(k-1), and
-the bases, every Hessian cell and both certificate searches read the
-derivatives of f from one memo.
+assembled (mixed) Hessians and their integer kernels, each order's vanishing
+verdict, and each order's u-subring overflow certificate and each level's
+WLP obstruction certificate.  A piece is computed on its first request by
+the module-level function that defines it (`ak_basis`, `hilbert_vector`,
+`mixed_hessian`, `IntMatrix`, `hessian_vanishes`, `key_criterion`,
+`wlp_obstruction`) and reused afterwards, so one report decides each higher
+Hessian once and in one mode, compiles each Hessian for evaluation once (the
+vanishing decision and every Lefschetz rank check evaluate that kernel), and
+searches each order for a certificate once.  Each basis of A_k grows from
+that of A_(k-1), and the bases, every Hessian cell and both certificate
+searches read the derivatives of f from one memo.
 
 Every function that reads the bases or the derivatives takes the Analysis in
 place of the bare form (and of any mode and seed); constructions on f alone
@@ -26,7 +28,7 @@ from .apolar import AkBasis, HilbertVector, ak_basis, hilbert_vector
 from .errors import ZeroPolynomialError
 from .hessian import MODES, Matrix, VanishingVerdict, hessian_vanishes, mixed_hessian
 from .lefschetz import KeyCertificate, ObstructionCertificate, key_criterion, wlp_obstruction
-from .polycore import Derivatives, Poly
+from .polycore import Derivatives, IntMatrix, Poly
 
 T = TypeVar("T")
 
@@ -67,6 +69,10 @@ class Analysis:
         """Entries of the mixed Hessian over the bases of A_k and A_l."""
         return self._get(("hessian", k, l), lambda: mixed_hessian(self, k, l))
 
+    def kernel(self, k: int, l: int) -> IntMatrix:
+        """The mixed Hessian over A_k and A_l compiled for integer points."""
+        return self._get(("kernel", k, l), lambda: IntMatrix(self.hessian(k, l)))
+
     def verdict(self, k: int) -> VanishingVerdict:
         """Whether the order-k Hessian vanishes, decided in this mode and seed."""
         return self._get(("verdict", k), lambda: hessian_vanishes(self, k))
@@ -80,12 +86,14 @@ class Analysis:
         return self._get(("obstruction", k), lambda: wlp_obstruction(self, k))
 
     def counts(self) -> dict:
-        """Hessian decisions, those that eliminated, memo hits, exact rank
-        fallbacks, monomial derivatives of f computed, basis candidates reduced."""
+        """Hessian decisions, those that eliminated, Hessian kernels compiled,
+        memo hits, exact rank fallbacks, monomial derivatives of f computed,
+        basis candidates reduced."""
         verdicts = [v for key, v in self._memo.items() if key[0] == "verdict"]
         return {
             "hessian_decisions": len(verdicts),
             "eliminations": sum(1 for v in verdicts if v.eliminated),
+            "kernels": sum(1 for key in self._memo if key[0] == "kernel"),
             "reused": self._reused,
             "rational_ranks": self.rational_ranks,
             "derivatives": len(self.derivatives) - 1,

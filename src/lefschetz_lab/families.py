@@ -218,7 +218,7 @@ def _verified(f: Poly, manifest: Manifest, seed: int, what: str) -> None:
 # -- the fixed codimension-4 example ------------------------------------------
 
 
-def gen_ikeda() -> FamilyInstance:
+def gen_ikeda(*, seed: int = 0) -> FamilyInstance:
     """The degree-5 form in 4 variables whose order-2 Hessian vanishes."""
     vs = VariableSet(("x0", "x1", "u1", "u2"), n_x=2)
     f = poly_sum(
@@ -239,8 +239,8 @@ def gen_ikeda() -> FamilyInstance:
         slp_fail_level=2,
         key_certificate_orders=(2,),
     )
-    _verified(f, manifest, 0, "ikeda")
-    return FamilyInstance(f, FamilySpec("ikeda", {}), manifest)
+    _verified(f, manifest, seed, "ikeda")
+    return FamilyInstance(f, FamilySpec("ikeda", {}, seed), manifest)
 
 
 # -- prescribed intermediate vanishing ----------------------------------------
@@ -936,7 +936,7 @@ def generate(spec: FamilySpec) -> FamilyInstance:
     seed = spec.seed
     over = _parsed_overrides(spec)
     if kind == "ikeda":
-        return gen_ikeda()
+        return gen_ikeda(seed=seed)
     if kind == "exceptional":
         return gen_exceptional(
             params["n"], params["d"], params["k"], h=over.get("h"), p=over.get("p"), seed=seed

@@ -5,16 +5,22 @@ basis (a_i) of the degree-k graded piece.  Whether its determinant vanishes
 identically does not depend on the basis, so verdicts are reported without
 one.  Both modes decide along one path:
 
-  * compile the matrix once into an integer kernel (`polycore.IntMatrix`,
-    rows scaled to integer coefficients), evaluate it at seeded integer
-    points and take the determinant modulo a prime drawn at random from
-    [2^60, 2^61) for this decision; a nonzero residue proves the integer
-    determinant nonzero, an unconditional nonvanishing witness in either
-    mode, and its exact value is then computed once, by integer Bareiss;
+  * evaluate the matrix's integer kernel (`polycore.IntMatrix`, rows scaled
+    to integer coefficients; the form's `Analysis` compiles it once) at
+    seeded integer points and take the determinant modulo a prime p drawn
+    at random from [2^60, 2^61) for this decision.  A nonzero residue
+    proves the determinant nonzero over Q, an unconditional nonvanishing
+    witness in either mode.  The verdict carries it as (point, p, residue),
+    the residue being that of the rational determinant (the row scale is
+    divided out mod p), so it replays from the matrix alone; the exact
+    value is not computed for the decision;
   * when every residue is zero, fraction-free elimination of the polynomial
     matrix over the rational function field (fewest-terms pivoting, early
     exit on a zero row/column) certifies vanishing unconditionally.
 
+A constant matrix (the middle Hessian of even degree) is decided by its
+residue at the all-ones point, exactly; only a zero residue, which p may
+produce for a nonzero value, sends it to the exact integer determinant.
 Elimination runs only after all evaluations were zero, and then only in exact
 mode or when the matrix is small enough; above the cutoff a probabilistic
 vanishing verdict states its error bound (deg/B)^trials + ceil(bits(N)/60) /
@@ -23,8 +29,9 @@ that the prime divides the content of a nonzero determinant polynomial,
 whose coefficients are bounded by N, the product of the rows' coefficient
 1-norms.  The prime is random, not fixed, because a fixed p can divide that
 content: 2^61-1 divides every value of the order-1 Hessian determinant of
-(2^61-1) x0^3 + x1^3 + ... + x12^3.  The Hessians and verdicts of one form
-are read through its `Analysis`, which builds and decides each once.
+(2^61-1) x0^3 + x1^3 + ... + x12^3.  The Hessians, their kernels and the
+verdicts of one form are read through its `Analysis`, which builds and
+decides each once.
 """
 
 from __future__ import annotations
@@ -32,8 +39,9 @@ from __future__ import annotations
 import hashlib
 import random
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import linalg
@@ -55,32 +63,60 @@ Matrix = tuple[tuple[Poly, ...], ...]
 class VanishingVerdict:
     """Outcome of a determinant-vanishing decision.
 
-    Nonvanishing verdicts always carry an evaluation point with a nonzero
-    determinant value (an unconditional witness).  Exact vanishing verdicts
-    carry a hash of the elimination transcript; probabilistic ones carry the
-    compounded failure bound instead.  `eliminated` records whether
-    polynomial elimination ran; it is not part of the serialized verdict.
+    A nonvanishing verdict found by evaluation carries the witness
+    (witness_point, prime, residue): residue = det H(witness_point) mod prime
+    is nonzero, which proves det H != 0 over Q.  A witness whose prime
+    divides the kernel's row scale, or one found on the determinant
+    polynomial after elimination, keeps the exact value instead.  `det_value`
+    is the exact determinant at the witness point for every nonvanishing
+    verdict; unless the decision kept it, it is computed from the witness
+    matrix on first access.  The JSON form shows it only up to size
+    DEFAULT_EXACT_CUTOFF and the prime and residue above that.  Exact
+    vanishing verdicts carry a hash of the elimination transcript;
+    probabilistic ones carry the compounded failure bound instead.
+    `eliminated` records whether polynomial elimination ran; it is not part
+    of the serialized verdict.
     """
 
     vanishes: bool
     mode: str  # "exact" | "probabilistic"
     witness_point: Optional[tuple[int, ...]] = None
-    det_value: Optional[Fraction] = None
+    prime: Optional[int] = None
+    residue: Optional[int] = None
     error_bound: Optional[Fraction] = None
     transcript_hash: Optional[str] = None
     eliminated: bool = False
+    # the exact value when the decision computed it, else the compiled matrix
+    # that gives it at the witness point on demand
+    known_value: Optional[Fraction] = None
+    kernel: Optional[IntMatrix] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.vanishes and self.witness_point is None:
             raise ValueError("nonvanishing verdict requires a witness point")
+        if not self.vanishes and self.known_value is None and (
+            not self.residue or self.kernel is None
+        ):
+            raise ValueError("nonvanishing verdict requires a nonzero residue or its value")
         if self.mode == "exact" and self.error_bound is not None:
             raise ValueError("exact verdicts carry no error bound")
+
+    @cached_property
+    def det_value(self) -> Optional[Fraction]:
+        """det H(witness_point) over Q; None for a vanishing verdict."""
+        if self.known_value is not None or self.kernel is None:
+            return self.known_value
+        matrix = self.kernel.at(self.witness_point)
+        return Fraction(linalg.det_int(matrix), self.kernel.scale)
 
     def to_json_dict(self) -> dict:
         out: dict = {"vanishes": self.vanishes, "mode": self.mode}
         if self.witness_point is not None:
             out["witness_point"] = list(self.witness_point)
-        if self.det_value is not None:
+        if self.residue and len(self.kernel) > DEFAULT_EXACT_CUTOFF:
+            out["prime"] = self.prime
+            out["residue"] = self.residue
+        elif self.det_value is not None:
             out["det_value"] = str(self.det_value)
         if self.error_bound is not None:
             out["error_bound"] = str(self.error_bound)
@@ -157,7 +193,8 @@ def hessian_vanishes(
 ) -> VanishingVerdict:
     """Decide whether the order-k Hessian determinant vanishes identically.
 
-    The decision runs in the Analysis's mode and seed.  `Analysis.verdict`
+    The decision runs in the Analysis's mode and seed, and on the default
+    basis it evaluates the kernel the Analysis compiled.  `Analysis.verdict`
     keeps the result; this function decides afresh on every call.
     """
     H = hessian_matrix(an, k, basis)
@@ -169,6 +206,7 @@ def hessian_vanishes(
         trials=DEFAULT_TRIALS,
         exact_cutoff=DEFAULT_EXACT_CUTOFF,
         salt=f"hess:{k}",
+        kernel=an.kernel(k, k) if basis is None else None,
     )
 
 
@@ -237,34 +275,39 @@ def _det_vanishes(
     trials: int,
     exact_cutoff: int,
     salt: str,
+    kernel: Optional[IntMatrix] = None,
 ) -> VanishingVerdict:
+    """Decide det(entries) == 0; `kernel`, when given, is the compiled entries."""
     size = len(entries)
     if size == 0:
         raise ValueError("empty matrix")
-    kernel = IntMatrix(entries)
+    if kernel is None:
+        kernel = IntMatrix(entries)
+    p = _decision_prime(salt, seed)
 
     if degree_bound == 0 or all(
         e.is_zero() or e.degree == 0 for row in entries for e in row
     ):
         # constant matrix: its determinant is the answer, unconditionally
         point = (1,) * kernel.nvars
+        verdict = _witness(kernel, point, p, "exact")
+        if verdict is not None:
+            return verdict
         value = Fraction(linalg.det_int(kernel.at(point)), kernel.scale)
-        if value:
-            return VanishingVerdict(False, "exact", witness_point=point, det_value=value)
+        if value:  # p divides the nonzero determinant
+            return VanishingVerdict(False, "exact", witness_point=point, known_value=value)
         return VanishingVerdict(
             True, "exact", transcript_hash=_hash_transcript(["constant-matrix", str(size)])
         )
 
     bound_B = 64 * degree_bound
     rng_base = f"{salt}:{seed}"
-    p = _decision_prime(salt, seed)
     for trial in range(trials):
         rng = random.Random(f"{rng_base}:{trial}")
         point = tuple(rng.randint(1, bound_B) for _ in range(kernel.nvars))
-        matrix = kernel.at(point)
-        if linalg.det_mod(matrix, p):
-            value = Fraction(linalg.det_int(matrix), kernel.scale)
-            return VanishingVerdict(False, mode, witness_point=point, det_value=value)
+        verdict = _witness(kernel, point, p, mode)
+        if verdict is not None:
+            return verdict
     if mode == "exact" or size <= exact_cutoff:
         return _exact_verdict(entries, seed, salt)
     # Schwartz-Zippel over F_p for every trial, plus the chance that p
@@ -277,8 +320,36 @@ def _det_vanishes(
     )
 
 
+def _witness(
+    kernel: IntMatrix, point: tuple[int, ...], p: int, mode: str
+) -> Optional[VanishingVerdict]:
+    """The nonvanishing verdict at `point` if the kernel's integer determinant
+    there is nonzero mod p; None otherwise.
+
+    The residue reported is that of the rational determinant, the integer one
+    over the kernel's scale.  When p divides the scale that residue is
+    undefined, and the exact value is kept instead.
+    """
+    matrix = kernel.at(point)
+    residue = linalg.det_mod(matrix, p)
+    if not residue:
+        return None
+    if kernel.scale % p:
+        residue = residue * pow(kernel.scale, -1, p) % p
+        return VanishingVerdict(
+            False, mode, witness_point=point, prime=p, residue=residue, kernel=kernel
+        )
+    value = Fraction(linalg.det_int(matrix), kernel.scale)
+    return VanishingVerdict(False, mode, witness_point=point, known_value=value)
+
+
+@lru_cache(maxsize=256)
 def _decision_prime(salt: str, seed: int) -> int:
-    """A prime drawn uniformly from [2^60, 2^61), determined by salt and seed."""
+    """A prime drawn uniformly from [2^60, 2^61), determined by salt and seed.
+
+    A draw takes about 0.3 ms, and every form analysed at one seed draws the
+    same few primes (the salt is the order), so the draws are cached.
+    """
     rng = random.Random(f"prime:{salt}:{seed}")
     while True:
         candidate = rng.randrange(2**60 + 1, 2**61, 2)
@@ -323,7 +394,7 @@ def _exact_verdict(
     # nonzero, yet zero at every sampled point: search on the determinant
     point, value = _nonzero_point(det_poly, seed, salt)
     return VanishingVerdict(
-        False, "exact", witness_point=point, det_value=value, eliminated=True
+        False, "exact", witness_point=point, known_value=value, eliminated=True
     )
 
 

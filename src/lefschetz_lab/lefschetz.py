@@ -3,12 +3,12 @@
 The rank of multiplication by L^(d-k-l): A_k -> A_(d-l) is the rank of the
 mixed Hessian (a_i b_j (f)) evaluated at the coefficients of L, so every
 Lefschetz check takes that rank, over the Hessians its form's `Analysis`
-assembles once.  The Hessian is evaluated through the integer kernel
-`polycore.IntMatrix` at L scaled to integers and ranked modulo 2^61-1; a
-maximal rank there is the rank over Q, and only a smaller one is recomputed
-exactly.  The explicit multiplication matrix, built
-from exact coordinate solves in the derivative spaces, is kept as API and as
-an independent reference.  Specific elements are checked directly; generic
+assembles once.  The Hessian is evaluated through its integer kernel
+(`polycore.IntMatrix`, compiled once by the Analysis) at L scaled to
+integers and ranked modulo 2^61-1; a maximal rank there is the rank over Q,
+and only a smaller one is recomputed exactly.  The explicit multiplication
+matrix, built from exact coordinate solves in the derivative spaces, is kept
+as API and as an independent reference.  Specific elements are checked directly; generic
 verdicts combine a random witness search (maximal rank is
 an open condition, so one success settles the generic statement) with
 structural failure certificates that rule out every L at once:
@@ -37,7 +37,6 @@ from .apolar import HilbertVector, first_dip, is_unimodal
 from .errors import DegreeRangeError, NoSplitError
 from .polycore import (
     DiffOp,
-    IntMatrix,
     Poly,
     Scalar,
     VariableSet,
@@ -132,14 +131,15 @@ class LevelCheck:
 def _rank_at(an: Analysis, k: int, l: int, L: LinearForm) -> int:
     """Rank of L^(d-k-l): A_k -> A_(d-l), from the mixed Hessian at L.
 
-    The Hessian's rows are scaled to integer coefficients and L to the
-    integer point cL; H(cL) = c^(d-k-l) H(L), so neither changes the rank.
+    The Hessian's kernel, read from the Analysis, has its rows scaled to
+    integer coefficients, and L is scaled to the integer point cL;
+    H(cL) = c^(d-k-l) H(L), so neither changes the rank.
     Reduction mod a prime can only lower the rank, so a maximal rank mod p
     is the rank over Q; any other rank is taken exactly and counted in the
     Analysis's `rational_ranks`.
     """
     c = lcm(*(x.denominator for x in L.coeffs))
-    matrix = IntMatrix(an.hessian(k, l)).at(tuple(int(x * c) for x in L.coeffs))
+    matrix = an.kernel(k, l).at(tuple(int(x * c) for x in L.coeffs))
     r = linalg.rank_mod(matrix, RANK_PRIME)
     if r == min(len(matrix), len(matrix[0])):
         return r

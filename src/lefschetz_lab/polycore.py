@@ -450,6 +450,9 @@ class IntMatrix:
             tuple(i * top + e - 1 for i, e in enumerate(expo) if e) for expo in monos
         ]
 
+    def __len__(self) -> int:
+        return len(self._rows)
+
     def at(self, point: Sequence[int]) -> list[list[int]]:
         """The scaled integer matrix at an integer point."""
         if len(point) != self.nvars:

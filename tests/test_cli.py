@@ -132,6 +132,24 @@ class TestGenerate:
         assert code == 0
         assert "x0*u^2*v" in out
 
+    def test_ikeda_records_the_requested_seed(self, capsys, monkeypatch, tmp_path):
+        import lefschetz_lab.families as families_mod
+
+        checked = []
+        real = families_mod._verified
+
+        def recording(f, manifest, seed, what):
+            checked.append(seed)
+            return real(f, manifest, seed, what)
+
+        monkeypatch.setattr(families_mod, "_verified", recording)
+        path = tmp_path / "ikeda.json"
+        code, out, _ = run(["generate", "--family", "ikeda", "--seed", "1", "--out", str(path)], capsys)
+        assert code == 0
+        assert json.loads(path.read_text())["seed"] == 1
+        assert json.loads("\n".join(out.splitlines()[1:]))["seed"] == 1
+        assert checked == [1]
+
 
 class TestReproduce:
     def test_unknown_suite(self, capsys):
@@ -359,6 +377,80 @@ class TestOneAnalysisPerForm:
         # sum C(n+k-1, k) = 19448 candidates in these 7 variables
         n, d = len(data["input"]["vars"]), data["degree"]
         assert 100 * counts["basis_candidates"] < sum(comb(n + k - 1, k) for k in range(d))
+
+
+DENSE_SEXTIC = "x^6 + y^6 + z^6 + 3*x^2*y^3*z - 2*x*y*z^4 + 5*x^3*y^2*z - y^4*z^2"
+DENSE_OCTIC = (
+    "1/11*x0^8 + x1^8 - 3*x2^8 + 1/13*x3^8 + 2*x0^3*x1^2*x2*x3^2 - 5*x0*x1^4*x2^2*x3"
+    " + 7*x0^2*x1*x2^3*x3^2 - x0^4*x1*x2*x3^2 + 4*x1^2*x2^2*x3^4 - 2*x0*x1*x2^5*x3"
+)
+
+
+class TestKernels:
+    def test_one_compilation_per_distinct_matrix(self, capsys, monkeypatch, tmp_path):
+        from lefschetz_lab.polycore import IntMatrix
+
+        compiled = []
+        real = IntMatrix.__init__
+
+        def counting(self, entries):
+            compiled.append((len(entries), len(entries[0])))
+            real(self, entries)
+
+        monkeypatch.setattr(IntMatrix, "__init__", counting)
+        report = tmp_path / "r.json"
+        code, out, _ = run(["analyze", "--poly", DENSE_SEXTIC, "--vars", "x,y,z", "--json", str(report)], capsys)
+        assert code == 0
+        assert "kernels" not in out.replace(str(report), "")
+        data = json.loads(report.read_text())
+        assert data["slp"]["verdict"] == data["wlp"]["verdict"] == "holds"
+        # the profile and SLP read the pure Hessians (k, k), WLP the mixed
+        # (i, d-1-i); each is compiled once however many trials rank it
+        d = data["degree"]
+        distinct = {(k, k) for k in range(d // 2 + 1)} | {(i, d - 1 - i) for i in range((d + 1) // 2)}
+        assert data["counts"]["kernels"] == len(compiled) == len(distinct) == 7
+
+
+class TestWitnessReplayFromReport:
+    @pytest.mark.parametrize("source", ["dense-octic", "wlpodd-6-7"])
+    def test_every_witness_replays(self, capsys, tmp_path, source):
+        """Each nonvanishing order replays from the report's input and witness alone."""
+        from fractions import Fraction
+
+        import sympy
+
+        from lefschetz_lab import linalg
+        from lefschetz_lab.analysis import Analysis
+        from lefschetz_lab.families import gen_wlpodd
+        from lefschetz_lab.hessian import hessian_matrix
+        from lefschetz_lab.polycore import VariableSet, eval_poly, parse_poly
+
+        if source == "dense-octic":
+            args = ["--poly", DENSE_OCTIC, "--vars", "x0,x1,x2,x3"]
+        else:
+            args = ["--in", str(write_instance(gen_wlpodd(6, 7), tmp_path))]
+        report = tmp_path / "r.json"
+        code, _, _ = run(["analyze", *args, "--seed", "1", "--json", str(report)], capsys)
+        assert code == 0
+        data = json.loads(report.read_text())
+        vs = VariableSet(tuple(data["input"]["vars"]), data["input"]["split"])
+        # the greedy basis, and so the Hessian, depends on the form alone
+        an = Analysis(parse_poly(data["input"]["poly"], vs), "exact", 0)
+        residues = 0
+        for k, verdict in enumerate(data["hess_profile"]):
+            if verdict["vanishes"]:
+                continue
+            point = verdict["witness_point"]
+            value = linalg.det([[eval_poly(e, point) for e in row] for row in hessian_matrix(an, k)])
+            if "residue" in verdict:
+                p = verdict["prime"]
+                assert 2**60 <= p < 2**61 and sympy.isprime(p)
+                assert value.numerator * pow(value.denominator, -1, p) % p == verdict["residue"] != 0
+                assert "det_value" not in verdict
+                residues += 1
+            else:
+                assert value == Fraction(verdict["det_value"]) != 0
+        assert residues >= 1
 
 
 class TestPaperScale:

@@ -26,6 +26,7 @@ from lefschetz_lab.hessian import (
 )
 from lefschetz_lab.lefschetz import key_criterion
 from lefschetz_lab.polycore import (
+    IntMatrix,
     Poly,
     VariableSet,
     diff_apply,
@@ -512,3 +513,124 @@ class TestWitnessReplay:
                 verdict = an.verdict(k)
                 if not verdict.vanishes:
                     assert replays(an.hessian(k, k), verdict)
+
+
+def residue_mod(value, p):
+    """The residue of a rational value mod p (p must not divide its denominator)."""
+    return value.numerator * pow(value.denominator, -1, p) % p
+
+
+def decide_small_cutoff(f, k, seed):
+    """Decide the order-k Hessian with no elimination cutoff: evaluation only."""
+    entries = prob(f).hessian(k, k)
+    verdict = _det_vanishes(
+        entries,
+        degree_bound=len(entries) * (f.degree - 2 * k),
+        mode="probabilistic",
+        seed=seed,
+        trials=DEFAULT_TRIALS,
+        exact_cutoff=0,
+        salt=f"hess:{k}",
+    )
+    return entries, verdict
+
+
+def residue_replays(entries, verdict):
+    """The witness's residue is the rational determinant there, mod its prime."""
+    value = linalg.det([[eval_poly(e, verdict.witness_point) for e in row] for row in entries])
+    return residue_mod(value, verdict.prime) == verdict.residue != 0
+
+
+class TestResidueWitness:
+    @given(
+        homogeneous_polys(max_vars=3, max_degree=5),
+        st.lists(st.integers(1, 6), min_size=6, max_size=6),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=25)
+    def test_residue_is_the_rational_determinant_mod_p(self, f, dens, seed):
+        f = with_rational_coefficients(f, dens)
+        for k in range(f.degree // 2 + 1):
+            entries, verdict = decide_small_cutoff(f, k, seed)
+            if not verdict.vanishes:
+                assert verdict.prime == _decision_prime(f"hess:{k}", seed)
+                assert residue_replays(entries, verdict)
+
+    def test_rational_row_scale_is_divided_out(self):
+        vs = VariableSet(("x", "y", "z"))
+        f = parse_poly("1/5*x^3 + 1/7*y^3 + 1/11*x*y*z + z^3", vs)
+        entries, verdict = decide_small_cutoff(f, 1, 0)
+        assert IntMatrix(entries).scale % verdict.prime != 1
+        assert residue_replays(entries, verdict)
+
+    def test_fixed_prime_content(self):
+        # 2^61-1 divides every value of this determinant; the random prime does not
+        entries, verdict = decide_small_cutoff(fermat_cubic(13, MERSENNE_61), 1, 0)
+        assert not verdict.vanishes and residue_replays(entries, verdict)
+
+    def test_prime_dividing_the_row_scale_keeps_the_value(self):
+        p = _decision_prime("hess:1", 0)
+        an = prob(fermat_cubic(13, Fraction(1, p)))
+        entries = an.hessian(1, 1)
+        assert an.kernel(1, 1).scale == p
+        verdict = hessian_vanishes(an, 1)
+        assert not verdict.vanishes and verdict.residue is None
+        assert verdict.det_value == Fraction(6**13 * prod(verdict.witness_point), p)
+        assert replays(entries, verdict)
+        assert "det_value" in verdict.to_json_dict() and "residue" not in verdict.to_json_dict()
+
+
+def fermat_quartic(nvars, first_coeff):
+    vs = VariableSet(tuple(f"x{i}" for i in range(nvars)))
+    powers = [tuple(4 if j == i else 0 for j in range(nvars)) for i in range(nvars)]
+    return Poly(vs, {c: first_coeff if i == 0 else 1 for i, c in enumerate(powers)})
+
+
+@pytest.fixture
+def det_int_calls(monkeypatch):
+    """Sizes of the matrices passed to linalg.det_int while the test runs."""
+    calls = []
+    real = linalg.det_int
+
+    def counting(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(linalg, "det_int", counting)
+    return calls
+
+
+class TestWitnessReport:
+    def test_value_only_up_to_the_cutoff(self):
+        for nvars in (DEFAULT_EXACT_CUTOFF, DEFAULT_EXACT_CUTOFF + 1):
+            verdict = hessian_vanishes(prob(fermat_cubic(nvars, 1)), 1)
+            out = verdict.to_json_dict()
+            assert verdict.det_value == 6**nvars * prod(verdict.witness_point)
+            if nvars <= DEFAULT_EXACT_CUTOFF:
+                assert out["det_value"] == str(verdict.det_value) and "residue" not in out
+            else:
+                assert (out["prime"], out["residue"]) == (verdict.prime, verdict.residue)
+                assert "det_value" not in out
+
+    def test_value_computed_on_first_access(self, det_int_calls):
+        verdict = hessian_vanishes(prob(fermat_cubic(13, 1)), 1)
+        assert not verdict.vanishes and det_int_calls == []
+        verdict.to_json_dict()
+        assert det_int_calls == []
+        assert verdict.det_value == 6**13 * prod(verdict.witness_point)
+        assert verdict.det_value and det_int_calls == [13]
+
+    def test_constant_matrix_decided_by_its_residue(self, det_int_calls):
+        # the middle Hessian of a Fermat quartic is diagonal with entries 24
+        verdict = hessian_vanishes(prob(fermat_quartic(13, 1)), 2)
+        assert not verdict.vanishes and verdict.mode == "exact" and verdict.residue
+        assert det_int_calls == []
+        assert verdict.det_value == 24**13
+
+    def test_constant_matrix_residue_zero_takes_the_value(self, det_int_calls):
+        p = _decision_prime("hess:2", 0)
+        verdict = hessian_vanishes(prob(fermat_quartic(13, p)), 2)
+        assert not verdict.vanishes and verdict.mode == "exact"
+        assert verdict.residue is None and verdict.det_value == 24**13 * p
+        assert det_int_calls == [13]
+        assert verdict.to_json_dict()["det_value"] == str(24**13 * p)
