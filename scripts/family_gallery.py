@@ -28,7 +28,7 @@ def main() -> None:
     args = parser.parse_args()
 
     gallery = [
-        gen_ikeda(),
+        gen_ikeda(seed=args.seed),
         gen_exceptional(3, 5, 2, seed=args.seed),
         gen_exceptional(3, 7, 3, seed=args.seed),
         gen_gnp(2, 2, 1, 2, seed=args.seed),

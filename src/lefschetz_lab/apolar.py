@@ -43,10 +43,6 @@ class Catalecticant:
     def rank(self) -> int:
         return linalg.rank(self.matrix)
 
-    def to_json_rows(self) -> list[list[str]]:
-        """Matrix as rows of exact "p/q" strings."""
-        return [[str(x) for x in row] for row in self.matrix]
-
 
 @dataclass(frozen=True)
 class AkBasis:
@@ -147,14 +143,6 @@ class HilbertVector:
 
     def __getitem__(self, i: int) -> int:
         return self.dims[i]
-
-    @property
-    def socle_degree(self) -> int:
-        return len(self.dims) - 1
-
-    @property
-    def codimension(self) -> int:
-        return self.dims[1] if len(self.dims) > 1 else 0
 
 
 def hilbert_vector(an: Analysis) -> HilbertVector:

@@ -18,7 +18,7 @@ from . import __version__
 from .analysis import Analysis
 from .apolar import is_unimodal
 from .errors import LefschetzLabError
-from .families import FAMILY_KINDS, FamilySpec, generate
+from .families import FAMILIES, FamilySpec, generate
 from .hessian import hess_profile, is_cone
 from .lefschetz import slp_generic, wlp_generic
 from .polycore import VariableSet, parse_poly
@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--strict", action="store_true", help="exit 3 when the SLP or WLP verdict is undetermined")
 
     pg = sub.add_parser("generate", help="generate a family instance")
-    pg.add_argument("--family", required=True, choices=FAMILY_KINDS)
+    pg.add_argument("--family", required=True, choices=tuple(FAMILIES))
     for flag in ("n", "m", "d", "k", "e", "r"):
         pg.add_argument(f"--{flag}", type=int, default=None)
     pg.add_argument("--case", choices=("i", "ii", "iii"), default=None)
@@ -111,10 +111,8 @@ def cmd_analyze(args) -> int:
     mode = _long_mode(args.mode)
     poly_text, vs = _load_input(args)
     f = parse_poly(poly_text, vs)
-    if f.is_zero():
-        raise LefschetzLabError("the zero polynomial has nothing to analyze")
-    d = f.degree
     an = Analysis(f, mode, seed)
+    d = f.degree
     timing: dict[str, float] = {}
 
     def stage(name: str, fn):
@@ -187,35 +185,18 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-_FAMILY_PARAMS = {
-    "ikeda": (),
-    "exceptional": ("n", "d", "k"),
-    "gnp": ("m", "n", "k", "e"),
-    "perazzo": ("m", "n", "d"),
-    "permutti": ("m", "n", "e", "d"),
-    "gn": ("m", "n", "r", "e", "d"),
-    "wlpodd": ("n", "d"),
-    "thmwlp": ("n", "d"),
-    "prop44": ("case",),
-}
-
-
 def cmd_generate(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     kind = args.family
+    family = FAMILIES[kind]
     params: dict = {}
-    for name in _FAMILY_PARAMS[kind]:
-        value = getattr(args, name)
-        if value is None and not (kind == "gnp" and name == "n"):
-            raise LefschetzLabError(f"--family {kind} requires --{name}")
+    for name in family.params:
+        value = getattr(args, name.lower())
+        if value is None and name not in family.optional:
+            raise LefschetzLabError(f"--family {kind} requires --{name.lower()}")
         if value is not None:
             params[name] = value
-    if kind == "gnp":
-        params["variant"] = args.variant
-    if kind in ("wlpodd", "thmwlp"):
-        params["N"] = params.pop("n")
-    spec = FamilySpec(kind, params, seed)
-    instance = generate(spec)
+    instance = generate(FamilySpec(kind, params, seed))
     payload = instance.to_json_dict()
     print(instance.f.to_text())
     print(json.dumps(payload, indent=2, sort_keys=True))

@@ -15,13 +15,17 @@ mode.
 Canonical shapes only: the tail polynomials (g, h, p, the biform parts) have
 fixed monomial defaults, overridable by keyword.  Identical parameters always
 produce bit-identical output.
+
+`FAMILIES` is the one place a family is declared: its generator, its
+parameters (also the CLI flags) and the tail overrides it accepts.
+`generate` and the CLI read every family from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .analysis import Analysis
 from .apolar import catalecticant, is_unimodal
@@ -49,19 +53,6 @@ from .polycore import (
     parse_poly,
     poly_sum,
 )
-
-FAMILY_KINDS = (
-    "ikeda",
-    "exceptional",
-    "gnp",
-    "perazzo",
-    "permutti",
-    "gn",
-    "wlpodd",
-    "thmwlp",
-    "prop44",
-)
-
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -924,71 +915,68 @@ def _decided(report: LefschetzReport) -> str:
     return report.verdict
 
 
+# -- the family table -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Family:
+    """One family as `generate` and the CLI see it.
+
+    `params` are the generator's parameter names, in its order; lower-cased
+    they are the CLI flags.  `optional` gives the value passed for an absent
+    optional parameter.  `tails`, for a family with tail overrides, maps the
+    parameters to the variable set the override texts are parsed over and
+    the override names allowed.
+    """
+
+    gen: Callable[..., FamilyInstance]
+    params: tuple[str, ...]
+    optional: Mapping[str, object]
+    tails: Optional[Callable[[dict], tuple[VariableSet, set[str]]]]
+
+
+FAMILIES: dict[str, Family] = {
+    "ikeda": Family(gen_ikeda, (), {}, None),
+    "exceptional": Family(gen_exceptional, ("n", "d", "k"), {}, lambda p: (_x_uv_vars(p["n"]), {"h", "p"})),
+    "gnp": Family(gen_gnp, ("m", "n", "k", "e", "variant"), {"n": None, "variant": "lemma_m2"}, None),
+    "perazzo": Family(gen_perazzo, ("m", "n", "d"), {}, lambda p: (
+        _xu_vars(p["m"], p["n"]), {"h"} | {f"g{i}" for i in range(p["n"] + 1)})),
+    "permutti": Family(gen_permutti, ("m", "n", "e", "d"), {}, lambda p: (
+        _xu_vars(p["m"], p["n"]), {f"P{j}" for j in range(p["d"] // p["e"] + 1)})),
+    "gn": Family(gen_gn, ("m", "n", "r", "e", "d"), {}, None),
+    "wlpodd": Family(gen_wlpodd, ("N", "d"), {}, None),
+    "thmwlp": Family(gen_thmwlp, ("N", "d"), {}, lambda p: (_x_uv_vars(p["N"]), {"g", "h"})),
+    "prop44": Family(gen_prop44, ("case",), {}, lambda p: (_PROP44_VARS, {"h"})),
+}
+
+
 def generate(spec: FamilySpec) -> FamilyInstance:
-    """Dispatch a FamilySpec to its generator, overrides included.
+    """Build the instance a FamilySpec describes, overrides included.
 
     Each override text is parsed over the family's variable set and passed
     to the generator under its recorded name, so `generate` rebuilds from a
     serialized spec the instance that produced it.
     """
-    kind = spec.kind
-    params = dict(spec.params)
-    seed = spec.seed
-    over = _parsed_overrides(spec)
-    if kind == "ikeda":
-        return gen_ikeda(seed=seed)
-    if kind == "exceptional":
-        return gen_exceptional(
-            params["n"], params["d"], params["k"], h=over.get("h"), p=over.get("p"), seed=seed
-        )
-    if kind == "gnp":
-        return gen_gnp(
-            params["m"],
-            params.get("n"),
-            params["k"],
-            params["e"],
-            params.get("variant", "lemma_m2"),
-            seed=seed,
-        )
-    if kind == "perazzo":
-        n = params["n"]
-        gs = [over[f"g{i}"] for i in range(n + 1) if f"g{i}" in over] or None
-        return gen_perazzo(params["m"], n, params["d"], gs=gs, h=over.get("h"), seed=seed)
-    if kind == "permutti":
-        Ps = {int(name[1:]): poly for name, poly in over.items()} or None
-        return gen_permutti(params["m"], params["n"], params["e"], params["d"], Ps=Ps, seed=seed)
-    if kind == "gn":
-        return gen_gn(
-            params["m"], params["n"], params["r"], params["e"], params["d"], seed=seed
-        )
-    if kind == "wlpodd":
-        return gen_wlpodd(params["N"], params["d"], seed=seed)
-    if kind == "thmwlp":
-        return gen_thmwlp(params["N"], params["d"], g=over.get("g"), h=over.get("h"), seed=seed)
-    if kind == "prop44":
-        return gen_prop44(params["case"], over.get("h"), seed=seed)
-    raise InfeasibleParametersError(f"unknown family kind {spec.kind!r}")
+    family = FAMILIES.get(spec.kind)
+    if family is None:
+        raise InfeasibleParametersError(f"unknown family kind {spec.kind!r}")
+    params = {**family.optional, **spec.params}
+    return family.gen(**params, **_tail_overrides(spec, family, params), seed=spec.seed)
 
 
-def _parsed_overrides(spec: FamilySpec) -> dict[str, Poly]:
-    """The spec's override texts parsed over its family's variable set."""
+def _tail_overrides(spec: FamilySpec, family: Family, params: dict) -> dict:
+    """The spec's override texts parsed over its family's variable set, as keywords."""
     if not spec.overrides:
         return {}
-    params = spec.params
-    if spec.kind in ("exceptional", "thmwlp"):
-        vs = _x_uv_vars(params["n" if spec.kind == "exceptional" else "N"])
-        names = {"h", "p"} if spec.kind == "exceptional" else {"g", "h"}
-    elif spec.kind == "perazzo":
-        vs = _xu_vars(params["m"], params["n"])
-        names = {"h"} | {f"g{i}" for i in range(params["n"] + 1)}
-    elif spec.kind == "permutti":
-        vs = _xu_vars(params["m"], params["n"])
-        names = {f"P{j}" for j in range(params["d"] // params["e"] + 1)}
-    elif spec.kind == "prop44":
-        vs, names = _PROP44_VARS, {"h"}
-    else:
-        vs, names = None, set()
+    vs, names = family.tails(params) if family.tails else (None, set())
     unknown = sorted(set(spec.overrides) - names)
     if unknown:
         raise InfeasibleParametersError(f"{spec.kind} takes no override named {unknown[0]!r}")
-    return {name: parse_poly(text, vs) for name, text in spec.overrides.items()}
+    over = {name: parse_poly(text, vs) for name, text in spec.overrides.items()}
+    # indexed tails travel as one keyword: perazzo's g0..gn, permutti's P0..
+    if spec.kind == "perazzo":
+        gs = [over.pop(f"g{i}") for i in range(params["n"] + 1) if f"g{i}" in over]
+        return {**over, "gs": gs or None}
+    if spec.kind == "permutti":
+        return {"Ps": {int(name[1:]): poly for name, poly in over.items()}}
+    return over

@@ -87,7 +87,7 @@ def _named(results: Sequence[tuple[str, bool, str]]) -> tuple[bool, str]:
 
 
 def _run_ikeda(config: SuiteConfig) -> tuple[bool, str]:
-    inst = gen_ikeda()
+    inst = gen_ikeda(seed=config.seed)
     results = replay_manifest(inst, mode=config.mode, seed=config.seed)
     dim_a2 = len(ak_basis(inst.f, 2))
     results.append(("dim_a2", dim_a2 == 10, str(dim_a2)))
@@ -95,7 +95,7 @@ def _run_ikeda(config: SuiteConfig) -> tuple[bool, str]:
 
 
 def _run_perazzo(config: SuiteConfig) -> tuple[bool, str]:
-    inst = gen_perazzo(2, 2, 3)
+    inst = gen_perazzo(2, 2, 3, seed=config.seed)
     an = Analysis(inst.f, "exact", config.seed)
     verdict = an.verdict(1)
     cone = is_cone(an)
@@ -429,11 +429,11 @@ def _mode_agreement(config: SuiteConfig) -> tuple[bool, str]:
             if len(prob.basis(k)) <= 8:
                 fixtures.append((f"{name}[k={k}]", prob, exact, k))
 
-    add("ikeda", gen_ikeda().f)
-    add("perazzo", gen_perazzo(2, 2, 3).f)
-    add("gnp", gen_gnp(2, 2, 1, 2).f)
-    add("exceptional", gen_exceptional(3, 5, 2).f)
-    add("prop44-i", gen_prop44("i").f)
+    add("ikeda", gen_ikeda(seed=config.seed).f)
+    add("perazzo", gen_perazzo(2, 2, 3, seed=config.seed).f)
+    add("gnp", gen_gnp(2, 2, 1, 2, seed=config.seed).f)
+    add("exceptional", gen_exceptional(3, 5, 2, seed=config.seed).f)
+    add("prop44-i", gen_prop44("i", seed=config.seed).f)
     vs = VariableSet(("x", "y", "z"))
     add("fermat", parse_poly("x^4 + y^4 + z^4", vs))
     e_vs = VariableSet(("x", "y", "z", "u", "v"), n_x=3)

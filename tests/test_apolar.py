@@ -235,11 +235,3 @@ class TestDependsOnAllVars:
 
     def test_perazzo(self):
         assert not is_cone(prob(PERAZZO)).is_cone
-
-
-def test_catalecticant_json_rows():
-    vs = VariableSet(("x", "y"))
-    cat = catalecticant(parse_poly("1/3*x^2 + x*y", vs), 1)
-    rows = cat.to_json_rows()
-    assert all(isinstance(x, str) for row in rows for x in row)
-    assert any("/" in x for row in rows for x in row)

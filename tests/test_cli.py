@@ -85,6 +85,11 @@ class TestAnalyze:
         assert code == 2
         assert err.startswith("error: ") and "instance JSON" in err
 
+    def test_zero_form_exit_two(self, capsys):
+        code, out, err = run(["analyze", "--poly", "x - x", "--vars", "x"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: the zero polynomial has no graded algebra\n"
+
 
 class TestGenerate:
     def test_gnp_text(self, capsys):
@@ -149,6 +154,46 @@ class TestGenerate:
         assert json.loads(path.read_text())["seed"] == 1
         assert json.loads("\n".join(out.splitlines()[1:]))["seed"] == 1
         assert checked == [1]
+
+
+# one small instance per family: its generate flags and the FamilySpec params
+# the CLI must build from them
+FAMILY_CASES = {
+    "ikeda": ([], {}),
+    "exceptional": (["--n", "3", "--d", "5", "--k", "2"], {"n": 3, "d": 5, "k": 2}),
+    "gnp": (["--m", "2", "--k", "1", "--e", "2", "--variant", "maximal"], {"m": 2, "k": 1, "e": 2, "variant": "maximal"}),
+    "perazzo": (["--m", "2", "--n", "2", "--d", "3"], {"m": 2, "n": 2, "d": 3}),
+    "permutti": (["--m", "2", "--n", "2", "--e", "3", "--d", "3"], {"m": 2, "n": 2, "e": 3, "d": 3}),
+    "gn": (["--m", "2", "--n", "2", "--r", "1", "--e", "3", "--d", "4"], {"m": 2, "n": 2, "r": 1, "e": 3, "d": 4}),
+    "wlpodd": (["--n", "4", "--d", "5"], {"N": 4, "d": 5}),
+    "thmwlp": (["--n", "5", "--d", "4"], {"N": 5, "d": 4}),
+    "prop44": (["--case", "i"], {"case": "i"}),
+}
+
+
+class TestFamilyTable:
+    def test_gnp_maximal_without_n(self, capsys, tmp_path):
+        path = tmp_path / "gnp.json"
+        flags = ["--family", "gnp", "--m", "3", "--k", "1", "--e", "3", "--variant", "maximal"]
+        code, _, err = run(["generate", *flags, "--out", str(path)], capsys)
+        assert code == 0, err
+        assert json.loads(path.read_text())["params"]["n"] == 9
+
+    def test_every_family_has_a_case(self):
+        from lefschetz_lab.families import FAMILIES
+
+        assert set(FAMILY_CASES) == set(FAMILIES)
+
+    @pytest.mark.parametrize("kind", sorted(FAMILY_CASES))
+    def test_cli_flags_build_the_spec(self, capsys, tmp_path, kind):
+        from lefschetz_lab.families import FamilySpec, generate
+
+        flags, params = FAMILY_CASES[kind]
+        path = tmp_path / "instance.json"
+        code, _, err = run(["generate", "--family", kind, *flags, "--seed", "1", "--out", str(path)], capsys)
+        assert code == 0, err
+        expected = generate(FamilySpec(kind, params, 1)).to_json_dict()
+        assert path.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 class TestReproduce:

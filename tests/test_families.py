@@ -1,3 +1,4 @@
+import inspect
 from dataclasses import replace
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from lefschetz_lab.apolar import catalecticant, hilbert_vector
 from lefschetz_lab.errors import DegenerateInstanceError, InfeasibleParametersError
 from lefschetz_lab.families import (
+    FAMILIES,
     FamilySpec,
     _verified,
     gen_exceptional,
@@ -284,8 +286,15 @@ class TestDispatch:
         assert inst.f.to_text() == "x*u^2 + y*u*v + z*v^2"
 
     def test_unknown_kind(self):
-        with pytest.raises(InfeasibleParametersError):
+        with pytest.raises(InfeasibleParametersError, match="unknown family kind 'mystery'"):
             generate(FamilySpec("mystery", {}))
+
+    @pytest.mark.parametrize("kind", sorted(FAMILIES))
+    def test_table_names_generator_parameters(self, kind):
+        family = FAMILIES[kind]
+        signature = inspect.signature(family.gen).parameters
+        assert all(name in signature for name in family.params)
+        assert set(family.optional) <= set(family.params)
 
     def test_instance_poly_round_trips(self):
         inst = gen_thmwlp(5, 4)
