@@ -27,6 +27,10 @@ from .reproduce import SuiteConfig, format_table, run_suite
 USAGE_ERROR = 2
 STRICT_UNDETERMINED = 3
 
+# the `generate` flags: every family parameter, lower-cased
+_INT_FLAGS = ("n", "m", "d", "k", "e", "r")
+_FAMILY_FLAGS = _INT_FLAGS + ("case", "variant")
+
 
 def _default_seed() -> int:
     raw = os.environ.get("LEFSCHETZ_LAB_SEED", "0")
@@ -64,10 +68,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pg = sub.add_parser("generate", help="generate a family instance")
     pg.add_argument("--family", required=True, choices=tuple(FAMILIES))
-    for flag in ("n", "m", "d", "k", "e", "r"):
+    for flag in _INT_FLAGS:
         pg.add_argument(f"--{flag}", type=int, default=None)
     pg.add_argument("--case", choices=("i", "ii", "iii"), default=None)
-    pg.add_argument("--variant", choices=("lemma_m2", "minimal", "maximal"), default="lemma_m2")
+    pg.add_argument("--variant", choices=("lemma_m2", "minimal", "maximal"), default=None)
     pg.add_argument("--seed", type=int, default=None)
     pg.add_argument("--out", help="write the instance as JSON")
 
@@ -189,6 +193,10 @@ def cmd_generate(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     kind = args.family
     family = FAMILIES[kind]
+    taken = {name.lower() for name in family.params}
+    for flag in _FAMILY_FLAGS:
+        if flag not in taken and getattr(args, flag) is not None:
+            raise LefschetzLabError(f"--family {kind} takes no --{flag}")
     params: dict = {}
     for name in family.params:
         value = getattr(args, name.lower())

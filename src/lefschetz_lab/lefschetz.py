@@ -186,7 +186,6 @@ class LefschetzReport:
     levels: tuple[LevelCheck, ...] = ()
     level: Optional[int] = None
     map: Optional[tuple[int, int]] = None
-    rank: Optional[int] = None
     required: Optional[int] = None
     certificate: Optional[object] = None
 
@@ -205,8 +204,6 @@ class LefschetzReport:
             out["level"] = self.level
         if self.map is not None:
             out["map"] = list(self.map)
-        if self.rank is not None:
-            out["rank"] = self.rank
         if self.required is not None:
             out["required"] = self.required
         cert = self.certificate

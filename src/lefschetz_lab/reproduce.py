@@ -4,6 +4,13 @@ Each fixture re-derives its expected values through the public API and
 reports pass/fail with a short detail string.  The suite is deterministic
 given (seed, mode); the CLI `reproduce` subcommand and the acceptance tests
 both consume `FIXTURES` so they cannot drift apart.
+
+The paper's constructions (criteria 1-7) are rows of data: a family kind and
+its parameters, built by `families.generate` and checked by
+`replay_manifest` against the instance's own manifest, in exact mode where
+the row asks for it; a manifest whose weak property fails also gets the
+explicit-matrix check that the failing map is never injective.  Only the
+gnp codimension, minimal and boundary rows keep a check of their own.
 """
 
 from __future__ import annotations
@@ -13,25 +20,25 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import linalg
 from .analysis import Analysis
-from .apolar import AkBasis, ak_basis, catalecticant
+from .apolar import AkBasis, catalecticant
 from .errors import InfeasibleParametersError
 from .families import (
     FamilyInstance,
+    FamilySpec,
     gen_exceptional,
     gen_gnp,
     gen_ikeda,
     gen_perazzo,
     gen_prop44,
-    gen_thmwlp,
-    gen_wlpodd,
+    generate,
     replay_manifest,
 )
 from .hessian import hessian_matrix, hessian_vanishes, is_cone, poly_det_vanishes
-from .lefschetz import LinearForm, mult_map, verify_key_certificate
+from .lefschetz import LinearForm, mult_map
 from .polycore import (
     Poly,
     VariableSet,
@@ -83,100 +90,7 @@ def _named(results: Sequence[tuple[str, bool, str]]) -> tuple[bool, str]:
     return True, f"{len(results)} checks"
 
 
-# -- criterion 1 and 2: fixed small fixtures -----------------------------------
-
-
-def _run_ikeda(config: SuiteConfig) -> tuple[bool, str]:
-    inst = gen_ikeda(seed=config.seed)
-    results = replay_manifest(inst, mode=config.mode, seed=config.seed)
-    dim_a2 = len(ak_basis(inst.f, 2))
-    results.append(("dim_a2", dim_a2 == 10, str(dim_a2)))
-    return _named(results)
-
-
-def _run_perazzo(config: SuiteConfig) -> tuple[bool, str]:
-    inst = gen_perazzo(2, 2, 3, seed=config.seed)
-    an = Analysis(inst.f, "exact", config.seed)
-    verdict = an.verdict(1)
-    cone = is_cone(an)
-    return _named(
-        [
-            ("hess=0(exact)", verdict.vanishes and verdict.mode == "exact", ""),
-            ("not_cone", not cone.is_cone, ""),
-        ]
-    )
-
-
-# -- criterion 3: the prescribed-vanishing sweep --------------------------------
-
-EXCEPTIONAL_SWEEP = [
-    (3, 5, 2),
-    (3, 6, 2),
-    (3, 7, 2),
-    (3, 7, 3),
-    (3, 8, 2),
-    (3, 8, 3),
-    (3, 9, 2),
-    (3, 9, 3),
-    (3, 9, 4),
-    (4, 8, 3),
-]
-
-
-def _exceptional_fixture(n: int, d: int, k: int) -> Fixture:
-    def run(config: SuiteConfig) -> tuple[bool, str]:
-        inst = gen_exceptional(n, d, k, seed=config.seed)
-        return _named(replay_manifest(inst, mode=config.mode, seed=config.seed))
-
-    return Fixture(
-        f"exceptional/n{n}-d{d}-k{k}",
-        3,
-        f"orders 2..{k} vanish, orders 1 and {k + 1} do not (n={n}, d={d})",
-        run,
-    )
-
-
-# -- criterion 4: bilinear families with overflow certificates ------------------
-
-
-def _gnp_lemma_fixture(k: int, e: int) -> Fixture:
-    def run(config: SuiteConfig) -> tuple[bool, str]:
-        inst = gen_gnp(2, 2, k, e, "lemma_m2", seed=config.seed)
-        an = Analysis(inst.f, "exact", config.seed)
-        cert = an.key(k)
-        results = [
-            ("key_certificate", cert is not None and verify_key_certificate(inst.f, cert), ""),
-            ("hess=0(exact)", an.verdict(k).vanishes, ""),
-            ("dim_a1=5", catalecticant(inst.f, 1).rank() == 5, ""),
-        ]
-        return _named(results)
-
-    return Fixture(
-        f"gnp/lemma-k{k}-e{e}", 4, f"five-variable shape, order-{k} Hessian vanishes", run
-    )
-
-
-def _gnp_maximal_fixture(m: int, e: int) -> Fixture:
-    def run(config: SuiteConfig) -> tuple[bool, str]:
-        inst = gen_gnp(m, None, 1, e, "maximal", seed=config.seed)
-        expected = m + comb(m - 1 + e, e)
-        got = catalecticant(inst.f, 1).rank()
-        return got == expected, f"codimension {got} vs {expected}"
-
-    return Fixture(
-        f"gnp/maximal-m{m}-e{e}", 4, "maximal-variant codimension formula", run
-    )
-
-
-def _gnp_boundary(config: SuiteConfig) -> tuple[bool, str]:
-    try:
-        gen_gnp(2, 2, 2, 2, "lemma_m2", seed=config.seed)
-    except InfeasibleParametersError as exc:
-        return True, f"rejected: {exc}"
-    return False, "k = e = 2 should be infeasible (needs e > k)"
-
-
-# -- criteria 5 and 6: weak-property failures ------------------------------------
+# -- criteria 1-7: the paper's families, replayed from their manifests --------
 
 
 def _middle_never_injective(
@@ -199,52 +113,49 @@ def _middle_never_injective(
     return True, f"max rank {worst} < {h_src} over {trials} linear forms"
 
 
-def _wlpodd_fixture(N: int, d: int) -> Fixture:
+def _family_fixture(
+    fixture_id: str,
+    criterion: int,
+    description: str,
+    kind: str,
+    params: dict,
+    mode: Optional[str] = None,
+) -> Fixture:
+    """Generate the instance and replay its manifest in `mode`, else the suite's."""
+
     def run(config: SuiteConfig) -> tuple[bool, str]:
-        inst = gen_wlpodd(N, d, seed=config.seed)
-        q = d // 2
-        results = replay_manifest(inst, mode=config.mode, seed=config.seed)
-        ok, detail = _middle_never_injective(inst, q, config)
-        results.append((f"A{q}->A{q + 1} never injective", ok, detail))
+        inst = generate(FamilySpec(kind, params, config.seed))
+        results = replay_manifest(inst, mode=mode or config.mode, seed=config.seed)
+        if inst.manifest.wlp == "fails":
+            level = inst.manifest.wlp_fail_level
+            ok, detail = _middle_never_injective(inst, level, config)
+            results.append((f"A{level}->A{level + 1} never injective", ok, detail))
         return _named(results)
 
-    return Fixture(
-        f"wlpodd/N{N}-d{d}",
-        5,
-        "odd socle degree, unimodal, middle map never injective",
-        run,
-    )
+    return Fixture(fixture_id, criterion, description, run)
 
 
-def _thmwlp_fixture(N: int, d: int) -> Fixture:
+def _gnp_maximal_fixture(m: int, e: int) -> Fixture:
     def run(config: SuiteConfig) -> tuple[bool, str]:
-        inst = gen_thmwlp(N, d, seed=config.seed)
-        level = inst.manifest.obstruction_level
-        results = replay_manifest(inst, mode=config.mode, seed=config.seed)
-        ok, detail = _middle_never_injective(inst, level, config)
-        results.append((f"A{level}->A{level + 1} never injective", ok, detail))
-        return _named(results)
+        inst = generate(FamilySpec("gnp", {"m": m, "k": 1, "e": e, "variant": "maximal"}, config.seed))
+        expected = m + comb(m - 1 + e, e)
+        got = catalecticant(inst.f, 1).rank()
+        return got == expected, f"codimension {got} vs {expected}"
 
-    return Fixture(
-        f"thmwlp/N{N}-d{d}",
-        6,
-        "even socle degree, unimodal, obstruction certificate replays",
-        run,
-    )
+    return Fixture(f"gnp/maximal-m{m}-e{e}", 4, "maximal-variant codimension formula", run)
 
 
-# -- criterion 7 ------------------------------------------------------------------
+def _gnp_minimal(config: SuiteConfig) -> tuple[bool, str]:
+    spec = FamilySpec("gnp", {"m": 2, "n": 2, "k": 1, "e": 2, "variant": "minimal"}, config.seed)
+    return catalecticant(generate(spec).f, 1).rank() == 5, ""
 
 
-def _prop44_fixture(case: str) -> Fixture:
-    def run(config: SuiteConfig) -> tuple[bool, str]:
-        inst = gen_prop44(case, seed=config.seed)
-        results = replay_manifest(inst, mode="exact", seed=config.seed)
-        return _named(results)
-
-    return Fixture(
-        f"prop44/case-{case}", 7, "vanishing Hessian yet the weak property holds", run
-    )
+def _gnp_boundary(config: SuiteConfig) -> tuple[bool, str]:
+    try:
+        generate(FamilySpec("gnp", {"m": 2, "k": 2, "e": 2}, config.seed))
+    except InfeasibleParametersError as exc:
+        return True, f"rejected: {exc}"
+    return False, "k = e = 2 should be infeasible (needs e > k)"
 
 
 # -- criterion 8: randomized property suites ---------------------------------------
@@ -450,23 +361,44 @@ def _mode_agreement(config: SuiteConfig) -> tuple[bool, str]:
 
 # -- registry -------------------------------------------------------------------
 
-
 FIXTURES: list[Fixture] = (
     [
-        Fixture("ikeda/full", 1, "profile, Hilbert vector, strong-property failure", _run_ikeda),
-        Fixture("perazzo/vanishing-noncone", 2, "classical vanishing Hessian, not a cone", _run_perazzo),
+        _family_fixture("ikeda/full", 1, "profile, Hilbert vector, strong-property failure", "ikeda", {}),
+        _family_fixture("perazzo/vanishing-noncone", 2, "classical vanishing Hessian, not a cone",
+                        "perazzo", {"m": 2, "n": 2, "d": 3}, mode="exact"),
     ]
-    + [_exceptional_fixture(n, d, k) for n, d, k in EXCEPTIONAL_SWEEP]
-    + [_gnp_lemma_fixture(k, e) for k, e in ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4))]
+    + [
+        _family_fixture(f"exceptional/n{n}-d{d}-k{k}", 3,
+                        f"orders 2..{k} vanish, orders 1 and {k + 1} do not (n={n}, d={d})",
+                        "exceptional", {"n": n, "d": d, "k": k})
+        for n, d, k in ((3, 5, 2), (3, 6, 2), (3, 7, 2), (3, 7, 3), (3, 8, 2),
+                        (3, 8, 3), (3, 9, 2), (3, 9, 3), (3, 9, 4), (4, 8, 3))
+    ]
+    + [
+        _family_fixture(f"gnp/lemma-k{k}-e{e}", 4, f"five-variable shape, order-{k} Hessian vanishes",
+                        "gnp", {"m": 2, "n": 2, "k": k, "e": e}, mode="exact")
+        for k, e in ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4))
+    ]
     + [_gnp_maximal_fixture(m, e) for m in (2, 3) for e in (2, 3)]
-    + [Fixture("gnp/minimal-dimA1", 4, "minimal instances have five essential variables", lambda c: (
-        catalecticant(gen_gnp(2, 2, 1, 2, "minimal", seed=c.seed).f, 1).rank() == 5,
-        "",
-    ))]
-    + [Fixture("gnp/boundary-k-equals-e", 4, "k = e rejected", _gnp_boundary)]
-    + [_wlpodd_fixture(N, d) for N, d in ((4, 5), (6, 5), (5, 7))]
-    + [_thmwlp_fixture(N, d) for N, d in ((5, 4), (4, 6), (3, 8))]
-    + [_prop44_fixture(case) for case in ("i", "ii", "iii")]
+    + [
+        Fixture("gnp/minimal-dimA1", 4, "minimal instances have five essential variables", _gnp_minimal),
+        Fixture("gnp/boundary-k-equals-e", 4, "k = e rejected", _gnp_boundary),
+    ]
+    + [
+        _family_fixture(f"wlpodd/N{N}-d{d}", 5, "odd socle degree, unimodal, middle map never injective",
+                        "wlpodd", {"N": N, "d": d})
+        for N, d in ((4, 5), (6, 5), (5, 7))
+    ]
+    + [
+        _family_fixture(f"thmwlp/N{N}-d{d}", 6, "even socle degree, unimodal, obstruction certificate replays",
+                        "thmwlp", {"N": N, "d": d})
+        for N, d in ((5, 4), (4, 6), (3, 8))
+    ]
+    + [
+        _family_fixture(f"prop44/case-{case}", 7, "vanishing Hessian yet the weak property holds",
+                        "prop44", {"case": case}, mode="exact")
+        for case in ("i", "ii", "iii")
+    ]
     + [
         Fixture("properties/hilbert-symmetry", 8, "Hilbert vectors are symmetric", _prop_hilbert_symmetry),
         Fixture("properties/euler-identity", 8, "sum of x_i d_i f equals deg(f) f", _prop_euler),

@@ -38,6 +38,30 @@ def test_acceptance_fixture(fixture):
     assert passed, f"{fixture.fixture_id}: {detail}"
 
 
+# the suite's fixtures, in table order: (fixture_id, criterion)
+EXPECTED_FIXTURES = (
+    [("ikeda/full", 1), ("perazzo/vanishing-noncone", 2)]
+    + [(f"exceptional/n{n}-d{d}-k{k}", 3) for n, d, k in (
+        (3, 5, 2), (3, 6, 2), (3, 7, 2), (3, 7, 3), (3, 8, 2),
+        (3, 8, 3), (3, 9, 2), (3, 9, 3), (3, 9, 4), (4, 8, 3))]
+    + [(f"gnp/lemma-k{k}-e{e}", 4) for k, e in ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4))]
+    + [(f"gnp/maximal-m{m}-e{e}", 4) for m in (2, 3) for e in (2, 3)]
+    + [("gnp/minimal-dimA1", 4), ("gnp/boundary-k-equals-e", 4)]
+    + [(f"wlpodd/N{N}-d{d}", 5) for N, d in ((4, 5), (6, 5), (5, 7))]
+    + [(f"thmwlp/N{N}-d{d}", 6) for N, d in ((5, 4), (4, 6), (3, 8))]
+    + [(f"prop44/case-{c}", 7) for c in ("i", "ii", "iii")]
+    + [(f"properties/{name}", 8) for name in (
+        "hilbert-symmetry", "euler-identity", "rank-consistency", "basis-change",
+        "variable-change", "noncone-nonvanishing", "separated-additivity")]
+    + [("modes/agreement", 9)]
+)
+
+
+def test_fixture_table_is_pinned():
+    assert len(EXPECTED_FIXTURES) == 40
+    assert [(f.fixture_id, f.criterion) for f in FIXTURES] == EXPECTED_FIXTURES
+
+
 def test_criterion_time_budgets():
     assert set(_elapsed) == set(BUDGETS), "some criterion produced no fixtures"
     for criterion, budget in BUDGETS.items():

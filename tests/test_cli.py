@@ -179,6 +179,23 @@ class TestFamilyTable:
         assert code == 0, err
         assert json.loads(path.read_text())["params"]["n"] == 9
 
+    def test_flag_of_another_family_exit_two(self, capsys):
+        code, out, err = run(["generate", "--family", "ikeda", "--n", "5", "--k", "3", "--variant", "maximal"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --family ikeda takes no --n\n"
+
+    def test_gnp_variant_defaults_to_lemma_m2(self, capsys, tmp_path):
+        outputs = []
+        for extra in ([], ["--variant", "lemma_m2"]):
+            path = tmp_path / f"gnp{len(extra)}.json"
+            flags = ["--family", "gnp", "--m", "2", "--k", "1", "--e", "3", *extra]
+            code, out, err = run(["generate", *flags, "--out", str(path)], capsys)
+            assert code == 0, err
+            outputs.append((out, path.read_text()))
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][1])["params"]["variant"] == "lemma_m2"
+
     def test_every_family_has_a_case(self):
         from lefschetz_lab.families import FAMILIES
 

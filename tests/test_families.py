@@ -1,8 +1,10 @@
 import inspect
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
+from lefschetz_lab.analysis import Analysis
 from lefschetz_lab.apolar import catalecticant, hilbert_vector
 from lefschetz_lab.errors import DegenerateInstanceError, InfeasibleParametersError
 from lefschetz_lab.families import (
@@ -21,7 +23,7 @@ from lefschetz_lab.families import (
     generate,
     replay_manifest,
 )
-from lefschetz_lab.hessian import hessian_vanishes
+from lefschetz_lab.hessian import VanishingVerdict, hessian_vanishes
 from lefschetz_lab.lefschetz import LinearForm, wlp_check_element
 from lefschetz_lab.polycore import VariableSet, parse_poly
 
@@ -64,6 +66,16 @@ def test_exact_replay_decides_slp_and_wlp_exactly():
     assert details["hess[3] =0"] == "exact"
     assert details["slp"] == "fails (exact)"
     assert details["wlp"] == "fails (exact)"
+
+
+def test_exact_replay_needs_exact_hessian_verdicts(monkeypatch):
+    inst = gen_perazzo(2, 2, 3)
+    probable = VanishingVerdict(True, "probabilistic", error_bound=Fraction(1, 2**64))
+    monkeypatch.setattr(Analysis, "verdict", lambda self, k: probable)
+    passed = {name: ok for name, ok, _ in replay_manifest(inst, mode="exact")}
+    assert passed["hess[1] =0"] is False
+    passed = {name: ok for name, ok, _ in replay_manifest(inst, mode="probabilistic")}
+    assert passed["hess[1] =0"] is True
 
 
 @pytest.mark.parametrize("build", SMALLEST, ids=lambda b: b().spec.kind)
@@ -288,6 +300,14 @@ class TestDispatch:
     def test_unknown_kind(self):
         with pytest.raises(InfeasibleParametersError, match="unknown family kind 'mystery'"):
             generate(FamilySpec("mystery", {}))
+
+    def test_missing_parameter_named(self):
+        with pytest.raises(InfeasibleParametersError, match="wlpodd needs the parameter 'N'"):
+            generate(FamilySpec("wlpodd", {"d": 5}))
+
+    def test_unknown_parameter_named(self):
+        with pytest.raises(InfeasibleParametersError, match="wlpodd takes no parameter 'k'"):
+            generate(FamilySpec("wlpodd", {"N": 4, "d": 5, "k": 2}))
 
     @pytest.mark.parametrize("kind", sorted(FAMILIES))
     def test_table_names_generator_parameters(self, kind):
