@@ -11,9 +11,12 @@ the module-level function that defines it (`ak_basis`, `hilbert_vector`,
 `wlp_obstruction`) and reused afterwards, so one report decides each higher
 Hessian once and in one mode, compiles each Hessian for evaluation once (the
 vanishing decision and every Lefschetz rank check evaluate that kernel), and
-searches each order for a certificate once.  Each basis of A_k grows from
-that of A_(k-1), and the bases, every Hessian cell and both certificate
-searches read the derivatives of f from one memo.
+searches each order for a certificate once.  A verdict is decided by one of
+three routes: the order's key certificate (split forms; the Hessian is then
+neither assembled nor compiled), evaluation of the kernel, or elimination
+after every evaluation was zero; `counts()` reports the first and the last.
+Each basis of A_k grows from that of A_(k-1), and the bases, every Hessian
+cell and both certificate searches read the derivatives of f from one memo.
 
 Every function that reads the bases or the derivatives takes the Analysis in
 place of the bare form (and of any mode and seed); constructions on f alone
@@ -86,12 +89,14 @@ class Analysis:
         return self._get(("obstruction", k), lambda: wlp_obstruction(self, k))
 
     def counts(self) -> dict:
-        """Hessian decisions, those that eliminated, Hessian kernels compiled,
-        memo hits, exact rank fallbacks, monomial derivatives of f computed,
-        basis candidates reduced."""
+        """Hessian decisions, those a key certificate decided, those that
+        eliminated (the rest were decided by evaluation), Hessian kernels
+        compiled, memo hits, exact rank fallbacks, monomial derivatives of f
+        computed, basis candidates reduced."""
         verdicts = [v for key, v in self._memo.items() if key[0] == "verdict"]
         return {
             "hessian_decisions": len(verdicts),
+            "certified": sum(1 for v in verdicts if v.certificate is not None),
             "eliminations": sum(1 for v in verdicts if v.eliminated),
             "kernels": sum(1 for key in self._memo if key[0] == "kernel"),
             "reused": self._reused,

@@ -3,20 +3,26 @@
 The order-k Hessian of f is the symmetric matrix (a_i a_j (f)) over an ordered
 basis (a_i) of the degree-k graded piece.  Whether its determinant vanishes
 identically does not depend on the basis, so verdicts are reported without
-one.  Both modes decide along one path:
+one.  Both modes decide along one path of three routes, taken in order:
 
-  * evaluate the matrix's integer kernel (`polycore.IntMatrix`, rows scaled
-    to integer coefficients; the form's `Analysis` compiles it once) at
-    seeded integer points and take the determinant modulo a prime p drawn
-    at random from [2^60, 2^61) for this decision.  A nonzero residue
+  * certificate: for k >= 1 on a form with a declared x/u split and the
+    default basis, the form's u-subring overflow certificate (`an.key(k)`,
+    the Gordan-Noether-type argument the paper's constructions rest on)
+    proves vanishing exactly in either mode; the Hessian is then neither
+    assembled nor compiled;
+  * evaluation: evaluate the matrix's integer kernel (`polycore.IntMatrix`,
+    rows scaled to integer coefficients; the form's `Analysis` compiles it
+    once) at seeded integer points and take the determinant modulo a prime p
+    drawn at random from [2^60, 2^61) for this decision.  A nonzero residue
     proves the determinant nonzero over Q, an unconditional nonvanishing
     witness in either mode.  The verdict carries it as (point, p, residue),
     the residue being that of the rational determinant (the row scale is
     divided out mod p), so it replays from the matrix alone; the exact
     value is not computed for the decision;
-  * when every residue is zero, fraction-free elimination of the polynomial
-    matrix over the rational function field (fewest-terms pivoting, early
-    exit on a zero row/column) certifies vanishing unconditionally.
+  * elimination: when every residue is zero, fraction-free elimination of
+    the polynomial matrix over the rational function field (fewest-terms
+    pivoting, early exit on a zero row/column) certifies vanishing
+    unconditionally.
 
 A constant matrix (the middle Hessian of even degree) is decided by its
 residue at the all-ones point, exactly; only a zero residue, which p may
@@ -29,9 +35,9 @@ that the prime divides the content of a nonzero determinant polynomial,
 whose coefficients are bounded by N, the product of the rows' coefficient
 1-norms.  The prime is random, not fixed, because a fixed p can divide that
 content: 2^61-1 divides every value of the order-1 Hessian determinant of
-(2^61-1) x0^3 + x1^3 + ... + x12^3.  The Hessians, their kernels and the
-verdicts of one form are read through its `Analysis`, which builds and
-decides each once.
+(2^61-1) x0^3 + x1^3 + ... + x12^3.  The Hessians, their kernels, the
+certificates and the verdicts of one form are read through its `Analysis`,
+which builds and decides each once.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ from .polycore import IntMatrix, Monomial, Poly, diff_apply, mono_mul
 
 if TYPE_CHECKING:
     from .analysis import Analysis
+    from .lefschetz import KeyCertificate
 
 DEFAULT_EXACT_CUTOFF = 12
 DEFAULT_TRIALS = 5
@@ -71,11 +78,13 @@ class VanishingVerdict:
     is the exact determinant at the witness point for every nonvanishing
     verdict; unless the decision kept it, it is computed from the witness
     matrix on first access.  The JSON form shows it only up to size
-    DEFAULT_EXACT_CUTOFF and the prime and residue above that.  Exact
-    vanishing verdicts carry a hash of the elimination transcript;
-    probabilistic ones carry the compounded failure bound instead.
-    `eliminated` records whether polynomial elimination ran; it is not part
-    of the serialized verdict.
+    DEFAULT_EXACT_CUTOFF and the prime and residue above that.
+
+    A vanishing verdict names the route that decided it: the u-subring
+    overflow `certificate` (exact in either mode), the hash of the
+    elimination transcript (exact), or, for the evaluation route alone, the
+    compounded failure bound (probabilistic).  `eliminated` records whether
+    polynomial elimination ran; it is not part of the serialized verdict.
     """
 
     vanishes: bool
@@ -85,6 +94,7 @@ class VanishingVerdict:
     residue: Optional[int] = None
     error_bound: Optional[Fraction] = None
     transcript_hash: Optional[str] = None
+    certificate: Optional[KeyCertificate] = None
     eliminated: bool = False
     # the exact value when the decision computed it, else the compiled matrix
     # that gives it at the witness point on demand
@@ -100,6 +110,8 @@ class VanishingVerdict:
             raise ValueError("nonvanishing verdict requires a nonzero residue or its value")
         if self.mode == "exact" and self.error_bound is not None:
             raise ValueError("exact verdicts carry no error bound")
+        if self.certificate is not None and not (self.vanishes and self.mode == "exact"):
+            raise ValueError("a key certificate proves exact vanishing only")
 
     @cached_property
     def det_value(self) -> Optional[Fraction]:
@@ -122,6 +134,8 @@ class VanishingVerdict:
             out["error_bound"] = str(self.error_bound)
         if self.transcript_hash is not None:
             out["transcript_hash"] = self.transcript_hash
+        if self.certificate is not None:
+            out["certificate"] = self.certificate.to_json_dict()
         return out
 
 
@@ -193,10 +207,20 @@ def hessian_vanishes(
 ) -> VanishingVerdict:
     """Decide whether the order-k Hessian determinant vanishes identically.
 
-    The decision runs in the Analysis's mode and seed, and on the default
-    basis it evaluates the kernel the Analysis compiled.  `Analysis.verdict`
-    keeps the result; this function decides afresh on every call.
+    On a split form with the default basis, an order k >= 1 with a key
+    certificate (`an.key(k)`) is decided by it: exact vanishing in either
+    mode, with no Hessian assembled.  Otherwise the decision evaluates (on
+    the default basis, the kernel the Analysis compiled) and, where every
+    value is zero, eliminates, in the Analysis's mode and seed.  An explicit
+    `basis` always takes that second route.  `Analysis.verdict` keeps the
+    result; this function decides afresh on every call, though the key
+    search itself is memoized.
     """
+    _checked_degree(an.f, k)  # before the key search, which allows 1..d/2
+    if k >= 1 and an.f.vars.has_split and basis is None:
+        cert = an.key(k)
+        if cert is not None:
+            return VanishingVerdict(True, "exact", certificate=cert)
     H = hessian_matrix(an, k, basis)
     return _det_vanishes(
         H,

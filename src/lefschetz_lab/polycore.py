@@ -137,6 +137,17 @@ class Poly:
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_hash", None)
 
+    @classmethod
+    def _trusted(cls, vars: VariableSet, terms: dict[Monomial, Fraction]) -> "Poly":
+        """A Poly from terms that are already valid: exponent tuples of the
+        right width and reduced `Fraction` coefficients, as `Poly`'s own
+        arithmetic builds them; only zero terms are dropped."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "vars", vars)
+        object.__setattr__(self, "_terms", {e: c for e, c in terms.items() if c})
+        object.__setattr__(self, "_hash", None)
+        return self
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Poly is immutable")
 
@@ -220,24 +231,24 @@ class Poly:
         self._check_same(other)
         out = dict(self._terms)
         for e, c in other._terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return Poly(self.vars, out)
+            out[e] = out.get(e, 0) + c
+        return Poly._trusted(self.vars, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         self._check_same(other)
         out = dict(self._terms)
         for e, c in other._terms.items():
-            out[e] = out.get(e, Fraction(0)) - c
-        return Poly(self.vars, out)
+            out[e] = out.get(e, 0) - c
+        return Poly._trusted(self.vars, out)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.vars, {e: -c for e, c in self._terms.items()})
+        return Poly._trusted(self.vars, {e: -c for e, c in self._terms.items()})
 
     def scale(self, c: Scalar) -> "Poly":
         c = Fraction(c)
         if not c:
             return Poly.zero(self.vars)
-        return Poly(self.vars, {e: v * c for e, v in self._terms.items()})
+        return Poly._trusted(self.vars, {e: v * c for e, v in self._terms.items()})
 
     def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -247,8 +258,8 @@ class Poly:
         for ea, ca in self._terms.items():
             for eb, cb in other._terms.items():
                 e = mono_mul(ea, eb)
-                out[e] = out.get(e, Fraction(0)) + ca * cb
-        return Poly(self.vars, out)
+                out[e] = out.get(e, 0) + ca * cb
+        return Poly._trusted(self.vars, out)
 
     def __rmul__(self, other: Scalar) -> "Poly":
         return self.scale(other)
@@ -311,9 +322,11 @@ DiffOp = Poly  # operators are polynomials over the dual variable set
 def poly_sum(vars: VariableSet, parts: Iterable[Poly]) -> Poly:
     out: dict[Monomial, Fraction] = {}
     for p in parts:
-        for e, c in p.coeff_map().items():
-            out[e] = out.get(e, Fraction(0)) + c
-    return Poly(vars, out)
+        if p.vars != vars:
+            raise VariableMismatchError(f"summand over {p.vars.names}, expected {vars.names}")
+        for e, c in p._terms.items():
+            out[e] = out.get(e, 0) + c
+    return Poly._trusted(vars, out)
 
 
 def mono_basis(vars: VariableSet, k: int) -> list[Monomial]:
@@ -353,8 +366,8 @@ def diff_apply(alpha: DiffOp, f: Poly) -> Poly:
             f"operator over {alpha.vars.names} cannot act on polynomial over {f.vars.names}"
         )
     out: dict[Monomial, Fraction] = {}
-    for a, ca in alpha.coeff_map().items():
-        for b, cb in f.coeff_map().items():
+    for a, ca in alpha._terms.items():
+        for b, cb in f._terms.items():
             if any(ai > bi for ai, bi in zip(a, b)):
                 continue
             scalar = 1
@@ -362,14 +375,14 @@ def diff_apply(alpha: DiffOp, f: Poly) -> Poly:
                 if ai:
                     scalar *= perm(bi, ai)
             e = tuple(bi - ai for ai, bi in zip(a, b))
-            out[e] = out.get(e, Fraction(0)) + ca * cb * scalar
-    return Poly(f.vars, out)
+            out[e] = out.get(e, 0) + ca * cb * scalar
+    return Poly._trusted(f.vars, out)
 
 
 def partial(f: Poly, index: int) -> Poly:
     """First partial derivative with respect to variable `index`."""
     terms = f._terms.items()
-    return Poly(f.vars, {b[:index] + (b[index] - 1,) + b[index + 1 :]: c * b[index] for b, c in terms if b[index]})
+    return Poly._trusted(f.vars, {b[:index] + (b[index] - 1,) + b[index + 1 :]: c * b[index] for b, c in terms if b[index]})
 
 
 class Derivatives(dict):

@@ -351,7 +351,8 @@ def _mode_agreement(config: SuiteConfig) -> tuple[bool, str]:
     add("mixed-quartic", parse_poly("x*u^3 + y*u^2*v + z*u*v^2 + v^4", e_vs))
     checked = 0
     for name, prob, exact, k in fixtures:
-        # both modes evaluate first, so each is held against elimination
+        # the oracle eliminates every matrix, whichever route (certificate,
+        # evaluation or elimination) decided each mode's verdict
         oracle = poly_det_vanishes(prob.hessian(k, k))[0]
         if prob.verdict(k).vanishes != oracle or exact.verdict(k).vanishes != oracle:
             return False, f"modes disagree with elimination on {name}"

@@ -27,6 +27,12 @@ def exact(f):
     return Analysis(f, "exact", 0)
 
 
+def unsplit(f):
+    """f without its declared x/u split: the same Hessians, but no key
+    certificate, so every order is decided by evaluation and elimination."""
+    return Poly(VariableSet(f.vars.names), f.coeff_map())
+
+
 @st.composite
 def homogeneous_polys(
     draw,

@@ -1,8 +1,9 @@
 """Acceptance suite: every criterion fixture runs at its stated tolerance.
 
-All checks are exact-arithmetic (zero tolerance); probabilistic vanishing
-verdicts escalate to exact elimination on small matrices and otherwise carry
-a compounded error bound below 1e-9.  One pass/fail line is printed per
+All checks are exact-arithmetic (zero tolerance); a vanishing verdict is
+exact when a key certificate decides it, otherwise probabilistic verdicts
+escalate to exact elimination on small matrices and above that carry a
+compounded error bound below 1e-9.  One pass/fail line is printed per
 fixture; per-criterion wall-clock budgets are asserted at the end.
 """
 
@@ -17,7 +18,7 @@ from lefschetz_lab.families import gen_wlpodd
 from lefschetz_lab.hessian import DEFAULT_TRIALS, hessian_vanishes
 from lefschetz_lab.reproduce import FIXTURES, SuiteConfig, run_suite
 
-from conftest import prob
+from conftest import prob, unsplit
 
 CONFIG = SuiteConfig(seed=0, mode="probabilistic")
 
@@ -73,10 +74,18 @@ def test_criterion_time_budgets():
 def test_probabilistic_error_bound_below_threshold():
     # five trials at 64x the determinant degree compound below 1e-9
     assert Fraction(1, 64) ** DEFAULT_TRIALS < Fraction(1, 10**9)
-    big = gen_wlpodd(5, 7).f
+    # without its split the middle Hessian is decided by evaluation alone
+    big = unsplit(gen_wlpodd(5, 7).f)
     verdict = hessian_vanishes(prob(big), 3)
     assert verdict.vanishes
     assert verdict.error_bound is not None and verdict.error_bound < Fraction(1, 10**9)
+
+
+def test_split_middle_hessian_is_certified_exactly():
+    # with its split, the key certificate decides it: exact, no error bound
+    verdict = hessian_vanishes(prob(gen_wlpodd(5, 7).f), 3)
+    assert verdict.vanishes and verdict.mode == "exact"
+    assert verdict.certificate is not None and verdict.error_bound is None
 
 
 def test_odd_case_hilbert_formula_is_corrected():

@@ -295,6 +295,11 @@ def write_instance(inst, tmp_path):
     return path
 
 
+def unsplit_args(inst):
+    """`analyze` input flags for the instance's form without its x/u split."""
+    return ["--poly", inst.f.to_text(), "--vars", ",".join(inst.f.vars.names)]
+
+
 class TestOneAnalysisPerForm:
     def test_exact_mode_reaches_every_verdict(self, capsys, tmp_path):
         from lefschetz_lab.families import gen_wlpodd
@@ -322,9 +327,9 @@ class TestOneAnalysisPerForm:
             return real(entries, **kwargs)
 
         monkeypatch.setattr(hessian_mod, "_det_vanishes", counting)
-        path = write_instance(gen_wlpodd(4, 7), tmp_path)
+        # without its split, every order is decided by evaluation
         report = tmp_path / "r.json"
-        code, _, _ = run(["analyze", "--in", str(path), "--json", str(report)], capsys)
+        code, _, _ = run(["analyze", *unsplit_args(gen_wlpodd(4, 7)), "--json", str(report)], capsys)
         assert code == 0
         data = json.loads(report.read_text())
         assert data["hess_profile"][3]["vanishes"]
@@ -332,11 +337,25 @@ class TestOneAnalysisPerForm:
         assert salts == [f"hess:{k}" for k in range(4)]
         assert data["counts"]["hessian_decisions"] == 4
 
+        # with it, the key certificate decides the middle order, once
+        salts.clear()
+        path = write_instance(gen_wlpodd(4, 7), tmp_path)
+        code, out, _ = run(["analyze", "--in", str(path), "--json", str(report)], capsys)
+        assert code == 0
+        data = json.loads(report.read_text())
+        assert data["hess_profile"][3]["certificate"]["type"] == "u-subring-overflow"
+        assert data["slp"]["verdict"] == data["wlp"]["verdict"] == "fails"
+        assert salts == [f"hess:{k}" for k in range(3)]
+        assert data["counts"]["hessian_decisions"] == 4
+        assert data["counts"]["certified"] == 1
+        assert "hessian[3]      = 0   (exact)" in out and "certified" not in out.replace(str(report), "")
+
     def test_eliminations_counted(self, capsys, tmp_path):
         from lefschetz_lab.families import gen_wlpodd
 
         cases = [
             (["analyze", "--poly", "x^3+y^3+z^3", "--vars", "x,y,z"], None),
+            (["analyze", *unsplit_args(gen_wlpodd(5, 7))], 3),
             (["analyze", "--in", str(write_instance(gen_wlpodd(5, 7), tmp_path))], 3),
         ]
         counts = []
@@ -348,11 +367,13 @@ class TestOneAnalysisPerForm:
             data = json.loads(report.read_text())
             if middle is not None:
                 assert data["hess_profile"][middle]["vanishes"]
-            counts.append(data["counts"]["eliminations"])
+            counts.append((data["counts"]["eliminations"], data["counts"]["certified"]))
         # a nonzero value settles the Fermat cubic; the vanishing middle
-        # Hessian of wlpodd(5,7) needs elimination to be certified
-        assert counts[0] == 0
-        assert counts[1] >= 1
+        # Hessian of wlpodd(5,7) needs elimination to be certified without
+        # its split, and its key certificate with it
+        assert counts[0] == (0, 0)
+        assert counts[1][0] >= 1 and counts[1][1] == 0
+        assert counts[2] == (0, 1)
 
     def test_each_obstruction_level_searched_once(self, capsys, monkeypatch, tmp_path):
         import lefschetz_lab.analysis as analysis_mod
@@ -433,8 +454,11 @@ class TestOneAnalysisPerForm:
         data = json.loads(report.read_text())
         counts = data["counts"]
         assert counts["basis_candidates"] == 154
-        # the bases, the Hessians and both certificate searches share the memo
-        assert counts["derivatives"] == 2201
+        # the bases, the Hessians and both certificate searches share the
+        # memo; the two orders the key certificate decides (3 and 5) assemble
+        # no Hessian, so their cells are not computed
+        assert counts["certified"] == 2
+        assert counts["derivatives"] == 2179
         # WLP reads A_0 .. A_(d-1); a scan of every monomial would reduce
         # sum C(n+k-1, k) = 19448 candidates in these 7 variables
         n, d = len(data["input"]["vars"]), data["degree"]

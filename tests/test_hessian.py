@@ -1,3 +1,5 @@
+import dataclasses
+import random
 from fractions import Fraction
 from math import prod
 
@@ -10,7 +12,14 @@ from lefschetz_lab import linalg
 from lefschetz_lab.analysis import Analysis
 from lefschetz_lab.apolar import AkBasis, ak_basis
 from lefschetz_lab.errors import DegreeRangeError, ZeroPolynomialError
-from lefschetz_lab.families import gen_exceptional, gen_gnp, gen_thmwlp, gen_wlpodd
+from lefschetz_lab.families import (
+    gen_exceptional,
+    gen_gnp,
+    gen_perazzo,
+    gen_prop44,
+    gen_thmwlp,
+    gen_wlpodd,
+)
 from lefschetz_lab.hessian import (
     DEFAULT_EXACT_CUTOFF,
     DEFAULT_TRIALS,
@@ -24,7 +33,7 @@ from lefschetz_lab.hessian import (
     poly_det_vanishes,
     poly_divexact,
 )
-from lefschetz_lab.lefschetz import key_criterion
+from lefschetz_lab.lefschetz import key_criterion, verify_key_certificate
 from lefschetz_lab.polycore import (
     IntMatrix,
     Poly,
@@ -37,7 +46,7 @@ from lefschetz_lab.polycore import (
     poly_sum,
 )
 
-from conftest import cone_polys, exact, homogeneous_polys, prob, rational_polys
+from conftest import cone_polys, exact, homogeneous_polys, prob, rational_polys, unsplit
 
 IKEDA_VARS = VariableSet(("x0", "x1", "u1", "u2"), n_x=2)
 IKEDA = parse_poly("x0*u1^3*u2 + x1*u1*u2^3 + x0^3*x1^2", IKEDA_VARS)
@@ -99,15 +108,22 @@ class TestVanishing:
         assert verdict.det_value != 0
 
     def test_exact_mode_unconditional(self):
-        verdict = hessian_vanishes(exact(PERAZZO), 1)
+        verdict = hessian_vanishes(exact(unsplit(PERAZZO)), 1)
         assert verdict.vanishes and verdict.mode == "exact"
         assert verdict.error_bound is None
         assert verdict.transcript_hash
 
     def test_exact_transcript_deterministic(self):
-        a = hessian_vanishes(exact(PERAZZO), 1)
-        b = hessian_vanishes(exact(PERAZZO), 1)
-        assert a.transcript_hash == b.transcript_hash
+        a = hessian_vanishes(exact(unsplit(PERAZZO)), 1)
+        b = hessian_vanishes(exact(unsplit(PERAZZO)), 1)
+        assert a.transcript_hash and a.transcript_hash == b.transcript_hash
+
+    @pytest.mark.parametrize("analysis", [prob, exact])
+    def test_split_form_certified_in_both_modes(self, analysis):
+        verdict = hessian_vanishes(analysis(PERAZZO), 1)
+        assert verdict.vanishes and verdict.mode == "exact"
+        assert verdict.error_bound is None and verdict.transcript_hash is None
+        assert verdict.to_json_dict()["certificate"]["type"] == "u-subring-overflow"
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -311,6 +327,86 @@ class TestKeyCriterionSoundness:
         assert key_criterion(prob(f), k) is not None
         assert hessian_vanishes(prob(f), k).vanishes
         assert hessian_vanishes(exact(f), k).vanishes
+        # the split decides these through the certificate itself; without
+        # it, evaluation and elimination reach the same verdict
+        assert hessian_vanishes(prob(unsplit(f)), k).vanishes
+        assert hessian_vanishes(exact(unsplit(f)), k).vanishes
+
+
+SMALL_SPLIT_FAMILIES = {
+    "perazzo(2,2,3)": lambda: gen_perazzo(2, 2, 3).f,
+    "gnp-lemma(2,2,1,2)": lambda: gen_gnp(2, 2, 1, 2).f,
+    "exceptional(3,5,2)": lambda: gen_exceptional(3, 5, 2).f,
+    "prop44-i": lambda: gen_prop44("i").f,
+    "prop44-ii": lambda: gen_prop44("ii").f,
+    "prop44-iii": lambda: gen_prop44("iii").f,
+    "wlpodd(4,5)": lambda: gen_wlpodd(4, 5).f,
+    "thmwlp(5,4)": lambda: gen_thmwlp(5, 4).f,
+}
+
+
+def forged(cert, **changes):
+    return dataclasses.replace(cert, **changes)
+
+
+class TestCertificateRoute:
+    @pytest.mark.parametrize("build", SMALL_SPLIT_FAMILIES.values(), ids=SMALL_SPLIT_FAMILIES)
+    @pytest.mark.parametrize("analysis", [prob, exact])
+    def test_certified_verdicts_match_elimination(self, build, analysis):
+        an = analysis(build())
+        keyed = [k for k in range(1, an.f.degree // 2 + 1) if an.key(k) is not None]
+        assert keyed
+        for k in keyed:
+            verdict = an.verdict(k)
+            assert verdict.certificate is an.key(k) and verdict.mode == "exact"
+            assert verdict.vanishes == poly_det_vanishes(an.hessian(k, k))[0]
+
+    @pytest.mark.parametrize("build", SMALL_SPLIT_FAMILIES.values(), ids=SMALL_SPLIT_FAMILIES)
+    def test_forged_certificates_fail_replay(self, build):
+        f = build()
+        an = prob(f)
+        for k in range(1, f.degree // 2 + 1):
+            cert = an.key(k)
+            if cert is None:
+                continue
+            assert verify_key_certificate(f, cert)
+            # one operator fewer is still a certificate exactly when it still
+            # outnumbers the bound (thmwlp(5,4) keeps 4 against 2)
+            dropped = forged(cert, ops=cert.ops[1:])
+            assert verify_key_certificate(f, dropped) == (cert.s - 1 > cert.bound)
+            assert not verify_key_certificate(f, forged(cert, bound=cert.bound + 1))
+            assert not verify_key_certificate(f, forged(cert, bound=cert.s))
+            pure_u = Poly.monomial(f.vars.dual(), (0,) * (len(f.vars) - 1) + (k,))
+            assert not verify_key_certificate(f, forged(cert, ops=(pure_u,) + cert.ops[1:]))
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("analysis", [prob, exact])
+    def test_hidden_split_decided_by_evaluation_and_elimination(self, seed, analysis):
+        f = gen_wlpodd(4, 5).f
+        n, n_x = len(f.vars), f.vars.n_x
+        rng = random.Random(f"shear:{seed}")
+        shear = [[int(i == j) for j in range(n)] for i in range(n)]
+        shear[rng.randrange(n_x, n)][rng.randrange(n_x)] = rng.choice((-3, -2, -1, 1, 2, 3))
+        g = linear_change(f, shear)  # u_i -> u_i + c x_j
+        plain, changed = analysis(f), analysis(g)
+        for k in range(f.degree // 2 + 1):
+            if k:
+                assert changed.key(k) is None
+            verdict = changed.verdict(k)
+            assert verdict.certificate is None
+            assert verdict.vanishes == plain.verdict(k).vanishes
+        assert changed.counts()["certified"] == 0
+        assert changed.counts()["eliminations"] == 1
+        assert plain.counts()["certified"] == 1
+
+    def test_explicit_basis_skips_the_certificate(self, monkeypatch):
+        an = exact(PERAZZO)
+        searched = []
+        monkeypatch.setattr(an, "key", searched.append)
+        verdict = hessian_vanishes(an, 1, basis=an.basis(1))
+        assert verdict.vanishes and verdict.certificate is None
+        assert verdict.eliminated and verdict.transcript_hash
+        assert searched == []
 
 
 class TestModeAgreement:
@@ -353,8 +449,21 @@ class TestEvaluateFirst:
         assert calls == []
 
     def test_exact_vanishing_still_eliminates(self):
-        verdict = hessian_vanishes(exact(PERAZZO), 1)
+        verdict = hessian_vanishes(exact(unsplit(PERAZZO)), 1)
         assert verdict.vanishes and verdict.eliminated and verdict.transcript_hash
+
+    def test_certified_vanishing_needs_no_hessian(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(hessian_mod, "poly_det_vanishes", calls.append)
+        an = exact(PERAZZO)
+        verdict = an.verdict(1)
+        assert verdict.vanishes and not verdict.eliminated
+        assert verdict.certificate is an.key(1)
+        assert calls == []
+        counts = an.counts()
+        assert counts["certified"] == 1 and counts["eliminations"] == 0
+        assert counts["kernels"] == 0
+        assert ("hessian", 1, 1) not in an._memo
 
     def test_elimination_fallback_witness_replays(self):
         vs = VariableSet(("x", "y", "z"))
@@ -487,10 +596,17 @@ class TestRandomPrime:
     def test_probabilistic_vanishing_error_bound(self):
         from lefschetz_lab.families import gen_wlpodd
 
-        verdict = hessian_vanishes(prob(gen_wlpodd(5, 7).f), 3)
+        verdict = hessian_vanishes(prob(unsplit(gen_wlpodd(5, 7).f)), 3)
         assert verdict.vanishes and verdict.mode == "probabilistic"
         # Schwartz-Zippel alone gives (1/64)^5; the content term adds to it
         assert Fraction(1, 64) ** DEFAULT_TRIALS < verdict.error_bound < Fraction(1, 10**9)
+
+    def test_split_vanishing_needs_no_error_bound(self):
+        from lefschetz_lab.families import gen_wlpodd
+
+        verdict = hessian_vanishes(prob(gen_wlpodd(5, 7).f), 3)
+        assert verdict.vanishes and verdict.mode == "exact"
+        assert verdict.error_bound is None and verdict.certificate is not None
 
 
 def with_rational_coefficients(f, denominators):

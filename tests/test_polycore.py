@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -261,3 +261,44 @@ class TestIntMatrix:
     def test_rejects_a_point_of_the_wrong_length(self):
         with pytest.raises(ValueError):
             IntMatrix([[IKEDA]]).at((1, 2))
+
+
+@st.composite
+def sparse_polys(draw, vars):
+    """Polynomials over `vars`, not necessarily homogeneous, with small
+    rational coefficients, so that sums and products often cancel terms."""
+    expos = st.tuples(*(st.integers(0, 2) for _ in vars.names))
+    coeffs = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    return Poly(vars, draw(st.dictionaries(expos, coeffs, max_size=5)))
+
+
+def is_canonical(p):
+    """p equals its validated rebuild, with reduced nonzero Fraction coefficients."""
+    terms = p.coeff_map()
+    return p == Poly(p.vars, terms) and all(
+        type(c) is Fraction and c and c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+        for c in terms.values()
+    )
+
+
+class TestTrustedArithmetic:
+    """`Poly`'s own arithmetic skips validation; its results must still be
+    what the validating constructor would build."""
+
+    @given(st.data())
+    def test_results_are_canonical(self, data):
+        vs = VariableSet(("x", "y", "z"))
+        a, b, c = (data.draw(sparse_polys(vs)) for _ in range(3))
+        op = data.draw(sparse_polys(vs.dual()))
+        s = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+        results = [
+            a + b, a - b, a - a, -a, a.scale(s), a.scale(0), a * b, a * 2,
+            poly_sum(vs, [a, b, c]), poly_sum(vs, [a, -a]),
+            diff_apply(op, a), partial(a, 0), partial(a, 2),
+        ]
+        for result in results:
+            assert is_canonical(result)
+
+    def test_poly_sum_rejects_other_variables(self):
+        with pytest.raises(VariableMismatchError):
+            poly_sum(XY, [Poly.variable(VariableSet(("u", "v")), 0)])
