@@ -2,21 +2,25 @@
 
 An `Analysis` holds a form f with the decision mode and the seed, and
 memoizes what the profile, the Lefschetz verdicts and the certificates read:
-the monomial derivatives of f, the A_k bases, the Hilbert vector, the
-assembled (mixed) Hessians and their integer kernels, each order's vanishing
-verdict, and each order's u-subring overflow certificate and each level's
-WLP obstruction certificate.  A piece is computed on its first request by
-the module-level function that defines it (`ak_basis`, `hilbert_vector`,
-`mixed_hessian`, `IntMatrix`, `hessian_vanishes`, `key_criterion`,
-`wlp_obstruction`) and reused afterwards, so one report decides each higher
-Hessian once and in one mode, compiles each Hessian for evaluation once (the
-vanishing decision and every Lefschetz rank check evaluate that kernel), and
-searches each order for a certificate once.  A verdict is decided by one of
+the monomial derivatives of f, the A_k bases, the coordinates of each
+monomial derivative of degree k in the basis of A_k (the explicit
+multiplication maps read them), the Hilbert vector, the assembled (mixed)
+Hessians and their integer kernels, each order's vanishing verdict, and
+each order's u-subring overflow certificate and each level's WLP
+obstruction certificate.  A piece is computed on its first request by the
+module-level function or class that defines it (`ak_basis`, `Coordinates`,
+`hilbert_vector`, `mixed_hessian`, `IntMatrix`, `hessian_vanishes`,
+`key_criterion`, `wlp_obstruction`) and reused afterwards, so one report
+decides each higher Hessian once and in one mode, compiles each Hessian for
+evaluation once (the vanishing decision and every Lefschetz rank check
+evaluate that kernel), searches each order for a certificate once, and
+solves each derivative's coordinates once however many maps read them.  A verdict is decided by one of
 three routes: the order's key certificate (split forms; the Hessian is then
 neither assembled nor compiled), evaluation of the kernel, or elimination
 after every evaluation was zero; `counts()` reports the first and the last.
 Each basis of A_k grows from that of A_(k-1), and the bases, every Hessian
-cell and both certificate searches read the derivatives of f from one memo.
+cell, the coordinate solves and both certificate searches read the
+derivatives of f from one memo.
 
 Every function that reads the bases or the derivatives takes the Analysis in
 place of the bare form (and of any mode and seed); constructions on f alone
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, TypeVar
 
-from .apolar import AkBasis, HilbertVector, ak_basis, hilbert_vector
+from .apolar import AkBasis, Coordinates, HilbertVector, ak_basis, hilbert_vector
 from .errors import ZeroPolynomialError
 from .hessian import MODES, Matrix, VanishingVerdict, hessian_vanishes, mixed_hessian
 from .lefschetz import KeyCertificate, ObstructionCertificate, key_criterion, wlp_obstruction
@@ -64,6 +68,10 @@ class Analysis:
         """The greedy basis of A_k, grown from that of A_(k-1)."""
         return self._get(("basis", k), lambda: ak_basis(
             self.f, k, below=self.basis(k - 1) if k else None, derivatives=self.derivatives))
+
+    def coordinates(self, k: int) -> Coordinates:
+        """Each degree-k monomial derivative of f in the basis of A_k, solved once."""
+        return self._get(("coordinates", k), lambda: Coordinates(self.basis(k), self.derivatives))
 
     def hilbert(self) -> HilbertVector:
         return self._get(("hilbert",), lambda: hilbert_vector(self))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import linalg
@@ -121,6 +122,32 @@ def ak_basis(
             ops.append(Poly.monomial(dual, e))
             derived.append(h)
     return AkBasis(k, tuple(ops), tuple(derived), len(candidates))
+
+
+class Coordinates(dict):
+    """The coordinates of f's degree-k monomial derivatives in the basis of A_k.
+
+    Maps an exponent e of degree k to (q, {t: n_t}), integers with
+    derivatives[e] = sum_t (n_t / q) * basis.derived[t] over the nonzero
+    n_t, each solved on first use against one span of the basis's
+    derivatives.
+    """
+
+    def __init__(self, basis: AkBasis, derivatives: Derivatives):
+        super().__init__()
+        self._derivatives = derivatives
+        self._span = linalg.SparseSpan()
+        for g in basis.derived:
+            self._span.try_add(g.coeff_map())
+
+    def __missing__(self, expo: Monomial) -> tuple[int, dict[int, int]]:
+        coords = self._span.dependency(self._derivatives[expo].coeff_map())
+        if coords is None:
+            raise ArithmeticError("derivative escaped the derivative space (bug)")
+        nonzero = [(t, x) for t, x in enumerate(coords) if x]
+        q = lcm(*(x.denominator for _, x in nonzero))
+        c = self[expo] = (q, {t: x.numerator * (q // x.denominator) for t, x in nonzero})
+        return c
 
 
 @dataclass(frozen=True)

@@ -169,20 +169,31 @@ def _entries(an: Analysis, rows: AkBasis, cols: AkBasis, *, symmetric: bool) -> 
     two monomial operators is read from the Analysis's derivative memo by the
     exponent sum, so cells and matrices share one `Poly` per derivative."""
     n, m = len(rows), len(cols)
-    row_terms = [op.coeff_map() for op in rows.ops]
-    col_terms = row_terms if rows is cols else [op.coeff_map() for op in cols.ops]
+    row_expos = [_exponent(op) for op in rows.ops]
+    col_expos = row_expos if rows is cols else [_exponent(op) for op in cols.ops]
+    derivatives = an.derivatives
     out: list[list[Poly]] = [[None] * m for _ in range(n)]  # type: ignore[list-item]
     for i in range(n):
+        a = row_expos[i]
         for j in range(i if symmetric else 0, m):
-            a, b = row_terms[i], col_terms[j]
-            if len(a) == 1 == len(b) and 1 in a.values() and 1 in b.values():
-                entry = an.derivatives[mono_mul(*a, *b)]
+            b = col_expos[j]
+            if a is not None and b is not None:
+                entry = derivatives[mono_mul(a, b)]
             else:
                 entry = diff_apply(rows.ops[i], cols.derived[j])
             out[i][j] = entry
             if symmetric:
                 out[j][i] = entry
     return tuple(tuple(r) for r in out)
+
+
+def _exponent(op: Poly) -> Optional[Monomial]:
+    """The exponent of a monic monomial operator; None for any other operator."""
+    if op.num_terms() == 1:
+        ((expo, coeff),) = op.terms()
+        if coeff == 1:
+            return expo
+    return None
 
 
 def _validate_basis(an: Analysis, k: int, basis: AkBasis) -> None:

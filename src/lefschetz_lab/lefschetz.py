@@ -7,8 +7,10 @@ assembles once.  The Hessian is evaluated through its integer kernel
 (`polycore.IntMatrix`, compiled once by the Analysis) at L scaled to
 integers and ranked modulo 2^61-1; a maximal rank there is the rank over Q,
 and only a smaller one is recomputed exactly.  The explicit multiplication
-matrix, built from exact coordinate solves in the derivative spaces, is kept
-as API and as an independent reference.  Specific elements are checked directly; generic
+matrix is kept as API and as the independent reference for those ranks: it
+is assembled from the Analysis's memo of the exact coordinates of f's
+monomial derivatives in each derivative space, each solved once per form,
+never from a Hessian.  Specific elements are checked directly; generic
 verdicts combine a random witness search (maximal rank is
 an open condition, so one success settles the generic statement) with
 structural failure certificates that rule out every L at once:
@@ -29,7 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, factorial, lcm, prod
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import linalg
@@ -42,6 +44,7 @@ from .polycore import (
     VariableSet,
     diff_apply,
     mono_basis,
+    mono_mul,
 )
 
 if TYPE_CHECKING:
@@ -85,26 +88,48 @@ def mult_map(an: Analysis, L: LinearForm, i: int, k: int) -> list[list[Fraction]
 
     Rows are indexed by the target basis, columns by the source basis (both
     the deterministic greedy bases), so the matrix has dim A_{i+k} rows and
-    dim A_i columns.  The Lefschetz checks take the same ranks from
-    mixed Hessians; this explicit matrix is the independent reference.
+    dim A_i columns.  Since X^b X^e (f) is the monomial derivative of f by
+    e + b, the column of the basis monomial X^e is sum_b c_b * coords(e + b)
+    over the terms c_b X^b of L^k, with the coordinates of each derivative
+    in the basis of A_{i+k} read from the Analysis's memo, which solves each
+    once.  The sum runs over integers (the multinomial coefficients of
+    (cL)^k, c clearing the denominators of L, and the coordinates over a
+    common denominator) and each nonzero entry is one `Fraction`.
+    The Lefschetz checks take the same ranks from mixed Hessians; this
+    explicit matrix is the independent reference.
     """
     d = an.f.degree
     if i < 0 or k < 0 or i + k > d:
         raise DegreeRangeError(f"map degrees ({i} -> {i + k}) out of range for d={d}")
-    src = an.basis(i)
-    dst = an.basis(i + k)
-    span = linalg.SparseSpan()
-    for g in dst.derived:
-        span.try_add(g.coeff_map())
-    op = L.as_operator(an.f.vars) ** k
-    columns: list[list[Fraction]] = []
-    for g in src.derived:
-        image = diff_apply(op, g)
-        coords = span.dependency(image.coeff_map())
-        if coords is None:
-            raise ArithmeticError("image escaped the derivative space (bug)")
-        columns.append(coords)
-    return [list(row) for row in zip(*columns)]
+    if len(L.coeffs) != len(an.f.vars):
+        raise ValueError("linear form has the wrong number of coefficients")
+    coords = an.coordinates(i + k)
+    # (cL)^k = sum_b k!/b! prod_j (c a_j)^(b_j) X^b, c clearing the denominators of L
+    c = lcm(*(x.denominator for x in L.coeffs))
+    a = [int(x * c) for x in L.coeffs]
+    terms = (
+        (b, factorial(k) // prod(map(factorial, b)) * prod(map(pow, a, b)))
+        for b in mono_basis(an.f.vars, k)
+    )
+    power = [(b, cb) for b, cb in terms if cb]
+    scale = c**k
+    src = an.basis(i).ops
+    zero = Fraction(0)
+    rows = [[zero] * len(src) for _ in range(len(an.basis(i + k)))]
+    for s, op in enumerate(src):
+        (e,) = op.coeff_map()
+        parts = [(cb, coords[mono_mul(e, b)]) for b, cb in power]
+        q = lcm(*[qb for _, (qb, _) in parts])
+        column: dict[int, int] = {}
+        for cb, (qb, nums) in parts:
+            cb *= q // qb
+            for t, x in nums.items():
+                column[t] = column.get(t, 0) + cb * x
+        q *= scale
+        for t, v in column.items():
+            if v:
+                rows[t][s] = Fraction(v, q) if q > 1 else Fraction(v)
+    return rows
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,9 @@ import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb, lcm, perm, prod
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from . import linalg
@@ -116,7 +117,7 @@ def mono_degree(m: Monomial) -> int:
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 class Poly:
@@ -339,15 +340,12 @@ def mono_basis(vars: VariableSet, k: int) -> list[Monomial]:
         raise ValueError("degree must be nonnegative")
     n = len(vars)
     out: list[Monomial] = []
-
-    def rec(prefix: tuple[int, ...], i: int, rem: int) -> None:
-        if i == n - 1:
-            out.append(prefix + (rem,))
-            return
-        for e in range(rem, -1, -1):
-            rec(prefix + (e,), i + 1, rem - e)
-
-    rec((), 0, k)
+    # index multisets in lexicographic order are exponents in descending lex order
+    for indices in combinations_with_replacement(range(n), k):
+        expo = [0] * n
+        for i in indices:
+            expo[i] += 1
+        out.append(tuple(expo))
     return out
 
 
@@ -360,23 +358,34 @@ def diff_apply(alpha: DiffOp, f: Poly) -> Poly:
 
     `alpha` must live over the dual of `f`'s variable set.  The result carries
     the plain-derivative scalars (X^a applied to x^b gives b!/(b-a)! x^{b-a}).
+    Each operand is scaled once to integer coefficients by the lcm of its
+    denominators, a term pair is tested on the operator monomial's nonzero
+    positions only, and each output coefficient is one `Fraction` of the
+    integer sum over that product of the two scales.
     """
     if alpha.vars != f.vars.dual():
         raise VariableMismatchError(
             f"operator over {alpha.vars.names} cannot act on polynomial over {f.vars.names}"
         )
-    out: dict[Monomial, Fraction] = {}
+    da = lcm(*(c.denominator for c in alpha._terms.values()))
+    df = lcm(*(c.denominator for c in f._terms.values()))
+    f_terms = [(b, c.numerator * (df // c.denominator)) for b, c in f._terms.items()]
+    out: dict[Monomial, int] = {}
     for a, ca in alpha._terms.items():
-        for b, cb in f._terms.items():
-            if any(ai > bi for ai, bi in zip(a, b)):
-                continue
-            scalar = 1
-            for ai, bi in zip(a, b):
-                if ai:
-                    scalar *= perm(bi, ai)
-            e = tuple(bi - ai for ai, bi in zip(a, b))
-            out[e] = out.get(e, 0) + ca * cb * scalar
-    return Poly._trusted(f.vars, out)
+        ca = ca.numerator * (da // ca.denominator)
+        support = [(i, ai) for i, ai in enumerate(a) if ai]
+        for b, cb in f_terms:
+            v = cb
+            for i, ai in support:
+                bi = b[i]
+                if bi < ai:
+                    break
+                v *= perm(bi, ai)
+            else:
+                e = tuple(map(sub, b, a))
+                out[e] = out.get(e, 0) + ca * v
+    denom = da * df
+    return Poly._trusted(f.vars, {e: Fraction(v, denom) for e, v in out.items()})
 
 
 def partial(f: Poly, index: int) -> Poly:
@@ -499,14 +508,17 @@ def linear_change(f: Poly, matrix: Sequence[Sequence[Scalar]]) -> Poly:
         )
         for i in range(n)
     ]
-    total = Poly.zero(f.vars)
-    for expo, coeff in f.coeff_map().items():
+    powers: dict[tuple[int, int], Poly] = {}
+    terms = []
+    for expo, coeff in f._terms.items():
         term = Poly.constant(f.vars, coeff)
         for i, e in enumerate(expo):
             if e:
-                term = term * images[i] ** e
-        total = total + term
-    return total
+                if (i, e) not in powers:
+                    powers[i, e] = images[i] ** e
+                term = term * powers[i, e]
+        terms.append(term)
+    return poly_sum(f.vars, terms)
 
 
 # -- parsing ----------------------------------------------------------------

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 from math import comb
 
@@ -37,7 +39,7 @@ from lefschetz_lab.lefschetz import (
 )
 from lefschetz_lab.polycore import Poly, VariableSet, diff_apply, eval_poly, mono_basis, parse_poly
 
-from conftest import homogeneous_polys, prob
+from conftest import homogeneous_polys, prob, rational_polys
 
 IKEDA_VARS = VariableSet(("x0", "x1", "u1", "u2"), n_x=2)
 IKEDA = parse_poly("x0*u1^3*u2 + x1*u1*u2^3 + x0^3*x1^2", IKEDA_VARS)
@@ -82,6 +84,88 @@ class TestMultMap:
             m = mult_map(prob(IKEDA), L, 2, 1)
             assert len(m) == 10 and len(m[0]) == 10
             assert linalg.rank(m) < 10
+
+
+def reference_mult_map(an, L, i, k):
+    """L^k: A_i -> A_(i+k) built without the coordinate memo: `diff_apply`
+    of L^k on each basis derivative of A_i, solved in a fresh span of the
+    basis derivatives of A_(i+k)."""
+    span = linalg.SparseSpan()
+    for g in an.basis(i + k).derived:
+        span.try_add(g.coeff_map())
+    op = L.as_operator(an.f.vars) ** k
+    columns = [span.dependency(diff_apply(op, g).coeff_map()) for g in an.basis(i).derived]
+    return [list(row) for row in zip(*columns)]
+
+
+def rational_linear_form(rng, n):
+    """Coefficients (2a+1)/(2b): nonzero and never integers."""
+    return LinearForm.from_coeffs([Fraction(2 * rng.randint(-4, 4) + 1, 2 * rng.randint(1, 3)) for _ in range(n)])
+
+
+def assert_mult_map_matches_reference(f, L):
+    """Every map L^k, k = 1, 2, 3, equals the reference entry for entry; the
+    reference reads an Analysis of its own."""
+    an, oracle = prob(f), prob(f)
+    d = f.degree
+    for k in (1, 2, 3):
+        for i in range(d - k + 1):
+            m = mult_map(an, L, i, k)
+            assert m == reference_mult_map(oracle, L, i, k), (i, k)
+            assert all(type(x) is Fraction for row in m for x in row)
+
+
+class TestMultMapCoordinates:
+    @given(rational_polys(max_vars=3, min_degree=3, max_degree=5), st.integers(0, 2**32))
+    @settings(max_examples=25)
+    def test_matches_reference(self, f, seed):
+        assert_mult_map_matches_reference(f, rational_linear_form(random.Random(seed), len(f.vars)))
+
+    @pytest.mark.parametrize(
+        "make",
+        [gen_ikeda, lambda: gen_wlpodd(4, 5), lambda: gen_thmwlp(5, 4), lambda: gen_prop44("i")],
+        ids=["ikeda", "wlpodd-4-5", "thmwlp-5-4", "prop44-i"],
+    )
+    def test_matches_reference_on_families(self, make):
+        f = make().f
+        assert_mult_map_matches_reference(f, rational_linear_form(random.Random(11), len(f.vars)))
+
+    def test_each_derivative_solved_once(self, monkeypatch):
+        """Repeated maps on one Analysis solve each derivative's coordinates
+        once and build no span after the first map into each degree."""
+        solves, spans = [], []
+        dependency, init = linalg.SparseSpan.dependency, linalg.SparseSpan.__init__
+        monkeypatch.setattr(linalg.SparseSpan, "dependency", lambda self, vec: solves.append(1) or dependency(self, vec))
+        monkeypatch.setattr(linalg.SparseSpan, "__init__", lambda self: spans.append(1) or init(self))
+        f = gen_wlpodd(4, 5).f
+        an = prob(f)
+        rng = random.Random(2)
+        maps = [(2, 1), (1, 2), (0, 3), (1, 1)]
+        for i, k in maps:
+            mult_map(an, rational_linear_form(rng, len(f.vars)), i, k)
+        solved, built = len(solves), len(spans)
+        assert solved == sum(len(an.coordinates(t)) for t in {i + k for i, k in maps})
+        for _ in range(3):
+            for i, k in maps:
+                mult_map(an, rational_linear_form(rng, len(f.vars)), i, k)
+        assert (len(solves), len(spans)) == (solved, built)
+
+    def test_rejects_a_form_of_the_wrong_length(self):
+        with pytest.raises(ValueError):
+            mult_map(prob(IKEDA), LinearForm.from_coeffs((1, 2, 3)), 1, 1)
+
+    def test_memo_dies_with_its_analysis(self):
+        """Reference counting frees the coordinate memo with its Analysis."""
+        f = gen_wlpodd(4, 5).f
+        gc.disable()
+        try:
+            an = prob(f)
+            mult_map(an, rational_linear_form(random.Random(3), len(f.vars)), 2, 1)
+            memo = weakref.ref(an.coordinates(3))
+            del an
+            assert memo() is None
+        finally:
+            gc.enable()
 
 
 class TestSlpElement:

@@ -1,5 +1,6 @@
+import gc
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 import pytest
 import sympy
@@ -25,7 +26,7 @@ from lefschetz_lab.polycore import (
     poly_sum,
 )
 
-from conftest import homogeneous_polys
+from conftest import homogeneous_polys, rational_polys
 
 IKEDA_VARS = VariableSet(("x0", "x1", "u1", "u2"), n_x=2)
 IKEDA = parse_poly("x0*u1^3*u2 + x1*u1*u2^3 + x0^3*x1^2", IKEDA_VARS)
@@ -153,6 +154,54 @@ class TestDiff:
         assert total == f.scale(f.degree)
 
 
+def sympy_apply(op, f):
+    """The operator acting on f by sympy differentiation, term by term."""
+    expr, symbols = to_sympy(f)
+    out = sympy.Integer(0)
+    for expo, coeff in op.coeff_map().items():
+        term = expr
+        for s, e in zip(symbols, expo):
+            term = sympy.diff(term, s, e)
+        out += sympy.Rational(coeff.numerator, coeff.denominator) * term
+    return sympy.expand(out)
+
+
+@st.composite
+def rational_operators(draw, vars, max_degree):
+    """Operators over the dual of `vars` with 1..4 terms of degree up to
+    `max_degree` and rational coefficients."""
+    expos = st.lists(st.integers(0, max_degree), min_size=len(vars), max_size=len(vars)).filter(
+        lambda e: sum(e) <= max_degree
+    )
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+    terms = draw(st.dictionaries(expos.map(tuple), coeffs, min_size=1, max_size=4))
+    return Poly(vars.dual(), terms)
+
+
+class TestDiffAgainstSympy:
+    """Several-term operators with rational coefficients against sympy."""
+
+    @given(rational_polys(max_vars=3, max_degree=4), st.data())
+    def test_matches_sympy(self, f, data):
+        op = data.draw(rational_operators(f.vars, f.degree + 2))
+        got, _ = to_sympy(diff_apply(op, f))
+        assert sympy.expand(got - sympy_apply(op, f)) == 0
+
+    def test_cancels_to_zero(self):
+        f = parse_poly("1/3*x^3 + 1/2*x*y^2", XY)
+        op = parse_poly("1/2*X^2 - Y^2", XY.dual())
+        assert sympy_apply(op, f) == 0
+        assert diff_apply(op, f).is_zero()
+
+    def test_operators_above_the_degree_give_zero(self):
+        f = parse_poly("2/3*x^3*y - 5/4*y^4 + x^2*y^2", XY)
+        op = parse_poly("7/2*X^5 - 1/3*X^2*Y^3 + X^4*Y^2", XY.dual(), allow_inhomogeneous=True)
+        assert diff_apply(op, f).is_zero()
+        mixed = op + parse_poly("3/5*X^3*Y", XY.dual())
+        assert diff_apply(mixed, f) == Poly.constant(XY, Fraction(3, 5) * 4)
+        assert sympy_apply(mixed, f) == sympy.Rational(12, 5)
+
+
 class TestMonoBasis:
     def test_two_vars_k2(self):
         uv = VariableSet(("u", "v"))
@@ -163,6 +212,24 @@ class TestMonoBasis:
 
     def test_k0(self):
         assert mono_basis(XY, 0) == [(0, 0)]
+
+    def test_descending_lex_order(self):
+        for k in range(5):
+            monos = mono_basis(IKEDA_VARS, k)
+            assert monos == sorted(monos, reverse=True)
+            assert len(set(monos)) == len(monos) == comb(3 + k, k)
+            assert all(sum(m) == k for m in monos)
+
+    def test_leaves_no_cyclic_garbage(self):
+        """The list is freed by reference counting, not by a later full
+        collection."""
+        gc.collect()
+        gc.disable()
+        try:
+            mono_basis(IKEDA_VARS, 4)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestEval:
