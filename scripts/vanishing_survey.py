@@ -11,24 +11,10 @@ Usage: python scripts/vanishing_survey.py [--trials N] [--seed N]
 import argparse
 import random
 import time
-from fractions import Fraction
 
 from lefschetz_lab.analysis import Analysis
 from lefschetz_lab.hessian import is_cone
-from lefschetz_lab.polycore import Poly, VariableSet, mono_basis
-
-
-def random_form(rng: random.Random, nvars: int, degree: int) -> Poly:
-    vs = VariableSet(tuple(f"x{i}" for i in range(nvars)))
-    monos = mono_basis(vs, degree)
-    count = rng.randint(2, min(6, len(monos)))
-    terms = {}
-    for mo in rng.sample(monos, count):
-        c = 0
-        while c == 0:
-            c = rng.randint(-4, 4)
-        terms[mo] = Fraction(c)
-    return Poly(vs, terms)
+from lefschetz_lab.reproduce import _random_form
 
 
 def main() -> None:
@@ -41,7 +27,7 @@ def main() -> None:
     cones = vanishing = nonvanishing = 0
     worst_ms = 0.0
     for _ in range(args.trials):
-        f = random_form(rng, rng.randint(2, 4), rng.randint(3, 5))
+        f = _random_form(rng, rng.randint(2, 4), rng.randint(3, 5))
         an = Analysis(f, "probabilistic", args.seed)
         if is_cone(an).is_cone:
             cones += 1

@@ -2,7 +2,8 @@
 
 An `Analysis` holds a form f with the decision mode and the seed, and
 memoizes what the profile, the Lefschetz verdicts and the certificates read:
-the monomial derivatives of f, the A_k bases, the coordinates of each
+the monomial derivatives of f, the A_k bases (each the exponents of its
+monomial operators with their derivatives), the coordinates of each
 monomial derivative of degree k in the basis of A_k (the explicit
 multiplication maps read them), the Hilbert vector, the assembled (mixed)
 Hessians and their integer kernels, each order's vanishing verdict, and
@@ -16,11 +17,12 @@ evaluation once (the vanishing decision and every Lefschetz rank check
 evaluate that kernel), searches each order for a certificate once, and
 solves each derivative's coordinates once however many maps read them.  A verdict is decided by one of
 three routes: the order's key certificate (split forms; the Hessian is then
-neither assembled nor compiled), evaluation of the kernel, or elimination
-after every evaluation was zero; `counts()` reports the first and the last.
-Each basis of A_k grows from that of A_(k-1), and the bases, every Hessian
-cell, the coordinate solves and both certificate searches read the
-derivatives of f from one memo.
+neither assembled nor compiled), evaluation of the kernel, or, in exact mode
+only, elimination after every evaluation was zero; `counts()` reports the
+first and the last.  Each basis of A_k grows from that of A_(k-1), and the
+bases, every Hessian cell (at the sum of its row and column exponents), the
+coordinate solves and both certificate searches read the derivatives of f
+from one memo.
 
 Every function that reads the bases or the derivatives takes the Analysis in
 place of the bare form (and of any mode and seed); constructions on f alone

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import linalg
 from .errors import DegreeRangeError, ZeroPolynomialError
-from .polycore import Derivatives, DiffOp, Monomial, Poly, diff_apply, mono_basis
+from .polycore import Derivatives, Monomial, Poly, diff_apply, mono_basis
 
 if TYPE_CHECKING:
     from .analysis import Analysis
@@ -47,20 +47,22 @@ class Catalecticant:
 
 @dataclass(frozen=True)
 class AkBasis:
-    """Ordered operator basis of A_k together with the derivatives it spans.
+    """The greedy monomial basis of A_k together with the derivatives it spans.
 
-    `derived[i]` is ops[i] applied to f; the derived polynomials are linearly
-    independent and their number is dim A_k.  `candidates` counts the
-    monomial operators whose derivatives were reduced to find the basis.
+    `expos[i]` is the exponent of the i-th basis element, the monic monomial
+    operator X^expos[i]; `derived[i]` is that operator applied to f.  The
+    derived polynomials are linearly independent and their number is dim A_k.
+    `candidates` counts the monomial operators whose derivatives were
+    reduced to find the basis.
     """
 
     k: int
-    ops: tuple[DiffOp, ...]
+    expos: tuple[Monomial, ...]
     derived: tuple[Poly, ...]
     candidates: int = 0
 
     def __len__(self) -> int:
-        return len(self.ops)
+        return len(self.expos)
 
 
 def _require_degree(f: Poly) -> int:
@@ -99,29 +101,28 @@ def ak_basis(
     d = _require_degree(f)
     if not 0 <= k <= d:
         raise DegreeRangeError(f"k={k} out of range 0..{d}")
-    dual = f.vars.dual()
     if k == 0:
-        return AkBasis(0, (Poly.monomial(dual, (0,) * len(dual)),), (f,))
+        return AkBasis(0, ((0,) * len(f.vars),), (f,))
     derivatives = Derivatives(f) if derivatives is None else derivatives
     if below is None:
         below = ak_basis(f, k - 1, derivatives=derivatives)
     elif below.k != k - 1:
         raise ValueError(f"basis of A_{below.k} given to grow A_{k}")
-    parents = {next(iter(op.coeff_map())) for op in below.ops}
+    parents = set(below.expos)
     found = {m[:i] + (m[i] + 1,) + m[i + 1 :] for m in parents for i in range(len(m))}
     candidates = sorted(
         (e for e in found if all(e[:j] + (x - 1,) + e[j + 1 :] in parents for j, x in enumerate(e) if x)),
         reverse=True,
     )
     span = linalg.SparseSpan()
-    ops: list[DiffOp] = []
+    expos: list[Monomial] = []
     derived: list[Poly] = []
     for e in candidates:
         h = derivatives[e]
         if h and span.try_add(h.coeff_map()):
-            ops.append(Poly.monomial(dual, e))
+            expos.append(e)
             derived.append(h)
-    return AkBasis(k, tuple(ops), tuple(derived), len(candidates))
+    return AkBasis(k, tuple(expos), tuple(derived), len(candidates))
 
 
 class Coordinates(dict):

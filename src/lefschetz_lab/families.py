@@ -175,23 +175,22 @@ def _verified(f: Poly, manifest: Manifest, seed: int, what: str) -> None:
     """Check the structural claims of `manifest` on the probabilistic Analysis of f.
 
     f is not a cone; each order in `key_certificate_orders` has a key
-    certificate; each other order of `hess_pattern` has the claimed verdict;
-    the obstruction at `obstruction_level` exists, with `obstruction_size`
-    operators; `wlp_witness` passes exactly when `wlp` holds.  A vanishing
-    claim at a key order is settled by the key.  The Hilbert vector, dim A_1
-    and the generic SLP/WLP reports are left to `replay_manifest`.
+    certificate; each order of `hess_pattern` has the claimed verdict (a
+    vanishing claim at a key order is read off the key, which the verdict
+    consults first); the obstruction at `obstruction_level` exists, with
+    `obstruction_size` operators; `wlp_witness` passes exactly when `wlp`
+    holds.  The Hilbert vector, dim A_1 and the generic SLP/WLP reports are
+    left to `replay_manifest`.
     """
     an = Analysis(f, "probabilistic", seed)
     _verify(not is_cone(an).is_cone, f"{what}: some variable is superfluous")
-    keys = manifest.key_certificate_orders
-    for k in keys:
+    for k in manifest.key_certificate_orders:
         _verify(an.key(k) is not None, f"{what}: no vanishing certificate at order {k}")
     for k, vanishes in manifest.hess_pattern:
-        if not (vanishes and k in keys):
-            _verify(
-                an.verdict(k).vanishes == vanishes,
-                f"{what}: Hessian of order {k} " + ("did not vanish" if vanishes else "vanished"),
-            )
+        _verify(
+            an.verdict(k).vanishes == vanishes,
+            f"{what}: Hessian of order {k} " + ("did not vanish" if vanishes else "vanished"),
+        )
     level, size = manifest.obstruction_level, manifest.obstruction_size
     if level is not None:
         cert = an.obstruction(level)

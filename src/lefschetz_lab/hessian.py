@@ -28,12 +28,11 @@ A constant matrix (the middle Hessian of even degree) is decided by its
 residue at the all-ones point, exactly; only a zero residue, which p may
 produce for a nonzero value, sends it to the exact integer determinant.
 Elimination runs only after all evaluations were zero, and then only in exact
-mode or when the matrix is small enough; above the cutoff a probabilistic
-vanishing verdict states its error bound (deg/B)^trials + ceil(bits(N)/60) /
-2^54: Schwartz-Zippel over F_p for the B-wide sample box, plus the chance
-that the prime divides the content of a nonzero determinant polynomial,
-whose coefficients are bounded by N, the product of the rows' coefficient
-1-norms.  The prime is random, not fixed, because a fixed p can divide that
+mode; a probabilistic vanishing verdict, whatever the matrix's size, states
+its error bound (deg/B)^trials + ceil(bits(N)/60) / 2^54: Schwartz-Zippel
+over F_p for the B-wide sample box, plus the chance that the prime divides
+the content of a nonzero determinant polynomial, whose coefficients are
+bounded by N, the product of the rows' coefficient 1-norms.  The prime is random, not fixed, because a fixed p can divide that
 content: 2^61-1 divides every value of the order-1 Hessian determinant of
 (2^61-1) x0^3 + x1^3 + ... + x12^3.  The Hessians, their kernels, the
 certificates and the verdicts of one form are read through its `Analysis`,
@@ -48,18 +47,17 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from . import linalg
-from .apolar import AkBasis
 from .errors import DegreeRangeError
-from .polycore import IntMatrix, Monomial, Poly, diff_apply, mono_mul
+from .polycore import DiffOp, IntMatrix, Monomial, Poly, diff_apply, mono_mul
 
 if TYPE_CHECKING:
     from .analysis import Analysis
     from .lefschetz import KeyCertificate
 
-DEFAULT_EXACT_CUTOFF = 12
+DEFAULT_EXACT_CUTOFF = 12  # the largest verdict whose JSON shows det_value
 DEFAULT_TRIALS = 5
 MODES = ("probabilistic", "exact")
 
@@ -139,14 +137,16 @@ class VanishingVerdict:
         return out
 
 
-def hessian_matrix(an: Analysis, k: int, basis: Optional[AkBasis] = None) -> Matrix:
+def hessian_matrix(an: Analysis, k: int, basis: Optional[Sequence[DiffOp]] = None) -> Matrix:
     """Entries of the order-k Hessian; the default basis is the greedy monomial
-    one, `an.basis(k)`, whose matrix the Analysis keeps."""
+    one, `an.basis(k)`, whose matrix the Analysis keeps.  An explicit `basis`
+    is a sequence of degree-k operators whose derivatives of f are a basis
+    of the derivative space; cell (i, j) is basis[i] applied to basis[j] (f)."""
     _checked_degree(an.f, k)
     if basis is None:
         return an.hessian(k, k)
-    _validate_basis(an, k, basis)
-    return _entries(an, basis, basis, symmetric=True)
+    derived = _basis_derivatives(an, k, basis)
+    return _mirrored([diff_apply(a, g) for g in derived[i:]] for i, a in enumerate(basis))
 
 
 def mixed_hessian(an: Analysis, k: int, l: int) -> Matrix:
@@ -160,51 +160,40 @@ def mixed_hessian(an: Analysis, k: int, l: int) -> Matrix:
     d = an.f.degree
     if k < 0 or l < 0 or k + l > d:
         raise DegreeRangeError(f"orders ({k}, {l}) out of range for d={d}")
-    rows = an.basis(k)
-    return _entries(an, rows, rows if l == k else an.basis(l), symmetric=l == k)
-
-
-def _entries(an: Analysis, rows: AkBasis, cols: AkBasis, *, symmetric: bool) -> Matrix:
-    """(rows.ops[i] cols.ops[j] (f)); symmetric fills one triangle.  A cell of
-    two monomial operators is read from the Analysis's derivative memo by the
-    exponent sum, so cells and matrices share one `Poly` per derivative."""
-    n, m = len(rows), len(cols)
-    row_expos = [_exponent(op) for op in rows.ops]
-    col_expos = row_expos if rows is cols else [_exponent(op) for op in cols.ops]
     derivatives = an.derivatives
-    out: list[list[Poly]] = [[None] * m for _ in range(n)]  # type: ignore[list-item]
-    for i in range(n):
-        a = row_expos[i]
-        for j in range(i if symmetric else 0, m):
-            b = col_expos[j]
-            if a is not None and b is not None:
-                entry = derivatives[mono_mul(a, b)]
-            else:
-                entry = diff_apply(rows.ops[i], cols.derived[j])
-            out[i][j] = entry
-            if symmetric:
-                out[j][i] = entry
-    return tuple(tuple(r) for r in out)
+    rows = an.basis(k).expos
+    if l != k:
+        cols = an.basis(l).expos
+        return tuple(tuple([derivatives[mono_mul(a, b)] for b in cols]) for a in rows)
+    return _mirrored([derivatives[mono_mul(a, b)] for b in rows[i:]] for i, a in enumerate(rows))
 
 
-def _exponent(op: Poly) -> Optional[Monomial]:
-    """The exponent of a monic monomial operator; None for any other operator."""
-    if op.num_terms() == 1:
-        ((expo, coeff),) = op.terms()
-        if coeff == 1:
-            return expo
-    return None
+def _mirrored(uppers: Iterable[list[Poly]]) -> Matrix:
+    """The symmetric matrix whose i-th row ends with the i-th of `uppers`,
+    its cells from the diagonal on; the cells left of the diagonal are
+    those of the rows above."""
+    out: list[list[Poly]] = []
+    for i, upper in enumerate(uppers):
+        out.append([row[i] for row in out] + upper)
+    return tuple(map(tuple, out))
 
 
-def _validate_basis(an: Analysis, k: int, basis: AkBasis) -> None:
-    if basis.k != k:
-        raise ValueError(f"basis is for degree {basis.k}, not {k}")
+def _basis_derivatives(an: Analysis, k: int, basis: Sequence[DiffOp]) -> list[Poly]:
+    """Each operator of an explicit basis of A_k applied to f, after checking
+    that the operators have degree k and that their derivatives are dim A_k
+    independent polynomials."""
     if len(basis) != len(an.basis(k)):
         raise ValueError("basis has the wrong dimension for this polynomial")
     span = linalg.SparseSpan()
-    for op, g in zip(basis.ops, basis.derived):
-        if diff_apply(op, an.f) != g or not span.try_add(g.coeff_map()):
-            raise ValueError("invalid basis: derivatives inconsistent or dependent")
+    derived: list[Poly] = []
+    for op in basis:
+        if not op.is_homogeneous() or op.degree != k:
+            raise ValueError(f"basis operator {op.to_text()} does not have degree {k}")
+        g = diff_apply(op, an.f)
+        if not span.try_add(g.coeff_map()):
+            raise ValueError("invalid basis: the derivatives are dependent")
+        derived.append(g)
+    return derived
 
 
 def _checked_degree(f: Poly, k: int) -> None:
@@ -214,16 +203,17 @@ def _checked_degree(f: Poly, k: int) -> None:
 
 
 def hessian_vanishes(
-    an: Analysis, k: int, *, basis: Optional[AkBasis] = None
+    an: Analysis, k: int, *, basis: Optional[Sequence[DiffOp]] = None
 ) -> VanishingVerdict:
     """Decide whether the order-k Hessian determinant vanishes identically.
 
     On a split form with the default basis, an order k >= 1 with a key
     certificate (`an.key(k)`) is decided by it: exact vanishing in either
     mode, with no Hessian assembled.  Otherwise the decision evaluates (on
-    the default basis, the kernel the Analysis compiled) and, where every
-    value is zero, eliminates, in the Analysis's mode and seed.  An explicit
-    `basis` always takes that second route.  `Analysis.verdict` keeps the
+    the default basis, the kernel the Analysis compiled) at the Analysis's
+    seed and, in exact mode where every value is zero, eliminates.  An
+    explicit `basis`, a sequence of degree-k operators, always takes that
+    second route.  `Analysis.verdict` keeps the
     result; this function decides afresh on every call, though the key
     search itself is memoized.
     """
@@ -239,7 +229,6 @@ def hessian_vanishes(
         mode=an.mode,
         seed=an.seed,
         trials=DEFAULT_TRIALS,
-        exact_cutoff=DEFAULT_EXACT_CUTOFF,
         salt=f"hess:{k}",
         kernel=an.kernel(k, k) if basis is None else None,
     )
@@ -286,7 +275,7 @@ def is_cone(an: Analysis) -> ConeReport:
     a1 = an.basis(1)
     if len(a1) == n:
         return ConeReport(False, None)
-    kept = [next(iter(op.coeff_map())).index(1) for op in a1.ops]  # ascending
+    kept = [e.index(1) for e in a1.expos]  # ascending
     i = next(j for j, v in enumerate(kept + [n]) if v != j)
     span = linalg.SparseSpan()
     for g in a1.derived[:i]:
@@ -308,7 +297,6 @@ def _det_vanishes(
     mode: str,
     seed: int,
     trials: int,
-    exact_cutoff: int,
     salt: str,
     kernel: Optional[IntMatrix] = None,
 ) -> VanishingVerdict:
@@ -343,7 +331,7 @@ def _det_vanishes(
         verdict = _witness(kernel, point, p, mode)
         if verdict is not None:
             return verdict
-    if mode == "exact" or size <= exact_cutoff:
+    if mode == "exact":
         return _exact_verdict(entries, seed, salt)
     # Schwartz-Zippel over F_p for every trial, plus the chance that p
     # divides the content of a nonzero integer determinant polynomial: at

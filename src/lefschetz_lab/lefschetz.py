@@ -41,7 +41,6 @@ from .polycore import (
     DiffOp,
     Poly,
     Scalar,
-    VariableSet,
     diff_apply,
     mono_basis,
     mono_mul,
@@ -67,17 +66,6 @@ class LinearForm:
     @classmethod
     def from_coeffs(cls, coeffs: Sequence[Scalar]) -> "LinearForm":
         return cls(tuple(Fraction(c) for c in coeffs))
-
-    def as_operator(self, vars: VariableSet) -> DiffOp:
-        dual = vars.dual()
-        if len(self.coeffs) != len(vars):
-            raise ValueError("linear form has the wrong number of coefficients")
-        terms = {}
-        for i, c in enumerate(self.coeffs):
-            if c:
-                expo = tuple(1 if j == i else 0 for j in range(len(vars)))
-                terms[expo] = c
-        return Poly(dual, terms)
 
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coeffs]
@@ -113,11 +101,10 @@ def mult_map(an: Analysis, L: LinearForm, i: int, k: int) -> list[list[Fraction]
     )
     power = [(b, cb) for b, cb in terms if cb]
     scale = c**k
-    src = an.basis(i).ops
+    src = an.basis(i).expos
     zero = Fraction(0)
     rows = [[zero] * len(src) for _ in range(len(an.basis(i + k)))]
-    for s, op in enumerate(src):
-        (e,) = op.coeff_map()
+    for s, e in enumerate(src):
         parts = [(cb, coords[mono_mul(e, b)]) for b, cb in power]
         q = lcm(*[qb for _, (qb, _) in parts])
         column: dict[int, int] = {}

@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 
 from . import linalg
 from .analysis import Analysis
-from .apolar import AkBasis, catalecticant
+from .apolar import catalecticant
 from .errors import InfeasibleParametersError
 from .families import (
     FamilyInstance,
@@ -161,22 +161,23 @@ def _gnp_boundary(config: SuiteConfig) -> tuple[bool, str]:
 # -- criterion 8: randomized property suites ---------------------------------------
 
 
-def _random_form(
-    rng: random.Random,
-    nvars: int,
-    degree: int,
-    max_terms: int = 6,
-    coeff_bound: int = 4,
-) -> Poly:
+RANDOM_FORM_MAX_TERMS = 6
+RANDOM_FORM_COEFF_BOUND = 4
+
+
+def _random_form(rng: random.Random, nvars: int, degree: int) -> Poly:
+    """A form in x0..x(nvars-1) with 2..RANDOM_FORM_MAX_TERMS random monomials
+    of the given degree and nonzero integer coefficients of absolute value
+    at most RANDOM_FORM_COEFF_BOUND."""
     vs = VariableSet(tuple(f"x{i}" for i in range(nvars)))
     monos = mono_basis(vs, degree)
-    count = rng.randint(2, min(max_terms, len(monos)))
+    count = rng.randint(2, min(RANDOM_FORM_MAX_TERMS, len(monos)))
     chosen = rng.sample(monos, count)
     terms = {}
     for mo in chosen:
         c = 0
         while c == 0:
-            c = rng.randint(-coeff_bound, coeff_bound)
+            c = rng.randint(-RANDOM_FORM_COEFF_BOUND, RANDOM_FORM_COEFF_BOUND)
         terms[mo] = Fraction(c)
     return Poly(vs, terms)
 
@@ -254,17 +255,10 @@ def _prop_basis_change(config: SuiteConfig) -> tuple[bool, str]:
         if k > d // 2:
             continue
         an = Analysis(f, config.mode, config.seed)
-        base = an.basis(k)
-        u = _random_unimodular(rng, len(base))
-        new_ops = []
-        for i in range(len(base)):
-            op = poly_sum(
-                base.ops[0].vars,
-                [base.ops[j].scale(u[i][j]) for j in range(len(base)) if u[i][j]],
-            )
-            new_ops.append(op)
-        new_derived = tuple(diff_apply(op, f) for op in new_ops)
-        changed = AkBasis(k, tuple(new_ops), new_derived)
+        expos = an.basis(k).expos
+        u = _random_unimodular(rng, len(expos))
+        dual = f.vars.dual()
+        changed = [Poly(dual, dict(zip(expos, row))) for row in u]
         flag_default = an.verdict(k).vanishes
         flag_changed = hessian_vanishes(an, k, basis=changed).vanishes
         if flag_default != flag_changed:

@@ -103,8 +103,9 @@ def assert_grown_bases_match_scan(f):
     an = prob(f)
     for k in range(f.degree + 1):
         grown = ak_basis(f, k)
-        assert [next(iter(op.coeff_map())) for op in grown.ops] == scanned_basis(f, k)
-        assert all(diff_apply(op, f) == g for op, g in zip(grown.ops, grown.derived))
+        assert list(grown.expos) == scanned_basis(f, k)
+        dual = f.vars.dual()
+        assert all(diff_apply(Poly.monomial(dual, e), f) == g for e, g in zip(grown.expos, grown.derived))
         assert an.basis(k) == grown
 
 
@@ -140,7 +141,7 @@ class TestAkBasis:
     def test_power(self):
         vs = VariableSet(("x", "y"))
         basis = ak_basis(parse_poly("x^3", vs), 1)
-        assert [op.to_text() for op in basis.ops] == ["X"]
+        assert basis.expos == ((1, 0),)
 
     def test_perazzo_k1_size(self):
         assert len(ak_basis(PERAZZO, 1)) == 5
@@ -148,7 +149,7 @@ class TestAkBasis:
     def test_deterministic(self):
         a = ak_basis(IKEDA, 2)
         b = ak_basis(IKEDA, 2)
-        assert a.ops == b.ops
+        assert a.expos == b.expos
 
 
 class TestHilbert:

@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 import lefschetz_lab.hessian as hessian_mod
 from lefschetz_lab import linalg
 from lefschetz_lab.analysis import Analysis
-from lefschetz_lab.apolar import AkBasis, ak_basis
+from lefschetz_lab.apolar import ak_basis
 from lefschetz_lab.errors import DegreeRangeError, ZeroPolynomialError
 from lefschetz_lab.families import (
     gen_exceptional,
@@ -41,6 +41,7 @@ from lefschetz_lab.polycore import (
     diff_apply,
     eval_poly,
     linear_change,
+    mono_mul,
     parse_poly,
     partial,
     poly_sum,
@@ -52,6 +53,12 @@ IKEDA_VARS = VariableSet(("x0", "x1", "u1", "u2"), n_x=2)
 IKEDA = parse_poly("x0*u1^3*u2 + x1*u1*u2^3 + x0^3*x1^2", IKEDA_VARS)
 PERAZZO_VARS = VariableSet(("x", "y", "z", "u", "v"), n_x=3)
 PERAZZO = parse_poly("x*u^2 + y*u*v + z*v^2", PERAZZO_VARS)
+
+
+def basis_ops(an, k):
+    """The greedy basis of A_k as monomial operators."""
+    dual = an.f.vars.dual()
+    return [Poly.monomial(dual, e) for e in an.basis(k).expos]
 
 
 class TestHessianMatrix:
@@ -74,7 +81,7 @@ class TestHessianMatrix:
     def test_ikeda_mixed_rows_supported_on_u_columns(self):
         an = prob(IKEDA)
         H = hessian_matrix(an, 2)
-        ops = [op.to_text() for op in an.basis(2).ops]
+        ops = [op.to_text() for op in basis_ops(an, 2)]
         mixed = [ops.index(t) for t in ("X0*U1", "X0*U2", "X1*U1", "X1*U2")]
         pure_u = {ops.index(t) for t in ("U1^2", "U1*U2", "U2^2")}
         for i in mixed:
@@ -217,7 +224,7 @@ class TestInvariance:
             return
         k = data.draw(st.integers(1, d // 2))
         an = prob(f)
-        base = an.basis(k)
+        base = basis_ops(an, k)
         n = len(base)
         coeffs = [
             [data.draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)
@@ -226,11 +233,10 @@ class TestInvariance:
             coeffs[i][i] = 1
             for j in range(i):
                 coeffs[i][j] = 0
-        new_ops = tuple(
-            poly_sum(base.ops[0].vars, [base.ops[j].scale(coeffs[i][j]) for j in range(n) if coeffs[i][j]])
+        changed = [
+            poly_sum(base[0].vars, [base[j].scale(coeffs[i][j]) for j in range(n) if coeffs[i][j]])
             for i in range(n)
-        )
-        changed = AkBasis(k, new_ops, tuple(diff_apply(op, f) for op in new_ops))
+        ]
         assert (
             hessian_vanishes(an, k).vanishes
             == hessian_vanishes(an, k, basis=changed).vanishes
@@ -259,10 +265,9 @@ def assert_cells_are_derivatives(an):
     f, d = an.f, an.f.degree
     for k in range(d + 1):
         for l in range(d - k + 1):
-            rows, cols = an.basis(k), an.basis(l)
             H = an.hessian(k, l)
-            for a, row in zip(rows.ops, H):
-                for b, cell in zip(cols.ops, row):
+            for a, row in zip(basis_ops(an, k), H):
+                for b, cell in zip(basis_ops(an, l), row):
                     assert cell == diff_apply(a, diff_apply(b, f))
 
 
@@ -290,13 +295,13 @@ class TestDerivativeMemo:
     def test_cells_over_a_changed_basis(self, f, data):
         k = data.draw(st.integers(1, f.degree // 2))
         an = prob(f)
-        base = an.basis(k)
+        base = basis_ops(an, k)
         n = len(base)
-        new_ops = tuple(
-            poly_sum(base.ops[0].vars, [base.ops[i]] + [base.ops[j].scale(data.draw(st.integers(-2, 2))) for j in range(i + 1, n)])
+        new_ops = [
+            poly_sum(base[0].vars, [base[i]] + [base[j].scale(data.draw(st.integers(-2, 2))) for j in range(i + 1, n)])
             for i in range(n)
-        )
-        H = hessian_matrix(an, k, AkBasis(k, new_ops, tuple(diff_apply(op, f) for op in new_ops)))
+        ]
+        H = hessian_matrix(an, k, new_ops)
         for a, row in zip(new_ops, H):
             for b, cell in zip(new_ops, row):
                 assert cell == diff_apply(a, diff_apply(b, f))
@@ -306,10 +311,9 @@ class TestDerivativeMemo:
         H2, M13 = an.hessian(2, 2), an.hessian(1, 3)
         cells = {}
         for (k, l), H in (((2, 2), H2), ((1, 3), M13)):
-            for a, row in zip(an.basis(k).ops, H):
-                for b, cell in zip(an.basis(l).ops, row):
-                    expo = tuple(x + y for x, y in zip(*(next(iter(op.coeff_map())) for op in (a, b))))
-                    assert cells.setdefault(expo, cell) is cell
+            for a, row in zip(an.basis(k).expos, H):
+                for b, cell in zip(an.basis(l).expos, row):
+                    assert cells.setdefault(mono_mul(a, b), cell) is cell
 
 
 class TestKeyCriterionSoundness:
@@ -395,18 +399,44 @@ class TestCertificateRoute:
             verdict = changed.verdict(k)
             assert verdict.certificate is None
             assert verdict.vanishes == plain.verdict(k).vanishes
+            if verdict.vanishes and analysis is prob:
+                assert verdict.mode == "probabilistic" and verdict.error_bound < Fraction(1, 10**9)
         assert changed.counts()["certified"] == 0
-        assert changed.counts()["eliminations"] == 1
+        # probabilistic mode states an error bound where exact mode eliminates
+        assert changed.counts()["eliminations"] == (1 if analysis is exact else 0)
         assert plain.counts()["certified"] == 1
 
     def test_explicit_basis_skips_the_certificate(self, monkeypatch):
         an = exact(PERAZZO)
         searched = []
         monkeypatch.setattr(an, "key", searched.append)
-        verdict = hessian_vanishes(an, 1, basis=an.basis(1))
+        verdict = hessian_vanishes(an, 1, basis=basis_ops(an, 1))
         assert verdict.vanishes and verdict.certificate is None
         assert verdict.eliminated and verdict.transcript_hash
         assert searched == []
+
+
+class TestExplicitBasis:
+    def test_wrong_size_rejected(self):
+        an = prob(IKEDA)
+        with pytest.raises(ValueError, match="dimension"):
+            hessian_matrix(an, 2, basis_ops(an, 2)[1:])
+
+    def test_dependent_derivatives_rejected(self):
+        an = prob(IKEDA)
+        ops = basis_ops(an, 2)
+        ops[-1] = ops[0] + ops[1]
+        with pytest.raises(ValueError, match="dependent"):
+            hessian_matrix(an, 2, ops)
+
+    def test_operator_of_another_degree_rejected(self):
+        an = prob(IKEDA)
+        x0 = Poly.variable(IKEDA_VARS.dual(), 0)
+        for wrong in (x0, basis_ops(an, 2)[0] + x0):  # degree 1; degrees 1 and 2
+            ops = basis_ops(an, 2)
+            ops[0] = wrong
+            with pytest.raises(ValueError, match="degree 2"):
+                hessian_vanishes(an, 2, basis=ops)
 
 
 class TestModeAgreement:
@@ -452,6 +482,25 @@ class TestEvaluateFirst:
         verdict = hessian_vanishes(exact(unsplit(PERAZZO)), 1)
         assert verdict.vanishes and verdict.eliminated and verdict.transcript_hash
 
+    def test_probabilistic_vanishing_never_eliminates(self, monkeypatch):
+        # a u-row shear of wlpodd(4,5) without its split: a 12x12 order-2
+        # Hessian of dense entries that vanishes; eliminating it takes minutes
+        calls = []
+        monkeypatch.setattr(hessian_mod, "poly_det_vanishes", calls.append)
+        f = gen_wlpodd(4, 5).f
+        n, n_x = len(f.vars), f.vars.n_x
+        rng = random.Random(0)
+        shear = [[int(i == j) for j in range(n)] for i in range(n)]
+        for i in range(n_x, n):
+            for j in range(n_x):
+                shear[i][j] = rng.randint(-2, 2)
+        an = prob(unsplit(linear_change(f, shear)))
+        verdict = an.verdict(2)
+        assert len(an.hessian(2, 2)) == 12
+        assert verdict.vanishes and verdict.mode == "probabilistic"
+        assert verdict.error_bound < Fraction(1, 10**9)
+        assert calls == [] and an.counts()["eliminations"] == 0
+
     def test_certified_vanishing_needs_no_hessian(self, monkeypatch):
         calls = []
         monkeypatch.setattr(hessian_mod, "poly_det_vanishes", calls.append)
@@ -475,7 +524,6 @@ class TestEvaluateFirst:
             mode="exact",
             seed=0,
             trials=0,
-            exact_cutoff=DEFAULT_EXACT_CUTOFF,
             salt="hess:1",
         )
         assert not verdict.vanishes and verdict.mode == "exact"
@@ -560,7 +608,7 @@ def fermat_cubic(nvars, first_coeff):
 class TestRandomPrime:
     def test_determinant_divisible_by_a_fixed_prime_is_nonvanishing(self):
         # hess^1 is diagonal with determinant 6^13 (2^61-1) x0 ... x12, zero
-        # mod 2^61-1 at every point, and 13x13 is above the elimination cutoff
+        # mod 2^61-1 at every point, and probabilistic mode never eliminates
         an = prob(fermat_cubic(13, MERSENNE_61))
         entries = an.hessian(1, 1)
         assert len(entries) > DEFAULT_EXACT_CUTOFF
@@ -636,8 +684,9 @@ def residue_mod(value, p):
     return value.numerator * pow(value.denominator, -1, p) % p
 
 
-def decide_small_cutoff(f, k, seed):
-    """Decide the order-k Hessian with no elimination cutoff: evaluation only."""
+def decide_by_evaluation(f, k, seed):
+    """Decide the order-k Hessian in probabilistic mode, by evaluation only,
+    on a kernel compiled afresh."""
     entries = prob(f).hessian(k, k)
     verdict = _det_vanishes(
         entries,
@@ -645,7 +694,6 @@ def decide_small_cutoff(f, k, seed):
         mode="probabilistic",
         seed=seed,
         trials=DEFAULT_TRIALS,
-        exact_cutoff=0,
         salt=f"hess:{k}",
     )
     return entries, verdict
@@ -667,7 +715,7 @@ class TestResidueWitness:
     def test_residue_is_the_rational_determinant_mod_p(self, f, dens, seed):
         f = with_rational_coefficients(f, dens)
         for k in range(f.degree // 2 + 1):
-            entries, verdict = decide_small_cutoff(f, k, seed)
+            entries, verdict = decide_by_evaluation(f, k, seed)
             if not verdict.vanishes:
                 assert verdict.prime == _decision_prime(f"hess:{k}", seed)
                 assert residue_replays(entries, verdict)
@@ -675,13 +723,13 @@ class TestResidueWitness:
     def test_rational_row_scale_is_divided_out(self):
         vs = VariableSet(("x", "y", "z"))
         f = parse_poly("1/5*x^3 + 1/7*y^3 + 1/11*x*y*z + z^3", vs)
-        entries, verdict = decide_small_cutoff(f, 1, 0)
+        entries, verdict = decide_by_evaluation(f, 1, 0)
         assert IntMatrix(entries).scale % verdict.prime != 1
         assert residue_replays(entries, verdict)
 
     def test_fixed_prime_content(self):
         # 2^61-1 divides every value of this determinant; the random prime does not
-        entries, verdict = decide_small_cutoff(fermat_cubic(13, MERSENNE_61), 1, 0)
+        entries, verdict = decide_by_evaluation(fermat_cubic(13, MERSENNE_61), 1, 0)
         assert not verdict.vanishes and residue_replays(entries, verdict)
 
     def test_prime_dividing_the_row_scale_keeps_the_value(self):
