@@ -7,22 +7,22 @@ monomial operators with their derivatives), the coordinates of each
 monomial derivative of degree k in the basis of A_k (the explicit
 multiplication maps read them), the Hilbert vector, the assembled (mixed)
 Hessians and their integer kernels, each order's vanishing verdict, and
-each order's u-subring overflow certificate and each level's WLP
-obstruction certificate.  A piece is computed on its first request by the
-module-level function or class that defines it (`ak_basis`, `Coordinates`,
-`hilbert_vector`, `mixed_hessian`, `IntMatrix`, `hessian_vanishes`,
-`key_criterion`, `wlp_obstruction`) and reused afterwards, so one report
-decides each higher Hessian once and in one mode, compiles each Hessian for
-evaluation once (the vanishing decision and every Lefschetz rank check
-evaluate that kernel), searches each order for a certificate once, and
-solves each derivative's coordinates once however many maps read them.  A verdict is decided by one of
-three routes: the order's key certificate (split forms; the Hessian is then
-neither assembled nor compiled), evaluation of the kernel, or, in exact mode
-only, elimination after every evaluation was zero; `counts()` reports the
-first and the last.  Each basis of A_k grows from that of A_(k-1), and the
-bases, every Hessian cell (at the sum of its row and column exponents), the
-coordinate solves and both certificate searches read the derivatives of f
-from one memo.
+each order's u-subring scan with the two certificates read off it (the
+overflow certificate and the WLP obstruction at that level).  A piece is
+computed on its first request by the function or class that defines it
+(`ak_basis`, `Coordinates`, `hilbert_vector`, `mixed_hessian`, `IntMatrix`,
+`hessian_vanishes`, `_u_subring_ops`, `key_criterion`, `wlp_obstruction`)
+and reused afterwards, so one report decides each higher Hessian once and
+in one mode, compiles each Hessian for evaluation once (the vanishing
+decision and every Lefschetz rank check evaluate that kernel), scans each
+order once for both certificates, and solves each derivative's coordinates
+once, against the span that selected the basis.  A verdict is decided by
+one of three routes: the order's key certificate (split forms; the Hessian
+is then neither assembled nor compiled), evaluation of the kernel, or, in
+exact mode only, elimination after every evaluation was zero; `counts()`
+reports the first and the last.  Each basis of A_k grows from that of
+A_(k-1), and the bases, the Hessian cells, the coordinate solves and the
+scans read the derivatives of f from one memo.
 
 Every function that reads the bases or the derivatives takes the Analysis in
 place of the bare form (and of any mode and seed); constructions on f alone
@@ -36,8 +36,8 @@ from typing import Callable, Optional, TypeVar
 from .apolar import AkBasis, Coordinates, HilbertVector, ak_basis, hilbert_vector
 from .errors import ZeroPolynomialError
 from .hessian import MODES, Matrix, VanishingVerdict, hessian_vanishes, mixed_hessian
-from .lefschetz import KeyCertificate, ObstructionCertificate, key_criterion, wlp_obstruction
-from .polycore import Derivatives, IntMatrix, Poly
+from .lefschetz import KeyCertificate, ObstructionCertificate, _u_subring_ops, key_criterion, wlp_obstruction
+from .polycore import Derivatives, DiffOp, IntMatrix, Monomial, Poly
 
 T = TypeVar("T")
 
@@ -89,6 +89,10 @@ class Analysis:
     def verdict(self, k: int) -> VanishingVerdict:
         """Whether the order-k Hessian vanishes, decided in this mode and seed."""
         return self._get(("verdict", k), lambda: hessian_vanishes(self, k))
+
+    def u_subring(self, k: int) -> tuple[list[DiffOp], int, list[Monomial]]:
+        """The order-k u-subring scan, which both certificates of the order read."""
+        return self._get(("u_subring", k), lambda: _u_subring_ops(self, k))
 
     def key(self, k: int) -> Optional[KeyCertificate]:
         """The u-subring overflow certificate for the order-k Hessian, if one exists."""

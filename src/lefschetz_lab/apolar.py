@@ -13,9 +13,8 @@ in `hessian`) take the form's `Analysis`, which computes each basis once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import linalg
@@ -53,13 +52,15 @@ class AkBasis:
     operator X^expos[i]; `derived[i]` is that operator applied to f.  The
     derived polynomials are linearly independent and their number is dim A_k.
     `candidates` counts the monomial operators whose derivatives were
-    reduced to find the basis.
+    reduced to find the basis.  `span`, whose t-th vector is `derived[t]`,
+    selected the basis; coordinates in the basis are solved against it.
     """
 
     k: int
     expos: tuple[Monomial, ...]
     derived: tuple[Poly, ...]
-    candidates: int = 0
+    candidates: int
+    span: linalg.SparseSpan = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.expos)
@@ -102,7 +103,9 @@ def ak_basis(
     if not 0 <= k <= d:
         raise DegreeRangeError(f"k={k} out of range 0..{d}")
     if k == 0:
-        return AkBasis(0, ((0,) * len(f.vars),), (f,))
+        span = linalg.SparseSpan()
+        span.try_add(f.coeff_map())
+        return AkBasis(0, ((0,) * len(f.vars),), (f,), 0, span)
     derivatives = Derivatives(f) if derivatives is None else derivatives
     if below is None:
         below = ak_basis(f, k - 1, derivatives=derivatives)
@@ -122,7 +125,7 @@ def ak_basis(
         if h and span.try_add(h.coeff_map()):
             expos.append(e)
             derived.append(h)
-    return AkBasis(k, tuple(expos), tuple(derived), len(candidates))
+    return AkBasis(k, tuple(expos), tuple(derived), len(candidates), span)
 
 
 class Coordinates(dict):
@@ -130,25 +133,20 @@ class Coordinates(dict):
 
     Maps an exponent e of degree k to (q, {t: n_t}), integers with
     derivatives[e] = sum_t (n_t / q) * basis.derived[t] over the nonzero
-    n_t, each solved on first use against one span of the basis's
-    derivatives.
+    n_t, each solved on first use against the basis's span.
     """
 
     def __init__(self, basis: AkBasis, derivatives: Derivatives):
         super().__init__()
         self._derivatives = derivatives
-        self._span = linalg.SparseSpan()
-        for g in basis.derived:
-            self._span.try_add(g.coeff_map())
+        self._span = basis.span
 
     def __missing__(self, expo: Monomial) -> tuple[int, dict[int, int]]:
         coords = self._span.dependency(self._derivatives[expo].coeff_map())
         if coords is None:
             raise ArithmeticError("derivative escaped the derivative space (bug)")
-        nonzero = [(t, x) for t, x in enumerate(coords) if x]
-        q = lcm(*(x.denominator for _, x in nonzero))
-        c = self[expo] = (q, {t: x.numerator * (q // x.denominator) for t, x in nonzero})
-        return c
+        self[expo] = coords
+        return coords
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,9 @@ mode; a probabilistic vanishing verdict, whatever the matrix's size, states
 its error bound (deg/B)^trials + ceil(bits(N)/60) / 2^54: Schwartz-Zippel
 over F_p for the B-wide sample box, plus the chance that the prime divides
 the content of a nonzero determinant polynomial, whose coefficients are
-bounded by N, the product of the rows' coefficient 1-norms.  The prime is random, not fixed, because a fixed p can divide that
-content: 2^61-1 divides every value of the order-1 Hessian determinant of
+bounded by N, the product of the rows' coefficient 1-norms.  The prime is
+random, not fixed, because a fixed p can divide that content: 2^61-1
+divides every value of the order-1 Hessian determinant of
 (2^61-1) x0^3 + x1^3 + ... + x12^3.  The Hessians, their kernels, the
 certificates and the verdicts of one form are read through its `Analysis`,
 which builds and decides each once.
@@ -268,23 +269,21 @@ def is_cone(an: Analysis) -> ConeReport:
     """True iff the first partials are linearly dependent, with a witness.
 
     The candidates of the basis of A_1 are X_0, X_1, ... in that order, so f
-    is a cone exactly when some X_i is missing from it; the partials kept
-    before the first missing X_i give the dependency.
+    is a cone exactly when some X_i is missing from it.  The partial by the
+    first missing X_i is a combination of the kept partials before it, so
+    its coordinates against the basis's span give the dependency and are
+    zero on the partials kept after it.
     """
     n = len(an.f.vars)
     a1 = an.basis(1)
     if len(a1) == n:
         return ConeReport(False, None)
-    kept = [e.index(1) for e in a1.expos]  # ascending
-    i = next(j for j, v in enumerate(kept + [n]) if v != j)
-    span = linalg.SparseSpan()
-    for g in a1.derived[:i]:
-        span.try_add(g.coeff_map())
+    i = next((j for j, e in enumerate(a1.expos) if not e[j]), len(a1))
     unit = tuple(int(j == i) for j in range(n))
-    witness = [-c for c in span.dependency(an.derivatives[unit].coeff_map())]
-    witness += [Fraction(1)] + [Fraction(0)] * (n - i - 1)
+    q, nums = a1.span.dependency(an.derivatives[unit].coeff_map())
+    witness = [-nums.get(t, 0) for t in range(i)] + [q] + [0] * (n - i - 1)
     lead = next(c for c in witness if c)
-    return ConeReport(True, tuple(c / lead for c in witness))
+    return ConeReport(True, tuple(Fraction(c, lead) for c in witness))
 
 
 # -- determinant decisions ---------------------------------------------------

@@ -39,6 +39,7 @@ from .apolar import HilbertVector, first_dip, is_unimodal
 from .errors import DegreeRangeError, NoSplitError
 from .polycore import (
     DiffOp,
+    Monomial,
     Poly,
     Scalar,
     diff_apply,
@@ -387,26 +388,31 @@ class KeyCertificate:
         }
 
 
-def _u_subring_ops(an: Analysis, k: int, *, pure_u: bool) -> tuple[list[DiffOp], linalg.SparseSpan]:
+def _u_subring_ops(an: Analysis, k: int) -> tuple[list[DiffOp], int, list[Monomial]]:
     """Degree-k monomial operators sending f into the u-subring, kept greedily.
 
-    In descending lex order, keep each operator (pure-u ones only when
-    `pure_u`) whose derivative of f, read from the Analysis's memo, is
-    nonzero, lies in the u-subring and is independent of those kept before.
-    Returns the kept operators and the span of their derivatives.
+    In descending lex order, keep each operator whose derivative of f, read
+    from the Analysis's memo, is nonzero, lies in the u-subring and is
+    independent of those kept before.  The x-block comes first, so the kept
+    operators with an x-factor, which the key certificate counts, are a
+    prefix of those the obstruction counts; where 2k >= d there is no
+    obstruction, and the scan stops there.  Returns the kept operators, how
+    many have an x-factor, and the pivot keys of their derivatives' span.
     """
     dual = an.f.vars.dual()
     n_x = an.f.vars.n_x
     u_indices = set(an.f.vars.u_indices)
     span = linalg.SparseSpan()
     kept: list[DiffOp] = []
+    with_x = 0
     for expo in mono_basis(dual, k):
-        if not pure_u and not any(expo[:n_x]):
-            continue
+        if 2 * k >= an.f.degree and not any(expo[:n_x]):
+            break
         g = an.derivatives[expo]
         if g and g.supported_on(u_indices) and span.try_add(g.coeff_map()):
             kept.append(Poly.monomial(dual, expo))
-    return kept, span
+            with_x += any(expo[:n_x])
+    return kept, with_x, span.pivot_keys
 
 
 def key_criterion(an: Analysis, k: int) -> Optional[KeyCertificate]:
@@ -424,10 +430,10 @@ def key_criterion(an: Analysis, k: int) -> Optional[KeyCertificate]:
     if not 1 <= k <= d // 2:
         raise DegreeRangeError(f"k={k} out of range 1..{d // 2}")
     bound = comb(len(vs) - vs.n_x + k - 1, k)
-    kept, span = _u_subring_ops(an, k, pure_u=False)
-    if len(kept) <= bound:
+    kept, with_x, pivots = an.u_subring(k)
+    if with_x <= bound:
         return None
-    return KeyCertificate(vs.x_names, vs.u_names, k, tuple(kept), bound, tuple(span.pivot_keys))
+    return KeyCertificate(vs.x_names, vs.u_names, k, tuple(kept[:with_x]), bound, tuple(pivots[:with_x]))
 
 
 def verify_key_certificate(f: Poly, cert: KeyCertificate) -> bool:
@@ -504,7 +510,7 @@ def wlp_obstruction(an: Analysis, k: int) -> Optional[ObstructionCertificate]:
         return None
     image_degree = d - k - 1
     bound = comb(len(vs) - vs.n_x - 1 + image_degree, image_degree)
-    kept, _ = _u_subring_ops(an, k, pure_u=True)
+    kept, _, _ = an.u_subring(k)
     if len(kept) <= bound:
         return None
     return ObstructionCertificate(vs.x_names, vs.u_names, k, tuple(kept), bound)

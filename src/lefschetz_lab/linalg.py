@@ -1,23 +1,22 @@
 """Exact linear algebra over the rationals and the integers, and modulo primes.
 
-Dense rational routines (rank, determinant) run fraction-free on
-integer rows after clearing denominators, so the bulk of the elimination is
-big-integer arithmetic rather than Fraction normalization; the determinant
-shares its integer Bareiss body with `det_int`.  `det_mod` and `rank_mod`
-eliminate an integer matrix modulo a prime, with stdlib ints only: a nonzero
-determinant mod p proves a nonzero integer determinant, and the rank mod p is
-at most the rank over Q.  Sparse rational vectors — coefficient maps of
-polynomials, keyed by monomial — are handled by `SparseSpan`, an
-incremental reduction of primitive integer rows that recovers, on demand,
-how a vector in the span combines the vectors added (for dependency
-witnesses and for coordinates in a given basis).
+Each ring has one elimination body, which yields one pivot per column.
+Over Z it is fraction-free (Bareiss) elimination in place: `rank` counts its
+pivots on integer rows after clearing denominators, and `det_int` and `det`
+take the last.  Modulo a prime p (stdlib ints) `rank_mod` counts the pivots
+and `det_mod` multiplies them; a nonzero determinant mod p proves a nonzero
+integer determinant, and the rank mod p is at most the rank over Q.  Sparse
+rational vectors (coefficient maps of polynomials, keyed by monomial) are
+held by `SparseSpan`, an incremental reduction of primitive integer rows
+that recovers how a vector in the span combines the vectors added, as
+integers over one denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Hashable, Optional, Sequence
+from typing import Hashable, Iterator, Optional, Sequence
 
 Vec = dict  # sparse vector: hashable key -> Fraction
 
@@ -43,28 +42,8 @@ def _int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Rank over the rationals, by fraction-free (Bareiss) elimination."""
-    if not rows or not rows[0]:
-        return 0
     m, _ = _int_rows(rows)
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    prev = 1
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, nrows):
-            if all(x == 0 for x in m[i][col:]):
-                continue
-            for j in range(col + 1, ncols):
-                m[i][j] = _exq(m[r][col] * m[i][j] - m[i][col] * m[r][j], prev)
-            m[i][col] = 0
-        prev = m[r][col]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    return sum(1 for pivot in _bareiss(m) if pivot)
 
 
 def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -74,74 +53,85 @@ def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
 
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix, by Bareiss elimination.
-
-    Rows leave the active block as they become pivots; each remaining entry
-    is then an exact minor quotient, so every division is exact.
-    """
+    """Exact determinant of a square integer matrix, by Bareiss elimination."""
     _check_square(rows)
-    m = [list(row) for row in rows]
-    sign = 1
-    prev = 1
-    while m:
-        piv = next((i for i, row in enumerate(m) if row[0]), None)
-        if piv is None:
+    value = 1
+    for value in _bareiss([list(row) for row in rows]):
+        if not value:
             return 0
-        prow = m.pop(piv)
-        if piv % 2:
-            sign = -sign
-        lead = prow[0]
-        if not m:
-            return sign * lead
-        tail = prow[1:]
-        m = [
-            [_exq(lead * a - row[0] * b, prev) for a, b in zip(row[1:], tail)]
-            for row in m
-        ]
+    return value
+
+
+def _bareiss(m: list[list[int]]) -> Iterator[int]:
+    """Fraction-free elimination of the integer rows `m`, in place.
+
+    Yields, column by column until the rows run out, 0 for a column without
+    a pivot, else the pivot times the sign of the row swaps so far.  Each
+    entry below the pivots is an exact minor quotient, so every division is
+    exact, and the last value of a square matrix is its determinant.  Rows
+    that are zero from the pivot column on are left as they are.
+    """
+    if not m or not m[0]:
+        return
+    nrows, ncols = len(m), len(m[0])
+    r, prev, sign = 0, 1, 1
+    for col in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][col] != 0), None)
+        if piv is None:
+            yield 0
+            continue
+        if piv != r:
+            m[r], m[piv], sign = m[piv], m[r], -sign
+        lead, tail = m[r][col], m[r][col + 1 :]
+        yield sign * lead
+        for row in m[r + 1 :]:
+            c = row[col]
+            if c or any(row[col + 1 :]):
+                row[col + 1 :] = [_exq(lead * a - c * b, prev) for a, b in zip(row[col + 1 :], tail)]
+                row[col] = 0
         prev = lead
-    return 1
+        r += 1
+        if r == nrows:
+            break
 
 
 def det_mod(rows: Sequence[Sequence[int]], p: int) -> int:
     """Determinant of a square integer matrix modulo the prime p, in range(p)."""
     _check_square(rows)
-    m = [[x % p for x in row] for row in rows]
     value = 1
-    while m:
-        piv = next((i for i, row in enumerate(m) if row[0]), None)
-        if piv is None:
+    for pivot in _pivots_mod(rows, p):
+        if not pivot:
             return 0
-        prow = m.pop(piv)
-        if piv % 2:
-            value = -value
-        value = value * prow[0] % p
-        m = _eliminate_mod(m, prow, p)
-    return value % p
+        value = value * pivot % p
+    return value
 
 
 def rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:
     """Rank of an integer matrix modulo the prime p."""
+    return sum(1 for pivot in _pivots_mod(rows, p) if pivot)
+
+
+def _pivots_mod(rows: Sequence[Sequence[int]], p: int) -> Iterator[int]:
+    """Gaussian elimination of an integer matrix modulo the prime p.
+
+    Yields, column by column until the rows run out, 0 for a column without
+    a pivot, else the pivot in range(p), negated when its row moves past an
+    odd number of rows; the pivot row then leaves and the other rows are
+    built anew without the column.
+    """
     m = [[x % p for x in row] for row in rows]
-    r = 0
     while m and m[0]:
         piv = next((i for i, row in enumerate(m) if row[0]), None)
         if piv is None:
+            yield 0
             m = [row[1:] for row in m]
             continue
-        m = _eliminate_mod(m, m.pop(piv), p)
-        r += 1
-    return r
-
-
-def _eliminate_mod(m: list[list[int]], prow: list[int], p: int) -> list[list[int]]:
-    """Clear the first column of `m` against the pivot row; drop that column."""
-    inv = pow(prow[0], -1, p)
-    tail = [x * inv % p for x in prow[1:]]
-    out = []
-    for row in m:
-        c = row[0]
-        out.append([(a - c * b) % p for a, b in zip(row[1:], tail)] if c else row[1:])
-    return out
+        prow = m.pop(piv)
+        yield p - prow[0] if piv % 2 else prow[0]
+        inv = pow(prow[0], -1, p)
+        tail = [x * inv % p for x in prow[1:]]
+        m = [[(a - c * b) % p for a, b in zip(row[1:], tail)] if (c := row[0]) else row[1:]
+             for row in m]
 
 
 def _check_square(rows: Sequence[Sequence]) -> None:
@@ -186,11 +176,11 @@ class SparseSpan:
         self._added.append((ints, scale))
         return True
 
-    def dependency(self, vec: Vec) -> Optional[list[Fraction]]:
-        """If `vec` is in the span, coefficients c with vec = sum c_t * added_t.
-
-        Returns None when `vec` is independent.  Indices refer to the vectors
-        that were successfully added, in addition order.
+    def dependency(self, vec: Vec) -> Optional[tuple[int, dict[int, int]]]:
+        """If `vec` is in the span, integers (q, {t: n_t}) with
+        vec = sum_t (n_t / q) * added_t over the nonzero n_t, q > 0 and
+        gcd(q, n_t...) = 1; None when `vec` is independent.  Tags t count
+        the vectors that were successfully added, in addition order.
         """
         for t in range(len(self._tagged), len(self._rows)):
             row = {(0, k): v for k, v in self._added[t][0].items()}
@@ -200,8 +190,10 @@ class SparseSpan:
         if any(kind == 0 for kind, _ in out):
             return None
         # 0 = own * scale * vec + sum_t out[t] * scale_t * added_t
-        own = out[1, -1]
-        return [Fraction(-out.get((1, t), 0) * s, own * scale) for t, (_, s) in enumerate(self._added)]
+        q = out.pop((1, -1)) * scale
+        nums = {t: -v * self._added[t][1] for (_, t), v in out.items()}
+        g = gcd(q, *nums.values()) * (1 if q > 0 else -1)
+        return q // g, {t: n // g for t, n in nums.items()}
 
 
 def _integral(vec: Vec) -> tuple[dict, int]:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import hypothesis
 import hypothesis.strategies as st
@@ -25,6 +26,18 @@ def prob(f):
 def exact(f):
     """The exact-mode Analysis of f at seed 0."""
     return Analysis(f, "exact", 0)
+
+
+def dense_coords(dep, size):
+    """A `SparseSpan.dependency` result (q, {t: n_t}) as the list of its
+    `size` coefficients n_t / q, after checking that it is in lowest terms
+    (q > 0, gcd 1, no zero n_t, every t < size); None stays None."""
+    if dep is None:
+        return None
+    q, nums = dep
+    assert q > 0 and gcd(q, *nums.values()) == 1
+    assert all(nums.values()) and all(0 <= t < size for t in nums)
+    return [Fraction(nums.get(t, 0), q) for t in range(size)]
 
 
 def unsplit(f):

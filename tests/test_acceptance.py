@@ -1,9 +1,9 @@
 """Acceptance suite: every criterion fixture runs at its stated tolerance.
 
-All checks are exact-arithmetic (zero tolerance); a vanishing verdict is
-exact when a key certificate decides it, otherwise probabilistic verdicts
-escalate to exact elimination on small matrices and above that carry a
-compounded error bound below 1e-9.  One pass/fail line is printed per
+All checks are exact-arithmetic (zero tolerance).  A vanishing verdict is
+exact when a key certificate decides it; otherwise, in probabilistic mode,
+it comes from evaluation alone, never from elimination, and carries its
+compounded error bound, below 1e-9.  One pass/fail line is printed per
 fixture; per-criterion wall-clock budgets are asserted at the end.
 """
 

@@ -47,7 +47,7 @@ from lefschetz_lab.polycore import (
     poly_sum,
 )
 
-from conftest import cone_polys, exact, homogeneous_polys, prob, rational_polys, unsplit
+from conftest import cone_polys, dense_coords, exact, homogeneous_polys, prob, rational_polys, unsplit
 
 IKEDA_VARS = VariableSet(("x0", "x1", "u1", "u2"), n_x=2)
 IKEDA = parse_poly("x0*u1^3*u2 + x1*u1*u2^3 + x0^3*x1^2", IKEDA_VARS)
@@ -167,7 +167,7 @@ def partials_cone_oracle(f):
         g = partial(f, i).coeff_map()
         if span.try_add(g):
             continue
-        witness = [-c for c in span.dependency(g)] + [Fraction(1)] + [Fraction(0)] * (n - i - 1)
+        witness = [-c for c in dense_coords(span.dependency(g), len(span))] + [Fraction(1)] + [Fraction(0)] * (n - i - 1)
         lead = next(c for c in witness if c)
         return True, tuple(c / lead for c in witness)
     return False, None
@@ -198,7 +198,9 @@ class TestCone:
 
         monkeypatch.setattr(linalg, "_reduce", counting)
         assert not is_cone(prob(PERAZZO)).is_cone
-        assert len(reductions) == len(PERAZZO.vars)
+        # f itself once, into the span kept with the basis of A_0, then each
+        # partial once, into the span of A_1
+        assert len(reductions) == len(PERAZZO.vars) + 1
 
     @given(cone_polys())
     def test_witness_annihilates_the_partials(self, f):

@@ -22,7 +22,7 @@ from lefschetz_lab.families import (
     gen_thmwlp,
     gen_wlpodd,
 )
-from lefschetz_lab.hessian import hessian_matrix
+from lefschetz_lab.hessian import hessian_matrix, is_cone
 from lefschetz_lab.lefschetz import (
     KeyCertificate,
     LinearForm,
@@ -39,7 +39,7 @@ from lefschetz_lab.lefschetz import (
 )
 from lefschetz_lab.polycore import Poly, VariableSet, diff_apply, eval_poly, mono_basis, parse_poly
 
-from conftest import homogeneous_polys, prob, rational_polys
+from conftest import dense_coords, homogeneous_polys, prob, rational_polys
 
 IKEDA_VARS = VariableSet(("x0", "x1", "u1", "u2"), n_x=2)
 IKEDA = parse_poly("x0*u1^3*u2 + x1*u1*u2^3 + x0^3*x1^2", IKEDA_VARS)
@@ -100,7 +100,7 @@ def reference_mult_map(an, L, i, k):
     for g in an.basis(i + k).derived:
         span.try_add(g.coeff_map())
     op = linear_operator(L, an.f.vars) ** k
-    columns = [span.dependency(diff_apply(op, g).coeff_map()) for g in an.basis(i).derived]
+    columns = [dense_coords(span.dependency(diff_apply(op, g).coeff_map()), len(span)) for g in an.basis(i).derived]
     return [list(row) for row in zip(*columns)]
 
 
@@ -155,6 +155,24 @@ class TestMultMapCoordinates:
             for i, k in maps:
                 mult_map(an, rational_linear_form(rng, len(f.vars)), i, k)
         assert (len(solves), len(spans)) == (solved, built)
+
+    def test_no_span_of_their_own_once_the_bases_exist(self, monkeypatch):
+        """Coordinates and the cone witness are solved against the spans the
+        bases kept: once the bases exist, `mult_map` and `is_cone` build no
+        `SparseSpan`."""
+        f = parse_poly("x^3 + 3*x^2*y + 3*x*y^2 + y^3 + z^3", VariableSet(("x", "y", "z")))  # a cone
+        L = rational_linear_form(random.Random(3), 3)
+        maps = [(0, 1), (1, 1), (2, 1), (0, 2), (1, 2), (0, 3)]
+        expected = [reference_mult_map(prob(f), L, i, k) for i, k in maps]
+        an = prob(f)
+        for k in range(f.degree + 1):
+            an.basis(k)
+        spans = []
+        init = linalg.SparseSpan.__init__
+        monkeypatch.setattr(linalg.SparseSpan, "__init__", lambda self: spans.append(1) or init(self))
+        assert [mult_map(an, L, i, k) for i, k in maps] == expected
+        assert is_cone(an).is_cone
+        assert spans == []
 
     def test_rejects_a_form_of_the_wrong_length(self):
         with pytest.raises(ValueError):
@@ -430,6 +448,23 @@ class TestSingleScan:
     @pytest.mark.parametrize("build", SPLIT_FAMILIES, ids=lambda b: b().spec.kind)
     def test_families_match_oracle(self, build):
         assert_searches_match_oracle(build().f)
+
+    def test_both_certificates_of_an_order_read_one_scan(self, monkeypatch):
+        """At each order the key search and the obstruction search read one
+        scan: one span is built, and the second search is a memo hit."""
+        f = gen_wlpodd(5, 7).f
+        orders = (1, 2, 3)
+        expected = [(oracle_key(f, k), oracle_obstruction(f, k)) for k in orders]
+        assert all(expected[-1])  # order 3 has both certificates
+        spans = []
+        init = linalg.SparseSpan.__init__
+        monkeypatch.setattr(linalg.SparseSpan, "__init__", lambda self: spans.append(1) or init(self))
+        an = prob(f)
+        for k, certs in zip(orders, expected):
+            reused = an.counts()["reused"]
+            assert (an.key(k), an.obstruction(k)) == certs
+            assert len(spans) == k
+            assert an.counts()["reused"] == reused + 1
 
     @given(homogeneous_polys(min_vars=2, max_vars=4, min_degree=2, max_degree=6), st.data())
     @settings(max_examples=40)

@@ -4,11 +4,13 @@ from math import gcd
 import pytest
 import sympy
 import hypothesis.strategies as st
+from sympy import GF, ZZ
+from sympy.polys.matrices import DomainMatrix
 from hypothesis import given
 
 from lefschetz_lab import linalg
 
-from conftest import rational_matrices
+from conftest import dense_coords, rational_matrices
 
 
 @given(rational_matrices())
@@ -36,7 +38,7 @@ def test_sparse_span_coords():
     assert span.try_add(v1)
     assert span.try_add(v2)
     target = {"a": Fraction(2), "b": Fraction(5), "c": Fraction(1)}
-    coords = span.dependency(target)
+    coords = dense_coords(span.dependency(target), len(span))
     assert coords == [Fraction(2), Fraction(1)]
     assert span.dependency({"d": Fraction(1)}) is None
 
@@ -45,7 +47,7 @@ def test_sparse_span_dependency_witness():
     span = linalg.SparseSpan()
     span.try_add({"a": Fraction(1)})
     span.try_add({"b": Fraction(1)})
-    dep = span.dependency({"a": Fraction(3), "b": Fraction(-2)})
+    dep = dense_coords(span.dependency({"a": Fraction(3), "b": Fraction(-2)}), len(span))
     assert dep == [Fraction(3), Fraction(-2)]
 
 
@@ -55,7 +57,7 @@ def test_sparse_span_dependency_skips_rejected_vectors():
     assert not span.try_add({"a": Fraction(2)})
     assert span.try_add({"b": Fraction(1)})
     assert len(span) == 2
-    assert span.dependency({"a": Fraction(1), "b": Fraction(1)}) == [Fraction(1), Fraction(1)]
+    assert dense_coords(span.dependency({"a": Fraction(1), "b": Fraction(1)}), len(span)) == [Fraction(1), Fraction(1)]
 
 
 @st.composite
@@ -83,7 +85,7 @@ def test_sparse_span_matches_dense_rank(drawn):
     added = []
     for vec in vecs:
         member = linalg.rank([dense(v) for v in added + [vec]]) == len(added)
-        coeffs = span.dependency(vec)
+        coeffs = dense_coords(span.dependency(vec), len(span))
         assert (coeffs is not None) == member
         if member:
             assert [sum(c * v.get(k, 0) for c, v in zip(coeffs, added)) for k in keys] == dense(vec)
@@ -144,6 +146,49 @@ def test_rank_mod_of_rectangular_matrices(rows, drop):
     for m in (wide, tall):
         if m and m[0]:
             assert linalg.rank_mod(m, MERSENNE_61) == linalg.rank(m)
+
+
+@st.composite
+def shaped_integer_matrices(draw, p):
+    """Integer matrices of every shape up to 5x5 with the structure the
+    eliminations branch on: a row dependent on two others, an all-zero
+    column, the rows in any order (which flips the sign of a determinant),
+    a zero corner that forces a row swap, and every entry divisible by the
+    prime p."""
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    row = st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=nrows, max_size=nrows))
+    if nrows > 2 and draw(st.booleans()):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    if draw(st.booleans()):
+        col = draw(st.integers(0, ncols - 1))
+        for r in rows:
+            r[col] = 0
+    rows = draw(st.permutations(rows))
+    if draw(st.booleans()):
+        rows[0][0] = 0
+    if draw(st.booleans()):
+        rows = [[p * x for x in r] for r in rows]
+    return rows
+
+
+@pytest.mark.parametrize("p", [7, MERSENNE_61])
+@given(data=st.data())
+def test_eliminations_match_sympy(p, data):
+    """`rank` and `det_int` against sympy over Q, `rank_mod` and `det_mod`
+    against sympy over GF(p); square inputs also give `det`."""
+    rows = data.draw(shaped_integer_matrices(p))
+    exact = sympy.Matrix(rows)
+    shape = (len(rows), len(rows[0]))
+    modular = DomainMatrix([[ZZ(x) for x in r] for r in rows], shape, ZZ).convert_to(GF(p))
+    assert linalg.rank(rows) == exact.rank()
+    assert linalg.rank_mod(rows, p) == modular.rank()
+    if shape[0] == shape[1]:
+        value = int(exact.det())
+        assert linalg.det_int(rows) == value
+        assert linalg.det(rows) == value
+        assert linalg.det_mod(rows, p) == value % p == int(modular.det()) % p
 
 
 def test_integer_kernels_on_edge_cases():
