@@ -6,7 +6,6 @@ Usage: python scripts/family_gallery.py [--seed N]
 
 import argparse
 
-from lefschetz_lab.analysis import Analysis
 from lefschetz_lab.apolar import is_unimodal
 from lefschetz_lab.families import (
     gen_exceptional,
@@ -42,7 +41,7 @@ def main() -> None:
         gen_prop44("i", seed=args.seed),
     ]
     for inst in gallery:
-        an = Analysis(inst.f, "probabilistic", args.seed)
+        an = inst.analysis  # the probabilistic Analysis that verified it
         hv = an.hilbert()
         profile = "".join("0" if v.vanishes else "+" for v in hess_profile(an))
         label = f"{inst.spec.kind}{inst.spec.params}"

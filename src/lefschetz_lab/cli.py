@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from typing import Optional
 
 from . import __version__
@@ -128,7 +129,11 @@ def cmd_analyze(args) -> int:
     hv = stage("hilbert", an.hilbert)
     unimodal = is_unimodal(hv)
     cone = stage("cone", lambda: is_cone(an))
-    profile = stage("hess_profile", lambda: hess_profile(an, max_k=args.max_k))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        profile = stage("hess_profile", lambda: hess_profile(an, max_k=args.max_k))
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     full_profile = args.max_k is None or args.max_k >= d // 2
     slp = stage("slp", lambda: slp_generic(an)) if full_profile else None
     wlp = stage("wlp", lambda: wlp_generic(an))

@@ -9,8 +9,8 @@ claim (not a cone, the key certificates, the remaining Hessian orders, the
 obstruction, the WLP witness) and raises `DegenerateInstanceError` instead of
 emitting an instance whose manifest might be wrong.  The exceptional family
 retries with a deterministic perturbation of its tail summand before giving
-up.  `replay_manifest` is the independent replay of every claim, in a chosen
-mode.
+up.  `replay_manifest` replays every claim in a chosen mode, on the Analysis
+the instance carries (`FamilyInstance.analysis`) when mode and seed match.
 
 Canonical shapes only: the tail polynomials (g, h, p, the biform parts) have
 fixed monomial defaults, overridable by keyword.  Identical parameters always
@@ -119,6 +119,8 @@ class FamilyInstance:
     f: Poly
     spec: FamilySpec
     manifest: Manifest
+    # the probabilistic Analysis in spec.seed that verified f (None if built by hand)
+    analysis: Optional[Analysis] = field(default=None, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         vs = self.f.vars
@@ -171,8 +173,8 @@ def _xu_vars(m: int, n: int) -> VariableSet:
 _PROP44_VARS = VariableSet(("x0", "x1", "x2", "u", "v"), n_x=3)
 
 
-def _verified(f: Poly, manifest: Manifest, seed: int, what: str) -> None:
-    """Check the structural claims of `manifest` on the probabilistic Analysis of f.
+def _verified(f: Poly, manifest: Manifest, seed: int, what: str) -> Analysis:
+    """Check the structural claims of `manifest` on f's probabilistic Analysis; return it.
 
     f is not a cone; each order in `key_certificate_orders` has a key
     certificate; each order of `hess_pattern` has the claimed verdict (a
@@ -203,6 +205,7 @@ def _verified(f: Poly, manifest: Manifest, seed: int, what: str) -> None:
         ok, _ = wlp_check_element(an, manifest.wlp_witness)
         holds = manifest.wlp == "holds"
         _verify(ok == holds, f"{what}: the WLP witness " + ("fails" if holds else "passes"))
+    return an
 
 
 # -- the fixed codimension-4 example ------------------------------------------
@@ -229,8 +232,8 @@ def gen_ikeda(*, seed: int = 0) -> FamilyInstance:
         slp_fail_level=2,
         key_certificate_orders=(2,),
     )
-    _verified(f, manifest, seed, "ikeda")
-    return FamilyInstance(f, FamilySpec("ikeda", {}, seed), manifest)
+    spec = FamilySpec("ikeda", {}, seed)
+    return FamilyInstance(f, spec, manifest, _verified(f, manifest, seed, "ikeda"))
 
 
 # -- prescribed intermediate vanishing ----------------------------------------
@@ -299,8 +302,7 @@ def gen_exceptional(
     for attempt in range(4):
         f = core + base_h + perturbation.scale(attempt) + tail_p
         try:
-            _verified(f, manifest, seed, "exceptional")
-            return FamilyInstance(f, spec, manifest)
+            return FamilyInstance(f, spec, manifest, _verified(f, manifest, seed, "exceptional"))
         except DegenerateInstanceError as exc:
             last_error = str(exc)
             if h is not None:
@@ -392,8 +394,8 @@ def gen_gnp(
         slp="fails",
         key_certificate_orders=(k,),
     )
-    _verified(f, manifest, seed, f"gnp/{variant}")
-    return FamilyInstance(f, FamilySpec("gnp", params, seed), manifest)
+    spec = FamilySpec("gnp", params, seed)
+    return FamilyInstance(f, spec, manifest, _verified(f, manifest, seed, f"gnp/{variant}"))
 
 
 def _covering_monomials(m: int, degree: int, count: int) -> list[Monomial]:
@@ -458,14 +460,13 @@ def gen_perazzo(
         slp_fail_level=1,
         key_certificate_orders=(1,),
     )
-    _verified(f, manifest, seed, "perazzo")
     spec = FamilySpec(
         "perazzo",
         {"m": m, "n": n, "d": d},
         seed,
         _override_texts(h=h, **{f"g{i}": g for i, g in enumerate(gs or [])}),
     )
-    return FamilyInstance(f, spec, manifest)
+    return FamilyInstance(f, spec, manifest, _verified(f, manifest, seed, "perazzo"))
 
 
 def gen_permutti(
@@ -528,13 +529,11 @@ def gen_permutti(
         slp="fails",
         slp_fail_level=1,
     )
-    _verified(f, manifest, seed, "permutti")
     p_over = {}
     if Ps:
         p_over = {f"P{j}": ("0" if pj is None else pj.to_text()) for j, pj in Ps.items()}
-    return FamilyInstance(
-        f, FamilySpec("permutti", {"m": m, "n": n, "e": e, "d": d}, seed, p_over), manifest
-    )
+    spec = FamilySpec("permutti", {"m": m, "n": n, "e": e, "d": d}, seed, p_over)
+    return FamilyInstance(f, spec, manifest, _verified(f, manifest, seed, "permutti"))
 
 
 def gen_gn(
@@ -624,12 +623,8 @@ def gen_gn(
         slp="fails",
         slp_fail_level=1,
     )
-    _verified(f, manifest, seed, "gn")
-    return FamilyInstance(
-        f,
-        FamilySpec("gn", {"m": m, "n": n, "r": r, "e": e, "d": d}, seed),
-        manifest,
-    )
+    spec = FamilySpec("gn", {"m": m, "n": n, "r": r, "e": e, "d": d}, seed)
+    return FamilyInstance(f, spec, manifest, _verified(f, manifest, seed, "gn"))
 
 
 # -- families failing the weak property ----------------------------------------
@@ -693,8 +688,8 @@ def gen_wlpodd(N: int, d: int, *, seed: int = 0) -> FamilyInstance:
         wlp_fail_level=q,
         key_certificate_orders=(q,),
     )
-    _verified(f, manifest, seed, "wlpodd")
-    return FamilyInstance(f, FamilySpec("wlpodd", {"N": N, "d": d}, seed), manifest)
+    spec = FamilySpec("wlpodd", {"N": N, "d": d}, seed)
+    return FamilyInstance(f, spec, manifest, _verified(f, manifest, seed, "wlpodd"))
 
 
 _THMWLP_EXCLUSIONS = {
@@ -782,9 +777,8 @@ def gen_thmwlp(
         obstruction_level=level,
         obstruction_size=size,
     )
-    _verified(f, manifest, seed, "thmwlp")
     spec = FamilySpec("thmwlp", {"N": N, "d": d}, seed, _override_texts(g=g, h=h))
-    return FamilyInstance(f, spec, manifest)
+    return FamilyInstance(f, spec, manifest, _verified(f, manifest, seed, "thmwlp"))
 
 
 _PROP44_CORES = {
@@ -832,9 +826,8 @@ def gen_prop44(case: str, h: Optional[Poly] = None, *, seed: int = 0) -> FamilyI
         wlp="holds",
         wlp_witness=witness,
     )
-    _verified(f, manifest, seed, "prop44")
     spec = FamilySpec("prop44", {"case": case}, seed, _override_texts(h=h))
-    return FamilyInstance(f, spec, manifest)
+    return FamilyInstance(f, spec, manifest, _verified(f, manifest, seed, "prop44"))
 
 
 # -- manifest replay ------------------------------------------------------------
@@ -845,14 +838,17 @@ def replay_manifest(
 ) -> list[tuple[str, bool, str]]:
     """Re-verify every manifest claim through the analysis modules.
 
-    Returns (claim, passed, detail) triples; certificates are re-searched and
-    independently replayed, never trusted from the instance.  One Analysis in
-    `mode` serves every claim, so each Hessian is decided once and the SLP
-    and WLP claims are decided in the same mode as the profile.  In exact
-    mode a Hessian claim passes only on an exact verdict.
+    Returns (claim, passed, detail) triples; every certificate is replayed by
+    its verifier on f, never trusted from the instance.  One Analysis in
+    `mode` serves every claim (the instance's own when it holds f in `mode`
+    and `seed`), so each Hessian is decided once and the SLP and WLP claims
+    are decided in the same mode as the profile.  In exact mode a Hessian
+    claim passes only on an exact verdict.
     """
     f = inst.f
-    an = Analysis(f, mode, seed)
+    an = inst.analysis
+    if an is None or (an.f, an.mode, an.seed) != (f, mode, seed):
+        an = Analysis(f, mode, seed)
     man = inst.manifest
     results: list[tuple[str, bool, str]] = []
 

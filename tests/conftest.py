@@ -28,6 +28,20 @@ def exact(f):
     return Analysis(f, "exact", 0)
 
 
+def count_analyses(monkeypatch):
+    """Patch `Analysis.__init__` to record the mode of every Analysis built
+    from now on; returns the list it appends to."""
+    built = []
+    init = Analysis.__init__
+
+    def counting(self, f, mode, seed):
+        built.append(mode)
+        init(self, f, mode, seed)
+
+    monkeypatch.setattr(Analysis, "__init__", counting)
+    return built
+
+
 def dense_coords(dep, size):
     """A `SparseSpan.dependency` result (q, {t: n_t}) as the list of its
     `size` coefficients n_t / q, after checking that it is in lowest terms

@@ -18,7 +18,7 @@ from lefschetz_lab.families import gen_wlpodd
 from lefschetz_lab.hessian import DEFAULT_TRIALS, hessian_vanishes
 from lefschetz_lab.reproduce import FIXTURES, SuiteConfig, run_suite
 
-from conftest import prob, unsplit
+from conftest import count_analyses, prob, unsplit
 
 CONFIG = SuiteConfig(seed=0, mode="probabilistic")
 
@@ -61,6 +61,30 @@ EXPECTED_FIXTURES = (
 def test_fixture_table_is_pinned():
     assert len(EXPECTED_FIXTURES) == 40
     assert [(f.fixture_id, f.criterion) for f in FIXTURES] == EXPECTED_FIXTURES
+
+
+@pytest.mark.parametrize("mode,expected", [
+    ("probabilistic", ["probabilistic"]),
+    ("exact", ["probabilistic", "exact"]),
+])
+def test_family_row_reuses_the_generators_analysis(monkeypatch, mode, expected):
+    # the replay in the generating mode and the never-injective check both
+    # read the Analysis that verified the instance
+    row = next(f for f in FIXTURES if f.fixture_id == "wlpodd/N4-d5")
+    built = count_analyses(monkeypatch)
+    assert row.run(SuiteConfig(0, mode))[0]
+    assert built == expected
+
+
+@pytest.mark.parametrize("mode", ["probabilistic", "exact"])
+def test_family_rows_build_one_analysis_per_mode(monkeypatch, mode):
+    built = count_analyses(monkeypatch)
+    for fixture in FIXTURES:
+        if fixture.criterion > 7:
+            continue
+        built.clear()
+        assert fixture.run(SuiteConfig(0, mode))[0]
+        assert all(built.count(m) <= 1 for m in built), (fixture.fixture_id, built)
 
 
 def test_criterion_time_budgets():

@@ -43,6 +43,16 @@ class TestAnalyze:
         assert "strong property holds" in out
         assert "weak property   holds" in out
 
+    def test_cone_warning_is_one_line(self, capsys):
+        code, out, err = run(["analyze", "--poly", "x^3 + y^3", "--vars", "x,y,z"], capsys)
+        assert code == 0
+        assert err == (
+            "warning: input has annihilating degree-1 operators (cone-like degenerate); "
+            "profile is computed on the quotient basis\n"
+        )
+        assert "cone            True" in out
+        assert "hessian[1]      != 0   (probabilistic)" in out
+
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run(["analyze", "--poly", "x^2+q", "--vars", "x,y"], capsys)
         assert code == 2

@@ -9,6 +9,7 @@ from lefschetz_lab.apolar import catalecticant, hilbert_vector
 from lefschetz_lab.errors import DegenerateInstanceError, InfeasibleParametersError
 from lefschetz_lab.families import (
     FAMILIES,
+    FamilyInstance,
     FamilySpec,
     _verified,
     gen_exceptional,
@@ -27,7 +28,7 @@ from lefschetz_lab.hessian import VanishingVerdict, hessian_vanishes
 from lefschetz_lab.lefschetz import LinearForm, wlp_check_element
 from lefschetz_lab.polycore import VariableSet, parse_poly
 
-from conftest import exact, prob
+from conftest import count_analyses, exact, prob
 
 
 XU_VARS = VariableSet(("x0", "x1", "x2", "u1", "u2"), n_x=3)
@@ -57,8 +58,13 @@ SMALLEST = [
 
 
 @pytest.mark.parametrize("build", SMALLEST, ids=lambda b: b().spec.kind)
-def test_smallest_instances_replay(build):
-    assert_replays(build())
+def test_smallest_instances_replay(build, monkeypatch):
+    inst = build()
+    an = inst.analysis
+    assert (an.f, an.mode, an.seed) == (inst.f, "probabilistic", inst.spec.seed)
+    built = count_analyses(monkeypatch)
+    assert_replays(inst)
+    assert built == []  # the replay read the Analysis that verified the instance
 
 
 def test_exact_replay_decides_slp_and_wlp_exactly():
@@ -76,6 +82,43 @@ def test_exact_replay_needs_exact_hessian_verdicts(monkeypatch):
     assert passed["hess[1] =0"] is False
     passed = {name: ok for name, ok, _ in replay_manifest(inst, mode="probabilistic")}
     assert passed["hess[1] =0"] is True
+
+
+class TestCarriedAnalysis:
+    """A generator hands on the Analysis it verified on; the replay reuses it."""
+
+    def test_replay_in_the_generating_mode_builds_no_analysis(self, monkeypatch):
+        inst = gen_wlpodd(4, 5)
+        built = count_analyses(monkeypatch)
+        assert_replays(inst, mode="probabilistic", seed=0)
+        assert built == []
+        assert_replays(inst, mode="exact", seed=0)
+        assert built == ["exact"]
+        assert_replays(inst, mode="probabilistic", seed=1)
+        assert built == ["exact", "probabilistic"]
+
+    def test_replay_of_another_form_builds_its_own(self, monkeypatch):
+        inst = gen_wlpodd(4, 5)
+        other = replace(inst, f=gen_wlpodd(6, 5).f)
+        built = count_analyses(monkeypatch)
+        results = {name: ok for name, ok, _ in replay_manifest(other)}
+        assert built == ["probabilistic"]
+        assert results["hilbert"] is False
+
+    def test_not_part_of_equality_repr_or_json(self):
+        inst = gen_wlpodd(4, 5)
+        bare = FamilyInstance(inst.f, inst.spec, inst.manifest)
+        assert bare.analysis is None
+        assert bare == inst
+        assert "analysis" not in repr(inst)
+        assert bare.to_json_dict() == inst.to_json_dict()
+        assert "analysis" not in inst.to_json_dict()
+
+    def test_instance_without_analysis_replays(self, monkeypatch):
+        inst = gen_wlpodd(4, 5)
+        built = count_analyses(monkeypatch)
+        assert_replays(FamilyInstance(inst.f, inst.spec, inst.manifest))
+        assert built == ["probabilistic"]
 
 
 @pytest.mark.parametrize("build", SMALLEST, ids=lambda b: b().spec.kind)
