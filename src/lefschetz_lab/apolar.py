@@ -180,7 +180,7 @@ def hilbert_vector(an: Analysis) -> HilbertVector:
 
 def is_unimodal(hv: HilbertVector | Sequence[int]) -> bool:
     """True iff the vector weakly increases to a peak, then weakly decreases."""
-    dims = hv.dims if isinstance(hv, HilbertVector) else tuple(hv)
+    dims = tuple(hv)
     decreasing = False
     for a, b in zip(dims, dims[1:]):
         if b < a:
@@ -192,7 +192,7 @@ def is_unimodal(hv: HilbertVector | Sequence[int]) -> bool:
 
 def first_dip(hv: HilbertVector | Sequence[int]) -> Optional[int]:
     """Index i of the first drop h_i > h_{i+1} that is later followed by a rise."""
-    dims = hv.dims if isinstance(hv, HilbertVector) else tuple(hv)
+    dims = tuple(hv)
     drop = None
     for i in range(len(dims) - 1):
         if dims[i + 1] < dims[i] and drop is None:

@@ -10,11 +10,14 @@ obstruction, the WLP witness) and raises `DegenerateInstanceError` instead of
 emitting an instance whose manifest might be wrong.  The exceptional family
 retries with a deterministic perturbation of its tail summand before giving
 up.  `replay_manifest` replays every claim in a chosen mode, on the Analysis
-the instance carries (`FamilyInstance.analysis`) when mode and seed match.
+the instance carries (`FamilyInstance.analysis`) when mode and seed match;
+dim A_1 is the size of that Analysis's basis of A_1.
 
 Canonical shapes only: the tail polynomials (g, h, p, the biform parts) have
-fixed monomial defaults, overridable by keyword.  Identical parameters always
-produce bit-identical output.
+fixed monomial defaults, overridable by keyword.  A tail summand is a form
+of degree d in prescribed variables; `_tail` checks an override against that
+and supplies the default, the sum of their d-th powers.  Identical parameters
+always produce bit-identical output.
 
 `FAMILIES` is the one place a family is declared: its generator, its
 parameters (also the CLI flags) and the tail overrides it accepts.
@@ -28,7 +31,7 @@ from math import comb
 from typing import Callable, Mapping, Optional, Sequence
 
 from .analysis import Analysis
-from .apolar import catalecticant, is_unimodal
+from .apolar import is_unimodal
 from .errors import (
     DegenerateInstanceError,
     InfeasibleParametersError,
@@ -66,6 +69,11 @@ class FamilySpec:
     params: dict
     seed: int = 0
     overrides: dict = field(default_factory=dict)
+
+    def __hash__(self) -> int:
+        # consistent with ==, which ignores the dicts' key order
+        return hash((self.kind, tuple(sorted(self.params.items())), self.seed,
+                     tuple(sorted(self.overrides.items()))))
 
     def to_json_dict(self) -> dict:
         out = {"kind": self.kind, "params": dict(self.params), "seed": self.seed}
@@ -155,6 +163,18 @@ def _require(cond: bool, message: str) -> None:
 def _verify(cond: bool, message: str) -> None:
     if not cond:
         raise DegenerateInstanceError(message)
+
+
+def _tail(vs: VariableSet, names: Sequence[str], d: int, override: Optional[Poly],
+          message: str, *, nonzero: bool = False) -> Poly:
+    """A tail summand: `override`, a form of degree d in `names` (or zero, unless
+    `nonzero`), else by default the sum of the d-th powers of `names`."""
+    if override is None:
+        return _power_sum(vs, names, d)
+    indices = {vs.index(x) for x in names}
+    ok = not nonzero if override.is_zero() else override.degree == d and override.supported_on(indices)
+    _require(ok, message)
+    return override
 
 
 def _x_uv_vars(top: int) -> VariableSet:
@@ -259,7 +279,6 @@ def gen_exceptional(
     _require(d >= 5, "need d >= 5")
     _require(2 <= k and 2 * k < d, "need 2 <= k < d/2")
     vs = _x_uv_vars(n)
-    x_names = vs.x_names
     core = poly_sum(
         vs,
         [
@@ -267,22 +286,8 @@ def gen_exceptional(
             _mono(vs, {"x3": 1, "u": d - 2, "v": 1}),
         ],
     )
-    if h is not None:
-        _require(
-            not h.is_zero()
-            and h.degree == d
-            and h.supported_on({vs.index("x2"), vs.index("x3")}),
-            "override h must be degree d in x2, x3",
-        )
-    base_h = h if h is not None else _power_sum(vs, ("x2", "x3"), d)
-    spare = x_names[2:]
-    if p is not None:
-        spare_idx = {vs.index(x) for x in spare}
-        _require(
-            p.is_zero() or (p.degree == d and p.supported_on(spare_idx)),
-            "override p must be degree d in x4..xn",
-        )
-    tail_p = p if p is not None else _power_sum(vs, spare, d)
+    base_h = _tail(vs, ("x2", "x3"), d, h, "override h must be degree d in x2, x3", nonzero=True)
+    tail_p = _tail(vs, vs.x_names[2:], d, p, "override p must be degree d in x4..xn")
 
     hess_pattern = [(1, False)] + [(r, True) for r in range(2, k + 1)]
     if 2 * (k + 1) <= d:
@@ -446,11 +451,7 @@ def gen_perazzo(
         gs_polys = list(gs)
     parts = [Poly.variable(vs, i) * gs_polys[i] for i in range(n + 1)]
     if h is not None:
-        _require(
-            h.is_zero() or (h.degree == d and h.supported_on(vs.u_indices)),
-            "h must be a degree-d u-block form",
-        )
-        parts.append(h)
+        parts.append(_tail(vs, vs.u_names, d, h, "h must be a degree-d u-block form"))
     f = poly_sum(vs, parts)
     manifest = Manifest(
         hess_pattern=((1, True),),
@@ -751,14 +752,8 @@ def gen_thmwlp(
         spare_from = 4
     spare = tuple(f"x{i}" for i in range(spare_from, N + 1))
     vs = _x_uv_vars(N)  # the core x-variables, then the spare ones
-    uv = {vs.index("u"), vs.index("v")}
-    if g is not None:
-        _require(g.is_zero() or (g.degree == d and g.supported_on(uv)), "g must be degree d in u, v")
-    g_poly = g if g is not None else _power_sum(vs, ("u", "v"), d)
-    if h is not None:
-        spare_idx = {vs.index(x) for x in spare}
-        _require(h.is_zero() or (h.degree == d and h.supported_on(spare_idx)), "h must be degree d in the spare x-variables")
-    h_poly = h if h is not None else _power_sum(vs, spare, d)
+    g_poly = _tail(vs, ("u", "v"), d, g, "g must be degree d in u, v")
+    h_poly = _tail(vs, spare, d, h, "h must be degree d in the spare x-variables")
     f = poly_sum(vs, [_mono(vs, t) for t in core]) + g_poly + h_poly
 
     hilbert = None
@@ -797,7 +792,6 @@ def gen_prop44(case: str, h: Optional[Poly] = None, *, seed: int = 0) -> FamilyI
     if case not in ("i", "ii", "iii"):
         raise InfeasibleParametersError(f"unknown case {case!r}, expected i, ii or iii")
     vs = _PROP44_VARS
-    uv = {vs.index("u"), vs.index("v")}
     if case == "iii":
         core = poly_sum(
             vs,
@@ -813,10 +807,7 @@ def gen_prop44(case: str, h: Optional[Poly] = None, *, seed: int = 0) -> FamilyI
     else:
         core = poly_sum(vs, [_mono(vs, t) for t in _PROP44_CORES[case]])
         witness = LinearForm.from_coeffs((0, 0, 0, 1, 1))
-    if h is not None:
-        _require(h.is_zero() or (h.degree == 4 and h.supported_on(uv)), "h must be a binary quartic in u, v")
-    h_poly = h if h is not None else _power_sum(vs, ("u", "v"), 4)
-    f = core + h_poly
+    f = core + _tail(vs, ("u", "v"), 4, h, "h must be a binary quartic in u, v")
     manifest = Manifest(
         hess_pattern=((1, True),),
         cone=False,
@@ -870,7 +861,7 @@ def replay_manifest(
     if man.cone is not None:
         check("cone", is_cone(an).is_cone == man.cone)
     if man.dim_a1 is not None:
-        got = catalecticant(f, 1).rank()
+        got = len(an.basis(1))
         check("dim_a1", got == man.dim_a1, f"{got} vs {man.dim_a1}")
     for k in man.key_certificate_orders:
         cert = an.key(k)

@@ -29,7 +29,7 @@ residue at the all-ones point, exactly; only a zero residue, which p may
 produce for a nonzero value, sends it to the exact integer determinant.
 Elimination runs only after all evaluations were zero, and then only in exact
 mode; a probabilistic vanishing verdict, whatever the matrix's size, states
-its error bound (deg/B)^trials + ceil(bits(N)/60) / 2^54: Schwartz-Zippel
+its error bound (deg/B)^DEFAULT_TRIALS + ceil(bits(N)/60) / 2^54: Schwartz-Zippel
 over F_p for the B-wide sample box, plus the chance that the prime divides
 the content of a nonzero determinant polynomial, whose coefficients are
 bounded by N, the product of the rows' coefficient 1-norms.  The prime is
@@ -229,7 +229,6 @@ def hessian_vanishes(
         degree_bound=len(H) * (an.f.degree - 2 * k),
         mode=an.mode,
         seed=an.seed,
-        trials=DEFAULT_TRIALS,
         salt=f"hess:{k}",
         kernel=an.kernel(k, k) if basis is None else None,
     )
@@ -295,7 +294,6 @@ def _det_vanishes(
     degree_bound: int,
     mode: str,
     seed: int,
-    trials: int,
     salt: str,
     kernel: Optional[IntMatrix] = None,
 ) -> VanishingVerdict:
@@ -324,7 +322,7 @@ def _det_vanishes(
 
     bound_B = 64 * degree_bound
     rng_base = f"{salt}:{seed}"
-    for trial in range(trials):
+    for trial in range(DEFAULT_TRIALS):
         rng = random.Random(f"{rng_base}:{trial}")
         point = tuple(rng.randint(1, bound_B) for _ in range(kernel.nvars))
         verdict = _witness(kernel, point, p, mode)
@@ -338,7 +336,7 @@ def _det_vanishes(
     per_trial = Fraction(degree_bound, bound_B)
     bad_primes = -(-kernel.norm_bound.bit_length() // 60)
     return VanishingVerdict(
-        True, "probabilistic", error_bound=per_trial**trials + Fraction(bad_primes, 2**54)
+        True, "probabilistic", error_bound=per_trial**DEFAULT_TRIALS + Fraction(bad_primes, 2**54)
     )
 
 

@@ -234,7 +234,7 @@ def _random_linear_form(rng: random.Random, n: int, bound: int) -> LinearForm:
             return LinearForm.from_coeffs(coeffs)
 
 
-def slp_generic(an: Analysis, trials: int = GENERIC_TRIALS) -> LefschetzReport:
+def slp_generic(an: Analysis) -> LefschetzReport:
     """Generic strong-Lefschetz verdict from the Hessian profile.
 
     Holds iff no Hessian vanishes identically; the witness is found by
@@ -269,7 +269,7 @@ def slp_generic(an: Analysis, trials: int = GENERIC_TRIALS) -> LefschetzReport:
                 return LefschetzReport(
                     "SLP", "holds", hv, uni, witness=L, levels=tuple(checks)
                 )
-        if attempt >= trials:
+        if attempt >= GENERIC_TRIALS:
             raise ArithmeticError(
                 "all Hessians are nonzero but no witness point was found; "
                 "this contradicts nonvanishing (bug)"
@@ -281,7 +281,7 @@ def slp_generic(an: Analysis, trials: int = GENERIC_TRIALS) -> LefschetzReport:
         attempt += 1
 
 
-def wlp_generic(an: Analysis, trials: int = GENERIC_TRIALS) -> LefschetzReport:
+def wlp_generic(an: Analysis) -> LefschetzReport:
     """Generic weak-Lefschetz verdict.
 
     Failure is only ever declared on structural evidence (non-unimodal
@@ -339,7 +339,7 @@ def wlp_generic(an: Analysis, trials: int = GENERIC_TRIALS) -> LefschetzReport:
                 )
 
     bound = 64 * (d + 1)
-    for t in range(trials):
+    for t in range(GENERIC_TRIALS):
         rng = random.Random(f"wlp:{an.seed}:{t}")
         L = _random_linear_form(rng, len(f.vars), bound)
         ok, checks = wlp_check_element(an, L)

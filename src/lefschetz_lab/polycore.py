@@ -16,6 +16,8 @@ Conventions baked in here and relied on everywhere else:
     declared);
   * coefficients are always reduced `Fraction`s and zero terms are never
     stored;
+  * `parse_poly` reads homogeneous text only; an inhomogeneous `Poly` is
+    built as a sum of homogeneous ones;
   * the zero polynomial has no degree — `Poly.degree` is None and callers
     branch explicitly;
   * all values are immutable after construction, so everything in this module
@@ -618,14 +620,14 @@ class _Parser:
         return out
 
 
-def parse_poly(text: str, vars: VariableSet, *, allow_inhomogeneous: bool = False) -> Poly:
-    """Parse polynomial text over the declared variables.
+def parse_poly(text: str, vars: VariableSet) -> Poly:
+    """Parse homogeneous polynomial text over the declared variables.
 
-    Rejects non-homogeneous input unless `allow_inhomogeneous` is set; the
-    rest of the package only consumes homogeneous polynomials.
+    Rejects non-homogeneous input: the rest of the package only consumes
+    homogeneous polynomials.
     """
     terms = _Parser(text, vars).parse()
     poly = Poly(vars, terms)
-    if not allow_inhomogeneous and not poly.is_homogeneous():
+    if not poly.is_homogeneous():
         raise HomogeneityError(f"polynomial is not homogeneous: {text!r}")
     return poly

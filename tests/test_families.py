@@ -1,4 +1,5 @@
 import inspect
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from lefschetz_lab.families import (
 )
 from lefschetz_lab.hessian import VanishingVerdict, hessian_vanishes
 from lefschetz_lab.lefschetz import LinearForm, wlp_check_element
-from lefschetz_lab.polycore import VariableSet, parse_poly
+from lefschetz_lab.polycore import Poly, VariableSet, parse_poly
 
 from conftest import count_analyses, exact, prob
 
@@ -82,6 +83,58 @@ def test_exact_replay_needs_exact_hessian_verdicts(monkeypatch):
     assert passed["hess[1] =0"] is False
     passed = {name: ok for name, ok, _ in replay_manifest(inst, mode="probabilistic")}
     assert passed["hess[1] =0"] is True
+
+
+def test_replay_reads_dim_a1_from_the_basis():
+    inst = gen_gnp(2, None, 1, 2, "maximal")
+    got = inst.manifest.dim_a1
+    wrong = replace(inst, manifest=replace(inst.manifest, dim_a1=got + 1))
+    results = {name: (ok, detail) for name, ok, detail in replay_manifest(wrong)}
+    assert results["dim_a1"] == (False, f"{got} vs {got + 1}")
+
+
+class TestHash:
+    def test_equal_instances_hash_equal(self):
+        a, b = gen_wlpodd(4, 5), gen_wlpodd(4, 5)
+        assert a == b and hash(a) == hash(b)
+        assert hash(gen_ikeda()) == hash(gen_ikeda())
+        assert len({a, b, gen_wlpodd(6, 5)}) == 2
+
+    def test_spec_key_order_does_not_matter(self):
+        spec = FamilySpec("thmwlp", {"N": 6, "d": 4}, 0, {"g": "u^4", "h": "x6^4"})
+        reordered = FamilySpec("thmwlp", {"d": 4, "N": 6}, 0, {"h": "x6^4", "g": "u^4"})
+        assert {spec: "found"}[reordered] == "found"
+
+
+# every tail override checked by one rule: generator, its arguments, the
+# override's name, a wrong-degree and a wrong-support override, the message,
+# and the arguments under which a zero override builds (None: zero rejected)
+TAIL_SITES = [
+    (gen_exceptional, (4, 5, 2), "h", "x2^4", "x2^4*u", "override h must be degree d in x2, x3", None),
+    (gen_exceptional, (4, 5, 2), "p", "x4^4", "x2^5", "override p must be degree d in x4..xn", (3, 5, 2)),
+    (gen_thmwlp, (6, 4), "g", "u^3", "x2*u^3", "g must be degree d in u, v", (6, 4)),
+    (gen_thmwlp, (6, 4), "h", "x6^3", "x5^4", "h must be degree d in the spare x-variables", (5, 4)),
+    (gen_prop44, ("i",), "h", "u^3", "x0*u^3", "h must be a binary quartic in u, v", ("i",)),
+    (gen_perazzo, (2, 2, 3), "h", "u1^2", "x0^3", "h must be a degree-d u-block form", (2, 2, 3)),
+]
+
+
+@pytest.mark.parametrize(
+    "gen,args,name,bad_degree,bad_support,message,zero_args",
+    TAIL_SITES,
+    ids=["exceptional-h", "exceptional-p", "thmwlp-g", "thmwlp-h", "prop44-h", "perazzo-h"],
+)
+def test_tail_override_checked(gen, args, name, bad_degree, bad_support, message, zero_args):
+    vs = gen(*args).f.vars
+    for text in (bad_degree, bad_support):
+        with pytest.raises(InfeasibleParametersError, match=re.escape(message)):
+            gen(*args, **{name: parse_poly(text, vs)})
+    if zero_args is None:
+        with pytest.raises(InfeasibleParametersError, match=re.escape(message)):
+            gen(*args, **{name: Poly.zero(vs)})
+    else:
+        zero = Poly.zero(gen(*zero_args).f.vars)
+        assert gen(*zero_args, **{name: zero}).spec.overrides == {name: "0"}
 
 
 class TestCarriedAnalysis:

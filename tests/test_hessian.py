@@ -516,16 +516,16 @@ class TestEvaluateFirst:
         assert counts["kernels"] == 0
         assert ("hessian", 1, 1) not in an._memo
 
-    def test_elimination_fallback_witness_replays(self):
+    def test_elimination_fallback_witness_replays(self, monkeypatch):
         vs = VariableSet(("x", "y", "z"))
         an = exact(parse_poly("x^3 + y^3 + z^3 + x*y*z", vs))
         entries = an.hessian(1, 1)
+        monkeypatch.setattr(hessian_mod, "DEFAULT_TRIALS", 0)
         verdict = _det_vanishes(
             entries,
             degree_bound=3,
             mode="exact",
             seed=0,
-            trials=0,
             salt="hess:1",
         )
         assert not verdict.vanishes and verdict.mode == "exact"
@@ -695,7 +695,6 @@ def decide_by_evaluation(f, k, seed):
         degree_bound=len(entries) * (f.degree - 2 * k),
         mode="probabilistic",
         seed=seed,
-        trials=DEFAULT_TRIALS,
         salt=f"hess:{k}",
     )
     return entries, verdict

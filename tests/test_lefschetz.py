@@ -547,9 +547,10 @@ class TestRankConsistency:
 
 
 class TestUndetermined:
-    def test_no_trials_no_certificate(self):
+    def test_no_trials_no_certificate(self, monkeypatch):
+        monkeypatch.setattr("lefschetz_lab.lefschetz.GENERIC_TRIALS", 0)
         vs = VariableSet(("x", "y", "z"))
-        report = wlp_generic(prob(parse_poly("x^4 + y^4 + z^4", vs)), trials=0)
+        report = wlp_generic(prob(parse_poly("x^4 + y^4 + z^4", vs)))
         assert report.verdict == "undetermined"
         assert report.witness is None
 

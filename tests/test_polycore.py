@@ -89,8 +89,6 @@ class TestParse:
     def test_inhomogeneous_rejected(self):
         with pytest.raises(HomogeneityError):
             parse_poly("x^2 + y", XY)
-        f = parse_poly("x^2 + y", XY, allow_inhomogeneous=True)
-        assert f.total_degree() == 2
 
     def test_fraction_coefficients(self):
         f = parse_poly("1/2*x^2 + 3/4*x*y", XY)
@@ -195,7 +193,7 @@ class TestDiffAgainstSympy:
 
     def test_operators_above_the_degree_give_zero(self):
         f = parse_poly("2/3*x^3*y - 5/4*y^4 + x^2*y^2", XY)
-        op = parse_poly("7/2*X^5 - 1/3*X^2*Y^3 + X^4*Y^2", XY.dual(), allow_inhomogeneous=True)
+        op = parse_poly("7/2*X^5 - 1/3*X^2*Y^3", XY.dual()) + parse_poly("X^4*Y^2", XY.dual())
         assert diff_apply(op, f).is_zero()
         mixed = op + parse_poly("3/5*X^3*Y", XY.dual())
         assert diff_apply(mixed, f) == Poly.constant(XY, Fraction(3, 5) * 4)
