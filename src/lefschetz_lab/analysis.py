@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Callable, Optional, TypeVar
 
 from .apolar import AkBasis, Coordinates, HilbertVector, ak_basis, hilbert_vector
-from .errors import ZeroPolynomialError
+from .errors import DegreeRangeError, ZeroPolynomialError
 from .hessian import MODES, Matrix, VanishingVerdict, hessian_vanishes, mixed_hessian
 from .lefschetz import KeyCertificate, ObstructionCertificate, _u_subring_ops, key_criterion, wlp_obstruction
 from .polycore import Derivatives, DiffOp, IntMatrix, Monomial, Poly
@@ -50,6 +50,8 @@ class Analysis:
             raise ValueError(f"unknown mode {mode!r}")
         if f.is_zero():
             raise ZeroPolynomialError("the zero polynomial has no graded algebra")
+        if f.degree == 0:
+            raise DegreeRangeError("a constant form has degree 0; the analysis needs degree >= 1")
         self.f = f
         self.mode = mode
         self.seed = seed

@@ -172,7 +172,10 @@ def _tail(vs: VariableSet, names: Sequence[str], d: int, override: Optional[Poly
     if override is None:
         return _power_sum(vs, names, d)
     indices = {vs.index(x) for x in names}
-    ok = not nonzero if override.is_zero() else override.degree == d and override.supported_on(indices)
+    if override.is_zero():
+        ok = not nonzero
+    else:
+        ok = override.is_homogeneous() and override.degree == d and override.supported_on(indices)
     _require(ok, message)
     return override
 
@@ -448,7 +451,11 @@ def gen_perazzo(
         gs_polys = [Poly.monomial(vs, (0,) * (n + 1) + tuple(gm)) for gm in g_monos]
     else:
         _require(len(gs) == n + 1, f"need exactly {n + 1} u-block forms")
-        gs_polys = list(gs)
+        gs_polys = [
+            _tail(vs, vs.u_names, d - 1, g, f"g{i} must be a nonzero degree-{d - 1} u-block form",
+                  nonzero=True)
+            for i, g in enumerate(gs)
+        ]
     parts = [Poly.variable(vs, i) * gs_polys[i] for i in range(n + 1)]
     if h is not None:
         parts.append(_tail(vs, vs.u_names, d, h, "h must be a degree-d u-block form"))
@@ -514,10 +521,7 @@ def gen_permutti(
             pj = Ps[j]
             if pj is None or pj.is_zero():
                 continue
-            _require(
-                pj.degree == d - j * e and pj.supported_on(vs.u_indices),
-                f"P_{j} must be a degree-{d - j * e} u-block form",
-            )
+            _tail(vs, vs.u_names, d - j * e, pj, f"P_{j} must be a degree-{d - j * e} u-block form")
         else:
             pj = _mono(vs, {"u1": d - j * e})
         parts.append(Q**j * pj)

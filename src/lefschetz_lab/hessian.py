@@ -5,11 +5,11 @@ basis (a_i) of the degree-k graded piece.  Whether its determinant vanishes
 identically does not depend on the basis, so verdicts are reported without
 one.  Both modes decide along one path of three routes, taken in order:
 
-  * certificate: for k >= 1 on a form with a declared x/u split and the
-    default basis, the form's u-subring overflow certificate (`an.key(k)`,
-    the Gordan-Noether-type argument the paper's constructions rest on)
-    proves vanishing exactly in either mode; the Hessian is then neither
-    assembled nor compiled;
+  * certificate: for k >= 1 on a form with a declared x/u split, the
+    form's u-subring overflow certificate (`an.key(k)`, the
+    Gordan-Noether-type argument the paper's constructions rest on) proves
+    vanishing exactly in either mode; the Hessian is then neither assembled
+    nor compiled;
   * evaluation: evaluate the matrix's integer kernel (`polycore.IntMatrix`,
     rows scaled to integer coefficients; the form's `Analysis` compiles it
     once) at seeded integer points and take the determinant modulo a prime p
@@ -22,7 +22,8 @@ one.  Both modes decide along one path of three routes, taken in order:
   * elimination: when every residue is zero, fraction-free elimination of
     the polynomial matrix over the rational function field (fewest-terms
     pivoting, early exit on a zero row/column) certifies vanishing
-    unconditionally.
+    unconditionally; a nonzero determinant gets its witness from exact
+    evaluation of the kernel at seeded points in ever wider boxes.
 
 A constant matrix (the middle Hessian of even degree) is decided by its
 residue at the all-ones point, exactly; only a zero residue, which p may
@@ -72,8 +73,8 @@ class VanishingVerdict:
     A nonvanishing verdict found by evaluation carries the witness
     (witness_point, prime, residue): residue = det H(witness_point) mod prime
     is nonzero, which proves det H != 0 over Q.  A witness whose prime
-    divides the kernel's row scale, or one found on the determinant
-    polynomial after elimination, keeps the exact value instead.  `det_value`
+    divides the kernel's row scale, or one found after elimination by exact
+    evaluation of the kernel, keeps the exact value instead.  `det_value`
     is the exact determinant at the witness point for every nonvanishing
     verdict; unless the decision kept it, it is computed from the witness
     matrix on first access.  The JSON form shows it only up to size
@@ -138,16 +139,11 @@ class VanishingVerdict:
         return out
 
 
-def hessian_matrix(an: Analysis, k: int, basis: Optional[Sequence[DiffOp]] = None) -> Matrix:
-    """Entries of the order-k Hessian; the default basis is the greedy monomial
-    one, `an.basis(k)`, whose matrix the Analysis keeps.  An explicit `basis`
-    is a sequence of degree-k operators whose derivatives of f are a basis
-    of the derivative space; cell (i, j) is basis[i] applied to basis[j] (f)."""
+def hessian_matrix(an: Analysis, k: int) -> Matrix:
+    """Entries of the order-k Hessian over the greedy monomial basis
+    `an.basis(k)`; the Analysis keeps the matrix."""
     _checked_degree(an.f, k)
-    if basis is None:
-        return an.hessian(k, k)
-    derived = _basis_derivatives(an, k, basis)
-    return _mirrored([diff_apply(a, g) for g in derived[i:]] for i, a in enumerate(basis))
+    return an.hessian(k, k)
 
 
 def mixed_hessian(an: Analysis, k: int, l: int) -> Matrix:
@@ -179,58 +175,51 @@ def _mirrored(uppers: Iterable[list[Poly]]) -> Matrix:
     return tuple(map(tuple, out))
 
 
-def _basis_derivatives(an: Analysis, k: int, basis: Sequence[DiffOp]) -> list[Poly]:
-    """Each operator of an explicit basis of A_k applied to f, after checking
-    that the operators have degree k and that their derivatives are dim A_k
-    independent polynomials."""
-    if len(basis) != len(an.basis(k)):
-        raise ValueError("basis has the wrong dimension for this polynomial")
-    span = linalg.SparseSpan()
-    derived: list[Poly] = []
-    for op in basis:
-        if not op.is_homogeneous() or op.degree != k:
-            raise ValueError(f"basis operator {op.to_text()} does not have degree {k}")
-        g = diff_apply(op, an.f)
-        if not span.try_add(g.coeff_map()):
-            raise ValueError("invalid basis: the derivatives are dependent")
-        derived.append(g)
-    return derived
-
-
 def _checked_degree(f: Poly, k: int) -> None:
     d = f.degree
     if not 0 <= k <= d // 2:
         raise DegreeRangeError(f"k={k} out of range 0..{d // 2}")
 
 
-def hessian_vanishes(
-    an: Analysis, k: int, *, basis: Optional[Sequence[DiffOp]] = None
-) -> VanishingVerdict:
+def hessian_vanishes(an: Analysis, k: int) -> VanishingVerdict:
     """Decide whether the order-k Hessian determinant vanishes identically.
 
-    On a split form with the default basis, an order k >= 1 with a key
-    certificate (`an.key(k)`) is decided by it: exact vanishing in either
-    mode, with no Hessian assembled.  Otherwise the decision evaluates (on
-    the default basis, the kernel the Analysis compiled) at the Analysis's
-    seed and, in exact mode where every value is zero, eliminates.  An
-    explicit `basis`, a sequence of degree-k operators, always takes that
-    second route.  `Analysis.verdict` keeps the
-    result; this function decides afresh on every call, though the key
-    search itself is memoized.
+    On a split form, an order k >= 1 with a key certificate (`an.key(k)`)
+    is decided by it: exact vanishing in either mode, with no Hessian
+    assembled.  Otherwise the decision evaluates the kernel the Analysis
+    compiled at the Analysis's seed and, in exact mode where every value is
+    zero, eliminates.  `Analysis.verdict` keeps the result; this function
+    decides afresh on every call, though the key search itself is memoized.
     """
     _checked_degree(an.f, k)  # before the key search, which allows 1..d/2
-    if k >= 1 and an.f.vars.has_split and basis is None:
+    if k >= 1 and an.f.vars.has_split:
         cert = an.key(k)
         if cert is not None:
             return VanishingVerdict(True, "exact", certificate=cert)
-    H = hessian_matrix(an, k, basis)
+    H = hessian_matrix(an, k)
     return _det_vanishes(
         H,
         degree_bound=len(H) * (an.f.degree - 2 * k),
         mode=an.mode,
         seed=an.seed,
         salt=f"hess:{k}",
-        kernel=an.kernel(k, k) if basis is None else None,
+        kernel=an.kernel(k, k),
+    )
+
+
+def explicit_basis_verdict(an: Analysis, k: int, ops: Sequence[DiffOp]) -> VanishingVerdict:
+    """Test oracle for basis independence: the order-k verdict over `ops`, a
+    basis of A_k given as degree-k operators (not checked), decided by
+    evaluation and, in exact mode, elimination; the key certificate is not
+    consulted.  Cell (i, j) is ops[i] applied to ops[j] (f)."""
+    derived = [diff_apply(a, an.f) for a in ops]
+    H = _mirrored([diff_apply(a, g) for g in derived[i:]] for i, a in enumerate(ops))
+    return _det_vanishes(
+        H,
+        degree_bound=len(H) * (an.f.degree - 2 * k),
+        mode=an.mode,
+        seed=an.seed,
+        salt=f"hess:{k}",
     )
 
 
@@ -305,9 +294,7 @@ def _det_vanishes(
         kernel = IntMatrix(entries)
     p = _decision_prime(salt, seed)
 
-    if degree_bound == 0 or all(
-        e.is_zero() or e.degree == 0 for row in entries for e in row
-    ):
+    if degree_bound == 0:
         # constant matrix: its determinant is the answer, unconditionally
         point = (1,) * kernel.nvars
         verdict = _witness(kernel, point, p, "exact")
@@ -329,7 +316,7 @@ def _det_vanishes(
         if verdict is not None:
             return verdict
     if mode == "exact":
-        return _exact_verdict(entries, seed, salt)
+        return _exact_verdict(entries, kernel, degree_bound, seed, salt)
     # Schwartz-Zippel over F_p for every trial, plus the chance that p
     # divides the content of a nonzero integer determinant polynomial: at
     # most bits/60 primes >= 2^60 do, out of more than 2^54 to draw from
@@ -403,31 +390,29 @@ def _is_prime(n: int) -> bool:
 
 
 def _exact_verdict(
-    entries: Sequence[Sequence[Poly]], seed: int, salt: str
+    entries: Sequence[Sequence[Poly]], kernel: IntMatrix, degree_bound: int, seed: int, salt: str
 ) -> VanishingVerdict:
-    vanishes, transcript, det_poly = poly_det_vanishes(entries)
+    vanishes, transcript, _ = poly_det_vanishes(entries)
     if vanishes:
         return VanishingVerdict(
             True, "exact", transcript_hash=_hash_transcript(transcript), eliminated=True
         )
-    assert det_poly is not None
-    # nonzero, yet zero at every sampled point: search on the determinant
-    point, value = _nonzero_point(det_poly, seed, salt)
-    return VanishingVerdict(
-        False, "exact", witness_point=point, known_value=value, eliminated=True
-    )
-
-
-def _nonzero_point(g: Poly, seed: int, salt: str) -> tuple[tuple[int, ...], Fraction]:
-    kernel = IntMatrix([[g]])
-    bound = 64 * max(g.total_degree() or 1, 1)
+    # nonzero, yet zero at every sampled point: search wider boxes, each
+    # twice the last, until the kernel's determinant is nonzero
+    bound = 64 * degree_bound
     attempt = 0
     while True:
         rng = random.Random(f"witness:{salt}:{seed}:{attempt}")
         point = tuple(rng.randint(1, bound) for _ in range(kernel.nvars))
-        value = kernel.at(point)[0][0]
+        value = linalg.det_int(kernel.at(point))
         if value:
-            return point, Fraction(value, kernel.scale)
+            return VanishingVerdict(
+                False,
+                "exact",
+                witness_point=point,
+                known_value=Fraction(value, kernel.scale),
+                eliminated=True,
+            )
         attempt += 1
         bound *= 2
 

@@ -205,11 +205,6 @@ class Poly:
             raise HomogeneityError("polynomial is not homogeneous")
         return degrees.pop()
 
-    def total_degree(self) -> Optional[int]:
-        if not self._terms:
-            return None
-        return max(mono_degree(e) for e in self._terms)
-
     def supported_on(self, indices: Iterable[int]) -> bool:
         """True iff every term involves only the given variable indices."""
         allowed = set(indices)

@@ -37,7 +37,7 @@ from .families import (
     generate,
     replay_manifest,
 )
-from .hessian import hessian_matrix, hessian_vanishes, is_cone, poly_det_vanishes
+from .hessian import explicit_basis_verdict, hessian_matrix, is_cone, poly_det_vanishes
 from .lefschetz import LinearForm, mult_map
 from .polycore import (
     Poly,
@@ -244,7 +244,7 @@ def _prop_basis_change(config: SuiteConfig) -> tuple[bool, str]:
         dual = f.vars.dual()
         changed = [Poly(dual, dict(zip(expos, row))) for row in u]
         flag_default = an.verdict(k).vanishes
-        flag_changed = hessian_vanishes(an, k, basis=changed).vanishes
+        flag_changed = explicit_basis_verdict(an, k, changed).vanishes
         if flag_default != flag_changed:
             return False, f"basis change flipped the flag at trial {trial}"
     return True, "50 instances"

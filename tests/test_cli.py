@@ -100,6 +100,11 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert err == "error: the zero polynomial has no graded algebra\n"
 
+    def test_constant_form_exit_two(self, capsys):
+        code, out, err = run(["analyze", "--poly", "3", "--vars", "x"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: a constant form has degree 0; the analysis needs degree >= 1\n"
+
 
 class TestGenerate:
     def test_gnp_text(self, capsys):

@@ -272,6 +272,17 @@ class TestPerazzo:
         with pytest.raises(InfeasibleParametersError):
             gen_perazzo(2, 4, 3)  # five monomials of degree 2 in two variables
 
+    @pytest.mark.parametrize("g2", ["u2^3", "x0*u2", "0"], ids=["degree", "support", "zero"])
+    def test_each_g_checked(self, g2):
+        gs = [parse_poly(text, XU_VARS) for text in ("u1^2", "u1*u2", g2)]
+        with pytest.raises(InfeasibleParametersError, match="g2 must be a nonzero degree-2 u-block form"):
+            gen_perazzo(2, 2, 3, gs=gs)
+
+    def test_inhomogeneous_g_checked(self):
+        u1, u2 = (parse_poly(name, XU_VARS) for name in ("u1", "u2"))
+        with pytest.raises(InfeasibleParametersError, match="g0 must be"):
+            gen_perazzo(2, 2, 3, gs=[u1 * u1 + u2 * u2 * u2, u1 * u2, u2 * u2])
+
 
 class TestPermutti:
     def test_perazzo_special_case(self):
@@ -292,6 +303,11 @@ class TestPermutti:
             gen_permutti(2, 2, 2, 4)
         with pytest.raises(InfeasibleParametersError):
             gen_permutti(2, 3, 2, 5)
+
+    @pytest.mark.parametrize("text", ["u1^2", "x0^3"], ids=["degree", "support"])
+    def test_p_override_checked(self, text):
+        with pytest.raises(InfeasibleParametersError, match=re.escape("P_1 must be a degree-3 u-block form")):
+            gen_permutti(2, 2, 3, 6, Ps={1: parse_poly(text, XU_VARS)})
 
     def test_zero_overrides(self):
         inst = gen_permutti(2, 2, 3, 6)

@@ -26,6 +26,7 @@ from lefschetz_lab.hessian import (
     _decision_prime,
     _det_vanishes,
     _is_prime,
+    explicit_basis_verdict,
     hess_profile,
     hessian_matrix,
     hessian_vanishes,
@@ -92,6 +93,10 @@ class TestHessianMatrix:
     def test_zero_poly_rejected(self):
         with pytest.raises(ZeroPolynomialError):
             hessian_matrix(prob(Poly.zero(IKEDA_VARS)), 0)
+
+    def test_constant_form_rejected(self):
+        with pytest.raises(DegreeRangeError, match="constant form"):
+            hess_profile(prob(parse_poly("3", VariableSet(("x",)))))
 
     def test_k_out_of_range(self):
         with pytest.raises(DegreeRangeError):
@@ -239,10 +244,7 @@ class TestInvariance:
             poly_sum(base[0].vars, [base[j].scale(coeffs[i][j]) for j in range(n) if coeffs[i][j]])
             for i in range(n)
         ]
-        assert (
-            hessian_vanishes(an, k).vanishes
-            == hessian_vanishes(an, k, basis=changed).vanishes
-        )
+        assert hessian_vanishes(an, k).vanishes == explicit_basis_verdict(an, k, changed).vanishes
 
     @given(homogeneous_polys(max_vars=3, min_degree=2, max_degree=4), st.data())
     @settings(max_examples=25)
@@ -291,22 +293,6 @@ class TestDerivativeMemo:
     )
     def test_cells_match_diff_apply_on_families(self, build):
         assert_cells_are_derivatives(prob(build()))
-
-    @given(rational_polys(max_vars=3, min_degree=2, max_degree=4), st.data())
-    @settings(max_examples=25)
-    def test_cells_over_a_changed_basis(self, f, data):
-        k = data.draw(st.integers(1, f.degree // 2))
-        an = prob(f)
-        base = basis_ops(an, k)
-        n = len(base)
-        new_ops = [
-            poly_sum(base[0].vars, [base[i]] + [base[j].scale(data.draw(st.integers(-2, 2))) for j in range(i + 1, n)])
-            for i in range(n)
-        ]
-        H = hessian_matrix(an, k, new_ops)
-        for a, row in zip(new_ops, H):
-            for b, cell in zip(new_ops, row):
-                assert cell == diff_apply(a, diff_apply(b, f))
 
     def test_shared_cells_are_one_object(self):
         an = prob(gen_wlpodd(4, 5).f)
@@ -412,33 +398,10 @@ class TestCertificateRoute:
         an = exact(PERAZZO)
         searched = []
         monkeypatch.setattr(an, "key", searched.append)
-        verdict = hessian_vanishes(an, 1, basis=basis_ops(an, 1))
+        verdict = explicit_basis_verdict(an, 1, basis_ops(an, 1))
         assert verdict.vanishes and verdict.certificate is None
         assert verdict.eliminated and verdict.transcript_hash
         assert searched == []
-
-
-class TestExplicitBasis:
-    def test_wrong_size_rejected(self):
-        an = prob(IKEDA)
-        with pytest.raises(ValueError, match="dimension"):
-            hessian_matrix(an, 2, basis_ops(an, 2)[1:])
-
-    def test_dependent_derivatives_rejected(self):
-        an = prob(IKEDA)
-        ops = basis_ops(an, 2)
-        ops[-1] = ops[0] + ops[1]
-        with pytest.raises(ValueError, match="dependent"):
-            hessian_matrix(an, 2, ops)
-
-    def test_operator_of_another_degree_rejected(self):
-        an = prob(IKEDA)
-        x0 = Poly.variable(IKEDA_VARS.dual(), 0)
-        for wrong in (x0, basis_ops(an, 2)[0] + x0):  # degree 1; degrees 1 and 2
-            ops = basis_ops(an, 2)
-            ops[0] = wrong
-            with pytest.raises(ValueError, match="degree 2"):
-                hessian_vanishes(an, 2, basis=ops)
 
 
 class TestModeAgreement:
