@@ -2,22 +2,25 @@
 
 Every generator returns a `FamilyInstance`: the polynomial, its declared
 x/u-block split, and a manifest of expected properties that downstream
-modules can replay.  Each generator builds its manifest first and hands the
-form and the manifest to `_verified`, the one place where generated output is
-checked: on the probabilistic Analysis of f it confirms every structural
-claim (not a cone, the key certificates, the remaining Hessian orders, the
-obstruction, the WLP witness) and raises `DegenerateInstanceError` instead of
-emitting an instance whose manifest might be wrong.  The exceptional family
-retries with a deterministic perturbation of its tail summand before giving
-up.  `replay_manifest` replays every claim in a chosen mode, on the Analysis
-the instance carries (`FamilyInstance.analysis`) when mode and seed match;
-dim A_1 is the size of that Analysis's basis of A_1.
+modules can replay.  The structural claims (not a cone, the key
+certificates, the Hessian orders, the obstruction, the WLP witness) are
+checked by one checker, `_structural_claims`.  Each generator builds its
+manifest first and hands the form and the manifest to `_verified`, which runs
+that checker on the probabilistic Analysis of f and raises
+`DegenerateInstanceError` at the first failed claim instead of emitting an
+instance whose manifest might be wrong.  The exceptional family retries with
+a deterministic perturbation of its tail summand before giving up.
+`replay_manifest` runs the same checker in a chosen mode, on the Analysis the
+instance carries (`FamilyInstance.analysis`) when mode and seed match, then
+replays the Hilbert vector, unimodality, dim A_1 (the size of that
+Analysis's basis of A_1) and the generic SLP/WLP reports.
 
 Canonical shapes only: the tail polynomials (g, h, p, the biform parts) have
 fixed monomial defaults, overridable by keyword.  A tail summand is a form
 of degree d in prescribed variables; `_tail` checks an override against that
-and supplies the default, the sum of their d-th powers.  Identical parameters
-always produce bit-identical output.
+and supplies the default, the sum of their d-th powers.  A bilinear block,
+x-monomials paired with u-monomials, is built by `_xu_sum`.  Identical
+parameters always produce bit-identical output.
 
 `FAMILIES` is the one place a family is declared: its generator, its
 parameters (also the CLI flags) and the tail overrides it accepts.
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .analysis import Analysis
 from .apolar import is_unimodal
@@ -151,8 +154,16 @@ def _mono(vs: VariableSet, pairs: Mapping[str, int], coeff: int = 1) -> Poly:
     return Poly.monomial(vs, tuple(expo), coeff)
 
 
-def _power_sum(vs: VariableSet, names: Sequence[str], d: int) -> Poly:
-    return poly_sum(vs, [_mono(vs, {n: d}) for n in names])
+def _pure(count: int, i: int, degree: int = 1) -> Monomial:
+    """The exponent of the degree-th power of variable i among `count` variables."""
+    return tuple(degree if t == i else 0 for t in range(count))
+
+
+def _xu_sum(vs: VariableSet, x_expos: Iterable[Sequence[int]],
+            u_expos: Iterable[Sequence[int]]) -> Poly:
+    """The sum of the monomials x^a * u^b over the paired x- and u-block exponents a, b."""
+    pairs = zip(x_expos, u_expos, strict=True)
+    return poly_sum(vs, [Poly.monomial(vs, tuple(a) + tuple(b)) for a, b in pairs])
 
 
 def _require(cond: bool, message: str) -> None:
@@ -160,17 +171,12 @@ def _require(cond: bool, message: str) -> None:
         raise InfeasibleParametersError(message)
 
 
-def _verify(cond: bool, message: str) -> None:
-    if not cond:
-        raise DegenerateInstanceError(message)
-
-
 def _tail(vs: VariableSet, names: Sequence[str], d: int, override: Optional[Poly],
           message: str, *, nonzero: bool = False) -> Poly:
     """A tail summand: `override`, a form of degree d in `names` (or zero, unless
     `nonzero`), else by default the sum of the d-th powers of `names`."""
     if override is None:
-        return _power_sum(vs, names, d)
+        return poly_sum(vs, [_mono(vs, {x: d}) for x in names])
     indices = {vs.index(x) for x in names}
     if override.is_zero():
         ok = not nonzero
@@ -187,7 +193,7 @@ def _x_uv_vars(top: int) -> VariableSet:
 
 
 def _xu_vars(m: int, n: int) -> VariableSet:
-    """x0 .. xn followed by u1 .. um (the perazzo and permutti families)."""
+    """x0 .. xn followed by u1 .. um (the perazzo, permutti, gn and minimal gnp families)."""
     x_names = tuple(f"x{j}" for j in range(n + 1))
     u_names = tuple(f"u{j}" for j in range(1, m + 1))
     return VariableSet(x_names + u_names, n_x=n + 1)
@@ -196,38 +202,62 @@ def _xu_vars(m: int, n: int) -> VariableSet:
 _PROP44_VARS = VariableSet(("x0", "x1", "x2", "u", "v"), n_x=3)
 
 
-def _verified(f: Poly, manifest: Manifest, seed: int, what: str) -> Analysis:
-    """Check the structural claims of `manifest` on f's probabilistic Analysis; return it.
+def _structural_claims(an: Analysis, manifest: Manifest) -> Iterator[tuple[str, bool, str]]:
+    """The structural claims of `manifest` checked on `an`, as (claim, passed, detail).
 
-    f is not a cone; each order in `key_certificate_orders` has a key
-    certificate; each order of `hess_pattern` has the claimed verdict (a
-    vanishing claim at a key order is read off the key, which the verdict
-    consults first); the obstruction at `obstruction_level` exists, with
+    In order: f is (not) a cone as claimed; each order in
+    `key_certificate_orders` has a key certificate, replayed by
+    `verify_key_certificate`; each order of `hess_pattern` has the claimed
+    verdict (in exact mode only an exact verdict passes); the obstruction at
+    `obstruction_level`, replayed by `verify_obstruction_certificate`, has
     `obstruction_size` operators; `wlp_witness` passes exactly when `wlp`
-    holds.  The Hilbert vector, dim A_1 and the generic SLP/WLP reports are
-    left to `replay_manifest`.
+    holds.  A failed claim's detail says what failed; a passed one's is the
+    mode of a Hessian verdict, else empty.  Lazy, so that generation stops
+    at the first failed claim.
     """
-    an = Analysis(f, "probabilistic", seed)
-    _verify(not is_cone(an).is_cone, f"{what}: some variable is superfluous")
+    if manifest.cone is not None:
+        cone = is_cone(an).is_cone
+        yield "cone", cone == manifest.cone, "" if cone == manifest.cone else (
+            "some variable is superfluous" if cone else "no variable is superfluous")
     for k in manifest.key_certificate_orders:
-        _verify(an.key(k) is not None, f"{what}: no vanishing certificate at order {k}")
+        cert = an.key(k)
+        ok = cert is not None and verify_key_certificate(an.f, cert)
+        yield f"key_certificate[{k}]", ok, "" if ok else f"no vanishing certificate at order {k}"
     for k, vanishes in manifest.hess_pattern:
-        _verify(
-            an.verdict(k).vanishes == vanishes,
-            f"{what}: Hessian of order {k} " + ("did not vanish" if vanishes else "vanished"),
-        )
+        verdict = an.verdict(k)
+        ok = verdict.vanishes == vanishes
+        detail = verdict.mode if ok else (
+            f"Hessian of order {k} " + ("did not vanish" if vanishes else "vanished"))
+        exact_enough = an.mode != "exact" or verdict.mode == "exact"
+        yield f"hess[{k}] {'=0' if vanishes else '!=0'}", ok and exact_enough, detail
     level, size = manifest.obstruction_level, manifest.obstruction_size
     if level is not None:
         cert = an.obstruction(level)
-        _verify(cert is not None, f"{what}: no obstruction at level {level}")
-        _verify(
-            size is None or cert.s == size,
-            f"{what}: obstruction has {cert.s} operators, expected {size}",
-        )
+        problem = ""
+        if cert is None or not verify_obstruction_certificate(an.f, cert):
+            problem = f"no obstruction at level {level}"
+        elif size is not None and cert.s != size:
+            problem = f"obstruction has {cert.s} operators, expected {size}"
+        yield f"obstruction[{level}]", not problem, problem
     if manifest.wlp_witness is not None:
         ok, _ = wlp_check_element(an, manifest.wlp_witness)
         holds = manifest.wlp == "holds"
-        _verify(ok == holds, f"{what}: the WLP witness " + ("fails" if holds else "passes"))
+        yield "wlp_witness", ok == holds, "" if ok == holds else (
+            "the WLP witness " + ("fails" if holds else "passes"))
+
+
+def _verified(f: Poly, manifest: Manifest, seed: int, what: str) -> Analysis:
+    """Check the structural claims of `manifest` on f's probabilistic Analysis; return it.
+
+    The claims are `_structural_claims`, the same checker `replay_manifest`
+    starts with; the first failed one raises `DegenerateInstanceError` with
+    its detail.  The Hilbert vector, dim A_1 and the generic SLP/WLP reports
+    are left to `replay_manifest`.
+    """
+    an = Analysis(f, "probabilistic", seed)
+    for _, passed, detail in _structural_claims(an, manifest):
+        if not passed:
+            raise DegenerateInstanceError(f"{what}: {detail}")
     return an
 
 
@@ -348,12 +378,8 @@ def gen_gnp(
         _require(m == 2, "lemma_m2 variant requires m = 2")
         _require(n is None or n == 2, "lemma_m2 variant forces n = 2")
         vs = VariableSet(("x", "y", "z", "u", "v"), n_x=3)
-        parts = [
-            _mono(vs, {"x": k - j, "y": j, "u": e - j, "v": j})
-            for j in range(k + 1)
-        ]
-        parts.append(_mono(vs, {"z": k, "u": e - k - 1, "v": k + 1}))
-        f = poly_sum(vs, parts)
+        f = _xu_sum(vs, [(k - j, j, 0) for j in range(k + 1)] + [(0, 0, k)],
+                    [(e - j, j) for j in range(k + 1)] + [(e - k - 1, k + 1)])
         dim_a1 = 5
         params = {"m": m, "n": 2, "k": k, "e": e, "variant": variant}
     elif variant == "maximal":
@@ -362,15 +388,7 @@ def gen_gnp(
         x_names = tuple(f"x{j}" for j in range(1, s + 1))
         u_names = tuple(f"u{j}" for j in range(1, m + 1))
         vs = VariableSet(x_names + u_names, n_x=s)
-        u_monos = mono_basis(VariableSet(u_names), e)
-        parts = []
-        for j, um in enumerate(u_monos):
-            expo = [0] * len(vs)
-            expo[j] = k
-            for t, ee in enumerate(um):
-                expo[s + t] = ee
-            parts.append(Poly.monomial(vs, tuple(expo)))
-        f = poly_sum(vs, parts)
+        f = _xu_sum(vs, [_pure(s, j, k) for j in range(s)], mono_basis(VariableSet(u_names), e))
         dim_a1 = m + s
         params = {"m": m, "n": s - 1, "k": k, "e": e, "variant": variant}
     elif variant == "minimal":
@@ -381,15 +399,8 @@ def gen_gnp(
             s <= mono_count(m, e),
             f"not enough independent degree-{e} u-forms: need {s}",
         )
-        x_names = tuple(f"x{j}" for j in range(n + 1))
-        u_names = tuple(f"u{j}" for j in range(1, m + 1))
-        vs = VariableSet(x_names + u_names, n_x=n + 1)
-        x_monos = mono_basis(VariableSet(x_names), k)
-        u_monos = _covering_monomials(m, e, s)
-        parts = []
-        for xm, um in zip(x_monos, u_monos):
-            parts.append(Poly.monomial(vs, tuple(xm) + (0,) * m) * Poly.monomial(vs, (0,) * (n + 1) + tuple(um)))
-        f = poly_sum(vs, parts)
+        vs = _xu_vars(m, n)
+        f = _xu_sum(vs, mono_basis(VariableSet(vs.x_names), k), _covering_monomials(m, e, s))
         dim_a1 = m + n + 1
         params = {"m": m, "n": n, "k": k, "e": e, "variant": variant}
     else:
@@ -418,7 +429,7 @@ def _covering_monomials(m: int, degree: int, count: int) -> list[Monomial]:
     covered = {i for mo in chosen for i, ee in enumerate(mo) if ee}
     missing = [i for i in range(m) if i not in covered]
     for slot, i in enumerate(missing, start=1):
-        replacement = tuple(degree if t == i else 0 for t in range(m))
+        replacement = _pure(m, i, degree)
         if replacement not in chosen:
             chosen[-slot] = replacement
     return chosen
@@ -447,16 +458,16 @@ def gen_perazzo(
     )
     vs = _xu_vars(m, n)
     if gs is None:
-        g_monos = _covering_monomials(m, d - 1, n + 1)
-        gs_polys = [Poly.monomial(vs, (0,) * (n + 1) + tuple(gm)) for gm in g_monos]
+        x_expos = [_pure(n + 1, i) for i in range(n + 1)]
+        parts = [_xu_sum(vs, x_expos, _covering_monomials(m, d - 1, n + 1))]
     else:
         _require(len(gs) == n + 1, f"need exactly {n + 1} u-block forms")
-        gs_polys = [
-            _tail(vs, vs.u_names, d - 1, g, f"g{i} must be a nonzero degree-{d - 1} u-block form",
-                  nonzero=True)
+        parts = [
+            Poly.variable(vs, i) * _tail(vs, vs.u_names, d - 1, g,
+                                         f"g{i} must be a nonzero degree-{d - 1} u-block form",
+                                         nonzero=True)
             for i, g in enumerate(gs)
         ]
-    parts = [Poly.variable(vs, i) * gs_polys[i] for i in range(n + 1)]
     if h is not None:
         parts.append(_tail(vs, vs.u_names, d, h, "h must be a degree-d u-block form"))
     f = poly_sum(vs, parts)
@@ -507,14 +518,7 @@ def gen_permutti(
         f"need {n + 1} distinct degree-{e - 1} monomials in {m} variables",
     )
     vs = _xu_vars(m, n)
-    g_monos = _covering_monomials(m, e - 1, n + 1)
-    Q = poly_sum(
-        vs,
-        [
-            Poly.variable(vs, i) * Poly.monomial(vs, (0,) * (n + 1) + tuple(gm))
-            for i, gm in enumerate(g_monos)
-        ],
-    )
+    Q = _xu_sum(vs, [_pure(n + 1, i) for i in range(n + 1)], _covering_monomials(m, e - 1, n + 1))
     parts = []
     for j in range(mu + 1):
         if Ps is not None and j in Ps:
@@ -526,7 +530,8 @@ def gen_permutti(
             pj = _mono(vs, {"u1": d - j * e})
         parts.append(Q**j * pj)
     f = poly_sum(vs, parts)
-    _verify(not f.is_zero(), "permutti: all biform parts were zero")
+    if f.is_zero():
+        raise DegenerateInstanceError("permutti: all biform parts were zero")
     manifest = Manifest(
         hess_pattern=((1, True),),
         cone=False,
@@ -571,9 +576,7 @@ def gen_gn(
     )
     s = n - r
     mu = d // e
-    u_names = tuple(f"u{j}" for j in range(1, m + 1))
-    x_names = tuple(f"x{j}" for j in range(n + 1))
-    vs = VariableSet(x_names + u_names, n_x=n + 1)
+    vs = _xu_vars(m, n)
     base = (n + 1) // s
     rem = (n + 1) % s
     sizes = [base + 1 if l < rem else base for l in range(s)]
@@ -582,21 +585,15 @@ def gen_gn(
         f"a core group of {max(sizes)} x-variables needs as many distinct "
         f"degree-{e - 1} monomials in {m} variables",
     )
-    all_monos = mono_basis(VariableSet(u_names), e - 1)
+    all_monos = mono_basis(VariableSet(vs.u_names), e - 1)
     groups: list[list[Monomial]] = [all_monos[: size] for size in sizes]
     covered = {i for grp in groups for mo in grp for i, ee in enumerate(mo) if ee}
     covered.add(0)  # the biform u-parts are powers of u1
     missing = [i for i in range(m) if i not in covered]
     for slot, i in enumerate(missing, start=1):
-        groups[-1][-slot] = tuple((e - 1) if t == i else 0 for t in range(m))
-    cores: list[Poly] = []
-    xi = 0
-    for grp in groups:
-        parts = []
-        for mo in grp:
-            parts.append(Poly.variable(vs, xi) * Poly.monomial(vs, (0,) * (n + 1) + tuple(mo)))
-            xi += 1
-        cores.append(poly_sum(vs, parts))
+        groups[-1][-slot] = _pure(m, i, e - 1)
+    xs = iter(range(n + 1))  # each core takes the next run of x-variables
+    cores = [_xu_sum(vs, [_pure(n + 1, next(xs)) for _ in grp], grp) for grp in groups]
     # single-monomial biforms: z-part degree j, u-part a power of u1,
     # chosen so that every core index appears in some biform
     uncovered = list(range(s))
@@ -657,16 +654,12 @@ def gen_wlpodd(N: int, d: int, *, seed: int = 0) -> FamilyInstance:
     x_names = tuple(f"x{j}" for j in range(x_count))
     vs = VariableSet(x_names + u_names, n_x=x_count)
     u_monos = mono_basis(VariableSet(u_names), q)
-    nu = len(u_monos)
-    parts = [_mono(vs, {"x0": q, "u1": q + 1})]
-    upto = nu if even else nu - 1
-    for mo in u_monos[:upto]:
-        expo = [0] * len(vs)
-        for t, ee in enumerate(mo):
-            expo[1 + t] = ee  # x1..xm twin
-            expo[x_count + t] += ee
-        expo[x_count + m - 1] += 1  # extra factor u_m
-        parts.append(Poly.monomial(vs, tuple(expo)))
+    if not even:
+        u_monos = u_monos[:-1]
+    # each u-monomial times its twin in x1..xm and an extra factor u_m
+    twins = _xu_sum(vs, [(0, *mo) + (0,) * (x_count - 1 - m) for mo in u_monos],
+                    [mo[:-1] + (mo[-1] + 1,) for mo in u_monos])
+    parts = [_mono(vs, {"x0": q, "u1": q + 1}), twins]
     if not even:
         parts.append(_mono(vs, {f"x{m + 1}": q, f"u{m}": q + 1}))
     f = poly_sum(vs, parts)
@@ -833,68 +826,41 @@ def replay_manifest(
 ) -> list[tuple[str, bool, str]]:
     """Re-verify every manifest claim through the analysis modules.
 
-    Returns (claim, passed, detail) triples; every certificate is replayed by
-    its verifier on f, never trusted from the instance.  One Analysis in
-    `mode` serves every claim (the instance's own when it holds f in `mode`
-    and `seed`), so each Hessian is decided once and the SLP and WLP claims
-    are decided in the same mode as the profile.  In exact mode a Hessian
-    claim passes only on an exact verdict.
+    Returns (claim, passed, detail) triples: first the structural claims, by
+    `_structural_claims`, the checker generation runs (in exact mode a
+    Hessian claim passes only on an exact verdict), then the Hilbert vector,
+    unimodality, dim A_1, and the generic SLP report and WLP report (the
+    latter unless a WLP witness stands for it).  Every certificate is
+    replayed by its verifier on f, never trusted from the instance.  One
+    Analysis in `mode` serves every claim (the instance's own when it holds
+    f in `mode` and `seed`), so each Hessian is decided once and the SLP and
+    WLP claims are decided in the same mode as the profile.
     """
     f = inst.f
     an = inst.analysis
     if an is None or (an.f, an.mode, an.seed) != (f, mode, seed):
         an = Analysis(f, mode, seed)
     man = inst.manifest
-    results: list[tuple[str, bool, str]] = []
+    results = list(_structural_claims(an, man))
 
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        results.append((name, ok, detail))
+    def generic(name: str, decide: Callable[[Analysis], LefschetzReport],
+                verdict: str, level: Optional[int]) -> None:
+        report = decide(an)
+        ok = report.verdict == verdict and (level is None or report.level == level)
+        results.append((name, ok, _decided(report)))
 
-    for k, expect_vanish in man.hess_pattern:
-        verdict = an.verdict(k)
-        check(
-            f"hess[{k}] {'=0' if expect_vanish else '!=0'}",
-            verdict.vanishes == expect_vanish and (mode != "exact" or verdict.mode == "exact"),
-            verdict.mode,
-        )
     if man.hilbert is not None:
         hv = an.hilbert()
-        check("hilbert", hv.dims == man.hilbert, f"{hv.dims} vs {man.hilbert}")
+        results.append(("hilbert", hv.dims == man.hilbert, f"{hv.dims} vs {man.hilbert}"))
     if man.unimodal is not None:
-        check("unimodal", is_unimodal(an.hilbert()) == man.unimodal)
-    if man.cone is not None:
-        check("cone", is_cone(an).is_cone == man.cone)
+        results.append(("unimodal", is_unimodal(an.hilbert()) == man.unimodal, ""))
     if man.dim_a1 is not None:
         got = len(an.basis(1))
-        check("dim_a1", got == man.dim_a1, f"{got} vs {man.dim_a1}")
-    for k in man.key_certificate_orders:
-        cert = an.key(k)
-        check(
-            f"key_certificate[{k}]",
-            cert is not None and verify_key_certificate(f, cert),
-        )
-    if man.obstruction_level is not None:
-        cert = an.obstruction(man.obstruction_level)
-        ok = cert is not None and verify_obstruction_certificate(f, cert)
-        if ok and man.obstruction_size is not None:
-            ok = cert.s == man.obstruction_size
-        check(f"obstruction[{man.obstruction_level}]", ok)
+        results.append(("dim_a1", got == man.dim_a1, f"{got} vs {man.dim_a1}"))
     if man.slp is not None:
-        report = slp_generic(an)
-        ok = report.verdict == man.slp
-        if ok and man.slp_fail_level is not None:
-            ok = report.level == man.slp_fail_level
-        check("slp", ok, _decided(report))
-    if man.wlp is not None:
-        if man.wlp_witness is not None:
-            ok, _ = wlp_check_element(an, man.wlp_witness)
-            check("wlp_witness", ok == (man.wlp == "holds"))
-        else:
-            report = wlp_generic(an)
-            ok = report.verdict == man.wlp
-            if ok and man.wlp_fail_level is not None:
-                ok = report.level == man.wlp_fail_level
-            check("wlp", ok, _decided(report))
+        generic("slp", slp_generic, man.slp, man.slp_fail_level)
+    if man.wlp is not None and man.wlp_witness is None:
+        generic("wlp", wlp_generic, man.wlp, man.wlp_fail_level)
     return results
 
 

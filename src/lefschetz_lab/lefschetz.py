@@ -248,16 +248,8 @@ def slp_generic(an: Analysis) -> LefschetzReport:
     verdicts = [an.verdict(k) for k in range(d // 2 + 1)]
     for k, verdict in enumerate(verdicts):
         if verdict.vanishes:
-            return LefschetzReport(
-                "SLP",
-                "fails",
-                hv,
-                uni,
-                level=k,
-                map=(k, d - k),
-                required=hv[k],
-                certificate=verdict,
-            )
+            return LefschetzReport("SLP", "fails", hv, uni, level=k, map=(k, d - k),
+                                   required=hv[k], certificate=verdict)
     candidates = [v.witness_point for v in verdicts if v.witness_point is not None]
     bound = 64 * (d + 1)
     attempt = 0
@@ -294,32 +286,21 @@ def wlp_generic(an: Analysis) -> LefschetzReport:
     uni = is_unimodal(hv)
     d = f.degree
 
+    def fails(level: Optional[int], certificate: object,
+              required: Optional[int] = None) -> LefschetzReport:
+        """The map A_level -> A_{level+1} is not of maximal rank, by `certificate`."""
+        map_ = (level, level + 1) if level is not None else None
+        return LefschetzReport("WLP", "fails", hv, uni, level=level, map=map_,
+                               required=required, certificate=certificate)
+
     if not uni:
-        dip = first_dip(hv)
-        return LefschetzReport(
-            "WLP",
-            "fails",
-            hv,
-            uni,
-            level=dip,
-            map=(dip, dip + 1) if dip is not None else None,
-            certificate=f"non-unimodal Hilbert vector {hv.dims}",
-        )
+        return fails(first_dip(hv), f"non-unimodal Hilbert vector {hv.dims}")
 
     if d % 2 == 1:
         q = d // 2
         middle = an.verdict(q)
         if middle.vanishes:
-            return LefschetzReport(
-                "WLP",
-                "fails",
-                hv,
-                uni,
-                level=q,
-                map=(q, q + 1),
-                required=hv[q],
-                certificate=middle,
-            )
+            return fails(q, middle, hv[q])
 
     if f.vars.has_split:
         for k in range(1, (d + 1) // 2):
@@ -327,16 +308,7 @@ def wlp_generic(an: Analysis) -> LefschetzReport:
                 continue  # non-injectivity would not contradict maximal rank
             cert = an.obstruction(k)
             if cert is not None:
-                return LefschetzReport(
-                    "WLP",
-                    "fails",
-                    hv,
-                    uni,
-                    level=k,
-                    map=(k, k + 1),
-                    required=hv[k],
-                    certificate=cert,
-                )
+                return fails(k, cert, hv[k])
 
     bound = 64 * (d + 1)
     for t in range(GENERIC_TRIALS):

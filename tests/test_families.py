@@ -469,7 +469,9 @@ class TestOverrideSerialization:
 
 
 class TestVerified:
-    """Each claim kind of a manifest, altered alone, is caught at generation."""
+    """Each claim kind of a manifest, altered alone, is caught at generation,
+    and the replay fails that claim alone with the same message: generation
+    and replay run one checker."""
 
     @pytest.mark.parametrize(
         "build,change,message",
@@ -487,5 +489,9 @@ class TestVerified:
     def test_altered_claim_raises(self, build, change, message):
         inst = build()
         _verified(inst.f, inst.manifest, 0, "test")
+        altered = replace(inst.manifest, **change)
         with pytest.raises(DegenerateInstanceError, match=message):
-            _verified(inst.f, replace(inst.manifest, **change), 0, "test")
+            _verified(inst.f, altered, 0, "test")
+        results = replay_manifest(replace(inst, manifest=altered))
+        failed = [(name, detail) for name, ok, detail in results if not ok]
+        assert len(failed) == 1 and re.search(message, failed[0][1]), failed
