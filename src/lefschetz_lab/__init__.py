@@ -60,6 +60,7 @@ from .lefschetz import (
     ObstructionCertificate,
     key_criterion,
     mult_map,
+    rank_at,
     slp_check_element,
     slp_generic,
     verify_key_certificate,

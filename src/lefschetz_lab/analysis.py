@@ -3,37 +3,34 @@
 An `Analysis` holds a form f with the decision mode and the seed, and
 memoizes what the profile, the Lefschetz verdicts and the certificates read:
 the monomial derivatives of f, the A_k bases (each the exponents of its
-monomial operators with their derivatives), the coordinates of each
-monomial derivative of degree k in the basis of A_k (the explicit
-multiplication maps read them), the Hilbert vector, the assembled (mixed)
-Hessians and their integer kernels, each order's vanishing verdict, and
-each order's u-subring scan with the two certificates read off it (the
-overflow certificate and the WLP obstruction at that level).  A piece is
-computed on its first request by the function or class that defines it
-(`ak_basis`, `Coordinates`, `hilbert_vector`, `mixed_hessian`, `IntMatrix`,
-`hessian_vanishes`, `_u_subring_ops`, `key_criterion`, `wlp_obstruction`)
-and reused afterwards, so one report decides each higher Hessian once and
-in one mode, compiles each Hessian for evaluation once (the vanishing
-decision and every Lefschetz rank check evaluate that kernel), scans each
-order once for both certificates, and solves each derivative's coordinates
-once, against the span that selected the basis.  A verdict is decided by
-one of three routes: the order's key certificate (split forms; the Hessian
-is then neither assembled nor compiled), evaluation of the kernel, or, in
-exact mode only, elimination after every evaluation was zero; `counts()`
-reports the first and the last.  Each basis of A_k grows from that of
-A_(k-1), and the bases, the Hessian cells, the coordinate solves and the
-scans read the derivatives of f from one memo.
+monomial operators with their derivatives), the Hilbert vector, the
+assembled (mixed) Hessians and their integer kernels, each order's
+vanishing verdict, and each order's u-subring scan with the two
+certificates read off it (the overflow certificate and the WLP obstruction
+at that level).  A piece is computed on its first request by the function
+or class that defines it (`ak_basis`, `hilbert_vector`, `mixed_hessian`,
+`IntMatrix`, `hessian_vanishes`, `_u_subring_ops`, `key_criterion`,
+`wlp_obstruction`) and reused afterwards, so one report decides each higher
+Hessian once and in one mode, compiles each Hessian for evaluation once
+(the vanishing decision and every multiplication rank, `rank_at`, evaluate
+that kernel), and scans each order once for both certificates.  A verdict
+is decided by one of three routes: the order's key certificate (split
+forms; the Hessian is then neither assembled nor compiled), evaluation of
+the kernel, or, in exact mode only, elimination after every evaluation was
+zero; `counts()` reports the first and the last.  Each basis of A_k grows
+from that of A_(k-1), and the bases, the Hessian cells and the scans read
+the derivatives of f from one memo.
 
 Every function that reads the bases or the derivatives takes the Analysis in
-place of the bare form (and of any mode and seed); constructions on f alone
-(`ak_basis`, `catalecticant`) and the certificate verifiers keep taking f.
+place of the bare form (and of any mode and seed); the construction on f
+alone (`catalecticant`) and the certificate verifiers keep taking f.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional, TypeVar
 
-from .apolar import AkBasis, Coordinates, HilbertVector, ak_basis, hilbert_vector
+from .apolar import AkBasis, HilbertVector, ak_basis, hilbert_vector
 from .errors import DegreeRangeError, ZeroPolynomialError
 from .hessian import MODES, Matrix, VanishingVerdict, hessian_vanishes, mixed_hessian
 from .lefschetz import KeyCertificate, ObstructionCertificate, _u_subring_ops, key_criterion, wlp_obstruction
@@ -69,13 +66,20 @@ class Analysis:
         return value
 
     def basis(self, k: int) -> AkBasis:
-        """The greedy basis of A_k, grown from that of A_(k-1)."""
-        return self._get(("basis", k), lambda: ak_basis(
-            self.f, k, below=self.basis(k - 1) if k else None, derivatives=self.derivatives))
+        """The greedy basis of A_k, grown from that of A_(k-1).
 
-    def coordinates(self, k: int) -> Coordinates:
-        """Each degree-k monomial derivative of f in the basis of A_k, solved once."""
-        return self._get(("coordinates", k), lambda: Coordinates(self.basis(k), self.derivatives))
+        Missing bases below A_k are grown first, upward in a loop, so the
+        call depth does not grow with k.  Each of them reads the one it
+        grows from, which that loop has just stored; such a read is not
+        reuse, and `counts()` leaves it out.
+        """
+        low = k
+        while low > 0 and ("basis", low - 1) not in self._memo:
+            low -= 1
+        for j in range(low, k):
+            self._memo[("basis", j)] = ak_basis(self, j)
+        self._reused -= k - low
+        return self._get(("basis", k), lambda: ak_basis(self, k))
 
     def hilbert(self) -> HilbertVector:
         return self._get(("hilbert",), lambda: hilbert_vector(self))

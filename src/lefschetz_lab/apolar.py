@@ -7,8 +7,9 @@ derivatives and multiplication never needs quotient-ring arithmetic.  The
 greedy monomials form an order ideal, so each basis grows from the one below
 it and no degree is scanned in full.  The explicit catalecticant matrix,
 whose rank is the same number, is kept as API and as an independent
-reference.  Facts read off the bases (the Hilbert vector here, the cone test
-in `hessian`) take the form's `Analysis`, which computes each basis once.
+reference.  The basis (`ak_basis`) and the facts read off the bases (the
+Hilbert vector here, the cone test in `hessian`) take the form's `Analysis`,
+which computes each basis once and holds the derivatives they read.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import linalg
 from .errors import DegreeRangeError, ZeroPolynomialError
-from .polycore import Derivatives, Monomial, Poly, diff_apply, mono_basis
+from .polycore import Monomial, Poly, diff_apply, mono_basis
 
 if TYPE_CHECKING:
     from .analysis import Analysis
@@ -53,7 +54,8 @@ class AkBasis:
     derived polynomials are linearly independent and their number is dim A_k.
     `candidates` counts the monomial operators whose derivatives were
     reduced to find the basis.  `span`, whose t-th vector is `derived[t]`,
-    selected the basis; coordinates in the basis are solved against it.
+    selected the basis; coordinates in the basis (a cone's witness, the
+    columns of an explicit multiplication matrix) are solved against it.
     """
 
     k: int
@@ -86,32 +88,26 @@ def catalecticant(f: Poly, k: int) -> Catalecticant:
     return Catalecticant(f, k, row_monos, col_monos, matrix)
 
 
-def ak_basis(
-    f: Poly, k: int, *, below: Optional[AkBasis] = None, derivatives: Optional[Derivatives] = None
-) -> AkBasis:
-    """Greedy monomial basis of A_k, grown from `below`, the basis of A_(k-1).
+def ak_basis(an: Analysis, k: int) -> AkBasis:
+    """Greedy monomial basis of A_k, grown from the Analysis's basis of A_(k-1).
 
     Greedy: in descending lex order, keep each monomial operator whose
     derivative of f is independent of those kept before.  A rejected m is a
     combination of larger monomials modulo the ideal Ann(f), and lex order is
     multiplicative, so every x_i*m is rejected too: the candidates are the
-    monomials whose degree-(k-1) divisors are all in `below` (grown from A_0
-    if not given), each derivative is a partial of its parent's, and the
-    basis is that of a full scan.  Derivatives are read from `derivatives`.
+    monomials whose degree-(k-1) divisors are all in the basis of A_(k-1),
+    each derivative is a partial of its parent's, and the basis is that of a
+    full scan.  Derivatives are read from the Analysis's memo.
     """
-    d = _require_degree(f)
+    f = an.f
+    d = f.degree
     if not 0 <= k <= d:
         raise DegreeRangeError(f"k={k} out of range 0..{d}")
     if k == 0:
         span = linalg.SparseSpan()
         span.try_add(f.coeff_map())
         return AkBasis(0, ((0,) * len(f.vars),), (f,), 0, span)
-    derivatives = Derivatives(f) if derivatives is None else derivatives
-    if below is None:
-        below = ak_basis(f, k - 1, derivatives=derivatives)
-    elif below.k != k - 1:
-        raise ValueError(f"basis of A_{below.k} given to grow A_{k}")
-    parents = set(below.expos)
+    parents = set(an.basis(k - 1).expos)
     found = {m[:i] + (m[i] + 1,) + m[i + 1 :] for m in parents for i in range(len(m))}
     candidates = sorted(
         (e for e in found if all(e[:j] + (x - 1,) + e[j + 1 :] in parents for j, x in enumerate(e) if x)),
@@ -121,32 +117,11 @@ def ak_basis(
     expos: list[Monomial] = []
     derived: list[Poly] = []
     for e in candidates:
-        h = derivatives[e]
+        h = an.derivatives[e]
         if h and span.try_add(h.coeff_map()):
             expos.append(e)
             derived.append(h)
     return AkBasis(k, tuple(expos), tuple(derived), len(candidates), span)
-
-
-class Coordinates(dict):
-    """The coordinates of f's degree-k monomial derivatives in the basis of A_k.
-
-    Maps an exponent e of degree k to (q, {t: n_t}), integers with
-    derivatives[e] = sum_t (n_t / q) * basis.derived[t] over the nonzero
-    n_t, each solved on first use against the basis's span.
-    """
-
-    def __init__(self, basis: AkBasis, derivatives: Derivatives):
-        super().__init__()
-        self._derivatives = derivatives
-        self._span = basis.span
-
-    def __missing__(self, expo: Monomial) -> tuple[int, dict[int, int]]:
-        coords = self._span.dependency(self._derivatives[expo].coeff_map())
-        if coords is None:
-            raise ArithmeticError("derivative escaped the derivative space (bug)")
-        self[expo] = coords
-        return coords
 
 
 @dataclass(frozen=True)

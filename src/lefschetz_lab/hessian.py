@@ -66,6 +66,15 @@ MODES = ("probabilistic", "exact")
 Matrix = tuple[tuple[Poly, ...], ...]
 
 
+def _decimal(x: Fraction) -> Optional[str]:
+    """str(x), or None when x has more digits than the interpreter's limit
+    on converting an int to text allows."""
+    try:
+        return str(x)
+    except ValueError:
+        return None
+
+
 @dataclass(frozen=True)
 class VanishingVerdict:
     """Outcome of a determinant-vanishing decision.
@@ -78,7 +87,10 @@ class VanishingVerdict:
     is the exact determinant at the witness point for every nonvanishing
     verdict; unless the decision kept it, it is computed from the witness
     matrix on first access.  The JSON form shows it only up to size
-    DEFAULT_EXACT_CUTOFF and the prime and residue above that.
+    DEFAULT_EXACT_CUTOFF and the prime and residue above that.  A value
+    with more digits than the interpreter converts to text is shown by the
+    prime and residue too, or, without a residue, by the bit length of its
+    numerator (`det_value_bits`).
 
     A vanishing verdict names the route that decided it: the u-subring
     overflow `certificate` (exact in either mode), the hash of the
@@ -125,11 +137,15 @@ class VanishingVerdict:
         out: dict = {"vanishes": self.vanishes, "mode": self.mode}
         if self.witness_point is not None:
             out["witness_point"] = list(self.witness_point)
-        if self.residue and len(self.kernel) > DEFAULT_EXACT_CUTOFF:
+        value = None if self.residue and len(self.kernel) > DEFAULT_EXACT_CUTOFF else self.det_value
+        text = None if value is None else _decimal(value)
+        if text is not None:
+            out["det_value"] = text
+        elif self.residue:
             out["prime"] = self.prime
             out["residue"] = self.residue
-        elif self.det_value is not None:
-            out["det_value"] = str(self.det_value)
+        elif value is not None:
+            out["det_value_bits"] = abs(value.numerator).bit_length()
         if self.error_bound is not None:
             out["error_bound"] = str(self.error_bound)
         if self.transcript_hash is not None:

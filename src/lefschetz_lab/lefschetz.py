@@ -2,18 +2,17 @@
 
 The rank of multiplication by L^(d-k-l): A_k -> A_(d-l) is the rank of the
 mixed Hessian (a_i b_j (f)) evaluated at the coefficients of L, so every
-Lefschetz check takes that rank, over the Hessians its form's `Analysis`
-assembles once.  The Hessian is evaluated through its integer kernel
-(`polycore.IntMatrix`, compiled once by the Analysis) at L scaled to
+multiplication rank is taken by `rank_at`, over the Hessians its form's
+`Analysis` assembles once.  The Hessian is evaluated through its integer
+kernel (`polycore.IntMatrix`, compiled once by the Analysis) at L scaled to
 integers and ranked modulo 2^61-1; a maximal rank there is the rank over Q,
 and only a smaller one is recomputed exactly.  The explicit multiplication
-matrix is kept as API and as the independent reference for those ranks: it
-is assembled from the Analysis's memo of the exact coordinates of f's
-monomial derivatives in each derivative space, each solved once per form,
-never from a Hessian.  Specific elements are checked directly; generic
-verdicts combine a random witness search (maximal rank is
-an open condition, so one success settles the generic statement) with
-structural failure certificates that rule out every L at once:
+matrix (`mult_map`) is the independent reference for those ranks: it applies
+L, k times, to each basis derivative and solves the result in the target
+space, never reading a Hessian.  Specific elements are checked directly;
+generic verdicts combine a random witness search (maximal rank is an open
+condition, so one success settles the generic statement) with structural
+failure certificates that rule out every L at once:
 
   * a vanishing middle Hessian in odd socle degree,
   * an overfull set of operators pushing f into the u-subring under every
@@ -31,21 +30,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
+from math import comb, lcm
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import linalg
 from .apolar import HilbertVector, first_dip, is_unimodal
 from .errors import DegreeRangeError, NoSplitError
-from .polycore import (
-    DiffOp,
-    Monomial,
-    Poly,
-    Scalar,
-    diff_apply,
-    mono_basis,
-    mono_mul,
-)
+from .polycore import DiffOp, Monomial, Poly, Scalar, diff_apply, mono_basis
 
 if TYPE_CHECKING:
     from .analysis import Analysis
@@ -77,47 +68,30 @@ def mult_map(an: Analysis, L: LinearForm, i: int, k: int) -> list[list[Fraction]
 
     Rows are indexed by the target basis, columns by the source basis (both
     the deterministic greedy bases), so the matrix has dim A_{i+k} rows and
-    dim A_i columns.  Since X^b X^e (f) is the monomial derivative of f by
-    e + b, the column of the basis monomial X^e is sum_b c_b * coords(e + b)
-    over the terms c_b X^b of L^k, with the coordinates of each derivative
-    in the basis of A_{i+k} read from the Analysis's memo, which solves each
-    once.  The sum runs over integers (the multinomial coefficients of
-    (cL)^k, c clearing the denominators of L, and the coordinates over a
-    common denominator) and each nonzero entry is one `Fraction`.
-    The Lefschetz checks take the same ranks from mixed Hessians; this
-    explicit matrix is the independent reference.
+    dim A_i columns.  Column s is L, as an operator, applied k times to the
+    s-th basis derivative of A_i and solved against the span of the basis
+    derivatives of A_{i+k}.  The Lefschetz checks take the same ranks from
+    mixed Hessians (`rank_at`); this naive construction is their independent
+    reference and is not used to decide anything.
     """
     d = an.f.degree
     if i < 0 or k < 0 or i + k > d:
         raise DegreeRangeError(f"map degrees ({i} -> {i + k}) out of range for d={d}")
-    if len(L.coeffs) != len(an.f.vars):
+    n = len(an.f.vars)
+    if len(L.coeffs) != n:
         raise ValueError("linear form has the wrong number of coefficients")
-    coords = an.coordinates(i + k)
-    # (cL)^k = sum_b k!/b! prod_j (c a_j)^(b_j) X^b, c clearing the denominators of L
-    c = lcm(*(x.denominator for x in L.coeffs))
-    a = [int(x * c) for x in L.coeffs]
-    terms = (
-        (b, factorial(k) // prod(map(factorial, b)) * prod(map(pow, a, b)))
-        for b in mono_basis(an.f.vars, k)
-    )
-    power = [(b, cb) for b, cb in terms if cb]
-    scale = c**k
-    src = an.basis(i).expos
-    zero = Fraction(0)
-    rows = [[zero] * len(src) for _ in range(len(an.basis(i + k)))]
-    for s, e in enumerate(src):
-        parts = [(cb, coords[mono_mul(e, b)]) for b, cb in power]
-        q = lcm(*[qb for _, (qb, _) in parts])
-        column: dict[int, int] = {}
-        for cb, (qb, nums) in parts:
-            cb *= q // qb
-            for t, x in nums.items():
-                column[t] = column.get(t, 0) + cb * x
-        q *= scale
-        for t, v in column.items():
-            if v:
-                rows[t][s] = Fraction(v, q) if q > 1 else Fraction(v)
-    return rows
+    op = Poly(an.f.vars.dual(), {tuple(int(j == t) for j in range(n)): c for t, c in enumerate(L.coeffs)})
+    target = an.basis(i + k)
+    columns = []
+    for g in an.basis(i).derived:
+        for _ in range(k):
+            g = diff_apply(op, g)
+        coords = target.span.dependency(g.coeff_map())
+        if coords is None:
+            raise ArithmeticError("derivative escaped the derivative space (bug)")
+        q, nums = coords
+        columns.append([Fraction(nums.get(t, 0), q) for t in range(len(target))])
+    return [list(row) for row in zip(*columns)]
 
 
 @dataclass(frozen=True)
@@ -141,7 +115,7 @@ class LevelCheck:
         }
 
 
-def _rank_at(an: Analysis, k: int, l: int, L: LinearForm) -> int:
+def rank_at(an: Analysis, k: int, l: int, L: LinearForm) -> int:
     """Rank of L^(d-k-l): A_k -> A_(d-l), from the mixed Hessian at L.
 
     The Hessian's kernel, read from the Analysis, has its rows scaled to
@@ -165,7 +139,7 @@ def slp_check_element(an: Analysis, L: LinearForm) -> tuple[bool, list[LevelChec
     d = an.f.degree
     hv = an.hilbert()
     checks = [
-        LevelCheck(k, d - 2 * k, _rank_at(an, k, k, L), hv[k]) for k in range(d // 2 + 1)
+        LevelCheck(k, d - 2 * k, rank_at(an, k, k, L), hv[k]) for k in range(d // 2 + 1)
     ]
     return all(c.maximal for c in checks), checks
 
@@ -179,7 +153,7 @@ def wlp_check_element(an: Analysis, L: LinearForm) -> tuple[bool, list[LevelChec
     """
     d = an.f.degree
     hv = an.hilbert()
-    ranks = [_rank_at(an, i, d - 1 - i, L) for i in range((d + 1) // 2)]
+    ranks = [rank_at(an, i, d - 1 - i, L) for i in range((d + 1) // 2)]
     checks = [
         LevelCheck(i, 1, ranks[min(i, d - 1 - i)], min(hv[i], hv[i + 1]))
         for i in range(d)

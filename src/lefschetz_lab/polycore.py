@@ -393,15 +393,22 @@ def partial(f: Poly, index: int) -> Poly:
 
 class Derivatives(dict):
     """The monomial derivatives of f by exponent, each computed on first use:
-    the partial, by the exponent's first variable, of the one a degree lower."""
+    the partial, by the exponent's first variable, of the one a degree lower.
+    A missing derivative walks down to its nearest known ancestor and back
+    up in a loop, so the exponent's size never bounds the call depth."""
 
     def __init__(self, f: Poly):
         super().__init__({(0,) * len(f.vars): f})
 
     def __missing__(self, expo: Monomial) -> Poly:
-        i = next(i for i, e in enumerate(expo) if e)
-        parent = self[expo[:i] + (expo[i] - 1,) + expo[i + 1 :]]
-        g = self[expo] = partial(parent, i) if parent else parent
+        path = []
+        while expo not in self:
+            i = next(i for i, e in enumerate(expo) if e)
+            path.append((expo, i))
+            expo = expo[:i] + (expo[i] - 1,) + expo[i + 1 :]
+        g = self[expo]
+        for expo, i in reversed(path):
+            g = self[expo] = partial(g, i) if g else g
         return g
 
 

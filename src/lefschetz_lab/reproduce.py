@@ -9,9 +9,10 @@ The paper's constructions (criteria 1-7) are rows of data: a family kind and
 its parameters, built by `families.generate` and checked by
 `replay_manifest` against the instance's own manifest, in exact mode where
 the row asks for it; a manifest whose weak property fails also gets the
-explicit-matrix check that the failing map is never injective.  Both read
-the generator's own Analysis where they can, so a row analyses its form once
-per mode.  Only the gnp boundary row keeps a check of its own.
+check that the failing map has a kernel at every sampled linear form, ranked
+on its mixed Hessian (`rank_at`).  Both read the generator's own Analysis
+where they can, so a row analyses its form once per mode.  Only the gnp
+boundary row keeps a check of its own.
 """
 
 from __future__ import annotations
@@ -37,13 +38,12 @@ from .families import (
     generate,
     replay_manifest,
 )
-from .hessian import explicit_basis_verdict, hessian_matrix, is_cone, poly_det_vanishes
-from .lefschetz import LinearForm, mult_map
+from .hessian import explicit_basis_verdict, is_cone, poly_det_vanishes
+from .lefschetz import LinearForm, mult_map, rank_at
 from .polycore import (
     Poly,
     VariableSet,
     diff_apply,
-    eval_poly,
     linear_change,
     mono_basis,
     parse_poly,
@@ -98,7 +98,7 @@ MIDDLE_TRIALS = 20
 
 def _middle_never_injective(inst: FamilyInstance, level: int, config: SuiteConfig) -> tuple[bool, str]:
     f = inst.f
-    an = inst.analysis  # in any suite mode: bases, coordinates and ranks over Q ignore it
+    an = inst.analysis  # in any suite mode: bases and ranks over Q ignore it
     h_src = len(an.basis(level))
     worst = 0
     for t in range(MIDDLE_TRIALS):
@@ -107,7 +107,7 @@ def _middle_never_injective(inst: FamilyInstance, level: int, config: SuiteConfi
         if not any(coeffs):
             coeffs[0] = 1
         L = LinearForm.from_coeffs(coeffs)
-        r = linalg.rank(mult_map(an, L, level, 1))
+        r = rank_at(an, level, f.degree - 1 - level, L)
         worst = max(worst, r)
         if r >= h_src:
             return False, f"injective at trial {t}"
@@ -223,9 +223,7 @@ def _prop_rank_consistency(config: SuiteConfig) -> tuple[bool, str]:
             coeffs[0] = 1
         L = LinearForm.from_coeffs(coeffs)
         an = Analysis(f, config.mode, config.seed)
-        H = hessian_matrix(an, k)
-        evaluated = [[eval_poly(e, L.coeffs) for e in row] for row in H]
-        hess_rank = linalg.rank(evaluated)
+        hess_rank = rank_at(an, k, k, L)
         mult_rank = linalg.rank(mult_map(an, L, k, d - 2 * k))
         if hess_rank != mult_rank:
             return False, f"rank mismatch {hess_rank} vs {mult_rank} at trial {trial}"

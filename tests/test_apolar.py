@@ -102,7 +102,7 @@ def scanned_basis(f, k):
 def assert_grown_bases_match_scan(f):
     an = prob(f)
     for k in range(f.degree + 1):
-        grown = ak_basis(f, k)
+        grown = ak_basis(an, k)
         assert list(grown.expos) == scanned_basis(f, k)
         dual = f.vars.dual()
         assert all(diff_apply(Poly.monomial(dual, e), f) == g for e, g in zip(grown.expos, grown.derived))
@@ -134,21 +134,26 @@ class TestAkBasis:
     def test_growth_matches_full_scan_on_families(self, build):
         assert_grown_bases_match_scan(build())
 
-    def test_below_must_be_the_previous_degree(self):
-        with pytest.raises(ValueError):
-            ak_basis(IKEDA, 2, below=ak_basis(IKEDA, 2))
+    def test_growing_a_chain_is_not_reuse(self):
+        """One request for a high basis grows each basis below it once; none
+        counts as reused until it is asked for again."""
+        an = prob(parse_poly("x^12 + y^12 + x^5*y^7", VariableSet(("x", "y"))))
+        an.basis(10)
+        assert an.counts()["reused"] == 0
+        an.basis(4)
+        assert an.counts()["reused"] == 1
 
     def test_power(self):
         vs = VariableSet(("x", "y"))
-        basis = ak_basis(parse_poly("x^3", vs), 1)
+        basis = ak_basis(prob(parse_poly("x^3", vs)), 1)
         assert basis.expos == ((1, 0),)
 
     def test_perazzo_k1_size(self):
-        assert len(ak_basis(PERAZZO, 1)) == 5
+        assert len(ak_basis(prob(PERAZZO), 1)) == 5
 
     def test_deterministic(self):
-        a = ak_basis(IKEDA, 2)
-        b = ak_basis(IKEDA, 2)
+        a = ak_basis(prob(IKEDA), 2)
+        b = ak_basis(prob(IKEDA), 2)
         assert a.expos == b.expos
 
 

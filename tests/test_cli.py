@@ -106,6 +106,25 @@ class TestAnalyze:
         assert err == "error: a constant form has degree 0; the analysis needs degree >= 1\n"
 
 
+class TestHostileInput:
+    def test_high_exponents_exit_zero(self, capsys):
+        """Derivatives and bases of high degree are grown in loops, so the
+        call depth does not grow with the exponent."""
+        code, out, err = run(["analyze", "--poly", "x^500 + y^500", "--vars", "x,y"], capsys)
+        assert code == 0, err
+        assert "weak property   holds" in out
+
+    def test_determinant_too_long_for_text_reported_by_residue(self, capsys, tmp_path):
+        """Some witness determinants of x^480 + y^480 have more digits than
+        the interpreter converts to text; the report shows their residue."""
+        path = tmp_path / "r.json"
+        code, _, err = run(["analyze", "--poly", "x^480 + y^480", "--vars", "x,y", "--json", str(path)], capsys)
+        assert code == 0, err
+        profile = json.loads(path.read_text())["hess_profile"]
+        assert all(("det_value" in v) != ("residue" in v) for v in profile)
+        assert any("residue" in v for v in profile)
+
+
 class TestGenerate:
     def test_gnp_text(self, capsys):
         code, out, _ = run(

@@ -1,6 +1,4 @@
-import gc
 import random
-import weakref
 from fractions import Fraction
 from math import comb
 
@@ -9,7 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from lefschetz_lab import linalg
-from lefschetz_lab.apolar import ak_basis, hilbert_vector
+from lefschetz_lab.apolar import hilbert_vector
 from lefschetz_lab.errors import NoSplitError
 from lefschetz_lab.families import (
     gen_exceptional,
@@ -93,9 +91,9 @@ class TestMultMap:
 
 
 def reference_mult_map(an, L, i, k):
-    """L^k: A_i -> A_(i+k) built without the coordinate memo: `diff_apply`
-    of L^k on each basis derivative of A_i, solved in a fresh span of the
-    basis derivatives of A_(i+k)."""
+    """L^k: A_i -> A_(i+k) built apart from `mult_map`: `diff_apply` of L^k
+    on each basis derivative of A_i, solved in a fresh span of the basis
+    derivatives of A_(i+k)."""
     span = linalg.SparseSpan()
     for g in an.basis(i + k).derived:
         span.try_add(g.coeff_map())
@@ -136,28 +134,8 @@ class TestMultMapCoordinates:
         f = make().f
         assert_mult_map_matches_reference(f, rational_linear_form(random.Random(11), len(f.vars)))
 
-    def test_each_derivative_solved_once(self, monkeypatch):
-        """Repeated maps on one Analysis solve each derivative's coordinates
-        once and build no span after the first map into each degree."""
-        solves, spans = [], []
-        dependency, init = linalg.SparseSpan.dependency, linalg.SparseSpan.__init__
-        monkeypatch.setattr(linalg.SparseSpan, "dependency", lambda self, vec: solves.append(1) or dependency(self, vec))
-        monkeypatch.setattr(linalg.SparseSpan, "__init__", lambda self: spans.append(1) or init(self))
-        f = gen_wlpodd(4, 5).f
-        an = prob(f)
-        rng = random.Random(2)
-        maps = [(2, 1), (1, 2), (0, 3), (1, 1)]
-        for i, k in maps:
-            mult_map(an, rational_linear_form(rng, len(f.vars)), i, k)
-        solved, built = len(solves), len(spans)
-        assert solved == sum(len(an.coordinates(t)) for t in {i + k for i, k in maps})
-        for _ in range(3):
-            for i, k in maps:
-                mult_map(an, rational_linear_form(rng, len(f.vars)), i, k)
-        assert (len(solves), len(spans)) == (solved, built)
-
     def test_no_span_of_their_own_once_the_bases_exist(self, monkeypatch):
-        """Coordinates and the cone witness are solved against the spans the
+        """Map columns and the cone witness are solved against the spans the
         bases kept: once the bases exist, `mult_map` and `is_cone` build no
         `SparseSpan`."""
         f = parse_poly("x^3 + 3*x^2*y + 3*x*y^2 + y^3 + z^3", VariableSet(("x", "y", "z")))  # a cone
@@ -177,19 +155,6 @@ class TestMultMapCoordinates:
     def test_rejects_a_form_of_the_wrong_length(self):
         with pytest.raises(ValueError):
             mult_map(prob(IKEDA), LinearForm.from_coeffs((1, 2, 3)), 1, 1)
-
-    def test_memo_dies_with_its_analysis(self):
-        """Reference counting frees the coordinate memo with its Analysis."""
-        f = gen_wlpodd(4, 5).f
-        gc.disable()
-        try:
-            an = prob(f)
-            mult_map(an, rational_linear_form(random.Random(3), len(f.vars)), 2, 1)
-            memo = weakref.ref(an.coordinates(3))
-            del an
-            assert memo() is None
-        finally:
-            gc.enable()
 
 
 class TestSlpElement:
@@ -356,13 +321,14 @@ class TestWlpObstruction:
 
     def test_certificate_forces_kernels(self):
         f = gen_thmwlp(5, 4).f
-        cert = wlp_obstruction(prob(f), 1)
+        an = prob(f)
+        cert = wlp_obstruction(an, 1)
         assert cert is not None
         rng = random.Random(11)
-        h1 = len(ak_basis(f, 1))
+        h1 = len(an.basis(1))
         for _ in range(20):
             L = random_linear_form(rng, len(f.vars))
-            assert linalg.rank(mult_map(prob(f), L, 1, 1)) < h1
+            assert linalg.rank(mult_map(an, L, 1, 1)) < h1
 
 
 def oracle_scan(f, k, *, pure_u, first_order):
