@@ -3,20 +3,23 @@
 An `Analysis` holds a form f with the decision mode and the seed, and
 memoizes what the profile, the Lefschetz verdicts and the certificates read:
 the monomial derivatives of f, the A_k bases (each the exponents of its
-monomial operators with their derivatives), the Hilbert vector, the
-assembled (mixed) Hessians and their integer kernels, each order's
+monomial operators and the span of their derivatives), the Hilbert vector,
+the assembled (mixed) Hessians and their integer kernels, each order's
 vanishing verdict, and each order's u-subring scan with the two
 certificates read off it (the overflow certificate and the WLP obstruction
 at that level).  A piece is computed on its first request by the function
 or class that defines it (`ak_basis`, `hilbert_vector`, `mixed_hessian`,
 `IntMatrix`, `hessian_vanishes`, `_u_subring_ops`, `key_criterion`,
 `wlp_obstruction`) and reused afterwards, so one report decides each higher
-Hessian once and in one mode, compiles each Hessian for evaluation once
-(the vanishing decision and every multiplication rank, `rank_at`, evaluate
-that kernel), and scans each order once for both certificates.  A verdict
-is decided by one of three routes: the order's key certificate (split
-forms; the Hessian is then neither assembled nor compiled), evaluation of
-the kernel, or, in exact mode only, elimination after every evaluation was
+Hessian once, compiles each Hessian for evaluation once (the vanishing
+decision and every multiplication rank, `rank_at`, evaluate that kernel),
+and scans each order once for both certificates.  Only the verdicts depend
+on the mode: `in_mode` gives the Analysis of the same form and seed in
+another mode, which shares the memo and keeps its own verdicts, so a form
+checked in both modes computes every other piece once.  A verdict is
+decided by one of three routes: the order's key certificate (split forms;
+the Hessian is then neither assembled nor compiled), evaluation of the
+kernel, or, in exact mode only, elimination after every evaluation was
 zero; `counts()` reports the first and the last.  Each basis of A_k grows
 from that of A_(k-1), and the bases, the Hessian cells and the scans read
 the derivatives of f from one memo.
@@ -58,6 +61,19 @@ class Analysis:
         # rank checks whose rank mod p was not maximal and was taken over Q
         self.rational_ranks = 0
 
+    def in_mode(self, mode: str) -> Analysis:
+        """This form and seed in `mode`, sharing the derivatives and the memo.
+
+        Only the verdicts depend on the mode, and the memo keys them by it;
+        every other piece, computed by either Analysis, serves both.  The
+        counts of reuse and of exact rank fallbacks stay each Analysis's own.
+        """
+        if mode == self.mode:
+            return self
+        other = Analysis(self.f, mode, self.seed)
+        other.derivatives, other._memo = self.derivatives, self._memo
+        return other
+
     def _get(self, key: tuple, compute: Callable[[], T]) -> T:
         if key in self._memo:
             self._reused += 1
@@ -94,7 +110,7 @@ class Analysis:
 
     def verdict(self, k: int) -> VanishingVerdict:
         """Whether the order-k Hessian vanishes, decided in this mode and seed."""
-        return self._get(("verdict", k), lambda: hessian_vanishes(self, k))
+        return self._get(("verdict", self.mode, k), lambda: hessian_vanishes(self, k))
 
     def u_subring(self, k: int) -> tuple[list[DiffOp], int, list[Monomial]]:
         """The order-k u-subring scan, which both certificates of the order read."""
@@ -109,11 +125,11 @@ class Analysis:
         return self._get(("obstruction", k), lambda: wlp_obstruction(self, k))
 
     def counts(self) -> dict:
-        """Hessian decisions, those a key certificate decided, those that
-        eliminated (the rest were decided by evaluation), Hessian kernels
+        """Hessian decisions in this mode, those a key certificate decided, those
+        that eliminated (the rest were decided by evaluation), Hessian kernels
         compiled, memo hits, exact rank fallbacks, monomial derivatives of f
         computed, basis candidates reduced."""
-        verdicts = [v for key, v in self._memo.items() if key[0] == "verdict"]
+        verdicts = [v for key, v in self._memo.items() if key[:2] == ("verdict", self.mode)]
         return {
             "hessian_decisions": len(verdicts),
             "certified": sum(1 for v in verdicts if v.certificate is not None),

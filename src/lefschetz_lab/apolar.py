@@ -47,20 +47,20 @@ class Catalecticant:
 
 @dataclass(frozen=True)
 class AkBasis:
-    """The greedy monomial basis of A_k together with the derivatives it spans.
+    """The greedy monomial basis of A_k and the span of its derivatives.
 
     `expos[i]` is the exponent of the i-th basis element, the monic monomial
-    operator X^expos[i]; `derived[i]` is that operator applied to f.  The
-    derived polynomials are linearly independent and their number is dim A_k.
-    `candidates` counts the monomial operators whose derivatives were
-    reduced to find the basis.  `span`, whose t-th vector is `derived[t]`,
-    selected the basis; coordinates in the basis (a cone's witness, the
-    columns of an explicit multiplication matrix) are solved against it.
+    operator X^expos[i]; that operator applied to f is
+    `an.derivatives[expos[i]]`.  These derivatives are linearly independent
+    and their number is dim A_k.  `candidates` counts the monomial operators
+    whose derivatives were reduced to find the basis.  `span`, whose t-th
+    vector is the derivative of `expos[t]`, selected the basis; coordinates
+    in the basis (a cone's witness, the columns of an explicit
+    multiplication matrix) are solved against it.
     """
 
     k: int
     expos: tuple[Monomial, ...]
-    derived: tuple[Poly, ...]
     candidates: int
     span: linalg.SparseSpan = field(compare=False, repr=False)
 
@@ -106,7 +106,7 @@ def ak_basis(an: Analysis, k: int) -> AkBasis:
     if k == 0:
         span = linalg.SparseSpan()
         span.try_add(f.coeff_map())
-        return AkBasis(0, ((0,) * len(f.vars),), (f,), 0, span)
+        return AkBasis(0, ((0,) * len(f.vars),), 0, span)
     parents = set(an.basis(k - 1).expos)
     found = {m[:i] + (m[i] + 1,) + m[i + 1 :] for m in parents for i in range(len(m))}
     candidates = sorted(
@@ -115,13 +115,11 @@ def ak_basis(an: Analysis, k: int) -> AkBasis:
     )
     span = linalg.SparseSpan()
     expos: list[Monomial] = []
-    derived: list[Poly] = []
     for e in candidates:
         h = an.derivatives[e]
         if h and span.try_add(h.coeff_map()):
             expos.append(e)
-            derived.append(h)
-    return AkBasis(k, tuple(expos), tuple(derived), len(candidates), span)
+    return AkBasis(k, tuple(expos), len(candidates), span)
 
 
 @dataclass(frozen=True)

@@ -5,15 +5,16 @@ x/u-block split, and a manifest of expected properties that downstream
 modules can replay.  The structural claims (not a cone, the key
 certificates, the Hessian orders, the obstruction, the WLP witness) are
 checked by one checker, `_structural_claims`.  Each generator builds its
-manifest first and hands the form and the manifest to `_verified`, which runs
-that checker on the probabilistic Analysis of f and raises
-`DegenerateInstanceError` at the first failed claim instead of emitting an
-instance whose manifest might be wrong.  The exceptional family retries with
-a deterministic perturbation of its tail summand before giving up.
-`replay_manifest` runs the same checker in a chosen mode, on the Analysis the
-instance carries (`FamilyInstance.analysis`) when mode and seed match, then
-replays the Hilbert vector, unimodality, dim A_1 (the size of that
-Analysis's basis of A_1) and the generic SLP/WLP reports.
+manifest first and hands the instance to `_verified`, which runs that
+checker on the instance's probabilistic Analysis (`FamilyInstance.analysis`,
+at the spec's seed) and raises `DegenerateInstanceError` at the first failed
+claim instead of emitting an instance whose manifest might be wrong.  The
+exceptional family retries with a deterministic perturbation of its tail
+summand before giving up.  `replay_manifest` runs the same checker in a
+chosen mode, on that Analysis in the mode (`Analysis.in_mode`, which shares
+every mode-free piece), then replays the Hilbert vector, unimodality, dim
+A_1 (the size of that Analysis's basis of A_1) and the generic SLP/WLP
+reports.
 
 Canonical shapes only: the tail polynomials (g, h, p, the biform parts) have
 fixed monomial defaults, overridable by keyword.  A tail summand is a form
@@ -30,6 +31,7 @@ parameters (also the CLI flags) and the tail overrides it accepts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -130,8 +132,11 @@ class FamilyInstance:
     f: Poly
     spec: FamilySpec
     manifest: Manifest
-    # the probabilistic Analysis in spec.seed that verified f (None if built by hand)
-    analysis: Optional[Analysis] = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def analysis(self) -> Analysis:
+        """The probabilistic Analysis of f at the spec's seed, built on first use."""
+        return Analysis(self.f, "probabilistic", self.spec.seed)
 
     def to_json_dict(self) -> dict:
         vs = self.f.vars
@@ -246,19 +251,18 @@ def _structural_claims(an: Analysis, manifest: Manifest) -> Iterator[tuple[str, 
             "the WLP witness " + ("fails" if holds else "passes"))
 
 
-def _verified(f: Poly, manifest: Manifest, seed: int, what: str) -> Analysis:
-    """Check the structural claims of `manifest` on f's probabilistic Analysis; return it.
+def _verified(inst: FamilyInstance, what: str) -> FamilyInstance:
+    """Check the structural claims of the instance's manifest on `inst.analysis`; return it.
 
     The claims are `_structural_claims`, the same checker `replay_manifest`
     starts with; the first failed one raises `DegenerateInstanceError` with
     its detail.  The Hilbert vector, dim A_1 and the generic SLP/WLP reports
     are left to `replay_manifest`.
     """
-    an = Analysis(f, "probabilistic", seed)
-    for _, passed, detail in _structural_claims(an, manifest):
+    for _, passed, detail in _structural_claims(inst.analysis, inst.manifest):
         if not passed:
             raise DegenerateInstanceError(f"{what}: {detail}")
-    return an
+    return inst
 
 
 # -- the fixed codimension-4 example ------------------------------------------
@@ -286,7 +290,7 @@ def gen_ikeda(*, seed: int = 0) -> FamilyInstance:
         key_certificate_orders=(2,),
     )
     spec = FamilySpec("ikeda", {}, seed)
-    return FamilyInstance(f, spec, manifest, _verified(f, manifest, seed, "ikeda"))
+    return _verified(FamilyInstance(f, spec, manifest), "ikeda")
 
 
 # -- prescribed intermediate vanishing ----------------------------------------
@@ -340,7 +344,7 @@ def gen_exceptional(
     for attempt in range(4):
         f = core + base_h + perturbation.scale(attempt) + tail_p
         try:
-            return FamilyInstance(f, spec, manifest, _verified(f, manifest, seed, "exceptional"))
+            return _verified(FamilyInstance(f, spec, manifest), "exceptional")
         except DegenerateInstanceError as exc:
             last_error = str(exc)
             if h is not None:
@@ -414,7 +418,7 @@ def gen_gnp(
         key_certificate_orders=(k,),
     )
     spec = FamilySpec("gnp", params, seed)
-    return FamilyInstance(f, spec, manifest, _verified(f, manifest, seed, f"gnp/{variant}"))
+    return _verified(FamilyInstance(f, spec, manifest), f"gnp/{variant}")
 
 
 def _covering_monomials(m: int, degree: int, count: int) -> list[Monomial]:
@@ -485,7 +489,7 @@ def gen_perazzo(
         seed,
         _override_texts(h=h, **{f"g{i}": g for i, g in enumerate(gs or [])}),
     )
-    return FamilyInstance(f, spec, manifest, _verified(f, manifest, seed, "perazzo"))
+    return _verified(FamilyInstance(f, spec, manifest), "perazzo")
 
 
 def gen_permutti(
@@ -543,7 +547,7 @@ def gen_permutti(
     if Ps:
         p_over = {f"P{j}": ("0" if pj is None else pj.to_text()) for j, pj in Ps.items()}
     spec = FamilySpec("permutti", {"m": m, "n": n, "e": e, "d": d}, seed, p_over)
-    return FamilyInstance(f, spec, manifest, _verified(f, manifest, seed, "permutti"))
+    return _verified(FamilyInstance(f, spec, manifest), "permutti")
 
 
 def gen_gn(
@@ -626,7 +630,7 @@ def gen_gn(
         slp_fail_level=1,
     )
     spec = FamilySpec("gn", {"m": m, "n": n, "r": r, "e": e, "d": d}, seed)
-    return FamilyInstance(f, spec, manifest, _verified(f, manifest, seed, "gn"))
+    return _verified(FamilyInstance(f, spec, manifest), "gn")
 
 
 # -- families failing the weak property ----------------------------------------
@@ -687,7 +691,7 @@ def gen_wlpodd(N: int, d: int, *, seed: int = 0) -> FamilyInstance:
         key_certificate_orders=(q,),
     )
     spec = FamilySpec("wlpodd", {"N": N, "d": d}, seed)
-    return FamilyInstance(f, spec, manifest, _verified(f, manifest, seed, "wlpodd"))
+    return _verified(FamilyInstance(f, spec, manifest), "wlpodd")
 
 
 _THMWLP_EXCLUSIONS = {
@@ -770,7 +774,7 @@ def gen_thmwlp(
         obstruction_size=size,
     )
     spec = FamilySpec("thmwlp", {"N": N, "d": d}, seed, _override_texts(g=g, h=h))
-    return FamilyInstance(f, spec, manifest, _verified(f, manifest, seed, "thmwlp"))
+    return _verified(FamilyInstance(f, spec, manifest), "thmwlp")
 
 
 _PROP44_CORES = {
@@ -815,15 +819,13 @@ def gen_prop44(case: str, h: Optional[Poly] = None, *, seed: int = 0) -> FamilyI
         wlp_witness=witness,
     )
     spec = FamilySpec("prop44", {"case": case}, seed, _override_texts(h=h))
-    return FamilyInstance(f, spec, manifest, _verified(f, manifest, seed, "prop44"))
+    return _verified(FamilyInstance(f, spec, manifest), "prop44")
 
 
 # -- manifest replay ------------------------------------------------------------
 
 
-def replay_manifest(
-    inst: FamilyInstance, *, mode: str = "probabilistic", seed: int = 0
-) -> list[tuple[str, bool, str]]:
+def replay_manifest(inst: FamilyInstance, *, mode: str = "probabilistic") -> list[tuple[str, bool, str]]:
     """Re-verify every manifest claim through the analysis modules.
 
     Returns (claim, passed, detail) triples: first the structural claims, by
@@ -831,15 +833,13 @@ def replay_manifest(
     Hessian claim passes only on an exact verdict), then the Hilbert vector,
     unimodality, dim A_1, and the generic SLP report and WLP report (the
     latter unless a WLP witness stands for it).  Every certificate is
-    replayed by its verifier on f, never trusted from the instance.  One
-    Analysis in `mode` serves every claim (the instance's own when it holds
-    f in `mode` and `seed`), so each Hessian is decided once and the SLP and
-    WLP claims are decided in the same mode as the profile.
+    replayed by its verifier on f, never trusted from the instance.  Every
+    claim reads `inst.analysis` in `mode` (`Analysis.in_mode`), so the pieces
+    generation computed are not computed again, each Hessian is decided once
+    per mode, and the SLP and WLP claims are decided in the same mode as the
+    profile.
     """
-    f = inst.f
-    an = inst.analysis
-    if an is None or (an.f, an.mode, an.seed) != (f, mode, seed):
-        an = Analysis(f, mode, seed)
+    an = inst.analysis.in_mode(mode)
     man = inst.manifest
     results = list(_structural_claims(an, man))
 

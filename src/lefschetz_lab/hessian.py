@@ -38,7 +38,7 @@ random, not fixed, because a fixed p can divide that content: 2^61-1
 divides every value of the order-1 Hessian determinant of
 (2^61-1) x0^3 + x1^3 + ... + x12^3.  The Hessians, their kernels, the
 certificates and the verdicts of one form are read through its `Analysis`,
-which builds and decides each once.
+which builds each once and decides each once per mode.
 """
 
 from __future__ import annotations
@@ -236,6 +236,7 @@ def explicit_basis_verdict(an: Analysis, k: int, ops: Sequence[DiffOp]) -> Vanis
         mode=an.mode,
         seed=an.seed,
         salt=f"hess:{k}",
+        kernel=IntMatrix(H),
     )
 
 
@@ -300,14 +301,12 @@ def _det_vanishes(
     mode: str,
     seed: int,
     salt: str,
-    kernel: Optional[IntMatrix] = None,
+    kernel: IntMatrix,
 ) -> VanishingVerdict:
-    """Decide det(entries) == 0; `kernel`, when given, is the compiled entries."""
+    """Decide det(entries) == 0; `kernel` is the entries compiled for evaluation."""
     size = len(entries)
     if size == 0:
         raise ValueError("empty matrix")
-    if kernel is None:
-        kernel = IntMatrix(entries)
     p = _decision_prime(salt, seed)
 
     if degree_bound == 0:

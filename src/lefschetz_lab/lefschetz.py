@@ -83,7 +83,8 @@ def mult_map(an: Analysis, L: LinearForm, i: int, k: int) -> list[list[Fraction]
     op = Poly(an.f.vars.dual(), {tuple(int(j == t) for j in range(n)): c for t, c in enumerate(L.coeffs)})
     target = an.basis(i + k)
     columns = []
-    for g in an.basis(i).derived:
+    for e in an.basis(i).expos:
+        g = an.derivatives[e]
         for _ in range(k):
             g = diff_apply(op, g)
         coords = target.span.dependency(g.coeff_map())

@@ -10,9 +10,10 @@ its parameters, built by `families.generate` and checked by
 `replay_manifest` against the instance's own manifest, in exact mode where
 the row asks for it; a manifest whose weak property fails also gets the
 check that the failing map has a kernel at every sampled linear form, ranked
-on its mixed Hessian (`rank_at`).  Both read the generator's own Analysis
-where they can, so a row analyses its form once per mode.  Only the gnp
-boundary row keeps a check of its own.
+on its mixed Hessian (`rank_at`).  Both read the generator's own Analysis,
+the replay in the row's mode (`Analysis.in_mode`), so a row computes each
+mode-free piece of its form once and decides each Hessian once per mode.
+Only the gnp boundary row keeps a check of its own.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ def _family_fixture(
 
     def run(config: SuiteConfig) -> tuple[bool, str]:
         inst = generate(FamilySpec(kind, params, config.seed))
-        results = replay_manifest(inst, mode=mode or config.mode, seed=config.seed)
+        results = replay_manifest(inst, mode=mode or config.mode)
         if inst.manifest.wlp == "fails":
             level = inst.manifest.wlp_fail_level
             ok, detail = _middle_never_injective(inst, level, config)
@@ -310,12 +311,13 @@ def _mode_agreement(config: SuiteConfig) -> tuple[bool, str]:
     fixtures: list[tuple[str, Analysis, Analysis, int]] = []
 
     def add(name: str, prob: Analysis) -> None:
-        exact = Analysis(prob.f, "exact", config.seed)
+        exact = prob.in_mode("exact")
         for k in range(prob.f.degree // 2 + 1):
             if len(prob.basis(k)) <= 8:
                 fixtures.append((f"{name}[k={k}]", prob, exact, k))
 
-    # a generated instance brings the probabilistic Analysis it was verified on
+    # a generated instance brings the probabilistic Analysis it was verified
+    # on; its exact side shares every piece but the verdicts
     add("ikeda", gen_ikeda(seed=config.seed).analysis)
     add("perazzo", gen_perazzo(2, 2, 3, seed=config.seed).analysis)
     add("gnp", gen_gnp(2, 2, 1, 2, seed=config.seed).analysis)

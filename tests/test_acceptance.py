@@ -8,11 +8,13 @@ fixture; per-criterion wall-clock budgets are asserted at the end.
 """
 
 import time
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+import lefschetz_lab.analysis as analysis_mod
 from lefschetz_lab.apolar import hilbert_vector
 from lefschetz_lab.families import gen_wlpodd
 from lefschetz_lab.hessian import DEFAULT_TRIALS, hessian_vanishes
@@ -85,6 +87,26 @@ def test_family_rows_build_one_analysis_per_mode(monkeypatch, mode):
         built.clear()
         assert fixture.run(SuiteConfig(0, mode))[0]
         assert all(built.count(m) <= 1 for m in built), (fixture.fixture_id, built)
+
+
+@pytest.mark.parametrize("mode", ["probabilistic", "exact"])
+def test_family_rows_compute_each_basis_and_scan_once(monkeypatch, mode):
+    # generation, replay and the never-injective check of a row, and both
+    # sides of the agreement fixture, read one memo of the mode-free pieces
+    calls = Counter()
+    for name in ("ak_basis", "_u_subring_ops"):
+        def counting(an, k, _name=name, _real=getattr(analysis_mod, name)):
+            calls[_name, an.f, k] += 1
+            return _real(an, k)
+
+        monkeypatch.setattr(analysis_mod, name, counting)
+    for fixture in FIXTURES:
+        if fixture.criterion == 8:
+            continue
+        calls.clear()
+        assert fixture.run(SuiteConfig(0, mode))[0]
+        repeated = sorted((name, f.to_text(), k) for (name, f, k), n in calls.items() if n > 1)
+        assert not repeated, (fixture.fixture_id, repeated)
 
 
 def test_criterion_time_budgets():

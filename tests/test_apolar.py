@@ -105,7 +105,7 @@ def assert_grown_bases_match_scan(f):
         grown = ak_basis(an, k)
         assert list(grown.expos) == scanned_basis(f, k)
         dual = f.vars.dual()
-        assert all(diff_apply(Poly.monomial(dual, e), f) == g for e, g in zip(grown.expos, grown.derived))
+        assert all(diff_apply(Poly.monomial(dual, e), f) == an.derivatives[e] for e in grown.expos)
         assert an.basis(k) == grown
 
 

@@ -177,9 +177,9 @@ class TestGenerate:
         checked = []
         real = families_mod._verified
 
-        def recording(f, manifest, seed, what):
-            checked.append(seed)
-            return real(f, manifest, seed, what)
+        def recording(inst, what):
+            checked.append(inst.analysis.seed)
+            return real(inst, what)
 
         monkeypatch.setattr(families_mod, "_verified", recording)
         path = tmp_path / "ikeda.json"

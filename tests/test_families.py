@@ -143,12 +143,19 @@ class TestCarriedAnalysis:
     def test_replay_in_the_generating_mode_builds_no_analysis(self, monkeypatch):
         inst = gen_wlpodd(4, 5)
         built = count_analyses(monkeypatch)
-        assert_replays(inst, mode="probabilistic", seed=0)
+        assert_replays(inst, mode="probabilistic")
         assert built == []
-        assert_replays(inst, mode="exact", seed=0)
+        assert_replays(inst, mode="exact")
         assert built == ["exact"]
-        assert_replays(inst, mode="probabilistic", seed=1)
-        assert built == ["exact", "probabilistic"]
+
+    def test_other_mode_shares_every_piece_but_the_verdicts(self):
+        an = gen_wlpodd(4, 5).analysis
+        other = an.in_mode("exact")
+        assert an.in_mode("probabilistic") is an and other.in_mode("exact") is other
+        assert (other.f, other.mode, other.seed) == (an.f, "exact", an.seed)
+        assert other.derivatives is an.derivatives
+        assert other.basis(2) is an.basis(2) and other.key(2) is an.key(2)
+        assert other.verdict(1) is not an.verdict(1)
 
     def test_replay_of_another_form_builds_its_own(self, monkeypatch):
         inst = gen_wlpodd(4, 5)
@@ -161,7 +168,8 @@ class TestCarriedAnalysis:
     def test_not_part_of_equality_repr_or_json(self):
         inst = gen_wlpodd(4, 5)
         bare = FamilyInstance(inst.f, inst.spec, inst.manifest)
-        assert bare.analysis is None
+        assert bare.analysis is not inst.analysis
+        assert bare.analysis is bare.analysis
         assert bare == inst
         assert "analysis" not in repr(inst)
         assert bare.to_json_dict() == inst.to_json_dict()
@@ -172,6 +180,27 @@ class TestCarriedAnalysis:
         built = count_analyses(monkeypatch)
         assert_replays(FamilyInstance(inst.f, inst.spec, inst.manifest))
         assert built == ["probabilistic"]
+
+    def test_analysis_is_at_the_spec_seed(self):
+        inst = gen_wlpodd(4, 5)
+        reseeded = replace(inst, spec=replace(inst.spec, seed=3))
+        an = reseeded.analysis
+        assert (an.f, an.mode, an.seed) == (inst.f, "probabilistic", 3)
+
+    @pytest.mark.parametrize("modes", [("probabilistic", "exact"), ("exact", "probabilistic")])
+    def test_verdicts_do_not_leak_between_modes(self, modes):
+        # this permutti form's order-1 Hessian has no key certificate, so
+        # each mode decides it by its own route: evaluation, or elimination
+        inst = gen_permutti(2, 2, 3, 6)
+        assert inst.analysis.key(1) is None
+        bare = FamilyInstance(inst.f, inst.spec, inst.manifest)
+        for mode in modes:
+            details = {name: detail for name, _, detail in replay_manifest(bare, mode=mode)}
+            assert details["hess[1] =0"] == mode
+        # each mode counts the 4 orders it decided; only exact mode eliminated
+        for mode, eliminations in (("probabilistic", 0), ("exact", 1)):
+            counts = bare.analysis.in_mode(mode).counts()
+            assert (counts["hessian_decisions"], counts["eliminations"]) == (4, eliminations)
 
 
 @pytest.mark.parametrize("build", SMALLEST, ids=lambda b: b().spec.kind)
@@ -488,10 +517,10 @@ class TestVerified:
     )
     def test_altered_claim_raises(self, build, change, message):
         inst = build()
-        _verified(inst.f, inst.manifest, 0, "test")
-        altered = replace(inst.manifest, **change)
+        assert _verified(inst, "test") is inst
+        altered = replace(inst, manifest=replace(inst.manifest, **change))
         with pytest.raises(DegenerateInstanceError, match=message):
-            _verified(inst.f, altered, 0, "test")
-        results = replay_manifest(replace(inst, manifest=altered))
+            _verified(altered, "test")
+        results = replay_manifest(altered)
         failed = [(name, detail) for name, ok, detail in results if not ok]
         assert len(failed) == 1 and re.search(message, failed[0][1]), failed

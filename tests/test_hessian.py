@@ -500,6 +500,7 @@ class TestEvaluateFirst:
             mode="exact",
             seed=0,
             salt="hess:1",
+            kernel=an.kernel(1, 1),
         )
         assert not verdict.vanishes and verdict.mode == "exact"
         assert verdict.eliminated and verdict.error_bound is None
@@ -669,6 +670,7 @@ def decide_by_evaluation(f, k, seed):
         mode="probabilistic",
         seed=seed,
         salt=f"hess:{k}",
+        kernel=IntMatrix(entries),
     )
     return entries, verdict
 

@@ -95,10 +95,11 @@ def reference_mult_map(an, L, i, k):
     on each basis derivative of A_i, solved in a fresh span of the basis
     derivatives of A_(i+k)."""
     span = linalg.SparseSpan()
-    for g in an.basis(i + k).derived:
-        span.try_add(g.coeff_map())
+    for e in an.basis(i + k).expos:
+        span.try_add(an.derivatives[e].coeff_map())
     op = linear_operator(L, an.f.vars) ** k
-    columns = [dense_coords(span.dependency(diff_apply(op, g).coeff_map()), len(span)) for g in an.basis(i).derived]
+    columns = [dense_coords(span.dependency(diff_apply(op, an.derivatives[e]).coeff_map()), len(span))
+               for e in an.basis(i).expos]
     return [list(row) for row in zip(*columns)]
 
 
