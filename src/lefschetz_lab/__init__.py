@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .analysis import Analysis
 from .apolar import (
     AkBasis,
-    Catalecticant,
     HilbertVector,
     ak_basis,
     catalecticant,

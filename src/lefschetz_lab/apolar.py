@@ -6,10 +6,11 @@ they produce from f, so dim A_k is the size of a greedy basis of the degree-k
 derivatives and multiplication never needs quotient-ring arithmetic.  The
 greedy monomials form an order ideal, so each basis grows from the one below
 it and no degree is scanned in full.  The explicit catalecticant matrix,
-whose rank is the same number, is kept as API and as an independent
-reference.  The basis (`ak_basis`) and the facts read off the bases (the
-Hilbert vector here, the cone test in `hessian`) take the form's `Analysis`,
-which computes each basis once and holds the derivatives they read.
+whose rank (`linalg.rank`) is the same number, is kept as API and as an
+independent reference.  The basis (`ak_basis`) and the facts read off the
+bases (the Hilbert vector here, the cone test in `hessian`) take the form's
+`Analysis`, which computes each basis once and holds the derivatives they
+read.  Unimodality is the absence of a dip (`first_dip`).
 """
 
 from __future__ import annotations
@@ -24,25 +25,6 @@ from .polycore import Monomial, Poly, diff_apply, mono_basis
 
 if TYPE_CHECKING:
     from .analysis import Analysis
-
-
-@dataclass(frozen=True)
-class Catalecticant:
-    """Matrix of the map (degree-k operators) -> (degree d-k polynomials).
-
-    Rows are indexed by the degree-(d-k) monomials of the polynomial side,
-    columns by the degree-k monomials of the operator side; the (i, j) entry
-    is the coefficient of row monomial i in (column operator j) applied to f.
-    """
-
-    f: Poly
-    k: int
-    row_monos: tuple[Monomial, ...]
-    col_monos: tuple[Monomial, ...]
-    matrix: tuple[tuple[Fraction, ...], ...]
-
-    def rank(self) -> int:
-        return linalg.rank(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -68,24 +50,22 @@ class AkBasis:
         return len(self.expos)
 
 
-def _require_degree(f: Poly) -> int:
+def catalecticant(f: Poly, k: int) -> list[list[Fraction]]:
+    """Explicit catalecticant matrix of f in degree k, as `Fraction` rows.
+
+    Rows are the degree-(d-k) monomials, columns the degree-k monomial
+    operators, both in `mono_basis` (descending lex) order; entry (i, j) is
+    the coefficient of monomial i in operator j applied to f.
+    """
     if f.is_zero():
         raise ZeroPolynomialError("operation undefined for the zero polynomial")
-    return f.degree
-
-
-def catalecticant(f: Poly, k: int) -> Catalecticant:
-    """Explicit catalecticant matrix of f in degree k."""
-    d = _require_degree(f)
+    d = f.degree
     if not 0 <= k <= d:
         raise DegreeRangeError(f"k={k} out of range 0..{d}")
     dual = f.vars.dual()
-    col_monos = tuple(mono_basis(dual, k))
-    row_monos = tuple(mono_basis(f.vars, d - k))
-    columns = [diff_apply(Poly.monomial(dual, expo), f).coeff_map() for expo in col_monos]
+    columns = [diff_apply(Poly.monomial(dual, expo), f).coeff_map() for expo in mono_basis(dual, k)]
     zero = Fraction(0)
-    matrix = tuple(tuple(g.get(m, zero) for g in columns) for m in row_monos)
-    return Catalecticant(f, k, row_monos, col_monos, matrix)
+    return [[g.get(m, zero) for g in columns] for m in mono_basis(f.vars, d - k)]
 
 
 def ak_basis(an: Analysis, k: int) -> AkBasis:
@@ -153,14 +133,7 @@ def hilbert_vector(an: Analysis) -> HilbertVector:
 
 def is_unimodal(hv: HilbertVector | Sequence[int]) -> bool:
     """True iff the vector weakly increases to a peak, then weakly decreases."""
-    dims = tuple(hv)
-    decreasing = False
-    for a, b in zip(dims, dims[1:]):
-        if b < a:
-            decreasing = True
-        elif b > a and decreasing:
-            return False
-    return True
+    return first_dip(hv) is None
 
 
 def first_dip(hv: HilbertVector | Sequence[int]) -> Optional[int]:
@@ -173,4 +146,3 @@ def first_dip(hv: HilbertVector | Sequence[int]) -> Optional[int]:
         if drop is not None and dims[i + 1] > dims[i]:
             return drop
     return None
-

@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import time
-import warnings
 from typing import Optional
 
 from . import __version__
@@ -88,6 +87,12 @@ def _long_mode(mode: str) -> str:
     return "exact" if mode == "exact" else "probabilistic"
 
 
+def _write_json(path: str, data) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _load_input(args) -> tuple[str, VariableSet]:
     if args.infile:
         with open(args.infile, "r", encoding="utf-8") as fh:
@@ -112,11 +117,10 @@ def _load_input(args) -> tuple[str, VariableSet]:
 
 
 def cmd_analyze(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     mode = _long_mode(args.mode)
     poly_text, vs = _load_input(args)
     f = parse_poly(poly_text, vs)
-    an = Analysis(f, mode, seed)
+    an = Analysis(f, mode, args.seed)
     d = f.degree
     timing: dict[str, float] = {}
 
@@ -129,29 +133,26 @@ def cmd_analyze(args) -> int:
     hv = stage("hilbert", an.hilbert)
     unimodal = is_unimodal(hv)
     cone = stage("cone", lambda: is_cone(an))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        profile = stage("hess_profile", lambda: hess_profile(an, max_k=args.max_k))
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
+    profile = stage("hess_profile", lambda: hess_profile(an, max_k=args.max_k))
+    if cone.is_cone:
+        print(
+            "warning: input has annihilating degree-1 operators (cone-like degenerate); "
+            "profile is computed on the quotient basis",
+            file=sys.stderr,
+        )
     full_profile = args.max_k is None or args.max_k >= d // 2
     slp = stage("slp", lambda: slp_generic(an)) if full_profile else None
     wlp = stage("wlp", lambda: wlp_generic(an))
     certificates = []
     if vs.has_split:
-        for k in range(1, d // 2 + 1):
-            cert = an.key(k)
-            if cert is not None:
-                certificates.append(cert.to_json_dict())
-        for k in range(1, (d + 1) // 2):
-            cert = an.obstruction(k)
-            if cert is not None:
-                certificates.append(cert.to_json_dict())
+        keys = [an.key(k) for k in range(1, d // 2 + 1)]
+        obstructions = [an.obstruction(k) for k in range(1, (d + 1) // 2)]
+        certificates = [c.to_json_dict() for c in keys + obstructions if c is not None]
 
     report = {
         "input": {"poly": f.to_text(), "vars": list(vs.names), "split": vs.n_x},
         "degree": d,
-        "seed": seed,
+        "seed": args.seed,
         "mode": mode,
         "tool_version": __version__,
         "hilbert": list(hv.dims),
@@ -184,9 +185,7 @@ def cmd_analyze(args) -> int:
     print(f"certificates    {len(certificates)}")
 
     if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.json_path, report)
         print(f"report written  {args.json_path}")
 
     if args.strict and "undetermined" in (report["slp"]["verdict"], wlp.verdict):
@@ -195,7 +194,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     kind = args.family
     family = FAMILIES[kind]
     taken = {name.lower() for name in family.params}
@@ -209,14 +207,12 @@ def cmd_generate(args) -> int:
             raise LefschetzLabError(f"--family {kind} requires --{name.lower()}")
         if value is not None:
             params[name] = value
-    instance = generate(FamilySpec(kind, params, seed))
+    instance = generate(FamilySpec(kind, params, args.seed))
     payload = instance.to_json_dict()
     print(instance.f.to_text())
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out, payload)
     return 0
 
 
@@ -224,14 +220,11 @@ def cmd_reproduce(args) -> int:
     if args.suite != "paper":
         print(f"unknown suite {args.suite!r}; available: paper", file=sys.stderr)
         return USAGE_ERROR
-    seed = args.seed if args.seed is not None else _default_seed()
-    config = SuiteConfig(seed=seed, mode=_long_mode(args.mode))
+    config = SuiteConfig(seed=args.seed, mode=_long_mode(args.mode))
     outcomes = run_suite(config)
     print(format_table(outcomes))
     if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump([o.to_json_dict() for o in outcomes], fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.json_path, [o.to_json_dict() for o in outcomes])
     failed = [o for o in outcomes if not o.passed]
     return 1 if failed else 0
 
@@ -240,6 +233,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is None:
+            args.seed = _default_seed()
         if args.command == "analyze":
             return cmd_analyze(args)
         if args.command == "generate":

@@ -506,7 +506,8 @@ def gen_permutti(
     The g_i default to distinct degree-(e-1) u-block monomials, so they are
     linearly independent yet algebraically dependent (their count exceeds the
     number of u-variables).  P_j defaults to a power of the first u-variable
-    of the right degree; entries of `Ps` may be replaced or set to None/zero.
+    of the right degree; entries of `Ps` may be replaced or set to None/zero,
+    and a key outside 0..d//e is rejected.
     """
     _require(m >= 2, "need m >= 2")
     _require(
@@ -521,6 +522,7 @@ def gen_permutti(
         n + 1 <= mono_count(m, e - 1),
         f"need {n + 1} distinct degree-{e - 1} monomials in {m} variables",
     )
+    _require(set(Ps or ()) <= set(range(mu + 1)), f"Ps may name only the parts P_0..P_{mu}")
     vs = _xu_vars(m, n)
     Q = _xu_sum(vs, [_pure(n + 1, i) for i in range(n + 1)], _covering_monomials(m, e - 1, n + 1))
     parts = []

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -241,15 +240,11 @@ def explicit_basis_verdict(an: Analysis, k: int, ops: Sequence[DiffOp]) -> Vanis
 
 
 def hess_profile(an: Analysis, *, max_k: Optional[int] = None) -> list[VanishingVerdict]:
-    """Vanishing verdicts for every order k = 0 .. floor(d/2), or up to max_k >= 0."""
+    """Vanishing verdicts for every order k = 0 .. floor(d/2), or up to max_k >= 0.
+
+    A cone is profiled over the bases of its quotient like any form."""
     if max_k is not None and max_k < 0:
         raise DegreeRangeError(f"max_k={max_k} is negative")
-    if is_cone(an).is_cone:
-        warnings.warn(
-            "input has annihilating degree-1 operators (cone-like degenerate); "
-            "profile is computed on the quotient basis",
-            stacklevel=2,
-        )
     top = an.f.degree // 2
     if max_k is not None:
         top = min(top, max_k)

@@ -10,9 +10,10 @@ and only a smaller one is recomputed exactly.  The explicit multiplication
 matrix (`mult_map`) is the independent reference for those ranks: it applies
 L, k times, to each basis derivative and solves the result in the target
 space, never reading a Hessian.  Specific elements are checked directly;
-generic verdicts combine a random witness search (maximal rank is an open
-condition, so one success settles the generic statement) with structural
-failure certificates that rule out every L at once:
+generic verdicts combine one witness search for both properties
+(`_find_element`: given points, then seeded random forms; maximal rank is
+an open condition, so one success settles the generic statement) with
+structural failure certificates that rule out every L at once:
 
   * a vanishing middle Hessian in odd socle degree,
   * an overfull set of operators pushing f into the u-subring under every
@@ -22,7 +23,8 @@ failure certificates that rule out every L at once:
 Random sampling alone is never promoted to a failure verdict.  The two
 u-subring certificates (vanishing Hessian, never-injective map) come from one
 scan over the form's memoized derivatives; their verifiers replay each claim
-with `diff_apply` on f, independently of that scan.
+with `diff_apply` on f, independently of that scan, in one shared loop
+(`_replays`) to which each adds its own per-operator claim and bound.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from . import linalg
 from .apolar import HilbertVector, first_dip, is_unimodal
@@ -209,43 +211,50 @@ def _random_linear_form(rng: random.Random, n: int, bound: int) -> LinearForm:
             return LinearForm.from_coeffs(coeffs)
 
 
+def _find_element(an: Analysis, check: Callable, salt: str,
+                  first: Sequence[Sequence[int]] = ()) -> Optional[tuple[LinearForm, tuple[LevelCheck, ...]]]:
+    """The first element that `check` accepts and its level checks, or None.
+
+    The points `first` come first, then GENERIC_TRIALS nonzero forms with
+    coefficients in [-64(d+1), 64(d+1)], the t-th drawn from `salt:seed:t`.
+    """
+    n, bound = len(an.f.vars), 64 * (an.f.degree + 1)
+
+    def candidates():
+        yield from map(LinearForm.from_coeffs, first)
+        for t in range(GENERIC_TRIALS):
+            yield _random_linear_form(random.Random(f"{salt}:{an.seed}:{t}"), n, bound)
+
+    for L in candidates():
+        ok, checks = check(an, L)
+        if ok:
+            return L, tuple(checks)
+    return None
+
+
 def slp_generic(an: Analysis) -> LefschetzReport:
     """Generic strong-Lefschetz verdict from the Hessian profile.
 
     Holds iff no Hessian vanishes identically; the witness is found by
-    testing the nonvanishing certificates' evaluation points first and random
-    points after that.
+    testing the nonvanishing verdicts' witness points first and seeded
+    random forms after them (`_find_element`).
     """
-    f = an.f
     hv = an.hilbert()
     uni = is_unimodal(hv)
-    d = f.degree
+    d = an.f.degree
     verdicts = [an.verdict(k) for k in range(d // 2 + 1)]
     for k, verdict in enumerate(verdicts):
         if verdict.vanishes:
             return LefschetzReport("SLP", "fails", hv, uni, level=k, map=(k, d - k),
                                    required=hv[k], certificate=verdict)
-    candidates = [v.witness_point for v in verdicts if v.witness_point is not None]
-    bound = 64 * (d + 1)
-    attempt = 0
-    while True:
-        for point in candidates:
-            L = LinearForm.from_coeffs(point)
-            ok, checks = slp_check_element(an, L)
-            if ok:
-                return LefschetzReport(
-                    "SLP", "holds", hv, uni, witness=L, levels=tuple(checks)
-                )
-        if attempt >= GENERIC_TRIALS:
-            raise ArithmeticError(
-                "all Hessians are nonzero but no witness point was found; "
-                "this contradicts nonvanishing (bug)"
-            )
-        rng = random.Random(f"slp:{an.seed}:{attempt}")
-        candidates = [tuple(rng.randint(-bound, bound) for _ in range(len(f.vars)))
-                      for _ in range(4)]
-        candidates = [c for c in candidates if any(c)]
-        attempt += 1
+    points = [v.witness_point for v in verdicts if v.witness_point is not None]
+    found = _find_element(an, slp_check_element, "slp", points)
+    if found is None:
+        raise ArithmeticError(
+            "all Hessians are nonzero but no witness point was found; "
+            "this contradicts nonvanishing (bug)"
+        )
+    return LefschetzReport("SLP", "holds", hv, uni, *found)
 
 
 def wlp_generic(an: Analysis) -> LefschetzReport:
@@ -258,7 +267,8 @@ def wlp_generic(an: Analysis) -> LefschetzReport:
     """
     f = an.f
     hv = an.hilbert()
-    uni = is_unimodal(hv)
+    dip = first_dip(hv)
+    uni = dip is None
     d = f.degree
 
     def fails(level: Optional[int], certificate: object,
@@ -269,7 +279,7 @@ def wlp_generic(an: Analysis) -> LefschetzReport:
                                required=required, certificate=certificate)
 
     if not uni:
-        return fails(first_dip(hv), f"non-unimodal Hilbert vector {hv.dims}")
+        return fails(dip, f"non-unimodal Hilbert vector {hv.dims}")
 
     if d % 2 == 1:
         q = d // 2
@@ -285,16 +295,10 @@ def wlp_generic(an: Analysis) -> LefschetzReport:
             if cert is not None:
                 return fails(k, cert, hv[k])
 
-    bound = 64 * (d + 1)
-    for t in range(GENERIC_TRIALS):
-        rng = random.Random(f"wlp:{an.seed}:{t}")
-        L = _random_linear_form(rng, len(f.vars), bound)
-        ok, checks = wlp_check_element(an, L)
-        if ok:
-            return LefschetzReport(
-                "WLP", "holds", hv, uni, witness=L, levels=tuple(checks)
-            )
-    return LefschetzReport("WLP", "undetermined", hv, uni)
+    found = _find_element(an, wlp_check_element, "wlp")
+    if found is None:
+        return LefschetzReport("WLP", "undetermined", hv, uni)
+    return LefschetzReport("WLP", "holds", hv, uni, *found)
 
 
 # -- structural certificates --------------------------------------------------
@@ -383,26 +387,32 @@ def key_criterion(an: Analysis, k: int) -> Optional[KeyCertificate]:
     return KeyCertificate(vs.x_names, vs.u_names, k, tuple(kept[:with_x]), bound, tuple(pivots[:with_x]))
 
 
-def verify_key_certificate(f: Poly, cert: KeyCertificate) -> bool:
-    """Independently replay every claim a KeyCertificate makes."""
+def _replays(f: Poly, cert: KeyCertificate | ObstructionCertificate,
+             claim: Callable[[DiffOp, Poly, set[int]], bool]) -> bool:
+    """The replay both certificate verifiers share: f's x/u split has the
+    certificate's names, and each operator's derivative g of f is nonzero,
+    meets `claim(op, g, u_indices)` and is independent of those before it."""
     vs = f.vars
     if not vs.has_split or vs.x_names != cert.x_names or vs.u_names != cert.u_names:
         return False
     u_indices = set(vs.u_indices)
-    n_x = vs.n_x
     span = linalg.SparseSpan()
     for op in cert.ops:
-        expo = next(iter(op.coeff_map()))
-        if op.num_terms() != 1 or all(expo[i] == 0 for i in range(n_x)):
-            return False
         g = diff_apply(op, f)
-        if g.is_zero() or not g.supported_on(u_indices):
+        if g.is_zero() or not claim(op, g, u_indices) or not span.try_add(g.coeff_map()):
             return False
-        if not span.try_add(g.coeff_map()):
-            return False
-    return len(cert.ops) > cert.bound == comb(
-        len(cert.u_names) + cert.k - 1, cert.k
-    )
+    return True
+
+
+def verify_key_certificate(f: Poly, cert: KeyCertificate) -> bool:
+    """Independently replay every claim a KeyCertificate makes: each operator
+    is a monomial with an x-factor that sends f into the u-subring."""
+
+    def claim(op: DiffOp, g: Poly, u_indices: set[int]) -> bool:
+        expo = next(iter(op.coeff_map()))
+        return op.num_terms() == 1 and any(expo[: f.vars.n_x]) and g.supported_on(u_indices)
+
+    return _replays(f, cert, claim) and cert.s > cert.bound == comb(len(cert.u_names) + cert.k - 1, cert.k)
 
 
 @dataclass(frozen=True)
@@ -464,23 +474,14 @@ def wlp_obstruction(an: Analysis, k: int) -> Optional[ObstructionCertificate]:
 
 
 def verify_obstruction_certificate(f: Poly, cert: ObstructionCertificate) -> bool:
-    """Independently replay every claim an ObstructionCertificate makes."""
-    vs = f.vars
-    if not vs.has_split or vs.x_names != cert.x_names or vs.u_names != cert.u_names:
-        return False
-    d = f.degree
-    u_indices = set(vs.u_indices)
-    dual = vs.dual()
-    firsts = [Poly.variable(dual, i) for i in range(len(vs))]
-    span = linalg.SparseSpan()
-    for op in cert.ops:
-        g = diff_apply(op, f)
-        if g.is_zero():
-            return False
-        if not all(diff_apply(w, g).supported_on(u_indices) for w in firsts):
-            return False
-        if not span.try_add(g.coeff_map()):
-            return False
-    image_degree = d - cert.k - 1
-    expected = comb(len(cert.u_names) - 1 + image_degree, image_degree)
-    return len(cert.ops) > cert.bound == expected
+    """Independently replay every claim an ObstructionCertificate makes: every
+    first partial sends each operator's derivative of f into the u-subring."""
+    dual = f.vars.dual()
+    firsts = [Poly.variable(dual, i) for i in range(len(f.vars))]
+
+    def claim(op: DiffOp, g: Poly, u_indices: set[int]) -> bool:
+        return all(diff_apply(w, g).supported_on(u_indices) for w in firsts)
+
+    image_degree = f.degree - cert.k - 1
+    bound = comb(len(cert.u_names) - 1 + image_degree, image_degree)
+    return _replays(f, cert, claim) and cert.s > cert.bound == bound

@@ -40,7 +40,7 @@ from .families import (
     replay_manifest,
 )
 from .hessian import explicit_basis_verdict, is_cone, poly_det_vanishes
-from .lefschetz import LinearForm, mult_map, rank_at
+from .lefschetz import _random_linear_form, mult_map, rank_at
 from .polycore import (
     Poly,
     VariableSet,
@@ -103,11 +103,7 @@ def _middle_never_injective(inst: FamilyInstance, level: int, config: SuiteConfi
     h_src = len(an.basis(level))
     worst = 0
     for t in range(MIDDLE_TRIALS):
-        rng = random.Random(f"middle:{config.seed}:{t}")
-        coeffs = [rng.randint(-64, 64) for _ in range(len(f.vars))]
-        if not any(coeffs):
-            coeffs[0] = 1
-        L = LinearForm.from_coeffs(coeffs)
+        L = _random_linear_form(random.Random(f"middle:{config.seed}:{t}"), len(f.vars), 64)
         r = rank_at(an, level, f.degree - 1 - level, L)
         worst = max(worst, r)
         if r >= h_src:
@@ -189,7 +185,7 @@ def _prop_hilbert_symmetry(config: SuiteConfig) -> tuple[bool, str]:
     for trial in range(100):
         f = _random_form(rng, rng.randint(2, 4), rng.randint(2, 5))
         dims = Analysis(f, config.mode, config.seed).hilbert().dims
-        ranks = tuple(catalecticant(f, k).rank() for k in range(f.degree + 1))
+        ranks = tuple(linalg.rank(catalecticant(f, k)) for k in range(f.degree + 1))
         if dims != ranks:
             return False, f"catalecticant ranks {ranks} != {dims} at trial {trial}"
     return True, "100 instances"
@@ -219,10 +215,7 @@ def _prop_rank_consistency(config: SuiteConfig) -> tuple[bool, str]:
         f = _random_form(rng, rng.randint(2, 3), rng.randint(2, 5))
         d = f.degree
         k = rng.randint(0, d // 2)
-        coeffs = [rng.randint(-5, 5) for _ in range(len(f.vars))]
-        if not any(coeffs):
-            coeffs[0] = 1
-        L = LinearForm.from_coeffs(coeffs)
+        L = _random_linear_form(rng, len(f.vars), 5)
         an = Analysis(f, config.mode, config.seed)
         hess_rank = rank_at(an, k, k, L)
         mult_rank = linalg.rank(mult_map(an, L, k, d - 2 * k))

@@ -1,14 +1,17 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 import sympy
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from lefschetz_lab import linalg
 from lefschetz_lab.apolar import (
     HilbertVector,
     ak_basis,
     catalecticant,
+    first_dip,
     hilbert_vector,
     is_unimodal,
 )
@@ -52,29 +55,35 @@ class TestCatalecticant:
         vs = VariableSet(("x", "y"))
         f = parse_poly("x^4", vs)
         for k in range(5):
-            assert catalecticant(f, k).rank() == 1
+            assert linalg.rank(catalecticant(f, k)) == 1
 
     def test_ikeda_k2_rank(self):
-        assert catalecticant(IKEDA, 2).rank() == 10
+        assert linalg.rank(catalecticant(IKEDA, 2)) == 10
 
     def test_perazzo_k1_rank(self):
         # oracle from first principles: the five partials u^2, uv, v^2,
         # 2xu+yv, yu+2zv row-reduce to rank 5
-        assert catalecticant(PERAZZO, 1).rank() == 5
+        assert linalg.rank(catalecticant(PERAZZO, 1)) == 5
 
     def test_out_of_range(self):
         with pytest.raises(DegreeRangeError):
             catalecticant(IKEDA, 6)
 
+    def test_rows_and_columns_in_lex_order(self):
+        # columns X, Y; rows x^2, xy, y^2: X(x^2 y) = 2xy, Y(x^2 y) = x^2
+        f = parse_poly("x^2*y", VariableSet(("x", "y")))
+        assert catalecticant(f, 1) == [[0, 1], [2, 0], [0, 0]]
+        assert all(type(c) is Fraction for row in catalecticant(f, 1) for c in row)
+
     @given(homogeneous_polys(max_vars=3, max_degree=4), st.data())
     def test_rank_matches_brute_force(self, f, data):
         k = data.draw(st.integers(0, f.degree))
-        assert catalecticant(f, k).rank() == brute_force_derivative_rank(f, k)
+        assert linalg.rank(catalecticant(f, k)) == brute_force_derivative_rank(f, k)
 
     @given(homogeneous_polys(max_vars=3, max_degree=5), st.data())
     def test_rank_duality(self, f, data):
         k = data.draw(st.integers(0, f.degree))
-        assert catalecticant(f, k).rank() == catalecticant(f, f.degree - k).rank()
+        assert linalg.rank(catalecticant(f, k)) == linalg.rank(catalecticant(f, f.degree - k))
 
 
 def scanned_basis(f, k):
@@ -183,7 +192,7 @@ class TestHilbert:
         # The vector mirrors its lower half, so check every degree against
         # catalecticant ranks computed independently.
         dims = hilbert_vector(prob(f)).dims
-        assert dims == tuple(catalecticant(f, k).rank() for k in range(f.degree + 1))
+        assert dims == tuple(linalg.rank(catalecticant(f, k)) for k in range(f.degree + 1))
 
     def test_invalid_vector_rejected(self):
         with pytest.raises(ValueError):
@@ -227,6 +236,23 @@ class TestUnimodal:
     )
     def test_examples(self, dims, expected):
         assert is_unimodal(dims) is expected
+
+    @given(st.lists(st.integers(0, 3), max_size=7))
+    def test_unimodal_iff_no_dip(self, dims):
+        assert is_unimodal(dims) == (first_dip(dims) is None)
+
+    def test_matches_peak_definition(self):
+        # unimodal: some peak p with a weak rise up to it and a weak fall after
+        def peaked(v):
+            return any(
+                all(a <= b for a, b in zip(v[:p], v[1 : p + 1]))
+                and all(a >= b for a, b in zip(v[p:], v[p + 1 :]))
+                for p in range(len(v))
+            ) or not v
+
+        for n in range(8):
+            for v in product(range(4), repeat=n):
+                assert is_unimodal(v) == peaked(v), v
 
 
 class TestDependsOnAllVars:

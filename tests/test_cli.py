@@ -3,6 +3,8 @@ from math import comb
 
 import pytest
 
+import lefschetz_lab.cli as cli
+import lefschetz_lab.hessian as hessian
 from lefschetz_lab.cli import main
 
 IKEDA_ARGS = [
@@ -52,6 +54,20 @@ class TestAnalyze:
         )
         assert "cone            True" in out
         assert "hessian[1]      != 0   (probabilistic)" in out
+
+    def test_cone_tested_once(self, capsys, monkeypatch):
+        calls = []
+        is_cone = hessian.is_cone
+
+        def counted(an):
+            calls.append(an)
+            return is_cone(an)
+
+        monkeypatch.setattr(cli, "is_cone", counted)
+        monkeypatch.setattr(hessian, "is_cone", counted)
+        code, _, err = run(["analyze", "--poly", "x^3 + y^3", "--vars", "x,y,z"], capsys)
+        assert code == 0 and err.startswith("warning:")
+        assert len(calls) == 1
 
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run(["analyze", "--poly", "x^2+q", "--vars", "x,y"], capsys)

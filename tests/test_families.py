@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from lefschetz_lab import linalg
 from lefschetz_lab.analysis import Analysis
 from lefschetz_lab.apolar import catalecticant, hilbert_vector
 from lefschetz_lab.errors import DegenerateInstanceError, InfeasibleParametersError
@@ -257,14 +258,14 @@ class TestGnp:
     def test_lemma_dim_a1_is_five(self):
         for k, e in ((1, 2), (2, 3), (1, 4)):
             inst = gen_gnp(2, 2, k, e)
-            assert catalecticant(inst.f, 1).rank() == 5
+            assert linalg.rank(catalecticant(inst.f, 1)) == 5
 
     def test_maximal_codimension_formula(self):
         from math import comb
 
         for m, e in ((2, 2), (2, 3), (3, 2)):
             inst = gen_gnp(m, None, 1, e, "maximal")
-            assert catalecticant(inst.f, 1).rank() == m + comb(m - 1 + e, e)
+            assert linalg.rank(catalecticant(inst.f, 1)) == m + comb(m - 1 + e, e)
 
     def test_e_must_exceed_k(self):
         with pytest.raises(InfeasibleParametersError):
@@ -338,6 +339,12 @@ class TestPermutti:
         with pytest.raises(InfeasibleParametersError, match=re.escape("P_1 must be a degree-3 u-block form")):
             gen_permutti(2, 2, 3, 6, Ps={1: parse_poly(text, XU_VARS)})
 
+    def test_p_override_outside_the_parts_rejected(self):
+        # d // e = 2, so the parts are P_0..P_2; a P_7 would be recorded in
+        # the spec without entering f, and `generate` would refuse the spec
+        with pytest.raises(InfeasibleParametersError, match=re.escape("Ps may name only the parts P_0..P_2")):
+            gen_permutti(2, 2, 3, 6, Ps={7: parse_poly("u1^2", XU_VARS)})
+
     def test_zero_overrides(self):
         inst = gen_permutti(2, 2, 3, 6)
         from lefschetz_lab.families import gen_permutti as gp
@@ -354,7 +361,7 @@ class TestGn:
     def test_two_cores(self):
         inst = gen_gn(2, 3, 1, 2, 4)
         assert hessian_vanishes(exact(inst.f), 1).vanishes
-        assert catalecticant(inst.f, 1).rank() == 6
+        assert linalg.rank(catalecticant(inst.f, 1)) == 6
 
     def test_degenerate_parameters_rejected(self):
         with pytest.raises(InfeasibleParametersError):

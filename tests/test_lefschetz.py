@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import lefschetz_lab.lefschetz as lefschetz
 from lefschetz_lab import linalg
 from lefschetz_lab.apolar import hilbert_vector
 from lefschetz_lab.errors import NoSplitError
@@ -22,10 +23,12 @@ from lefschetz_lab.families import (
 )
 from lefschetz_lab.hessian import hessian_matrix, is_cone
 from lefschetz_lab.lefschetz import (
+    GENERIC_TRIALS,
     KeyCertificate,
     LinearForm,
     ObstructionCertificate,
     key_criterion,
+    _random_linear_form,
     mult_map,
     slp_check_element,
     slp_generic,
@@ -196,6 +199,26 @@ class TestSlpGeneric:
     def test_perazzo_shape_fails_at_one(self):
         report = slp_generic(prob(gen_gnp(2, 2, 1, 2).f))
         assert report.verdict == "fails" and report.level == 1
+
+    def test_search_gets_past_refused_points(self, monkeypatch):
+        # refuse the profile's witness points and the first two seeded
+        # forms: the first seeded form after them that passes is returned
+        f = parse_poly("x^4 + y^4 + z^4", VariableSet(("x", "y", "z")))
+        an = prob(f)
+        drawn = [
+            _random_linear_form(random.Random(f"slp:{an.seed}:{t}"), 3, 64 * 5)
+            for t in range(GENERIC_TRIALS)
+        ]
+        refused = set(drawn[:2]) | {
+            LinearForm.from_coeffs(an.verdict(k).witness_point) for k in range(3)
+        }
+
+        def check(an, L):
+            return (False, []) if L in refused else slp_check_element(an, L)
+
+        monkeypatch.setattr(lefschetz, "slp_check_element", check)
+        expected = next(L for L in drawn[2:] if slp_check_element(an, L)[0])
+        assert slp_generic(an).witness == expected
 
 
 class TestWlpElement:

@@ -13,7 +13,6 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize(
     "argv",
     [
-        ["scripts/vanishing_survey.py", "--trials", "5"],
         ["scripts/family_gallery.py"],
     ],
 )
