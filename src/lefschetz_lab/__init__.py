@@ -3,79 +3,93 @@
 Build the algebra attached to a homogeneous form by differentiation, compute
 its Hilbert vector and higher Hessians, decide Strong/Weak Lefschetz
 properties, and generate certified counterexample families.
+
+Every public name below is importable from the package root.  Its submodule
+is imported on the first use of the name (PEP 562), so a command that never
+touches the family generators or the suite does not load them.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .analysis import Analysis
-from .apolar import (
-    AkBasis,
-    HilbertVector,
-    ak_basis,
-    catalecticant,
-    hilbert_vector,
-    is_unimodal,
-)
-from .errors import (
-    DegenerateInstanceError,
-    HomogeneityError,
-    InfeasibleParametersError,
-    LefschetzLabError,
-    NoSplitError,
-    PolyParseError,
-    SingularMatrixError,
-    VariableMismatchError,
-    ZeroPolynomialError,
-)
-from .families import (
-    FamilyInstance,
-    FamilySpec,
-    Manifest,
-    gen_exceptional,
-    gen_gn,
-    gen_gnp,
-    gen_ikeda,
-    gen_perazzo,
-    gen_permutti,
-    gen_prop44,
-    gen_thmwlp,
-    gen_wlpodd,
-    generate,
-    replay_manifest,
-)
-from .hessian import (
-    ConeReport,
-    VanishingVerdict,
-    hess_profile,
-    hessian_matrix,
-    hessian_vanishes,
-    is_cone,
-    mixed_hessian,
-)
-from .lefschetz import (
-    KeyCertificate,
-    LefschetzReport,
-    LinearForm,
-    ObstructionCertificate,
-    key_criterion,
-    mult_map,
-    rank_at,
-    slp_check_element,
-    slp_generic,
-    verify_key_certificate,
-    verify_obstruction_certificate,
-    wlp_check_element,
-    wlp_generic,
-    wlp_obstruction,
-)
-from .polycore import (
-    DiffOp,
-    Monomial,
-    Poly,
-    VariableSet,
-    diff_apply,
-    eval_poly,
-    linear_change,
-    mono_basis,
-    parse_poly,
-)
+# each public name and the submodule that defines it
+_SOURCE = {
+    "Analysis": "analysis",
+    "AkBasis": "apolar",
+    "HilbertVector": "apolar",
+    "ak_basis": "apolar",
+    "catalecticant": "apolar",
+    "hilbert_vector": "apolar",
+    "is_unimodal": "apolar",
+    "DegenerateInstanceError": "errors",
+    "HomogeneityError": "errors",
+    "InfeasibleParametersError": "errors",
+    "LefschetzLabError": "errors",
+    "NoSplitError": "errors",
+    "PolyParseError": "errors",
+    "SingularMatrixError": "errors",
+    "VariableMismatchError": "errors",
+    "ZeroPolynomialError": "errors",
+    "FamilyInstance": "families",
+    "FamilySpec": "families",
+    "Manifest": "families",
+    "gen_exceptional": "families",
+    "gen_gn": "families",
+    "gen_gnp": "families",
+    "gen_ikeda": "families",
+    "gen_perazzo": "families",
+    "gen_permutti": "families",
+    "gen_prop44": "families",
+    "gen_thmwlp": "families",
+    "gen_wlpodd": "families",
+    "generate": "families",
+    "replay_manifest": "families",
+    "ConeReport": "hessian",
+    "VanishingVerdict": "hessian",
+    "hess_profile": "hessian",
+    "hessian_matrix": "hessian",
+    "hessian_vanishes": "hessian",
+    "is_cone": "hessian",
+    "mixed_hessian": "hessian",
+    "KeyCertificate": "lefschetz",
+    "LefschetzReport": "lefschetz",
+    "LinearForm": "lefschetz",
+    "ObstructionCertificate": "lefschetz",
+    "key_criterion": "lefschetz",
+    "mult_map": "lefschetz",
+    "rank_at": "lefschetz",
+    "slp_check_element": "lefschetz",
+    "slp_generic": "lefschetz",
+    "verify_key_certificate": "lefschetz",
+    "verify_obstruction_certificate": "lefschetz",
+    "wlp_check_element": "lefschetz",
+    "wlp_generic": "lefschetz",
+    "wlp_obstruction": "lefschetz",
+    "DiffOp": "polycore",
+    "Monomial": "polycore",
+    "Poly": "polycore",
+    "VariableSet": "polycore",
+    "diff_apply": "polycore",
+    "eval_poly": "polycore",
+    "linear_change": "polycore",
+    "mono_basis": "polycore",
+    "parse_poly": "polycore",
+}
+
+__all__ = list(_SOURCE)
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines `name` and keep the name here."""
+    try:
+        module = _SOURCE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

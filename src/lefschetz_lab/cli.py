@@ -18,11 +18,9 @@ from . import __version__
 from .analysis import Analysis
 from .apolar import is_unimodal
 from .errors import LefschetzLabError
-from .families import FAMILIES, FamilySpec, generate
 from .hessian import hess_profile, is_cone
 from .lefschetz import slp_generic, wlp_generic
 from .polycore import VariableSet, parse_poly
-from .reproduce import SuiteConfig, format_table, run_suite
 
 USAGE_ERROR = 2
 STRICT_UNDETERMINED = 3
@@ -67,7 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--strict", action="store_true", help="exit 3 when the SLP or WLP verdict is undetermined")
 
     pg = sub.add_parser("generate", help="generate a family instance")
-    pg.add_argument("--family", required=True, choices=tuple(FAMILIES))
+    # checked in cmd_generate: argparse choices would load `families` on every start
+    pg.add_argument("--family", required=True, help="family name; an unknown name exits 2 and lists them")
     for flag in _INT_FLAGS:
         pg.add_argument(f"--{flag}", type=int, default=None)
     pg.add_argument("--case", choices=("i", "ii", "iii"), default=None)
@@ -98,6 +97,12 @@ def _load_input(args) -> tuple[str, VariableSet]:
         with open(args.infile, "r", encoding="utf-8") as fh:
             text = fh.read().strip()
         if text.startswith("{"):
+            flags = [flag for flag, value in (("--vars", args.vars), ("--split", args.split)) if value is not None]
+            if flags:
+                raise LefschetzLabError(
+                    f"{' and '.join(flags)} cannot be given with a generated instance; "
+                    "its JSON declares 'vars' and 'split'"
+                )
             data = json.loads(text)
             poly, names, split = data.get("poly"), data.get("vars"), data.get("split")
             if not isinstance(poly, str):
@@ -194,7 +199,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from .families import FAMILIES, FamilySpec, generate
+
     kind = args.family
+    if kind not in FAMILIES:
+        raise LefschetzLabError(f"unknown family {kind!r}; available: {', '.join(FAMILIES)}")
     family = FAMILIES[kind]
     taken = {name.lower() for name in family.params}
     for flag in _FAMILY_FLAGS:
@@ -220,6 +229,8 @@ def cmd_reproduce(args) -> int:
     if args.suite != "paper":
         print(f"unknown suite {args.suite!r}; available: paper", file=sys.stderr)
         return USAGE_ERROR
+    from .reproduce import SuiteConfig, format_table, run_suite
+
     config = SuiteConfig(seed=args.seed, mode=_long_mode(args.mode))
     outcomes = run_suite(config)
     print(format_table(outcomes))

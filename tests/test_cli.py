@@ -111,6 +111,25 @@ class TestAnalyze:
         assert code == 2
         assert err.startswith("error: ") and "instance JSON" in err
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--vars", "a,b"], "--vars"), (["--split", "1"], "--split"), (["--split", "1", "--vars", "a,b"], "--vars and --split")],
+        ids=["vars", "split", "both"],
+    )
+    def test_instance_takes_no_vars_or_split(self, capsys, tmp_path, flags, named):
+        path = tmp_path / "ikeda.json"
+        path.write_text(json.dumps({"poly": IKEDA_ARGS[2], "vars": ["x0", "x1", "u1", "u2"], "split": 2}))
+        code, out, err = run(["analyze", "--in", str(path), *flags], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {named} cannot be given with a generated instance; its JSON declares 'vars' and 'split'\n"
+
+    def test_text_file_takes_vars_and_split(self, capsys, tmp_path):
+        path = tmp_path / "ikeda.txt"
+        path.write_text(IKEDA_ARGS[2] + "\n")
+        code, out, _ = run(["analyze", "--in", str(path), *IKEDA_ARGS[3:]], capsys)
+        assert code == 0
+        assert "variables       x0, x1, u1, u2  (x-block size 2)" in out
+
     def test_zero_form_exit_two(self, capsys):
         code, out, err = run(["analyze", "--poly", "x - x", "--vars", "x"], capsys)
         assert code == 2 and out == ""
@@ -165,6 +184,14 @@ class TestGenerate:
         assert code == 0
         payload = json.loads("\n".join(out.splitlines()[1:]))
         assert payload["params"] == {"n": 3, "d": 5, "k": 2}
+
+    def test_unknown_family_exit_two(self, capsys):
+        code, out, err = run(["generate", "--family", "x", "--n", "5"], capsys)
+        assert code == 2 and out == ""
+        assert err == (
+            "error: unknown family 'x'; available: "
+            "ikeda, exceptional, gnp, perazzo, permutti, gn, wlpodd, thmwlp, prop44\n"
+        )
 
     def test_missing_parameter(self, capsys):
         code, _, err = run(["generate", "--family", "exceptional", "--n", "3"], capsys)

@@ -1,0 +1,156 @@
+"""What each entry point imports, and the package root's public names."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import lefschetz_lab
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Run the package as `python -m lefschetz_lab ARGS...` does, then print the
+# package modules it loaded as the last line of stdout.
+RUN_MAIN = """
+import json, runpy, sys
+sys.argv = ["lefschetz-lab", *sys.argv[1:]]
+try:
+    runpy.run_module("lefschetz_lab", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "modules": sorted(m for m in sys.modules if m.startswith("lefschetz_lab"))}))
+"""
+
+
+def child(*argv):
+    """Run python with src/ on the path; return the last stdout line as JSON."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestImportGraph:
+    def test_analyze_loads_no_families_or_suite(self, tmp_path):
+        path = tmp_path / "ikeda.txt"
+        path.write_text("x0*u1^3*u2 + x1*u1*u2^3 + x0^3*x1^2\n")
+        out = child("-c", RUN_MAIN, "analyze", "--in", str(path), "--vars", "x0,x1,u1,u2", "--split", "2")
+        assert out["code"] == 0
+        assert "lefschetz_lab.analysis" in out["modules"]
+        assert "lefschetz_lab.families" not in out["modules"]
+        assert "lefschetz_lab.reproduce" not in out["modules"]
+
+    def test_generate_loads_no_suite(self, tmp_path):
+        path = tmp_path / "wlpodd.json"
+        out = child("-c", RUN_MAIN, "generate", "--family", "wlpodd", "--n", "4", "--d", "5", "--out", str(path))
+        assert out["code"] == 0 and path.exists()
+        assert "lefschetz_lab.families" in out["modules"]
+        assert "lefschetz_lab.reproduce" not in out["modules"]
+
+    def test_polycore_loads_only_its_kernels(self):
+        script = "import json, sys, lefschetz_lab.polycore; print(json.dumps(sorted(m for m in sys.modules if m.startswith('lefschetz_lab'))))"
+        assert child("-c", script) == [
+            "lefschetz_lab",
+            "lefschetz_lab.errors",
+            "lefschetz_lab.linalg",
+            "lefschetz_lab.polycore",
+        ]
+
+
+# every public name of the package root and the submodule that defines it
+ROOT_NAMES = {
+    "analysis": ("Analysis",),
+    "apolar": ("AkBasis", "HilbertVector", "ak_basis", "catalecticant", "hilbert_vector", "is_unimodal"),
+    "errors": (
+        "DegenerateInstanceError",
+        "HomogeneityError",
+        "InfeasibleParametersError",
+        "LefschetzLabError",
+        "NoSplitError",
+        "PolyParseError",
+        "SingularMatrixError",
+        "VariableMismatchError",
+        "ZeroPolynomialError",
+    ),
+    "families": (
+        "FamilyInstance",
+        "FamilySpec",
+        "Manifest",
+        "gen_exceptional",
+        "gen_gn",
+        "gen_gnp",
+        "gen_ikeda",
+        "gen_perazzo",
+        "gen_permutti",
+        "gen_prop44",
+        "gen_thmwlp",
+        "gen_wlpodd",
+        "generate",
+        "replay_manifest",
+    ),
+    "hessian": (
+        "ConeReport",
+        "VanishingVerdict",
+        "hess_profile",
+        "hessian_matrix",
+        "hessian_vanishes",
+        "is_cone",
+        "mixed_hessian",
+    ),
+    "lefschetz": (
+        "KeyCertificate",
+        "LefschetzReport",
+        "LinearForm",
+        "ObstructionCertificate",
+        "key_criterion",
+        "mult_map",
+        "rank_at",
+        "slp_check_element",
+        "slp_generic",
+        "verify_key_certificate",
+        "verify_obstruction_certificate",
+        "wlp_check_element",
+        "wlp_generic",
+        "wlp_obstruction",
+    ),
+    "polycore": (
+        "DiffOp",
+        "Monomial",
+        "Poly",
+        "VariableSet",
+        "diff_apply",
+        "eval_poly",
+        "linear_change",
+        "mono_basis",
+        "parse_poly",
+    ),
+}
+ROOT_PAIRS = [(module, name) for module, names in ROOT_NAMES.items() for name in names]
+
+
+class TestPackageRoot:
+    def test_sixty_names(self):
+        assert len(ROOT_PAIRS) == 60
+        assert sorted(lefschetz_lab.__all__) == sorted(name for _, name in ROOT_PAIRS)
+
+    @pytest.mark.parametrize("module, name", ROOT_PAIRS, ids=[name for _, name in ROOT_PAIRS])
+    def test_name_resolves_to_its_submodule_object(self, module, name):
+        source = importlib.import_module(f"lefschetz_lab.{module}")
+        assert getattr(lefschetz_lab, name) is getattr(source, name)
+        assert name in dir(lefschetz_lab)
+
+    def test_star_import(self):
+        namespace: dict = {}
+        exec("from lefschetz_lab import *", namespace)
+        assert set(namespace) - {"__builtins__"} == {name for _, name in ROOT_PAIRS}
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            lefschetz_lab.no_such_name
+        assert not hasattr(lefschetz_lab, "no_such_name")
+        assert lefschetz_lab.__version__ == "0.1.0"
