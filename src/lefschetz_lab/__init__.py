@@ -6,7 +6,10 @@ properties, and generate certified counterexample families.
 
 Every public name below is importable from the package root.  Its submodule
 is imported on the first use of the name (PEP 562), so a command that never
-touches the family generators or the suite does not load them.
+touches the family generators or the suite does not load them.  The facts of
+one form (bases, Hilbert vector, Hessians, verdicts, certificates) are read
+through the methods of its `Analysis`, which computes each once; the
+functions that compute them stay in their submodules and are not listed here.
 """
 
 import importlib
@@ -18,9 +21,7 @@ _SOURCE = {
     "Analysis": "analysis",
     "AkBasis": "apolar",
     "HilbertVector": "apolar",
-    "ak_basis": "apolar",
     "catalecticant": "apolar",
-    "hilbert_vector": "apolar",
     "is_unimodal": "apolar",
     "DegenerateInstanceError": "errors",
     "HomogeneityError": "errors",
@@ -48,15 +49,11 @@ _SOURCE = {
     "ConeReport": "hessian",
     "VanishingVerdict": "hessian",
     "hess_profile": "hessian",
-    "hessian_matrix": "hessian",
-    "hessian_vanishes": "hessian",
     "is_cone": "hessian",
-    "mixed_hessian": "hessian",
     "KeyCertificate": "lefschetz",
     "LefschetzReport": "lefschetz",
     "LinearForm": "lefschetz",
     "ObstructionCertificate": "lefschetz",
-    "key_criterion": "lefschetz",
     "mult_map": "lefschetz",
     "rank_at": "lefschetz",
     "slp_check_element": "lefschetz",
@@ -65,13 +62,11 @@ _SOURCE = {
     "verify_obstruction_certificate": "lefschetz",
     "wlp_check_element": "lefschetz",
     "wlp_generic": "lefschetz",
-    "wlp_obstruction": "lefschetz",
     "DiffOp": "polycore",
     "Monomial": "polycore",
     "Poly": "polycore",
     "VariableSet": "polycore",
     "diff_apply": "polycore",
-    "eval_poly": "polycore",
     "linear_change": "polycore",
     "mono_basis": "polycore",
     "parse_poly": "polycore",

@@ -10,7 +10,9 @@ whose rank (`linalg.rank`) is the same number, is kept as API and as an
 independent reference.  The basis (`ak_basis`) and the facts read off the
 bases (the Hilbert vector here, the cone test in `hessian`) take the form's
 `Analysis`, which computes each basis once and holds the derivatives they
-read.  Unimodality is the absence of a dip (`first_dip`).
+read.  `ak_basis` and `hilbert_vector` are the compute bodies of
+`an.basis(k)` and `an.hilbert()`; called directly, they bypass the memo and
+`counts()`.  Unimodality is the absence of a dip (`first_dip`).
 """
 
 from __future__ import annotations
@@ -77,7 +79,8 @@ def ak_basis(an: Analysis, k: int) -> AkBasis:
     multiplicative, so every x_i*m is rejected too: the candidates are the
     monomials whose degree-(k-1) divisors are all in the basis of A_(k-1),
     each derivative is a partial of its parent's, and the basis is that of a
-    full scan.  Derivatives are read from the Analysis's memo.
+    full scan.  Derivatives are read from the Analysis's memo.  The compute
+    body of `an.basis(k)`, which keeps the basis; call that instead.
     """
     f = an.f
     d = f.degree
@@ -125,7 +128,10 @@ class HilbertVector:
 
 
 def hilbert_vector(an: Analysis) -> HilbertVector:
-    """Hilbert vector from the A_k bases up to d/2, mirrored by Gorenstein symmetry."""
+    """Hilbert vector from the A_k bases up to d/2, mirrored by Gorenstein symmetry.
+
+    The compute body of `an.hilbert()`, which keeps the vector; call that
+    instead."""
     d = an.f.degree
     half = [len(an.basis(k)) for k in range(d // 2 + 1)]
     return HilbertVector(tuple(half + [half[d - k] for k in range(d // 2 + 1, d + 1)]))

@@ -227,8 +227,7 @@ def cmd_generate(args) -> int:
 
 def cmd_reproduce(args) -> int:
     if args.suite != "paper":
-        print(f"unknown suite {args.suite!r}; available: paper", file=sys.stderr)
-        return USAGE_ERROR
+        raise LefschetzLabError(f"unknown suite {args.suite!r}; available: paper")
     from .reproduce import SuiteConfig, format_table, run_suite
 
     config = SuiteConfig(seed=args.seed, mode=_long_mode(args.mode))

@@ -45,7 +45,3 @@ class InfeasibleParametersError(LefschetzLabError, ValueError):
 
 class DegenerateInstanceError(LefschetzLabError, ValueError):
     """A generated instance failed its own manifest verification."""
-
-
-class RetriesExhaustedError(DegenerateInstanceError):
-    """Deterministic perturb-and-retry ran out of attempts."""

@@ -8,13 +8,11 @@ checked by one checker, `_structural_claims`.  Each generator builds its
 manifest first and hands the instance to `_verified`, which runs that
 checker on the instance's probabilistic Analysis (`FamilyInstance.analysis`,
 at the spec's seed) and raises `DegenerateInstanceError` at the first failed
-claim instead of emitting an instance whose manifest might be wrong.  The
-exceptional family retries with a deterministic perturbation of its tail
-summand before giving up.  `replay_manifest` runs the same checker in a
-chosen mode, on that Analysis in the mode (`Analysis.in_mode`, which shares
-every mode-free piece), then replays the Hilbert vector, unimodality, dim
-A_1 (the size of that Analysis's basis of A_1) and the generic SLP/WLP
-reports.
+claim instead of emitting an instance whose manifest might be wrong.
+`replay_manifest` runs the same checker in a chosen mode, on that Analysis
+in the mode (`Analysis.in_mode`, which shares every mode-free piece), then
+replays the Hilbert vector, unimodality, dim A_1 (the size of that
+Analysis's basis of A_1) and the generic SLP/WLP reports.
 
 Canonical shapes only: the tail polynomials (g, h, p, the biform parts) have
 fixed monomial defaults, overridable by keyword.  A tail summand is a form
@@ -37,11 +35,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .analysis import Analysis
 from .apolar import is_unimodal
-from .errors import (
-    DegenerateInstanceError,
-    InfeasibleParametersError,
-    RetriesExhaustedError,
-)
+from .errors import DegenerateInstanceError, InfeasibleParametersError
 from .hessian import VanishingVerdict, is_cone
 from .lefschetz import (
     LefschetzReport,
@@ -309,8 +303,7 @@ def gen_exceptional(
 
     Shape: x2*u^(k-1)*v^(d-k) + x3*u^(d-2)*v plus tail summands h(x2,x3) and
     p(x4..xn).  The vanishing orders are certified structurally; the
-    nonvanishing of orders 1 and k+1 is verified by witness evaluation, with
-    a bounded deterministic perturbation of h on failure.
+    nonvanishing of orders 1 and k+1 is verified by witness evaluation.
     """
     _require(n >= 3, "need n >= 3")
     _require(d >= 5, "need d >= 5")
@@ -323,7 +316,7 @@ def gen_exceptional(
             _mono(vs, {"x3": 1, "u": d - 2, "v": 1}),
         ],
     )
-    base_h = _tail(vs, ("x2", "x3"), d, h, "override h must be degree d in x2, x3", nonzero=True)
+    tail_h = _tail(vs, ("x2", "x3"), d, h, "override h must be degree d in x2, x3", nonzero=True)
     tail_p = _tail(vs, vs.x_names[2:], d, p, "override p must be degree d in x4..xn")
 
     hess_pattern = [(1, False)] + [(r, True) for r in range(2, k + 1)]
@@ -338,20 +331,7 @@ def gen_exceptional(
         key_certificate_orders=tuple(range(2, k + 1)),
     )
     spec = FamilySpec("exceptional", {"n": n, "d": d, "k": k}, seed, _override_texts(h=h, p=p))
-
-    perturbation = _mono(vs, {"x2": d - 1, "x3": 1})
-    last_error = "unverified"
-    for attempt in range(4):
-        f = core + base_h + perturbation.scale(attempt) + tail_p
-        try:
-            return _verified(FamilyInstance(f, spec, manifest), "exceptional")
-        except DegenerateInstanceError as exc:
-            last_error = str(exc)
-            if h is not None:
-                raise
-    raise RetriesExhaustedError(
-        f"exceptional({n},{d},{k}): perturbation retries exhausted: {last_error}"
-    )
+    return _verified(FamilyInstance(core + tail_h + tail_p, spec, manifest), "exceptional")
 
 
 # -- bilinear-shape families with a u-subring overflow -------------------------
@@ -422,14 +402,10 @@ def gen_gnp(
 
 
 def _covering_monomials(m: int, degree: int, count: int) -> list[Monomial]:
-    """First `count` degree monomials in m variables, patched to use them all."""
-    monos = mono_basis(VariableSet(tuple(f"u{j}" for j in range(1, m + 1))), degree)
-    if count > len(monos):
-        raise InfeasibleParametersError(
-            f"need {count} distinct degree-{degree} monomials in {m} variables, "
-            f"only {len(monos)} exist"
-        )
-    chosen = monos[:count]
+    """First `count` degree monomials in m variables, patched to use them all.
+
+    Every caller has required that `count` such monomials exist."""
+    chosen = mono_basis(VariableSet(tuple(f"u{j}" for j in range(1, m + 1))), degree)[:count]
     covered = {i for mo in chosen for i, ee in enumerate(mo) if ee}
     missing = [i for i in range(m) if i not in covered]
     for slot, i in enumerate(missing, start=1):

@@ -38,7 +38,10 @@ random, not fixed, because a fixed p can divide that content: 2^61-1
 divides every value of the order-1 Hessian determinant of
 (2^61-1) x0^3 + x1^3 + ... + x12^3.  The Hessians, their kernels, the
 certificates and the verdicts of one form are read through its `Analysis`,
-which builds each once and decides each once per mode.
+which builds each once and decides each once per mode.  `mixed_hessian` and
+`hessian_vanishes` are the compute bodies of `an.hessian(k, l)` and
+`an.verdict(k)`, and `hessian_matrix` reads `an.hessian(k, k)`; called
+directly, the compute bodies bypass the memo and `counts()`.
 """
 
 from __future__ import annotations
@@ -156,18 +159,19 @@ class VanishingVerdict:
 
 def hessian_matrix(an: Analysis, k: int) -> Matrix:
     """Entries of the order-k Hessian over the greedy monomial basis
-    `an.basis(k)`; the Analysis keeps the matrix."""
-    _checked_degree(an.f, k)
+    `an.basis(k)`, as `an.hessian(k, k)` returns them; call that instead."""
     return an.hessian(k, k)
 
 
 def mixed_hessian(an: Analysis, k: int, l: int) -> Matrix:
     """Mixed Hessian (a_i b_j (f)) over the greedy bases (a_i) of A_k, (b_j) of A_l.
 
-    Its entries have degree d-k-l.  Evaluated at the coefficients of a linear
-    form L, its rank is the rank of multiplication by L^(d-k-l) from A_k to
-    A_(d-l) (Maeno-Watanabe); l = k gives the pure order-k Hessian.  The
-    matrix for (l, k) is the transpose of the one for (k, l).
+    The compute body of `an.hessian(k, l)`, which keeps the matrix; call
+    that instead.  Its entries have degree d-k-l.  Evaluated at the
+    coefficients of a linear form L, its rank is the rank of multiplication
+    by L^(d-k-l) from A_k to A_(d-l) (Maeno-Watanabe); l = k gives the pure
+    order-k Hessian.  The matrix for (l, k) is the transpose of the one for
+    (k, l).
     """
     d = an.f.degree
     if k < 0 or l < 0 or k + l > d:
@@ -190,12 +194,6 @@ def _mirrored(uppers: Iterable[list[Poly]]) -> Matrix:
     return tuple(map(tuple, out))
 
 
-def _checked_degree(f: Poly, k: int) -> None:
-    d = f.degree
-    if not 0 <= k <= d // 2:
-        raise DegreeRangeError(f"k={k} out of range 0..{d // 2}")
-
-
 def hessian_vanishes(an: Analysis, k: int) -> VanishingVerdict:
     """Decide whether the order-k Hessian determinant vanishes identically.
 
@@ -203,10 +201,11 @@ def hessian_vanishes(an: Analysis, k: int) -> VanishingVerdict:
     is decided by it: exact vanishing in either mode, with no Hessian
     assembled.  Otherwise the decision evaluates the kernel the Analysis
     compiled at the Analysis's seed and, in exact mode where every value is
-    zero, eliminates.  `Analysis.verdict` keeps the result; this function
-    decides afresh on every call, though the key search itself is memoized.
+    zero, eliminates.  The compute body of `an.verdict(k)`, which keeps the
+    result; call that instead.  This function decides afresh on every call,
+    though the key search itself is memoized.  An order outside 0..d/2 is
+    refused by the key search (split forms, k >= 1) or by `mixed_hessian`.
     """
-    _checked_degree(an.f, k)  # before the key search, which allows 1..d/2
     if k >= 1 and an.f.vars.has_split:
         cert = an.key(k)
         if cert is not None:

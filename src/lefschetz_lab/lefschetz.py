@@ -25,6 +25,9 @@ u-subring certificates (vanishing Hessian, never-injective map) come from one
 scan over the form's memoized derivatives; their verifiers replay each claim
 with `diff_apply` on f, independently of that scan, in one shared loop
 (`_replays`) to which each adds its own per-operator claim and bound.
+`_u_subring_ops`, `key_criterion` and `wlp_obstruction` are the compute
+bodies of `an.u_subring(k)`, `an.key(k)` and `an.obstruction(k)`; called
+directly, they bypass the memo and `counts()`.
 """
 
 from __future__ import annotations
@@ -372,7 +375,8 @@ def key_criterion(an: Analysis, k: int) -> Optional[KeyCertificate]:
     Keeps a maximal independent set of the degree-k monomial operators with
     at least one x-factor that send f into the u-subring, and returns a
     certificate exactly when it outnumbers the degree-k monomials of the
-    u-subring.  `Analysis.key` keeps the result.
+    u-subring.  The compute body of `an.key(k)`, which keeps the result;
+    call that instead.
     """
     vs = an.f.vars
     if not vs.has_split:
@@ -457,7 +461,8 @@ def wlp_obstruction(an: Analysis, k: int) -> Optional[ObstructionCertificate]:
     distinct monomials cannot cancel there.  So the search is the key
     criterion's, pure-u operators included.  Nothing is returned when
     deg(f) <= 2k (the image degree gives no room) or when the independent
-    count stays within the bound.  `Analysis.obstruction` keeps the result.
+    count stays within the bound.  The compute body of `an.obstruction(k)`,
+    which keeps the result; call that instead.
     """
     vs = an.f.vars
     if not vs.has_split:

@@ -7,7 +7,8 @@ upper-cased, so ``x0 -> X0``, ``u1 -> U1``); `diff_apply` lets an operator act
 by plain partial differentiation, position by position.  `IntMatrix`
 compiles a matrix of polynomials once for evaluation at integer points: the
 one evaluation kernel behind the Hessian determinant decisions and the
-Lefschetz ranks (`eval_poly` is the rational reference).
+Lefschetz ranks (`eval_poly`, which no production path calls, is the tests'
+rational reference for it).
 
 Conventions baked in here and relied on everywhere else:
 
@@ -413,7 +414,11 @@ class Derivatives(dict):
 
 
 def eval_poly(f: Poly, point: Sequence[Scalar]) -> Fraction:
-    """Exact value of f at a rational point."""
+    """Exact value of f at a rational point.
+
+    No production path evaluates a polynomial by itself: this is the tests'
+    rational reference for `IntMatrix`, which every Hessian evaluation uses.
+    """
     if len(point) != len(f.vars):
         raise ValueError(
             f"point has {len(point)} coordinates, expected {len(f.vars)}"

@@ -294,7 +294,7 @@ class TestReproduce:
     def test_unknown_suite(self, capsys):
         code, _, err = run(["reproduce", "--suite", "mystery"], capsys)
         assert code == 2
-        assert "unknown suite" in err
+        assert err == "error: unknown suite 'mystery'; available: paper\n"
 
     def test_paper_suite_passes(self, capsys, tmp_path):
         path = tmp_path / "suite.json"

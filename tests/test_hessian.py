@@ -106,6 +106,29 @@ class TestHessianMatrix:
             hessian_matrix(prob(IKEDA), 3)
 
 
+ORDER_ROUTES = {
+    "verdict": lambda an, k: an.verdict(k),
+    "hessian": lambda an, k: an.hessian(k, k),
+    "hessian_vanishes": hessian_vanishes,
+}
+
+
+class TestOrderRange:
+    """An order outside 0..d/2 is refused on every route, split or not, in
+    either mode, before anything is computed or kept."""
+
+    @pytest.mark.parametrize("route", ORDER_ROUTES)
+    @pytest.mark.parametrize("form", [IKEDA, unsplit(IKEDA)], ids=["split", "unsplit"])
+    @pytest.mark.parametrize("analysis", [prob, exact])
+    @pytest.mark.parametrize("k", [-1, IKEDA.degree // 2 + 1])
+    def test_refused_without_trace(self, route, form, analysis, k):
+        an = analysis(form)
+        before = an.counts()
+        with pytest.raises(DegreeRangeError):
+            ORDER_ROUTES[route](an, k)
+        assert an.counts() == before
+
+
 class TestVanishing:
     def test_perazzo(self):
         assert hessian_vanishes(prob(PERAZZO), 1).vanishes
