@@ -17,7 +17,6 @@ read.  `ak_basis` and `hilbert_vector` are the compute bodies of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -29,7 +28,6 @@ if TYPE_CHECKING:
     from .analysis import Analysis
 
 
-@dataclass(frozen=True)
 class AkBasis:
     """The greedy monomial basis of A_k and the span of its derivatives.
 
@@ -40,13 +38,31 @@ class AkBasis:
     whose derivatives were reduced to find the basis.  `span`, whose t-th
     vector is the derivative of `expos[t]`, selected the basis; coordinates
     in the basis (a cone's witness, the columns of an explicit
-    multiplication matrix) are solved against it.
+    multiplication matrix) are solved against it.  Equality, hash and repr
+    leave `span` out.
     """
 
-    k: int
-    expos: tuple[Monomial, ...]
-    candidates: int
-    span: linalg.SparseSpan = field(compare=False, repr=False)
+    __slots__ = ("k", "expos", "candidates", "span")
+
+    def __init__(self, k: int, expos: tuple[Monomial, ...], candidates: int, span: linalg.SparseSpan):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "expos", expos)
+        object.__setattr__(self, "candidates", candidates)
+        object.__setattr__(self, "span", span)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("AkBasis is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not AkBasis:
+            return NotImplemented
+        return (self.k, self.expos, self.candidates) == (other.k, other.expos, other.candidates)
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.expos, self.candidates))
+
+    def __repr__(self) -> str:
+        return f"AkBasis(k={self.k!r}, expos={self.expos!r}, candidates={self.candidates!r})"
 
     def __len__(self) -> int:
         return len(self.expos)
@@ -105,20 +121,33 @@ def ak_basis(an: Analysis, k: int) -> AkBasis:
     return AkBasis(k, tuple(expos), len(candidates), span)
 
 
-@dataclass(frozen=True)
 class HilbertVector:
     """Dimensions (h_0, ..., h_d) of the graded quotient attached to f."""
 
-    dims: tuple[int, ...]
+    __slots__ = ("dims",)
 
-    def __post_init__(self) -> None:
-        dims = self.dims
+    def __init__(self, dims: tuple[int, ...]):
         if not dims or dims[0] != 1 or dims[-1] != 1:
             raise ValueError(f"not a valid Hilbert vector: {dims}")
         if any(h <= 0 for h in dims):
             raise ValueError(f"nonpositive entry in Hilbert vector: {dims}")
         if any(dims[i] != dims[-1 - i] for i in range(len(dims))):
             raise ValueError(f"Hilbert vector is not symmetric: {dims}")
+        object.__setattr__(self, "dims", dims)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("HilbertVector is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not HilbertVector:
+            return NotImplemented
+        return self.dims == other.dims
+
+    def __hash__(self) -> int:
+        return hash((self.dims,))
+
+    def __repr__(self) -> str:
+        return f"HilbertVector(dims={self.dims!r})"
 
     def __len__(self) -> int:
         return len(self.dims)

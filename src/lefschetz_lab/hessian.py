@@ -46,12 +46,10 @@ directly, the compute bodies bypass the memo and `counts()`.
 
 from __future__ import annotations
 
-import hashlib
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from functools import lru_cache
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from . import linalg
 from .errors import DegreeRangeError
@@ -77,7 +75,6 @@ def _decimal(x: Fraction) -> Optional[str]:
         return None
 
 
-@dataclass(frozen=True)
 class VanishingVerdict:
     """Outcome of a determinant-vanishing decision.
 
@@ -99,41 +96,87 @@ class VanishingVerdict:
     elimination transcript (exact), or, for the evaluation route alone, the
     compounded failure bound (probabilistic).  `eliminated` records whether
     polynomial elimination ran; it is not part of the serialized verdict.
+    `kernel`, the compiled matrix that gives the exact value at the witness
+    point on demand when the decision did not keep it (`known_value`), is
+    left out of equality, hash and repr.
     """
 
-    vanishes: bool
-    mode: str  # "exact" | "probabilistic"
-    witness_point: Optional[tuple[int, ...]] = None
-    prime: Optional[int] = None
-    residue: Optional[int] = None
-    error_bound: Optional[Fraction] = None
-    transcript_hash: Optional[str] = None
-    certificate: Optional[KeyCertificate] = None
-    eliminated: bool = False
-    # the exact value when the decision computed it, else the compiled matrix
-    # that gives it at the witness point on demand
-    known_value: Optional[Fraction] = None
-    kernel: Optional[IntMatrix] = field(default=None, repr=False, compare=False)
+    __slots__ = (
+        "vanishes", "mode", "witness_point", "prime", "residue", "error_bound",
+        "transcript_hash", "certificate", "eliminated", "known_value", "kernel", "_det_value",
+    )
 
-    def __post_init__(self) -> None:
-        if not self.vanishes and self.witness_point is None:
+    def __init__(
+        self,
+        vanishes: bool,
+        mode: str,  # "exact" | "probabilistic"
+        witness_point: Optional[tuple[int, ...]] = None,
+        prime: Optional[int] = None,
+        residue: Optional[int] = None,
+        error_bound: Optional[Fraction] = None,
+        transcript_hash: Optional[str] = None,
+        certificate: Optional[KeyCertificate] = None,
+        eliminated: bool = False,
+        known_value: Optional[Fraction] = None,
+        kernel: Optional[IntMatrix] = None,
+    ):
+        if not vanishes and witness_point is None:
             raise ValueError("nonvanishing verdict requires a witness point")
-        if not self.vanishes and self.known_value is None and (
-            not self.residue or self.kernel is None
-        ):
+        if not vanishes and known_value is None and (not residue or kernel is None):
             raise ValueError("nonvanishing verdict requires a nonzero residue or its value")
-        if self.mode == "exact" and self.error_bound is not None:
+        if mode == "exact" and error_bound is not None:
             raise ValueError("exact verdicts carry no error bound")
-        if self.certificate is not None and not (self.vanishes and self.mode == "exact"):
+        if certificate is not None and not (vanishes and mode == "exact"):
             raise ValueError("a key certificate proves exact vanishing only")
+        setter = object.__setattr__
+        setter(self, "vanishes", vanishes)
+        setter(self, "mode", mode)
+        setter(self, "witness_point", witness_point)
+        setter(self, "prime", prime)
+        setter(self, "residue", residue)
+        setter(self, "error_bound", error_bound)
+        setter(self, "transcript_hash", transcript_hash)
+        setter(self, "certificate", certificate)
+        setter(self, "eliminated", eliminated)
+        setter(self, "known_value", known_value)
+        setter(self, "kernel", kernel)
+        setter(self, "_det_value", None)  # computed from the kernel on first access
 
-    @cached_property
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("VanishingVerdict is immutable")
+
+    def _key(self) -> tuple:
+        return (
+            self.vanishes, self.mode, self.witness_point, self.prime, self.residue, self.error_bound,
+            self.transcript_hash, self.certificate, self.eliminated, self.known_value,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not VanishingVerdict:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"VanishingVerdict(vanishes={self.vanishes!r}, mode={self.mode!r}, "
+            f"witness_point={self.witness_point!r}, prime={self.prime!r}, residue={self.residue!r}, "
+            f"error_bound={self.error_bound!r}, transcript_hash={self.transcript_hash!r}, "
+            f"certificate={self.certificate!r}, eliminated={self.eliminated!r}, "
+            f"known_value={self.known_value!r})"
+        )
+
+    @property
     def det_value(self) -> Optional[Fraction]:
         """det H(witness_point) over Q; None for a vanishing verdict."""
         if self.known_value is not None or self.kernel is None:
             return self.known_value
-        matrix = self.kernel.at(self.witness_point)
-        return Fraction(linalg.det_int(matrix), self.kernel.scale)
+        if self._det_value is None:
+            matrix = self.kernel.at(self.witness_point)
+            object.__setattr__(self, "_det_value", Fraction(linalg.det_int(matrix), self.kernel.scale))
+        return self._det_value
 
     def to_json_dict(self) -> dict:
         out: dict = {"vanishes": self.vanishes, "mode": self.mode}
@@ -173,15 +216,18 @@ def mixed_hessian(an: Analysis, k: int, l: int) -> Matrix:
     order-k Hessian.  The matrix for (l, k) is the transpose of the one for
     (k, l).
     """
-    d = an.f.degree
-    if k < 0 or l < 0 or k + l > d:
-        raise DegreeRangeError(f"orders ({k}, {l}) out of range for d={d}")
+    _require_orders(an.f.degree, k, l)
     derivatives = an.derivatives
     rows = an.basis(k).expos
     if l != k:
         cols = an.basis(l).expos
         return tuple(tuple([derivatives[mono_mul(a, b)] for b in cols]) for a in rows)
     return _mirrored([derivatives[mono_mul(a, b)] for b in rows[i:]] for i, a in enumerate(rows))
+
+
+def _require_orders(d: int, k: int, l: int) -> None:
+    if k < 0 or l < 0 or k + l > d:
+        raise DegreeRangeError(f"orders ({k}, {l}) out of range for d={d}")
 
 
 def _mirrored(uppers: Iterable[list[Poly]]) -> Matrix:
@@ -204,8 +250,10 @@ def hessian_vanishes(an: Analysis, k: int) -> VanishingVerdict:
     zero, eliminates.  The compute body of `an.verdict(k)`, which keeps the
     result; call that instead.  This function decides afresh on every call,
     though the key search itself is memoized.  An order outside 0..d/2 is
-    refused by the key search (split forms, k >= 1) or by `mixed_hessian`.
+    refused before the key search, in `mixed_hessian`'s words, so a split
+    form and the same form without its split give the same error.
     """
+    _require_orders(an.f.degree, k, k)
     if k >= 1 and an.f.vars.has_split:
         cert = an.key(k)
         if cert is not None:
@@ -250,8 +298,7 @@ def hess_profile(an: Analysis, *, max_k: Optional[int] = None) -> list[Vanishing
     return [an.verdict(k) for k in range(top + 1)]
 
 
-@dataclass(frozen=True)
-class ConeReport:
+class ConeReport(NamedTuple):
     """Linear-dependence test on the first partial derivatives."""
 
     is_cone: bool
@@ -427,6 +474,10 @@ def _exact_verdict(
 
 
 def _hash_transcript(lines: Sequence[str]) -> str:
+    # only elimination and the constant-matrix route hash a transcript, so the
+    # import (OpenSSL) is paid by the runs that take them
+    import hashlib
+
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 

@@ -33,10 +33,9 @@ directly, they bypass the memo and `counts()`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from . import linalg
 from .apolar import HilbertVector, first_dip, is_unimodal
@@ -50,15 +49,29 @@ GENERIC_TRIALS = 12
 RANK_PRIME = 2**61 - 1
 
 
-@dataclass(frozen=True)
 class LinearForm:
     """A degree-1 element a_0 X_0 + ... + a_N X_N, given by its coefficients."""
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        if not any(self.coeffs):
+    def __init__(self, coeffs: tuple[Fraction, ...]):
+        if not any(coeffs):
             raise ValueError("linear form must be nonzero")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("LinearForm is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not LinearForm:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __repr__(self) -> str:
+        return f"LinearForm(coeffs={self.coeffs!r})"
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence[Scalar]) -> "LinearForm":
@@ -100,8 +113,7 @@ def mult_map(an: Analysis, L: LinearForm, i: int, k: int) -> list[list[Fraction]
     return [list(row) for row in zip(*columns)]
 
 
-@dataclass(frozen=True)
-class LevelCheck:
+class LevelCheck(NamedTuple):
     """One rank check `L^step : A_i -> A_{i+step}` against its maximum."""
 
     i: int
@@ -167,8 +179,7 @@ def wlp_check_element(an: Analysis, L: LinearForm) -> tuple[bool, list[LevelChec
     return all(c.maximal for c in checks), checks
 
 
-@dataclass(frozen=True)
-class LefschetzReport:
+class LefschetzReport(NamedTuple):
     """Verdict on a Lefschetz property, with replayable evidence."""
 
     property: str  # "SLP" | "WLP"
@@ -307,8 +318,7 @@ def wlp_generic(an: Analysis) -> LefschetzReport:
 # -- structural certificates --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KeyCertificate:
+class KeyCertificate(NamedTuple):
     """Witness that the order-k Hessian vanishes identically.
 
     `ops` are monomial operators outside the pure u-subring, independent
@@ -419,8 +429,7 @@ def verify_key_certificate(f: Poly, cert: KeyCertificate) -> bool:
     return _replays(f, cert, claim) and cert.s > cert.bound == comb(len(cert.u_names) + cert.k - 1, cert.k)
 
 
-@dataclass(frozen=True)
-class ObstructionCertificate:
+class ObstructionCertificate(NamedTuple):
     """Witness that `L : A_k -> A_{k+1}` is injective for no L at all.
 
     The listed operators are independent modulo the annihilator, and every

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, lcm, perm, prod
@@ -50,7 +49,6 @@ Scalar = Union[int, Fraction]
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
-@dataclass(frozen=True)
 class VariableSet:
     """Ordered variable names, optionally split into an x-block and a u-block.
 
@@ -60,19 +58,38 @@ class VariableSet:
     family generators).
     """
 
-    names: tuple[str, ...]
-    n_x: Optional[int] = None
+    __slots__ = ("names", "n_x", "_hash")
 
-    def __post_init__(self) -> None:
-        if not self.names:
+    def __init__(self, names: tuple[str, ...], n_x: Optional[int] = None):
+        if not names:
             raise ValueError("variable set must not be empty")
-        for name in self.names:
+        for name in names:
             if not _IDENT_RE.fullmatch(name):
                 raise ValueError(f"invalid variable name {name!r}")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise ValueError("variable names must be distinct")
-        if self.n_x is not None and not 0 < self.n_x < len(self.names):
+        if n_x is not None and not 0 < n_x < len(names):
             raise ValueError("split must leave both blocks nonempty")
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "n_x", n_x)
+        object.__setattr__(self, "_hash", hash((names, n_x)))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("VariableSet is immutable")
+
+    # `Poly` arithmetic compares the operands' variable sets on every call
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not VariableSet:
+            return NotImplemented
+        return self.names == other.names and self.n_x == other.n_x
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"VariableSet(names={self.names!r}, n_x={self.n_x!r})"
 
     def __len__(self) -> int:
         return len(self.names)

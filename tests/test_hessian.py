@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import sys
 import warnings
@@ -127,6 +126,17 @@ class TestOrderRange:
         with pytest.raises(DegreeRangeError):
             ORDER_ROUTES[route](an, k)
         assert an.counts() == before
+
+    @pytest.mark.parametrize("route", ORDER_ROUTES)
+    @pytest.mark.parametrize("form", [IKEDA, unsplit(IKEDA)], ids=["split", "unsplit"])
+    @pytest.mark.parametrize("k", [-1, IKEDA.degree // 2 + 1])
+    def test_split_does_not_change_the_message(self, route, form, k):
+        """The order is refused before the key search, so a split form is
+        refused in the same words as the form without its split."""
+        message = f"orders ({k}, {k}) out of range for d={IKEDA.degree}"
+        with pytest.raises(DegreeRangeError) as info:
+            ORDER_ROUTES[route](prob(form), k)
+        assert str(info.value) == message
 
 
 class TestVanishing:
@@ -376,7 +386,7 @@ SMALL_SPLIT_FAMILIES = {
 
 
 def forged(cert, **changes):
-    return dataclasses.replace(cert, **changes)
+    return cert._replace(**changes)
 
 
 class TestCertificateRoute:

@@ -16,7 +16,8 @@ import lefschetz_lab
 ROOT = Path(__file__).resolve().parents[1]
 
 # Run the package as `python -m lefschetz_lab ARGS...` does, then print the
-# package modules it loaded as the last line of stdout.
+# package modules it loaded, and which of three costly stdlib modules, as the
+# last line of stdout.
 RUN_MAIN = """
 import json, runpy, sys
 sys.argv = ["lefschetz-lab", *sys.argv[1:]]
@@ -24,7 +25,11 @@ try:
     runpy.run_module("lefschetz_lab", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print(json.dumps({"code": code, "modules": sorted(m for m in sys.modules if m.startswith("lefschetz_lab"))}))
+print(json.dumps({
+    "code": code,
+    "modules": sorted(m for m in sys.modules if m.startswith("lefschetz_lab")),
+    "stdlib": sorted(m for m in ("dataclasses", "hashlib", "inspect") if m in sys.modules),
+}))
 """
 
 
@@ -37,6 +42,9 @@ def child(*argv):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+IKEDA_TEXT = "x0*u1^3*u2 + x1*u1*u2^3 + x0^3*x1^2"
+
+
 class TestImportGraph:
     def test_analyze_loads_no_families_or_suite(self, tmp_path):
         path = tmp_path / "ikeda.txt"
@@ -46,6 +54,23 @@ class TestImportGraph:
         assert "lefschetz_lab.analysis" in out["modules"]
         assert "lefschetz_lab.families" not in out["modules"]
         assert "lefschetz_lab.reproduce" not in out["modules"]
+
+    def test_analyze_loads_no_dataclasses_or_hashlib(self):
+        out = child("-c", RUN_MAIN, "analyze", "--poly", IKEDA_TEXT, "--vars", "x0,x1,u1,u2", "--split", "2")
+        assert out["code"] == 0
+        assert out["stdlib"] == []
+
+    def test_elimination_loads_hashlib_on_demand(self, tmp_path):
+        """Split-free, the order-2 Hessian of ikeda has no key certificate,
+        so exact mode eliminates it and hashes the transcript."""
+        path = tmp_path / "report.json"
+        out = child("-c", RUN_MAIN, "analyze", "--poly", IKEDA_TEXT, "--vars", "x0,x1,u1,u2",
+                    "--mode", "exact", "--json", str(path))
+        assert out["code"] == 0
+        assert out["stdlib"] == ["hashlib"]
+        report = json.loads(path.read_text())
+        assert report["counts"]["eliminations"] == 1
+        assert len(report["hess_profile"][2]["transcript_hash"]) == 64
 
     def test_generate_loads_no_suite(self, tmp_path):
         path = tmp_path / "wlpodd.json"

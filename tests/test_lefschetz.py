@@ -301,9 +301,7 @@ class TestKeyCriterion:
 
     def test_tampered_certificate_rejected(self):
         cert = key_criterion(prob(IKEDA), 2)
-        from dataclasses import replace
-
-        bad = replace(cert, bound=cert.s)
+        bad = cert._replace(bound=cert.s)
         assert not verify_key_certificate(IKEDA, bad)
 
 
