@@ -1,8 +1,9 @@
 """Command-line front end: analyze a form, generate a family, run the suite.
 
-Exit codes: 0 success, 1 suite fixtures failed, 2 usage or validation error,
-3 an undetermined SLP or WLP verdict under --strict.  The LEFSCHETZ_LAB_SEED
-environment variable supplies the default seed.
+Exit codes: 0 success, 1 suite fixtures failed, 2 usage or validation error
+or out of memory, 3 an undetermined SLP or WLP verdict under --strict.  The
+LEFSCHETZ_LAB_SEED environment variable supplies the default seed.  Each
+command imports its modules when it runs, so --version and --help load none.
 """
 
 from __future__ import annotations
@@ -12,15 +13,13 @@ import json
 import os
 import sys
 import time
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import __version__
-from .analysis import Analysis
-from .apolar import is_unimodal
 from .errors import LefschetzLabError
-from .hessian import hess_profile, is_cone
-from .lefschetz import slp_generic, wlp_generic
-from .polycore import VariableSet, parse_poly
+
+if TYPE_CHECKING:
+    from .polycore import VariableSet
 
 USAGE_ERROR = 2
 STRICT_UNDETERMINED = 3
@@ -93,6 +92,8 @@ def _write_json(path: str, data) -> None:
 
 
 def _load_input(args) -> tuple[str, VariableSet]:
+    from .polycore import VariableSet
+
     if args.infile:
         with open(args.infile, "r", encoding="utf-8") as fh:
             text = fh.read().strip()
@@ -122,6 +123,12 @@ def _load_input(args) -> tuple[str, VariableSet]:
 
 
 def cmd_analyze(args) -> int:
+    from .analysis import Analysis
+    from .apolar import is_unimodal
+    from .hessian import hess_profile, is_cone
+    from .lefschetz import slp_generic, wlp_generic
+    from .polycore import parse_poly
+
     mode = _long_mode(args.mode)
     poly_text, vs = _load_input(args)
     f = parse_poly(poly_text, vs)
@@ -252,6 +259,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return cmd_reproduce(args)
     except (LefschetzLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except MemoryError:
+        print("error: out of memory; the input is too large for this machine", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -28,10 +28,8 @@ parameters (also the CLI flags) and the tail overrides it accepts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from math import comb
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .analysis import Analysis
 from .apolar import is_unimodal
@@ -56,23 +54,51 @@ from .polycore import (
     poly_sum,
 )
 
-@dataclass(frozen=True)
+
 class FamilySpec:
     """Which family, with which parameters, and the seed for verification.
 
     `overrides` records the text form of any explicitly supplied tail
-    polynomials, so serialized specs describe the instance completely.
+    polynomials, so serialized specs describe the instance completely; it
+    defaults to a new empty dict.  Equality and hash ignore the dicts' key
+    order.  `_asdict` and `_replace` work as on a NamedTuple.
     """
 
-    kind: str
-    params: dict
-    seed: int = 0
-    overrides: dict = field(default_factory=dict)
+    __slots__ = ("kind", "params", "seed", "overrides")
+
+    def __init__(self, kind: str, params: dict, seed: int = 0, overrides: Optional[dict] = None):
+        setter = object.__setattr__
+        setter(self, "kind", kind)
+        setter(self, "params", params)
+        setter(self, "seed", seed)
+        setter(self, "overrides", {} if overrides is None else overrides)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("FamilySpec is immutable")
+
+    def _asdict(self) -> dict:
+        return {"kind": self.kind, "params": self.params, "seed": self.seed, "overrides": self.overrides}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not FamilySpec:
+            return NotImplemented
+        return self._asdict() == other._asdict()
 
     def __hash__(self) -> int:
         # consistent with ==, which ignores the dicts' key order
         return hash((self.kind, tuple(sorted(self.params.items())), self.seed,
                      tuple(sorted(self.overrides.items()))))
+
+    def __repr__(self) -> str:
+        return (f"FamilySpec(kind={self.kind!r}, params={self.params!r}, "
+                f"seed={self.seed!r}, overrides={self.overrides!r})")
+
+    def _replace(self, **changes) -> FamilySpec:
+        return FamilySpec(**{**self._asdict(), **changes})
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through __init__: restoring the slots would call __setattr__
+        return FamilySpec, (self.kind, self.params, self.seed, self.overrides)
 
     def to_json_dict(self) -> dict:
         out = {"kind": self.kind, "params": dict(self.params), "seed": self.seed}
@@ -85,8 +111,7 @@ def _override_texts(**named: Optional[Poly]) -> dict:
     return {name: poly.to_text() for name, poly in named.items() if poly is not None}
 
 
-@dataclass(frozen=True)
-class Manifest:
+class Manifest(NamedTuple):
     """Expected properties of an instance; every claim is machine-checkable."""
 
     hess_pattern: tuple[tuple[int, bool], ...] = ()  # (order, vanishes)
@@ -121,16 +146,54 @@ class Manifest:
         return out
 
 
-@dataclass(frozen=True)
 class FamilyInstance:
-    f: Poly
-    spec: FamilySpec
-    manifest: Manifest
+    """A generated form with the spec that rebuilds it and its manifest.
 
-    @cached_property
+    `analysis` is built on first use and kept in a slot.  It is left out of
+    equality, hash and repr.  `_asdict` and `_replace` work as on a
+    NamedTuple, and a copy, by `_replace` or `copy.copy`, builds its own
+    Analysis.
+    """
+
+    __slots__ = ("f", "spec", "manifest", "_analysis")
+
+    def __init__(self, f: Poly, spec: FamilySpec, manifest: Manifest):
+        setter = object.__setattr__
+        setter(self, "f", f)
+        setter(self, "spec", spec)
+        setter(self, "manifest", manifest)
+        setter(self, "_analysis", None)  # built on first access
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("FamilyInstance is immutable")
+
+    def _asdict(self) -> dict:
+        return {"f": self.f, "spec": self.spec, "manifest": self.manifest}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not FamilyInstance:
+            return NotImplemented
+        return self._asdict() == other._asdict()
+
+    def __hash__(self) -> int:
+        return hash((self.f, self.spec, self.manifest))
+
+    def __repr__(self) -> str:
+        return f"FamilyInstance(f={self.f!r}, spec={self.spec!r}, manifest={self.manifest!r})"
+
+    def _replace(self, **changes) -> FamilyInstance:
+        return FamilyInstance(**{**self._asdict(), **changes})
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through __init__, without the Analysis
+        return FamilyInstance, (self.f, self.spec, self.manifest)
+
+    @property
     def analysis(self) -> Analysis:
         """The probabilistic Analysis of f at the spec's seed, built on first use."""
-        return Analysis(self.f, "probabilistic", self.spec.seed)
+        if self._analysis is None:
+            object.__setattr__(self, "_analysis", Analysis(self.f, "probabilistic", self.spec.seed))
+        return self._analysis
 
     def to_json_dict(self) -> dict:
         vs = self.f.vars
@@ -853,8 +916,7 @@ def _decided(report: LefschetzReport) -> str:
 # -- the family table -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One family as `generate` and the CLI see it.
 
     `params` are the generator's parameter names, in its order; lower-cased

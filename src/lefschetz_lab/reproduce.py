@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import linalg
 from .analysis import Analysis
@@ -52,22 +51,19 @@ from .polycore import (
 )
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
+class SuiteConfig(NamedTuple):
     seed: int = 0
     mode: str = "probabilistic"
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     fixture_id: str
     criterion: int
     description: str
     run: Callable[[SuiteConfig], tuple[bool, str]]
 
 
-@dataclass(frozen=True)
-class FixtureOutcome:
+class FixtureOutcome(NamedTuple):
     fixture_id: str
     criterion: int
     passed: bool

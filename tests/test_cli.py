@@ -3,7 +3,6 @@ from math import comb
 
 import pytest
 
-import lefschetz_lab.cli as cli
 import lefschetz_lab.hessian as hessian
 from lefschetz_lab.cli import main
 
@@ -63,7 +62,6 @@ class TestAnalyze:
             calls.append(an)
             return is_cone(an)
 
-        monkeypatch.setattr(cli, "is_cone", counted)
         monkeypatch.setattr(hessian, "is_cone", counted)
         code, _, err = run(["analyze", "--poly", "x^3 + y^3", "--vars", "x,y,z"], capsys)
         assert code == 0 and err.startswith("warning:")
@@ -158,6 +156,24 @@ class TestHostileInput:
         profile = json.loads(path.read_text())["hess_profile"]
         assert all(("det_value" in v) != ("residue" in v) for v in profile)
         assert any("residue" in v for v in profile)
+
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--poly", "x^3 + y^3", "--vars", "x,y"],
+        ["generate", "--family", "wlpodd", "--n", "4", "--d", "5"],
+    ], ids=["analyze", "generate"])
+    def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch, command):
+        """Huge input runs out of memory in the basis spans; the patch raises
+        MemoryError there, as a real exhaustion does, without using memory."""
+        from lefschetz_lab.linalg import SparseSpan
+
+        def exhausted(self, vec):
+            raise MemoryError
+
+        monkeypatch.setattr(SparseSpan, "try_add", exhausted)
+        code, out, err = run(command, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: out of memory; the input is too large for this machine\n"
 
 
 class TestGenerate:
@@ -323,7 +339,7 @@ class TestSeedEnvFallback:
 
 class TestStrict:
     def test_exit_three_on_undetermined(self, capsys, monkeypatch):
-        import lefschetz_lab.cli as cli_mod
+        import lefschetz_lab.lefschetz as lefschetz_mod
         from lefschetz_lab.apolar import hilbert_vector
         from lefschetz_lab.lefschetz import LefschetzReport
         from lefschetz_lab.polycore import VariableSet, parse_poly
@@ -332,7 +348,7 @@ class TestStrict:
             hv = hilbert_vector(f)
             return LefschetzReport("WLP", "undetermined", hv, True)
 
-        monkeypatch.setattr(cli_mod, "wlp_generic", fake_wlp)
+        monkeypatch.setattr(lefschetz_mod, "wlp_generic", fake_wlp)
         code, out, _ = run(
             ["analyze", "--poly", "x^3+y^3", "--vars", "x,y", "--strict"], capsys
         )

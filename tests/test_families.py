@@ -1,6 +1,5 @@
 import inspect
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -89,7 +88,7 @@ def test_exact_replay_needs_exact_hessian_verdicts(monkeypatch):
 def test_replay_reads_dim_a1_from_the_basis():
     inst = gen_gnp(2, None, 1, 2, "maximal")
     got = inst.manifest.dim_a1
-    wrong = replace(inst, manifest=replace(inst.manifest, dim_a1=got + 1))
+    wrong = inst._replace(manifest=inst.manifest._replace(dim_a1=got + 1))
     results = {name: (ok, detail) for name, ok, detail in replay_manifest(wrong)}
     assert results["dim_a1"] == (False, f"{got} vs {got + 1}")
 
@@ -160,7 +159,7 @@ class TestCarriedAnalysis:
 
     def test_replay_of_another_form_builds_its_own(self, monkeypatch):
         inst = gen_wlpodd(4, 5)
-        other = replace(inst, f=gen_wlpodd(6, 5).f)
+        other = inst._replace(f=gen_wlpodd(6, 5).f)
         built = count_analyses(monkeypatch)
         results = {name: ok for name, ok, _ in replay_manifest(other)}
         assert built == ["probabilistic"]
@@ -176,6 +175,13 @@ class TestCarriedAnalysis:
         assert bare.to_json_dict() == inst.to_json_dict()
         assert "analysis" not in inst.to_json_dict()
 
+    def test_copy_builds_its_own(self):
+        inst = gen_wlpodd(4, 5)
+        copy = inst._replace()
+        assert copy == inst and hash(copy) == hash(inst)
+        assert copy.analysis is not inst.analysis
+        assert copy.analysis.f == inst.f
+
     def test_instance_without_analysis_replays(self, monkeypatch):
         inst = gen_wlpodd(4, 5)
         built = count_analyses(monkeypatch)
@@ -184,7 +190,7 @@ class TestCarriedAnalysis:
 
     def test_analysis_is_at_the_spec_seed(self):
         inst = gen_wlpodd(4, 5)
-        reseeded = replace(inst, spec=replace(inst.spec, seed=3))
+        reseeded = inst._replace(spec=inst.spec._replace(seed=3))
         an = reseeded.analysis
         assert (an.f, an.mode, an.seed) == (inst.f, "probabilistic", 3)
 
@@ -525,7 +531,7 @@ class TestVerified:
     def test_altered_claim_raises(self, build, change, message):
         inst = build()
         assert _verified(inst, "test") is inst
-        altered = replace(inst, manifest=replace(inst.manifest, **change))
+        altered = inst._replace(manifest=inst.manifest._replace(**change))
         with pytest.raises(DegenerateInstanceError, match=message):
             _verified(altered, "test")
         results = replay_manifest(altered)

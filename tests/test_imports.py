@@ -79,6 +79,28 @@ class TestImportGraph:
         assert "lefschetz_lab.families" in out["modules"]
         assert "lefschetz_lab.reproduce" not in out["modules"]
 
+    @pytest.mark.parametrize("argv", [
+        ("generate", "--family", "thmwlp", "--n", "6", "--d", "8"),
+        ("reproduce", "--mode", "exact"),
+    ], ids=["generate", "reproduce-exact"])
+    def test_generate_and_reproduce_load_no_dataclasses_or_inspect(self, argv):
+        """The family and suite records are NamedTuples or slotted classes;
+        exact mode may still load hashlib for an elimination transcript."""
+        out = child("-c", RUN_MAIN, *argv)
+        assert out["code"] == 0
+        assert set(out["stdlib"]) <= {"hashlib"}
+
+    @pytest.mark.parametrize("argv", [("--version",), ("--help",), ("analyze",)],
+                             ids=["version", "help", "usage-error"])
+    def test_cli_without_a_command_loads_no_analysis_module(self, argv):
+        """A command's modules are imported when it runs, so --version,
+        --help and an argparse usage error load none of them."""
+        out = child("-c", RUN_MAIN, *argv)
+        assert out["code"] == (2 if argv == ("analyze",) else 0)
+        assert set(out["modules"]) <= {"lefschetz_lab", "lefschetz_lab.__main__", "lefschetz_lab.cli",
+                                       "lefschetz_lab.errors"}
+        assert out["stdlib"] == []
+
     def test_polycore_loads_only_its_kernels(self):
         script = "import json, sys, lefschetz_lab.polycore; print(json.dumps(sorted(m for m in sys.modules if m.startswith('lefschetz_lab'))))"
         assert child("-c", script) == [

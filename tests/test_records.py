@@ -1,21 +1,29 @@
 """The immutable records with hand-written comparisons: equality and hash
 over the compared fields only, the repr, and no assignment."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 
 from lefschetz_lab.apolar import AkBasis, HilbertVector
+from lefschetz_lab.families import FamilyInstance, FamilySpec, Manifest
 from lefschetz_lab.hessian import VanishingVerdict
 from lefschetz_lab.lefschetz import KeyCertificate, LinearForm
 from lefschetz_lab.linalg import SparseSpan
-from lefschetz_lab.polycore import VariableSet
+from lefschetz_lab.polycore import VariableSet, parse_poly
 
 
 def verdict(**changes):
     fields = dict(vanishes=False, mode="probabilistic", witness_point=(1, 2), prime=7, residue=3,
                   known_value=Fraction(5))
     return VanishingVerdict(**{**fields, **changes})
+
+
+XY = VariableSet(("x", "y"))
+SQUARES = parse_poly("x^2 + y^2", XY)
+SPEC = FamilySpec("thmwlp", {"N": 6, "d": 4}, 0, {"g": "u^4"})
 
 
 # each record: (a record, an equal one, records that differ from it in one compared field each, repr)
@@ -55,6 +63,24 @@ RECORDS = {
         "residue=3, error_bound=None, transcript_hash=None, certificate=None, eliminated=False, "
         "known_value=Fraction(5, 1))",
     ),
+    "FamilySpec": (
+        SPEC,
+        FamilySpec("thmwlp", {"d": 4, "N": 6}, 0, {"g": "u^4"}),  # the dicts' key order is not compared
+        [FamilySpec("wlpodd", {"N": 6, "d": 4}, 0, {"g": "u^4"}), FamilySpec("thmwlp", {"N": 5, "d": 4}, 0, {"g": "u^4"}),
+         FamilySpec("thmwlp", {"N": 6, "d": 4}, 1, {"g": "u^4"}), FamilySpec("thmwlp", {"N": 6, "d": 4})],
+        "FamilySpec(kind='thmwlp', params={'N': 6, 'd': 4}, seed=0, overrides={'g': 'u^4'})",
+    ),
+    "FamilyInstance": (
+        FamilyInstance(SQUARES, SPEC, Manifest()),
+        FamilyInstance(parse_poly("y^2 + x^2", XY), SPEC, Manifest()),
+        [FamilyInstance(parse_poly("x^2 - y^2", XY), SPEC, Manifest()),
+         FamilyInstance(SQUARES, SPEC._replace(seed=1), Manifest()),
+         FamilyInstance(SQUARES, SPEC, Manifest(cone=False))],
+        "FamilyInstance(f=Poly('x^2 + y^2'), spec=FamilySpec(kind='thmwlp', params={'N': 6, 'd': 4}, seed=0, "
+        "overrides={'g': 'u^4'}), manifest=Manifest(hess_pattern=(), hilbert=None, unimodal=None, cone=None, "
+        "dim_a1=None, slp=None, slp_fail_level=None, wlp=None, wlp_fail_level=None, wlp_witness=None, "
+        "key_certificate_orders=(), obstruction_level=None, obstruction_size=None))",
+    ),
 }
 
 
@@ -69,7 +95,7 @@ def test_equality_hash_and_repr(name):
 
 
 FIRST_FIELD = {"VariableSet": "names", "AkBasis": "k", "HilbertVector": "dims", "LinearForm": "coeffs",
-               "VanishingVerdict": "vanishes"}
+               "VanishingVerdict": "vanishes", "FamilySpec": "kind", "FamilyInstance": "f"}
 
 
 @pytest.mark.parametrize("name", RECORDS)
@@ -85,3 +111,28 @@ def test_verdicts_differing_only_in_certificate():
     cert = KeyCertificate(("x",), ("u",), 1, (), 0, ())
     plain = VanishingVerdict(True, "exact", transcript_hash="ab")
     assert VanishingVerdict(True, "exact", transcript_hash="ab", certificate=cert) != plain
+
+
+def test_family_spec_overrides_default_is_not_shared():
+    a, b = FamilySpec("ikeda", {}), FamilySpec("ikeda", {})
+    assert a.overrides == {} and a.overrides is not b.overrides
+
+
+def test_replace_and_asdict():
+    assert SPEC._asdict() == {"kind": "thmwlp", "params": {"N": 6, "d": 4}, "seed": 0, "overrides": {"g": "u^4"}}
+    assert SPEC._replace(seed=1) == FamilySpec("thmwlp", {"N": 6, "d": 4}, 1, {"g": "u^4"})
+    inst = FamilyInstance(SQUARES, SPEC, Manifest())
+    assert inst._asdict() == {"f": SQUARES, "spec": SPEC, "manifest": Manifest()}
+    assert inst._replace(manifest=Manifest(cone=False)) == FamilyInstance(SQUARES, SPEC, Manifest(cone=False))
+    assert inst._replace() == inst and inst._replace() is not inst
+
+
+def test_family_records_copy_and_pickle():
+    """Rebuilt through __init__ as the dataclasses were; a copied instance
+    builds its own Analysis."""
+    for spec in (copy.copy(SPEC), copy.deepcopy(SPEC), pickle.loads(pickle.dumps(SPEC))):
+        assert spec == SPEC and spec is not SPEC
+    inst = FamilyInstance(SQUARES, SPEC, Manifest())
+    built = inst.analysis
+    twin = copy.copy(inst)
+    assert twin == inst and twin.analysis is not built and twin.analysis.f == SQUARES
