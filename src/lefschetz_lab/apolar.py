@@ -22,13 +22,13 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import linalg
 from .errors import DegreeRangeError, ZeroPolynomialError
-from .polycore import Monomial, Poly, diff_apply, mono_basis
+from .polycore import Monomial, Poly, Record, diff_apply, mono_basis
 
 if TYPE_CHECKING:
     from .analysis import Analysis
 
 
-class AkBasis:
+class AkBasis(Record):
     """The greedy monomial basis of A_k and the span of its derivatives.
 
     `expos[i]` is the exponent of the i-th basis element, the monic monomial
@@ -39,30 +39,14 @@ class AkBasis:
     vector is the derivative of `expos[t]`, selected the basis; coordinates
     in the basis (a cone's witness, the columns of an explicit
     multiplication matrix) are solved against it.  Equality, hash and repr
-    leave `span` out.
+    leave `span` out (`_fields`); a copy or pickle carries it.
     """
 
     __slots__ = ("k", "expos", "candidates", "span")
+    _fields = ("k", "expos", "candidates")
 
     def __init__(self, k: int, expos: tuple[Monomial, ...], candidates: int, span: linalg.SparseSpan):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "expos", expos)
-        object.__setattr__(self, "candidates", candidates)
-        object.__setattr__(self, "span", span)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("AkBasis is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not AkBasis:
-            return NotImplemented
-        return (self.k, self.expos, self.candidates) == (other.k, other.expos, other.candidates)
-
-    def __hash__(self) -> int:
-        return hash((self.k, self.expos, self.candidates))
-
-    def __repr__(self) -> str:
-        return f"AkBasis(k={self.k!r}, expos={self.expos!r}, candidates={self.candidates!r})"
+        Record.__init__(self, k, expos, candidates, span)
 
     def __len__(self) -> int:
         return len(self.expos)
@@ -121,7 +105,7 @@ def ak_basis(an: Analysis, k: int) -> AkBasis:
     return AkBasis(k, tuple(expos), len(candidates), span)
 
 
-class HilbertVector:
+class HilbertVector(Record):
     """Dimensions (h_0, ..., h_d) of the graded quotient attached to f."""
 
     __slots__ = ("dims",)
@@ -133,21 +117,7 @@ class HilbertVector:
             raise ValueError(f"nonpositive entry in Hilbert vector: {dims}")
         if any(dims[i] != dims[-1 - i] for i in range(len(dims))):
             raise ValueError(f"Hilbert vector is not symmetric: {dims}")
-        object.__setattr__(self, "dims", dims)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("HilbertVector is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not HilbertVector:
-            return NotImplemented
-        return self.dims == other.dims
-
-    def __hash__(self) -> int:
-        return hash((self.dims,))
-
-    def __repr__(self) -> str:
-        return f"HilbertVector(dims={self.dims!r})"
+        Record.__init__(self, dims)
 
     def __len__(self) -> int:
         return len(self.dims)

@@ -47,6 +47,7 @@ from .lefschetz import (
 from .polycore import (
     Monomial,
     Poly,
+    Record,
     VariableSet,
     mono_basis,
     mono_count,
@@ -55,50 +56,24 @@ from .polycore import (
 )
 
 
-class FamilySpec:
+class FamilySpec(Record):
     """Which family, with which parameters, and the seed for verification.
 
     `overrides` records the text form of any explicitly supplied tail
     polynomials, so serialized specs describe the instance completely; it
     defaults to a new empty dict.  Equality and hash ignore the dicts' key
-    order.  `_asdict` and `_replace` work as on a NamedTuple.
+    order.
     """
 
     __slots__ = ("kind", "params", "seed", "overrides")
 
     def __init__(self, kind: str, params: dict, seed: int = 0, overrides: Optional[dict] = None):
-        setter = object.__setattr__
-        setter(self, "kind", kind)
-        setter(self, "params", params)
-        setter(self, "seed", seed)
-        setter(self, "overrides", {} if overrides is None else overrides)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("FamilySpec is immutable")
-
-    def _asdict(self) -> dict:
-        return {"kind": self.kind, "params": self.params, "seed": self.seed, "overrides": self.overrides}
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not FamilySpec:
-            return NotImplemented
-        return self._asdict() == other._asdict()
+        Record.__init__(self, kind, params, seed, {} if overrides is None else overrides)
 
     def __hash__(self) -> int:
-        # consistent with ==, which ignores the dicts' key order
+        # consistent with ==, which compares dicts and so ignores their key order
         return hash((self.kind, tuple(sorted(self.params.items())), self.seed,
                      tuple(sorted(self.overrides.items()))))
-
-    def __repr__(self) -> str:
-        return (f"FamilySpec(kind={self.kind!r}, params={self.params!r}, "
-                f"seed={self.seed!r}, overrides={self.overrides!r})")
-
-    def _replace(self, **changes) -> FamilySpec:
-        return FamilySpec(**{**self._asdict(), **changes})
-
-    def __reduce__(self) -> tuple:
-        # copy and pickle rebuild through __init__: restoring the slots would call __setattr__
-        return FamilySpec, (self.kind, self.params, self.seed, self.overrides)
 
     def to_json_dict(self) -> dict:
         out = {"kind": self.kind, "params": dict(self.params), "seed": self.seed}
@@ -146,47 +121,19 @@ class Manifest(NamedTuple):
         return out
 
 
-class FamilyInstance:
+class FamilyInstance(Record):
     """A generated form with the spec that rebuilds it and its manifest.
 
-    `analysis` is built on first use and kept in a slot.  It is left out of
-    equality, hash and repr.  `_asdict` and `_replace` work as on a
-    NamedTuple, and a copy, by `_replace` or `copy.copy`, builds its own
-    Analysis.
+    `analysis` is built on first use and kept in a private slot, so it is
+    left out of equality, hash and repr, and a copy (by `_replace`,
+    `copy.copy`, `copy.deepcopy` or pickle) builds its own Analysis.
     """
 
     __slots__ = ("f", "spec", "manifest", "_analysis")
 
     def __init__(self, f: Poly, spec: FamilySpec, manifest: Manifest):
-        setter = object.__setattr__
-        setter(self, "f", f)
-        setter(self, "spec", spec)
-        setter(self, "manifest", manifest)
-        setter(self, "_analysis", None)  # built on first access
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("FamilyInstance is immutable")
-
-    def _asdict(self) -> dict:
-        return {"f": self.f, "spec": self.spec, "manifest": self.manifest}
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not FamilyInstance:
-            return NotImplemented
-        return self._asdict() == other._asdict()
-
-    def __hash__(self) -> int:
-        return hash((self.f, self.spec, self.manifest))
-
-    def __repr__(self) -> str:
-        return f"FamilyInstance(f={self.f!r}, spec={self.spec!r}, manifest={self.manifest!r})"
-
-    def _replace(self, **changes) -> FamilyInstance:
-        return FamilyInstance(**{**self._asdict(), **changes})
-
-    def __reduce__(self) -> tuple:
-        # copy and pickle rebuild through __init__, without the Analysis
-        return FamilyInstance, (self.f, self.spec, self.manifest)
+        Record.__init__(self, f, spec, manifest)
+        object.__setattr__(self, "_analysis", None)  # built on first access
 
     @property
     def analysis(self) -> Analysis:

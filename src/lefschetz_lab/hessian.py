@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from . import linalg
 from .errors import DegreeRangeError
-from .polycore import DiffOp, IntMatrix, Monomial, Poly, diff_apply, mono_mul
+from .polycore import DiffOp, IntMatrix, Monomial, Poly, Record, diff_apply, mono_mul
 
 if TYPE_CHECKING:
     from .analysis import Analysis
@@ -75,7 +75,7 @@ def _decimal(x: Fraction) -> Optional[str]:
         return None
 
 
-class VanishingVerdict:
+class VanishingVerdict(Record):
     """Outcome of a determinant-vanishing decision.
 
     A nonvanishing verdict found by evaluation carries the witness
@@ -98,13 +98,15 @@ class VanishingVerdict:
     polynomial elimination ran; it is not part of the serialized verdict.
     `kernel`, the compiled matrix that gives the exact value at the witness
     point on demand when the decision did not keep it (`known_value`), is
-    left out of equality, hash and repr.
+    left out of equality, hash and repr (`_fields`); a copy or pickle
+    carries it, and computes the exact value anew.
     """
 
     __slots__ = (
         "vanishes", "mode", "witness_point", "prime", "residue", "error_bound",
         "transcript_hash", "certificate", "eliminated", "known_value", "kernel", "_det_value",
     )
+    _fields = __slots__[:-2]  # neither the kernel nor its cached value
 
     def __init__(
         self,
@@ -128,45 +130,11 @@ class VanishingVerdict:
             raise ValueError("exact verdicts carry no error bound")
         if certificate is not None and not (vanishes and mode == "exact"):
             raise ValueError("a key certificate proves exact vanishing only")
-        setter = object.__setattr__
-        setter(self, "vanishes", vanishes)
-        setter(self, "mode", mode)
-        setter(self, "witness_point", witness_point)
-        setter(self, "prime", prime)
-        setter(self, "residue", residue)
-        setter(self, "error_bound", error_bound)
-        setter(self, "transcript_hash", transcript_hash)
-        setter(self, "certificate", certificate)
-        setter(self, "eliminated", eliminated)
-        setter(self, "known_value", known_value)
-        setter(self, "kernel", kernel)
-        setter(self, "_det_value", None)  # computed from the kernel on first access
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("VanishingVerdict is immutable")
-
-    def _key(self) -> tuple:
-        return (
-            self.vanishes, self.mode, self.witness_point, self.prime, self.residue, self.error_bound,
-            self.transcript_hash, self.certificate, self.eliminated, self.known_value,
+        Record.__init__(
+            self, vanishes, mode, witness_point, prime, residue, error_bound,
+            transcript_hash, certificate, eliminated, known_value, kernel,
         )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not VanishingVerdict:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"VanishingVerdict(vanishes={self.vanishes!r}, mode={self.mode!r}, "
-            f"witness_point={self.witness_point!r}, prime={self.prime!r}, residue={self.residue!r}, "
-            f"error_bound={self.error_bound!r}, transcript_hash={self.transcript_hash!r}, "
-            f"certificate={self.certificate!r}, eliminated={self.eliminated!r}, "
-            f"known_value={self.known_value!r})"
-        )
+        object.__setattr__(self, "_det_value", None)  # computed from the kernel on first access
 
     @property
     def det_value(self) -> Optional[Fraction]:

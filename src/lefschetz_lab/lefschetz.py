@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 from . import linalg
 from .apolar import HilbertVector, first_dip, is_unimodal
 from .errors import DegreeRangeError, NoSplitError
-from .polycore import DiffOp, Monomial, Poly, Scalar, diff_apply, mono_basis
+from .polycore import DiffOp, Monomial, Poly, Record, Scalar, diff_apply, mono_basis
 
 if TYPE_CHECKING:
     from .analysis import Analysis
@@ -49,7 +49,7 @@ GENERIC_TRIALS = 12
 RANK_PRIME = 2**61 - 1
 
 
-class LinearForm:
+class LinearForm(Record):
     """A degree-1 element a_0 X_0 + ... + a_N X_N, given by its coefficients."""
 
     __slots__ = ("coeffs",)
@@ -57,21 +57,7 @@ class LinearForm:
     def __init__(self, coeffs: tuple[Fraction, ...]):
         if not any(coeffs):
             raise ValueError("linear form must be nonzero")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("LinearForm is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not LinearForm:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs,))
-
-    def __repr__(self) -> str:
-        return f"LinearForm(coeffs={self.coeffs!r})"
+        Record.__init__(self, coeffs)
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence[Scalar]) -> "LinearForm":

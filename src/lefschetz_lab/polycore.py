@@ -49,7 +49,63 @@ Scalar = Union[int, Fraction]
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
-class VariableSet:
+class Record:
+    """Base of the immutable slotted records.
+
+    A subclass's public `__slots__`, in its `__init__`'s parameter order,
+    are its arguments (`_args`); `__init__` validates them and hands them to
+    `Record.__init__`, which stores them.  Slots named with a leading
+    underscore are private caches.  Equality (records of the same class
+    only), hash and repr are over `_fields`, the arguments unless a class
+    names fewer.  `_asdict`, `_replace`, copy and pickle use the arguments,
+    and the last three rebuild through `__init__`, so its validation runs
+    and no cache is carried over.
+    """
+
+    __slots__ = ()
+    _args: tuple[str, ...] = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._args = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        if "_fields" not in cls.__dict__:
+            cls._fields = cls._args
+
+    def __init__(self, *values: object):
+        for name, value in zip(self._args, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self._args}
+
+    def _replace(self, **changes: object) -> "Record":
+        return type(self)(**{**self._asdict(), **changes})
+
+    def __reduce__(self) -> tuple:
+        # restoring the slots directly would call __setattr__
+        return type(self), tuple(getattr(self, name) for name in self._args)
+
+
+class VariableSet(Record):
     """Ordered variable names, optionally split into an x-block and a u-block.
 
     `n_x` is the size of the leading x-block; the remaining names form the
@@ -70,14 +126,11 @@ class VariableSet:
             raise ValueError("variable names must be distinct")
         if n_x is not None and not 0 < n_x < len(names):
             raise ValueError("split must leave both blocks nonempty")
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "n_x", n_x)
+        Record.__init__(self, names, n_x)
         object.__setattr__(self, "_hash", hash((names, n_x)))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("VariableSet is immutable")
-
-    # `Poly` arithmetic compares the operands' variable sets on every call
+    # `Poly` arithmetic compares the operands' variable sets on every call:
+    # an identity fast path, and the hash computed once
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
@@ -87,9 +140,6 @@ class VariableSet:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __repr__(self) -> str:
-        return f"VariableSet(names={self.names!r}, n_x={self.n_x!r})"
 
     def __len__(self) -> int:
         return len(self.names)
@@ -140,8 +190,12 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(add, a, b))
 
 
-class Poly:
-    """Immutable sparse polynomial with exact rational coefficients."""
+class Poly(Record):
+    """Immutable sparse polynomial with exact rational coefficients.
+
+    Its terms are private, so equality, hash and repr are its own, and a
+    copy or pickle rebuilds from the variable set and the terms.
+    """
 
     __slots__ = ("vars", "_terms", "_hash")
 
@@ -169,8 +223,8 @@ class Poly:
         object.__setattr__(self, "_hash", None)
         return self
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Poly is immutable")
+    def __reduce__(self) -> tuple:
+        return Poly, (self.vars, self._terms)
 
     # -- constructors ------------------------------------------------------
 

@@ -1,18 +1,23 @@
-"""The immutable records with hand-written comparisons: equality and hash
-over the compared fields only, the repr, and no assignment."""
+"""The immutable slotted records built on `polycore.Record`: equality and
+hash over the compared fields only, the repr, no assignment, copy and
+pickle, and the rule that ties each record's slots to its constructor."""
 
 import copy
+import importlib
+import inspect
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import lefschetz_lab
 from lefschetz_lab.apolar import AkBasis, HilbertVector
 from lefschetz_lab.families import FamilyInstance, FamilySpec, Manifest
 from lefschetz_lab.hessian import VanishingVerdict
 from lefschetz_lab.lefschetz import KeyCertificate, LinearForm
 from lefschetz_lab.linalg import SparseSpan
-from lefschetz_lab.polycore import VariableSet, parse_poly
+from lefschetz_lab.polycore import Poly, Record, VariableSet, parse_poly
 
 
 def verdict(**changes):
@@ -94,17 +99,20 @@ def test_equality_hash_and_repr(name):
     assert repr(record) == text
 
 
+# each record and an equal one, and a Poly, whose equality, hash and repr are its own
+SAMPLES = {**{name: RECORDS[name][:2] for name in RECORDS}, "Poly": (SQUARES, parse_poly("y^2 + x^2", XY))}
+
 FIRST_FIELD = {"VariableSet": "names", "AkBasis": "k", "HilbertVector": "dims", "LinearForm": "coeffs",
-               "VanishingVerdict": "vanishes", "FamilySpec": "kind", "FamilyInstance": "f"}
+               "VanishingVerdict": "vanishes", "FamilySpec": "kind", "FamilyInstance": "f", "Poly": "vars"}
 
 
-@pytest.mark.parametrize("name", RECORDS)
+@pytest.mark.parametrize("name", SAMPLES)
 def test_no_assignment(name):
-    record = RECORDS[name][0]
+    record = SAMPLES[name][0]
     for field in (FIRST_FIELD[name], "other"):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
-    assert record == RECORDS[name][1]
+    assert record == SAMPLES[name][1]
 
 
 def test_verdicts_differing_only_in_certificate():
@@ -127,12 +135,59 @@ def test_replace_and_asdict():
     assert inst._replace() == inst and inst._replace() is not inst
 
 
-def test_family_records_copy_and_pickle():
-    """Rebuilt through __init__ as the dataclasses were; a copied instance
-    builds its own Analysis."""
-    for spec in (copy.copy(SPEC), copy.deepcopy(SPEC), pickle.loads(pickle.dumps(SPEC))):
-        assert spec == SPEC and spec is not SPEC
-    inst = FamilyInstance(SQUARES, SPEC, Manifest())
-    built = inst.analysis
-    twin = copy.copy(inst)
-    assert twin == inst and twin.analysis is not built and twin.analysis.f == SQUARES
+@pytest.mark.parametrize("name", SAMPLES)
+def test_copy_and_pickle(name):
+    """Rebuilt through __init__ to an equal record; a copied instance builds
+    its own Analysis."""
+    record = SAMPLES[name][0]
+    built = record.analysis if name == "FamilyInstance" else None
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert twin == record and twin is not record
+        assert hash(twin) == hash(record) and repr(twin) == repr(record)
+        if built is not None:
+            assert twin.analysis is not built and twin.analysis.f == SQUARES
+
+
+def record_classes():
+    """Every subclass of `Record` in the package, its modules all imported."""
+    for info in pkgutil.iter_modules(lefschetz_lab.__path__):
+        if info.name != "__main__":
+            importlib.import_module(f"lefschetz_lab.{info.name}")
+    found, todo = [], [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            found.append(cls)
+            todo.append(cls)
+    return found
+
+
+RECORD_CLASSES = record_classes()
+
+
+def test_every_sampled_record_is_found():
+    assert set(SAMPLES) <= {cls.__name__ for cls in RECORD_CLASSES}
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__name__)
+def test_arguments_are_the_constructor_parameters(cls):
+    """Copy, pickle and `_replace` pass `_args` to the constructor, so a
+    reordered or renamed slot would break them."""
+    params = tuple(inspect.signature(cls).parameters)
+    if cls is Poly:
+        # its terms are a private slot; it rebuilds by its own __reduce__
+        assert cls._args == params[:1] and "__reduce__" in vars(cls)
+    else:
+        assert cls._args == params
+    assert set(cls._fields) <= set(cls._args)
+    assert cls.__dictoffset__ == 0  # slotted all the way down: no instance __dict__
+
+
+@pytest.mark.parametrize("record, changes", [
+    (HilbertVector((1, 2, 1)), {"dims": (1, 2)}),
+    (VariableSet(("x", "y")), {"n_x": 2}),
+    (LinearForm.from_coeffs([1, 2]), {"coeffs": (Fraction(0), Fraction(0))}),
+    (verdict(), {"known_value": None}),
+], ids=["HilbertVector", "VariableSet", "LinearForm", "VanishingVerdict"])
+def test_replace_validates(record, changes):
+    with pytest.raises(ValueError):
+        record._replace(**changes)
