@@ -154,7 +154,7 @@ def cmd_analyze(args) -> int:
         )
     full_profile = args.max_k is None or args.max_k >= d // 2
     slp = stage("slp", lambda: slp_generic(an)) if full_profile else None
-    wlp = stage("wlp", lambda: wlp_generic(an))
+    wlp = stage("wlp", lambda: wlp_generic(an, slp))
     certificates = []
     if vs.has_split:
         keys = [an.key(k) for k in range(1, d // 2 + 1)]

@@ -820,7 +820,8 @@ def replay_manifest(inst: FamilyInstance, *, mode: str = "probabilistic") -> lis
     `_structural_claims`, the checker generation runs (in exact mode a
     Hessian claim passes only on an exact verdict), then the Hilbert vector,
     unimodality, dim A_1, and the generic SLP report and WLP report (the
-    latter unless a WLP witness stands for it).  Every certificate is
+    latter unless a WLP witness stands for it; a holding SLP report settles
+    it, as in `analyze`).  Every certificate is
     replayed by its verifier on f, never trusted from the instance.  Every
     claim reads `inst.analysis` in `mode` (`Analysis.in_mode`), so the pieces
     generation computed are not computed again, each Hessian is decided once
@@ -831,11 +832,10 @@ def replay_manifest(inst: FamilyInstance, *, mode: str = "probabilistic") -> lis
     man = inst.manifest
     results = list(_structural_claims(an, man))
 
-    def generic(name: str, decide: Callable[[Analysis], LefschetzReport],
-                verdict: str, level: Optional[int]) -> None:
-        report = decide(an)
+    def generic(name: str, report: LefschetzReport, verdict: str, level: Optional[int]) -> LefschetzReport:
         ok = report.verdict == verdict and (level is None or report.level == level)
         results.append((name, ok, _decided(report)))
+        return report
 
     if man.hilbert is not None:
         hv = an.hilbert()
@@ -845,10 +845,9 @@ def replay_manifest(inst: FamilyInstance, *, mode: str = "probabilistic") -> lis
     if man.dim_a1 is not None:
         got = len(an.basis(1))
         results.append(("dim_a1", got == man.dim_a1, f"{got} vs {man.dim_a1}"))
-    if man.slp is not None:
-        generic("slp", slp_generic, man.slp, man.slp_fail_level)
+    slp = None if man.slp is None else generic("slp", slp_generic(an), man.slp, man.slp_fail_level)
     if man.wlp is not None and man.wlp_witness is None:
-        generic("wlp", wlp_generic, man.wlp, man.wlp_fail_level)
+        generic("wlp", wlp_generic(an, slp), man.wlp, man.wlp_fail_level)
     return results
 
 

@@ -12,8 +12,9 @@ L, k times, to each basis derivative and solves the result in the target
 space, never reading a Hessian.  Specific elements are checked directly;
 generic verdicts combine one witness search for both properties
 (`_find_element`: given points, then seeded random forms; maximal rank is
-an open condition, so one success settles the generic statement) with
-structural failure certificates that rule out every L at once:
+an open condition, so one success settles the generic statement; a strong
+Lefschetz element is a weak one, so an SLP witness settles WLP unranked)
+with structural failure certificates that rule out every L at once:
 
   * a vanishing middle Hessian in odd socle degree,
   * an overfull set of operators pushing f into the u-subring under every
@@ -257,13 +258,19 @@ def slp_generic(an: Analysis) -> LefschetzReport:
     return LefschetzReport("SLP", "holds", hv, uni, *found)
 
 
-def wlp_generic(an: Analysis) -> LefschetzReport:
+def wlp_generic(an: Analysis, slp: Optional[LefschetzReport] = None) -> LefschetzReport:
     """Generic weak-Lefschetz verdict.
 
     Failure is only ever declared on structural evidence (non-unimodal
     Hilbert vector, vanishing middle Hessian in odd degree, or an
-    injectivity obstruction certificate); a random witness settles "holds";
-    otherwise the verdict is undetermined.
+    injectivity obstruction certificate).  `slp` is the SLP report of the
+    same Analysis, if one was decided: SLP implies WLP, since for i < d/2
+    the bijection L^(d-2i): A_i -> A_(d-i) is L^(d-2i-1) after L: A_i ->
+    A_(i+1), so that L is injective and, mirrored, L: A_(d-1-i) -> A_(d-i)
+    is onto.  A holding `slp` therefore settles "holds" with its witness and
+    every level at its maximal rank, and nothing more is built or ranked.
+    Otherwise a random witness settles "holds", and failing that the
+    verdict is undetermined.
     """
     f = an.f
     hv = an.hilbert()
@@ -295,6 +302,10 @@ def wlp_generic(an: Analysis) -> LefschetzReport:
             if cert is not None:
                 return fails(k, cert, hv[k])
 
+    if slp is not None and slp.verdict == "holds":
+        maximal = [min(hv[i], hv[i + 1]) for i in range(d)]
+        return LefschetzReport("WLP", "holds", hv, uni, slp.witness,
+                               tuple(LevelCheck(i, 1, r, r) for i, r in enumerate(maximal)))
     found = _find_element(an, wlp_check_element, "wlp")
     if found is None:
         return LefschetzReport("WLP", "undetermined", hv, uni)

@@ -3,13 +3,13 @@
 Each ring has one elimination body, which yields one pivot per column.
 Over Z it is fraction-free (Bareiss) elimination in place: `rank` counts its
 pivots on integer rows after clearing denominators, and `det_int` and `det`
-take the last.  Modulo a prime p (stdlib ints) `rank_mod` counts the pivots
-and `det_mod` multiplies them; a nonzero determinant mod p proves a nonzero
-integer determinant, and the rank mod p is at most the rank over Q.  Sparse
-rational vectors (coefficient maps of polynomials, keyed by monomial) are
-held by `SparseSpan`, an incremental reduction of primitive integer rows
-that recovers how a vector in the span combines the vectors added, as
-integers over one denominator.
+take the last.  Modulo a prime p it is Gaussian elimination on packed rows,
+each one int: `rank_mod` counts the pivots and `det_mod` multiplies them; a
+nonzero determinant mod p proves a nonzero integer determinant, and the rank
+mod p is at most the rank over Q.  Sparse rational vectors (coefficient maps
+of polynomials, keyed by monomial) are held by `SparseSpan`, an incremental
+reduction of primitive integer rows that recovers how a vector in the span
+combines the vectors added, as integers over one denominator.
 """
 
 from __future__ import annotations
@@ -31,13 +31,8 @@ def _exq(a: int, b: int) -> int:
 
 def _int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
     """Scale each row by the lcm of its denominators.  Returns rows and scales."""
-    out: list[list[int]] = []
-    scales: list[int] = []
-    for row in rows:
-        denom = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (denom // x.denominator) for x in row])
-        scales.append(denom)
-    return out, scales
+    scales = [lcm(*(x.denominator for x in row)) for row in rows]
+    return [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(rows, scales)], scales
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
@@ -116,22 +111,32 @@ def _pivots_mod(rows: Sequence[Sequence[int]], p: int) -> Iterator[int]:
 
     Yields, column by column until the rows run out, 0 for a column without
     a pivot, else the pivot in range(p), negated when its row moves past an
-    odd number of rows; the pivot row then leaves and the other rows are
-    built anew without the column.
-    """
-    m = [[x % p for x in row] for row in rows]
-    while m and m[0]:
-        piv = next((i for i, row in enumerate(m) if row[0]), None)
+    odd number of rows.  Rows are ints of w-byte slots, column 0 highest; the
+    pivot row leaves, and a row whose leading slot is nonzero drops it and
+    adds its residue times the pivot row's negated, normalized tail.  Slots
+    are never reduced: a step adds less than p^2 to each, so none carries."""
+    ncols = len(rows[0]) if rows else 0
+    w = (2 * p.bit_length() + max(len(rows), ncols).bit_length() + 8) // 8
+    zero = bytes(w)
+    m = [int.from_bytes(b"".join((x % p).to_bytes(w, "big") if x else zero for x in row), "big") for row in rows]
+    for left in range(ncols - 1, -1, -1):  # the columns after this one
+        shift = 8 * w * left
+        low = (1 << shift) - 1
+        piv = next((i for i, x in enumerate(m) if (x >> shift) % p), None)
         if piv is None:
             yield 0
-            m = [row[1:] for row in m]
+            m = [x & low for x in m]
             continue
-        prow = m.pop(piv)
-        yield p - prow[0] if piv % 2 else prow[0]
-        inv = pow(prow[0], -1, p)
-        tail = [x * inv % p for x in prow[1:]]
-        m = [[(a - c * b) % p for a, b in zip(row[1:], tail)] if (c := row[0]) else row[1:]
-             for row in m]
+        row = m.pop(piv)
+        lead, tail = (row >> shift) % p, (row & low).to_bytes(w * left, "big")
+        yield p - lead if piv % 2 else lead
+        if not m:
+            return
+        inv = p - pow(lead, -1, p)
+        neg = int.from_bytes(b"".join(
+            zero if (t := tail[j : j + w]) == zero else (int.from_bytes(t, "big") * inv % p).to_bytes(w, "big")
+            for j in range(0, len(tail), w)), "big")
+        m = [x if x <= low else (x & low) + (x >> shift) % p * neg for x in m]
 
 
 def _check_square(rows: Sequence[Sequence]) -> None:

@@ -193,8 +193,9 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
 class Poly(Record):
     """Immutable sparse polynomial with exact rational coefficients.
 
-    Its terms are private, so equality, hash and repr are its own, and a
-    copy or pickle rebuilds from the variable set and the terms.
+    Its terms are private, so equality, hash and repr are its own;
+    `_asdict` gives the variable set and a copy of the terms, and
+    `_replace`, a copy or pickle rebuild from them through `__init__`.
     """
 
     __slots__ = ("vars", "_terms", "_hash")
@@ -222,6 +223,9 @@ class Poly(Record):
         object.__setattr__(self, "_terms", {e: c for e, c in terms.items() if c})
         object.__setattr__(self, "_hash", None)
         return self
+
+    def _asdict(self) -> dict:
+        return {"vars": self.vars, "terms": self.coeff_map()}
 
     def __reduce__(self) -> tuple:
         return Poly, (self.vars, self._terms)

@@ -578,16 +578,27 @@ class TestKernels:
 
         monkeypatch.setattr(IntMatrix, "__init__", counting)
         report = tmp_path / "r.json"
-        code, out, _ = run(["analyze", "--poly", DENSE_SEXTIC, "--vars", "x,y,z", "--json", str(report)], capsys)
+        args = ["analyze", "--poly", DENSE_SEXTIC, "--vars", "x,y,z", "--json", str(report)]
+        code, out, _ = run(args, capsys)
         assert code == 0
         assert "kernels" not in out.replace(str(report), "")
         data = json.loads(report.read_text())
         assert data["slp"]["verdict"] == data["wlp"]["verdict"] == "holds"
-        # the profile and SLP read the pure Hessians (k, k), WLP the mixed
-        # (i, d-1-i); each is compiled once however many trials rank it
+        # the profile and SLP read the pure Hessians (k, k); the SLP witness
+        # settles WLP, which compiles nothing
         d = data["degree"]
-        distinct = {(k, k) for k in range(d // 2 + 1)} | {(i, d - 1 - i) for i in range((d + 1) // 2)}
-        assert data["counts"]["kernels"] == len(compiled) == len(distinct) == 7
+        assert data["wlp"]["witness_coeffs"] == data["slp"]["witness_coeffs"]
+        assert data["counts"]["kernels"] == len(compiled) == d // 2 + 1 == 4
+
+        # capped below d/2, SLP is not decided and WLP ranks the mixed
+        # Hessians (i, d-1-i); each is compiled once however many trials rank it
+        compiled.clear()
+        code, _, _ = run(args + ["--max-k", "1"], capsys)
+        assert code == 0
+        data = json.loads(report.read_text())
+        assert data["slp"]["verdict"] == "undetermined" and data["wlp"]["verdict"] == "holds"
+        distinct = {(k, k) for k in range(2)} | {(i, d - 1 - i) for i in range((d + 1) // 2)}
+        assert data["counts"]["kernels"] == len(compiled) == len(distinct) == 5
 
 
 class TestWitnessReplayFromReport:

@@ -263,6 +263,59 @@ class TestWlpGeneric:
         assert data["certificate"]["ops"] == ["X2", "X3", "X4", "X5"]
 
 
+def seeded_dense_form(seed):
+    """A form in 3 or 4 variables of degree 3 to 5 with every monomial and
+    seeded coefficients in -9..9."""
+    rng = random.Random(f"dense:{seed}")
+    vs = VariableSet(tuple(f"x{i}" for i in range(rng.randint(3, 4))))
+    return Poly(vs, {e: rng.randint(-9, 9) or 1 for e in mono_basis(vs, rng.randint(3, 5))})
+
+
+FERMAT14_VARS = VariableSet(tuple(f"a{i}" for i in range(14)))
+SLP_HOLDS = {
+    "cubic": parse_poly("x^3+y^3+z^3+x*y*z", VariableSet(("x", "y", "z"))),
+    "fermat14": parse_poly("+".join(f"{a}^3" for a in FERMAT14_VARS.names), FERMAT14_VARS),
+    "quartic": parse_poly("x^4+y^4+z^4+x^2*y*z", VariableSet(("x", "y", "z"))),
+    **{f"dense-{seed}": seeded_dense_form(seed) for seed in range(4)},
+}
+
+
+class TestWlpFromSlp:
+    @pytest.mark.parametrize("name", SLP_HOLDS)
+    def test_levels_are_the_ranks_at_the_slp_witness(self, name):
+        """A holding SLP report settles WLP with its witness and the levels
+        that ranking that witness gives, and builds nothing to do so."""
+        an = prob(SLP_HOLDS[name])
+        slp = slp_generic(an)
+        assert slp.verdict == "holds"
+        before = an.counts()
+        wlp = wlp_generic(an, slp)
+        after = an.counts()
+        assert after["kernels"] == before["kernels"]
+        assert after["basis_candidates"] == before["basis_candidates"]
+        assert wlp.verdict == "holds" and wlp.witness == slp.witness
+        ok, checks = wlp_check_element(an, slp.witness)
+        assert ok and wlp.levels == tuple(checks)
+
+    def test_searches_when_slp_fails_or_is_absent(self, monkeypatch):
+        """prop44(i): SLP fails at order 1 and WLP holds; the WLP element
+        search runs with the failing report as without one."""
+        an = prob(gen_prop44("i").f)
+        slp = slp_generic(an)
+        assert slp.verdict == "fails"
+        checked = []
+        real = lefschetz.wlp_check_element
+
+        def counting(an, L):
+            checked.append(L)
+            return real(an, L)
+
+        monkeypatch.setattr(lefschetz, "wlp_check_element", counting)
+        reports = [wlp_generic(an, slp), wlp_generic(an)]
+        assert reports[0] == reports[1] and reports[0].verdict == "holds"
+        assert checked and checked[: len(checked) // 2] == checked[len(checked) // 2 :]
+
+
 class TestKeyCriterion:
     def test_ikeda(self):
         cert = key_criterion(prob(IKEDA), 2)

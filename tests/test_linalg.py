@@ -1,14 +1,15 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 import sympy
 import hypothesis.strategies as st
 from sympy import GF, ZZ
 from sympy.polys.matrices import DomainMatrix
-from hypothesis import given
+from hypothesis import given, settings
 
 from lefschetz_lab import linalg
+from lefschetz_lab.hessian import _decision_prime
 
 from conftest import dense_coords, rational_matrices
 
@@ -189,6 +190,79 @@ def test_eliminations_match_sympy(p, data):
         assert linalg.det_int(rows) == value
         assert linalg.det(rows) == value
         assert linalg.det_mod(rows, p) == value % p == int(modular.det()) % p
+
+
+def pivots_mod_oracle(rows, p):
+    """The list form of `linalg._pivots_mod`: the same pivot stream, one
+    Python multiply and remainder per cell, every row rebuilt each step."""
+    m = [[x % p for x in row] for row in rows]
+    while m and m[0]:
+        piv = next((i for i, row in enumerate(m) if row[0]), None)
+        if piv is None:
+            yield 0
+            m = [row[1:] for row in m]
+            continue
+        prow = m.pop(piv)
+        yield p - prow[0] if piv % 2 else prow[0]
+        inv = pow(prow[0], -1, p)
+        tail = [x * inv % p for x in prow[1:]]
+        m = [[(a - c * b) % p for a, b in zip(row[1:], tail)] if (c := row[0]) else row[1:]
+             for row in m]
+
+
+# small primes, where most entries are divisible; the rank prime; two primes
+# the Hessian decisions draw from [2^60, 2^61)
+KERNEL_PRIMES = [2, 3, 5, 7, MERSENNE_61, _decision_prime("hess:1", 0), _decision_prime("hess:2", 1)]
+
+
+def assert_matches_oracle(rows, p):
+    pivots = list(pivots_mod_oracle(rows, p))
+    assert list(linalg._pivots_mod(rows, p)) == pivots
+    assert linalg.rank_mod(rows, p) == sum(1 for x in pivots if x)
+    if len(rows) == len(rows[0]):
+        assert linalg.det_mod(rows, p) == (prod(pivots) % p if all(pivots) else 0)
+
+
+@st.composite
+def packed_inputs(draw):
+    """A prime and an integer matrix of any shape up to 7x7, entries up to
+    +-10^20, with a dependent row, a zero row, a zero column and every entry
+    a multiple of p each drawn or not."""
+    p = draw(st.sampled_from(KERNEL_PRIMES))
+    nrows, ncols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    entry = st.one_of(st.integers(-9, 9), st.integers(-(10**20), 10**20))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    if nrows > 2 and draw(st.booleans()):
+        a, b = draw(entry), draw(entry)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [0] * ncols
+    if draw(st.booleans()):
+        col = draw(st.integers(0, ncols - 1))
+        for r in rows:
+            r[col] = 0
+    if draw(st.booleans()):
+        rows = [[p * x for x in r] for r in rows]
+    return draw(st.permutations(rows)), p
+
+
+@settings(max_examples=300)
+@given(packed_inputs())
+def test_packed_elimination_matches_list_oracle(drawn):
+    rows, p = drawn
+    assert_matches_oracle(rows, p)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_packed_slots_never_carry(p):
+    """Entries p-1 everywhere, and p-1 off the diagonal with p-2 on it (full
+    rank mod most p, so every step adds to every slot), at sizes 2^j - 1 and
+    2^j, where bits(size) and with it the slot width step up, and with one
+    column or row more."""
+    for n in sorted({2**j + e for j in range(7) for e in (-1, 0)} - {0}):
+        for shape in ((n, n), (n, n + 1), (n + 1, n)):
+            assert_matches_oracle([[p - 1] * shape[1] for _ in range(shape[0])], p)
+            assert_matches_oracle([[p - 1 - (i == j) for j in range(shape[1])] for i in range(shape[0])], p)
 
 
 def test_integer_kernels_on_edge_cases():

@@ -133,6 +133,13 @@ def test_replace_and_asdict():
     assert inst._asdict() == {"f": SQUARES, "spec": SPEC, "manifest": Manifest()}
     assert inst._replace(manifest=Manifest(cone=False)) == FamilyInstance(SQUARES, SPEC, Manifest(cone=False))
     assert inst._replace() == inst and inst._replace() is not inst
+    # a Poly's terms are a private slot, but it is described by them too
+    assert SQUARES._asdict() == {"vars": XY, "terms": {(2, 0): 1, (0, 2): 1}}
+    assert SQUARES._replace() == SQUARES and SQUARES._replace() is not SQUARES
+    assert SQUARES._replace(terms={(1, 1): 2}) == parse_poly("2*x*y", XY)
+    assert SQUARES._replace(vars=VariableSet(("s", "t"))).to_text() == "s^2 + t^2"
+    with pytest.raises(ValueError):
+        SQUARES._replace(terms={(1,): 1})
 
 
 @pytest.mark.parametrize("name", SAMPLES)
