@@ -1,9 +1,10 @@
 """Command-line front end: analyze a form, generate a family, run the suite.
 
-Exit codes: 0 success, 1 suite fixtures failed, 2 usage or validation error
-or out of memory, 3 an undetermined SLP or WLP verdict under --strict.  The
-LEFSCHETZ_LAB_SEED environment variable supplies the default seed.  Each
-command imports its modules when it runs, so --version and --help load none.
+Exit codes: 0 success, 1 suite fixtures failed or stdout closed early, 2
+usage or validation error or out of memory, 3 an undetermined SLP or WLP
+verdict under --strict.  The LEFSCHETZ_LAB_SEED environment variable
+supplies the default seed.  Each command imports its modules when it runs,
+so --version and --help load none.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ def cmd_analyze(args) -> int:
         )
     full_profile = args.max_k is None or args.max_k >= d // 2
     slp = stage("slp", lambda: slp_generic(an)) if full_profile else None
-    wlp = stage("wlp", lambda: wlp_generic(an, slp))
+    wlp = stage("wlp", lambda: wlp_generic(an))
     certificates = []
     if vs.has_split:
         keys = [an.key(k) for k in range(1, d // 2 + 1)]
@@ -252,11 +253,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if args.seed is None:
             args.seed = _default_seed()
-        if args.command == "analyze":
-            return cmd_analyze(args)
-        if args.command == "generate":
-            return cmd_generate(args)
-        return cmd_reproduce(args)
+        code = {"analyze": cmd_analyze, "generate": cmd_generate, "reproduce": cmd_reproduce}[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`analyze ... | head -1`): quietly, and the flush at exit goes to devnull
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError):  # a stdout with no file descriptor
+            pass
+        return 1
     except (LefschetzLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

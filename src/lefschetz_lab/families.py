@@ -820,8 +820,7 @@ def replay_manifest(inst: FamilyInstance, *, mode: str = "probabilistic") -> lis
     `_structural_claims`, the checker generation runs (in exact mode a
     Hessian claim passes only on an exact verdict), then the Hilbert vector,
     unimodality, dim A_1, and the generic SLP report and WLP report (the
-    latter unless a WLP witness stands for it; a holding SLP report settles
-    it, as in `analyze`).  Every certificate is
+    latter unless a WLP witness stands for it).  Every certificate is
     replayed by its verifier on f, never trusted from the instance.  Every
     claim reads `inst.analysis` in `mode` (`Analysis.in_mode`), so the pieces
     generation computed are not computed again, each Hessian is decided once
@@ -832,10 +831,9 @@ def replay_manifest(inst: FamilyInstance, *, mode: str = "probabilistic") -> lis
     man = inst.manifest
     results = list(_structural_claims(an, man))
 
-    def generic(name: str, report: LefschetzReport, verdict: str, level: Optional[int]) -> LefschetzReport:
+    def generic(name: str, report: LefschetzReport, verdict: str, level: Optional[int]) -> None:
         ok = report.verdict == verdict and (level is None or report.level == level)
         results.append((name, ok, _decided(report)))
-        return report
 
     if man.hilbert is not None:
         hv = an.hilbert()
@@ -845,9 +843,10 @@ def replay_manifest(inst: FamilyInstance, *, mode: str = "probabilistic") -> lis
     if man.dim_a1 is not None:
         got = len(an.basis(1))
         results.append(("dim_a1", got == man.dim_a1, f"{got} vs {man.dim_a1}"))
-    slp = None if man.slp is None else generic("slp", slp_generic(an), man.slp, man.slp_fail_level)
+    if man.slp is not None:
+        generic("slp", slp_generic(an), man.slp, man.slp_fail_level)
     if man.wlp is not None and man.wlp_witness is None:
-        generic("wlp", wlp_generic(an, slp), man.wlp, man.wlp_fail_level)
+        generic("wlp", wlp_generic(an), man.wlp, man.wlp_fail_level)
     return results
 
 

@@ -9,11 +9,14 @@ integers and ranked modulo 2^61-1; a maximal rank there is the rank over Q,
 and only a smaller one is recomputed exactly.  The explicit multiplication
 matrix (`mult_map`) is the independent reference for those ranks: it applies
 L, k times, to each basis derivative and solves the result in the target
-space, never reading a Hessian.  Specific elements are checked directly;
-generic verdicts combine one witness search for both properties
-(`_find_element`: given points, then seeded random forms; maximal rank is
-an open condition, so one success settles the generic statement; a strong
-Lefschetz element is a weak one, so an SLP witness settles WLP unranked)
+space, never reading a Hessian.  WLP is decided on one map: in the
+Gorenstein algebra of f, L is a weak Lefschetz element exactly when L: A_m
+-> A_(m+1), m = floor((d-1)/2), has maximal rank (Migliore-Miro-Roig-Nagel,
+Trans. AMS 363 (2011), Prop. 2.1), the rank of the mixed Hessian of (m,
+d-1-m) at L (Maeno-Watanabe, Illinois J. Math. 53 (2009)).  So a nonvanishing
+hess^m_f settles WLP at its witness point.  Generic verdicts combine witness
+searches (`_find_element`: given points, then seeded random forms; maximal
+rank is an open condition, so one success settles the generic statement)
 with structural failure certificates that rule out every L at once:
 
   * a vanishing middle Hessian in odd socle degree,
@@ -150,20 +153,15 @@ def slp_check_element(an: Analysis, L: LinearForm) -> tuple[bool, list[LevelChec
 
 
 def wlp_check_element(an: Analysis, L: LinearForm) -> tuple[bool, list[LevelCheck]]:
-    """Does every consecutive map `L : A_i -> A_{i+1}` have maximal rank?
-
-    The map at level d-1-i has the transposed Hessian of the map at level i
-    and, by Gorenstein symmetry, the same maximal rank, so only the levels
-    i <= (d-1)/2 are ranked and the rest mirror them.
-    """
+    """Is L a weak Lefschetz element?  Ranks `L : A_m -> A_(m+1)`, m =
+    floor((d-1)/2), alone: in a Gorenstein algebra every consecutive map has
+    maximal rank iff that one does (Migliore-Miro-Roig-Nagel 2011, Prop. 2.1);
+    its rank is the mixed Hessian's of (m, d-1-m) at L (Maeno-Watanabe 2009)."""
     d = an.f.degree
     hv = an.hilbert()
-    ranks = [rank_at(an, i, d - 1 - i, L) for i in range((d + 1) // 2)]
-    checks = [
-        LevelCheck(i, 1, ranks[min(i, d - 1 - i)], min(hv[i], hv[i + 1]))
-        for i in range(d)
-    ]
-    return all(c.maximal for c in checks), checks
+    m = (d - 1) // 2
+    check = LevelCheck(m, 1, rank_at(an, m, d - 1 - m, L), min(hv[m], hv[m + 1]))
+    return check.maximal, [check]
 
 
 class LefschetzReport(NamedTuple):
@@ -258,25 +256,23 @@ def slp_generic(an: Analysis) -> LefschetzReport:
     return LefschetzReport("SLP", "holds", hv, uni, *found)
 
 
-def wlp_generic(an: Analysis, slp: Optional[LefschetzReport] = None) -> LefschetzReport:
-    """Generic weak-Lefschetz verdict.
+def wlp_generic(an: Analysis) -> LefschetzReport:
+    """Generic weak-Lefschetz verdict, decided on A_m -> A_(m+1), m = floor((d-1)/2).
 
-    Failure is only ever declared on structural evidence (non-unimodal
-    Hilbert vector, vanishing middle Hessian in odd degree, or an
-    injectivity obstruction certificate).  `slp` is the SLP report of the
-    same Analysis, if one was decided: SLP implies WLP, since for i < d/2
-    the bijection L^(d-2i): A_i -> A_(d-i) is L^(d-2i-1) after L: A_i ->
-    A_(i+1), so that L is injective and, mirrored, L: A_(d-1-i) -> A_(d-i)
-    is onto.  A holding `slp` therefore settles "holds" with its witness and
-    every level at its maximal rank, and nothing more is built or ranked.
-    Otherwise a random witness settles "holds", and failing that the
-    verdict is undetermined.
+    Failure needs structural evidence: a non-unimodal Hilbert vector, for
+    even d an obstruction certificate, for odd d a vanishing hess^m.  A
+    nonzero det hess^m_f(L) makes L^(d-2m) bijective on A_m, so L is
+    injective there and a weak Lefschetz element (`wlp_check_element`): the
+    middle verdict's witness point settles "holds", every level at maximal
+    rank, with nothing built or ranked.  Only even d with hess^m = 0
+    searches, on the one map; no element found leaves WLP undetermined.
     """
     f = an.f
     hv = an.hilbert()
     dip = first_dip(hv)
     uni = dip is None
     d = f.degree
+    m = (d - 1) // 2
 
     def fails(level: Optional[int], certificate: object,
               required: Optional[int] = None) -> LefschetzReport:
@@ -288,28 +284,26 @@ def wlp_generic(an: Analysis, slp: Optional[LefschetzReport] = None) -> Lefschet
     if not uni:
         return fails(dip, f"non-unimodal Hilbert vector {hv.dims}")
 
-    if d % 2 == 1:
-        q = d // 2
-        middle = an.verdict(q)
-        if middle.vanishes:
-            return fails(q, middle, hv[q])
-
-    if f.vars.has_split:
-        for k in range(1, (d + 1) // 2):
+    if d % 2 == 0 and f.vars.has_split:
+        for k in range(1, m + 1):
             if hv[k] > hv[k + 1]:
                 continue  # non-injectivity would not contradict maximal rank
             cert = an.obstruction(k)
             if cert is not None:
                 return fails(k, cert, hv[k])
 
-    if slp is not None and slp.verdict == "holds":
-        maximal = [min(hv[i], hv[i + 1]) for i in range(d)]
-        return LefschetzReport("WLP", "holds", hv, uni, slp.witness,
-                               tuple(LevelCheck(i, 1, r, r) for i, r in enumerate(maximal)))
-    found = _find_element(an, wlp_check_element, "wlp")
-    if found is None:
-        return LefschetzReport("WLP", "undetermined", hv, uni)
-    return LefschetzReport("WLP", "holds", hv, uni, *found)
+    middle = an.verdict(m)
+    if not middle.vanishes:
+        witness = LinearForm.from_coeffs(middle.witness_point)
+    elif d % 2 == 1:
+        return fails(m, middle, hv[m])
+    else:
+        found = _find_element(an, wlp_check_element, "wlp")
+        if found is None:
+            return LefschetzReport("WLP", "undetermined", hv, uni)
+        witness = found[0]
+    maximal = enumerate(map(min, hv.dims, hv.dims[1:]))
+    return LefschetzReport("WLP", "holds", hv, uni, witness, tuple(LevelCheck(i, 1, r, r) for i, r in maximal))
 
 
 # -- structural certificates --------------------------------------------------

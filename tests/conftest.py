@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 import pytest
 
 from lefschetz_lab.analysis import Analysis
+from lefschetz_lab.lefschetz import LevelCheck, rank_at
 from lefschetz_lab.polycore import Poly, VariableSet, linear_change, mono_basis
 
 hypothesis.settings.register_profile(
@@ -40,6 +41,24 @@ def count_analyses(monkeypatch):
 
     monkeypatch.setattr(Analysis, "__init__", counting)
     return built
+
+
+def wlp_check_all_levels(an, L):
+    """Does every consecutive map `L : A_i -> A_{i+1}` have maximal rank?
+
+    The oracle of `wlp_check_element`, which ranks only the middle map.  The
+    map at level d-1-i has the transposed Hessian of the map at level i
+    and, by Gorenstein symmetry, the same maximal rank, so only the levels
+    i <= (d-1)/2 are ranked and the rest mirror them.
+    """
+    d = an.f.degree
+    hv = an.hilbert()
+    ranks = [rank_at(an, i, d - 1 - i, L) for i in range((d + 1) // 2)]
+    checks = [
+        LevelCheck(i, 1, ranks[min(i, d - 1 - i)], min(hv[i], hv[i + 1]))
+        for i in range(d)
+    ]
+    return all(c.maximal for c in checks), checks
 
 
 def dense_coords(dep, size):

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 from math import comb
@@ -21,7 +22,7 @@ from lefschetz_lab.families import (
     gen_thmwlp,
     gen_wlpodd,
 )
-from lefschetz_lab.hessian import hessian_matrix, is_cone
+from lefschetz_lab.hessian import hess_profile, hessian_matrix, is_cone
 from lefschetz_lab.lefschetz import (
     GENERIC_TRIALS,
     KeyCertificate,
@@ -40,7 +41,7 @@ from lefschetz_lab.lefschetz import (
 )
 from lefschetz_lab.polycore import Poly, VariableSet, diff_apply, eval_poly, mono_basis, parse_poly
 
-from conftest import dense_coords, homogeneous_polys, prob, rational_polys
+from conftest import dense_coords, homogeneous_polys, prob, rational_polys, wlp_check_all_levels
 
 IKEDA_VARS = VariableSet(("x0", "x1", "u1", "u2"), n_x=2)
 IKEDA = parse_poly("x0*u1^3*u2 + x1*u1*u2^3 + x0^3*x1^2", IKEDA_VARS)
@@ -223,10 +224,11 @@ class TestSlpGeneric:
 
 class TestWlpElement:
     def test_quartic_example_level_one(self):
+        # d = 4: the one map ranked is A_1 -> A_2
         vs = VariableSet(("x", "y", "z", "u", "v"), n_x=3)
         f = parse_poly("x*u^3 + y*u^2*v + z*u*v^2 + v^4", vs)
-        _, checks = wlp_check_element(prob(f), LinearForm.from_coeffs((0, 0, 0, 1, 1)))
-        assert checks[1].rank == 5 and checks[1].required == 5
+        ok, checks = wlp_check_element(prob(f), LinearForm.from_coeffs((0, 0, 0, 1, 1)))
+        assert ok and [(c.i, c.step, c.rank, c.required) for c in checks] == [(1, 1, 5, 5)]
 
     def test_prop44_witness(self):
         inst = gen_prop44("i")
@@ -281,39 +283,127 @@ SLP_HOLDS = {
 
 
 class TestWlpFromSlp:
+    """SLP implies WLP, though WLP no longer reads the SLP report."""
+
     @pytest.mark.parametrize("name", SLP_HOLDS)
     def test_levels_are_the_ranks_at_the_slp_witness(self, name):
-        """A holding SLP report settles WLP with its witness and the levels
-        that ranking that witness gives, and builds nothing to do so."""
+        """Where SLP holds, WLP holds, and its levels are the all-levels
+        oracle's ranks at the SLP witness: every map at its maximal rank."""
         an = prob(SLP_HOLDS[name])
         slp = slp_generic(an)
         assert slp.verdict == "holds"
+        wlp = wlp_generic(an)
+        ok, checks = wlp_check_all_levels(an, slp.witness)
+        assert wlp.verdict == "holds" and ok and wlp.levels == tuple(checks)
+
+    def test_searches_when_slp_fails_or_is_absent(self, monkeypatch):
+        """prop44(i): d = 4 and hess^1 = 0, so WLP searches, undecided SLP or
+        failed, and the same elements; each is ranked on A_1 -> A_2 alone."""
+        an = prob(gen_prop44("i").f)
+        ranked = []
+        real = lefschetz.rank_at
+
+        def counting(an, k, l, L):
+            ranked.append((k, l, L))
+            return real(an, k, l, L)
+
+        monkeypatch.setattr(lefschetz, "rank_at", counting)
+        absent = wlp_generic(an)
+        searched = list(ranked)
+        assert slp_generic(an).verdict == "fails"
+        ranked.clear()
+        assert wlp_generic(an) == absent and absent.verdict == "holds"
+        assert ranked == searched and {(k, l) for k, l, _ in searched} == {(1, 2)}
+        monkeypatch.undo()
+        ok, checks = wlp_check_all_levels(an, absent.witness)
+        assert ok and absent.levels == tuple(checks)
+
+
+MIDDLE_HOLDS = {
+    **SLP_HOLDS,
+    # odd d, SLP fails below the middle, hess^m != 0
+    "exceptional-4-7-2": gen_exceptional(4, 7, 2).f,
+    "exceptional-3-9-2": gen_exceptional(3, 9, 2).f,
+}
+
+
+class TestWlpFromMiddle:
+    @pytest.mark.parametrize("name", MIDDLE_HOLDS)
+    def test_middle_witness_settles_wlp(self, name):
+        """A nonvanishing middle Hessian settles WLP at its witness point,
+        with every level at its maximal rank, and builds nothing beyond the
+        profile to do so."""
+        an = prob(MIDDLE_HOLDS[name])
+        an.hilbert()
+        hess_profile(an)
         before = an.counts()
-        wlp = wlp_generic(an, slp)
+        wlp = wlp_generic(an)
         after = an.counts()
         assert after["kernels"] == before["kernels"]
         assert after["basis_candidates"] == before["basis_candidates"]
-        assert wlp.verdict == "holds" and wlp.witness == slp.witness
-        ok, checks = wlp_check_element(an, slp.witness)
+        m = (an.f.degree - 1) // 2
+        assert wlp.verdict == "holds"
+        assert wlp.witness == LinearForm.from_coeffs(an.verdict(m).witness_point)
+        ok, checks = wlp_check_all_levels(an, wlp.witness)
         assert ok and wlp.levels == tuple(checks)
 
-    def test_searches_when_slp_fails_or_is_absent(self, monkeypatch):
-        """prop44(i): SLP fails at order 1 and WLP holds; the WLP element
-        search runs with the failing report as without one."""
-        an = prob(gen_prop44("i").f)
-        slp = slp_generic(an)
-        assert slp.verdict == "fails"
-        checked = []
-        real = lefschetz.wlp_check_element
 
-        def counting(an, L):
-            checked.append(L)
-            return real(an, L)
+def draw_element(data, n):
+    """A nonzero linear form with coefficients in -2..2, where ranks often
+    drop, or in the search's range -320..320."""
+    bound = data.draw(st.sampled_from((2, 320)))
+    coeffs = [data.draw(st.integers(-bound, bound)) for _ in range(n)]
+    if not any(coeffs):
+        coeffs[0] = 1
+    return LinearForm.from_coeffs(coeffs)
 
-        monkeypatch.setattr(lefschetz, "wlp_check_element", counting)
-        reports = [wlp_generic(an, slp), wlp_generic(an)]
-        assert reports[0] == reports[1] and reports[0].verdict == "holds"
-        assert checked and checked[: len(checked) // 2] == checked[len(checked) // 2 :]
+
+PROBE_FAMILIES = {
+    "exceptional-4-10-4": lambda: gen_exceptional(4, 10, 4),
+    "exceptional-3-7-3": lambda: gen_exceptional(3, 7, 3),
+    "thmwlp-5-4": lambda: gen_thmwlp(5, 4),
+    "thmwlp-6-8": lambda: gen_thmwlp(6, 8),
+    "wlpodd-4-5": lambda: gen_wlpodd(4, 5),
+    "ikeda": gen_ikeda,
+    "prop44-i": lambda: gen_prop44("i"),
+    "prop44-ii": lambda: gen_prop44("ii"),
+    "prop44-iii": lambda: gen_prop44("iii"),
+    # non-unimodal, h = (1, 13, 12, 13, 1)
+    "gnp-maximal-3-1-3": lambda: gen_gnp(3, None, 1, 3, "maximal"),
+    "perazzo-2-2-3": lambda: gen_perazzo(2, 2, 3),
+    "permutti-2-2-3-4": lambda: gen_permutti(2, 2, 3, 4),
+}
+
+
+@functools.cache
+def probe_analysis(name):
+    return prob(PROBE_FAMILIES[name]().f)
+
+
+class TestOneMapMatchesOracle:
+    """`wlp_check_element` ranks A_m -> A_(m+1) alone; in a Gorenstein
+    algebra it accepts exactly the elements the all-levels oracle accepts."""
+
+    @given(homogeneous_polys(max_vars=4, min_degree=1, max_degree=6), st.data())
+    @settings(max_examples=60)
+    def test_random_forms(self, f, data):
+        an, L = prob(f), draw_element(data, len(f.vars))
+        assert wlp_check_element(an, L)[0] == wlp_check_all_levels(an, L)[0]
+
+    @given(st.integers(0, 40), st.data())
+    @settings(max_examples=20)
+    def test_seeded_dense_forms(self, seed, data):
+        f = seeded_dense_form(seed)
+        an, L = prob(f), draw_element(data, len(f.vars))
+        assert wlp_check_element(an, L)[0] == wlp_check_all_levels(an, L)[0]
+
+    @pytest.mark.parametrize("name", PROBE_FAMILIES)
+    @given(data=st.data())
+    @settings(max_examples=12)
+    def test_family_forms(self, name, data):
+        an = probe_analysis(name)
+        L = draw_element(data, len(an.f.vars))
+        assert wlp_check_element(an, L)[0] == wlp_check_all_levels(an, L)[0]
 
 
 class TestKeyCriterion:
@@ -589,11 +679,23 @@ class TestRankConsistency:
 
 class TestUndetermined:
     def test_no_trials_no_certificate(self, monkeypatch):
+        """prop44(i): d = 4, hess^1 = 0 and no obstruction, so only the
+        search can settle WLP, and with no trials it is undetermined."""
         monkeypatch.setattr("lefschetz_lab.lefschetz.GENERIC_TRIALS", 0)
-        vs = VariableSet(("x", "y", "z"))
-        report = wlp_generic(prob(parse_poly("x^4 + y^4 + z^4", vs)))
+        report = wlp_generic(prob(gen_prop44("i").f))
         assert report.verdict == "undetermined"
         assert report.witness is None
+
+    @pytest.mark.parametrize("make", [
+        lambda: parse_poly("x^4 + y^4 + z^4", VariableSet(("x", "y", "z"))),
+        lambda: gen_exceptional(4, 7, 2).f,
+    ], ids=["fermat-quartic", "exceptional-4-7-2"])
+    def test_middle_verdict_needs_no_trials(self, monkeypatch, make):
+        """A nonvanishing middle Hessian settles WLP without a search, in even
+        d and in odd d (where SLP fails below the middle)."""
+        monkeypatch.setattr("lefschetz_lab.lefschetz.GENERIC_TRIALS", 0)
+        report = wlp_generic(prob(make()))
+        assert report.verdict == "holds" and report.witness is not None
 
 
 class TestNonUnimodalFailure:
