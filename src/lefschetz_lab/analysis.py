@@ -13,14 +13,14 @@ or class that defines it (`ak_basis`, `hilbert_vector`, `mixed_hessian`,
 `wlp_obstruction`) and reused afterwards, so one report decides each higher
 Hessian once, compiles each Hessian for evaluation once (the vanishing
 decision and every multiplication rank, `rank_at`, evaluate that kernel),
-and scans each order once for both certificates.  Only the verdicts depend
+and scans each order once for both certificates.  Only elimination depends
 on the mode: `in_mode` gives the Analysis of the same form and seed in
-another mode, which shares the memo and keeps its own verdicts, so a form
-checked in both modes computes every other piece once.  A verdict is
-decided by one of three routes: the order's key certificate (split forms;
-the Hessian is then neither assembled nor compiled), evaluation of the
-kernel, or, in exact mode only, elimination after every evaluation was
-zero; `counts()` reports the first and the last.  Each basis of A_k grows
+another mode, which shares the memo, so a form checked in both modes
+computes every piece, and decides every order, once.  A verdict is decided
+by one of three routes: the order's key certificate (split forms; the
+Hessian is then neither assembled nor compiled), evaluation of the kernel,
+or, in exact mode only, elimination after every evaluation was zero;
+`counts()` reports the first and the last.  Each basis of A_k grows
 from that of A_(k-1), and the bases, the Hessian cells and the scans read
 the derivatives of f from one memo.
 
@@ -35,7 +35,7 @@ from typing import Callable, Optional, TypeVar
 
 from .apolar import AkBasis, HilbertVector, ak_basis, hilbert_vector
 from .errors import DegreeRangeError, ZeroPolynomialError
-from .hessian import MODES, Matrix, VanishingVerdict, hessian_vanishes, mixed_hessian
+from .hessian import MODES, Matrix, VanishingVerdict, _eliminated, hessian_vanishes, mixed_hessian
 from .lefschetz import KeyCertificate, ObstructionCertificate, _u_subring_ops, key_criterion, wlp_obstruction
 from .polycore import Derivatives, DiffOp, IntMatrix, Monomial, Poly
 
@@ -64,9 +64,10 @@ class Analysis:
     def in_mode(self, mode: str) -> Analysis:
         """This form and seed in `mode`, sharing the derivatives and the memo.
 
-        Only the verdicts depend on the mode, and the memo keys them by it;
-        every other piece, computed by either Analysis, serves both.  The
-        counts of reuse and of exact rank fallbacks stay each Analysis's own.
+        No memo key holds a mode: every piece and every order's decision,
+        computed by either Analysis, serves both, and only exact mode reads
+        the eliminations.  The counts of reuse and of exact rank fallbacks
+        stay each Analysis's own.
         """
         if mode == self.mode:
             return self
@@ -109,8 +110,16 @@ class Analysis:
         return self._get(("kernel", k, l), lambda: IntMatrix(self.hessian(k, l)))
 
     def verdict(self, k: int) -> VanishingVerdict:
-        """Whether the order-k Hessian vanishes, decided in this mode and seed."""
-        return self._get(("verdict", self.mode, k), lambda: hessian_vanishes(self, k))
+        """Whether the order-k Hessian vanishes: the decision both modes share,
+        unless it is probabilistic and this mode exact, then elimination's.
+        Either way one read is one memo hit, that of the shared decision."""
+        verdict = self._get(("verdict", k), lambda: hessian_vanishes(self, k))
+        if self.mode == "exact" and verdict.error_bound is not None:
+            key = ("elimination", k)
+            if key not in self._memo:
+                self._memo[key] = _eliminated(self, k, self.hessian(k, k), self.kernel(k, k))
+            verdict = self._memo[key]
+        return verdict
 
     def u_subring(self, k: int) -> tuple[list[DiffOp], int, list[Monomial]]:
         """The order-k u-subring scan, which both certificates of the order read."""
@@ -125,15 +134,16 @@ class Analysis:
         return self._get(("obstruction", k), lambda: wlp_obstruction(self, k))
 
     def counts(self) -> dict:
-        """Hessian decisions in this mode, those a key certificate decided, those
-        that eliminated (the rest were decided by evaluation), Hessian kernels
-        compiled, memo hits, exact rank fallbacks, monomial derivatives of f
-        computed, basis candidates reduced."""
-        verdicts = [v for key, v in self._memo.items() if key[:2] == ("verdict", self.mode)]
+        """Hessian orders decided (in either mode), those a key certificate
+        decided, those eliminated in exact mode (none in probabilistic mode;
+        the rest were decided by evaluation), Hessian kernels compiled, memo
+        hits, exact rank fallbacks, monomial derivatives of f computed, basis
+        candidates reduced."""
+        verdicts = [v for key, v in self._memo.items() if key[0] == "verdict"]
         return {
             "hessian_decisions": len(verdicts),
             "certified": sum(1 for v in verdicts if v.certificate is not None),
-            "eliminations": sum(1 for v in verdicts if v.eliminated),
+            "eliminations": sum(key[0] == "elimination" for key in self._memo) if self.mode == "exact" else 0,
             "kernels": sum(1 for key in self._memo if key[0] == "kernel"),
             "reused": self._reused,
             "rational_ranks": self.rational_ranks,

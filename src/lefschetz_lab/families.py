@@ -824,7 +824,7 @@ def replay_manifest(inst: FamilyInstance, *, mode: str = "probabilistic") -> lis
     replayed by its verifier on f, never trusted from the instance.  Every
     claim reads `inst.analysis` in `mode` (`Analysis.in_mode`), so the pieces
     generation computed are not computed again, each Hessian is decided once
-    per mode, and the SLP and WLP claims are decided in the same mode as the
+    for both modes, and the SLP and WLP claims are decided in the same mode as the
     profile.
     """
     an = inst.analysis.in_mode(mode)

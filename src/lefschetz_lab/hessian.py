@@ -3,34 +3,35 @@
 The order-k Hessian of f is the symmetric matrix (a_i a_j (f)) over an ordered
 basis (a_i) of the degree-k graded piece.  Whether its determinant vanishes
 identically does not depend on the basis, so verdicts are reported without
-one.  Both modes decide along one path of three routes, taken in order:
+one.  A verdict is as certain as the route that decided it, whatever the
+mode; the routes are taken in order, and only the last reads the mode:
 
   * certificate: for k >= 1 on a form with a declared x/u split, the
     form's u-subring overflow certificate (`an.key(k)`, the
     Gordan-Noether-type argument the paper's constructions rest on) proves
-    vanishing exactly in either mode; the Hessian is then neither assembled
-    nor compiled;
+    vanishing exactly; the Hessian is then neither assembled nor compiled;
   * evaluation: evaluate the matrix's integer kernel (`polycore.IntMatrix`,
     rows scaled to integer coefficients; the form's `Analysis` compiles it
     once) at seeded integer points and take the determinant modulo a prime p
     drawn at random from [2^60, 2^61) for this decision.  A nonzero residue
-    proves the determinant nonzero over Q, an unconditional nonvanishing
-    witness in either mode.  The verdict carries it as (point, p, residue),
-    the residue being that of the rational determinant (the row scale is
-    divided out mod p), so it replays from the matrix alone; the exact
-    value is not computed for the decision;
-  * elimination: when every residue is zero, fraction-free elimination of
-    the polynomial matrix over the rational function field (fewest-terms
-    pivoting, early exit on a zero row/column) certifies vanishing
-    unconditionally; a nonzero determinant gets its witness from exact
-    evaluation of the kernel at seeded points in ever wider boxes.
+    proves the determinant nonzero over Q, an exact nonvanishing witness.
+    The verdict carries it as (point, p, residue), the residue being that
+    of the rational determinant (the row scale is divided out mod p), so it
+    replays from the matrix alone; the exact value is not computed for the
+    decision.  When every residue is zero, the verdict is probabilistic
+    vanishing, with its error bound;
+  * elimination: in exact mode only, that probabilistic verdict gives way
+    to fraction-free elimination of the polynomial matrix over the rational
+    function field (fewest-terms pivoting, early exit on a zero
+    row/column), which certifies vanishing unconditionally; a nonzero
+    determinant gets its witness from exact evaluation of the kernel at
+    seeded points in ever wider boxes.
 
 A constant matrix (the middle Hessian of even degree) is decided by its
 residue at the all-ones point, exactly; only a zero residue, which p may
 produce for a nonzero value, sends it to the exact integer determinant.
-Elimination runs only after all evaluations were zero, and then only in exact
-mode; a probabilistic vanishing verdict, whatever the matrix's size, states
-its error bound (deg/B)^DEFAULT_TRIALS + ceil(bits(N)/60) / 2^54: Schwartz-Zippel
+A probabilistic vanishing verdict, whatever the matrix's size, states its
+error bound (deg/B)^DEFAULT_TRIALS + ceil(bits(N)/60) / 2^54: Schwartz-Zippel
 over F_p for the B-wide sample box, plus the chance that the prime divides
 the content of a nonzero determinant polynomial, whose coefficients are
 bounded by N, the product of the rows' coefficient 1-norms.  The prime is
@@ -38,10 +39,12 @@ random, not fixed, because a fixed p can divide that content: 2^61-1
 divides every value of the order-1 Hessian determinant of
 (2^61-1) x0^3 + x1^3 + ... + x12^3.  The Hessians, their kernels, the
 certificates and the verdicts of one form are read through its `Analysis`,
-which builds each once and decides each once per mode.  `mixed_hessian` and
-`hessian_vanishes` are the compute bodies of `an.hessian(k, l)` and
-`an.verdict(k)`, and `hessian_matrix` reads `an.hessian(k, k)`; called
-directly, the compute bodies bypass the memo and `counts()`.
+which builds each once, decides each order once for both modes and, in exact
+mode, eliminates each probabilistic verdict once.  `mixed_hessian` and
+`hessian_vanishes` are the compute bodies of `an.hessian(k, l)` and of
+`an.verdict(k)` before elimination, and `hessian_matrix` reads
+`an.hessian(k, k)`; called directly, the compute bodies bypass the memo and
+`counts()`.
 """
 
 from __future__ import annotations
@@ -92,10 +95,12 @@ class VanishingVerdict(Record):
     numerator (`det_value_bits`).
 
     A vanishing verdict names the route that decided it: the u-subring
-    overflow `certificate` (exact in either mode), the hash of the
-    elimination transcript (exact), or, for the evaluation route alone, the
-    compounded failure bound (probabilistic).  `eliminated` records whether
-    polynomial elimination ran; it is not part of the serialized verdict.
+    overflow `certificate`, the hash of the elimination (or constant-matrix)
+    transcript, or, for the evaluation route alone, the compounded failure
+    bound.  `mode` is read off the verdict, never stored: "probabilistic"
+    exactly when it states an `error_bound`, else "exact", so every
+    nonvanishing verdict is exact.  `eliminated` records whether polynomial
+    elimination ran; it is not part of the serialized verdict.
     `kernel`, the compiled matrix that gives the exact value at the witness
     point on demand when the decision did not keep it (`known_value`), is
     left out of equality, hash and repr (`_fields`); a copy or pickle
@@ -103,7 +108,7 @@ class VanishingVerdict(Record):
     """
 
     __slots__ = (
-        "vanishes", "mode", "witness_point", "prime", "residue", "error_bound",
+        "vanishes", "witness_point", "prime", "residue", "error_bound",
         "transcript_hash", "certificate", "eliminated", "known_value", "kernel", "_det_value",
     )
     _fields = __slots__[:-2]  # neither the kernel nor its cached value
@@ -111,7 +116,6 @@ class VanishingVerdict(Record):
     def __init__(
         self,
         vanishes: bool,
-        mode: str,  # "exact" | "probabilistic"
         witness_point: Optional[tuple[int, ...]] = None,
         prime: Optional[int] = None,
         residue: Optional[int] = None,
@@ -126,15 +130,17 @@ class VanishingVerdict(Record):
             raise ValueError("nonvanishing verdict requires a witness point")
         if not vanishes and known_value is None and (not residue or kernel is None):
             raise ValueError("nonvanishing verdict requires a nonzero residue or its value")
-        if mode == "exact" and error_bound is not None:
-            raise ValueError("exact verdicts carry no error bound")
-        if certificate is not None and not (vanishes and mode == "exact"):
+        if certificate is not None and not (vanishes and error_bound is None):
             raise ValueError("a key certificate proves exact vanishing only")
         Record.__init__(
-            self, vanishes, mode, witness_point, prime, residue, error_bound,
+            self, vanishes, witness_point, prime, residue, error_bound,
             transcript_hash, certificate, eliminated, known_value, kernel,
         )
         object.__setattr__(self, "_det_value", None)  # computed from the kernel on first access
+
+    @property
+    def mode(self) -> str:
+        return "exact" if self.error_bound is None else "probabilistic"
 
     @property
     def det_value(self) -> Optional[Fraction]:
@@ -209,31 +215,29 @@ def _mirrored(uppers: Iterable[list[Poly]]) -> Matrix:
 
 
 def hessian_vanishes(an: Analysis, k: int) -> VanishingVerdict:
-    """Decide whether the order-k Hessian determinant vanishes identically.
+    """Decide whether the order-k Hessian determinant vanishes identically,
+    by the routes that do not read the mode.
 
     On a split form, an order k >= 1 with a key certificate (`an.key(k)`)
-    is decided by it: exact vanishing in either mode, with no Hessian
-    assembled.  Otherwise the decision evaluates the kernel the Analysis
-    compiled at the Analysis's seed and, in exact mode where every value is
-    zero, eliminates.  The compute body of `an.verdict(k)`, which keeps the
-    result; call that instead.  This function decides afresh on every call,
-    though the key search itself is memoized.  An order outside 0..d/2 is
-    refused before the key search, in `mixed_hessian`'s words, so a split
-    form and the same form without its split give the same error.
+    is decided by it: exact vanishing, with no Hessian assembled.  Otherwise
+    the kernel the Analysis compiled is evaluated at the Analysis's seed: a
+    nonzero residue or value is exact nonvanishing, and zero at every point
+    is probabilistic vanishing.  The compute body of `an.verdict(k)`, which
+    keeps the result for both modes and, in exact mode, replaces a
+    probabilistic one by elimination's; call that instead.  This function
+    decides afresh on every call, though the key search itself is memoized.
+    An order outside 0..d/2 is refused before the key search, in
+    `mixed_hessian`'s words, so a split form and the same form without its
+    split give the same error.
     """
     _require_orders(an.f.degree, k, k)
     if k >= 1 and an.f.vars.has_split:
         cert = an.key(k)
         if cert is not None:
-            return VanishingVerdict(True, "exact", certificate=cert)
+            return VanishingVerdict(True, certificate=cert)
     H = hessian_matrix(an, k)
     return _det_vanishes(
-        H,
-        degree_bound=len(H) * (an.f.degree - 2 * k),
-        mode=an.mode,
-        seed=an.seed,
-        salt=f"hess:{k}",
-        kernel=an.kernel(k, k),
+        H, degree_bound=len(H) * (an.f.degree - 2 * k), seed=an.seed, salt=f"hess:{k}", kernel=an.kernel(k, k)
     )
 
 
@@ -244,14 +248,13 @@ def explicit_basis_verdict(an: Analysis, k: int, ops: Sequence[DiffOp]) -> Vanis
     consulted.  Cell (i, j) is ops[i] applied to ops[j] (f)."""
     derived = [diff_apply(a, an.f) for a in ops]
     H = _mirrored([diff_apply(a, g) for g in derived[i:]] for i, a in enumerate(ops))
-    return _det_vanishes(
-        H,
-        degree_bound=len(H) * (an.f.degree - 2 * k),
-        mode=an.mode,
-        seed=an.seed,
-        salt=f"hess:{k}",
-        kernel=IntMatrix(H),
+    kernel = IntMatrix(H)
+    verdict = _det_vanishes(
+        H, degree_bound=len(H) * (an.f.degree - 2 * k), seed=an.seed, salt=f"hess:{k}", kernel=kernel
     )
+    if an.mode == "exact" and verdict.error_bound is not None:
+        return _eliminated(an, k, H, kernel)
+    return verdict
 
 
 def hess_profile(an: Analysis, *, max_k: Optional[int] = None) -> list[VanishingVerdict]:
@@ -307,12 +310,13 @@ def _det_vanishes(
     entries: Sequence[Sequence[Poly]],
     *,
     degree_bound: int,
-    mode: str,
     seed: int,
     salt: str,
     kernel: IntMatrix,
 ) -> VanishingVerdict:
-    """Decide det(entries) == 0; `kernel` is the entries compiled for evaluation."""
+    """Decide det(entries) == 0 by evaluation; `kernel` is the entries
+    compiled for it.  A nonzero residue or value is exact, and zero at every
+    point probabilistic vanishing with its error bound."""
     size = len(entries)
     if size == 0:
         raise ValueError("empty matrix")
@@ -321,39 +325,31 @@ def _det_vanishes(
     if degree_bound == 0:
         # constant matrix: its determinant is the answer, unconditionally
         point = (1,) * kernel.nvars
-        verdict = _witness(kernel, point, p, "exact")
+        verdict = _witness(kernel, point, p)
         if verdict is not None:
             return verdict
         value = Fraction(linalg.det_int(kernel.at(point)), kernel.scale)
         if value:  # p divides the nonzero determinant
-            return VanishingVerdict(False, "exact", witness_point=point, known_value=value)
-        return VanishingVerdict(
-            True, "exact", transcript_hash=_hash_transcript(["constant-matrix", str(size)])
-        )
+            return VanishingVerdict(False, witness_point=point, known_value=value)
+        return VanishingVerdict(True, transcript_hash=_hash_transcript(["constant-matrix", str(size)]))
 
     bound_B = 64 * degree_bound
     rng_base = f"{salt}:{seed}"
     for trial in range(DEFAULT_TRIALS):
         rng = random.Random(f"{rng_base}:{trial}")
         point = tuple(rng.randint(1, bound_B) for _ in range(kernel.nvars))
-        verdict = _witness(kernel, point, p, mode)
+        verdict = _witness(kernel, point, p)
         if verdict is not None:
             return verdict
-    if mode == "exact":
-        return _exact_verdict(entries, kernel, degree_bound, seed, salt)
     # Schwartz-Zippel over F_p for every trial, plus the chance that p
     # divides the content of a nonzero integer determinant polynomial: at
     # most bits/60 primes >= 2^60 do, out of more than 2^54 to draw from
     per_trial = Fraction(degree_bound, bound_B)
     bad_primes = -(-kernel.norm_bound.bit_length() // 60)
-    return VanishingVerdict(
-        True, "probabilistic", error_bound=per_trial**DEFAULT_TRIALS + Fraction(bad_primes, 2**54)
-    )
+    return VanishingVerdict(True, error_bound=per_trial**DEFAULT_TRIALS + Fraction(bad_primes, 2**54))
 
 
-def _witness(
-    kernel: IntMatrix, point: tuple[int, ...], p: int, mode: str
-) -> Optional[VanishingVerdict]:
+def _witness(kernel: IntMatrix, point: tuple[int, ...], p: int) -> Optional[VanishingVerdict]:
     """The nonvanishing verdict at `point` if the kernel's integer determinant
     there is nonzero mod p; None otherwise.
 
@@ -367,11 +363,9 @@ def _witness(
         return None
     if kernel.scale % p:
         residue = residue * pow(kernel.scale, -1, p) % p
-        return VanishingVerdict(
-            False, mode, witness_point=point, prime=p, residue=residue, kernel=kernel
-        )
+        return VanishingVerdict(False, witness_point=point, prime=p, residue=residue, kernel=kernel)
     value = Fraction(linalg.det_int(matrix), kernel.scale)
-    return VanishingVerdict(False, mode, witness_point=point, known_value=value)
+    return VanishingVerdict(False, witness_point=point, known_value=value)
 
 
 @lru_cache(maxsize=256)
@@ -413,29 +407,24 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _exact_verdict(
-    entries: Sequence[Sequence[Poly]], kernel: IntMatrix, degree_bound: int, seed: int, salt: str
-) -> VanishingVerdict:
+def _eliminated(an: Analysis, k: int, entries: Sequence[Sequence[Poly]], kernel: IntMatrix) -> VanishingVerdict:
+    """The exact verdict, by elimination, on the order-k matrix `entries` of
+    `an`'s form, compiled as `kernel`, which evaluation found zero at every
+    point; exact mode's replacement for the probabilistic verdict."""
     vanishes, transcript, _ = poly_det_vanishes(entries)
     if vanishes:
-        return VanishingVerdict(
-            True, "exact", transcript_hash=_hash_transcript(transcript), eliminated=True
-        )
+        return VanishingVerdict(True, transcript_hash=_hash_transcript(transcript), eliminated=True)
     # nonzero, yet zero at every sampled point: search wider boxes, each
     # twice the last, until the kernel's determinant is nonzero
-    bound = 64 * degree_bound
+    bound = 64 * len(entries) * (an.f.degree - 2 * k)
     attempt = 0
     while True:
-        rng = random.Random(f"witness:{salt}:{seed}:{attempt}")
+        rng = random.Random(f"witness:hess:{k}:{an.seed}:{attempt}")
         point = tuple(rng.randint(1, bound) for _ in range(kernel.nvars))
         value = linalg.det_int(kernel.at(point))
         if value:
             return VanishingVerdict(
-                False,
-                "exact",
-                witness_point=point,
-                known_value=Fraction(value, kernel.scale),
-                eliminated=True,
+                False, witness_point=point, known_value=Fraction(value, kernel.scale), eliminated=True
             )
         attempt += 1
         bound *= 2

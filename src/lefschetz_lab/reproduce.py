@@ -12,7 +12,7 @@ the row asks for it; a manifest whose weak property fails also gets the
 check that the failing map has a kernel at every sampled linear form, ranked
 on its mixed Hessian (`rank_at`).  Both read the generator's own Analysis,
 the replay in the row's mode (`Analysis.in_mode`), so a row computes each
-mode-free piece of its form once and decides each Hessian once per mode.
+piece of its form once and decides each Hessian once in either mode.
 Only the gnp boundary row keeps a check of its own.
 """
 
@@ -306,7 +306,7 @@ def _mode_agreement(config: SuiteConfig) -> tuple[bool, str]:
                 fixtures.append((f"{name}[k={k}]", prob, exact, k))
 
     # a generated instance brings the probabilistic Analysis it was verified
-    # on; its exact side shares every piece but the verdicts
+    # on; its exact side shares every piece and decision, and eliminates
     add("ikeda", gen_ikeda(seed=config.seed).analysis)
     add("perazzo", gen_perazzo(2, 2, 3, seed=config.seed).analysis)
     add("gnp", gen_gnp(2, 2, 1, 2, seed=config.seed).analysis)

@@ -77,7 +77,7 @@ def test_exact_replay_decides_slp_and_wlp_exactly():
 
 def test_exact_replay_needs_exact_hessian_verdicts(monkeypatch):
     inst = gen_perazzo(2, 2, 3)
-    probable = VanishingVerdict(True, "probabilistic", error_bound=Fraction(1, 2**64))
+    probable = VanishingVerdict(True, error_bound=Fraction(1, 2**64))
     monkeypatch.setattr(Analysis, "verdict", lambda self, k: probable)
     passed = {name: ok for name, ok, _ in replay_manifest(inst, mode="exact")}
     assert passed["hess[1] =0"] is False
@@ -148,14 +148,31 @@ class TestCarriedAnalysis:
         assert_replays(inst, mode="exact")
         assert built == ["exact"]
 
-    def test_other_mode_shares_every_piece_but_the_verdicts(self):
+    def test_other_mode_shares_every_piece_and_decision(self):
         an = gen_wlpodd(4, 5).analysis
         other = an.in_mode("exact")
         assert an.in_mode("probabilistic") is an and other.in_mode("exact") is other
         assert (other.f, other.mode, other.seed) == (an.f, "exact", an.seed)
         assert other.derivatives is an.derivatives
         assert other.basis(2) is an.basis(2) and other.key(2) is an.key(2)
-        assert other.verdict(1) is not an.verdict(1)
+        assert other.verdict(1) is an.verdict(1)
+
+    def test_exact_replay_evaluates_no_order_generation_evaluated(self, monkeypatch):
+        import lefschetz_lab.hessian as hessian_mod
+
+        evaluated = []
+        real = hessian_mod._det_vanishes
+
+        def counting(entries, **kwargs):
+            evaluated.append(kwargs["salt"])
+            return real(entries, **kwargs)
+
+        monkeypatch.setattr(hessian_mod, "_det_vanishes", counting)
+        inst = gen_exceptional(3, 5, 2)
+        generated = set(evaluated)
+        evaluated.clear()
+        assert_replays(inst, mode="exact")
+        assert generated and not generated & set(evaluated)
 
     def test_replay_of_another_form_builds_its_own(self, monkeypatch):
         inst = gen_wlpodd(4, 5)

@@ -3,6 +3,7 @@ import sys
 import warnings
 from fractions import Fraction
 from math import factorial, prod
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from lefschetz_lab.families import (
     gen_exceptional,
     gen_gnp,
     gen_perazzo,
+    gen_permutti,
     gen_prop44,
     gen_thmwlp,
     gen_wlpodd,
@@ -153,14 +155,14 @@ class TestVanishing:
         assert verdict.det_value != 0
 
     def test_exact_mode_unconditional(self):
-        verdict = hessian_vanishes(exact(unsplit(PERAZZO)), 1)
+        verdict = exact(unsplit(PERAZZO)).verdict(1)
         assert verdict.vanishes and verdict.mode == "exact"
         assert verdict.error_bound is None
         assert verdict.transcript_hash
 
     def test_exact_transcript_deterministic(self):
-        a = hessian_vanishes(exact(unsplit(PERAZZO)), 1)
-        b = hessian_vanishes(exact(unsplit(PERAZZO)), 1)
+        a = exact(unsplit(PERAZZO)).verdict(1)
+        b = exact(unsplit(PERAZZO)).verdict(1)
         assert a.transcript_hash and a.transcript_hash == b.transcript_hash
 
     @pytest.mark.parametrize("analysis", [prob, exact])
@@ -367,7 +369,7 @@ class TestKeyCriterionSoundness:
         # the split decides these through the certificate itself; without
         # it, evaluation and elimination reach the same verdict
         assert hessian_vanishes(prob(unsplit(f)), k).vanishes
-        assert hessian_vanishes(exact(unsplit(f)), k).vanishes
+        assert exact(unsplit(f)).verdict(k).vanishes
 
 
 SMALL_SPLIT_FAMILIES = {
@@ -459,7 +461,54 @@ class TestModeAgreement:
             return
         oracle = poly_det_vanishes(an.hessian(k, k))[0]
         assert hessian_vanishes(an, k).vanishes == oracle
-        assert hessian_vanishes(exact(f), k).vanishes == oracle
+        assert exact(f).verdict(k).vanishes == oracle
+
+
+# split and unsplit family forms: certificates, vanishing orders that only
+# elimination proves (the unsplit cubics), and nonvanishing ones
+ROUTE_FORMS = {
+    "perazzo": lambda: PERAZZO,
+    "perazzo-unsplit": lambda: unsplit(PERAZZO),
+    "ikeda": lambda: IKEDA,
+    "ikeda-unsplit": lambda: unsplit(IKEDA),
+    "exceptional(3,5,2)-unsplit": lambda: unsplit(gen_exceptional(3, 5, 2).f),
+    "permutti(2,2,3,6)-unsplit": lambda: unsplit(gen_permutti(2, 2, 3, 6).f),
+}
+
+
+class TestCertaintyFromTheRoute:
+    """A verdict's mode is the certainty of its route, whatever the mode of
+    the Analysis, and an Analysis and its `in_mode` sibling decide each order
+    once between them."""
+
+    @given(
+        st.sampled_from(sorted(ROUTE_FORMS)).map(lambda name: ROUTE_FORMS[name]())
+        | homogeneous_polys(max_vars=3, max_degree=4),
+        st.integers(0, 3),
+        st.booleans(),
+    )
+    @settings(max_examples=30)
+    def test_mode_is_read_off_the_route(self, f, seed, exact_first):
+        evaluated = []
+        real = hessian_mod._det_vanishes
+
+        def counting(entries, **kwargs):
+            evaluated.append(kwargs["salt"])
+            return real(entries, **kwargs)
+
+        with mock.patch.object(hessian_mod, "_det_vanishes", counting):
+            prob_an = Analysis(f, "probabilistic", seed)
+            exact_an = prob_an.in_mode("exact")
+            for k in range(f.degree // 2 + 1):
+                # the sibling that asks first decides the order for both
+                for an in (exact_an, prob_an) if exact_first else (prob_an, exact_an):
+                    an.verdict(k)
+                p, e = prob_an.verdict(k), exact_an.verdict(k)
+                for verdict in (p, e):
+                    assert (verdict.mode == "probabilistic") == (verdict.error_bound is not None)
+                assert e.mode == "exact" and e.vanishes == p.vanishes
+                assert (e is p) == (p.mode == "exact")
+        assert len(evaluated) == len(set(evaluated)) <= f.degree // 2 + 1
 
 
 def replays(entries, verdict):
@@ -489,7 +538,7 @@ class TestEvaluateFirst:
         assert calls == []
 
     def test_exact_vanishing_still_eliminates(self):
-        verdict = hessian_vanishes(exact(unsplit(PERAZZO)), 1)
+        verdict = exact(unsplit(PERAZZO)).verdict(1)
         assert verdict.vanishes and verdict.eliminated and verdict.transcript_hash
 
     def test_probabilistic_vanishing_never_eliminates(self, monkeypatch):
@@ -529,14 +578,7 @@ class TestEvaluateFirst:
         an = exact(parse_poly("x^3 + y^3 + z^3 + x*y*z", vs))
         entries = an.hessian(1, 1)
         monkeypatch.setattr(hessian_mod, "DEFAULT_TRIALS", 0)
-        verdict = _det_vanishes(
-            entries,
-            degree_bound=3,
-            mode="exact",
-            seed=0,
-            salt="hess:1",
-            kernel=an.kernel(1, 1),
-        )
+        verdict = an.verdict(1)
         assert not verdict.vanishes and verdict.mode == "exact"
         assert verdict.eliminated and verdict.error_bound is None
         assert replays(entries, verdict)
@@ -624,7 +666,7 @@ class TestRandomPrime:
         entries = an.hessian(1, 1)
         assert len(entries) > DEFAULT_EXACT_CUTOFF
         verdict = hessian_vanishes(an, 1)
-        assert not verdict.vanishes and verdict.mode == "probabilistic"
+        assert not verdict.vanishes and verdict.mode == "exact"
         assert verdict.det_value == 6**13 * MERSENNE_61 * prod(verdict.witness_point)
         assert replays(entries, verdict)
 
@@ -702,7 +744,6 @@ def decide_by_evaluation(f, k, seed):
     verdict = _det_vanishes(
         entries,
         degree_bound=len(entries) * (f.degree - 2 * k),
-        mode="probabilistic",
         seed=seed,
         salt=f"hess:{k}",
         kernel=IntMatrix(entries),
@@ -792,7 +833,7 @@ class TestWitnessReport:
         if not limit:
             pytest.skip("this interpreter converts ints of any length to text")
         value = Fraction(10**limit)  # one digit more than the limit
-        verdict = VanishingVerdict(False, "exact", witness_point=(1, 1), known_value=value)
+        verdict = VanishingVerdict(False, witness_point=(1, 1), known_value=value)
         assert verdict.to_json_dict() == {
             "vanishes": False,
             "mode": "exact",

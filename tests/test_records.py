@@ -21,8 +21,7 @@ from lefschetz_lab.polycore import Poly, Record, VariableSet, parse_poly
 
 
 def verdict(**changes):
-    fields = dict(vanishes=False, mode="probabilistic", witness_point=(1, 2), prime=7, residue=3,
-                  known_value=Fraction(5))
+    fields = dict(vanishes=False, witness_point=(1, 2), prime=7, residue=3, known_value=Fraction(5))
     return VanishingVerdict(**{**fields, **changes})
 
 
@@ -61,10 +60,10 @@ RECORDS = {
     "VanishingVerdict": (
         verdict(),
         verdict(kernel=object()),  # the kernel is not compared
-        [verdict(vanishes=True), verdict(mode="exact"), verdict(witness_point=(1, 3)), verdict(prime=11),
+        [verdict(vanishes=True), verdict(witness_point=(1, 3)), verdict(prime=11),
          verdict(residue=4), verdict(error_bound=Fraction(1, 2)), verdict(transcript_hash="ab"),
          verdict(eliminated=True), verdict(known_value=Fraction(6))],
-        "VanishingVerdict(vanishes=False, mode='probabilistic', witness_point=(1, 2), prime=7, "
+        "VanishingVerdict(vanishes=False, witness_point=(1, 2), prime=7, "
         "residue=3, error_bound=None, transcript_hash=None, certificate=None, eliminated=False, "
         "known_value=Fraction(5, 1))",
     ),
@@ -117,8 +116,8 @@ def test_no_assignment(name):
 
 def test_verdicts_differing_only_in_certificate():
     cert = KeyCertificate(("x",), ("u",), 1, (), 0, ())
-    plain = VanishingVerdict(True, "exact", transcript_hash="ab")
-    assert VanishingVerdict(True, "exact", transcript_hash="ab", certificate=cert) != plain
+    plain = VanishingVerdict(True, transcript_hash="ab")
+    assert VanishingVerdict(True, transcript_hash="ab", certificate=cert) != plain
 
 
 def test_family_spec_overrides_default_is_not_shared():
