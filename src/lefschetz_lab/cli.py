@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 suite fixtures failed or stdout closed early, 2
 usage or validation error or out of memory, 3 an undetermined SLP or WLP
-verdict under --strict.  The LEFSCHETZ_LAB_SEED environment variable
+verdict under --strict.  `reproduce` runs its fixtures in worker processes;
+a worker that dies fails the fixtures it did not report, so the suite exits 1.  The LEFSCHETZ_LAB_SEED environment variable
 supplies the default seed.  Each command imports its modules when it runs,
 so --version and --help load none.
 """

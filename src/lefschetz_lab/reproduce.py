@@ -14,14 +14,24 @@ on its mixed Hessian (`rank_at`).  Both read the generator's own Analysis,
 the replay in the row's mode (`Analysis.in_mode`), so a row computes each
 piece of its form once and decides each Hessian once in either mode.
 Only the gnp boundary row keeps a check of its own.
+
+`run_suite` runs the fixtures in up to one process per usable CPU.  Forked
+workers take fixture indices from one shared queue and hand their outcomes
+back as JSON lines; the table comes back in fixture order, and everything
+but `millis` is the same for any number of workers.  `millis` is each
+fixture's own time, so the column can sum to more than the wall time.  Each
+worker fills the module-level caches (`lru_cache`) of `hessian` and
+`polycore` on its own.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import random
 import time
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import BinaryIO, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import linalg
 from .analysis import Analysis
@@ -385,19 +395,129 @@ FIXTURES: list[Fixture] = (
 )
 
 
-def run_suite(config: SuiteConfig) -> list[FixtureOutcome]:
-    outcomes = []
-    for fixture in FIXTURES:
+# Each queue record is one fixture index in _RECORD bytes.  The parent writes
+# the whole queue before any worker reads, so a pipe buffer (64 KiB on Linux)
+# holds 16384 fixtures.
+_RECORD = 4
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _drain(queue: int, config: SuiteConfig, parent: Optional[int] = None) -> Iterator[tuple[int, FixtureOutcome]]:
+    """Run fixtures by the indices read from `queue` until it ends.
+
+    A worker forked from `parent` stops before its next fixture once the
+    parent is gone.
+    """
+    while parent is None or os.getppid() == parent:
+        record = os.read(queue, _RECORD)
+        if not record:
+            return
+        index = int.from_bytes(record, "big")
+        fixture = FIXTURES[index]
         start = time.perf_counter()
         try:
             passed, detail = fixture.run(config)
         except Exception as exc:  # a crashed fixture is a failed fixture
             passed, detail = False, f"{type(exc).__name__}: {exc}"
         millis = (time.perf_counter() - start) * 1000.0
-        outcomes.append(
-            FixtureOutcome(fixture.fixture_id, fixture.criterion, passed, detail, millis)
-        )
-    return outcomes
+        yield index, FixtureOutcome(fixture.fixture_id, fixture.criterion, passed, detail, millis)
+
+
+def _worker(queue: int, out: int, config: SuiteConfig, parent: int, cpu: Optional[int]) -> None:
+    """The body of a forked worker, kept to `cpu` if one is given: one JSON
+    line per outcome on `out`.
+
+    It leaves only through `os._exit`, so it never flushes the stdout buffer
+    it copied from the parent and runs none of the parent's exit handlers.
+    """
+    code = 1
+    try:
+        if cpu is not None:
+            os.sched_setaffinity(0, {cpu})
+        for index, o in _drain(queue, config, parent):
+            line = json.dumps([index, o.passed, o.detail, o.millis]) + "\n"
+            os.write(out, line.encode())
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _status(status: int) -> str:
+    code = os.waitstatus_to_exitcode(status)
+    return f"exit status {code}" if code >= 0 else f"signal {-code}"
+
+
+def run_suite(config: SuiteConfig) -> list[FixtureOutcome]:
+    """Run every fixture; the outcomes come back in table order.
+
+    The fixtures run in up to one process per usable CPU: the parent queues
+    every index on a pipe, forks the other workers and drains the queue
+    itself, so the load balances itself.  With one worker nothing forks and
+    the same loop runs the fixtures in order.  A fixture that no worker
+    reported, because its worker died, fails and names how the worker ended.
+    """
+    workers = min(_usable_cpus(), len(FIXTURES))
+    # Worker k keeps to the k-th usable CPU: left to itself, the kernel of a
+    # small virtual machine was seen to run both workers on one of two CPUs.
+    cpus = sorted(os.sched_getaffinity(0)) if workers > 1 and hasattr(os, "sched_setaffinity") else []
+    outcomes: list[Optional[FixtureOutcome]] = [None] * len(FIXTURES)
+    ended: list[str] = []
+    children: dict[int, BinaryIO] = {}  # pid -> its outcome pipe, until it is reaped
+    queue, queue_in = os.pipe()
+    try:
+        with open(queue_in, "wb") as fh:
+            fh.write(b"".join(i.to_bytes(_RECORD, "big") for i in range(len(FIXTURES))))
+        parent = os.getpid()
+        for k in range(1, workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _worker(queue, write, config, parent, cpus[k % len(cpus)] if cpus else None)
+            except BaseException:
+                os.close(read)
+                raise
+            finally:
+                os.close(write)
+            children[pid] = open(read, "rb")
+        if cpus:
+            os.sched_setaffinity(0, cpus[:1])
+        for index, outcome in _drain(queue, config):
+            outcomes[index] = outcome
+        for pid, out in list(children.items()):
+            with out:
+                lines = out.read().split(b"\n")[:-1]  # a cut last line has no newline
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            if status:
+                ended.append(_status(status))
+            for line in lines:
+                index, passed, detail, millis = json.loads(line)
+                fixture = FIXTURES[index]
+                outcomes[index] = FixtureOutcome(fixture.fixture_id, fixture.criterion, passed, detail, millis)
+    finally:
+        if cpus:
+            os.sched_setaffinity(0, cpus)
+        os.close(queue)
+        if children:  # only after an exception
+            import signal
+        for pid, out in children.items():
+            out.close()
+            os.kill(pid, signal.SIGTERM)
+            os.waitpid(pid, 0)
+    lost = "worker ended before reporting it (" + ", ".join(sorted(set(ended))) + ")"
+    return [
+        o if o is not None else FixtureOutcome(f.fixture_id, f.criterion, False, lost, 0.0)
+        for f, o in zip(FIXTURES, outcomes)
+    ]
 
 
 def format_table(outcomes: Sequence[FixtureOutcome]) -> str:
