@@ -58,7 +58,7 @@ class Analysis:
         self._memo: dict[tuple, object] = {}
         self._reused = 0
         self.derivatives = Derivatives(f)
-        # rank checks whose rank mod p was not maximal and was taken over Q
+        # rank checks taken over Q: the rank mod p met neither full rank nor the certificate ceiling
         self.rational_ranks = 0
 
     def in_mode(self, mode: str) -> Analysis:
@@ -121,6 +121,11 @@ class Analysis:
             verdict = self._memo[key]
         return verdict
 
+    def decided(self, k: int) -> bool:
+        """Whether order k's vanishing is known without new work: its verdict
+        is kept, or the key certificate that decides it."""
+        return ("verdict", k) in self._memo or self._memo.get(("key", k)) is not None
+
     def u_subring(self, k: int) -> tuple[list[DiffOp], int, list[Monomial]]:
         """The order-k u-subring scan, which both certificates of the order read."""
         return self._get(("u_subring", k), lambda: _u_subring_ops(self, k))
@@ -138,7 +143,10 @@ class Analysis:
         decided, those eliminated in exact mode (none in probabilistic mode;
         the rest were decided by evaluation), Hessian kernels compiled, memo
         hits, exact rank fallbacks, monomial derivatives of f computed, basis
-        candidates reduced."""
+        candidates reduced.  `rational_ranks`, the exact rank fallbacks,
+        counts the ranks `rank_at` took over Q: those whose rank mod p was
+        neither maximal nor at the ceiling the order's key or obstruction
+        certificate puts on the map."""
         verdicts = [v for key, v in self._memo.items() if key[0] == "verdict"]
         return {
             "hessian_decisions": len(verdicts),

@@ -7,22 +7,28 @@ derivatives and multiplication never needs quotient-ring arithmetic.  The
 greedy monomials form an order ideal, so each basis grows from the one below
 it and no degree is scanned in full.  The explicit catalecticant matrix,
 whose rank (`linalg.rank`) is the same number, is kept as API and as an
-independent reference.  The basis (`ak_basis`) and the facts read off the
-bases (the Hilbert vector here, the cone test in `hessian`) take the form's
-`Analysis`, which computes each basis once and holds the derivatives they
-read.  `ak_basis` and `hilbert_vector` are the compute bodies of
-`an.basis(k)` and `an.hilbert()`; called directly, they bypass the memo and
-`counts()`.  Unimodality is the absence of a dip (`first_dip`).
+independent reference; it is filled from f's coefficients, entry (beta,
+alpha) being c_(alpha+beta) * prod_i perm(e_i, alpha_i) with e = alpha +
+beta, and differentiates nothing.  The basis (`ak_basis`) and the facts
+read off the bases (the Hilbert vector here, the cone test in `hessian`)
+take the form's `Analysis`, which computes each basis once and holds the
+derivatives they read.  `ak_basis` and `hilbert_vector` are the compute
+bodies of `an.basis(k)` and `an.hilbert()`; called directly, they bypass
+the memo and `counts()`.  Unimodality is the absence of a dip
+(`first_dip`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence
+from itertools import accumulate
+from math import perm, prod
+from operator import sub
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from . import linalg
 from .errors import DegreeRangeError, ZeroPolynomialError
-from .polycore import Monomial, Poly, Record, diff_apply, mono_basis
+from .polycore import Monomial, Poly, Record, mono_basis
 
 if TYPE_CHECKING:
     from .analysis import Analysis
@@ -57,17 +63,54 @@ def catalecticant(f: Poly, k: int) -> list[list[Fraction]]:
 
     Rows are the degree-(d-k) monomials, columns the degree-k monomial
     operators, both in `mono_basis` (descending lex) order; entry (i, j) is
-    the coefficient of monomial i in operator j applied to f.
+    the coefficient of monomial i in operator j applied to f.  With
+    beta = monomial i and alpha = operator j, that is c_e * prod_i
+    perm(e_i, alpha_i) for e = alpha + beta and c_e f's coefficient of x^e,
+    so the matrix is filled from f's coefficients: each term e of f fills
+    one entry for each alpha <= e of degree k, and every other entry is 0.
     """
     if f.is_zero():
         raise ZeroPolynomialError("operation undefined for the zero polynomial")
     d = f.degree
     if not 0 <= k <= d:
         raise DegreeRangeError(f"k={k} out of range 0..{d}")
-    dual = f.vars.dual()
-    columns = [diff_apply(Poly.monomial(dual, expo), f).coeff_map() for expo in mono_basis(dual, k)]
+    rows = {m: i for i, m in enumerate(mono_basis(f.vars, d - k))}
+    columns = {m: j for j, m in enumerate(mono_basis(f.vars, k))}
     zero = Fraction(0)
-    return [[g.get(m, zero) for g in columns] for m in mono_basis(f.vars, d - k)]
+    matrix = [[zero] * len(columns) for _ in rows]
+    for e, c in f.coeff_map().items():
+        for alpha in _sub_exponents(e, k):
+            matrix[rows[tuple(map(sub, e, alpha))]][columns[alpha]] = c * prod(map(perm, e, alpha))
+    return matrix
+
+
+def _sub_exponents(e: Monomial, k: int) -> Iterator[Monomial]:
+    """The exponents alpha <= e, entry by entry, of degree k <= deg(e), in
+    descending lex order, enumerated in a loop rather than by recursion.
+
+    Each alpha fills its positions greedily, the largest values first; the
+    next one lowers the last position that can give one unit to the
+    positions after it (`tail[j]` is what positions j.. can hold) and fills
+    those greedily again.
+    """
+    n = len(e)
+    tail = [*accumulate(reversed(e))][::-1] + [0]
+    alpha = [0] * n
+    start, left = 0, k
+    while True:
+        for j in range(start, n):
+            alpha[j] = min(e[j], left)
+            left -= alpha[j]
+        yield tuple(alpha)
+        left = alpha[-1]  # the units held after position j
+        for j in range(n - 2, -1, -1):
+            if alpha[j] and left < tail[j + 1]:
+                alpha[j] -= 1
+                start, left = j + 1, left + 1
+                break
+            left += alpha[j]
+        else:
+            return
 
 
 def ak_basis(an: Analysis, k: int) -> AkBasis:

@@ -124,6 +124,19 @@ def _load_input(args) -> tuple[str, VariableSet]:
     return poly_text, VariableSet(names, args.split)
 
 
+def _capped_slp(an):
+    """SLP under a capped profile: it fails at the lowest order that the
+    Analysis has decided to vanish, with that order's verdict; None when
+    no decided order vanishes."""
+    from .lefschetz import _slp_fails
+
+    d = an.f.degree
+    for k in range(d // 2 + 1):
+        if an.decided(k) and (verdict := an.verdict(k)).vanishes:
+            return _slp_fails(d, an.hilbert(), k, verdict)
+    return None
+
+
 def cmd_analyze(args) -> int:
     from .analysis import Analysis
     from .apolar import is_unimodal
@@ -162,6 +175,8 @@ def cmd_analyze(args) -> int:
         keys = [an.key(k) for k in range(1, d // 2 + 1)]
         obstructions = [an.obstruction(k) for k in range(1, (d + 1) // 2)]
         certificates = [c.to_json_dict() for c in keys + obstructions if c is not None]
+    if slp is None:
+        slp = _capped_slp(an)
 
     report = {
         "input": {"poly": f.to_text(), "vars": list(vs.names), "split": vs.n_x},

@@ -6,15 +6,16 @@ multiplication rank is taken by `rank_at`, over the Hessians its form's
 `Analysis` assembles once.  The Hessian is evaluated through its integer
 kernel (`polycore.IntMatrix`, compiled once by the Analysis) at L scaled to
 integers and ranked modulo 2^61-1; a maximal rank there is the rank over Q,
-and only a smaller one is recomputed exactly.  The explicit multiplication
-matrix (`mult_map`) is the independent reference for those ranks: it applies
-L, k times, to each basis derivative and solves the result in the target
-space, never reading a Hessian.  WLP is decided on one map: in the
-Gorenstein algebra of f, L is a weak Lefschetz element exactly when L: A_m
--> A_(m+1), m = floor((d-1)/2), has maximal rank (Migliore-Miro-Roig-Nagel,
-Trans. AMS 363 (2011), Prop. 2.1), the rank of the mixed Hessian of (m,
-d-1-m) at L (Maeno-Watanabe, Illinois J. Math. 53 (2009)).  So a nonvanishing
-hess^m_f settles WLP at its witness point.  Generic verdicts combine witness
+and so is one that meets the ceiling a key or obstruction certificate puts on
+the map (`_rank_ceiling`); only a rank below both is recomputed exactly.  The
+explicit multiplication matrix (`mult_map`) is the independent reference for
+those ranks: it applies L, k times, to each basis derivative and solves the
+result in the target space, never reading a Hessian.  WLP is decided on one
+map: in the Gorenstein algebra of f, L is a weak Lefschetz element exactly
+when L: A_m -> A_(m+1), m = floor((d-1)/2), has maximal rank
+(Migliore-Miro-Roig-Nagel, Trans. AMS 363 (2011), Prop. 2.1), the rank of
+the mixed Hessian of (m, d-1-m) at L (Maeno-Watanabe, Illinois J. Math. 53
+(2009)).  So a nonvanishing hess^m_f settles WLP at its witness point.  Generic verdicts combine witness
 searches (`_find_element`: given points, then seeded random forms; maximal
 rank is an open condition, so one success settles the generic statement)
 with structural failure certificates that rule out every L at once:
@@ -128,18 +129,45 @@ def rank_at(an: Analysis, k: int, l: int, L: LinearForm) -> int:
 
     The Hessian's kernel, read from the Analysis, has its rows scaled to
     integer coefficients, and L is scaled to the integer point cL;
-    H(cL) = c^(d-k-l) H(L), so neither changes the rank.
-    Reduction mod a prime can only lower the rank, so a maximal rank mod p
-    is the rank over Q; any other rank is taken exactly and counted in the
-    Analysis's `rational_ranks`.
+    H(cL) = c^(d-k-l) H(L), so neither changes the rank.  The rank is first
+    taken modulo RANK_PRIME; reduction mod a prime can only lower it, so the
+    rank over Q lies between that and `_rank_ceiling`, and a rank is closed
+    in one of three ways:
+
+      * the rank mod p is maximal, min(h_k, h_l): it is the rank over Q;
+      * the rank mod p meets the ceiling the form's key or obstruction
+        certificate puts on every point (a never-injective map): it is the
+        rank over Q;
+      * otherwise the rank is taken over Q by elimination and counted in the
+        Analysis's `rational_ranks`.
     """
     c = lcm(*(x.denominator for x in L.coeffs))
     matrix = an.kernel(k, l).at(tuple(int(x * c) for x in L.coeffs))
+    h_k, h_l = len(matrix), len(matrix[0])
     r = linalg.rank_mod(matrix, RANK_PRIME)
-    if r == min(len(matrix), len(matrix[0])):
+    if r == min(h_k, h_l) or r == _rank_ceiling(an, k, l, h_k, h_l):
         return r
     an.rational_ranks += 1
     return linalg.rank(matrix)
+
+
+def _rank_ceiling(an: Analysis, k: int, l: int, h_k: int, h_l: int) -> int:
+    """A ceiling on the rank of the mixed Hessian of (k, l) at every point.
+
+    Each certificate lists s operators, independent in A_k, whose
+    derivatives of f lie in the u-subring; their rows of the Hessian are
+    read off the pure-u operators of degree l alone, of which there are
+    `bound`, so they span at most `bound` dimensions and the rank is at most
+    h_k - (s - bound) (Maeno-Watanabe 2009: the rank of L^(d-k-l) on A_k is
+    that of the mixed Hessian).  The key certificate of order k bounds (k,
+    k); the obstruction at A_k -> A_(k+1) bounds (k, d-1-k).  Where neither
+    applies the ceiling is min(h_k, h_l).
+    """
+    ceilings = [h_k, h_l]
+    if k >= 1 and an.f.vars.has_split:
+        certs = ([an.key(k)] if k == l else []) + ([an.obstruction(k)] if k + l == an.f.degree - 1 else [])
+        ceilings += [h_k - (cert.s - cert.bound) for cert in certs if cert is not None]
+    return min(ceilings)
 
 
 def slp_check_element(an: Analysis, L: LinearForm) -> tuple[bool, list[LevelCheck]]:
@@ -244,8 +272,7 @@ def slp_generic(an: Analysis) -> LefschetzReport:
     verdicts = [an.verdict(k) for k in range(d // 2 + 1)]
     for k, verdict in enumerate(verdicts):
         if verdict.vanishes:
-            return LefschetzReport("SLP", "fails", hv, uni, level=k, map=(k, d - k),
-                                   required=hv[k], certificate=verdict)
+            return _slp_fails(d, hv, k, verdict)
     points = [v.witness_point for v in verdicts if v.witness_point is not None]
     found = _find_element(an, slp_check_element, "slp", points)
     if found is None:
@@ -254,6 +281,13 @@ def slp_generic(an: Analysis) -> LefschetzReport:
             "this contradicts nonvanishing (bug)"
         )
     return LefschetzReport("SLP", "holds", hv, uni, *found)
+
+
+def _slp_fails(d: int, hv: HilbertVector, k: int, verdict: object) -> LefschetzReport:
+    """SLP fails at order k: `verdict` says hess^k vanishes, so L^(d-2k) is
+    bijective on A_k for no L."""
+    return LefschetzReport("SLP", "fails", hv, is_unimodal(hv), level=k, map=(k, d - k),
+                           required=hv[k], certificate=verdict)
 
 
 def wlp_generic(an: Analysis) -> LefschetzReport:

@@ -578,31 +578,52 @@ class IntMatrix:
 
 
 def linear_change(f: Poly, matrix: Sequence[Sequence[Scalar]]) -> Poly:
-    """Substitute x_i -> sum_j M[i][j] x_j.  M must be square and invertible."""
+    """Substitute x_i -> sum_j M[i][j] x_j.  M must be square and invertible.
+
+    The substitution runs in integers: with D the lcm of the denominators of
+    M and of f, M' = D M and f' = D f are integral, each image row of M' and
+    each power of it is kept as a `dict` of int coefficients, and
+    f(Mx) = f'(M'x) / D^(deg+1), so each output term of degree deg takes one
+    `Fraction` at the end.  A singular M is refused by its determinant
+    (`linalg.det`).
+    """
     n = len(f.vars)
     rows = [[Fraction(x) for x in row] for row in matrix]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError(f"matrix must be {n}x{n}")
     if linalg.det(rows) == 0:
         raise SingularMatrixError("change-of-variables matrix is singular")
+    scale = lcm(*(x.denominator for row in rows for x in row), *(c.denominator for c in f._terms.values()))
+    one = (0,) * n
     images = [
-        poly_sum(
-            f.vars,
-            [Poly.variable(f.vars, j).scale(rows[i][j]) for j in range(n) if rows[i][j]],
-        )
-        for i in range(n)
+        {one[:j] + (1,) + one[j + 1 :]: x.numerator * (scale // x.denominator) for j, x in enumerate(row) if x}
+        for row in rows
     ]
-    powers: dict[tuple[int, int], Poly] = {}
-    terms = []
+    powers: dict[tuple[int, int], dict[Monomial, int]] = {}
+    out: dict[Monomial, int] = {}
     for expo, coeff in f._terms.items():
-        term = Poly.constant(f.vars, coeff)
+        term = {one: coeff.numerator * (scale // coeff.denominator)}
         for i, e in enumerate(expo):
             if e:
                 if (i, e) not in powers:
-                    powers[i, e] = images[i] ** e
-                term = term * powers[i, e]
-        terms.append(term)
-    return poly_sum(f.vars, terms)
+                    power = {one: 1}
+                    for _ in range(e):
+                        power = _int_product(power, images[i])
+                    powers[i, e] = power
+                term = _int_product(term, powers[i, e])
+        for m, c in term.items():
+            out[m] = out.get(m, 0) + c
+    return Poly._trusted(f.vars, {m: Fraction(c, scale ** (sum(m) + 1)) for m, c in out.items()})
+
+
+def _int_product(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomial, int]:
+    """The product of two polynomials given as int coefficient maps."""
+    out: dict[Monomial, int] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = mono_mul(ea, eb)
+            out[e] = out.get(e, 0) + ca * cb
+    return out
 
 
 # -- parsing ----------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from lefschetz_lab.analysis import Analysis
 from lefschetz_lab.lefschetz import LevelCheck, rank_at
-from lefschetz_lab.polycore import Poly, VariableSet, linear_change, mono_basis
+from lefschetz_lab.polycore import Poly, VariableSet, diff_apply, linear_change, mono_basis, poly_sum
 
 hypothesis.settings.register_profile(
     "default", max_examples=30, deadline=None
@@ -59,6 +59,32 @@ def wlp_check_all_levels(an, L):
         for i in range(d)
     ]
     return all(c.maximal for c in checks), checks
+
+
+def catalecticant_reference(f, k):
+    """The catalecticant of f in degree k built by differentiation: column j
+    is the j-th degree-k monomial operator applied to f by `diff_apply`,
+    read off at the degree-(d-k) monomials, both in `mono_basis` order."""
+    dual = f.vars.dual()
+    columns = [diff_apply(Poly.monomial(dual, e), f).coeff_map() for e in mono_basis(dual, k)]
+    return [[g.get(m, Fraction(0)) for g in columns] for m in mono_basis(f.vars, f.degree - k)]
+
+
+def linear_change_reference(f, matrix):
+    """f(Mx) by `Poly` arithmetic: each x_i becomes the linear form of row i
+    of M, and each term of f the product of those forms' powers."""
+    vs = f.vars
+    images = [
+        poly_sum(vs, [Poly.variable(vs, j).scale(Fraction(c)) for j, c in enumerate(row) if c])
+        for row in matrix
+    ]
+    terms = []
+    for expo, coeff in f.coeff_map().items():
+        term = Poly.constant(vs, coeff)
+        for image, e in zip(images, expo):
+            term = term * image**e
+        terms.append(term)
+    return poly_sum(vs, terms)
 
 
 def dense_coords(dep, size):

@@ -26,7 +26,7 @@ from lefschetz_lab.polycore import (
     parse_poly,
 )
 
-from conftest import cone_polys, homogeneous_polys, prob, rational_polys
+from conftest import catalecticant_reference, cone_polys, homogeneous_polys, prob, rational_polys
 
 IKEDA_VARS = VariableSet(("x0", "x1", "u1", "u2"), n_x=2)
 IKEDA = parse_poly("x0*u1^3*u2 + x1*u1*u2^3 + x0^3*x1^2", IKEDA_VARS)
@@ -74,6 +74,19 @@ class TestCatalecticant:
         f = parse_poly("x^2*y", VariableSet(("x", "y")))
         assert catalecticant(f, 1) == [[0, 1], [2, 0], [0, 0]]
         assert all(type(c) is Fraction for row in catalecticant(f, 1) for c in row)
+
+    @given(rational_polys(max_vars=4, max_degree=6), st.data())
+    def test_matches_differentiation_reference(self, f, data):
+        k = data.draw(st.integers(0, f.degree))
+        matrix = catalecticant(f, k)
+        assert matrix == catalecticant_reference(f, k)
+        assert all(type(c) is Fraction for row in matrix for c in row)
+
+    @pytest.mark.parametrize("make", [lambda: gen_wlpodd(4, 5), lambda: gen_thmwlp(4, 6)], ids=["wlpodd-4-5", "thmwlp-4-6"])
+    def test_matches_differentiation_reference_on_families(self, make):
+        f = make().f
+        for k in range(f.degree + 1):
+            assert catalecticant(f, k) == catalecticant_reference(f, k)
 
     @given(homogeneous_polys(max_vars=3, max_degree=4), st.data())
     def test_rank_matches_brute_force(self, f, data):

@@ -439,10 +439,17 @@ class TestStrict:
         assert "undetermined" in out
 
     def test_exit_three_on_undetermined_slp(self, capsys):
+        # capped at order 1, WLP decides ikeda's vanishing hess^2, which
+        # settles SLP: nothing is undetermined
         code, out, _ = run(IKEDA_ARGS + ["--max-k", "1", "--strict"], capsys)
+        assert code == 0
+        assert "strong property fails at order 2" in out
+        assert "weak property   fails" in out
+        # the dense sextic's capped profile leaves SLP undetermined, as WLP holds
+        code, out, _ = run(["analyze", "--poly", DENSE_SEXTIC, "--vars", "x,y,z", "--max-k", "1", "--strict"], capsys)
         assert code == 3
         assert "strong property undetermined" in out
-        assert "weak property   fails" in out
+        assert "weak property   holds" in out
 
 
 class TestExactSuite:
@@ -457,7 +464,42 @@ class TestMaxK:
         code, out, _ = run(IKEDA_ARGS + ["--max-k", "1"], capsys)
         assert code == 0
         assert "hessian[2]" not in out
-        assert "strong property undetermined" in out
+        assert "strong property fails at order 2" in out
+
+    def test_capped_slp_fails_by_a_decided_order(self, capsys, tmp_path):
+        """wlpodd(4,9) capped at order 1: WLP decides hess^4 = 0 by its key
+        certificate, and SLP fails there with that verdict, under --strict."""
+        from lefschetz_lab.families import gen_wlpodd
+
+        path = write_instance(gen_wlpodd(4, 9), tmp_path)
+        report = tmp_path / "r.json"
+        code, out, _ = run(["analyze", "--in", str(path), "--max-k", "1", "--strict", "--json", str(report)], capsys)
+        assert code == 0
+        assert "hessian[2]" not in out
+        assert "strong property fails at order 4" in out
+        assert "weak property   fails at map A_4 -> A_5" in out
+        data = json.loads(report.read_text())
+        slp, key = data["slp"], data["certificates"][0]
+        assert (slp["level"], slp["map"], slp["required"]) == (4, [4, 5], data["hilbert"][4])
+        assert slp["certificate"] == {"vanishes": True, "mode": "exact", "certificate": key}
+        assert key["type"] == "u-subring-overflow" and key["k"] == 4
+
+    def test_capped_slp_fails_by_a_key_certificate(self, capsys, tmp_path):
+        """thmwlp(4,6) capped at order 0: WLP fails by its obstruction and
+        decides no Hessian, but the certificate loop holds the order-1 key
+        certificate, and SLP fails at order 1 by it."""
+        from lefschetz_lab.families import gen_thmwlp
+
+        path = write_instance(gen_thmwlp(4, 6), tmp_path)
+        report = tmp_path / "r.json"
+        code, out, _ = run(["analyze", "--in", str(path), "--max-k", "0", "--strict", "--json", str(report)], capsys)
+        assert code == 0
+        assert "strong property fails at order 1" in out
+        assert "weak property   fails at map A_2 -> A_3" in out
+        data = json.loads(report.read_text())
+        assert data["wlp"]["certificate"]["type"] == "never-injective"
+        assert data["slp"]["certificate"]["certificate"] == data["certificates"][0]
+        assert data["certificates"][0]["type"] == "u-subring-overflow" and data["certificates"][0]["k"] == 1
 
     def test_negative_cap_exit_two(self, capsys):
         code, out, err = run(IKEDA_ARGS + ["--max-k", "-1", "--strict"], capsys)

@@ -1,7 +1,7 @@
 import functools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +31,7 @@ from lefschetz_lab.lefschetz import (
     key_criterion,
     _random_linear_form,
     mult_map,
+    rank_at,
     slp_check_element,
     slp_generic,
     verify_key_certificate,
@@ -724,3 +725,85 @@ class TestKeyCriterionSoundnessRandom:
             if cert is not None:
                 assert verify_key_certificate(f, cert)
                 assert hessian_vanishes(prob(f), k).vanishes
+
+
+# the suite's rows whose middle map is never injective (criteria 5 and 6)
+NEVER_INJECTIVE_ROWS = [("wlpodd", {"N": N, "d": d}) for N, d in ((4, 5), (6, 5), (5, 7))] + [
+    ("thmwlp", {"N": N, "d": d}) for N, d in ((5, 4), (4, 6), (3, 8))
+]
+
+
+def point_matrix(an, k, l, L):
+    """The mixed Hessian of (k, l) at the integer multiple of L that `rank_at` ranks."""
+    c = lcm(*(x.denominator for x in L.coeffs))
+    return an.kernel(k, l).at(tuple(int(x * c) for x in L.coeffs))
+
+
+def assert_rank_closed_soundly(an, k, l, L):
+    """`rank_at` equals the rank over Q, the certificate ceiling is at least
+    that rank, and `rational_ranks` grows exactly when the rank mod p is
+    below the ceiling; returns whether it grew."""
+    matrix = point_matrix(an, k, l, L)
+    exact = linalg.rank(matrix)
+    ceiling = lefschetz._rank_ceiling(an, k, l, len(matrix), len(matrix[0]))
+    assert exact <= ceiling <= min(len(matrix), len(matrix[0]))
+    before = an.rational_ranks
+    assert rank_at(an, k, l, L) == exact
+    grew = an.rational_ranks - before
+    assert grew == (linalg.rank_mod(matrix, lefschetz.RANK_PRIME) < ceiling)
+    return bool(grew)
+
+
+class TestRankCeiling:
+    def test_never_injective_suite_maps(self):
+        """The suite's 120 middle-map ranks at seed 0: every one is the rank
+        over Q, and only wlpodd(6,5) at trial 9, whose L has a zero
+        coefficient and whose rank falls below the ceiling there, is taken
+        over Q."""
+        from lefschetz_lab.families import FamilySpec, generate
+        from lefschetz_lab.reproduce import MIDDLE_TRIALS
+
+        over_q = []
+        for kind, params in NEVER_INJECTIVE_ROWS:
+            inst = generate(FamilySpec(kind, params, 0))
+            an, d, k = inst.analysis, inst.f.degree, inst.manifest.wlp_fail_level
+            for t in range(MIDDLE_TRIALS):
+                L = _random_linear_form(random.Random(f"middle:0:{t}"), len(inst.f.vars), 64)
+                if assert_rank_closed_soundly(an, k, d - 1 - k, L):
+                    over_q.append((kind, params["N"], params["d"], t))
+        assert over_q == [("wlpodd", 6, 5, 9)]
+
+    def test_key_ceiling_closes_a_vanishing_order(self):
+        """ikeda's hess^2 vanishes by its key certificate: the ceiling it puts
+        on (2, 2) is the rank at a generic point, reached mod p."""
+        an = prob(IKEDA)
+        matrix = point_matrix(an, 2, 2, LinearForm.from_coeffs((3, -5, 7, 2)))
+        cert = an.key(2)
+        assert cert is not None
+        ceiling = lefschetz._rank_ceiling(an, 2, 2, len(matrix), len(matrix[0]))
+        assert ceiling == len(matrix) - (cert.s - cert.bound) < len(matrix)
+        assert linalg.rank(matrix) == ceiling
+        assert rank_at(an, 2, 2, LinearForm.from_coeffs((3, -5, 7, 2))) == ceiling
+        assert an.rational_ranks == 0
+
+    @given(st.data())
+    @settings(max_examples=40)
+    def test_random_split_forms(self, data):
+        """Split forms whose terms have x-degree at most 1, over an x-block
+        larger than the u-block, where the u-subring certificates are
+        common: at random points, zero coefficients included, every rank
+        `rank_at` takes at (k, k) and (k, d-1-k) is sound."""
+        n_u = data.draw(st.integers(1, 2))
+        n_x = data.draw(st.integers(n_u + 1, 4))
+        d = data.draw(st.integers(2, 6))
+        vs = VariableSet(tuple(f"x{i}" for i in range(n_x)) + tuple(f"u{i}" for i in range(n_u)), n_x)
+        monos = [m for m in mono_basis(vs, d) if sum(m[:n_x]) <= 1]
+        chosen = data.draw(st.lists(st.sampled_from(monos), min_size=1, max_size=8, unique=True))
+        coeffs = data.draw(st.lists(st.integers(-3, 3).filter(bool), min_size=len(chosen), max_size=len(chosen)))
+        an = prob(Poly(vs, dict(zip(chosen, coeffs))))
+        coords = data.draw(st.lists(st.integers(-2, 2), min_size=len(vs), max_size=len(vs)).filter(any))
+        L = LinearForm.from_coeffs(coords)
+        for k in range(1, d // 2 + 1):
+            assert_rank_closed_soundly(an, k, k, L)
+            if k < d - 1 - k:
+                assert_rank_closed_soundly(an, k, d - 1 - k, L)

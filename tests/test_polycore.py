@@ -26,7 +26,7 @@ from lefschetz_lab.polycore import (
     poly_sum,
 )
 
-from conftest import homogeneous_polys, rational_polys
+from conftest import homogeneous_polys, linear_change_reference, rational_polys
 
 IKEDA_VARS = VariableSet(("x0", "x1", "u1", "u2"), n_x=2)
 IKEDA = parse_poly("x0*u1^3*u2 + x1*u1*u2^3 + x0^3*x1^2", IKEDA_VARS)
@@ -258,6 +258,24 @@ class TestLinearChange:
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrixError):
             linear_change(parse_poly("x^2", XY), [[1, 1], [1, 1]])
+
+    @given(rational_polys(max_vars=4, max_degree=5), st.data())
+    def test_matches_poly_arithmetic_reference(self, f, data):
+        n = len(f.vars)
+        entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        m = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+        from lefschetz_lab import linalg
+
+        if linalg.det(m) == 0:
+            with pytest.raises(SingularMatrixError):
+                linear_change(f, m)
+            return
+        assert linear_change(f, m) == linear_change_reference(f, m)
+
+    def test_singular_rational_rejected(self):
+        f = parse_poly("1/2*x^2 - 3*x*y", XY)
+        with pytest.raises(SingularMatrixError):
+            linear_change(f, [[Fraction(1, 3), Fraction(2, 3)], [Fraction(1, 2), 1]])
 
     @given(homogeneous_polys(max_vars=3, max_degree=4), st.data())
     def test_commutes_with_eval(self, f, data):
