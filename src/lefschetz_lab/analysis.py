@@ -4,10 +4,13 @@ An `Analysis` holds a form f with the decision mode and the seed, and
 memoizes what the profile, the Lefschetz verdicts and the certificates read:
 the monomial derivatives of f, the A_k bases (each the exponents of its
 monomial operators and the span of their derivatives), the Hilbert vector,
-the assembled (mixed) Hessians and their integer kernels, each order's
-vanishing verdict, and each order's u-subring scan with the two
-certificates read off it (the overflow certificate and the WLP obstruction
-at that level).  A piece is computed on its first request by the function
+the integer kernels of the (mixed) Hessians, each order's vanishing
+verdict, and each order's u-subring scan with the two certificates read off
+it (the overflow certificate and the WLP obstruction at that level).  A
+kernel is the one form of a Hessian that evaluation holds: it is compiled
+from the assembled cells, which are not kept.  A Hessian's polynomial
+cells are kept only when asked for (`hessian(k, l)`), by exact elimination
+and the oracles.  A piece is computed on its first request by the function
 or class that defines it (`ak_basis`, `hilbert_vector`, `mixed_hessian`,
 `IntMatrix`, `hessian_vanishes`, `_u_subring_ops`, `key_criterion`,
 `wlp_obstruction`) and reused afterwards, so one report decides each higher
@@ -102,12 +105,14 @@ class Analysis:
         return self._get(("hilbert",), lambda: hilbert_vector(self))
 
     def hessian(self, k: int, l: int) -> Matrix:
-        """Entries of the mixed Hessian over the bases of A_k and A_l."""
+        """Entries of the mixed Hessian over the bases of A_k and A_l, for
+        the readers that need polynomials: exact elimination and the oracles.
+        Evaluation reads `kernel(k, l)`, which does not keep them."""
         return self._get(("hessian", k, l), lambda: mixed_hessian(self, k, l))
 
     def kernel(self, k: int, l: int) -> IntMatrix:
         """The mixed Hessian over A_k and A_l compiled for integer points."""
-        return self._get(("kernel", k, l), lambda: IntMatrix(self.hessian(k, l)))
+        return self._get(("kernel", k, l), lambda: IntMatrix(mixed_hessian(self, k, l)))
 
     def verdict(self, k: int) -> VanishingVerdict:
         """Whether the order-k Hessian vanishes: the decision both modes share,

@@ -4,11 +4,13 @@ Every generator returns a `FamilyInstance`: the polynomial, its declared
 x/u-block split, and a manifest of expected properties that downstream
 modules can replay.  The structural claims (not a cone, the key
 certificates, the Hessian orders, the obstruction, the WLP witness) are
-checked by one checker, `_structural_claims`.  Each generator builds its
-manifest first and hands the instance to `_verified`, which runs that
-checker on the instance's probabilistic Analysis (`FamilyInstance.analysis`,
-at the spec's seed) and raises `DegenerateInstanceError` at the first failed
-claim instead of emitting an instance whose manifest might be wrong.
+checked by one checker, `_structural_claims`.  Each generator ends in one
+call to `_instance`, which builds the manifest from the generator's claims
+and the two every family makes (f is not a cone, and dim A_1 is its number
+of variables) and hands the instance to `_verified`.  That runs the checker
+on the instance's probabilistic Analysis (`FamilyInstance.analysis`, at the
+spec's seed) and raises `DegenerateInstanceError` at the first failed claim
+instead of emitting an instance whose manifest might be wrong.
 `replay_manifest` runs the same checker in a chosen mode, on that Analysis
 in the mode (`Analysis.in_mode`, which shares every mode-free piece), then
 replays the Hilbert vector, unimodality, dim A_1 (the size of that
@@ -269,6 +271,14 @@ def _verified(inst: FamilyInstance, what: str) -> FamilyInstance:
     return inst
 
 
+def _instance(f: Poly, spec: FamilySpec, what: str, **claims) -> FamilyInstance:
+    """The verified instance of f whose manifest makes `claims`, together
+    with the two every family makes: f is not a cone, so dim A_1 is its
+    number of variables."""
+    manifest = Manifest(cone=False, dim_a1=len(f.vars), **claims)
+    return _verified(FamilyInstance(f, spec, manifest), what)
+
+
 # -- the fixed codimension-4 example ------------------------------------------
 
 
@@ -283,18 +293,15 @@ def gen_ikeda(*, seed: int = 0) -> FamilyInstance:
             _mono(vs, {"x0": 3, "x1": 2}),
         ],
     )
-    manifest = Manifest(
+    return _instance(
+        f, FamilySpec("ikeda", {}, seed), "ikeda",
         hess_pattern=((1, False), (2, True)),
         hilbert=(1, 4, 10, 10, 4, 1),
         unimodal=True,
-        cone=False,
-        dim_a1=4,
         slp="fails",
         slp_fail_level=2,
         key_certificate_orders=(2,),
     )
-    spec = FamilySpec("ikeda", {}, seed)
-    return _verified(FamilyInstance(f, spec, manifest), "ikeda")
 
 
 # -- prescribed intermediate vanishing ----------------------------------------
@@ -332,16 +339,14 @@ def gen_exceptional(
     hess_pattern = [(1, False)] + [(r, True) for r in range(2, k + 1)]
     if 2 * (k + 1) <= d:
         hess_pattern.append((k + 1, False))
-    manifest = Manifest(
+    spec = FamilySpec("exceptional", {"n": n, "d": d, "k": k}, seed, _override_texts(h=h, p=p))
+    return _instance(
+        core + tail_h + tail_p, spec, "exceptional",
         hess_pattern=tuple(hess_pattern),
-        cone=False,
-        dim_a1=n + 1,
         slp="fails",
         slp_fail_level=2,
         key_certificate_orders=tuple(range(2, k + 1)),
     )
-    spec = FamilySpec("exceptional", {"n": n, "d": d, "k": k}, seed, _override_texts(h=h, p=p))
-    return _verified(FamilyInstance(core + tail_h + tail_p, spec, manifest), "exceptional")
 
 
 # -- bilinear-shape families with a u-subring overflow -------------------------
@@ -374,7 +379,6 @@ def gen_gnp(
         vs = VariableSet(("x", "y", "z", "u", "v"), n_x=3)
         f = _xu_sum(vs, [(k - j, j, 0) for j in range(k + 1)] + [(0, 0, k)],
                     [(e - j, j) for j in range(k + 1)] + [(e - k - 1, k + 1)])
-        dim_a1 = 5
         params = {"m": m, "n": 2, "k": k, "e": e, "variant": variant}
     elif variant == "maximal":
         s = mono_count(m, e)
@@ -383,7 +387,6 @@ def gen_gnp(
         u_names = tuple(f"u{j}" for j in range(1, m + 1))
         vs = VariableSet(x_names + u_names, n_x=s)
         f = _xu_sum(vs, [_pure(s, j, k) for j in range(s)], mono_basis(VariableSet(u_names), e))
-        dim_a1 = m + s
         params = {"m": m, "n": s - 1, "k": k, "e": e, "variant": variant}
     elif variant == "minimal":
         _require(n is not None, "minimal variant needs n")
@@ -395,20 +398,16 @@ def gen_gnp(
         )
         vs = _xu_vars(m, n)
         f = _xu_sum(vs, mono_basis(VariableSet(vs.x_names), k), _covering_monomials(m, e, s))
-        dim_a1 = m + n + 1
         params = {"m": m, "n": n, "k": k, "e": e, "variant": variant}
     else:
         raise InfeasibleParametersError(f"unknown gnp variant {variant!r}")
 
-    manifest = Manifest(
+    return _instance(
+        f, FamilySpec("gnp", params, seed), f"gnp/{variant}",
         hess_pattern=((k, True),),
-        cone=False,
-        dim_a1=dim_a1,
         slp="fails",
         key_certificate_orders=(k,),
     )
-    spec = FamilySpec("gnp", params, seed)
-    return _verified(FamilyInstance(f, spec, manifest), f"gnp/{variant}")
 
 
 def _covering_monomials(m: int, degree: int, count: int) -> list[Monomial]:
@@ -461,21 +460,19 @@ def gen_perazzo(
     if h is not None:
         parts.append(_tail(vs, vs.u_names, d, h, "h must be a degree-d u-block form"))
     f = poly_sum(vs, parts)
-    manifest = Manifest(
-        hess_pattern=((1, True),),
-        cone=False,
-        dim_a1=m + n + 1,
-        slp="fails",
-        slp_fail_level=1,
-        key_certificate_orders=(1,),
-    )
     spec = FamilySpec(
         "perazzo",
         {"m": m, "n": n, "d": d},
         seed,
         _override_texts(h=h, **{f"g{i}": g for i, g in enumerate(gs or [])}),
     )
-    return _verified(FamilyInstance(f, spec, manifest), "perazzo")
+    return _instance(
+        f, spec, "perazzo",
+        hess_pattern=((1, True),),
+        slp="fails",
+        slp_fail_level=1,
+        key_certificate_orders=(1,),
+    )
 
 
 def gen_permutti(
@@ -524,18 +521,15 @@ def gen_permutti(
     f = poly_sum(vs, parts)
     if f.is_zero():
         raise DegenerateInstanceError("permutti: all biform parts were zero")
-    manifest = Manifest(
-        hess_pattern=((1, True),),
-        cone=False,
-        dim_a1=m + n + 1,
-        slp="fails",
-        slp_fail_level=1,
-    )
     p_over = {}
     if Ps:
         p_over = {f"P{j}": ("0" if pj is None else pj.to_text()) for j, pj in Ps.items()}
-    spec = FamilySpec("permutti", {"m": m, "n": n, "e": e, "d": d}, seed, p_over)
-    return _verified(FamilyInstance(f, spec, manifest), "permutti")
+    return _instance(
+        f, FamilySpec("permutti", {"m": m, "n": n, "e": e, "d": d}, seed, p_over), "permutti",
+        hess_pattern=((1, True),),
+        slp="fails",
+        slp_fail_level=1,
+    )
 
 
 def gen_gn(
@@ -610,15 +604,12 @@ def gen_gn(
             term = term * cores[l] ** ee
         parts.append(term)
     f = poly_sum(vs, parts)
-    manifest = Manifest(
+    return _instance(
+        f, FamilySpec("gn", {"m": m, "n": n, "r": r, "e": e, "d": d}, seed), "gn",
         hess_pattern=((1, True),),
-        cone=False,
-        dim_a1=m + n + 1,
         slp="fails",
         slp_fail_level=1,
     )
-    spec = FamilySpec("gn", {"m": m, "n": n, "r": r, "e": e, "d": d}, seed)
-    return _verified(FamilyInstance(f, spec, manifest), "gn")
 
 
 # -- families failing the weak property ----------------------------------------
@@ -666,20 +657,17 @@ def gen_wlpodd(N: int, d: int, *, seed: int = 0) -> FamilyInstance:
         half.append(hk)
     hilbert = tuple(half + half[::-1])
 
-    manifest = Manifest(
+    return _instance(
+        f, FamilySpec("wlpodd", {"N": N, "d": d}, seed), "wlpodd",
         hess_pattern=((q, True),),
         hilbert=hilbert,
         unimodal=True,
-        cone=False,
-        dim_a1=N + 1,
         slp="fails",
         slp_fail_level=q,
         wlp="fails",
         wlp_fail_level=q,
         key_certificate_orders=(q,),
     )
-    spec = FamilySpec("wlpodd", {"N": N, "d": d}, seed)
-    return _verified(FamilyInstance(f, spec, manifest), "wlpodd")
 
 
 _THMWLP_EXCLUSIONS = {
@@ -751,18 +739,15 @@ def gen_thmwlp(
     elif (N, d) == (4, 6):
         hilbert = (1, 5, 8, 8, 8, 5, 1)
 
-    manifest = Manifest(
+    return _instance(
+        f, FamilySpec("thmwlp", {"N": N, "d": d}, seed, _override_texts(g=g, h=h)), "thmwlp",
         hilbert=hilbert,
         unimodal=True,
-        cone=False,
-        dim_a1=N + 1,
         wlp="fails",
         wlp_fail_level=level,
         obstruction_level=level,
         obstruction_size=size,
     )
-    spec = FamilySpec("thmwlp", {"N": N, "d": d}, seed, _override_texts(g=g, h=h))
-    return _verified(FamilyInstance(f, spec, manifest), "thmwlp")
 
 
 _PROP44_CORES = {
@@ -797,17 +782,14 @@ def gen_prop44(case: str, h: Optional[Poly] = None, *, seed: int = 0) -> FamilyI
         core = poly_sum(vs, [_mono(vs, t) for t in _PROP44_CORES[case]])
         witness = LinearForm.from_coeffs((0, 0, 0, 1, 1))
     f = core + _tail(vs, ("u", "v"), 4, h, "h must be a binary quartic in u, v")
-    manifest = Manifest(
+    return _instance(
+        f, FamilySpec("prop44", {"case": case}, seed, _override_texts(h=h)), "prop44",
         hess_pattern=((1, True),),
-        cone=False,
-        dim_a1=5,
         slp="fails",
         slp_fail_level=1,
         wlp="holds",
         wlp_witness=witness,
     )
-    spec = FamilySpec("prop44", {"case": case}, seed, _override_texts(h=h))
-    return _verified(FamilyInstance(f, spec, manifest), "prop44")
 
 
 # -- manifest replay ------------------------------------------------------------

@@ -12,7 +12,8 @@ mode; the routes are taken in order, and only the last reads the mode:
     vanishing exactly; the Hessian is then neither assembled nor compiled;
   * evaluation: evaluate the matrix's integer kernel (`polycore.IntMatrix`,
     rows scaled to integer coefficients; the form's `Analysis` compiles it
-    once) at seeded integer points and take the determinant modulo a prime p
+    once, and this route reads nothing else of the matrix) at seeded integer
+    points and take the determinant modulo a prime p
     drawn at random from [2^60, 2^61) for this decision.  A nonzero residue
     proves the determinant nonzero over Q, an exact nonvanishing witness.
     The verdict carries it as (point, p, residue), the residue being that
@@ -40,11 +41,12 @@ divides every value of the order-1 Hessian determinant of
 (2^61-1) x0^3 + x1^3 + ... + x12^3.  The Hessians, their kernels, the
 certificates and the verdicts of one form are read through its `Analysis`,
 which builds each once, decides each order once for both modes and, in exact
-mode, eliminates each probabilistic verdict once.  `mixed_hessian` and
-`hessian_vanishes` are the compute bodies of `an.hessian(k, l)` and of
-`an.verdict(k)` before elimination, and `hessian_matrix` reads
-`an.hessian(k, k)`; called directly, the compute bodies bypass the memo and
-`counts()`.
+mode, eliminates each probabilistic verdict once.  `mixed_hessian` is the
+compute body of `an.kernel(k, l)`, which keeps only the compiled matrix, and
+of `an.hessian(k, l)`, which keeps the polynomial cells for elimination and
+the oracles; `hessian_vanishes` is that of `an.verdict(k)` before
+elimination, and `hessian_matrix` reads `an.hessian(k, k)`.  Called
+directly, the compute bodies bypass the memo and `counts()`.
 """
 
 from __future__ import annotations
@@ -183,12 +185,12 @@ def hessian_matrix(an: Analysis, k: int) -> Matrix:
 def mixed_hessian(an: Analysis, k: int, l: int) -> Matrix:
     """Mixed Hessian (a_i b_j (f)) over the greedy bases (a_i) of A_k, (b_j) of A_l.
 
-    The compute body of `an.hessian(k, l)`, which keeps the matrix; call
-    that instead.  Its entries have degree d-k-l.  Evaluated at the
-    coefficients of a linear form L, its rank is the rank of multiplication
-    by L^(d-k-l) from A_k to A_(d-l) (Maeno-Watanabe); l = k gives the pure
-    order-k Hessian.  The matrix for (l, k) is the transpose of the one for
-    (k, l).
+    The compute body of `an.kernel(k, l)`, which keeps it compiled, and of
+    `an.hessian(k, l)`, which keeps the matrix; call those instead.  Its
+    entries have degree d-k-l.  Evaluated at the coefficients of a linear
+    form L, its rank is the rank of multiplication by L^(d-k-l) from A_k to
+    A_(d-l) (Maeno-Watanabe); l = k gives the pure order-k Hessian.  The
+    matrix for (l, k) is the transpose of the one for (k, l).
     """
     _require_orders(an.f.degree, k, l)
     derivatives = an.derivatives
@@ -235,10 +237,8 @@ def hessian_vanishes(an: Analysis, k: int) -> VanishingVerdict:
         cert = an.key(k)
         if cert is not None:
             return VanishingVerdict(True, certificate=cert)
-    H = hessian_matrix(an, k)
-    return _det_vanishes(
-        H, degree_bound=len(H) * (an.f.degree - 2 * k), seed=an.seed, salt=f"hess:{k}", kernel=an.kernel(k, k)
-    )
+    kernel = an.kernel(k, k)
+    return _det_vanishes(kernel, degree_bound=len(kernel) * (an.f.degree - 2 * k), seed=an.seed, salt=f"hess:{k}")
 
 
 def explicit_basis_verdict(an: Analysis, k: int, ops: Sequence[DiffOp]) -> VanishingVerdict:
@@ -249,9 +249,7 @@ def explicit_basis_verdict(an: Analysis, k: int, ops: Sequence[DiffOp]) -> Vanis
     derived = [diff_apply(a, an.f) for a in ops]
     H = _mirrored([diff_apply(a, g) for g in derived[i:]] for i, a in enumerate(ops))
     kernel = IntMatrix(H)
-    verdict = _det_vanishes(
-        H, degree_bound=len(H) * (an.f.degree - 2 * k), seed=an.seed, salt=f"hess:{k}", kernel=kernel
-    )
+    verdict = _det_vanishes(kernel, degree_bound=len(H) * (an.f.degree - 2 * k), seed=an.seed, salt=f"hess:{k}")
     if an.mode == "exact" and verdict.error_bound is not None:
         return _eliminated(an, k, H, kernel)
     return verdict
@@ -306,18 +304,11 @@ def is_cone(an: Analysis) -> ConeReport:
 # -- determinant decisions ---------------------------------------------------
 
 
-def _det_vanishes(
-    entries: Sequence[Sequence[Poly]],
-    *,
-    degree_bound: int,
-    seed: int,
-    salt: str,
-    kernel: IntMatrix,
-) -> VanishingVerdict:
-    """Decide det(entries) == 0 by evaluation; `kernel` is the entries
-    compiled for it.  A nonzero residue or value is exact, and zero at every
-    point probabilistic vanishing with its error bound."""
-    size = len(entries)
+def _det_vanishes(kernel: IntMatrix, *, degree_bound: int, seed: int, salt: str) -> VanishingVerdict:
+    """Decide whether the determinant of the compiled matrix `kernel`
+    vanishes, by evaluation.  A nonzero residue or value is exact, and zero
+    at every point probabilistic vanishing with its error bound."""
+    size = len(kernel)
     if size == 0:
         raise ValueError("empty matrix")
     p = _decision_prime(salt, seed)

@@ -512,23 +512,29 @@ def eval_poly(f: Poly, point: Sequence[Scalar]) -> Fraction:
 class IntMatrix:
     """A matrix of polynomials compiled for evaluation at integer points.
 
-    Row i is scaled by the lcm of its coefficient denominators, so every term
-    becomes an int coefficient times a monomial.  Each distinct monomial of
-    the matrix is kept once, as a sparse exponent: the positions of its
-    variable powers in a per-point power table.  `at(point)` gives the
+    Row i is scaled by its row scale, the lcm of its coefficient
+    denominators, so every term becomes an int coefficient times a monomial.
+    Each distinct (entry, row scale) pair is compiled once, into one list of
+    entries, and each row is a list of positions in that list; position 0 is
+    the zero entry.  Cell (a, b) of a Hessian is f differentiated by the
+    monomial ab, so few of its cells differ.  Each distinct monomial of the
+    matrix is kept once, as a sparse exponent: the positions of its variable
+    powers in a per-point power table.  `at(point)` evaluates each monomial
+    and each compiled entry once, then builds each row by lookup: the
     integer matrix whose row i is row i of the polynomial matrix at `point`
-    times that row's scale; `scale` is the product of the row scales, so the
-    determinant at the point is `det_int(at(point)) / scale`.
+    times that row's scale.  `scale` is the product of the row scales, so
+    the determinant at the point is `det_int(at(point)) / scale`.
     """
 
-    __slots__ = ("nvars", "scale", "norm_bound", "_top", "_monos", "_rows")
+    __slots__ = ("nvars", "scale", "norm_bound", "_top", "_monos", "_entries", "_rows")
 
     def __init__(self, entries: Sequence[Sequence[Poly]]):
         self.nvars = len(entries[0][0].vars) if entries and entries[0] else 0
         monos: dict[Monomial, int] = {}
-        # a symmetric matrix holds each off-diagonal Poly twice
-        compiled: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        zero: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
+        # from position 1 on: (int coefficients, monomial positions)
+        self._entries: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        norms = [0]  # the coefficient 1-norm at each position
+        positions: dict[int, dict[int, int]] = {}  # row scale -> id(entry) -> position
         self.scale = 1
         # product over rows of the summed |coefficients|: a bound on every
         # coefficient of the (scaled) determinant polynomial
@@ -536,21 +542,20 @@ class IntMatrix:
         self._rows = []
         for row in entries:
             denom = lcm(*(c.denominator for entry in row for c in entry._terms.values()))
+            seen = positions.setdefault(denom, {})
             out = []
             for entry in row:
-                if not entry._terms:
-                    out.append(zero)
-                    continue
-                key = (id(entry), denom)
-                if key not in compiled:
-                    compiled[key] = (
-                        tuple(c.numerator * (denom // c.denominator) for c in entry._terms.values()),
-                        tuple(monos.setdefault(expo, len(monos)) for expo in entry._terms),
-                    )
-                out.append(compiled[key])
+                pos = seen.get(id(entry))
+                if pos is None:
+                    pos = seen[id(entry)] = len(norms) if entry._terms else 0
+                    if pos:
+                        coeffs = tuple(c.numerator * (denom // c.denominator) for c in entry._terms.values())
+                        self._entries.append((coeffs, tuple(monos.setdefault(e, len(monos)) for e in entry._terms)))
+                        norms.append(sum(map(abs, coeffs)))
+                out.append(pos)
             self._rows.append(out)
             self.scale *= denom
-            self.norm_bound *= sum(sum(map(abs, coeffs)) for coeffs, _ in out)
+            self.norm_bound *= sum(map(norms.__getitem__, out))
         self._top = top = max((e for expo in monos for e in expo), default=0)
         self._monos = [
             tuple(i * top + e - 1 for i, e in enumerate(expo) if e) for expo in monos
@@ -571,10 +576,8 @@ class IntMatrix:
                 table.append(power)
         power_at = table.__getitem__
         value = [prod(map(power_at, idx)) for idx in self._monos].__getitem__
-        return [
-            [sum(map(mul, coeffs, map(value, monos))) if coeffs else 0 for coeffs, monos in row]
-            for row in self._rows
-        ]
+        entry_at = [0, *(sum(map(mul, coeffs, map(value, monos))) for coeffs, monos in self._entries)]
+        return [list(map(entry_at.__getitem__, row)) for row in self._rows]
 
 
 def linear_change(f: Poly, matrix: Sequence[Sequence[Scalar]]) -> Poly:

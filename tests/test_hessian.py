@@ -192,6 +192,15 @@ class TestProfile:
         flags = [v.vanishes for v in hess_profile(prob(f))]
         assert flags == [False, False, True, True]
 
+    def test_probabilistic_profile_holds_one_kernel_per_order(self):
+        # evaluation reads each order's compiled kernel alone, so no Poly
+        # Hessian is kept; order 2 of wlpodd(4,5) vanishes, order 1 does not
+        an = prob(unsplit(gen_wlpodd(4, 5).f))
+        flags = [v.vanishes for v in hess_profile(an)]
+        assert flags == [False, False, True]
+        held = {key for key in an._memo if key[0] in ("kernel", "hessian")}
+        assert held == {("kernel", k, k) for k in range(3)}
+
     def test_cone_profiled_without_warning(self):
         # a cone is profiled over its quotient's bases; warning about it is
         # the CLI's job, from its own cone test
@@ -742,11 +751,10 @@ def decide_by_evaluation(f, k, seed):
     on a kernel compiled afresh."""
     entries = prob(f).hessian(k, k)
     verdict = _det_vanishes(
-        entries,
+        IntMatrix(entries),
         degree_bound=len(entries) * (f.degree - 2 * k),
         seed=seed,
         salt=f"hess:{k}",
-        kernel=IntMatrix(entries),
     )
     return entries, verdict
 

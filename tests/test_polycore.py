@@ -341,6 +341,24 @@ class TestIntMatrix:
         # row scales 2 and 1: |1| + |-2| + |6| = 9 and |1| = 1
         assert IntMatrix(entries).norm_bound == 9
 
+    def test_one_poly_in_rows_of_different_scale(self):
+        # the same Poly object is compiled once per row scale: its integers
+        # differ between the row of scale 2, that of scale 1 and that of scale 3
+        vs = XY
+        shared, zero = parse_poly("x + 3*y", vs), Poly.zero(vs)
+        entries = [
+            [shared, parse_poly("1/2*x", vs), zero],
+            [zero, shared, parse_poly("y", vs)],
+            [parse_poly("1/3*y", vs), zero, shared],
+        ]
+        kernel = IntMatrix(entries)
+        for point in ((2, 5), (-3, 7)):
+            expected = [[eval_poly(e, point) * s for e in row] for row, s in zip(entries, (2, 1, 3))]
+            assert kernel.at(point) == expected
+        assert kernel.scale == 6
+        # row norms: |2| + |6| + |1|, |1| + |3| + |1|, |1| + |3| + |9|
+        assert kernel.norm_bound == 9 * 5 * 13
+
     def test_rejects_a_point_of_the_wrong_length(self):
         with pytest.raises(ValueError):
             IntMatrix([[IKEDA]]).at((1, 2))
