@@ -80,7 +80,7 @@ def catalecticant(f: Poly, k: int) -> list[list[Fraction]]:
     matrix = [[zero] * len(columns) for _ in rows]
     for e, c in f.coeff_map().items():
         for alpha in _sub_exponents(e, k):
-            matrix[rows[tuple(map(sub, e, alpha))]][columns[alpha]] = c * prod(map(perm, e, alpha))
+            matrix[rows[tuple(map(sub, e, alpha))]][columns[alpha]] = Fraction(c * prod(map(perm, e, alpha)))
     return matrix
 
 

@@ -13,7 +13,7 @@ mode; the routes are taken in order, and only the last reads the mode:
   * evaluation: evaluate the matrix's integer kernel (`polycore.IntMatrix`,
     rows scaled to integer coefficients; the form's `Analysis` compiles it
     once, and this route reads nothing else of the matrix) at seeded integer
-    points and take the determinant modulo a prime p
+    points, at most two, and take the determinant modulo a prime p
     drawn at random from [2^60, 2^61) for this decision.  A nonzero residue
     proves the determinant nonzero over Q, an exact nonvanishing witness.
     The verdict carries it as (point, p, residue), the residue being that
@@ -32,10 +32,14 @@ A constant matrix (the middle Hessian of even degree) is decided by its
 residue at the all-ones point, exactly; only a zero residue, which p may
 produce for a nonzero value, sends it to the exact integer determinant.
 A probabilistic vanishing verdict, whatever the matrix's size, states its
-error bound (deg/B)^DEFAULT_TRIALS + ceil(bits(N)/60) / 2^54: Schwartz-Zippel
-over F_p for the B-wide sample box, plus the chance that the prime divides
-the content of a nonzero determinant polynomial, whose coefficients are
-bounded by N, the product of the rows' coefficient 1-norms.  The prime is
+error bound (1/64)^DEFAULT_TRIALS + ceil(bits(N)/60) / 2^54.  The first term
+is Schwartz-Zippel over F_p, deg/B for each B-wide sample box, multiplied
+over the boxes: t = DEFAULT_TRIALS buys one box of width 64 deg and, when
+its point reads zero and t >= 2, one of width 64^(t-1) deg, as sure as t
+boxes of width 64 deg in two evaluations (every box stays far below p).
+The second term is the chance that the prime divides the content of a
+nonzero determinant polynomial, whose coefficients are bounded by N, the
+product of the rows' coefficient 1-norms.  The prime is
 random, not fixed, because a fixed p can divide that content: 2^61-1
 divides every value of the order-1 Hessian determinant of
 (2^61-1) x0^3 + x1^3 + ... + x12^3.  The Hessians, their kernels, the
@@ -54,6 +58,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from . import linalg
@@ -324,20 +329,22 @@ def _det_vanishes(kernel: IntMatrix, *, degree_bound: int, seed: int, salt: str)
             return VanishingVerdict(False, witness_point=point, known_value=value)
         return VanishingVerdict(True, transcript_hash=_hash_transcript(["constant-matrix", str(size)]))
 
-    bound_B = 64 * degree_bound
+    # the budget of DEFAULT_TRIALS boxes of width 64 deg, spent in at most
+    # two: the first at that width, the second 64^(t-2) times as wide
+    boxes = [64 * degree_bound, 64 ** (DEFAULT_TRIALS - 1) * degree_bound][:DEFAULT_TRIALS]
     rng_base = f"{salt}:{seed}"
-    for trial in range(DEFAULT_TRIALS):
+    for trial, box in enumerate(boxes):
         rng = random.Random(f"{rng_base}:{trial}")
-        point = tuple(rng.randint(1, bound_B) for _ in range(kernel.nvars))
+        point = tuple(rng.randint(1, box) for _ in range(kernel.nvars))
         verdict = _witness(kernel, point, p)
         if verdict is not None:
             return verdict
-    # Schwartz-Zippel over F_p for every trial, plus the chance that p
+    # Schwartz-Zippel over F_p for every box, plus the chance that p
     # divides the content of a nonzero integer determinant polynomial: at
     # most bits/60 primes >= 2^60 do, out of more than 2^54 to draw from
-    per_trial = Fraction(degree_bound, bound_B)
+    missed = prod(Fraction(degree_bound, box) for box in boxes)
     bad_primes = -(-kernel.norm_bound.bit_length() // 60)
-    return VanishingVerdict(True, error_bound=per_trial**DEFAULT_TRIALS + Fraction(bad_primes, 2**54))
+    return VanishingVerdict(True, error_bound=missed + Fraction(bad_primes, 2**54))
 
 
 def _witness(kernel: IntMatrix, point: tuple[int, ...], p: int) -> Optional[VanishingVerdict]:
@@ -502,7 +509,7 @@ def poly_divexact(a: Poly, b: Poly) -> Poly:
         expo = tuple(r - s for r, s in zip(lt_r, lt_b))
         if any(e < 0 for e in expo):
             raise ArithmeticError("polynomial division was not exact")
-        c = rem[lt_r] / cb
+        c = Fraction(rem[lt_r], cb)
         quo[expo] = quo.get(expo, Fraction(0)) + c
         for eb, vb in b_terms.items():
             e = tuple(x + y for x, y in zip(expo, eb))

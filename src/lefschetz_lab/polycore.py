@@ -1,7 +1,7 @@
 """Exact sparse multivariate polynomials and the differentiation pairing.
 
-A polynomial is a map from exponent tuples to nonzero `Fraction`s over an
-ordered, immutable `VariableSet`.  Differential operators are ordinary
+A polynomial is a map from exponent tuples to nonzero rational coefficients
+over an ordered, immutable `VariableSet`.  Differential operators are ordinary
 polynomials over the *dual* variable set (names with the first letter
 upper-cased, so ``x0 -> X0``, ``u1 -> U1``); `diff_apply` lets an operator act
 by plain partial differentiation, position by position.  `IntMatrix`
@@ -15,8 +15,9 @@ Conventions baked in here and relied on everywhere else:
   * monomial order is lexicographic on exponent tuples, descending, induced
     by the declared variable order (x-block names come first when a split is
     declared);
-  * coefficients are always reduced `Fraction`s and zero terms are never
-    stored;
+  * a coefficient is an `int` when it is integral and a reduced `Fraction`
+    with denominator > 1 otherwise, so an integral form computes in ints
+    alone; a `float` is refused, and zero terms are never stored;
   * `parse_poly` reads homogeneous text only; an inhomogeneous `Poly` is
     built as a sum of homogeneous ones;
   * the zero polynomial has no degree — `Poly.degree` is None and callers
@@ -201,12 +202,12 @@ class Poly(Record):
     __slots__ = ("vars", "_terms", "_hash")
 
     def __init__(self, vars: VariableSet, terms: Mapping[Monomial, Scalar]):
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, Scalar] = {}
         width = len(vars)
         for expo, coeff in terms.items():
             if len(expo) != width or any(e < 0 for e in expo):
                 raise ValueError(f"bad exponent tuple {expo!r} for {width} variables")
-            c = Fraction(coeff)
+            c = coeff if type(coeff) is int else _coefficient(coeff)
             if c:
                 clean[expo] = c
         object.__setattr__(self, "vars", vars)
@@ -214,13 +215,15 @@ class Poly(Record):
         object.__setattr__(self, "_hash", None)
 
     @classmethod
-    def _trusted(cls, vars: VariableSet, terms: dict[Monomial, Fraction]) -> "Poly":
+    def _trusted(cls, vars: VariableSet, terms: dict[Monomial, Scalar]) -> "Poly":
         """A Poly from terms that are already valid: exponent tuples of the
-        right width and reduced `Fraction` coefficients, as `Poly`'s own
-        arithmetic builds them; only zero terms are dropped."""
+        right width and int or `Fraction` coefficients, as `Poly`'s own
+        arithmetic builds them; zero terms are dropped and an integral
+        `Fraction` is stored as its numerator."""
         self = object.__new__(cls)
         object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "_terms", {e: c for e, c in terms.items() if c})
+        terms = {e: c if type(c) is int or c.denominator != 1 else c.numerator for e, c in terms.items() if c}
+        object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_hash", None)
         return self
 
@@ -238,16 +241,16 @@ class Poly(Record):
 
     @classmethod
     def constant(cls, vars: VariableSet, value: Scalar) -> "Poly":
-        return cls(vars, {(0,) * len(vars): Fraction(value)})
+        return cls(vars, {(0,) * len(vars): value})
 
     @classmethod
     def monomial(cls, vars: VariableSet, expo: Monomial, coeff: Scalar = 1) -> "Poly":
-        return cls(vars, {tuple(expo): Fraction(coeff)})
+        return cls(vars, {tuple(expo): coeff})
 
     @classmethod
     def variable(cls, vars: VariableSet, index: int) -> "Poly":
         expo = tuple(1 if i == index else 0 for i in range(len(vars)))
-        return cls(vars, {expo: Fraction(1)})
+        return cls(vars, {expo: 1})
 
     # -- inspection --------------------------------------------------------
 
@@ -257,12 +260,12 @@ class Poly(Record):
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def terms(self) -> Iterator[tuple[Monomial, Fraction]]:
+    def terms(self) -> Iterator[tuple[Monomial, Scalar]]:
         """Terms in canonical (descending lexicographic) order."""
         return iter(sorted(self._terms.items(), reverse=True))
 
-    def coefficient(self, expo: Monomial) -> Fraction:
-        return self._terms.get(tuple(expo), Fraction(0))
+    def coefficient(self, expo: Monomial) -> Scalar:
+        return self._terms.get(tuple(expo), 0)
 
     def num_terms(self) -> int:
         return len(self._terms)
@@ -289,7 +292,7 @@ class Poly(Record):
             for expo in self._terms
         )
 
-    def coeff_map(self) -> dict[Monomial, Fraction]:
+    def coeff_map(self) -> dict[Monomial, Scalar]:
         """Copy of the underlying sparse coefficient map."""
         return dict(self._terms)
 
@@ -319,16 +322,16 @@ class Poly(Record):
         return Poly._trusted(self.vars, {e: -c for e, c in self._terms.items()})
 
     def scale(self, c: Scalar) -> "Poly":
-        c = Fraction(c)
+        c = _coefficient(c)
         if not c:
             return Poly.zero(self.vars)
         return Poly._trusted(self.vars, {e: v * c for e, v in self._terms.items()})
 
     def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
             return self.scale(other)
         self._check_same(other)
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for ea, ca in self._terms.items():
             for eb, cb in other._terms.items():
                 e = mono_mul(ea, eb)
@@ -393,8 +396,18 @@ class Poly(Record):
 DiffOp = Poly  # operators are polynomials over the dual variable set
 
 
+def _coefficient(c: Scalar) -> Scalar:
+    """`c` as a stored coefficient: an int when integral, else a reduced
+    `Fraction`.  A float is refused, since `Fraction` would take its binary
+    value without a word."""
+    if isinstance(c, float):
+        raise TypeError(f"float coefficient {c!r}: use an int or a Fraction")
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def poly_sum(vars: VariableSet, parts: Iterable[Poly]) -> Poly:
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, Scalar] = {}
     for p in parts:
         if p.vars != vars:
             raise VariableMismatchError(f"summand over {p.vars.names}, expected {vars.names}")
@@ -431,21 +444,16 @@ def diff_apply(alpha: DiffOp, f: Poly) -> Poly:
 
     `alpha` must live over the dual of `f`'s variable set.  The result carries
     the plain-derivative scalars (X^a applied to x^b gives b!/(b-a)! x^{b-a}).
-    Each operand is scaled once to integer coefficients by the lcm of its
-    denominators, a term pair is tested on the operator monomial's nonzero
-    positions only, and each output coefficient is one `Fraction` of the
-    integer sum over that product of the two scales.
+    A term pair is tested on the operator monomial's nonzero positions only,
+    and the coefficients multiply as stored, so integral operands stay in ints.
     """
     if alpha.vars != f.vars.dual():
         raise VariableMismatchError(
             f"operator over {alpha.vars.names} cannot act on polynomial over {f.vars.names}"
         )
-    da = lcm(*(c.denominator for c in alpha._terms.values()))
-    df = lcm(*(c.denominator for c in f._terms.values()))
-    f_terms = [(b, c.numerator * (df // c.denominator)) for b, c in f._terms.items()]
-    out: dict[Monomial, int] = {}
+    f_terms = f._terms.items()
+    out: dict[Monomial, Scalar] = {}
     for a, ca in alpha._terms.items():
-        ca = ca.numerator * (da // ca.denominator)
         support = [(i, ai) for i, ai in enumerate(a) if ai]
         for b, cb in f_terms:
             v = cb
@@ -457,8 +465,7 @@ def diff_apply(alpha: DiffOp, f: Poly) -> Poly:
             else:
                 e = tuple(map(sub, b, a))
                 out[e] = out.get(e, 0) + ca * v
-    denom = da * df
-    return Poly._trusted(f.vars, {e: Fraction(v, denom) for e, v in out.items()})
+    return Poly._trusted(f.vars, out)
 
 
 def partial(f: Poly, index: int) -> Poly:
@@ -583,50 +590,30 @@ class IntMatrix:
 def linear_change(f: Poly, matrix: Sequence[Sequence[Scalar]]) -> Poly:
     """Substitute x_i -> sum_j M[i][j] x_j.  M must be square and invertible.
 
-    The substitution runs in integers: with D the lcm of the denominators of
-    M and of f, M' = D M and f' = D f are integral, each image row of M' and
-    each power of it is kept as a `dict` of int coefficients, and
-    f(Mx) = f'(M'x) / D^(deg+1), so each output term of degree deg takes one
-    `Fraction` at the end.  A singular M is refused by its determinant
-    (`linalg.det`).
+    Each image row of M is a linear `Poly`, each power of it that a term of f
+    needs is computed once, and f(Mx) is the sum over the terms of f of the
+    coefficient times the product of its powers.  A singular M is refused by
+    its determinant (`linalg.det`); a float entry raises `TypeError`, as a
+    float coefficient does.
     """
     n = len(f.vars)
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    if len(rows) != n or any(len(r) != n for r in rows):
+    if len(matrix) != n or any(len(r) != n for r in matrix):
         raise ValueError(f"matrix must be {n}x{n}")
-    if linalg.det(rows) == 0:
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    images = [Poly(f.vars, dict(zip(units, row))) for row in matrix]
+    if linalg.det([[image.coefficient(u) for u in units] for image in images]) == 0:
         raise SingularMatrixError("change-of-variables matrix is singular")
-    scale = lcm(*(x.denominator for row in rows for x in row), *(c.denominator for c in f._terms.values()))
-    one = (0,) * n
-    images = [
-        {one[:j] + (1,) + one[j + 1 :]: x.numerator * (scale // x.denominator) for j, x in enumerate(row) if x}
-        for row in rows
-    ]
-    powers: dict[tuple[int, int], dict[Monomial, int]] = {}
-    out: dict[Monomial, int] = {}
+    powers: dict[tuple[int, int], Poly] = {}
+    terms = []
     for expo, coeff in f._terms.items():
-        term = {one: coeff.numerator * (scale // coeff.denominator)}
+        term = Poly.constant(f.vars, coeff)
         for i, e in enumerate(expo):
             if e:
                 if (i, e) not in powers:
-                    power = {one: 1}
-                    for _ in range(e):
-                        power = _int_product(power, images[i])
-                    powers[i, e] = power
-                term = _int_product(term, powers[i, e])
-        for m, c in term.items():
-            out[m] = out.get(m, 0) + c
-    return Poly._trusted(f.vars, {m: Fraction(c, scale ** (sum(m) + 1)) for m, c in out.items()})
-
-
-def _int_product(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomial, int]:
-    """The product of two polynomials given as int coefficient maps."""
-    out: dict[Monomial, int] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = mono_mul(ea, eb)
-            out[e] = out.get(e, 0) + ca * cb
-    return out
+                    powers[i, e] = images[i] ** e
+                term = term * powers[i, e]
+        terms.append(term)
+    return poly_sum(f.vars, terms)
 
 
 # -- parsing ----------------------------------------------------------------

@@ -30,7 +30,6 @@ import json
 import os
 import random
 import time
-from fractions import Fraction
 from typing import BinaryIO, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import linalg
@@ -167,7 +166,7 @@ def _random_form(rng: random.Random, nvars: int, degree: int) -> Poly:
         c = 0
         while c == 0:
             c = rng.randint(-RANDOM_FORM_COEFF_BOUND, RANDOM_FORM_COEFF_BOUND)
-        terms[mo] = Fraction(c)
+        terms[mo] = c
     return Poly(vs, terms)
 
 
@@ -292,7 +291,7 @@ def _prop_separated(config: SuiteConfig) -> tuple[bool, str]:
         for mo, c in g.coeff_map().items():
             terms[tuple(mo) + (0,) * b] = c
         for mo, c in h.coeff_map().items():
-            terms[(0,) * a + tuple(mo)] = terms.get((0,) * a + tuple(mo), Fraction(0)) + c
+            terms[(0,) * a + tuple(mo)] = terms.get((0,) * a + tuple(mo), 0) + c
         f = Poly(vs, terms)
         dims_f, dims_g, dims_h = (
             Analysis(p, config.mode, config.seed).hilbert().dims for p in (f, g, h)

@@ -136,7 +136,7 @@ def homogeneous_polys(
 def rational_polys(draw, **kwargs):
     """`homogeneous_polys` with each coefficient divided by a drawn 1..6."""
     f = draw(homogeneous_polys(**kwargs))
-    return Poly(f.vars, {e: c / draw(st.integers(1, 6)) for e, c in f.coeff_map().items()})
+    return Poly(f.vars, {e: Fraction(c, draw(st.integers(1, 6))) for e, c in f.coeff_map().items()})
 
 
 @st.composite

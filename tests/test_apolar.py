@@ -116,7 +116,7 @@ def scanned_basis(f, k):
                 row = [x - c * y for x, y in zip(row, r)]
         p = next((j for j, x in enumerate(row) if x), None)
         if p is not None:
-            echelon.append((p, [x / row[p] for x in row]))
+            echelon.append((p, [Fraction(x) / row[p] for x in row]))
             kept.append(expo)
     return kept
 

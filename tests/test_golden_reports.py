@@ -6,7 +6,8 @@ match the recording byte for byte.  The inputs reach the key certificate
 above DEFAULT_EXACT_CUTOFF (the 14-variable Fermat cubic), the constant
 middle Hessian (the quartic, order 2) and, with no split declared, the
 perazzo cubic's elimination in exact mode and its error bound in
-probabilistic mode.
+probabilistic mode.  The cubic and the perazzo cubic recur with rational
+coefficients, so a row scale above 1 reaches every route they take.
 
 Re-record after a deliberate change of the reports with
 `PYTHONPATH=src python tests/test_golden_reports.py`.
@@ -33,6 +34,8 @@ INPUTS = {
     "fermat14": ["--poly", "+".join(f"{a}^3" for a in FERMAT14), "--vars", ",".join(FERMAT14)],
     "quartic": ["--poly", "x^4+y^4+z^4+x^2*y*z", "--vars", "x,y,z"],
     "perazzo-unsplit": ["--poly", "x0*u1^2 + x1*u1*u2 + x2*u2^2", "--vars", "x0,x1,x2,u1,u2"],
+    "cubic-rational": ["--poly", "1/2*x^3+2/3*y^3+z^3+x*y*z", "--vars", "x,y,z"],
+    "perazzo-rational": ["--poly", "1/2*x0*u1^2+x1*u1*u2+3/5*x2*u2^2", "--vars", "x0,x1,x2,u1,u2"],
 }
 CASES = [f"{name}-{mode}" for name in INPUTS for mode in ("prob", "exact")]
 
@@ -75,6 +78,9 @@ def test_routes_covered(recorded):
     assert profiles["quartic-exact"][2]["witness_point"] == [1, 1, 1]
     assert "transcript_hash" in profiles["perazzo-unsplit-exact"][1]
     assert "error_bound" in profiles["perazzo-unsplit-prob"][1]
+    assert "/" in profiles["cubic-rational-prob"][0]["det_value"]
+    assert "transcript_hash" in profiles["perazzo-rational-exact"][1]
+    assert "error_bound" in profiles["perazzo-rational-prob"][1]
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import random
 import sys
+import types
 import warnings
 from fractions import Fraction
 from math import factorial, prod
@@ -25,6 +26,7 @@ from lefschetz_lab.families import (
 from lefschetz_lab.hessian import (
     DEFAULT_EXACT_CUTOFF,
     DEFAULT_TRIALS,
+    MODES,
     VanishingVerdict,
     _decision_prime,
     _det_vanishes,
@@ -37,7 +39,7 @@ from lefschetz_lab.hessian import (
     poly_det_vanishes,
     poly_divexact,
 )
-from lefschetz_lab.lefschetz import key_criterion, verify_key_certificate
+from lefschetz_lab.lefschetz import key_criterion, slp_generic, verify_key_certificate, wlp_generic
 from lefschetz_lab.polycore import (
     Derivatives,
     IntMatrix,
@@ -309,6 +311,25 @@ class TestInvariance:
             hessian_vanishes(prob(f), k).vanishes
             == hessian_vanishes(prob(linear_change(f, m)), k).vanishes
         )
+
+    @given(
+        homogeneous_polys(max_vars=4, max_degree=5),
+        st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+        st.sampled_from(MODES),
+    )
+    @settings(max_examples=25)
+    def test_scale(self, f, c, mode):
+        # Ann(cf) = Ann(f): the algebra, its Hessians' vanishing and both
+        # Lefschetz verdicts are those of f, whatever the rational c
+        def decided(an):
+            return (
+                an.hilbert().dims,
+                is_cone(an).is_cone,
+                [v.vanishes for v in hess_profile(an)],
+                [(r.verdict, r.level) for r in (slp_generic(an), wlp_generic(an))],
+            )
+
+        assert decided(Analysis(f.scale(c), mode, 0)) == decided(Analysis(f, mode, 0))
 
 
 def assert_cells_are_derivatives(an):
@@ -711,6 +732,27 @@ class TestRandomPrime:
         # Schwartz-Zippel alone gives (1/64)^5; the content term adds to it
         assert Fraction(1, 64) ** DEFAULT_TRIALS < verdict.error_bound < Fraction(1, 10**9)
 
+    @pytest.mark.parametrize("trials", [0, 1, 2, 5])
+    def test_vanishing_bound_is_the_product_over_the_boxes_used(self, monkeypatch, trials):
+        # the budget of `trials` boxes of width 64 deg is spent in at most
+        # two evaluations, and the bound multiplies deg/B over the boxes used
+        widths = []
+
+        class Recording(random.Random):
+            def randint(self, a, b):
+                widths.append(b)
+                return super().randint(a, b)
+
+        monkeypatch.setattr(hessian_mod, "DEFAULT_TRIALS", trials)
+        monkeypatch.setattr(hessian_mod, "random", types.SimpleNamespace(Random=Recording))
+        kernel = prob(unsplit(PERAZZO)).kernel(1, 1)
+        verdict = _det_vanishes(kernel, degree_bound=5, seed=0, salt="hess:1")
+        boxes = widths[:: kernel.nvars]
+        assert len(boxes) == min(trials, 2) and boxes[:1] == [64 * 5][:trials]
+        content = Fraction(-(-kernel.norm_bound.bit_length() // 60), 2**54)
+        assert verdict.vanishes and verdict.error_bound - content == prod(Fraction(5, b) for b in boxes)
+        assert verdict.error_bound - content == Fraction(1, 64) ** trials
+
     def test_split_vanishing_needs_no_error_bound(self):
         from lefschetz_lab.families import gen_wlpodd
 
@@ -721,7 +763,7 @@ class TestRandomPrime:
 
 def with_rational_coefficients(f, denominators):
     terms = f.coeff_map()
-    return Poly(f.vars, {e: c / d for (e, c), d in zip(sorted(terms.items()), denominators)})
+    return Poly(f.vars, {e: Fraction(c, d) for (e, c), d in zip(sorted(terms.items()), denominators)})
 
 
 class TestWitnessReplay:

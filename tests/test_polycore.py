@@ -13,6 +13,7 @@ from lefschetz_lab.errors import (
     SingularMatrixError,
     VariableMismatchError,
 )
+from lefschetz_lab.hessian import poly_divexact
 from lefschetz_lab.polycore import (
     IntMatrix,
     Poly,
@@ -374,12 +375,20 @@ def sparse_polys(draw, vars):
 
 
 def is_canonical(p):
-    """p equals its validated rebuild, with reduced nonzero Fraction coefficients."""
+    """p equals its validated rebuild, and each coefficient is a nonzero int
+    or a reduced Fraction with denominator > 1."""
     terms = p.coeff_map()
     return p == Poly(p.vars, terms) and all(
-        type(c) is Fraction and c and c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+        (type(c) is int and c)
+        or (type(c) is Fraction and c.denominator > 1 and gcd(c.numerator, c.denominator) == 1)
         for c in terms.values()
     )
+
+
+def unit_triangular(data, n):
+    """A drawn n x n upper triangular integer matrix with ones on the
+    diagonal, so unimodular."""
+    return [[int(i == j) or (data.draw(st.integers(-2, 2)) if j > i else 0) for j in range(n)] for i in range(n)]
 
 
 class TestTrustedArithmetic:
@@ -392,13 +401,39 @@ class TestTrustedArithmetic:
         a, b, c = (data.draw(sparse_polys(vs)) for _ in range(3))
         op = data.draw(sparse_polys(vs.dual()))
         s = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+        m = unit_triangular(data, 3)
         results = [
             a + b, a - b, a - a, -a, a.scale(s), a.scale(0), a * b, a * 2,
             poly_sum(vs, [a, b, c]), poly_sum(vs, [a, -a]),
             diff_apply(op, a), partial(a, 0), partial(a, 2),
+            linear_change(a, m),
         ]
+        if b:
+            results.append(poly_divexact(a * b, b))
         for result in results:
             assert is_canonical(result)
+
+    @given(homogeneous_polys(max_vars=3, max_degree=4), st.data())
+    def test_integral_forms_compute_in_ints(self, f, data):
+        n = len(f.vars)
+        expo = data.draw(st.sampled_from(mono_basis(f.vars, data.draw(st.integers(1, f.degree)))))
+        op = Poly.monomial(f.vars.dual(), expo, data.draw(st.integers(-3, 3).filter(bool)))
+        m = unit_triangular(data, n)
+        m[0][0] = data.draw(st.sampled_from((-2, 2, 3)))
+        results = [
+            parse_poly(f.to_text(), f.vars), diff_apply(op, f), partial(f, n - 1),
+            linear_change(f, m), f.scale(Fraction(4, 2)),
+        ]
+        for result in results:
+            assert all(type(c) is int for _, c in result.terms())
+
+    def test_floats_are_refused(self):
+        with pytest.raises(TypeError):
+            Poly(XY, {(1, 0): 0.5})
+        with pytest.raises(TypeError):
+            parse_poly("x", XY).scale(0.5)
+        with pytest.raises(TypeError):
+            linear_change(parse_poly("x", XY), [[0.5, 0], [0, 1]])
 
     def test_poly_sum_rejects_other_variables(self):
         with pytest.raises(VariableMismatchError):
