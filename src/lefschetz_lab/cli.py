@@ -1,11 +1,21 @@
 """Command-line front end: analyze a form, generate a family, run the suite.
 
-Exit codes: 0 success, 1 suite fixtures failed or stdout closed early, 2
-usage or validation error or out of memory, 3 an undetermined SLP or WLP
-verdict under --strict.  `reproduce` runs its fixtures in worker processes;
-a worker that dies fails the fixtures it did not report, so the suite exits 1.  The LEFSCHETZ_LAB_SEED environment variable
-supplies the default seed.  Each command imports its modules when it runs,
-so --version and --help load none.
+Exit codes: 0 success, 1 suite fixtures failed or stdout closed (early, or
+before the run), 2 usage or validation error or out of memory, 3 an
+undetermined SLP or WLP verdict under --strict.  `reproduce` runs its
+fixtures in worker processes; a worker that dies fails the fixtures it did
+not report, so the suite exits 1.  The LEFSCHETZ_LAB_SEED environment
+variable supplies the default seed.  Each command imports its modules when
+it runs, so --version and --help load none.
+
+`run()` is the process entry (`python -m lefschetz_lab` and the
+`lefschetz-lab` script): it calls `main()`, flushes stdout and stderr and
+leaves through `os._exit`, so the interpreter does not tear down every
+module and memo one by one.  Exit handlers that other code registers with
+`atexit` therefore do not run.  Under `-X dev`, or while a profiler or
+tracer is set, it leaves through `sys.exit` instead, so teardown warnings
+still show and a profiler still reports.  To embed the CLI, call `main()`,
+which returns the exit code.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ import json
 import os
 import sys
 import time
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NoReturn, Optional
 
 from . import __version__
 from .errors import LefschetzLabError
@@ -270,6 +280,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.seed is None:
             args.seed = _default_seed()
         code = {"analyze": cmd_analyze, "generate": cmd_generate, "reproduce": cmd_reproduce}[args.command](args)
+        if sys.stdout is None:  # fd 1 was closed at start-up, so print() wrote nothing
+            return 1
         sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
         return code
     except BrokenPipeError:
@@ -287,5 +299,35 @@ def main(argv: Optional[list[str]] = None) -> int:
         return USAGE_ERROR
 
 
+def _observed() -> bool:
+    """Whether the interpreter runs in dev mode or under a profiler or tracer
+    (`sys.monitoring` tools included), whose reports need a full teardown."""
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+; its tool ids are 0-5
+    return (
+        sys.flags.dev_mode
+        or sys.getprofile() is not None
+        or sys.gettrace() is not None
+        or (monitoring is not None and any(monitoring.get_tool(i) is not None for i in range(6)))
+    )
+
+
+def run() -> NoReturn:
+    """Run `main()` as a process and end it with its exit code.
+
+    Once stdout and stderr are flushed nothing else is owed, so the process
+    leaves through `os._exit`; see the module docstring for when it does not.
+    """
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except (OSError, ValueError):
+        sys.exit(code)  # the flush at exit retries and reports it, as it always has
+    if _observed():
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

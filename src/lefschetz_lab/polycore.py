@@ -521,16 +521,19 @@ class IntMatrix:
 
     Row i is scaled by its row scale, the lcm of its coefficient
     denominators, so every term becomes an int coefficient times a monomial.
-    Each distinct (entry, row scale) pair is compiled once, into one list of
-    entries, and each row is a list of positions in that list; position 0 is
-    the zero entry.  Cell (a, b) of a Hessian is f differentiated by the
-    monomial ab, so few of its cells differ.  Each distinct monomial of the
-    matrix is kept once, as a sparse exponent: the positions of its variable
-    powers in a per-point power table.  `at(point)` evaluates each monomial
-    and each compiled entry once, then builds each row by lookup: the
-    integer matrix whose row i is row i of the polynomial matrix at `point`
-    times that row's scale.  `scale` is the product of the row scales, so
-    the determinant at the point is `det_int(at(point)) / scale`.
+    Each distinct entry is compiled once, scaled by its own denominator, into
+    one list of entries, and each row is a list of positions in that list;
+    position 0 is the zero entry.  A row whose scale is larger than some of
+    its entries' denominators (only a rational form has such rows) uses a
+    copy of each, compiled once per (entry, row scale) pair.  Cell (a, b) of
+    a Hessian is f differentiated by the monomial ab, so few of its cells
+    differ.  Each distinct monomial of the matrix is kept once, as a sparse
+    exponent: the positions of its variable powers in a per-point power
+    table.  `at(point)` evaluates each monomial and each compiled entry
+    once, then builds each row by lookup: the integer matrix whose row i is
+    row i of the polynomial matrix at `point` times that row's scale.
+    `scale` is the product of the row scales, so the determinant at the
+    point is `det_int(at(point)) / scale`.
     """
 
     __slots__ = ("nvars", "scale", "norm_bound", "_top", "_monos", "_entries", "_rows")
@@ -541,25 +544,42 @@ class IntMatrix:
         # from position 1 on: (int coefficients, monomial positions)
         self._entries: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         norms = [0]  # the coefficient 1-norm at each position
-        positions: dict[int, dict[int, int]] = {}  # row scale -> id(entry) -> position
+        positions: dict[int, int] = {}  # id(entry) -> position, scaled by its own denominator
+        denoms: dict[int, int] = {}  # position -> the denominator of its entry, where not 1
+        rescaled: dict[tuple[int, int], int] = {}  # (id(entry), row scale) -> position
+
+        def compiled(entry: Poly, denom: int) -> int:
+            coeffs = tuple(c.numerator * (denom // c.denominator) for c in entry._terms.values())
+            self._entries.append((coeffs, tuple(monos.setdefault(e, len(monos)) for e in entry._terms)))
+            norms.append(sum(map(abs, coeffs)))
+            return len(norms) - 1
+
         self.scale = 1
         # product over rows of the summed |coefficients|: a bound on every
         # coefficient of the (scaled) determinant polynomial
         self.norm_bound = 1
         self._rows = []
         for row in entries:
-            denom = lcm(*(c.denominator for entry in row for c in entry._terms.values()))
-            seen = positions.setdefault(denom, {})
             out = []
             for entry in row:
-                pos = seen.get(id(entry))
+                pos = positions.get(id(entry))
                 if pos is None:
-                    pos = seen[id(entry)] = len(norms) if entry._terms else 0
-                    if pos:
-                        coeffs = tuple(c.numerator * (denom // c.denominator) for c in entry._terms.values())
-                        self._entries.append((coeffs, tuple(monos.setdefault(e, len(monos)) for e in entry._terms)))
-                        norms.append(sum(map(abs, coeffs)))
+                    pos = 0
+                    if entry._terms:
+                        denom = lcm(*(c.denominator for c in entry._terms.values()))
+                        pos = compiled(entry, denom)
+                        if denom > 1:
+                            denoms[pos] = denom
+                    positions[id(entry)] = pos
                 out.append(pos)
+            denom = lcm(*map(denoms.__getitem__, denoms.keys() & out)) if denoms else 1
+            if denom > 1:
+                for i, (entry, pos) in enumerate(zip(row, out)):
+                    if pos and denoms.get(pos) != denom:
+                        key = (id(entry), denom)
+                        if key not in rescaled:
+                            rescaled[key] = compiled(entry, denom)
+                        out[i] = rescaled[key]
             self._rows.append(out)
             self.scale *= denom
             self.norm_bound *= sum(map(norms.__getitem__, out))

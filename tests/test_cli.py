@@ -261,6 +261,31 @@ class TestClosedStdout:
             os.close(write)
         assert (proc.returncode, proc.stderr) == (1, b"")
 
+    def test_stdout_closed_at_start_up(self, tmp_path):
+        """With fd 1 closed the interpreter starts with `sys.stdout` None:
+        the command still runs and writes its report, then exits 1 quietly."""
+        path = tmp_path / "report.json"
+        script = 'exec "$0" -m lefschetz_lab analyze --poly "x^3+y^3" --vars x,y --json "$1" >&-'
+        proc = subprocess.run(["sh", "-c", script, sys.executable, str(path)],
+                              capture_output=True, env=child_env(), timeout=120)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+        assert json.loads(path.read_text())["wlp"]["verdict"] == "holds"
+
+
+def child_env() -> dict:
+    """The environment with this checkout's package first on the path."""
+    src = os.path.dirname(os.path.dirname(lefschetz_lab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def cli_process(*argv, python=(), **kwargs) -> subprocess.CompletedProcess:
+    """`python [python flags] -m lefschetz_lab ARGV...` in a child process."""
+    kwargs.setdefault("capture_output", True)
+    return subprocess.run([sys.executable, *python, "-m", "lefschetz_lab", *argv],
+                          env=child_env(), text=True, timeout=120, **kwargs)
+
 
 class TestGenerate:
     def test_gnp_text(self, capsys):
@@ -787,3 +812,72 @@ class TestPaperScale:
         # the manifest makes no Hilbert or WLP claim for this family
         assert data["hilbert"] == [1, 9, 14, 16, 18, 19, 19, 19, 19, 18, 16, 14, 9, 1]
         assert data["wlp"]["verdict"] == "holds" and data["wlp"]["witness_coeffs"]
+
+
+# `run()` under an atexit handler, reporting whether it left through SystemExit
+ENTRY_SCRIPT = """
+import atexit, sys
+from lefschetz_lab.cli import run
+atexit.register(print, "atexit handler ran")
+sys.argv = ["lefschetz-lab", "analyze", "--poly", "x^3 + y^3", "--vars", "x,y"]
+{hook}
+try:
+    run()
+except SystemExit as exc:
+    print("SystemExit", exc.code)
+    raise
+"""
+
+
+class TestProcessEntry:
+    """`python -m lefschetz_lab` ends through `cli.run()`: `os._exit` once
+    stdout and stderr are flushed, `sys.exit` under -X dev, a profiler or a
+    tracer; what the process writes and its exit status are those of `main()`."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (("analyze", "--poly", "x^3 + y^3", "--vars", "x,y"), 0),
+        (("analyze", "--poly", "x^3+", "--vars", "x"), 2),
+        (("analyze", "--poly", DENSE_SEXTIC, "--vars", "x,y,z", "--max-k", "1", "--strict"), 3),
+    ], ids=["ok", "parse-error", "strict-undetermined"])
+    def test_exit_status(self, argv, code):
+        assert cli_process(*argv).returncode == code
+
+    def test_redirected_stdout_and_report_are_complete(self, capsys, tmp_path):
+        path, out = tmp_path / "report.json", tmp_path / "stdout.txt"
+        argv = [*IKEDA_ARGS, "--json", str(path)]
+        with open(out, "w") as fh:
+            proc = cli_process(*argv, stdout=fh, capture_output=False)
+        assert proc.returncode == 0
+        text = out.read_text()
+        assert text.splitlines()[-1] == f"report written  {path}"
+        report = json.loads(path.read_text())
+        # the same lines as main() prints in this process
+        _, expected, _ = run(argv, capsys)
+        assert text == expected
+        assert report["tool_version"] == lefschetz_lab.__version__
+
+    def test_cone_warning_reaches_stderr(self):
+        proc = cli_process("analyze", "--poly", "x^3 + y^3", "--vars", "x,y,z")
+        assert proc.returncode == 0
+        assert WARNING.fullmatch(proc.stderr)
+
+    @pytest.mark.parametrize("python, hook, observed", [
+        ((), "", False),
+        (("-X", "dev"), "", True),
+        ((), "sys.setprofile(lambda *args: None)", True),
+        ((), "sys.settrace(lambda *args: None)", True),
+    ], ids=["plain", "dev-mode", "profile", "trace"])
+    def test_fast_exit_only_when_unobserved(self, python, hook, observed):
+        proc = subprocess.run([sys.executable, *python, "-c", ENTRY_SCRIPT.format(hook=hook)],
+                              env=child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert "certificates    0" in lines
+        assert ("SystemExit 0" in lines) == observed
+        assert ("atexit handler ran" in lines) == observed
+
+    def test_cprofile_prints_its_stats(self):
+        proc = cli_process("analyze", "--poly", "x^3 + y^3", "--vars", "x,y", python=("-m", "cProfile"))
+        assert proc.returncode == 0, proc.stderr
+        assert "function calls" in proc.stdout
+        assert "weak property   holds" in proc.stdout

@@ -17,10 +17,14 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Run the package as `python -m lefschetz_lab ARGS...` does, then print the
 # package modules it loaded, and which of three costly stdlib modules, as the
-# last line of stdout.
+# last line of stdout.  The entry leaves through `os._exit`, so in this
+# process it raises `SystemExit` instead; the suite's forked workers keep
+# the real one.
 RUN_MAIN = """
-import json, runpy, sys
+import json, os, runpy, sys
 sys.argv = ["lefschetz-lab", *sys.argv[1:]]
+pid, fast_exit = os.getpid(), os._exit
+os._exit = lambda code: sys.exit(code) if os.getpid() == pid else fast_exit(code)
 try:
     runpy.run_module("lefschetz_lab", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
