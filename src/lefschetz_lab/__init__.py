@@ -27,7 +27,6 @@ _SOURCE = {
     "HomogeneityError": "errors",
     "InfeasibleParametersError": "errors",
     "LefschetzLabError": "errors",
-    "NoSplitError": "errors",
     "PolyParseError": "errors",
     "SingularMatrixError": "errors",
     "VariableMismatchError": "errors",
@@ -50,16 +49,14 @@ _SOURCE = {
     "VanishingVerdict": "hessian",
     "hess_profile": "hessian",
     "is_cone": "hessian",
-    "KeyCertificate": "lefschetz",
     "LefschetzReport": "lefschetz",
     "LinearForm": "lefschetz",
-    "ObstructionCertificate": "lefschetz",
+    "ZeroBlock": "lefschetz",
     "mult_map": "lefschetz",
     "rank_at": "lefschetz",
     "slp_check_element": "lefschetz",
     "slp_generic": "lefschetz",
-    "verify_key_certificate": "lefschetz",
-    "verify_obstruction_certificate": "lefschetz",
+    "verify_zero_block": "lefschetz",
     "wlp_check_element": "lefschetz",
     "wlp_generic": "lefschetz",
     "DiffOp": "polycore",

@@ -4,32 +4,29 @@ An `Analysis` holds a form f with the decision mode and the seed, and
 memoizes what the profile, the Lefschetz verdicts and the certificates read:
 the monomial derivatives of f, the A_k bases (each the exponents of its
 monomial operators and the span of their derivatives), the Hilbert vector,
-the integer kernels of the (mixed) Hessians, each order's vanishing
-verdict, and each order's u-subring scan with the two certificates read off
-it (the overflow certificate and the WLP obstruction at that level).  A
-kernel is the one form of a Hessian that evaluation holds: it is compiled
-from the assembled cells, which are not kept.  A Hessian's polynomial
-cells are kept only when asked for (`hessian(k, l)`), by exact elimination
-and the oracles.  A piece is computed on its first request by the function
-or class that defines it (`ak_basis`, `hilbert_vector`, `mixed_hessian`,
-`IntMatrix`, `hessian_vanishes`, `_u_subring_ops`, `key_criterion`,
-`wlp_obstruction`) and reused afterwards, so one report decides each higher
-Hessian once, compiles each Hessian for evaluation once (the vanishing
-decision and every multiplication rank, `rank_at`, evaluate that kernel),
-and scans each order once for both certificates.  Only elimination depends
-on the mode: `in_mode` gives the Analysis of the same form and seed in
-another mode, which shares the memo, so a form checked in both modes
-computes every piece, and decides every order, once.  A verdict is decided
-by one of three routes: the order's key certificate (split forms; the
-Hessian is then neither assembled nor compiled), evaluation of the kernel,
-or, in exact mode only, elimination after every evaluation was zero;
-`counts()` reports the first and the last.  Each basis of A_k grows
-from that of A_(k-1), and the bases, the Hessian cells and the scans read
-the derivatives of f from one memo.
+the zero pattern of each (mixed) Hessian, read off supp(f), and its zero
+block, the one structural certificate, the integer kernels of the Hessians,
+and each order's vanishing verdict.  A kernel is the one form of a Hessian
+that evaluation holds; a Hessian's polynomial cells are kept only when
+asked for (`hessian(k, l)`), by exact elimination and the oracles.  A piece
+is computed on its first request by the function or class that defines it
+(`ak_basis`, `hilbert_vector`, `divisor_codes`, `zero_pattern`,
+`zero_block`, `key_criterion`, `wlp_obstruction`, `mixed_hessian`,
+`IntMatrix`, `hessian_vanishes`) and reused afterwards, so one report
+decides each higher Hessian once, compiles each Hessian once for the
+vanishing decision and every multiplication rank (`rank_at`), and reads
+each pattern once for its block, its assembly and its rank ceiling.  Only
+elimination depends on the mode: `in_mode` gives the Analysis of the same
+form and seed in another mode, which shares the memo, so a form checked in
+both modes computes every piece, and decides every order, once.  A verdict
+is decided by one of three routes: the order's zero block (the Hessian is
+then neither assembled nor compiled), evaluation of the kernel, or, in
+exact mode only, elimination after every evaluation was zero; `counts()`
+reports the first and the last.  Nothing here reads the x/u split.
 
 Every function that reads the bases or the derivatives takes the Analysis in
 place of the bare form (and of any mode and seed); the construction on f
-alone (`catalecticant`) and the certificate verifiers keep taking f.
+alone (`catalecticant`) and the certificate verifier keep taking f.
 """
 
 from __future__ import annotations
@@ -39,8 +36,8 @@ from typing import Callable, Optional, TypeVar
 from .apolar import AkBasis, HilbertVector, ak_basis, hilbert_vector
 from .errors import DegreeRangeError, ZeroPolynomialError
 from .hessian import MODES, Matrix, VanishingVerdict, _eliminated, hessian_vanishes, mixed_hessian
-from .lefschetz import KeyCertificate, ObstructionCertificate, _u_subring_ops, key_criterion, wlp_obstruction
-from .polycore import Derivatives, DiffOp, IntMatrix, Monomial, Poly
+from .lefschetz import ZeroBlock, divisor_codes, key_criterion, wlp_obstruction, zero_block, zero_pattern
+from .polycore import Derivatives, IntMatrix, Poly
 
 T = TypeVar("T")
 
@@ -61,7 +58,7 @@ class Analysis:
         self._memo: dict[tuple, object] = {}
         self._reused = 0
         self.derivatives = Derivatives(f)
-        # rank checks taken over Q: the rank mod p met neither full rank nor the certificate ceiling
+        # rank checks taken over Q: the rank mod p met neither full rank nor the zero block's ceiling
         self.rational_ranks = 0
 
     def in_mode(self, mode: str) -> Analysis:
@@ -127,31 +124,36 @@ class Analysis:
         return verdict
 
     def decided(self, k: int) -> bool:
-        """Whether order k's vanishing is known without new work: its verdict
-        is kept, or the key certificate that decides it."""
-        return ("verdict", k) in self._memo or self._memo.get(("key", k)) is not None
+        """Whether order k's vanishing verdict is kept: known without new work."""
+        return ("verdict", k) in self._memo
 
-    def u_subring(self, k: int) -> tuple[list[DiffOp], int, list[Monomial]]:
-        """The order-k u-subring scan, which both certificates of the order read."""
-        return self._get(("u_subring", k), lambda: _u_subring_ops(self, k))
+    def divisors(self, degree: int) -> frozenset[int]:
+        """The coded monomials of degree `degree` that divide a term of f."""
+        return self._get(("divisors", degree), lambda: divisor_codes(self, degree))
 
-    def key(self, k: int) -> Optional[KeyCertificate]:
-        """The u-subring overflow certificate for the order-k Hessian, if one exists."""
+    def pattern(self, k: int, l: int) -> list[list[int]]:
+        """Each row's nonzero columns in the mixed Hessian of (k, l)."""
+        return self._get(("pattern", k, l), lambda: zero_pattern(self, k, l))
+
+    def block(self, k: int, l: int) -> ZeroBlock:
+        """The zero block of the pattern of (k, l)."""
+        return self._get(("block", k, l), lambda: zero_block(self, k, l))
+
+    def key(self, k: int) -> Optional[ZeroBlock]:
+        """The zero block that proves the order-k Hessian vanishes, if one exists."""
         return self._get(("key", k), lambda: key_criterion(self, k))
 
-    def obstruction(self, k: int) -> Optional[ObstructionCertificate]:
-        """The never-injective certificate at A_k -> A_(k+1), if one exists."""
+    def obstruction(self, k: int) -> Optional[ZeroBlock]:
+        """The zero block that proves A_k -> A_(k+1) never injective, if one exists."""
         return self._get(("obstruction", k), lambda: wlp_obstruction(self, k))
 
     def counts(self) -> dict:
-        """Hessian orders decided (in either mode), those a key certificate
+        """Hessian orders decided (in either mode), those a zero block
         decided, those eliminated in exact mode (none in probabilistic mode;
         the rest were decided by evaluation), Hessian kernels compiled, memo
-        hits, exact rank fallbacks, monomial derivatives of f computed, basis
-        candidates reduced.  `rational_ranks`, the exact rank fallbacks,
-        counts the ranks `rank_at` took over Q: those whose rank mod p was
-        neither maximal nor at the ceiling the order's key or obstruction
-        certificate puts on the map."""
+        hits, exact rank fallbacks (ranks `rank_at` took over Q: the rank mod
+        p was neither maximal nor at its zero block's ceiling), monomial
+        derivatives of f computed, basis candidates reduced."""
         verdicts = [v for key, v in self._memo.items() if key[0] == "verdict"]
         return {
             "hessian_decisions": len(verdicts),

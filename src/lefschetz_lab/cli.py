@@ -151,7 +151,7 @@ def cmd_analyze(args) -> int:
     from .analysis import Analysis
     from .apolar import is_unimodal
     from .hessian import hess_profile, is_cone
-    from .lefschetz import slp_generic, wlp_generic
+    from .lefschetz import ZeroBlock, slp_generic, wlp_generic
     from .polycore import parse_poly
 
     mode = _long_mode(args.mode)
@@ -180,13 +180,11 @@ def cmd_analyze(args) -> int:
     full_profile = args.max_k is None or args.max_k >= d // 2
     slp = stage("slp", lambda: slp_generic(an)) if full_profile else None
     wlp = stage("wlp", lambda: wlp_generic(an))
-    certificates = []
-    if vs.has_split:
-        keys = [an.key(k) for k in range(1, d // 2 + 1)]
-        obstructions = [an.obstruction(k) for k in range(1, (d + 1) // 2)]
-        certificates = [c.to_json_dict() for c in keys + obstructions if c is not None]
     if slp is None:
         slp = _capped_slp(an)
+    decided = [v.certificate for v in profile] + [getattr(r, "certificate", None) for r in (slp, wlp)]
+    blocks = dict.fromkeys(getattr(c, "certificate", c) for c in decided)  # a verdict's block, or a report's
+    certificates = [c.to_json_dict() for c in blocks if isinstance(c, ZeroBlock)]
 
     report = {
         "input": {"poly": f.to_text(), "vars": list(vs.names), "split": vs.n_x},

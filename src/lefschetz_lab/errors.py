@@ -35,10 +35,6 @@ class ZeroPolynomialError(LefschetzLabError, ValueError):
     """The zero polynomial was passed where a nonzero one is required."""
 
 
-class NoSplitError(LefschetzLabError, ValueError):
-    """The operation needs a declared x-block/u-block partition of the variables."""
-
-
 class InfeasibleParametersError(LefschetzLabError, ValueError):
     """Family parameters are out of range or admit no instance; message says why."""
 

@@ -2,8 +2,8 @@
 
 Every generator returns a `FamilyInstance`: the polynomial, its declared
 x/u-block split, and a manifest of expected properties that downstream
-modules can replay.  The structural claims (not a cone, the key
-certificates, the Hessian orders, the obstruction, the WLP witness) are
+modules can replay (the analysis reads no split).  The structural claims
+(not a cone, the zero blocks, the Hessian orders, the WLP witness) are
 checked by one checker, `_structural_claims`.  Each generator ends in one
 call to `_instance`, which builds the manifest from the generator's claims
 and the two every family makes (f is not a cone, and dim A_1 is its number
@@ -41,8 +41,7 @@ from .lefschetz import (
     LefschetzReport,
     LinearForm,
     slp_generic,
-    verify_key_certificate,
-    verify_obstruction_certificate,
+    verify_zero_block,
     wlp_check_element,
     wlp_generic,
 )
@@ -101,9 +100,8 @@ class Manifest(NamedTuple):
     wlp: Optional[str] = None
     wlp_fail_level: Optional[int] = None
     wlp_witness: Optional[LinearForm] = None
-    key_certificate_orders: tuple[int, ...] = ()
-    obstruction_level: Optional[int] = None
-    obstruction_size: Optional[int] = None
+    certified_orders: tuple[int, ...] = ()
+    never_injective_level: Optional[int] = None
 
     def to_json_dict(self) -> dict:
         out: dict = {}
@@ -112,14 +110,14 @@ class Manifest(NamedTuple):
         if self.hilbert is not None:
             out["hilbert"] = list(self.hilbert)
         for name in ("unimodal", "cone", "dim_a1", "slp", "slp_fail_level",
-                     "wlp", "wlp_fail_level", "obstruction_level", "obstruction_size"):
+                     "wlp", "wlp_fail_level", "never_injective_level"):
             value = getattr(self, name)
             if value is not None:
                 out[name] = value
         if self.wlp_witness is not None:
             out["wlp_witness"] = self.wlp_witness.to_json()
-        if self.key_certificate_orders:
-            out["key_certificate_orders"] = list(self.key_certificate_orders)
+        if self.certified_orders:
+            out["certified_orders"] = list(self.certified_orders)
         return out
 
 
@@ -217,11 +215,11 @@ def _structural_claims(an: Analysis, manifest: Manifest) -> Iterator[tuple[str, 
     """The structural claims of `manifest` checked on `an`, as (claim, passed, detail).
 
     In order: f is (not) a cone as claimed; each order in
-    `key_certificate_orders` has a key certificate, replayed by
-    `verify_key_certificate`; each order of `hess_pattern` has the claimed
-    verdict (in exact mode only an exact verdict passes); the obstruction at
-    `obstruction_level`, replayed by `verify_obstruction_certificate`, has
-    `obstruction_size` operators; `wlp_witness` passes exactly when `wlp`
+    `certified_orders` has a zero block proving it vanishes (`an.key(k)`);
+    each order of `hess_pattern` has the claimed verdict (in exact mode only
+    an exact verdict passes); `never_injective_level` has a zero block
+    proving its map never injective (`an.obstruction(level)`), each block
+    replayed by `verify_zero_block`; `wlp_witness` passes exactly when `wlp`
     holds.  A failed claim's detail says what failed; a passed one's is the
     mode of a Hessian verdict, else empty.  Lazy, so that generation stops
     at the first failed claim.
@@ -230,10 +228,10 @@ def _structural_claims(an: Analysis, manifest: Manifest) -> Iterator[tuple[str, 
         cone = is_cone(an).is_cone
         yield "cone", cone == manifest.cone, "" if cone == manifest.cone else (
             "some variable is superfluous" if cone else "no variable is superfluous")
-    for k in manifest.key_certificate_orders:
+    for k in manifest.certified_orders:
         cert = an.key(k)
-        ok = cert is not None and verify_key_certificate(an.f, cert)
-        yield f"key_certificate[{k}]", ok, "" if ok else f"no vanishing certificate at order {k}"
+        ok = cert is not None and verify_zero_block(an.f, an.hilbert(), cert)
+        yield f"certified[{k}]", ok, "" if ok else f"no vanishing certificate at order {k}"
     for k, vanishes in manifest.hess_pattern:
         verdict = an.verdict(k)
         ok = verdict.vanishes == vanishes
@@ -241,15 +239,11 @@ def _structural_claims(an: Analysis, manifest: Manifest) -> Iterator[tuple[str, 
             f"Hessian of order {k} " + ("did not vanish" if vanishes else "vanished"))
         exact_enough = an.mode != "exact" or verdict.mode == "exact"
         yield f"hess[{k}] {'=0' if vanishes else '!=0'}", ok and exact_enough, detail
-    level, size = manifest.obstruction_level, manifest.obstruction_size
+    level = manifest.never_injective_level
     if level is not None:
         cert = an.obstruction(level)
-        problem = ""
-        if cert is None or not verify_obstruction_certificate(an.f, cert):
-            problem = f"no obstruction at level {level}"
-        elif size is not None and cert.s != size:
-            problem = f"obstruction has {cert.s} operators, expected {size}"
-        yield f"obstruction[{level}]", not problem, problem
+        ok = cert is not None and verify_zero_block(an.f, an.hilbert(), cert)
+        yield f"never_injective[{level}]", ok, "" if ok else f"no never-injective certificate at level {level}"
     if manifest.wlp_witness is not None:
         ok, _ = wlp_check_element(an, manifest.wlp_witness)
         holds = manifest.wlp == "holds"
@@ -300,7 +294,7 @@ def gen_ikeda(*, seed: int = 0) -> FamilyInstance:
         unimodal=True,
         slp="fails",
         slp_fail_level=2,
-        key_certificate_orders=(2,),
+        certified_orders=(2,),
     )
 
 
@@ -345,7 +339,7 @@ def gen_exceptional(
         hess_pattern=tuple(hess_pattern),
         slp="fails",
         slp_fail_level=2,
-        key_certificate_orders=tuple(range(2, k + 1)),
+        certified_orders=tuple(range(2, k + 1)),
     )
 
 
@@ -406,7 +400,7 @@ def gen_gnp(
         f, FamilySpec("gnp", params, seed), f"gnp/{variant}",
         hess_pattern=((k, True),),
         slp="fails",
-        key_certificate_orders=(k,),
+        certified_orders=(k,),
     )
 
 
@@ -471,7 +465,7 @@ def gen_perazzo(
         hess_pattern=((1, True),),
         slp="fails",
         slp_fail_level=1,
-        key_certificate_orders=(1,),
+        certified_orders=(1,),
     )
 
 
@@ -666,7 +660,7 @@ def gen_wlpodd(N: int, d: int, *, seed: int = 0) -> FamilyInstance:
         slp_fail_level=q,
         wlp="fails",
         wlp_fail_level=q,
-        key_certificate_orders=(q,),
+        certified_orders=(q,),
     )
 
 
@@ -693,8 +687,9 @@ def gen_thmwlp(
     """Even socle degree, unimodal Hilbert vector, weak property fails.
 
     Three regimes (d = 4, d = 6, d >= 8) each plant enough operators pushing
-    f into the u-subring that some consecutive map can never be injective;
-    the failure is certified by an obstruction certificate, not by sampling.
+    f into the u-subring that some consecutive map can never be injective:
+    their rows of its mixed Hessian vanish off the u-subring, a zero block
+    (`an.obstruction(level)`) that certifies the failure, not sampling.
     """
     if (N, d) in _THMWLP_EXCLUSIONS:
         raise InfeasibleParametersError(f"(N,d)=({N},{d}): " + _THMWLP_EXCLUSIONS[(N, d)])
@@ -708,7 +703,7 @@ def gen_thmwlp(
             {"x4": 1, "u": 1, "v": 2},
             {"x5": 1, "v": 3},
         ]
-        level, size = 1, 4
+        level = 1
         spare_from = 6
     elif d == 6:
         _require(N >= 4, "d = 6 needs N >= 4")
@@ -717,7 +712,7 @@ def gen_thmwlp(
             {"x3": 1, "u": 4, "v": 1},
             {"x4": 1, "u": 1, "v": 4},
         ]
-        level, size = 2, 5
+        level = 2
         spare_from = 5
     else:
         q = d // 2
@@ -725,7 +720,7 @@ def gen_thmwlp(
             {"x2": 1, "u": q - 2, "v": q + 1},
             {"x3": 1, "u": 2 * q - 3, "v": 2},
         ]
-        level, size = q - 1, q + 2
+        level = q - 1
         spare_from = 4
     spare = tuple(f"x{i}" for i in range(spare_from, N + 1))
     vs = _x_uv_vars(N)  # the core x-variables, then the spare ones
@@ -745,8 +740,7 @@ def gen_thmwlp(
         unimodal=True,
         wlp="fails",
         wlp_fail_level=level,
-        obstruction_level=level,
-        obstruction_size=size,
+        never_injective_level=level,
     )
 
 
@@ -803,7 +797,7 @@ def replay_manifest(inst: FamilyInstance, *, mode: str = "probabilistic") -> lis
     Hessian claim passes only on an exact verdict), then the Hilbert vector,
     unimodality, dim A_1, and the generic SLP report and WLP report (the
     latter unless a WLP witness stands for it).  Every certificate is
-    replayed by its verifier on f, never trusted from the instance.  Every
+    replayed by `verify_zero_block` on f, never trusted from the instance.  Every
     claim reads `inst.analysis` in `mode` (`Analysis.in_mode`), so the pieces
     generation computed are not computed again, each Hessian is decided once
     for both modes, and the SLP and WLP claims are decided in the same mode as the

@@ -6,10 +6,9 @@ identically does not depend on the basis, so verdicts are reported without
 one.  A verdict is as certain as the route that decided it, whatever the
 mode; the routes are taken in order, and only the last reads the mode:
 
-  * certificate: for k >= 1 on a form with a declared x/u split, the
-    form's u-subring overflow certificate (`an.key(k)`, the
-    Gordan-Noether-type argument the paper's constructions rest on) proves
-    vanishing exactly; the Hessian is then neither assembled nor compiled;
+  * certificate: for k >= 1, a zero block of the Hessian's pattern, read
+    off supp(f) (`an.key(k)`), proves vanishing exactly; the Hessian is then
+    neither assembled nor compiled;
   * evaluation: evaluate the matrix's integer kernel (`polycore.IntMatrix`,
     rows scaled to integer coefficients; the form's `Analysis` compiles it
     once, and this route reads nothing else of the matrix) at seeded integer
@@ -67,7 +66,7 @@ from .polycore import DiffOp, IntMatrix, Monomial, Poly, Record, diff_apply, mon
 
 if TYPE_CHECKING:
     from .analysis import Analysis
-    from .lefschetz import KeyCertificate
+    from .lefschetz import ZeroBlock
 
 DEFAULT_EXACT_CUTOFF = 12  # the largest verdict whose JSON shows det_value
 DEFAULT_TRIALS = 5
@@ -101,8 +100,8 @@ class VanishingVerdict(Record):
     prime and residue too, or, without a residue, by the bit length of its
     numerator (`det_value_bits`).
 
-    A vanishing verdict names the route that decided it: the u-subring
-    overflow `certificate`, the hash of the elimination (or constant-matrix)
+    A vanishing verdict names the route that decided it: the zero block
+    `certificate`, the hash of the elimination (or constant-matrix)
     transcript, or, for the evaluation route alone, the compounded failure
     bound.  `mode` is read off the verdict, never stored: "probabilistic"
     exactly when it states an `error_bound`, else "exact", so every
@@ -128,7 +127,7 @@ class VanishingVerdict(Record):
         residue: Optional[int] = None,
         error_bound: Optional[Fraction] = None,
         transcript_hash: Optional[str] = None,
-        certificate: Optional[KeyCertificate] = None,
+        certificate: Optional[ZeroBlock] = None,
         eliminated: bool = False,
         known_value: Optional[Fraction] = None,
         kernel: Optional[IntMatrix] = None,
@@ -138,7 +137,7 @@ class VanishingVerdict(Record):
         if not vanishes and known_value is None and (not residue or kernel is None):
             raise ValueError("nonvanishing verdict requires a nonzero residue or its value")
         if certificate is not None and not (vanishes and error_bound is None):
-            raise ValueError("a key certificate proves exact vanishing only")
+            raise ValueError("a zero block proves exact vanishing only")
         Record.__init__(
             self, vanishes, witness_point, prime, residue, error_bound,
             transcript_hash, certificate, eliminated, known_value, kernel,
@@ -195,15 +194,24 @@ def mixed_hessian(an: Analysis, k: int, l: int) -> Matrix:
     entries have degree d-k-l.  Evaluated at the coefficients of a linear
     form L, its rank is the rank of multiplication by L^(d-k-l) from A_k to
     A_(d-l) (Maeno-Watanabe); l = k gives the pure order-k Hessian.  The
-    matrix for (l, k) is the transpose of the one for (k, l).
+    matrix for (l, k) is the transpose of the one for (k, l).  Only the
+    cells of `an.pattern(k, l)` are differentiated; every other cell is the
+    form's one zero polynomial.
     """
     _require_orders(an.f.degree, k, l)
-    derivatives = an.derivatives
-    rows = an.basis(k).expos
+    rows, cols = an.basis(k).expos, an.basis(l).expos
+    derivatives, pattern = an.derivatives, an.pattern(k, l)
+
+    def cells(i: int, start: int) -> list[Poly]:  # row i from column `start` on
+        out = [derivatives.zero] * (len(cols) - start)
+        for j in pattern[i]:
+            if j >= start:
+                out[j - start] = derivatives[mono_mul(rows[i], cols[j])]
+        return out
+
     if l != k:
-        cols = an.basis(l).expos
-        return tuple(tuple([derivatives[mono_mul(a, b)] for b in cols]) for a in rows)
-    return _mirrored([derivatives[mono_mul(a, b)] for b in rows[i:]] for i, a in enumerate(rows))
+        return tuple(tuple(cells(i, 0)) for i in range(len(rows)))
+    return _mirrored(cells(i, i) for i in range(len(rows)))
 
 
 def _require_orders(d: int, k: int, l: int) -> None:
@@ -225,23 +233,18 @@ def hessian_vanishes(an: Analysis, k: int) -> VanishingVerdict:
     """Decide whether the order-k Hessian determinant vanishes identically,
     by the routes that do not read the mode.
 
-    On a split form, an order k >= 1 with a key certificate (`an.key(k)`)
-    is decided by it: exact vanishing, with no Hessian assembled.  Otherwise
-    the kernel the Analysis compiled is evaluated at the Analysis's seed: a
-    nonzero residue or value is exact nonvanishing, and zero at every point
-    is probabilistic vanishing.  The compute body of `an.verdict(k)`, which
+    An order k >= 1 with a zero block certificate (`an.key(k)`) is decided
+    by it: exact vanishing, with no Hessian assembled.  Otherwise the kernel
+    the Analysis compiled is evaluated at the Analysis's seed: a nonzero
+    residue or value is exact nonvanishing, and zero at every point is
+    probabilistic vanishing.  The compute body of `an.verdict(k)`, which
     keeps the result for both modes and, in exact mode, replaces a
-    probabilistic one by elimination's; call that instead.  This function
-    decides afresh on every call, though the key search itself is memoized.
-    An order outside 0..d/2 is refused before the key search, in
-    `mixed_hessian`'s words, so a split form and the same form without its
-    split give the same error.
+    probabilistic one by elimination's; call that instead.  An order outside
+    0..d/2 is refused first, in `mixed_hessian`'s words.
     """
     _require_orders(an.f.degree, k, k)
-    if k >= 1 and an.f.vars.has_split:
-        cert = an.key(k)
-        if cert is not None:
-            return VanishingVerdict(True, certificate=cert)
+    if k >= 1 and (cert := an.key(k)) is not None:
+        return VanishingVerdict(True, certificate=cert)
     kernel = an.kernel(k, k)
     return _det_vanishes(kernel, degree_bound=len(kernel) * (an.f.degree - 2 * k), seed=an.seed, salt=f"hess:{k}")
 
@@ -249,7 +252,7 @@ def hessian_vanishes(an: Analysis, k: int) -> VanishingVerdict:
 def explicit_basis_verdict(an: Analysis, k: int, ops: Sequence[DiffOp]) -> VanishingVerdict:
     """Test oracle for basis independence: the order-k verdict over `ops`, a
     basis of A_k given as degree-k operators (not checked), decided by
-    evaluation and, in exact mode, elimination; the key certificate is not
+    evaluation and, in exact mode, elimination; the zero block is not
     consulted.  Cell (i, j) is ops[i] applied to ops[j] (f)."""
     derived = [diff_apply(a, an.f) for a in ops]
     H = _mirrored([diff_apply(a, g) for g in derived[i:]] for i, a in enumerate(ops))

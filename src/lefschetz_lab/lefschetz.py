@@ -6,8 +6,8 @@ multiplication rank is taken by `rank_at`, over the Hessians its form's
 `Analysis` assembles once.  The Hessian is evaluated through its integer
 kernel (`polycore.IntMatrix`, compiled once by the Analysis) at L scaled to
 integers and ranked modulo 2^61-1; a maximal rank there is the rank over Q,
-and so is one that meets the ceiling a key or obstruction certificate puts on
-the map (`_rank_ceiling`); only a rank below both is recomputed exactly.  The
+and so is one at the ceiling the map's zero block puts on it; only a rank
+below both is recomputed exactly.  The
 explicit multiplication matrix (`mult_map`) is the independent reference for
 those ranks: it applies L, k times, to each basis derivative and solves the
 result in the target space, never reading a Hessian.  WLP is decided on one
@@ -15,37 +15,40 @@ map: in the Gorenstein algebra of f, L is a weak Lefschetz element exactly
 when L: A_m -> A_(m+1), m = floor((d-1)/2), has maximal rank
 (Migliore-Miro-Roig-Nagel, Trans. AMS 363 (2011), Prop. 2.1), the rank of
 the mixed Hessian of (m, d-1-m) at L (Maeno-Watanabe, Illinois J. Math. 53
-(2009)).  So a nonvanishing hess^m_f settles WLP at its witness point.  Generic verdicts combine witness
-searches (`_find_element`: given points, then seeded random forms; maximal
-rank is an open condition, so one success settles the generic statement)
-with structural failure certificates that rule out every L at once:
+(2009)).  So a nonvanishing hess^m_f settles WLP at its witness point.
+Generic verdicts combine witness searches (`_find_element`: given points,
+then seeded random forms; maximal rank is an open condition, so one success
+settles the generic statement) with structural failure certificates that
+rule out every L at once:
 
   * a vanishing middle Hessian in odd socle degree,
-  * an overfull set of operators pushing f into the u-subring under every
-    first-order multiplication (kernel forced in A_k -> A_{k+1}),
+  * a zero block in the mixed Hessian of (k, d-1-k) too large for
+    A_k -> A_(k+1) to be injective,
   * a non-unimodal Hilbert vector.
 
-Random sampling alone is never promoted to a failure verdict.  The two
-u-subring certificates (vanishing Hessian, never-injective map) come from one
-scan over the form's memoized derivatives; their verifiers replay each claim
-with `diff_apply` on f, independently of that scan, in one shared loop
-(`_replays`) to which each adds its own per-operator claim and bound.
-`_u_subring_ops`, `key_criterion` and `wlp_obstruction` are the compute
-bodies of `an.u_subring(k)`, `an.key(k)` and `an.obstruction(k)`; called
-directly, they bypass the memo and `counts()`.
+Random sampling alone is never promoted to a failure verdict.  The
+structural certificates are zero blocks (`ZeroBlock`), read off supp(f) for
+any form by a maximum matching of a Hessian's zero pattern, and replayed by
+`verify_zero_block` with `diff_apply` on f.  `divisor_codes`,
+`zero_pattern`, `zero_block`, `key_criterion` and `wlp_obstruction` are the
+compute bodies of `an.divisors(j)`, `an.pattern(k, l)`, `an.block(k, l)`,
+`an.key(k)` and `an.obstruction(k)`; called directly, they bypass the memo
+and `counts()`.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb, lcm
+from itertools import compress
+from math import lcm
+from operator import mul
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from . import linalg
-from .apolar import HilbertVector, first_dip, is_unimodal
-from .errors import DegreeRangeError, NoSplitError
-from .polycore import DiffOp, Monomial, Poly, Record, Scalar, diff_apply, mono_basis
+from .apolar import HilbertVector, _sub_exponents, first_dip, is_unimodal
+from .errors import DegreeRangeError
+from .polycore import Monomial, Poly, Record, Scalar, diff_apply, mono_mul
 
 if TYPE_CHECKING:
     from .analysis import Analysis
@@ -131,43 +134,21 @@ def rank_at(an: Analysis, k: int, l: int, L: LinearForm) -> int:
     integer coefficients, and L is scaled to the integer point cL;
     H(cL) = c^(d-k-l) H(L), so neither changes the rank.  The rank is first
     taken modulo RANK_PRIME; reduction mod a prime can only lower it, so the
-    rank over Q lies between that and `_rank_ceiling`, and a rank is closed
-    in one of three ways:
-
-      * the rank mod p is maximal, min(h_k, h_l): it is the rank over Q;
-      * the rank mod p meets the ceiling the form's key or obstruction
-        certificate puts on every point (a never-injective map): it is the
-        rank over Q;
-      * otherwise the rank is taken over Q by elimination and counted in the
-        Analysis's `rational_ranks`.
+    rank over Q lies between that and the structural rank of the pattern of
+    (k, l), h_k + h_l less the size of its zero block, which bounds it at
+    every point.  A rank mod p that is maximal, min(h_k, h_l), or at that
+    ceiling (a never-injective map, say) is the rank over Q; any other is
+    taken over Q by elimination and counted in the Analysis's
+    `rational_ranks`.
     """
     c = lcm(*(x.denominator for x in L.coeffs))
     matrix = an.kernel(k, l).at(tuple(int(x * c) for x in L.coeffs))
     h_k, h_l = len(matrix), len(matrix[0])
     r = linalg.rank_mod(matrix, RANK_PRIME)
-    if r == min(h_k, h_l) or r == _rank_ceiling(an, k, l, h_k, h_l):
+    if r == min(h_k, h_l) or r == h_k + h_l - an.block(k, l).size:
         return r
     an.rational_ranks += 1
     return linalg.rank(matrix)
-
-
-def _rank_ceiling(an: Analysis, k: int, l: int, h_k: int, h_l: int) -> int:
-    """A ceiling on the rank of the mixed Hessian of (k, l) at every point.
-
-    Each certificate lists s operators, independent in A_k, whose
-    derivatives of f lie in the u-subring; their rows of the Hessian are
-    read off the pure-u operators of degree l alone, of which there are
-    `bound`, so they span at most `bound` dimensions and the rank is at most
-    h_k - (s - bound) (Maeno-Watanabe 2009: the rank of L^(d-k-l) on A_k is
-    that of the mixed Hessian).  The key certificate of order k bounds (k,
-    k); the obstruction at A_k -> A_(k+1) bounds (k, d-1-k).  Where neither
-    applies the ceiling is min(h_k, h_l).
-    """
-    ceilings = [h_k, h_l]
-    if k >= 1 and an.f.vars.has_split:
-        certs = ([an.key(k)] if k == l else []) + ([an.obstruction(k)] if k + l == an.f.degree - 1 else [])
-        ceilings += [h_k - (cert.s - cert.bound) for cert in certs if cert is not None]
-    return min(ceilings)
 
 
 def slp_check_element(an: Analysis, L: LinearForm) -> tuple[bool, list[LevelCheck]]:
@@ -294,18 +275,18 @@ def wlp_generic(an: Analysis) -> LefschetzReport:
     """Generic weak-Lefschetz verdict, decided on A_m -> A_(m+1), m = floor((d-1)/2).
 
     Failure needs structural evidence: a non-unimodal Hilbert vector, for
-    even d an obstruction certificate, for odd d a vanishing hess^m.  A
-    nonzero det hess^m_f(L) makes L^(d-2m) bijective on A_m, so L is
-    injective there and a weak Lefschetz element (`wlp_check_element`): the
-    middle verdict's witness point settles "holds", every level at maximal
-    rank, with nothing built or ranked.  Only even d with hess^m = 0
-    searches, on the one map; no element found leaves WLP undetermined.
+    odd d a vanishing hess^m, for even d a never-injective zero block.  A
+    nonzero det hess^m_f(L) makes L^(d-2m) bijective on A_m, so the middle
+    verdict's witness point is a weak Lefschetz element (`wlp_check_element`),
+    every level at maximal rank, with nothing built or ranked.  Only even d
+    with hess^m = 0 looks further: for a zero block at the first level
+    1..m with h_k <= h_(k+1) (such a map forces hess^m = 0, so no level is
+    missed), then for an element; none found leaves WLP undetermined.
     """
-    f = an.f
     hv = an.hilbert()
     dip = first_dip(hv)
     uni = dip is None
-    d = f.degree
+    d = an.f.degree
     m = (d - 1) // 2
 
     def fails(level: Optional[int], certificate: object,
@@ -318,20 +299,16 @@ def wlp_generic(an: Analysis) -> LefschetzReport:
     if not uni:
         return fails(dip, f"non-unimodal Hilbert vector {hv.dims}")
 
-    if d % 2 == 0 and f.vars.has_split:
-        for k in range(1, m + 1):
-            if hv[k] > hv[k + 1]:
-                continue  # non-injectivity would not contradict maximal rank
-            cert = an.obstruction(k)
-            if cert is not None:
-                return fails(k, cert, hv[k])
-
     middle = an.verdict(m)
     if not middle.vanishes:
         witness = LinearForm.from_coeffs(middle.witness_point)
     elif d % 2 == 1:
         return fails(m, middle, hv[m])
     else:
+        for k in range(1, m + 1):
+            cert = an.obstruction(k) if hv[k] <= hv[k + 1] else None
+            if cert is not None:
+                return fails(k, cert, hv[k])
         found = _find_element(an, wlp_check_element, "wlp")
         if found is None:
             return LefschetzReport("WLP", "undetermined", hv, uni)
@@ -343,184 +320,144 @@ def wlp_generic(an: Analysis) -> LefschetzReport:
 # -- structural certificates --------------------------------------------------
 
 
-class KeyCertificate(NamedTuple):
-    """Witness that the order-k Hessian vanishes identically.
+class ZeroBlock(NamedTuple):
+    """Exponents of monomial operators, rows independent in A_k and columns
+    in A_l, whose cells of the mixed Hessian of (k, l) are all zero.  Over
+    bases that extend them, the rank at every point is at most
+    h_k + h_l - |rows| - |cols| (Frobenius-Koenig): below h_k once they
+    number more than h_l, so hess^k vanishes (l = k) or no L makes
+    A_k -> A_(k+1) injective (l = d-1-k; Maeno-Watanabe 2009)."""
 
-    `ops` are monomial operators outside the pure u-subring, independent
-    modulo the annihilator, each sending f into the u-subring.  Since their
-    Hessian rows are supported on the pure-u columns alone and there are more
-    of them than that subring has monomials in degree k, the rows are
-    dependent over the function field and the determinant is zero.
-    """
-
-    x_names: tuple[str, ...]
-    u_names: tuple[str, ...]
     k: int
-    ops: tuple[DiffOp, ...]
-    bound: int  # dimension of the u-subring in degree k
-    pivot_monos: tuple[tuple[int, ...], ...]  # independence proof
+    l: int
+    rows: tuple[Monomial, ...]
+    cols: tuple[Monomial, ...]
 
     @property
-    def s(self) -> int:
-        return len(self.ops)
+    def size(self) -> int:
+        return len(self.rows) + len(self.cols)
 
     def to_json_dict(self) -> dict:
-        return {
-            "type": "u-subring-overflow",
-            "x_block": list(self.x_names),
-            "u_block": list(self.u_names),
-            "k": self.k,
-            "ops": [op.to_text() for op in self.ops],
-            "s": self.s,
-            "bound": self.bound,
-            "pivot_monomials": [list(p) for p in self.pivot_monos],
-        }
+        return {"type": "zero-block", "orders": [self.k, self.l], "rows": list(map(list, self.rows)),
+                "cols": list(map(list, self.cols))}
 
 
-def _u_subring_ops(an: Analysis, k: int) -> tuple[list[DiffOp], int, list[Monomial]]:
-    """Degree-k monomial operators sending f into the u-subring, kept greedily.
+def _codes(an: Analysis, expos: Sequence[Monomial]) -> list[int]:
+    """Exponents as mixed-radix ints, radix d+1, so that they add without carry."""
+    radix = an.f.degree + 1
+    weights = [radix**i for i in range(len(an.f.vars))]
+    return [sum(map(mul, e, weights)) for e in expos]
 
-    In descending lex order, keep each operator whose derivative of f, read
-    from the Analysis's memo, is nonzero, lies in the u-subring and is
-    independent of those kept before.  The x-block comes first, so the kept
-    operators with an x-factor, which the key certificate counts, are a
-    prefix of those the obstruction counts; where 2k >= d there is no
-    obstruction, and the scan stops there.  Returns the kept operators, how
-    many have an x-factor, and the pivot keys of their derivatives' span.
-    """
-    dual = an.f.vars.dual()
-    n_x = an.f.vars.n_x
-    u_indices = set(an.f.vars.u_indices)
-    span = linalg.SparseSpan()
-    kept: list[DiffOp] = []
-    with_x = 0
-    for expo in mono_basis(dual, k):
-        if 2 * k >= an.f.degree and not any(expo[:n_x]):
+
+def divisor_codes(an: Analysis, degree: int) -> frozenset[int]:
+    """The codes of the degree-`degree` monomials that divide a term of f;
+    the compute body of `an.divisors(degree)`."""
+    return frozenset(_codes(an, [a for e in an.f.coeff_map() for a in _sub_exponents(e, degree)]))
+
+
+def zero_pattern(an: Analysis, k: int, l: int) -> list[list[int]]:
+    """For each row a of the mixed Hessian of (k, l), the columns b where
+    x^(a+b) divides a term of f: in characteristic 0 the cells X^(a+b) f that
+    are not zero (distinct terms give distinct monomials).  The compute body
+    of `an.pattern(k, l)`."""
+    rows, cols = _codes(an, an.basis(k).expos), _codes(an, an.basis(l).expos)
+    layer = an.divisors(k + l)
+    if len(layer) < len(cols):
+        find = {c: j for j, c in enumerate(cols)}.get
+        return [[j for m in layer if (j := find(m - a)) is not None] for a in rows]
+    positions = list(range(len(cols)))
+    return [list(compress(positions, map(layer.__contains__, map(a.__add__, cols)))) for a in rows]
+
+
+def zero_block(an: Analysis, k: int, l: int) -> ZeroBlock:
+    """The zero block of the pattern of (k, l) left by a maximum matching,
+    grown along shortest augmenting paths in phases (Hopcroft-Karp).  Once
+    no alternating path from an unmatched row reaches an unmatched column,
+    the rows such paths reach and the columns none of them meets form a
+    zero block of size h_k + h_l - r, r the matching's size (Koenig), the
+    same for every maximum matching.  The compute body of `an.block(k, l)`."""
+    pattern = an.pattern(k, l)
+    rows, cols = an.basis(k).expos, an.basis(l).expos
+    col_of, row_of = [-1] * len(rows), [-1] * len(cols)
+    while True:
+        # each row's distance from an unmatched row along alternating paths
+        queue = [r for r, c in enumerate(col_of) if c < 0]
+        dist, free, open_ = [0 if c < 0 else -1 for c in col_of], len(queue), False
+        for r in queue:  # grows as rows are reached
+            for j in pattern[r]:
+                mate = row_of[j]
+                open_ |= mate < 0
+                if mate >= 0 and dist[mate] < 0:
+                    dist[mate] = dist[r] + 1
+                    queue.append(mate)
+        if not open_:
             break
-        g = an.derivatives[expo]
-        if g and g.supported_on(u_indices) and span.try_add(g.coeff_map()):
-            kept.append(Poly.monomial(dual, expo))
-            with_x += any(expo[:n_x])
-    return kept, with_x, span.pivot_keys
+        seen = bytearray(len(cols))
+        for r in queue[:free]:
+            _augment(pattern, col_of, row_of, dist, seen, r)
+    met = {j for r in queue for j in pattern[r]}
+    return ZeroBlock(k, l, tuple(rows[r] for r in sorted(queue)), tuple(b for j, b in enumerate(cols) if j not in met))
 
 
-def key_criterion(an: Analysis, k: int) -> Optional[KeyCertificate]:
-    """Search for a u-subring overflow certificate for the order-k Hessian.
+def _augment(pattern: list[list[int]], col_of: list[int], row_of: list[int],
+             dist: list[int], seen: bytearray, root: int) -> None:
+    """Flip into the matching a path from the unmatched row `root`, one layer
+    deeper at each step, to an unmatched column, over columns not yet `seen`
+    (each visit marks one), if there is one; a loop, not a recursion."""
+    stack = [[root, iter(pattern[root]), -1]]  # row, its columns left, the column taken
+    while stack:
+        top = stack[-1]
+        depth = dist[top[0]] + 1
+        j = next((j for j in top[1] if not seen[j] and (row_of[j] < 0 or dist[row_of[j]] == depth)), -1)
+        if j < 0:
+            stack.pop()
+            continue
+        seen[j], top[2] = 1, j
+        if row_of[j] < 0:
+            for row, _, col in stack:
+                col_of[row], row_of[col] = col, row
+            return
+        stack.append([row_of[j], iter(pattern[row_of[j]]), -1])
 
-    Keeps a maximal independent set of the degree-k monomial operators with
-    at least one x-factor that send f into the u-subring, and returns a
-    certificate exactly when it outnumbers the degree-k monomials of the
-    u-subring.  The compute body of `an.key(k)`, which keeps the result;
-    call that instead.
-    """
-    vs = an.f.vars
-    if not vs.has_split:
-        raise NoSplitError("key criterion needs a declared x/u split")
-    d = an.f.degree
-    if not 1 <= k <= d // 2:
-        raise DegreeRangeError(f"k={k} out of range 1..{d // 2}")
-    bound = comb(len(vs) - vs.n_x + k - 1, k)
-    kept, with_x, pivots = an.u_subring(k)
-    if with_x <= bound:
-        return None
-    return KeyCertificate(vs.x_names, vs.u_names, k, tuple(kept[:with_x]), bound, tuple(pivots[:with_x]))
+
+def _certifying(an: Analysis, k: int, l: int) -> Optional[ZeroBlock]:
+    """The zero block of (k, l) if it puts every rank below h_k."""
+    block = an.block(k, l)
+    return block if block.size > len(an.basis(l)) else None
 
 
-def _replays(f: Poly, cert: KeyCertificate | ObstructionCertificate,
-             claim: Callable[[DiffOp, Poly, set[int]], bool]) -> bool:
-    """The replay both certificate verifiers share: f's x/u split has the
-    certificate's names, and each operator's derivative g of f is nonzero,
-    meets `claim(op, g, u_indices)` and is independent of those before it."""
-    vs = f.vars
-    if not vs.has_split or vs.x_names != cert.x_names or vs.u_names != cert.u_names:
+def key_criterion(an: Analysis, k: int) -> Optional[ZeroBlock]:
+    """The zero block of (k, k), if it proves hess^k = 0; the compute body
+    of `an.key(k)`."""
+    top = an.f.degree // 2
+    if not 1 <= k <= top:
+        raise DegreeRangeError(f"k={k} out of range 1..{top}")
+    return _certifying(an, k, k)
+
+
+def wlp_obstruction(an: Analysis, k: int) -> Optional[ZeroBlock]:
+    """The zero block of (k, d-1-k), if it proves A_k -> A_(k+1) never
+    injective, for k in 1..(d-1)/2; the compute body of `an.obstruction(k)`."""
+    l = an.f.degree - 1 - k
+    return _certifying(an, k, l) if 1 <= k <= l else None
+
+
+def verify_zero_block(f: Poly, dims: Sequence[int], block: ZeroBlock) -> bool:
+    """Replay a ZeroBlock on f and the Hilbert vector `dims` as the report
+    states it, independently of the pattern: the rows are exponents of
+    independent monomial operators of degree k (applied to f by
+    `diff_apply`), the columns of degree l, no row times column divides a
+    term of f, and there are more than h_l of them."""
+    k, l, n, dual = block.k, block.l, len(f.vars), f.vars.dual()
+    if min(k, l) < 0 or k + l > f.degree or block.size <= dims[l]:
         return False
-    u_indices = set(vs.u_indices)
-    span = linalg.SparseSpan()
-    for op in cert.ops:
-        g = diff_apply(op, f)
-        if g.is_zero() or not claim(op, g, u_indices) or not span.try_add(g.coeff_map()):
-            return False
-    return True
-
-
-def verify_key_certificate(f: Poly, cert: KeyCertificate) -> bool:
-    """Independently replay every claim a KeyCertificate makes: each operator
-    is a monomial with an x-factor that sends f into the u-subring."""
-
-    def claim(op: DiffOp, g: Poly, u_indices: set[int]) -> bool:
-        expo = next(iter(op.coeff_map()))
-        return op.num_terms() == 1 and any(expo[: f.vars.n_x]) and g.supported_on(u_indices)
-
-    return _replays(f, cert, claim) and cert.s > cert.bound == comb(len(cert.u_names) + cert.k - 1, cert.k)
-
-
-class ObstructionCertificate(NamedTuple):
-    """Witness that `L : A_k -> A_{k+1}` is injective for no L at all.
-
-    The listed operators are independent modulo the annihilator, and every
-    first-order operator pushes each of their derivatives into the u-subring;
-    since they outnumber the u-subring monomials of the image degree, each
-    multiplication map has a kernel.
-    """
-
-    x_names: tuple[str, ...]
-    u_names: tuple[str, ...]
-    k: int
-    ops: tuple[DiffOp, ...]
-    bound: int  # dimension of the u-subring in degree deg(f)-k-1
-
-    @property
-    def s(self) -> int:
-        return len(self.ops)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "never-injective",
-            "x_block": list(self.x_names),
-            "u_block": list(self.u_names),
-            "map": [self.k, self.k + 1],
-            "ops": [op.to_text() for op in self.ops],
-            "s": self.s,
-            "bound": self.bound,
-        }
-
-
-def wlp_obstruction(an: Analysis, k: int) -> Optional[ObstructionCertificate]:
-    """Search for a never-injective certificate at `A_k -> A_{k+1}`.
-
-    Qualifying operators are the degree-k monomials whose derivative g of f
-    is mapped into the u-subring by every first-order operator.  Since
-    deg g = d-k >= 2, that holds exactly when g itself lies in the u-subring:
-    a term with an x-factor keeps an x-factor under some first partial, and
-    distinct monomials cannot cancel there.  So the search is the key
-    criterion's, pure-u operators included.  Nothing is returned when
-    deg(f) <= 2k (the image degree gives no room) or when the independent
-    count stays within the bound.  The compute body of `an.obstruction(k)`,
-    which keeps the result; call that instead.
-    """
-    vs = an.f.vars
-    if not vs.has_split:
-        raise NoSplitError("obstruction search needs a declared x/u split")
-    d = an.f.degree
-    if k < 1 or d - k <= k:
-        return None
-    image_degree = d - k - 1
-    bound = comb(len(vs) - vs.n_x - 1 + image_degree, image_degree)
-    kept, _, _ = an.u_subring(k)
-    if len(kept) <= bound:
-        return None
-    return ObstructionCertificate(vs.x_names, vs.u_names, k, tuple(kept), bound)
-
-
-def verify_obstruction_certificate(f: Poly, cert: ObstructionCertificate) -> bool:
-    """Independently replay every claim an ObstructionCertificate makes: every
-    first partial sends each operator's derivative of f into the u-subring."""
-    dual = f.vars.dual()
-    firsts = [Poly.variable(dual, i) for i in range(len(f.vars))]
-
-    def claim(op: DiffOp, g: Poly, u_indices: set[int]) -> bool:
-        return all(diff_apply(w, g).supported_on(u_indices) for w in firsts)
-
-    image_degree = f.degree - cert.k - 1
-    bound = comb(len(cert.u_names) - 1 + image_degree, image_degree)
-    return _replays(f, cert, claim) and cert.s > cert.bound == bound
+    for expos, degree in ((block.rows, k), (block.cols, l)):
+        span = linalg.SparseSpan()
+        for e in expos:
+            if len(e) != n or not all(type(x) is int and x >= 0 for x in e) or sum(e) != degree:
+                return False
+            g = diff_apply(Poly.monomial(dual, tuple(e)), f)
+            if g.is_zero() or not span.try_add(g.coeff_map()):
+                return False
+    divisors = {a for e in f.coeff_map() for a in _sub_exponents(e, k + l)}
+    return not any(mono_mul(a, b) in divisors for a in block.rows for b in block.cols)

@@ -165,10 +165,6 @@ class SparseSpan:
     def __len__(self) -> int:
         return len(self._rows)
 
-    @property
-    def pivot_keys(self) -> list[Hashable]:
-        return [p for p, _ in self._rows]
-
     def try_add(self, vec: Vec) -> bool:
         """Add `vec` if independent of the rows so far; return True if added."""
         ints, scale = _integral(vec)

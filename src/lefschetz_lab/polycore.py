@@ -110,9 +110,9 @@ class VariableSet(Record):
     """Ordered variable names, optionally split into an x-block and a u-block.
 
     `n_x` is the size of the leading x-block; the remaining names form the
-    u-block.  A split is required only by the operations that distinguish
-    "superfluous" from "essential" variables (structural certificates and the
-    family generators).
+    u-block.  The family generators declare one and the CLI takes one
+    (`--split`), but no analysis reads it: the structural certificates are
+    read off the support of a form.
     """
 
     __slots__ = ("names", "n_x", "_hash")
@@ -160,12 +160,6 @@ class VariableSet(Record):
         if self.n_x is None:
             raise ValueError("no split declared")
         return self.names[self.n_x :]
-
-    @property
-    def u_indices(self) -> range:
-        if self.n_x is None:
-            raise ValueError("no split declared")
-        return range(self.n_x, len(self.names))
 
     def index(self, name: str) -> int:
         return self.names.index(name)
@@ -478,10 +472,12 @@ class Derivatives(dict):
     """The monomial derivatives of f by exponent, each computed on first use:
     the partial, by the exponent's first variable, of the one a degree lower.
     A missing derivative walks down to its nearest known ancestor and back
-    up in a loop, so the exponent's size never bounds the call depth."""
+    up in a loop, so the exponent's size never bounds the call depth.
+    `zero` stands for every cell known to be zero without differentiating."""
 
     def __init__(self, f: Poly):
         super().__init__({(0,) * len(f.vars): f})
+        self.zero = Poly.zero(f.vars)
 
     def __missing__(self, expo: Monomial) -> Poly:
         path = []

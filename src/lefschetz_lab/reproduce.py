@@ -372,7 +372,7 @@ FIXTURES: list[Fixture] = (
         for N, d in ((4, 5), (6, 5), (5, 7))
     ]
     + [
-        _family_fixture(f"thmwlp/N{N}-d{d}", 6, "even socle degree, unimodal, obstruction certificate replays",
+        _family_fixture(f"thmwlp/N{N}-d{d}", 6, "even socle degree, unimodal, never-injective certificate replays",
                         "thmwlp", {"N": N, "d": d})
         for N, d in ((5, 4), (4, 6), (3, 8))
     ]

@@ -100,9 +100,25 @@ def dense_coords(dep, size):
 
 
 def unsplit(f):
-    """f without its declared x/u split: the same Hessians, but no key
-    certificate, so every order is decided by evaluation and elimination."""
+    """f without its declared x/u split: the same Hessians and, since the
+    analysis reads no split, the same certificates and verdicts."""
     return Poly(VariableSet(f.vars.names), f.coeff_map())
+
+
+def sheared_wlpodd45(seed):
+    """wlpodd(4,5) after one u-row shear u_i -> u_i + c x_j, drawn from
+    `shear:{seed}`, and without its split.  Its order-2 Hessian (12x12)
+    vanishes, but its pattern has a perfect matching, so no zero block
+    certifies it: evaluation finds it zero and exact mode eliminates it, in
+    a few hundredths of a second at seeds 0-2."""
+    from lefschetz_lab.families import gen_wlpodd
+
+    f = gen_wlpodd(4, 5).f
+    n, n_x = len(f.vars), f.vars.n_x
+    rng = random.Random(f"shear:{seed}")
+    shear = [[int(i == j) for j in range(n)] for i in range(n)]
+    shear[rng.randrange(n_x, n)][rng.randrange(n_x)] = rng.choice((-3, -2, -1, 1, 2, 3))
+    return unsplit(linear_change(f, shear))
 
 
 @st.composite

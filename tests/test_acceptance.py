@@ -1,7 +1,7 @@
 """Acceptance suite: every criterion fixture runs at its stated tolerance.
 
 All checks are exact-arithmetic (zero tolerance).  A vanishing verdict is
-exact when a key certificate decides it; otherwise, in probabilistic mode,
+exact when a zero block certifies it; otherwise, in probabilistic mode,
 it comes from evaluation alone, never from elimination, and carries its
 compounded error bound, below 1e-9.  One pass/fail line is printed per
 fixture; per-criterion wall-clock budgets are asserted at the end.
@@ -20,7 +20,7 @@ from lefschetz_lab.families import gen_wlpodd
 from lefschetz_lab.hessian import DEFAULT_TRIALS, hessian_vanishes
 from lefschetz_lab.reproduce import FIXTURES, SuiteConfig, run_suite
 
-from conftest import count_analyses, prob, unsplit
+from conftest import count_analyses, prob, sheared_wlpodd45
 
 CONFIG = SuiteConfig(seed=0, mode="probabilistic")
 
@@ -94,10 +94,10 @@ def test_family_rows_compute_each_basis_and_scan_once(monkeypatch, mode):
     # generation, replay and the never-injective check of a row, and both
     # sides of the agreement fixture, read one memo of the mode-free pieces
     calls = Counter()
-    for name in ("ak_basis", "_u_subring_ops"):
-        def counting(an, k, _name=name, _real=getattr(analysis_mod, name)):
-            calls[_name, an.f, k] += 1
-            return _real(an, k)
+    for name in ("ak_basis", "zero_pattern"):
+        def counting(an, *orders, _name=name, _real=getattr(analysis_mod, name)):
+            calls[_name, an.f, orders] += 1
+            return _real(an, *orders)
 
         monkeypatch.setattr(analysis_mod, name, counting)
     for fixture in FIXTURES:
@@ -120,15 +120,14 @@ def test_criterion_time_budgets():
 def test_probabilistic_error_bound_below_threshold():
     # five trials at 64x the determinant degree compound below 1e-9
     assert Fraction(1, 64) ** DEFAULT_TRIALS < Fraction(1, 10**9)
-    # without its split the middle Hessian is decided by evaluation alone
-    big = unsplit(gen_wlpodd(5, 7).f)
-    verdict = hessian_vanishes(prob(big), 3)
+    # with no zero block the vanishing order is decided by evaluation alone
+    verdict = hessian_vanishes(prob(sheared_wlpodd45(0)), 2)
     assert verdict.vanishes
     assert verdict.error_bound is not None and verdict.error_bound < Fraction(1, 10**9)
 
 
 def test_split_middle_hessian_is_certified_exactly():
-    # with its split, the key certificate decides it: exact, no error bound
+    # its zero block decides it: exact, no error bound
     verdict = hessian_vanishes(prob(gen_wlpodd(5, 7).f), 3)
     assert verdict.vanishes and verdict.mode == "exact"
     assert verdict.certificate is not None and verdict.error_bound is None

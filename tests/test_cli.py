@@ -15,6 +15,8 @@ import lefschetz_lab
 import lefschetz_lab.hessian as hessian
 from lefschetz_lab.cli import main
 
+from conftest import sheared_wlpodd45
+
 IKEDA_ARGS = [
     "analyze",
     "--poly",
@@ -492,8 +494,8 @@ class TestMaxK:
         assert "strong property fails at order 2" in out
 
     def test_capped_slp_fails_by_a_decided_order(self, capsys, tmp_path):
-        """wlpodd(4,9) capped at order 1: WLP decides hess^4 = 0 by its key
-        certificate, and SLP fails there with that verdict, under --strict."""
+        """wlpodd(4,9) capped at order 1: WLP decides hess^4 = 0 by its zero
+        block, and SLP fails there with that verdict, under --strict."""
         from lefschetz_lab.families import gen_wlpodd
 
         path = write_instance(gen_wlpodd(4, 9), tmp_path)
@@ -507,24 +509,28 @@ class TestMaxK:
         slp, key = data["slp"], data["certificates"][0]
         assert (slp["level"], slp["map"], slp["required"]) == (4, [4, 5], data["hilbert"][4])
         assert slp["certificate"] == {"vanishes": True, "mode": "exact", "certificate": key}
-        assert key["type"] == "u-subring-overflow" and key["k"] == 4
+        assert key["type"] == "zero-block" and key["orders"] == [4, 4]
 
     def test_capped_slp_fails_by_a_key_certificate(self, capsys, tmp_path):
-        """thmwlp(4,6) capped at order 0: WLP fails by its obstruction and
-        decides no Hessian, but the certificate loop holds the order-1 key
-        certificate, and SLP fails at order 1 by it."""
+        """thmwlp(4,6) capped at order 0: WLP decides hess^2 = 0 by its key
+        certificate, a zero block, then fails by the never-injective block at
+        A_2 -> A_3, and SLP fails at order 2 by that key certificate.  No
+        certificate is searched beyond the verdicts, so order 1, which
+        vanishes too, is not decided."""
         from lefschetz_lab.families import gen_thmwlp
 
         path = write_instance(gen_thmwlp(4, 6), tmp_path)
         report = tmp_path / "r.json"
         code, out, _ = run(["analyze", "--in", str(path), "--max-k", "0", "--strict", "--json", str(report)], capsys)
         assert code == 0
-        assert "strong property fails at order 1" in out
+        assert "strong property fails at order 2" in out
         assert "weak property   fails at map A_2 -> A_3" in out
         data = json.loads(report.read_text())
-        assert data["wlp"]["certificate"]["type"] == "never-injective"
+        assert data["wlp"]["certificate"]["orders"] == [2, 3]
         assert data["slp"]["certificate"]["certificate"] == data["certificates"][0]
-        assert data["certificates"][0]["type"] == "u-subring-overflow" and data["certificates"][0]["k"] == 1
+        assert data["certificates"][0]["type"] == "zero-block" and data["certificates"][0]["orders"] == [2, 2]
+        assert data["certificates"][1] == data["wlp"]["certificate"] and len(data["certificates"]) == 2
+        assert data["counts"]["hessian_decisions"] == 2  # orders 0 and 2
 
     def test_negative_cap_exit_two(self, capsys):
         code, out, err = run(IKEDA_ARGS + ["--max-k", "-1", "--strict"], capsys)
@@ -570,35 +576,29 @@ class TestOneAnalysisPerForm:
             return real(entries, **kwargs)
 
         monkeypatch.setattr(hessian_mod, "_det_vanishes", counting)
-        # without its split, every order is decided by evaluation
+        # with its split or without, the zero block decides the middle
+        # order, once, and evaluation each of the others, once
         report = tmp_path / "r.json"
-        code, _, _ = run(["analyze", *unsplit_args(gen_wlpodd(4, 7)), "--json", str(report)], capsys)
-        assert code == 0
-        data = json.loads(report.read_text())
-        assert data["hess_profile"][3]["vanishes"]
-        assert data["slp"]["verdict"] == data["wlp"]["verdict"] == "fails"
-        assert salts == [f"hess:{k}" for k in range(4)]
-        assert data["counts"]["hessian_decisions"] == 4
-
-        # with it, the key certificate decides the middle order, once
-        salts.clear()
         path = write_instance(gen_wlpodd(4, 7), tmp_path)
-        code, out, _ = run(["analyze", "--in", str(path), "--json", str(report)], capsys)
-        assert code == 0
-        data = json.loads(report.read_text())
-        assert data["hess_profile"][3]["certificate"]["type"] == "u-subring-overflow"
-        assert data["slp"]["verdict"] == data["wlp"]["verdict"] == "fails"
-        assert salts == [f"hess:{k}" for k in range(3)]
-        assert data["counts"]["hessian_decisions"] == 4
-        assert data["counts"]["certified"] == 1
-        assert "hessian[3]      = 0   (exact)" in out and "certified" not in out.replace(str(report), "")
+        for source in (unsplit_args(gen_wlpodd(4, 7)), ["--in", str(path)]):
+            salts.clear()
+            code, out, _ = run(["analyze", *source, "--json", str(report)], capsys)
+            assert code == 0
+            data = json.loads(report.read_text())
+            assert data["hess_profile"][3]["certificate"]["type"] == "zero-block"
+            assert data["slp"]["verdict"] == data["wlp"]["verdict"] == "fails"
+            assert salts == [f"hess:{k}" for k in range(3)]
+            assert data["counts"]["hessian_decisions"] == 4
+            assert data["counts"]["certified"] == 1
+            assert "hessian[3]      = 0   (exact)" in out and "certified" not in out.replace(str(report), "")
 
     def test_eliminations_counted(self, capsys, tmp_path):
         from lefschetz_lab.families import gen_wlpodd
 
+        sheared = sheared_wlpodd45(2)
         cases = [
             (["analyze", "--poly", "x^3+y^3+z^3", "--vars", "x,y,z"], None),
-            (["analyze", *unsplit_args(gen_wlpodd(5, 7))], 3),
+            (["analyze", "--poly", sheared.to_text(), "--vars", ",".join(sheared.vars.names)], 2),
             (["analyze", "--in", str(write_instance(gen_wlpodd(5, 7), tmp_path))], 3),
         ]
         counts = []
@@ -611,9 +611,9 @@ class TestOneAnalysisPerForm:
             if middle is not None:
                 assert data["hess_profile"][middle]["vanishes"]
             counts.append((data["counts"]["eliminations"], data["counts"]["certified"]))
-        # a nonzero value settles the Fermat cubic; the vanishing middle
-        # Hessian of wlpodd(5,7) needs elimination to be certified without
-        # its split, and its key certificate with it
+        # a nonzero value settles the Fermat cubic; the vanishing order 2 of
+        # the sheared wlpodd(4,5) has no zero block, so it needs
+        # elimination, and the middle Hessian of wlpodd(5,7) its zero block
         assert counts[0] == (0, 0)
         assert counts[1][0] >= 1 and counts[1][1] == 0
         assert counts[2] == (0, 1)
@@ -639,7 +639,8 @@ class TestOneAnalysisPerForm:
         assert code == 0
         data = json.loads(report.read_text())
         assert data["wlp"]["verdict"] == "fails"
-        assert any(c["type"] == "never-injective" for c in data["certificates"])
+        assert data["wlp"]["certificate"]["orders"] == [3, 4]
+        assert data["wlp"]["certificate"] in data["certificates"]
         assert sorted(levels) == list(range(1, 4))
 
     def test_each_key_order_searched_once(self, capsys, monkeypatch, tmp_path):
@@ -662,19 +663,21 @@ class TestOneAnalysisPerForm:
         code, _, _ = run(["analyze", "--in", str(path), "--json", str(report)], capsys)
         assert code == 0
         data = json.loads(report.read_text())
-        assert [c["k"] for c in data["certificates"] if c["type"] == "u-subring-overflow"] == [3]
+        assert [c["orders"] for c in data["certificates"]] == [[3, 3]]
         assert sorted(orders) == list(range(1, 4))
 
     def test_rational_ranks_counted(self, capsys, tmp_path):
         from lefschetz_lab.lefschetz import GENERIC_TRIALS
 
-        # thmwlp(5,4) without its x/u split: no obstruction search runs, and
-        # A_1 -> A_2 has a kernel for every L, so each WLP trial's rank at
-        # that level is not maximal mod p and is taken over Q
-        unsplit = "x2*u^3 + x3*u^2*v + x4*u*v^2 + x5*v^3 + u^4 + v^4"
+        # thmwlp(5,4) with v replaced by v - x5: A_1 -> A_2 has a kernel for
+        # every L, but no zero block shows it in these coordinates, so each
+        # WLP trial's rank at that level is neither maximal mod p nor at its
+        # ceiling, and is taken over Q
+        sheared = ("x2*u^3 - x3*x5*u^2 + x3*u^2*v + x4*x5^2*u - 2*x4*x5*u*v + x4*u*v^2"
+                   " - x5^3*v + 3*x5^2*v^2 - 3*x5*v^3 + u^4 + v^4")
         cases = [
             (["--poly", "x^3+y^3+z^3", "--vars", "x,y,z"], 0),
-            (["--poly", unsplit, "--vars", "x2,x3,x4,x5,u,v"], GENERIC_TRIALS),
+            (["--poly", sheared, "--vars", "x2,x3,x4,x5,u,v"], GENERIC_TRIALS),
         ]
         for args, expected in cases:
             report = tmp_path / "r.json"
@@ -697,16 +700,98 @@ class TestOneAnalysisPerForm:
         data = json.loads(report.read_text())
         counts = data["counts"]
         assert counts["basis_candidates"] == 86
-        # the bases, the Hessians and both certificate searches share the
-        # memo; the two orders the key certificate decides (3 and 5) assemble
-        # no Hessian, so their cells are not computed
+        # the bases and the Hessians share the memo; assembly differentiates
+        # only the cells of each zero pattern, and the two orders whose zero
+        # blocks decide them (3 and 5) assemble no Hessian at all
         assert counts["certified"] == 2
-        assert counts["derivatives"] == 1337
+        assert counts["derivatives"] == 140
         # the middle Hessian settles WLP, so no basis above A_(d/2) is built;
         # a scan of every monomial of A_0 .. A_(d-1) would reduce
         # sum C(n+k-1, k) = 19448 candidates in these 7 variables
         n, d = len(data["input"]["vars"]), data["degree"]
         assert 100 * counts["basis_candidates"] < sum(comb(n + k - 1, k) for k in range(d))
+
+
+def report_of(args, capsys, tmp_path):
+    """`analyze` on `args`: its stdout, less the report path, and its report,
+    less `timing_ms`."""
+    path = tmp_path / "report.json"
+    code, out, _ = run(["analyze", *args, "--json", str(path)], capsys)
+    assert code == 0
+    data = json.loads(path.read_text())
+    data.pop("timing_ms")
+    return out.replace(str(path), "<report>"), data
+
+
+def replays(f, data):
+    """Every certificate of the report replays on f and its Hilbert vector."""
+    from lefschetz_lab.lefschetz import ZeroBlock, verify_zero_block
+
+    for cert in data["certificates"]:
+        rows, cols = (tuple(map(tuple, cert[side])) for side in ("rows", "cols"))
+        if not verify_zero_block(f, data["hilbert"], ZeroBlock(*cert["orders"], rows, cols)):
+            return False
+    return True
+
+
+# the smallest instance of each family, at seed 0
+FAMILY_SPECS = {
+    "ikeda": {}, "exceptional": {"n": 3, "d": 5, "k": 2}, "gnp": {"m": 2, "n": 2, "k": 1, "e": 2},
+    "perazzo": {"m": 2, "n": 2, "d": 3}, "permutti": {"m": 2, "n": 2, "e": 3, "d": 3},
+    "gn": {"m": 2, "n": 2, "r": 1, "e": 3, "d": 4}, "wlpodd": {"N": 4, "d": 5},
+    "thmwlp": {"N": 5, "d": 4}, "prop44": {"case": "i"},
+}
+
+
+class TestSplitFree:
+    """The analysis reads no x/u split: a family form analysed from its
+    instance, with the split, and from its text, without, gives the same
+    report but for the input's split and the variables line."""
+
+    @pytest.mark.parametrize("mode", ["prob", "exact"])
+    @pytest.mark.parametrize("kind", FAMILY_SPECS)
+    def test_same_report_with_or_without_the_split(self, capsys, tmp_path, kind, mode):
+        from lefschetz_lab.families import FamilySpec, generate
+
+        inst = generate(FamilySpec(kind, FAMILY_SPECS[kind], 0))
+        split_out, split = report_of(["--in", str(write_instance(inst, tmp_path)), "--mode", mode], capsys, tmp_path)
+        free_out, free = report_of([*unsplit_args(inst), "--mode", mode], capsys, tmp_path)
+        assert split["input"].pop("split") == inst.f.vars.n_x and free["input"].pop("split") is None
+        assert free == split
+
+        def without_variables(out):
+            return [line for line in out.splitlines() if not line.startswith("variables")]
+
+        assert without_variables(free_out) == without_variables(split_out)
+        # every vanishing order of these instances has a zero block
+        assert free["counts"]["eliminations"] == 0
+        assert replays(inst.f, free)
+
+    def test_thmwlp_5_4_fails_weak_property_without_its_split(self, capsys, tmp_path):
+        from lefschetz_lab.families import gen_thmwlp
+
+        out, data = report_of(unsplit_args(gen_thmwlp(5, 4)), capsys, tmp_path)
+        assert "weak property   fails at map A_1 -> A_2" in out
+        assert data["wlp"]["certificate"]["orders"] == [1, 2]
+        assert data["counts"]["rational_ranks"] == 0
+
+    @pytest.mark.parametrize("mode", ["prob", "exact"])
+    def test_paper_gap_cell_5_3(self, capsys, tmp_path, mode):
+        """(N, d) = (5, 3), where no family has a form: a non-cone cubic in
+        six variables, given with no split, whose Hessian vanishes by a
+        zero block, so SLP fails at order 1 and WLP at A_1 -> A_2."""
+        from lefschetz_lab.polycore import VariableSet, parse_poly
+
+        text, names = "x0*u1^2 + x1*u1*u2 + x2*u2^2 + u1^3 + u2^3 + u3^3", "x0,x1,x2,u1,u2,u3"
+        out, data = report_of(["--poly", text, "--vars", names, "--mode", mode], capsys, tmp_path)
+        assert data["cone"] == {"is_cone": False}
+        assert data["hilbert"] == [1, 6, 6, 1]
+        order1 = data["hess_profile"][1]
+        assert order1["vanishes"] and order1["mode"] == "exact" and order1["certificate"]["orders"] == [1, 1]
+        assert data["counts"]["eliminations"] == 0 and data["counts"]["certified"] == 1
+        assert "strong property fails at order 1" in out
+        assert "weak property   fails at map A_1 -> A_2" in out
+        assert replays(parse_poly(text, VariableSet(tuple(names.split(",")))), data)
 
 
 DENSE_SEXTIC = "x^6 + y^6 + z^6 + 3*x^2*y^3*z - 2*x*y*z^4 + 5*x^3*y^2*z - y^4*z^2"
@@ -807,8 +892,8 @@ class TestPaperScale:
         assert data["cone"]["is_cone"] == manifest["cone"]
         assert data["hilbert"][1] == manifest["dim_a1"]
         assert (data["slp"]["verdict"], data["slp"]["level"]) == (manifest["slp"], manifest["slp_fail_level"])
-        orders = [c["k"] for c in data["certificates"] if c["type"] == "u-subring-overflow"]
-        assert orders == manifest["key_certificate_orders"]
+        orders = [k for k, l in (c["orders"] for c in data["certificates"]) if k == l]
+        assert orders == manifest["certified_orders"]
         # the manifest makes no Hilbert or WLP claim for this family
         assert data["hilbert"] == [1, 9, 14, 16, 18, 19, 19, 19, 19, 18, 16, 14, 9, 1]
         assert data["wlp"]["verdict"] == "holds" and data["wlp"]["witness_coeffs"]

@@ -213,7 +213,7 @@ class TestCarriedAnalysis:
 
     @pytest.mark.parametrize("modes", [("probabilistic", "exact"), ("exact", "probabilistic")])
     def test_verdicts_do_not_leak_between_modes(self, modes):
-        # this permutti form's order-1 Hessian has no key certificate, so
+        # this permutti form's order-1 Hessian has no zero block, so
         # each mode decides it by its own route: evaluation, or elimination
         inst = gen_permutti(2, 2, 3, 6)
         assert inst.analysis.key(1) is None
@@ -430,10 +430,13 @@ class TestThmWlp:
         assert gen_thmwlp(4, 6).manifest.hilbert == (1, 5, 8, 8, 8, 5, 1)
 
     def test_obstruction_sizes(self):
-        assert gen_thmwlp(5, 4).manifest.obstruction_size == 4
-        assert gen_thmwlp(4, 6).manifest.obstruction_size == 5
-        assert gen_thmwlp(3, 8).manifest.obstruction_size == 6
-        assert gen_thmwlp(3, 10).manifest.obstruction_size == 7
+        """Each regime's never-injective block has the planted operators as
+        its rows and one operator more than h_(level+1) in all."""
+        for (N, d), rows in {(5, 4): 4, (4, 6): 5, (3, 8): 6, (3, 10): 7}.items():
+            inst = gen_thmwlp(N, d)
+            an, level = inst.analysis, inst.manifest.never_injective_level
+            block = an.obstruction(level)
+            assert len(block.rows) == rows and block.size == an.hilbert()[level + 1] + 1
 
     def test_spare_variables(self):
         inst = gen_thmwlp(7, 4)
@@ -535,15 +538,14 @@ class TestVerified:
     @pytest.mark.parametrize(
         "build,change,message",
         [
-            (gen_ikeda, {"key_certificate_orders": (1, 2)}, "no vanishing certificate at order 1"),
+            (gen_ikeda, {"certified_orders": (1, 2)}, "no vanishing certificate at order 1"),
             (gen_ikeda, {"hess_pattern": ((1, True), (2, True))}, "order 1 did not vanish"),
             (gen_ikeda, {"hess_pattern": ((1, False), (2, False))}, "order 2 vanished"),
             (gen_ikeda, {"wlp": "holds", "wlp_witness": LinearForm.from_coeffs((1, 1, 1, 1))}, "witness fails"),
             (lambda: gen_prop44("i"), {"wlp": "fails"}, "witness passes"),
-            (lambda: gen_thmwlp(5, 4), {"obstruction_level": 2}, "no obstruction at level 2"),
-            (lambda: gen_thmwlp(5, 4), {"obstruction_size": 5}, "4 operators, expected 5"),
+            (lambda: gen_thmwlp(5, 4), {"never_injective_level": 2}, "no never-injective certificate at level 2"),
         ],
-        ids=["key", "hess-vanishes", "hess-nonvanishing", "witness-fails", "witness-passes", "obstruction-level", "obstruction-size"],
+        ids=["key", "hess-vanishes", "hess-nonvanishing", "witness-fails", "witness-passes", "obstruction-level"],
     )
     def test_altered_claim_raises(self, build, change, message):
         inst = build()

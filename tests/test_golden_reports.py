@@ -1,13 +1,15 @@
 """Recorded `analyze` reports, one input per verdict route, in both modes.
 
 Each case's stdout and JSON report (without `timing_ms`, which varies) must
-match the recording byte for byte.  The inputs reach the key certificate
-(ikeda), the exact value at a witness (the cubic), the prime and residue
-above DEFAULT_EXACT_CUTOFF (the 14-variable Fermat cubic), the constant
-middle Hessian (the quartic, order 2) and, with no split declared, the
-perazzo cubic's elimination in exact mode and its error bound in
-probabilistic mode.  The cubic and the perazzo cubic recur with rational
-coefficients, so a row scale above 1 reaches every route they take.
+match the recording byte for byte.  The inputs reach the zero block
+certificate (ikeda with its split, the perazzo cubic without one), the exact
+value at a witness (the cubic), the prime and residue above
+DEFAULT_EXACT_CUTOFF (the 14-variable Fermat cubic), the constant middle
+Hessian (the quartic, order 2) and, on wlpodd(4,5) after a shear of one
+u-row, which leaves no zero block, elimination in exact mode and the error
+bound in probabilistic mode.  The cubic, the perazzo cubic and the sheared
+form recur with rational coefficients, so a row scale above 1 reaches every
+route they take.
 
 Re-record after a deliberate change of the reports with
 `PYTHONPATH=src python tests/test_golden_reports.py`.
@@ -36,6 +38,12 @@ INPUTS = {
     "perazzo-unsplit": ["--poly", "x0*u1^2 + x1*u1*u2 + x2*u2^2", "--vars", "x0,x1,x2,u1,u2"],
     "cubic-rational": ["--poly", "1/2*x^3+2/3*y^3+z^3+x*y*z", "--vars", "x,y,z"],
     "perazzo-rational": ["--poly", "1/2*x0*u1^2+x1*u1*u2+3/5*x2*u2^2", "--vars", "x0,x1,x2,u1,u2"],
+    # `conftest.sheared_wlpodd45(0)`, and the same after x0 -> x0/2, u2 -> u2/3
+    "sheared": ["--poly", "x0^2*u1^3 + 3*x1^2*x2*u1^2 + x1^2*u1^2*u2 + 9*x1*x2^3*u1 + 6*x1*x2^2*u1*u2"
+                " + x1*x2*u1*u2^2 + 27*x2^5 + 27*x2^4*u2 + 9*x2^3*u2^2 + x2^2*u2^3", "--vars", "x0,x1,x2,u1,u2"],
+    "sheared-rational": ["--poly", "1/4*x0^2*u1^3 + 3*x1^2*x2*u1^2 + 1/3*x1^2*u1^2*u2 + 9*x1*x2^3*u1"
+                         " + 2*x1*x2^2*u1*u2 + 1/9*x1*x2*u1*u2^2 + 27*x2^5 + 9*x2^4*u2 + x2^3*u2^2"
+                         " + 1/27*x2^2*u2^3", "--vars", "x0,x1,x2,u1,u2"],
 }
 CASES = [f"{name}-{mode}" for name in INPUTS for mode in ("prob", "exact")]
 
@@ -76,11 +84,13 @@ def test_routes_covered(recorded):
     assert "det_value" in profiles["cubic-prob"][1]
     assert "residue" in profiles["fermat14-prob"][1]
     assert profiles["quartic-exact"][2]["witness_point"] == [1, 1, 1]
-    assert "transcript_hash" in profiles["perazzo-unsplit-exact"][1]
-    assert "error_bound" in profiles["perazzo-unsplit-prob"][1]
+    for mode in ("prob", "exact"):
+        assert profiles[f"perazzo-unsplit-{mode}"][1]["certificate"]["type"] == "zero-block"
+        assert profiles[f"perazzo-rational-{mode}"][1]["certificate"] == profiles[f"perazzo-unsplit-{mode}"][1]["certificate"]
     assert "/" in profiles["cubic-rational-prob"][0]["det_value"]
-    assert "transcript_hash" in profiles["perazzo-rational-exact"][1]
-    assert "error_bound" in profiles["perazzo-rational-prob"][1]
+    for name in ("sheared", "sheared-rational"):
+        assert "transcript_hash" in profiles[f"{name}-exact"][2]
+        assert "error_bound" in profiles[f"{name}-prob"][2]
 
 
 if __name__ == "__main__":

@@ -39,7 +39,7 @@ from lefschetz_lab.hessian import (
     poly_det_vanishes,
     poly_divexact,
 )
-from lefschetz_lab.lefschetz import key_criterion, slp_generic, verify_key_certificate, wlp_generic
+from lefschetz_lab.lefschetz import key_criterion, slp_generic, verify_zero_block, wlp_generic
 from lefschetz_lab.polycore import (
     Derivatives,
     IntMatrix,
@@ -54,7 +54,7 @@ from lefschetz_lab.polycore import (
     poly_sum,
 )
 
-from conftest import cone_polys, dense_coords, exact, homogeneous_polys, prob, rational_polys, unsplit
+from conftest import cone_polys, dense_coords, exact, homogeneous_polys, prob, rational_polys, sheared_wlpodd45, unsplit
 
 IKEDA_VARS = VariableSet(("x0", "x1", "u1", "u2"), n_x=2)
 IKEDA = parse_poly("x0*u1^3*u2 + x1*u1*u2^3 + x0^3*x1^2", IKEDA_VARS)
@@ -132,8 +132,8 @@ class TestOrderRange:
     @pytest.mark.parametrize("form", [IKEDA, unsplit(IKEDA)], ids=["split", "unsplit"])
     @pytest.mark.parametrize("k", [-1, IKEDA.degree // 2 + 1])
     def test_split_does_not_change_the_message(self, route, form, k):
-        """The order is refused before the key search, so a split form is
-        refused in the same words as the form without its split."""
+        """The order is refused before anything is computed, so a split
+        form is refused in the same words as the form without its split."""
         message = f"orders ({k}, {k}) out of range for d={IKEDA.degree}"
         with pytest.raises(DegreeRangeError) as info:
             ORDER_ROUTES[route](prob(form), k)
@@ -157,14 +157,14 @@ class TestVanishing:
         assert verdict.det_value != 0
 
     def test_exact_mode_unconditional(self):
-        verdict = exact(unsplit(PERAZZO)).verdict(1)
+        verdict = exact(sheared_wlpodd45(0)).verdict(2)
         assert verdict.vanishes and verdict.mode == "exact"
         assert verdict.error_bound is None
         assert verdict.transcript_hash
 
     def test_exact_transcript_deterministic(self):
-        a = exact(unsplit(PERAZZO)).verdict(1)
-        b = exact(unsplit(PERAZZO)).verdict(1)
+        a = exact(sheared_wlpodd45(0)).verdict(2)
+        b = exact(sheared_wlpodd45(0)).verdict(2)
         assert a.transcript_hash and a.transcript_hash == b.transcript_hash
 
     @pytest.mark.parametrize("analysis", [prob, exact])
@@ -172,7 +172,15 @@ class TestVanishing:
         verdict = hessian_vanishes(analysis(PERAZZO), 1)
         assert verdict.vanishes and verdict.mode == "exact"
         assert verdict.error_bound is None and verdict.transcript_hash is None
-        assert verdict.to_json_dict()["certificate"]["type"] == "u-subring-overflow"
+        assert verdict.to_json_dict()["certificate"]["type"] == "zero-block"
+
+    @pytest.mark.parametrize("analysis", [prob, exact])
+    def test_split_free_form_certified_in_both_modes(self, analysis):
+        """The same certificate without the split: it is read off supp(f)."""
+        verdict = hessian_vanishes(analysis(unsplit(PERAZZO)), 1)
+        assert verdict.vanishes and verdict.mode == "exact" and not verdict.eliminated
+        split = hessian_vanishes(analysis(PERAZZO), 1)
+        assert verdict.to_json_dict() == split.to_json_dict()
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -196,8 +204,9 @@ class TestProfile:
 
     def test_probabilistic_profile_holds_one_kernel_per_order(self):
         # evaluation reads each order's compiled kernel alone, so no Poly
-        # Hessian is kept; order 2 of wlpodd(4,5) vanishes, order 1 does not
-        an = prob(unsplit(gen_wlpodd(4, 5).f))
+        # Hessian is kept; order 2 of the sheared wlpodd(4,5) vanishes, with
+        # no zero block, and order 1 does not
+        an = prob(sheared_wlpodd45(0))
         flags = [v.vanishes for v in hess_profile(an)]
         assert flags == [False, False, True]
         held = {key for key in an._memo if key[0] in ("kernel", "hessian")}
@@ -396,10 +405,10 @@ class TestKeyCriterionSoundness:
         assert key_criterion(prob(f), k) is not None
         assert hessian_vanishes(prob(f), k).vanishes
         assert hessian_vanishes(exact(f), k).vanishes
-        # the split decides these through the certificate itself; without
-        # it, evaluation and elimination reach the same verdict
-        assert hessian_vanishes(prob(unsplit(f)), k).vanishes
-        assert exact(unsplit(f)).verdict(k).vanishes
+        # the certificate is read off supp(f), so the form without its
+        # split is certified too, and elimination agrees
+        assert hessian_vanishes(prob(unsplit(f)), k).certificate is not None
+        assert poly_det_vanishes(exact(unsplit(f)).hessian(k, k))[0]
 
 
 SMALL_SPLIT_FAMILIES = {
@@ -434,29 +443,35 @@ class TestCertificateRoute:
     def test_forged_certificates_fail_replay(self, build):
         f = build()
         an = prob(f)
+        hv = an.hilbert()
         for k in range(1, f.degree // 2 + 1):
             cert = an.key(k)
             if cert is None:
                 continue
-            assert verify_key_certificate(f, cert)
-            # one operator fewer is still a certificate exactly when it still
-            # outnumbers the bound (thmwlp(5,4) keeps 4 against 2)
-            dropped = forged(cert, ops=cert.ops[1:])
-            assert verify_key_certificate(f, dropped) == (cert.s - 1 > cert.bound)
-            assert not verify_key_certificate(f, forged(cert, bound=cert.bound + 1))
-            assert not verify_key_certificate(f, forged(cert, bound=cert.s))
-            pure_u = Poly.monomial(f.vars.dual(), (0,) * (len(f.vars) - 1) + (k,))
-            assert not verify_key_certificate(f, forged(cert, ops=(pure_u,) + cert.ops[1:]))
+            assert verify_zero_block(f, hv, cert)
+            rows, cols = list(cert.rows), list(cert.cols)
+            dual = f.vars.dual()
+
+            def cell(a, b):
+                return diff_apply(Poly.monomial(dual, b), diff_apply(Poly.monomial(dual, a), f))
+
+            # a cell of rows x cols made nonzero: a basis column the block
+            # left out, which some row meets, in place of one of its own
+            met = next(b for b in an.basis(k).expos if b not in cols and any(cell(a, b) for a in rows))
+            assert not verify_zero_block(f, hv, forged(cert, cols=(met, *cols[1:])))
+            # a dependent operator among the rows: one of them twice
+            assert not verify_zero_block(f, hv, forged(cert, rows=(*rows[:-1], rows[0])))
+            # too small: |rows| + |cols| = h_k
+            assert not verify_zero_block(f, hv, forged(cert, cols=tuple(cols[cert.size - hv[k]:])))
+            # a non-monomial operator: a negative power, of the right degree
+            bad = (-1, *rows[0][1:-1], rows[0][-1] + rows[0][0] + 1)
+            assert not verify_zero_block(f, hv, forged(cert, rows=(bad, *rows[1:])))
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("analysis", [prob, exact])
     def test_hidden_split_decided_by_evaluation_and_elimination(self, seed, analysis):
         f = gen_wlpodd(4, 5).f
-        n, n_x = len(f.vars), f.vars.n_x
-        rng = random.Random(f"shear:{seed}")
-        shear = [[int(i == j) for j in range(n)] for i in range(n)]
-        shear[rng.randrange(n_x, n)][rng.randrange(n_x)] = rng.choice((-3, -2, -1, 1, 2, 3))
-        g = linear_change(f, shear)  # u_i -> u_i + c x_j
+        g = sheared_wlpodd45(seed)  # u_i -> u_i + c x_j
         plain, changed = analysis(f), analysis(g)
         for k in range(f.degree // 2 + 1):
             if k:
@@ -495,7 +510,8 @@ class TestModeAgreement:
 
 
 # split and unsplit family forms: certificates, vanishing orders that only
-# elimination proves (the unsplit cubics), and nonvanishing ones
+# elimination proves (permutti, and wlpodd(4,5) in sheared coordinates), and
+# nonvanishing ones
 ROUTE_FORMS = {
     "perazzo": lambda: PERAZZO,
     "perazzo-unsplit": lambda: unsplit(PERAZZO),
@@ -503,6 +519,7 @@ ROUTE_FORMS = {
     "ikeda-unsplit": lambda: unsplit(IKEDA),
     "exceptional(3,5,2)-unsplit": lambda: unsplit(gen_exceptional(3, 5, 2).f),
     "permutti(2,2,3,6)-unsplit": lambda: unsplit(gen_permutti(2, 2, 3, 6).f),
+    "wlpodd(4,5)-sheared": lambda: sheared_wlpodd45(0),
 }
 
 
@@ -568,7 +585,7 @@ class TestEvaluateFirst:
         assert calls == []
 
     def test_exact_vanishing_still_eliminates(self):
-        verdict = exact(unsplit(PERAZZO)).verdict(1)
+        verdict = exact(sheared_wlpodd45(1)).verdict(2)
         assert verdict.vanishes and verdict.eliminated and verdict.transcript_hash
 
     def test_probabilistic_vanishing_never_eliminates(self, monkeypatch):
@@ -727,7 +744,7 @@ class TestRandomPrime:
     def test_probabilistic_vanishing_error_bound(self):
         from lefschetz_lab.families import gen_wlpodd
 
-        verdict = hessian_vanishes(prob(unsplit(gen_wlpodd(5, 7).f)), 3)
+        verdict = hessian_vanishes(prob(sheared_wlpodd45(0)), 2)
         assert verdict.vanishes and verdict.mode == "probabilistic"
         # Schwartz-Zippel alone gives (1/64)^5; the content term adds to it
         assert Fraction(1, 64) ** DEFAULT_TRIALS < verdict.error_bound < Fraction(1, 10**9)

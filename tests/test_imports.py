@@ -13,6 +13,8 @@ import pytest
 
 import lefschetz_lab
 
+from conftest import sheared_wlpodd45
+
 ROOT = Path(__file__).resolve().parents[1]
 
 # Run the package as `python -m lefschetz_lab ARGS...` does, then print the
@@ -65,10 +67,11 @@ class TestImportGraph:
         assert out["stdlib"] == []
 
     def test_elimination_loads_hashlib_on_demand(self, tmp_path):
-        """Split-free, the order-2 Hessian of ikeda has no key certificate,
+        """The order-2 Hessian of a sheared wlpodd(4,5) has no zero block,
         so exact mode eliminates it and hashes the transcript."""
         path = tmp_path / "report.json"
-        out = child("-c", RUN_MAIN, "analyze", "--poly", IKEDA_TEXT, "--vars", "x0,x1,u1,u2",
+        f = sheared_wlpodd45(0)
+        out = child("-c", RUN_MAIN, "analyze", "--poly", f.to_text(), "--vars", ",".join(f.vars.names),
                     "--mode", "exact", "--json", str(path))
         assert out["code"] == 0
         assert out["stdlib"] == ["hashlib"]
@@ -124,7 +127,6 @@ ROOT_NAMES = {
         "HomogeneityError",
         "InfeasibleParametersError",
         "LefschetzLabError",
-        "NoSplitError",
         "PolyParseError",
         "SingularMatrixError",
         "VariableMismatchError",
@@ -153,16 +155,14 @@ ROOT_NAMES = {
         "is_cone",
     ),
     "lefschetz": (
-        "KeyCertificate",
         "LefschetzReport",
         "LinearForm",
-        "ObstructionCertificate",
+        "ZeroBlock",
         "mult_map",
         "rank_at",
         "slp_check_element",
         "slp_generic",
-        "verify_key_certificate",
-        "verify_obstruction_certificate",
+        "verify_zero_block",
         "wlp_check_element",
         "wlp_generic",
     ),
@@ -181,8 +181,8 @@ ROOT_PAIRS = [(module, name) for module, names in ROOT_NAMES.items() for name in
 
 
 class TestPackageRoot:
-    def test_fifty_two_names(self):
-        assert len(ROOT_PAIRS) == 52
+    def test_forty_nine_names(self):
+        assert len(ROOT_PAIRS) == 49
         assert sorted(lefschetz_lab.__all__) == sorted(name for _, name in ROOT_PAIRS)
 
     @pytest.mark.parametrize("module, name", ROOT_PAIRS, ids=[name for _, name in ROOT_PAIRS])
@@ -212,6 +212,9 @@ SUBMODULE_ONLY = {
     ("hessian", "mixed_hessian"): ["an", "k", "l"],
     ("hessian", "hessian_matrix"): ["an", "k"],
     ("hessian", "hessian_vanishes"): ["an", "k"],
+    ("lefschetz", "divisor_codes"): ["an", "degree"],
+    ("lefschetz", "zero_pattern"): ["an", "k", "l"],
+    ("lefschetz", "zero_block"): ["an", "k", "l"],
     ("lefschetz", "key_criterion"): ["an", "k"],
     ("lefschetz", "wlp_obstruction"): ["an", "k"],
     ("polycore", "eval_poly"): ["f", "point"],

@@ -1,7 +1,7 @@
 import functools
 import random
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +10,6 @@ import hypothesis.strategies as st
 import lefschetz_lab.lefschetz as lefschetz
 from lefschetz_lab import linalg
 from lefschetz_lab.apolar import hilbert_vector
-from lefschetz_lab.errors import NoSplitError
 from lefschetz_lab.families import (
     gen_exceptional,
     gen_gn,
@@ -22,27 +21,25 @@ from lefschetz_lab.families import (
     gen_thmwlp,
     gen_wlpodd,
 )
-from lefschetz_lab.hessian import hess_profile, hessian_matrix, is_cone
+from lefschetz_lab.hessian import hess_profile, hessian_matrix, is_cone, poly_det_vanishes
 from lefschetz_lab.lefschetz import (
     GENERIC_TRIALS,
-    KeyCertificate,
     LinearForm,
-    ObstructionCertificate,
+    ZeroBlock,
     key_criterion,
     _random_linear_form,
     mult_map,
     rank_at,
     slp_check_element,
     slp_generic,
-    verify_key_certificate,
-    verify_obstruction_certificate,
+    verify_zero_block,
     wlp_check_element,
     wlp_generic,
     wlp_obstruction,
 )
 from lefschetz_lab.polycore import Poly, VariableSet, diff_apply, eval_poly, mono_basis, parse_poly
 
-from conftest import dense_coords, homogeneous_polys, prob, rational_polys, wlp_check_all_levels
+from conftest import dense_coords, homogeneous_polys, prob, rational_polys, unsplit, wlp_check_all_levels
 
 IKEDA_VARS = VariableSet(("x0", "x1", "u1", "u2"), n_x=2)
 IKEDA = parse_poly("x0*u1^3*u2 + x1*u1*u2^3 + x0^3*x1^2", IKEDA_VARS)
@@ -263,7 +260,8 @@ class TestWlpGeneric:
         report = wlp_generic(prob(gen_thmwlp(5, 4).f))
         data = report.to_json_dict()
         assert data["verdict"] == "fails"
-        assert data["certificate"]["ops"] == ["X2", "X3", "X4", "X5"]
+        assert data["certificate"]["type"] == "zero-block" and data["certificate"]["orders"] == [1, 2]
+        assert data["certificate"]["rows"] == [[int(i == j) for j in range(6)] for i in range(4)]  # X2 .. X5
 
 
 def seeded_dense_form(seed):
@@ -407,15 +405,19 @@ class TestOneMapMatchesOracle:
         assert wlp_check_element(an, L)[0] == wlp_check_all_levels(an, L)[0]
 
 
+def op_texts(expos, f):
+    """The monomial operators of `expos` over f's dual variables, as text."""
+    return [Poly.monomial(f.vars.dual(), e).to_text() for e in expos]
+
+
 class TestKeyCriterion:
     def test_ikeda(self):
-        cert = key_criterion(prob(IKEDA), 2)
-        assert cert is not None
-        assert {op.to_text() for op in cert.ops} == {
-            "X0*U1", "X0*U2", "X1*U1", "X1*U2",
-        }
-        assert cert.s == 4 and cert.bound == 3
-        assert verify_key_certificate(IKEDA, cert)
+        an = prob(IKEDA)
+        cert = key_criterion(an, 2)
+        assert cert is not None and (cert.k, cert.l) == (2, 2)
+        assert op_texts(cert.rows, IKEDA) == ["X0*U1", "X0*U2", "X1*U1", "X1*U2"]
+        assert len(cert.cols) == 7 and cert.size == 11 > len(an.basis(2)) == 10
+        assert verify_zero_block(IKEDA, an.hilbert(), cert)
 
     def test_split_powers_no_certificate(self):
         vs = VariableSet(("x", "y"), n_x=1)
@@ -426,63 +428,69 @@ class TestKeyCriterion:
     def test_gnp_dual_ops(self):
         f = gen_gnp(2, 2, 2, 3).f
         cert = key_criterion(prob(f), 2)
-        assert cert is not None and cert.s == 4
+        assert cert is not None and op_texts(cert.rows, f) == ["X^2", "X*Y", "Y^2", "Z^2"]
 
-    def test_pure_u_operators_not_counted(self):
-        # U3 sends f to 4*u3^3, inside the u-subring, yet only operators with
-        # an x-factor count against the bound
+    def test_pure_u_operator_joins_the_columns(self):
+        # U3 sends f to 4*u3^3, and no x-operator's row meets it: it is a
+        # column of the block, but not a row, as U3^2 f != 0
         vs = VariableSet(("x0", "x1", "x2", "x3", "u1", "u2", "u3"), n_x=4)
         f = parse_poly("x0*u1^3 + x1*u1^2*u2 + x2*u1*u2^2 + x3*u2^3 + u3^4", vs)
         cert = key_criterion(prob(f), 1)
-        assert [op.to_text() for op in cert.ops] == ["X0", "X1", "X2", "X3"]
-        assert cert.bound == 3
-        assert cert == oracle_key(f, 1)
+        assert op_texts(cert.rows, f) == ["X0", "X1", "X2", "X3"]
+        assert op_texts(cert.cols, f) == ["X0", "X1", "X2", "X3", "U3"]
+        assert cert == oracle_block(f, 1, 1)
 
-    def test_requires_split(self):
-        vs = VariableSet(("x", "y"))
-        with pytest.raises(NoSplitError):
-            key_criterion(prob(parse_poly("x^2 + y^2", vs)), 1)
+    def test_split_not_required(self):
+        """The block is read off supp(f): the form without its split has
+        the same one, and a form never given a split gets one too."""
+        assert key_criterion(prob(unsplit(IKEDA)), 2) == key_criterion(prob(IKEDA), 2)
+        f = parse_poly("x*u^2 + y*u*v + z*v^2", VariableSet(("x", "y", "z", "u", "v")))
+        cert = key_criterion(prob(f), 1)
+        assert op_texts(cert.rows, f) == ["X", "Y", "Z"] and cert.size == 6 > 5
 
     def test_tampered_certificate_rejected(self):
-        cert = key_criterion(prob(IKEDA), 2)
-        bad = cert._replace(bound=cert.s)
-        assert not verify_key_certificate(IKEDA, bad)
+        an = prob(IKEDA)
+        cert = key_criterion(an, 2)
+        assert not verify_zero_block(IKEDA, an.hilbert(), cert._replace(cols=cert.cols[1:]))
 
 
 class TestWlpObstruction:
     def test_degree_four(self):
         f = gen_thmwlp(5, 4).f
-        cert = wlp_obstruction(prob(f), 1)
-        assert {op.to_text() for op in cert.ops} == {"X2", "X3", "X4", "X5"}
-        assert cert.s == 4 and cert.bound == 3
-        assert verify_obstruction_certificate(f, cert)
+        an = prob(f)
+        cert = wlp_obstruction(an, 1)
+        assert (cert.k, cert.l) == (1, 2)
+        assert op_texts(cert.rows, f) == ["X2", "X3", "X4", "X5"]
+        assert op_texts(cert.cols, f) == ["X2*U", "X3*U", "X4*U"]
+        assert cert.size == 7 > len(an.basis(2)) == 6
+        assert verify_zero_block(f, an.hilbert(), cert)
 
     def test_degree_six(self):
         f = gen_thmwlp(4, 6).f
         cert = wlp_obstruction(prob(f), 2)
-        assert cert.s == 5
-        assert {op.to_text() for op in cert.ops} == {
-            "X2*U", "X2*V", "X3*U", "X3*V", "X4*U",
-        }
+        assert (cert.k, cert.l, cert.size) == (2, 3, 9)
+        assert set(op_texts(cert.rows, f)) == {"X2*U", "X2*V", "X3*U", "X3*V", "X4*U"}
 
     def test_degree_eight(self):
         f = gen_thmwlp(3, 8).f
         cert = wlp_obstruction(prob(f), 3)
-        assert cert.s == 6 and cert.bound == 5
+        assert (len(cert.rows), len(cert.cols)) == (6, 5)
 
     def test_pure_u_operators_counted(self):
-        # the u-quadrics of x, y, z fill the degree-1 image bound by
-        # themselves; W, a pure-u operator, is the one that overflows it
+        # the rows of x, y, z meet no column of x, y, z or W: W, a pure-u
+        # operator, is the column that takes the block past h_1 = 6
         vs = VariableSet(("x", "y", "z", "u", "v", "w"), n_x=3)
         f = parse_poly("x*u^2 + y*u*v + z*v^2 + w^3", vs)
-        cert = wlp_obstruction(prob(f), 1)
-        assert [op.to_text() for op in cert.ops] == ["X", "Y", "Z", "W"]
-        assert cert.bound == 3
-        assert cert == oracle_obstruction(f, 1)
-        assert verify_obstruction_certificate(f, cert)
+        an = prob(f)
+        cert = wlp_obstruction(an, 1)
+        assert op_texts(cert.rows, f) == ["X", "Y", "Z"]
+        assert op_texts(cert.cols, f) == ["X", "Y", "Z", "W"]
+        assert cert.size == 7 > len(an.basis(1)) == 6
+        assert cert == oracle_block(f, 1, 1)
+        assert verify_zero_block(f, an.hilbert(), cert)
 
     def test_empty_regime(self):
-        # image degree gives no room once deg(f) <= 2k
+        # a level at or past the middle has no never-injective map to certify
         assert wlp_obstruction(prob(IKEDA), 3) is None
 
     def test_certificate_forces_kernels(self):
@@ -497,62 +505,61 @@ class TestWlpObstruction:
             assert linalg.rank(mult_map(an, L, 1, 1)) < h1
 
 
-def oracle_scan(f, k, *, pure_u, first_order):
-    """The searches' original definition: apply every degree-k monomial
-    operator to all of f with `diff_apply`; keep it when the derivative g is
-    nonzero, lies in the u-subring (or, with `first_order`, is sent there by
-    every first-order operator) and is independent of those kept before."""
-    vs = f.vars
-    dual = vs.dual()
-    u = set(vs.u_indices)
-    firsts = [Poly.variable(dual, i) for i in range(len(vs))]
-    span = linalg.SparseSpan()
-    kept = []
-    for expo in mono_basis(dual, k):
-        if not pure_u and not any(expo[: vs.n_x]):
-            continue
-        op = Poly.monomial(dual, expo)
-        g = diff_apply(op, f)
-        if g.is_zero():
-            continue
-        inside = all(diff_apply(w, g).supported_on(u) for w in firsts) if first_order else g.supported_on(u)
-        if inside and span.try_add(g.coeff_map()):
-            kept.append(op)
-    return kept, span
+def oracle_block(f, k, l):
+    """The zero block by its definition: cells built by `diff_apply` over
+    the greedy bases of a fresh Analysis, a maximum matching by recursive
+    augmenting paths, and Koenig's sets by a breadth-first search from the
+    unmatched rows.  Those sets are the same for every maximum matching."""
+    an = prob(f)
+    dual = f.vars.dual()
+    rows, cols = an.basis(k).expos, an.basis(l).expos
+    ops = [Poly.monomial(dual, e) for e in cols]
+    nonzero = [[not diff_apply(b, diff_apply(Poly.monomial(dual, a), f)).is_zero() for b in ops] for a in rows]
+    mate = {}  # column -> row
 
+    def augment(r, seen):
+        for j, cell in enumerate(nonzero[r]):
+            if cell and j not in seen:
+                seen.add(j)
+                if j not in mate or augment(mate[j], seen):
+                    mate[j] = r
+                    return True
+        return False
 
-def oracle_key(f, k):
-    kept, span = oracle_scan(f, k, pure_u=False, first_order=False)
-    bound = comb(len(f.vars.u_names) + k - 1, k)
-    if len(kept) <= bound:
-        return None
-    vs = f.vars
-    return KeyCertificate(vs.x_names, vs.u_names, k, tuple(kept), bound, tuple(span.pivot_keys))
-
-
-def oracle_obstruction(f, k):
-    d = f.degree
-    if d - k <= k:
-        return None
-    kept, _ = oracle_scan(f, k, pure_u=True, first_order=True)
-    bound = comb(len(f.vars.u_names) - 1 + d - k - 1, d - k - 1)
-    if len(kept) <= bound:
-        return None
-    return ObstructionCertificate(f.vars.x_names, f.vars.u_names, k, tuple(kept), bound)
+    for r in range(len(rows)):
+        augment(r, set())
+    matched = set(mate.values())
+    reached_rows = [r for r in range(len(rows)) if r not in matched]
+    reached_cols = set()
+    queue = list(reached_rows)
+    while queue:
+        r = queue.pop(0)
+        for j, cell in enumerate(nonzero[r]):
+            if cell and j not in reached_cols:
+                reached_cols.add(j)
+                reached_rows.append(mate[j])
+                queue.append(mate[j])
+    return ZeroBlock(k, l, tuple(rows[r] for r in sorted(reached_rows)),
+                     tuple(c for j, c in enumerate(cols) if j not in reached_cols))
 
 
 def assert_searches_match_oracle(f):
-    """Both certificate searches equal the oracle at every order, and every
-    certificate found replays."""
+    """The block of every order and of every level below the middle equals
+    the oracle's; each certificate found is that block, and replays."""
     an = prob(f)
-    for k in range(1, f.degree // 2 + 1):
+    d = f.degree
+    for k in range(1, d // 2 + 1):
+        block = an.block(k, k)
+        assert block == oracle_block(f, k, k)
         cert = key_criterion(an, k)
-        assert cert == oracle_key(f, k)
-        assert cert is None or verify_key_certificate(f, cert)
-    for k in range(1, f.degree):
+        assert cert == (block if block.size > len(an.basis(k)) else None)
+        assert cert is None or verify_zero_block(f, an.hilbert(), cert)
+    for k in range(1, (d + 1) // 2):
+        block = an.block(k, d - 1 - k)
+        assert block == oracle_block(f, k, d - 1 - k)
         cert = wlp_obstruction(an, k)
-        assert cert == oracle_obstruction(f, k)
-        assert cert is None or verify_obstruction_certificate(f, cert)
+        assert cert == (block if block.size > len(an.basis(d - 1 - k)) else None)
+        assert cert is None or verify_zero_block(f, an.hilbert(), cert)
 
 
 SPLIT_FAMILIES = [
@@ -582,27 +589,33 @@ class TestSingleScan:
         assert_searches_match_oracle(build().f)
 
     def test_both_certificates_of_an_order_read_one_scan(self, monkeypatch):
-        """At each order the key search and the obstruction search read one
-        scan: one span is built, and the second search is a memo hit."""
+        """Each pattern is read off supp(f) once: the order's certificate,
+        the level's and the kernel all read it, and a second read is a memo
+        hit.  At the middle of odd d, (3, 3) is both the order and the level."""
+        import lefschetz_lab.analysis as analysis_mod
+
         f = gen_wlpodd(5, 7).f
-        orders = (1, 2, 3)
-        expected = [(oracle_key(f, k), oracle_obstruction(f, k)) for k in orders]
-        assert all(expected[-1])  # order 3 has both certificates
-        spans = []
-        init = linalg.SparseSpan.__init__
-        monkeypatch.setattr(linalg.SparseSpan, "__init__", lambda self: spans.append(1) or init(self))
+        calls = []
+        real = analysis_mod.zero_pattern
+        monkeypatch.setattr(analysis_mod, "zero_pattern", lambda an, k, l: calls.append((k, l)) or real(an, k, l))
         an = prob(f)
-        for k, certs in zip(orders, expected):
-            reused = an.counts()["reused"]
-            assert (an.key(k), an.obstruction(k)) == certs
-            assert len(spans) == k
-            assert an.counts()["reused"] == reused + 1
+        for k in (1, 2, 3):
+            an.key(k)
+            an.obstruction(k)
+            an.kernel(k, k)
+        assert sorted(calls) == [(1, 1), (1, 5), (2, 2), (2, 4), (3, 3)]
+        assert an.key(3) is an.obstruction(3) is an.block(3, 3)
 
     @given(homogeneous_polys(min_vars=2, max_vars=4, min_degree=2, max_degree=6), st.data())
     @settings(max_examples=40)
     def test_split_forms_match_oracle(self, f, data):
+        """A split changes no block: each equals the oracle's either way."""
         n_x = data.draw(st.integers(1, len(f.vars) - 1))
-        assert_searches_match_oracle(Poly(VariableSet(f.vars.names, n_x), f.coeff_map()))
+        split = Poly(VariableSet(f.vars.names, n_x), f.coeff_map())
+        assert_searches_match_oracle(split)
+        an, plain = prob(split), prob(f)
+        for k in range(1, f.degree // 2 + 1):
+            assert an.block(k, k) == plain.block(k, k)
 
 
 def assert_levels_match_mult_map(f, L):
@@ -711,20 +724,31 @@ class TestNonUnimodalFailure:
 
 
 class TestKeyCriterionSoundnessRandom:
-    @given(homogeneous_polys(min_vars=3, max_vars=4, min_degree=2, max_degree=5), st.data())
-    @settings(max_examples=25)
-    def test_certificate_always_implies_vanishing(self, f, data):
-        from lefschetz_lab.hessian import hessian_vanishes
-        from lefschetz_lab.polycore import VariableSet, Poly
-
-        n_x = data.draw(st.integers(1, len(f.vars) - 1))
-        vs = VariableSet(f.vars.names, n_x)
-        f = Poly(vs, f.coeff_map())
+    @given(homogeneous_polys(max_vars=4, min_degree=2, max_degree=5, max_terms=6))
+    @settings(max_examples=40)
+    def test_certificate_always_implies_vanishing(self, f):
+        """Wherever the pattern certifies an order, elimination agrees that
+        its Hessian vanishes, and the certificate replays."""
+        an = prob(f)
         for k in range(1, f.degree // 2 + 1):
-            cert = key_criterion(prob(f), k)
+            cert = key_criterion(an, k)
             if cert is not None:
-                assert verify_key_certificate(f, cert)
-                assert hessian_vanishes(prob(f), k).vanishes
+                assert verify_zero_block(f, an.hilbert(), cert)
+                assert poly_det_vanishes(an.hessian(k, k))[0]
+
+    @given(homogeneous_polys(max_vars=4, min_degree=1, max_degree=5, max_terms=6), st.data())
+    @settings(max_examples=40)
+    def test_block_bounds_every_rank(self, f, data):
+        """The rank mod p of every mixed Hessian at a random point is at
+        most h_k + h_l less the size of its zero block."""
+        an = prob(f)
+        d = f.degree
+        point = tuple(data.draw(st.integers(-3, 3)) for _ in range(len(f.vars)))
+        for k in range(d // 2 + 1):
+            for l in range(k, d - k + 1):
+                matrix = an.kernel(k, l).at(point)
+                r = len(an.basis(k)) + len(an.basis(l)) - an.block(k, l).size
+                assert linalg.rank_mod(matrix, lefschetz.RANK_PRIME) <= r
 
 
 # the suite's rows whose middle map is never injective (criteria 5 and 6)
@@ -745,7 +769,7 @@ def assert_rank_closed_soundly(an, k, l, L):
     below the ceiling; returns whether it grew."""
     matrix = point_matrix(an, k, l, L)
     exact = linalg.rank(matrix)
-    ceiling = lefschetz._rank_ceiling(an, k, l, len(matrix), len(matrix[0]))
+    ceiling = len(matrix) + len(matrix[0]) - an.block(k, l).size
     assert exact <= ceiling <= min(len(matrix), len(matrix[0]))
     before = an.rational_ranks
     assert rank_at(an, k, l, L) == exact
@@ -774,14 +798,14 @@ class TestRankCeiling:
         assert over_q == [("wlpodd", 6, 5, 9)]
 
     def test_key_ceiling_closes_a_vanishing_order(self):
-        """ikeda's hess^2 vanishes by its key certificate: the ceiling it puts
+        """ikeda's hess^2 vanishes by its zero block: the ceiling it puts
         on (2, 2) is the rank at a generic point, reached mod p."""
         an = prob(IKEDA)
         matrix = point_matrix(an, 2, 2, LinearForm.from_coeffs((3, -5, 7, 2)))
         cert = an.key(2)
         assert cert is not None
-        ceiling = lefschetz._rank_ceiling(an, 2, 2, len(matrix), len(matrix[0]))
-        assert ceiling == len(matrix) - (cert.s - cert.bound) < len(matrix)
+        ceiling = 2 * len(matrix) - an.block(2, 2).size
+        assert cert is an.block(2, 2) and ceiling < len(matrix)
         assert linalg.rank(matrix) == ceiling
         assert rank_at(an, 2, 2, LinearForm.from_coeffs((3, -5, 7, 2))) == ceiling
         assert an.rational_ranks == 0
@@ -790,7 +814,7 @@ class TestRankCeiling:
     @settings(max_examples=40)
     def test_random_split_forms(self, data):
         """Split forms whose terms have x-degree at most 1, over an x-block
-        larger than the u-block, where the u-subring certificates are
+        larger than the u-block, where zero blocks that drop the rank are
         common: at random points, zero coefficients included, every rank
         `rank_at` takes at (k, k) and (k, d-1-k) is sound."""
         n_u = data.draw(st.integers(1, 2))

@@ -15,7 +15,7 @@ import lefschetz_lab
 from lefschetz_lab.apolar import AkBasis, HilbertVector
 from lefschetz_lab.families import FamilyInstance, FamilySpec, Manifest
 from lefschetz_lab.hessian import VanishingVerdict
-from lefschetz_lab.lefschetz import KeyCertificate, LinearForm
+from lefschetz_lab.lefschetz import LinearForm, ZeroBlock
 from lefschetz_lab.linalg import SparseSpan
 from lefschetz_lab.polycore import Poly, Record, VariableSet, parse_poly
 
@@ -83,7 +83,7 @@ RECORDS = {
         "FamilyInstance(f=Poly('x^2 + y^2'), spec=FamilySpec(kind='thmwlp', params={'N': 6, 'd': 4}, seed=0, "
         "overrides={'g': 'u^4'}), manifest=Manifest(hess_pattern=(), hilbert=None, unimodal=None, cone=None, "
         "dim_a1=None, slp=None, slp_fail_level=None, wlp=None, wlp_fail_level=None, wlp_witness=None, "
-        "key_certificate_orders=(), obstruction_level=None, obstruction_size=None))",
+        "certified_orders=(), never_injective_level=None))",
     ),
 }
 
@@ -115,7 +115,7 @@ def test_no_assignment(name):
 
 
 def test_verdicts_differing_only_in_certificate():
-    cert = KeyCertificate(("x",), ("u",), 1, (), 0, ())
+    cert = ZeroBlock(1, 1, (), ())
     plain = VanishingVerdict(True, transcript_hash="ab")
     assert VanishingVerdict(True, transcript_hash="ab", certificate=cert) != plain
 
