@@ -134,24 +134,11 @@ def _load_input(args) -> tuple[str, VariableSet]:
     return poly_text, VariableSet(names, args.split)
 
 
-def _capped_slp(an):
-    """SLP under a capped profile: it fails at the lowest order that the
-    Analysis has decided to vanish, with that order's verdict; None when
-    no decided order vanishes."""
-    from .lefschetz import _slp_fails
-
-    d = an.f.degree
-    for k in range(d // 2 + 1):
-        if an.decided(k) and (verdict := an.verdict(k)).vanishes:
-            return _slp_fails(d, an.hilbert(), k, verdict)
-    return None
-
-
 def cmd_analyze(args) -> int:
     from .analysis import Analysis
     from .apolar import is_unimodal
     from .hessian import hess_profile, is_cone
-    from .lefschetz import ZeroBlock, slp_generic, wlp_generic
+    from .lefschetz import ZeroBlock, _slp_fails, slp_generic, wlp_generic
     from .polycore import parse_poly
 
     mode = _long_mode(args.mode)
@@ -180,8 +167,9 @@ def cmd_analyze(args) -> int:
     full_profile = args.max_k is None or args.max_k >= d // 2
     slp = stage("slp", lambda: slp_generic(an)) if full_profile else None
     wlp = stage("wlp", lambda: wlp_generic(an))
-    if slp is None:
-        slp = _capped_slp(an)
+    if slp is None:  # capped: SLP fails at the lowest order decided, or proved by a zero block, to vanish
+        slp = next((_slp_fails(d, hv, k, verdict) for k in range(d // 2 + 1)
+                    if (an.decided(k) or k > 0 and an.key(k) is not None) and (verdict := an.verdict(k)).vanishes), None)
     decided = [v.certificate for v in profile] + [getattr(r, "certificate", None) for r in (slp, wlp)]
     blocks = dict.fromkeys(getattr(c, "certificate", c) for c in decided)  # a verdict's block, or a report's
     certificates = [c.to_json_dict() for c in blocks if isinstance(c, ZeroBlock)]

@@ -512,25 +512,23 @@ class TestMaxK:
         assert key["type"] == "zero-block" and key["orders"] == [4, 4]
 
     def test_capped_slp_fails_by_a_key_certificate(self, capsys, tmp_path):
-        """thmwlp(4,6) capped at order 0: WLP decides hess^2 = 0 by its key
-        certificate, a zero block, then fails by the never-injective block at
-        A_2 -> A_3, and SLP fails at order 2 by that key certificate.  No
-        certificate is searched beyond the verdicts, so order 1, which
-        vanishes too, is not decided."""
+        """thmwlp(4,6) capped at order 0: WLP fails by the never-injective
+        block at A_2 -> A_3, and SLP fails at order 1, the lowest order a
+        zero block proves vanishing, by that order's certificate."""
         from lefschetz_lab.families import gen_thmwlp
 
         path = write_instance(gen_thmwlp(4, 6), tmp_path)
         report = tmp_path / "r.json"
         code, out, _ = run(["analyze", "--in", str(path), "--max-k", "0", "--strict", "--json", str(report)], capsys)
         assert code == 0
-        assert "strong property fails at order 2" in out
+        assert "strong property fails at order 1" in out
         assert "weak property   fails at map A_2 -> A_3" in out
         data = json.loads(report.read_text())
         assert data["wlp"]["certificate"]["orders"] == [2, 3]
         assert data["slp"]["certificate"]["certificate"] == data["certificates"][0]
-        assert data["certificates"][0]["type"] == "zero-block" and data["certificates"][0]["orders"] == [2, 2]
+        assert data["certificates"][0]["type"] == "zero-block" and data["certificates"][0]["orders"] == [1, 1]
         assert data["certificates"][1] == data["wlp"]["certificate"] and len(data["certificates"]) == 2
-        assert data["counts"]["hessian_decisions"] == 2  # orders 0 and 2
+        assert data["counts"]["hessian_decisions"] == 3  # orders 0, 1 and 2
 
     def test_negative_cap_exit_two(self, capsys):
         code, out, err = run(IKEDA_ARGS + ["--max-k", "-1", "--strict"], capsys)

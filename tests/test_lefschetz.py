@@ -489,6 +489,32 @@ class TestWlpObstruction:
         assert cert == oracle_block(f, 1, 1)
         assert verify_zero_block(f, an.hilbert(), cert)
 
+    def test_below_the_middle_builds_no_basis_above_it(self):
+        """Six x-variables send f into K[u, v], whose quartics number five:
+        A_1 -> A_2 is never injective.  Level 1 lies below the middle of
+        d = 6, so its columns are the 17 quartic divisors of f's terms, not
+        a basis of A_4, and WLP fails there with no basis past A_3 built."""
+        vs = VariableSet(tuple("abcdefuv"))
+        f = parse_poly("a*u^5 + b*u^4*v + c*u^3*v^2 + d*u^2*v^3 + e*u*v^4 + f*v^5 + u^6 + v^6", vs)
+        an = prob(f)
+        hv = an.hilbert()
+        candidates = an.counts()["basis_candidates"]
+        report = wlp_generic(an)
+        assert (report.verdict, report.level) == ("fails", 1)
+        cert = report.certificate
+        assert cert is an.obstruction(1) and (cert.k, cert.l) == (1, 4)
+        assert op_texts(cert.rows, f) == ["A", "B", "C", "D", "E", "F"]
+        assert len(cert.cols) == 12 and cert.size == 18 > 17 > hv[4] == 8
+        assert an.counts()["basis_candidates"] == candidates
+        assert verify_zero_block(f, hv, cert)
+        # the bound needs distinct columns, each a divisor of a term
+        assert not verify_zero_block(f, hv, cert._replace(cols=(cert.cols[0], *cert.cols[:-1])))
+        assert not verify_zero_block(f, hv, cert._replace(cols=((4, 0, 0, 0, 0, 0, 0, 0), *cert.cols[1:])))
+        rng = random.Random(5)
+        for _ in range(10):
+            L = random_linear_form(rng, len(f.vars))
+            assert linalg.rank(mult_map(an, L, 1, 1)) < hv[1]
+
     def test_empty_regime(self):
         # a level at or past the middle has no never-injective map to certify
         assert wlp_obstruction(prob(IKEDA), 3) is None
@@ -505,14 +531,15 @@ class TestWlpObstruction:
             assert linalg.rank(mult_map(an, L, 1, 1)) < h1
 
 
-def oracle_block(f, k, l):
+def oracle_block(f, k, l, cols=None):
     """The zero block by its definition: cells built by `diff_apply` over
-    the greedy bases of a fresh Analysis, a maximum matching by recursive
+    the greedy basis of A_k of a fresh Analysis and the columns `cols` (by
+    default the greedy basis of A_l), a maximum matching by recursive
     augmenting paths, and Koenig's sets by a breadth-first search from the
     unmatched rows.  Those sets are the same for every maximum matching."""
     an = prob(f)
     dual = f.vars.dual()
-    rows, cols = an.basis(k).expos, an.basis(l).expos
+    rows, cols = an.basis(k).expos, an.basis(l).expos if cols is None else cols
     ops = [Poly.monomial(dual, e) for e in cols]
     nonzero = [[not diff_apply(b, diff_apply(Poly.monomial(dual, a), f)).is_zero() for b in ops] for a in rows]
     mate = {}  # column -> row
@@ -555,10 +582,20 @@ def assert_searches_match_oracle(f):
         assert cert == (block if block.size > len(an.basis(k)) else None)
         assert cert is None or verify_zero_block(f, an.hilbert(), cert)
     for k in range(1, (d + 1) // 2):
-        block = an.block(k, d - 1 - k)
-        assert block == oracle_block(f, k, d - 1 - k)
+        l = d - 1 - k
+        block = an.block(k, l)
+        assert block == oracle_block(f, k, l)
         cert = wlp_obstruction(an, k)
-        assert cert == (block if block.size > len(an.basis(d - 1 - k)) else None)
+        if 2 * l <= d:
+            assert cert == (block if block.size > len(an.basis(l)) else None)
+        else:
+            # above the middle the columns are every degree-l divisor of a
+            # term: a weaker bound than the basis's, never a stronger one
+            dual = f.vars.dual()
+            divisors = sorted(c for c in mono_basis(dual, l) if not diff_apply(Poly.monomial(dual, c), f).is_zero())
+            spanning = oracle_block(f, k, l, divisors)
+            assert cert == (spanning if spanning.size > len(divisors) else None)
+            assert cert is None or block.size > len(an.basis(l))
         assert cert is None or verify_zero_block(f, an.hilbert(), cert)
 
 
@@ -589,9 +626,11 @@ class TestSingleScan:
         assert_searches_match_oracle(build().f)
 
     def test_both_certificates_of_an_order_read_one_scan(self, monkeypatch):
-        """Each pattern is read off supp(f) once: the order's certificate,
-        the level's and the kernel all read it, and a second read is a memo
-        hit.  At the middle of odd d, (3, 3) is both the order and the level."""
+        """Each pattern is read off supp(f) once: the order's certificate
+        and the kernel both read it, and a second read is a memo hit.  At
+        the middle of odd d, (3, 3) is both the order and the level; the
+        levels below it read no Hessian's pattern, since their columns are
+        the divisors of f's terms, not a basis."""
         import lefschetz_lab.analysis as analysis_mod
 
         f = gen_wlpodd(5, 7).f
@@ -603,7 +642,7 @@ class TestSingleScan:
             an.key(k)
             an.obstruction(k)
             an.kernel(k, k)
-        assert sorted(calls) == [(1, 1), (1, 5), (2, 2), (2, 4), (3, 3)]
+        assert sorted(calls) == [(1, 1), (2, 2), (3, 3)]
         assert an.key(3) is an.obstruction(3) is an.block(3, 3)
 
     @given(homogeneous_polys(min_vars=2, max_vars=4, min_degree=2, max_degree=6), st.data())
@@ -749,6 +788,10 @@ class TestKeyCriterionSoundnessRandom:
                 matrix = an.kernel(k, l).at(point)
                 r = len(an.basis(k)) + len(an.basis(l)) - an.block(k, l).size
                 assert linalg.rank_mod(matrix, lefschetz.RANK_PRIME) <= r
+        for k in range(1, (d + 1) // 2):
+            if wlp_obstruction(an, k) is not None:
+                matrix = an.kernel(k, d - 1 - k).at(point)
+                assert linalg.rank_mod(matrix, lefschetz.RANK_PRIME) < len(an.basis(k))
 
 
 # the suite's rows whose middle map is never injective (criteria 5 and 6)
