@@ -22,7 +22,7 @@ both modes computes every piece, and decides every order, once.  A verdict
 is decided by one of three routes: the order's zero block (the Hessian is
 then neither assembled nor compiled), evaluation of the kernel, or, in
 exact mode only, elimination after every evaluation was zero; `counts()`
-reports the first and the last.  Nothing here reads the x/u split.
+reports the first and the last.
 
 Every function that reads the bases or the derivatives takes the Analysis in
 place of the bare form (and of any mode and seed); the construction on f

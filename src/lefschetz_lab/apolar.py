@@ -20,7 +20,6 @@ the memo and `counts()`.  Unimodality is the absence of a dip
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
 from math import perm, prod
 from operator import sub
@@ -28,7 +27,7 @@ from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from . import linalg
 from .errors import DegreeRangeError, ZeroPolynomialError
-from .polycore import Monomial, Poly, Record, mono_basis
+from .polycore import Monomial, Poly, Record, Scalar, _coefficient, mono_basis
 
 if TYPE_CHECKING:
     from .analysis import Analysis
@@ -58,8 +57,8 @@ class AkBasis(Record):
         return len(self.expos)
 
 
-def catalecticant(f: Poly, k: int) -> list[list[Fraction]]:
-    """Explicit catalecticant matrix of f in degree k, as `Fraction` rows.
+def catalecticant(f: Poly, k: int) -> list[list[Scalar]]:
+    """Explicit catalecticant matrix of f in degree k.
 
     Rows are the degree-(d-k) monomials, columns the degree-k monomial
     operators, both in `mono_basis` (descending lex) order; entry (i, j) is
@@ -68,6 +67,8 @@ def catalecticant(f: Poly, k: int) -> list[list[Fraction]]:
     perm(e_i, alpha_i) for e = alpha + beta and c_e f's coefficient of x^e,
     so the matrix is filled from f's coefficients: each term e of f fills
     one entry for each alpha <= e of degree k, and every other entry is 0.
+    Entries follow `Poly`'s coefficients: an `int` when integral, else a
+    reduced `Fraction`.
     """
     if f.is_zero():
         raise ZeroPolynomialError("operation undefined for the zero polynomial")
@@ -76,11 +77,11 @@ def catalecticant(f: Poly, k: int) -> list[list[Fraction]]:
         raise DegreeRangeError(f"k={k} out of range 0..{d}")
     rows = {m: i for i, m in enumerate(mono_basis(f.vars, d - k))}
     columns = {m: j for j, m in enumerate(mono_basis(f.vars, k))}
-    zero = Fraction(0)
-    matrix = [[zero] * len(columns) for _ in rows]
+    matrix = [[0] * len(columns) for _ in rows]
     for e, c in f.coeff_map().items():
         for alpha in _sub_exponents(e, k):
-            matrix[rows[tuple(map(sub, e, alpha))]][columns[alpha]] = Fraction(c * prod(map(perm, e, alpha)))
+            v = c * prod(map(perm, e, alpha))
+            matrix[rows[tuple(map(sub, e, alpha))]][columns[alpha]] = v if type(v) is int else _coefficient(v)
     return matrix
 
 

@@ -68,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--poly", help="polynomial text")
     src.add_argument("--in", dest="infile", help="file with polynomial text or a generated instance (JSON)")
     pa.add_argument("--vars", help="comma-separated variable names")
-    pa.add_argument("--split", type=int, help="size of the leading x-block")
     pa.add_argument("--mode", choices=("exact", "prob"), default="prob")
     pa.add_argument("--seed", type=int, default=None)
     pa.add_argument("--json", dest="json_path", help="write the full report as JSON")
@@ -110,28 +109,22 @@ def _load_input(args) -> tuple[str, VariableSet]:
         with open(args.infile, "r", encoding="utf-8") as fh:
             text = fh.read().strip()
         if text.startswith("{"):
-            flags = [flag for flag, value in (("--vars", args.vars), ("--split", args.split)) if value is not None]
-            if flags:
-                raise LefschetzLabError(
-                    f"{' and '.join(flags)} cannot be given with a generated instance; "
-                    "its JSON declares 'vars' and 'split'"
-                )
+            if args.vars is not None:
+                raise LefschetzLabError("--vars cannot be given with a generated instance; its JSON declares 'vars'")
             data = json.loads(text)
-            poly, names, split = data.get("poly"), data.get("vars"), data.get("split")
+            poly, names = data.get("poly"), data.get("vars")
             if not isinstance(poly, str):
                 raise LefschetzLabError("instance JSON needs a string 'poly'")
             if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
                 raise LefschetzLabError("instance JSON needs 'vars' as a list of strings")
-            if split is not None and (not isinstance(split, int) or isinstance(split, bool)):
-                raise LefschetzLabError("instance JSON needs 'split' as an integer or null")
-            return poly, VariableSet(tuple(names), split)
+            return poly, VariableSet(tuple(names))
         poly_text = text
     else:
         poly_text = args.poly
     if not args.vars:
         raise LefschetzLabError("--vars is required unless --in is a generated instance")
     names = tuple(name.strip() for name in args.vars.split(",") if name.strip())
-    return poly_text, VariableSet(names, args.split)
+    return poly_text, VariableSet(names)
 
 
 def cmd_analyze(args) -> int:
@@ -175,7 +168,7 @@ def cmd_analyze(args) -> int:
     certificates = [c.to_json_dict() for c in blocks if isinstance(c, ZeroBlock)]
 
     report = {
-        "input": {"poly": f.to_text(), "vars": list(vs.names), "split": vs.n_x},
+        "input": {"poly": f.to_text(), "vars": list(vs.names)},
         "degree": d,
         "seed": args.seed,
         "mode": mode,
@@ -192,7 +185,7 @@ def cmd_analyze(args) -> int:
     }
 
     print(f"polynomial      {report['input']['poly']}")
-    print(f"variables       {', '.join(vs.names)}" + (f"  (x-block size {vs.n_x})" if vs.has_split else ""))
+    print(f"variables       {', '.join(vs.names)}")
     print(f"degree          {d}")
     print(f"hilbert vector  {tuple(hv.dims)}  unimodal={unimodal}")
     print(f"cone            {cone.is_cone}")

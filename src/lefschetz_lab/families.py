@@ -1,8 +1,9 @@
 """Deterministic generators for the counterexample families.
 
-Every generator returns a `FamilyInstance`: the polynomial, its declared
-x/u-block split, and a manifest of expected properties that downstream
-modules can replay (the analysis reads no split).  The structural claims
+Every generator returns a `FamilyInstance`: the polynomial and a manifest
+of expected properties that downstream modules can replay.  The paper's
+forms are written in an x-block followed by a u-block; a generator names
+each block from the variable names it builds.  The structural claims
 (not a cone, the zero blocks, the Hessian orders, the WLP witness) are
 checked by one checker, `_structural_claims`.  Each generator ends in one
 call to `_instance`, which builds the manifest from the generator's claims
@@ -148,7 +149,6 @@ class FamilyInstance(Record):
         out.update(
             {
                 "vars": list(vs.names),
-                "split": vs.n_x,
                 "poly": self.f.to_text(),
                 "manifest": self.manifest.to_json_dict(),
             }
@@ -197,18 +197,15 @@ def _tail(vs: VariableSet, names: Sequence[str], d: int, override: Optional[Poly
 
 def _x_uv_vars(top: int) -> VariableSet:
     """x2 .. x{top} followed by u, v (the exceptional and thmwlp families)."""
-    x_names = tuple(f"x{i}" for i in range(2, top + 1))
-    return VariableSet(x_names + ("u", "v"), n_x=len(x_names))
+    return VariableSet(tuple(f"x{i}" for i in range(2, top + 1)) + ("u", "v"))
 
 
 def _xu_vars(m: int, n: int) -> VariableSet:
     """x0 .. xn followed by u1 .. um (the perazzo, permutti, gn and minimal gnp families)."""
-    x_names = tuple(f"x{j}" for j in range(n + 1))
-    u_names = tuple(f"u{j}" for j in range(1, m + 1))
-    return VariableSet(x_names + u_names, n_x=n + 1)
+    return VariableSet(tuple(f"x{j}" for j in range(n + 1)) + tuple(f"u{j}" for j in range(1, m + 1)))
 
 
-_PROP44_VARS = VariableSet(("x0", "x1", "x2", "u", "v"), n_x=3)
+_PROP44_VARS = VariableSet(("x0", "x1", "x2", "u", "v"))
 
 
 def _structural_claims(an: Analysis, manifest: Manifest) -> Iterator[tuple[str, bool, str]]:
@@ -278,7 +275,7 @@ def _instance(f: Poly, spec: FamilySpec, what: str, **claims) -> FamilyInstance:
 
 def gen_ikeda(*, seed: int = 0) -> FamilyInstance:
     """The degree-5 form in 4 variables whose order-2 Hessian vanishes."""
-    vs = VariableSet(("x0", "x1", "u1", "u2"), n_x=2)
+    vs = VariableSet(("x0", "x1", "u1", "u2"))
     f = poly_sum(
         vs,
         [
@@ -328,7 +325,7 @@ def gen_exceptional(
         ],
     )
     tail_h = _tail(vs, ("x2", "x3"), d, h, "override h must be degree d in x2, x3", nonzero=True)
-    tail_p = _tail(vs, vs.x_names[2:], d, p, "override p must be degree d in x4..xn")
+    tail_p = _tail(vs, vs.names[2:-2], d, p, "override p must be degree d in x4..xn")
 
     hess_pattern = [(1, False)] + [(r, True) for r in range(2, k + 1)]
     if 2 * (k + 1) <= d:
@@ -370,16 +367,15 @@ def gen_gnp(
     if variant == "lemma_m2":
         _require(m == 2, "lemma_m2 variant requires m = 2")
         _require(n is None or n == 2, "lemma_m2 variant forces n = 2")
-        vs = VariableSet(("x", "y", "z", "u", "v"), n_x=3)
+        vs = VariableSet(("x", "y", "z", "u", "v"))
         f = _xu_sum(vs, [(k - j, j, 0) for j in range(k + 1)] + [(0, 0, k)],
                     [(e - j, j) for j in range(k + 1)] + [(e - k - 1, k + 1)])
         params = {"m": m, "n": 2, "k": k, "e": e, "variant": variant}
     elif variant == "maximal":
         s = mono_count(m, e)
         _require(n is None or n == s - 1, f"maximal variant forces n = {s - 1}")
-        x_names = tuple(f"x{j}" for j in range(1, s + 1))
         u_names = tuple(f"u{j}" for j in range(1, m + 1))
-        vs = VariableSet(x_names + u_names, n_x=s)
+        vs = VariableSet(tuple(f"x{j}" for j in range(1, s + 1)) + u_names)
         f = _xu_sum(vs, [_pure(s, j, k) for j in range(s)], mono_basis(VariableSet(u_names), e))
         params = {"m": m, "n": s - 1, "k": k, "e": e, "variant": variant}
     elif variant == "minimal":
@@ -391,7 +387,7 @@ def gen_gnp(
             f"not enough independent degree-{e} u-forms: need {s}",
         )
         vs = _xu_vars(m, n)
-        f = _xu_sum(vs, mono_basis(VariableSet(vs.x_names), k), _covering_monomials(m, e, s))
+        f = _xu_sum(vs, mono_basis(VariableSet(vs.names[: n + 1]), k), _covering_monomials(m, e, s))
         params = {"m": m, "n": n, "k": k, "e": e, "variant": variant}
     else:
         raise InfeasibleParametersError(f"unknown gnp variant {variant!r}")
@@ -446,13 +442,13 @@ def gen_perazzo(
     else:
         _require(len(gs) == n + 1, f"need exactly {n + 1} u-block forms")
         parts = [
-            Poly.variable(vs, i) * _tail(vs, vs.u_names, d - 1, g,
+            Poly.variable(vs, i) * _tail(vs, vs.names[n + 1 :], d - 1, g,
                                          f"g{i} must be a nonzero degree-{d - 1} u-block form",
                                          nonzero=True)
             for i, g in enumerate(gs)
         ]
     if h is not None:
-        parts.append(_tail(vs, vs.u_names, d, h, "h must be a degree-d u-block form"))
+        parts.append(_tail(vs, vs.names[n + 1 :], d, h, "h must be a degree-d u-block form"))
     f = poly_sum(vs, parts)
     spec = FamilySpec(
         "perazzo",
@@ -508,7 +504,7 @@ def gen_permutti(
             pj = Ps[j]
             if pj is None or pj.is_zero():
                 continue
-            _tail(vs, vs.u_names, d - j * e, pj, f"P_{j} must be a degree-{d - j * e} u-block form")
+            _tail(vs, vs.names[n + 1 :], d - j * e, pj, f"P_{j} must be a degree-{d - j * e} u-block form")
         else:
             pj = _mono(vs, {"u1": d - j * e})
         parts.append(Q**j * pj)
@@ -565,7 +561,7 @@ def gen_gn(
         f"a core group of {max(sizes)} x-variables needs as many distinct "
         f"degree-{e - 1} monomials in {m} variables",
     )
-    all_monos = mono_basis(VariableSet(vs.u_names), e - 1)
+    all_monos = mono_basis(VariableSet(vs.names[n + 1 :]), e - 1)
     groups: list[list[Monomial]] = [all_monos[: size] for size in sizes]
     covered = {i for grp in groups for mo in grp for i, ee in enumerate(mo) if ee}
     covered.add(0)  # the biform u-parts are powers of u1
@@ -628,8 +624,7 @@ def gen_wlpodd(N: int, d: int, *, seed: int = 0) -> FamilyInstance:
     even = N % 2 == 0
     u_names = tuple(f"u{j}" for j in range(1, m + 1))
     x_count = m + 1 if even else m + 2
-    x_names = tuple(f"x{j}" for j in range(x_count))
-    vs = VariableSet(x_names + u_names, n_x=x_count)
+    vs = VariableSet(tuple(f"x{j}" for j in range(x_count)) + u_names)
     u_monos = mono_basis(VariableSet(u_names), q)
     if not even:
         u_monos = u_monos[:-1]

@@ -13,8 +13,7 @@ rational reference for it).
 Conventions baked in here and relied on everywhere else:
 
   * monomial order is lexicographic on exponent tuples, descending, induced
-    by the declared variable order (x-block names come first when a split is
-    declared);
+    by the declared variable order;
   * a coefficient is an `int` when it is integral and a reduced `Fraction`
     with denominator > 1 otherwise, so an integral form computes in ints
     alone; a `float` is refused, and zero terms are never stored;
@@ -107,17 +106,11 @@ class Record:
 
 
 class VariableSet(Record):
-    """Ordered variable names, optionally split into an x-block and a u-block.
+    """Ordered, distinct variable names."""
 
-    `n_x` is the size of the leading x-block; the remaining names form the
-    u-block.  The family generators declare one and the CLI takes one
-    (`--split`), but no analysis reads it: the structural certificates are
-    read off the support of a form.
-    """
+    __slots__ = ("names", "_hash")
 
-    __slots__ = ("names", "n_x", "_hash")
-
-    def __init__(self, names: tuple[str, ...], n_x: Optional[int] = None):
+    def __init__(self, names: tuple[str, ...]):
         if not names:
             raise ValueError("variable set must not be empty")
         for name in names:
@@ -125,10 +118,8 @@ class VariableSet(Record):
                 raise ValueError(f"invalid variable name {name!r}")
         if len(set(names)) != len(names):
             raise ValueError("variable names must be distinct")
-        if n_x is not None and not 0 < n_x < len(names):
-            raise ValueError("split must leave both blocks nonempty")
-        Record.__init__(self, names, n_x)
-        object.__setattr__(self, "_hash", hash((names, n_x)))
+        Record.__init__(self, names)
+        object.__setattr__(self, "_hash", hash(names))
 
     # `Poly` arithmetic compares the operands' variable sets on every call:
     # an identity fast path, and the hash computed once
@@ -137,29 +128,13 @@ class VariableSet(Record):
             return True
         if other.__class__ is not VariableSet:
             return NotImplemented
-        return self.names == other.names and self.n_x == other.n_x
+        return self.names == other.names
 
     def __hash__(self) -> int:
         return self._hash
 
     def __len__(self) -> int:
         return len(self.names)
-
-    @property
-    def has_split(self) -> bool:
-        return self.n_x is not None
-
-    @property
-    def x_names(self) -> tuple[str, ...]:
-        if self.n_x is None:
-            raise ValueError("no split declared")
-        return self.names[: self.n_x]
-
-    @property
-    def u_names(self) -> tuple[str, ...]:
-        if self.n_x is None:
-            raise ValueError("no split declared")
-        return self.names[self.n_x :]
 
     def index(self, name: str) -> int:
         return self.names.index(name)
@@ -174,7 +149,7 @@ def _dual(vs: VariableSet) -> VariableSet:
     dual_names = tuple(n[0].upper() + n[1:] for n in vs.names)
     if len(set(dual_names)) != len(dual_names):
         raise ValueError("variable names collide after dualization")
-    return VariableSet(dual_names, vs.n_x)
+    return VariableSet(dual_names)
 
 
 def mono_degree(m: Monomial) -> int:

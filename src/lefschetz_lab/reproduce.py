@@ -284,9 +284,7 @@ def _prop_separated(config: SuiteConfig) -> tuple[bool, str]:
         b = rng.randint(2, 3)
         g = _random_form(rng, a, d)
         h = _random_form(rng, b, d)
-        x_names = tuple(f"x{i}" for i in range(a))
-        u_names = tuple(f"u{i}" for i in range(1, b + 1))
-        vs = VariableSet(x_names + u_names, n_x=a)
+        vs = VariableSet(tuple(f"x{i}" for i in range(a)) + tuple(f"u{i}" for i in range(1, b + 1)))
         terms = {}
         for mo, c in g.coeff_map().items():
             terms[tuple(mo) + (0,) * b] = c
@@ -323,7 +321,7 @@ def _mode_agreement(config: SuiteConfig) -> tuple[bool, str]:
     add("prop44-i", gen_prop44("i", seed=config.seed).analysis)
     vs = VariableSet(("x", "y", "z"))
     add("fermat", Analysis(parse_poly("x^4 + y^4 + z^4", vs), "probabilistic", config.seed))
-    e_vs = VariableSet(("x", "y", "z", "u", "v"), n_x=3)
+    e_vs = VariableSet(("x", "y", "z", "u", "v"))
     add("mixed-quartic", Analysis(parse_poly("x*u^3 + y*u^2*v + z*u*v^2 + v^4", e_vs), "probabilistic", config.seed))
     checked = 0
     for name, prob, exact, k in fixtures:

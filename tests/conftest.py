@@ -99,26 +99,20 @@ def dense_coords(dep, size):
     return [Fraction(nums.get(t, 0), q) for t in range(size)]
 
 
-def unsplit(f):
-    """f without its declared x/u split: the same Hessians and, since the
-    analysis reads no split, the same certificates and verdicts."""
-    return Poly(VariableSet(f.vars.names), f.coeff_map())
-
-
 def sheared_wlpodd45(seed):
     """wlpodd(4,5) after one u-row shear u_i -> u_i + c x_j, drawn from
-    `shear:{seed}`, and without its split.  Its order-2 Hessian (12x12)
+    `shear:{seed}`.  Its order-2 Hessian (12x12)
     vanishes, but its pattern has a perfect matching, so no zero block
     certifies it: evaluation finds it zero and exact mode eliminates it, in
     a few hundredths of a second at seeds 0-2."""
     from lefschetz_lab.families import gen_wlpodd
 
     f = gen_wlpodd(4, 5).f
-    n, n_x = len(f.vars), f.vars.n_x
+    n, n_x = len(f.vars), sum(name[0] == "x" for name in f.vars.names)
     rng = random.Random(f"shear:{seed}")
     shear = [[int(i == j) for j in range(n)] for i in range(n)]
     shear[rng.randrange(n_x, n)][rng.randrange(n_x)] = rng.choice((-3, -2, -1, 1, 2, 3))
-    return unsplit(linear_change(f, shear))
+    return linear_change(f, shear)
 
 
 @st.composite

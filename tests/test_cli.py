@@ -23,8 +23,6 @@ IKEDA_ARGS = [
     "x0*u1^3*u2 + x1*u1*u2^3 + x0^3*x1^2",
     "--vars",
     "x0,x1,u1,u2",
-    "--split",
-    "2",
 ]
 
 
@@ -32,6 +30,15 @@ def run(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_or_exit(args, capsys):
+    """`run`, where an argparse error's exit is read as the exit code."""
+    try:
+        return run(args, capsys)
+    except SystemExit as exc:
+        out = capsys.readouterr()
+        return exc.code, out.out, out.err
 
 
 class TestAnalyze:
@@ -110,8 +117,8 @@ class TestAnalyze:
 
     @pytest.mark.parametrize(
         "instance",
-        [{"vars": ["x", "y"]}, {"poly": "x^2", "vars": 5}, {"poly": "x^2", "vars": ["x", "y"], "split": "a"}],
-        ids=["no-poly", "vars-int", "split-str"],
+        [{"vars": ["x", "y"]}, {"poly": "x^2", "vars": 5}],
+        ids=["no-poly", "vars-int"],
     )
     def test_malformed_instance_exit_two(self, capsys, tmp_path, instance):
         path = tmp_path / "bad.json"
@@ -121,23 +128,40 @@ class TestAnalyze:
         assert err.startswith("error: ") and "instance JSON" in err
 
     @pytest.mark.parametrize(
-        "flags, named",
-        [(["--vars", "a,b"], "--vars"), (["--split", "1"], "--split"), (["--split", "1", "--vars", "a,b"], "--vars and --split")],
+        "flags, message",
+        [
+            (["--vars", "a,b"], "error: --vars cannot be given with a generated instance; its JSON declares 'vars'\n"),
+            (["--split", "1"], "error: unrecognized arguments: --split 1\n"),
+            (["--split", "1", "--vars", "a,b"], "error: unrecognized arguments: --split 1\n"),
+        ],
         ids=["vars", "split", "both"],
     )
-    def test_instance_takes_no_vars_or_split(self, capsys, tmp_path, flags, named):
+    def test_instance_takes_no_vars_or_split(self, capsys, tmp_path, flags, message):
+        """An instance declares its variables, and `--split` is no option."""
         path = tmp_path / "ikeda.json"
         path.write_text(json.dumps({"poly": IKEDA_ARGS[2], "vars": ["x0", "x1", "u1", "u2"], "split": 2}))
-        code, out, err = run(["analyze", "--in", str(path), *flags], capsys)
+        code, out, err = run_or_exit(["analyze", "--in", str(path), *flags], capsys)
         assert code == 2 and out == ""
-        assert err == f"error: {named} cannot be given with a generated instance; its JSON declares 'vars' and 'split'\n"
+        assert err == message or err.startswith("usage: ") and err.endswith(message)
+
+    def test_instance_with_a_null_split_loads(self, capsys, tmp_path):
+        """A `"split"` key is ignored, as the seeded dense forms of the
+        benchmark still write it, `null`."""
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps({"vars": ["x0", "x1", "u1", "u2"], "split": None, "poly": IKEDA_ARGS[2]}))
+        code, out, _ = run(["analyze", "--in", str(path)], capsys)
+        assert (code, out) == run(IKEDA_ARGS, capsys)[:2]
 
     def test_text_file_takes_vars_and_split(self, capsys, tmp_path):
+        """A text file takes `--vars`; `--split` is no option."""
         path = tmp_path / "ikeda.txt"
         path.write_text(IKEDA_ARGS[2] + "\n")
         code, out, _ = run(["analyze", "--in", str(path), *IKEDA_ARGS[3:]], capsys)
         assert code == 0
-        assert "variables       x0, x1, u1, u2  (x-block size 2)" in out
+        assert "variables       x0, x1, u1, u2\n" in out
+        code, out, err = run_or_exit(["analyze", "--in", str(path), *IKEDA_ARGS[3:], "--split", "2"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("usage: ") and err.endswith("error: unrecognized arguments: --split 2\n")
 
     def test_zero_form_exit_two(self, capsys):
         code, out, err = run(["analyze", "--poly", "x - x", "--vars", "x"], capsys)
@@ -208,16 +232,14 @@ ERROR = re.compile(r"error: [^\n]*\n")
 
 
 class TestFuzz:
-    @given(FUZZ_POLYS, FUZZ_VARS, st.none() | st.integers(-1, 4))
+    @given(FUZZ_POLYS, FUZZ_VARS)
     @settings(max_examples=150)
-    def test_exit_zero_or_two_with_one_line(self, text, names, split):
-        """Any short text, variable list and split ends with exit 0 or 2 and
-        at most one diagnostic line: the cone warning or one error."""
+    def test_exit_zero_or_two_with_one_line(self, text, names):
+        """Any short text and variable list ends with exit 0 or 2 and at
+        most one diagnostic line: the cone warning or one error."""
         args = ["analyze", f"--poly={text}"]
         if names is not None:
             args.append(f"--vars={names}")
-        if split is not None:
-            args.append(f"--split={split}")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(args)
@@ -542,8 +564,8 @@ def write_instance(inst, tmp_path):
     return path
 
 
-def unsplit_args(inst):
-    """`analyze` input flags for the instance's form without its x/u split."""
+def text_args(inst):
+    """`analyze` input flags for the instance's form given as text."""
     return ["--poly", inst.f.to_text(), "--vars", ",".join(inst.f.vars.names)]
 
 
@@ -574,11 +596,11 @@ class TestOneAnalysisPerForm:
             return real(entries, **kwargs)
 
         monkeypatch.setattr(hessian_mod, "_det_vanishes", counting)
-        # with its split or without, the zero block decides the middle
+        # from its text or its instance, the zero block decides the middle
         # order, once, and evaluation each of the others, once
         report = tmp_path / "r.json"
         path = write_instance(gen_wlpodd(4, 7), tmp_path)
-        for source in (unsplit_args(gen_wlpodd(4, 7)), ["--in", str(path)]):
+        for source in (text_args(gen_wlpodd(4, 7)), ["--in", str(path)]):
             salts.clear()
             code, out, _ = run(["analyze", *source, "--json", str(report)], capsys)
             assert code == 0
@@ -742,9 +764,10 @@ FAMILY_SPECS = {
 
 
 class TestSplitFree:
-    """The analysis reads no x/u split: a family form analysed from its
-    instance, with the split, and from its text, without, gives the same
-    report but for the input's split and the variables line."""
+    """A form carries no x/u split: a family form analysed from its text,
+    from its instance, and from its instance in the older format that
+    declared the x-block size as `"split"` gives the same report and
+    stdout."""
 
     @pytest.mark.parametrize("mode", ["prob", "exact"])
     @pytest.mark.parametrize("kind", FAMILY_SPECS)
@@ -752,15 +775,16 @@ class TestSplitFree:
         from lefschetz_lab.families import FamilySpec, generate
 
         inst = generate(FamilySpec(kind, FAMILY_SPECS[kind], 0))
-        split_out, split = report_of(["--in", str(write_instance(inst, tmp_path)), "--mode", mode], capsys, tmp_path)
-        free_out, free = report_of([*unsplit_args(inst), "--mode", mode], capsys, tmp_path)
-        assert split["input"].pop("split") == inst.f.vars.n_x and free["input"].pop("split") is None
-        assert free == split
-
-        def without_variables(out):
-            return [line for line in out.splitlines() if not line.startswith("variables")]
-
-        assert without_variables(free_out) == without_variables(split_out)
+        data = inst.to_json_dict()
+        assert "split" not in data
+        # the x-block leads, then the u-block: u1, u2, ... or u, v
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({**data, "split": sum(not name.startswith(("u", "v")) for name in data["vars"])}))
+        old_out, old_report = report_of(["--in", str(old), "--mode", mode], capsys, tmp_path)
+        new_out, new_report = report_of(["--in", str(write_instance(inst, tmp_path)), "--mode", mode], capsys, tmp_path)
+        free_out, free = report_of([*text_args(inst), "--mode", mode], capsys, tmp_path)
+        assert old_report == new_report == free and "split" not in free["input"]
+        assert old_out == new_out == free_out
         # every vanishing order of these instances has a zero block
         assert free["counts"]["eliminations"] == 0
         assert replays(inst.f, free)
@@ -768,7 +792,7 @@ class TestSplitFree:
     def test_thmwlp_5_4_fails_weak_property_without_its_split(self, capsys, tmp_path):
         from lefschetz_lab.families import gen_thmwlp
 
-        out, data = report_of(unsplit_args(gen_thmwlp(5, 4)), capsys, tmp_path)
+        out, data = report_of(text_args(gen_thmwlp(5, 4)), capsys, tmp_path)
         assert "weak property   fails at map A_1 -> A_2" in out
         assert data["wlp"]["certificate"]["orders"] == [1, 2]
         assert data["counts"]["rational_ranks"] == 0
@@ -776,7 +800,7 @@ class TestSplitFree:
     @pytest.mark.parametrize("mode", ["prob", "exact"])
     def test_paper_gap_cell_5_3(self, capsys, tmp_path, mode):
         """(N, d) = (5, 3), where no family has a form: a non-cone cubic in
-        six variables, given with no split, whose Hessian vanishes by a
+        six variables, given as text, whose Hessian vanishes by a
         zero block, so SLP fails at order 1 and WLP at A_1 -> A_2."""
         from lefschetz_lab.polycore import VariableSet, parse_poly
 
@@ -856,7 +880,7 @@ class TestWitnessReplayFromReport:
         code, _, _ = run(["analyze", *args, "--seed", "1", "--json", str(report)], capsys)
         assert code == 0
         data = json.loads(report.read_text())
-        vs = VariableSet(tuple(data["input"]["vars"]), data["input"]["split"])
+        vs = VariableSet(tuple(data["input"]["vars"]))
         # the greedy basis, and so the Hessian, depends on the form alone
         an = Analysis(parse_poly(data["input"]["poly"], vs), "exact", 0)
         residues = 0

@@ -32,9 +32,9 @@ from lefschetz_lab.polycore import Poly, VariableSet, parse_poly
 from conftest import count_analyses, exact, prob
 
 
-XU_VARS = VariableSet(("x0", "x1", "x2", "u1", "u2"), n_x=3)
-THMWLP_64_VARS = VariableSet(("x2", "x3", "x4", "x5", "x6", "u", "v"), n_x=5)
-PROP44_VARS = VariableSet(("x0", "x1", "x2", "u", "v"), n_x=3)
+XU_VARS = VariableSet(("x0", "x1", "x2", "u1", "u2"))
+THMWLP_64_VARS = VariableSet(("x2", "x3", "x4", "x5", "x6", "u", "v"))
+PROP44_VARS = VariableSet(("x0", "x1", "x2", "u", "v"))
 
 
 def assert_replays(instance, **kwargs):
@@ -265,7 +265,7 @@ class TestExceptional:
         assert dict(inst.manifest.hess_pattern)[4] is False
 
     def test_tail_override_validated(self):
-        vs = VariableSet(("x2", "x3", "u", "v"), n_x=2)
+        vs = VariableSet(("x2", "x3", "u", "v"))
         with pytest.raises(InfeasibleParametersError):
             gen_exceptional(3, 5, 2, h=parse_poly("u^5", vs))
 
@@ -446,12 +446,12 @@ class TestThmWlp:
 
 class TestProp44:
     def test_zero_tail_is_allowed(self):
-        vs = VariableSet(("x0", "x1", "x2", "u", "v"), n_x=3)
+        vs = VariableSet(("x0", "x1", "x2", "u", "v"))
         inst = gen_prop44("ii", h=parse_poly("0", vs))
         assert hessian_vanishes(exact(inst.f), 1).vanishes
 
     def test_case_iii_with_pure_power(self):
-        vs = VariableSet(("x0", "x1", "x2", "u", "v"), n_x=3)
+        vs = VariableSet(("x0", "x1", "x2", "u", "v"))
         inst = gen_prop44("iii", h=parse_poly("u^4", vs))
         ok, _ = wlp_check_element(prob(inst.f), inst.manifest.wlp_witness)
         assert ok
@@ -461,7 +461,7 @@ class TestProp44:
             gen_prop44("iv")
 
     def test_bad_tail_rejected(self):
-        vs = VariableSet(("x0", "x1", "x2", "u", "v"), n_x=3)
+        vs = VariableSet(("x0", "x1", "x2", "u", "v"))
         with pytest.raises(InfeasibleParametersError):
             gen_prop44("i", h=parse_poly("x0*u^3", vs))
 
@@ -493,7 +493,7 @@ class TestDispatch:
     def test_instance_poly_round_trips(self):
         inst = gen_thmwlp(5, 4)
         data = inst.to_json_dict()
-        vs = VariableSet(tuple(data["vars"]), data["split"])
+        vs = VariableSet(tuple(data["vars"]))
         assert parse_poly(data["poly"], vs) == inst.f
 
 

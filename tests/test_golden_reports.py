@@ -2,7 +2,7 @@
 
 Each case's stdout and JSON report (without `timing_ms`, which varies) must
 match the recording byte for byte.  The inputs reach the zero block
-certificate (ikeda with its split, the perazzo cubic without one), the exact
+certificate (ikeda at order 2, the perazzo cubic at order 1), the exact
 value at a witness (the cubic), the prime and residue above
 DEFAULT_EXACT_CUTOFF (the 14-variable Fermat cubic), the constant middle
 Hessian (the quartic, order 2) and, on wlpodd(4,5) after a shear of one
@@ -31,11 +31,11 @@ REPORT = "<report>"  # stands for the JSON path in the recorded stdout
 
 FERMAT14 = [f"a{i}" for i in range(14)]
 INPUTS = {
-    "ikeda": ["--poly", "x0*u1^3*u2 + x1*u1*u2^3 + x0^3*x1^2", "--vars", "x0,x1,u1,u2", "--split", "2"],
+    "ikeda": ["--poly", "x0*u1^3*u2 + x1*u1*u2^3 + x0^3*x1^2", "--vars", "x0,x1,u1,u2"],
     "cubic": ["--poly", "x^3+y^3+z^3+x*y*z", "--vars", "x,y,z"],
     "fermat14": ["--poly", "+".join(f"{a}^3" for a in FERMAT14), "--vars", ",".join(FERMAT14)],
     "quartic": ["--poly", "x^4+y^4+z^4+x^2*y*z", "--vars", "x,y,z"],
-    "perazzo-unsplit": ["--poly", "x0*u1^2 + x1*u1*u2 + x2*u2^2", "--vars", "x0,x1,x2,u1,u2"],
+    "perazzo": ["--poly", "x0*u1^2 + x1*u1*u2 + x2*u2^2", "--vars", "x0,x1,x2,u1,u2"],
     "cubic-rational": ["--poly", "1/2*x^3+2/3*y^3+z^3+x*y*z", "--vars", "x,y,z"],
     "perazzo-rational": ["--poly", "1/2*x0*u1^2+x1*u1*u2+3/5*x2*u2^2", "--vars", "x0,x1,x2,u1,u2"],
     # `conftest.sheared_wlpodd45(0)`, and the same after x0 -> x0/2, u2 -> u2/3
@@ -85,8 +85,8 @@ def test_routes_covered(recorded):
     assert "residue" in profiles["fermat14-prob"][1]
     assert profiles["quartic-exact"][2]["witness_point"] == [1, 1, 1]
     for mode in ("prob", "exact"):
-        assert profiles[f"perazzo-unsplit-{mode}"][1]["certificate"]["type"] == "zero-block"
-        assert profiles[f"perazzo-rational-{mode}"][1]["certificate"] == profiles[f"perazzo-unsplit-{mode}"][1]["certificate"]
+        assert profiles[f"perazzo-{mode}"][1]["certificate"]["type"] == "zero-block"
+        assert profiles[f"perazzo-rational-{mode}"][1]["certificate"] == profiles[f"perazzo-{mode}"][1]["certificate"]
     assert "/" in profiles["cubic-rational-prob"][0]["det_value"]
     for name in ("sheared", "sheared-rational"):
         assert "transcript_hash" in profiles[f"{name}-exact"][2]

@@ -54,11 +54,11 @@ from lefschetz_lab.polycore import (
     poly_sum,
 )
 
-from conftest import cone_polys, dense_coords, exact, homogeneous_polys, prob, rational_polys, sheared_wlpodd45, unsplit
+from conftest import cone_polys, dense_coords, exact, homogeneous_polys, prob, rational_polys, sheared_wlpodd45
 
-IKEDA_VARS = VariableSet(("x0", "x1", "u1", "u2"), n_x=2)
+IKEDA_VARS = VariableSet(("x0", "x1", "u1", "u2"))
 IKEDA = parse_poly("x0*u1^3*u2 + x1*u1*u2^3 + x0^3*x1^2", IKEDA_VARS)
-PERAZZO_VARS = VariableSet(("x", "y", "z", "u", "v"), n_x=3)
+PERAZZO_VARS = VariableSet(("x", "y", "z", "u", "v"))
 PERAZZO = parse_poly("x*u^2 + y*u*v + z*v^2", PERAZZO_VARS)
 
 
@@ -113,12 +113,18 @@ ORDER_ROUTES = {
 }
 
 
+# two quintics: ikeda, written in an x-block and a u-block, and wlpodd(4,5)
+# after a shear that mixes its blocks
+ORDER_FORMS = [IKEDA, sheared_wlpodd45(0)]
+
+
 class TestOrderRange:
-    """An order outside 0..d/2 is refused on every route, split or not, in
-    either mode, before anything is computed or kept."""
+    """An order outside 0..d/2 is refused on every route, on a form in x/u
+    blocks or with its blocks mixed, in either mode, before anything is
+    computed or kept."""
 
     @pytest.mark.parametrize("route", ORDER_ROUTES)
-    @pytest.mark.parametrize("form", [IKEDA, unsplit(IKEDA)], ids=["split", "unsplit"])
+    @pytest.mark.parametrize("form", ORDER_FORMS, ids=["split", "unsplit"])
     @pytest.mark.parametrize("analysis", [prob, exact])
     @pytest.mark.parametrize("k", [-1, IKEDA.degree // 2 + 1])
     def test_refused_without_trace(self, route, form, analysis, k):
@@ -129,11 +135,11 @@ class TestOrderRange:
         assert an.counts() == before
 
     @pytest.mark.parametrize("route", ORDER_ROUTES)
-    @pytest.mark.parametrize("form", [IKEDA, unsplit(IKEDA)], ids=["split", "unsplit"])
+    @pytest.mark.parametrize("form", ORDER_FORMS, ids=["split", "unsplit"])
     @pytest.mark.parametrize("k", [-1, IKEDA.degree // 2 + 1])
     def test_split_does_not_change_the_message(self, route, form, k):
-        """The order is refused before anything is computed, so a split
-        form is refused in the same words as the form without its split."""
+        """The order is refused before anything is computed, so both forms
+        are refused in the same words."""
         message = f"orders ({k}, {k}) out of range for d={IKEDA.degree}"
         with pytest.raises(DegreeRangeError) as info:
             ORDER_ROUTES[route](prob(form), k)
@@ -170,17 +176,18 @@ class TestVanishing:
     @pytest.mark.parametrize("analysis", [prob, exact])
     def test_split_form_certified_in_both_modes(self, analysis):
         verdict = hessian_vanishes(analysis(PERAZZO), 1)
-        assert verdict.vanishes and verdict.mode == "exact"
+        assert verdict.vanishes and verdict.mode == "exact" and not verdict.eliminated
         assert verdict.error_bound is None and verdict.transcript_hash is None
         assert verdict.to_json_dict()["certificate"]["type"] == "zero-block"
 
     @pytest.mark.parametrize("analysis", [prob, exact])
     def test_split_free_form_certified_in_both_modes(self, analysis):
-        """The same certificate without the split: it is read off supp(f)."""
-        verdict = hessian_vanishes(analysis(unsplit(PERAZZO)), 1)
+        """The certificate is read off supp(f), so it needs no x-block
+        first: the cubic with its u-block declared first is certified too."""
+        uv_first = parse_poly(PERAZZO.to_text(), VariableSet(("u", "v", "x", "y", "z")))
+        verdict = hessian_vanishes(analysis(uv_first), 1)
         assert verdict.vanishes and verdict.mode == "exact" and not verdict.eliminated
-        split = hessian_vanishes(analysis(PERAZZO), 1)
-        assert verdict.to_json_dict() == split.to_json_dict()
+        assert verdict.to_json_dict()["certificate"]["type"] == "zero-block"
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -403,12 +410,11 @@ class TestKeyCriterionSoundness:
     def test_certificate_implies_vanishing(self, build, k):
         f = build()
         assert key_criterion(prob(f), k) is not None
-        assert hessian_vanishes(prob(f), k).vanishes
+        verdict = hessian_vanishes(prob(f), k)
+        assert verdict.vanishes and verdict.certificate is not None
         assert hessian_vanishes(exact(f), k).vanishes
-        # the certificate is read off supp(f), so the form without its
-        # split is certified too, and elimination agrees
-        assert hessian_vanishes(prob(unsplit(f)), k).certificate is not None
-        assert poly_det_vanishes(exact(unsplit(f)).hessian(k, k))[0]
+        # elimination agrees
+        assert poly_det_vanishes(exact(f).hessian(k, k))[0]
 
 
 SMALL_SPLIT_FAMILIES = {
@@ -509,16 +515,13 @@ class TestModeAgreement:
         assert exact(f).verdict(k).vanishes == oracle
 
 
-# split and unsplit family forms: certificates, vanishing orders that only
-# elimination proves (permutti, and wlpodd(4,5) in sheared coordinates), and
-# nonvanishing ones
+# family forms: certificates, vanishing orders that only elimination proves
+# (permutti, and wlpodd(4,5) in sheared coordinates), and nonvanishing ones
 ROUTE_FORMS = {
     "perazzo": lambda: PERAZZO,
-    "perazzo-unsplit": lambda: unsplit(PERAZZO),
     "ikeda": lambda: IKEDA,
-    "ikeda-unsplit": lambda: unsplit(IKEDA),
-    "exceptional(3,5,2)-unsplit": lambda: unsplit(gen_exceptional(3, 5, 2).f),
-    "permutti(2,2,3,6)-unsplit": lambda: unsplit(gen_permutti(2, 2, 3, 6).f),
+    "exceptional(3,5,2)": lambda: gen_exceptional(3, 5, 2).f,
+    "permutti(2,2,3,6)": lambda: gen_permutti(2, 2, 3, 6).f,
     "wlpodd(4,5)-sheared": lambda: sheared_wlpodd45(0),
 }
 
@@ -589,18 +592,18 @@ class TestEvaluateFirst:
         assert verdict.vanishes and verdict.eliminated and verdict.transcript_hash
 
     def test_probabilistic_vanishing_never_eliminates(self, monkeypatch):
-        # a u-row shear of wlpodd(4,5) without its split: a 12x12 order-2
-        # Hessian of dense entries that vanishes; eliminating it takes minutes
+        # a u-row shear of wlpodd(4,5): a 12x12 order-2 Hessian of dense
+        # entries that vanishes; eliminating it takes minutes
         calls = []
         monkeypatch.setattr(hessian_mod, "poly_det_vanishes", calls.append)
         f = gen_wlpodd(4, 5).f
-        n, n_x = len(f.vars), f.vars.n_x
+        n, n_x = len(f.vars), sum(name[0] == "x" for name in f.vars.names)
         rng = random.Random(0)
         shear = [[int(i == j) for j in range(n)] for i in range(n)]
         for i in range(n_x, n):
             for j in range(n_x):
                 shear[i][j] = rng.randint(-2, 2)
-        an = prob(unsplit(linear_change(f, shear)))
+        an = prob(linear_change(f, shear))
         verdict = an.verdict(2)
         assert len(an.hessian(2, 2)) == 12
         assert verdict.vanishes and verdict.mode == "probabilistic"
@@ -762,7 +765,7 @@ class TestRandomPrime:
 
         monkeypatch.setattr(hessian_mod, "DEFAULT_TRIALS", trials)
         monkeypatch.setattr(hessian_mod, "random", types.SimpleNamespace(Random=Recording))
-        kernel = prob(unsplit(PERAZZO)).kernel(1, 1)
+        kernel = prob(PERAZZO).kernel(1, 1)
         verdict = _det_vanishes(kernel, degree_bound=5, seed=0, salt="hess:1")
         boxes = widths[:: kernel.nvars]
         assert len(boxes) == min(trials, 2) and boxes[:1] == [64 * 5][:trials]

@@ -55,14 +55,14 @@ class TestImportGraph:
     def test_analyze_loads_no_families_or_suite(self, tmp_path):
         path = tmp_path / "ikeda.txt"
         path.write_text("x0*u1^3*u2 + x1*u1*u2^3 + x0^3*x1^2\n")
-        out = child("-c", RUN_MAIN, "analyze", "--in", str(path), "--vars", "x0,x1,u1,u2", "--split", "2")
+        out = child("-c", RUN_MAIN, "analyze", "--in", str(path), "--vars", "x0,x1,u1,u2")
         assert out["code"] == 0
         assert "lefschetz_lab.analysis" in out["modules"]
         assert "lefschetz_lab.families" not in out["modules"]
         assert "lefschetz_lab.reproduce" not in out["modules"]
 
     def test_analyze_loads_no_dataclasses_or_hashlib(self):
-        out = child("-c", RUN_MAIN, "analyze", "--poly", IKEDA_TEXT, "--vars", "x0,x1,u1,u2", "--split", "2")
+        out = child("-c", RUN_MAIN, "analyze", "--poly", IKEDA_TEXT, "--vars", "x0,x1,u1,u2")
         assert out["code"] == 0
         assert out["stdlib"] == []
 

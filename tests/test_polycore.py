@@ -29,7 +29,7 @@ from lefschetz_lab.polycore import (
 
 from conftest import homogeneous_polys, linear_change_reference, rational_polys
 
-IKEDA_VARS = VariableSet(("x0", "x1", "u1", "u2"), n_x=2)
+IKEDA_VARS = VariableSet(("x0", "x1", "u1", "u2"))
 IKEDA = parse_poly("x0*u1^3*u2 + x1*u1*u2^3 + x0^3*x1^2", IKEDA_VARS)
 XY = VariableSet(("x", "y"))
 
@@ -51,14 +51,6 @@ class TestVariableSet:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
             VariableSet(("x", "x"))
-
-    def test_rejects_bad_split(self):
-        with pytest.raises(ValueError):
-            VariableSet(("x", "y"), n_x=2)
-
-    def test_blocks(self):
-        assert IKEDA_VARS.x_names == ("x0", "x1")
-        assert IKEDA_VARS.u_names == ("u1", "u2")
 
     def test_dual_names(self):
         assert IKEDA_VARS.dual().names == ("X0", "X1", "U1", "U2")

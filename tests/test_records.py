@@ -33,10 +33,10 @@ SPEC = FamilySpec("thmwlp", {"N": 6, "d": 4}, 0, {"g": "u^4"})
 # each record: (a record, an equal one, records that differ from it in one compared field each, repr)
 RECORDS = {
     "VariableSet": (
-        VariableSet(("x", "y", "z"), 1),
-        VariableSet(("x", "y", "z"), 1),
-        [VariableSet(("x", "y", "z")), VariableSet(("x", "y", "w"), 1)],
-        "VariableSet(names=('x', 'y', 'z'), n_x=1)",
+        VariableSet(("x", "y", "z")),
+        VariableSet(("x", "y", "z")),
+        [VariableSet(("x", "y", "w")), VariableSet(("x", "z", "y"))],
+        "VariableSet(names=('x', 'y', 'z'))",
     ),
     "AkBasis": (
         AkBasis(1, ((1, 0), (0, 1)), 2, SparseSpan()),
@@ -190,7 +190,7 @@ def test_arguments_are_the_constructor_parameters(cls):
 
 @pytest.mark.parametrize("record, changes", [
     (HilbertVector((1, 2, 1)), {"dims": (1, 2)}),
-    (VariableSet(("x", "y")), {"n_x": 2}),
+    (VariableSet(("x", "y")), {"names": ("x", "x")}),
     (LinearForm.from_coeffs([1, 2]), {"coeffs": (Fraction(0), Fraction(0))}),
     (verdict(), {"known_value": None}),
 ], ids=["HilbertVector", "VariableSet", "LinearForm", "VanishingVerdict"])
