@@ -6,14 +6,21 @@ the monomial derivatives of f, the A_k bases (each the exponents of its
 monomial operators and the span of their derivatives), the Hilbert vector,
 the zero pattern of each (mixed) Hessian, read off supp(f), and its zero
 block, the one structural certificate, the integer kernels of the Hessians,
-and each order's vanishing verdict.  A kernel is the one form of a Hessian
-that evaluation holds; a Hessian's polynomial cells are kept only when
-asked for (`hessian(k, l)`), by exact elimination and the oracles.  A piece
-is computed on its first request by the function or class that defines it
-(`ak_basis`, `hilbert_vector`, `divisor_codes`, `zero_pattern`,
+each order's vanishing verdict, and the sample points.  Trial t's point,
+`point(t)`, is one pure function of (f, seed, t) (`sample_point`): every
+order is evaluated at point 0 and, if zero there, at point 1, exact mode's
+witness search reads the points from DEFAULT_TRIALS on, and the SLP and WLP
+element searches the first GENERIC_TRIALS; one decision prime, drawn by the
+seed, serves every order.  A rank is not taken where a kept verdict already
+proves its order nonzero (`witnessed`), so when point 0 decides every order
+it is the SLP witness, with no evaluation.  A kernel is the one form of a
+Hessian that evaluation holds; a Hessian's polynomial cells are kept only
+when asked for (`hessian(k, l)`), by exact elimination and the oracles.  A
+piece is computed on its first request by the function or class that
+defines it (`ak_basis`, `hilbert_vector`, `divisor_codes`, `zero_pattern`,
 `zero_block`, `key_criterion`, `wlp_obstruction`, `mixed_hessian`,
-`IntMatrix`, `hessian_vanishes`) and reused afterwards, so one report
-decides each higher Hessian once, compiles each Hessian once for the
+`IntMatrix`, `hessian_vanishes`, `sample_point`) and reused afterwards, so
+one report decides each higher Hessian once, compiles each Hessian once for the
 vanishing decision and every multiplication rank (`rank_at`), and reads
 each pattern once for its block, its assembly and its rank ceiling.  Only
 elimination depends on the mode: `in_mode` gives the Analysis of the same
@@ -35,7 +42,7 @@ from typing import Callable, Optional, TypeVar
 
 from .apolar import AkBasis, HilbertVector, ak_basis, hilbert_vector
 from .errors import DegreeRangeError, ZeroPolynomialError
-from .hessian import MODES, Matrix, VanishingVerdict, _eliminated, hessian_vanishes, mixed_hessian
+from .hessian import MODES, Matrix, VanishingVerdict, _eliminated, hessian_vanishes, mixed_hessian, sample_point
 from .lefschetz import ZeroBlock, divisor_codes, key_criterion, wlp_obstruction, zero_block, zero_pattern
 from .polycore import Derivatives, IntMatrix, Poly
 
@@ -119,9 +126,19 @@ class Analysis:
         if self.mode == "exact" and verdict.error_bound is not None:
             key = ("elimination", k)
             if key not in self._memo:
-                self._memo[key] = _eliminated(self, k, self.hessian(k, k), self.kernel(k, k))
+                self._memo[key] = _eliminated(self, self.hessian(k, k), self.kernel(k, k))
             verdict = self._memo[key]
         return verdict
+
+    def point(self, t: int) -> tuple[int, ...]:
+        """Trial t's sample point (`sample_point`), shared by every order,
+        every element search and both modes."""
+        return self._get(("point", t), lambda: sample_point(self.f, self.seed, t))
+
+    def witnessed(self, k: int, point: tuple[int, ...]) -> bool:
+        """Whether a kept verdict proves the order-k Hessian nonzero at `point`."""
+        verdicts = map(self._memo.get, (("verdict", k), ("elimination", k)))
+        return any(v is not None and not v.vanishes and v.witness_point == point for v in verdicts)
 
     def decided(self, k: int) -> bool:
         """Whether order k's vanishing verdict is kept: known without new work."""

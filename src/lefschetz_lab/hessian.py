@@ -11,10 +11,11 @@ mode; the routes are taken in order, and only the last reads the mode:
     neither assembled nor compiled;
   * evaluation: evaluate the matrix's integer kernel (`polycore.IntMatrix`,
     rows scaled to integer coefficients; the form's `Analysis` compiles it
-    once, and this route reads nothing else of the matrix) at seeded integer
-    points, at most two, and take the determinant modulo a prime p
-    drawn at random from [2^60, 2^61) for this decision.  A nonzero residue
-    proves the determinant nonzero over Q, an exact nonvanishing witness.
+    once, and this route reads nothing else of the matrix) at the form's
+    sample points (`an.point(t)`, the same for every order), at most two,
+    and take the determinant modulo the form's decision prime p, drawn at
+    random from [2^60, 2^61) by the seed.  A nonzero residue proves the
+    determinant nonzero over Q, an exact nonvanishing witness.
     The verdict carries it as (point, p, residue), the residue being that
     of the rational determinant (the row scale is divided out mod p), so it
     replays from the matrix alone; the exact value is not computed for the
@@ -24,18 +25,21 @@ mode; the routes are taken in order, and only the last reads the mode:
     to fraction-free elimination of the polynomial matrix over the rational
     function field (fewest-terms pivoting, early exit on a zero
     row/column), which certifies vanishing unconditionally; a nonzero
-    determinant gets its witness from exact evaluation of the kernel at
-    seeded points in ever wider boxes.
+    determinant gets its witness from exact evaluation of the kernel at the
+    sample points from trial DEFAULT_TRIALS on.
 
 A constant matrix (the middle Hessian of even degree) is decided by its
-residue at the all-ones point, exactly; only a zero residue, which p may
-produce for a nonzero value, sends it to the exact integer determinant.
-A probabilistic vanishing verdict, whatever the matrix's size, states its
+residue at point 0, exactly; only a zero residue, which p may produce for
+a nonzero value, sends it to the exact integer determinant.  A
+probabilistic vanishing verdict, whatever the matrix's size, states its
 error bound (1/64)^DEFAULT_TRIALS + ceil(bits(N)/60) / 2^54.  The first term
 is Schwartz-Zippel over F_p, deg/B for each B-wide sample box, multiplied
-over the boxes: t = DEFAULT_TRIALS buys one box of width 64 deg and, when
-its point reads zero and t >= 2, one of width 64^(t-1) deg, as sure as t
-boxes of width 64 deg in two evaluations (every box stays far below p).
+over the boxes: t = DEFAULT_TRIALS buys one box of width 64 D and, when its
+point reads zero and t >= 2, one of width 64^(t-1) D, where D bounds the
+determinant's degree deg at every order (`sample_point`), so at least as
+sure as t boxes of width 64 deg in two evaluations.  The boxes stay below
+p while D < 2^36; a wider box, its residues within twice uniform, misses
+with chance at most 2 deg/p, still below its share while deg < 2^35.
 The second term is the chance that the prime divides the content of a
 nonzero determinant polynomial, whose coefficients are bounded by N, the
 product of the rows' coefficient 1-norms.  The prime is
@@ -48,8 +52,9 @@ mode, eliminates each probabilistic verdict once.  `mixed_hessian` is the
 compute body of `an.kernel(k, l)`, which keeps only the compiled matrix, and
 of `an.hessian(k, l)`, which keeps the polynomial cells for elimination and
 the oracles; `hessian_vanishes` is that of `an.verdict(k)` before
-elimination, and `hessian_matrix` reads `an.hessian(k, k)`.  Called
-directly, the compute bodies bypass the memo and `counts()`.
+elimination, `sample_point` that of `an.point(t)`, and `hessian_matrix`
+reads `an.hessian(k, k)`.  Called directly, the compute bodies bypass the
+memo and `counts()`.
 """
 
 from __future__ import annotations
@@ -57,12 +62,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from . import linalg
 from .errors import DegreeRangeError
-from .polycore import DiffOp, IntMatrix, Monomial, Poly, Record, diff_apply, mono_mul
+from .polycore import DiffOp, IntMatrix, Monomial, Poly, Record, diff_apply, mono_count, mono_mul
 
 if TYPE_CHECKING:
     from .analysis import Analysis
@@ -235,7 +239,7 @@ def hessian_vanishes(an: Analysis, k: int) -> VanishingVerdict:
 
     An order k >= 1 with a zero block certificate (`an.key(k)`) is decided
     by it: exact vanishing, with no Hessian assembled.  Otherwise the kernel
-    the Analysis compiled is evaluated at the Analysis's seed: a nonzero
+    the Analysis compiled is evaluated at its sample points: a nonzero
     residue or value is exact nonvanishing, and zero at every point is
     probabilistic vanishing.  The compute body of `an.verdict(k)`, which
     keeps the result for both modes and, in exact mode, replaces a
@@ -245,8 +249,7 @@ def hessian_vanishes(an: Analysis, k: int) -> VanishingVerdict:
     _require_orders(an.f.degree, k, k)
     if k >= 1 and (cert := an.key(k)) is not None:
         return VanishingVerdict(True, certificate=cert)
-    kernel = an.kernel(k, k)
-    return _det_vanishes(kernel, degree_bound=len(kernel) * (an.f.degree - 2 * k), seed=an.seed, salt=f"hess:{k}")
+    return _det_vanishes(an, k, an.kernel(k, k))
 
 
 def explicit_basis_verdict(an: Analysis, k: int, ops: Sequence[DiffOp]) -> VanishingVerdict:
@@ -257,9 +260,9 @@ def explicit_basis_verdict(an: Analysis, k: int, ops: Sequence[DiffOp]) -> Vanis
     derived = [diff_apply(a, an.f) for a in ops]
     H = _mirrored([diff_apply(a, g) for g in derived[i:]] for i, a in enumerate(ops))
     kernel = IntMatrix(H)
-    verdict = _det_vanishes(kernel, degree_bound=len(H) * (an.f.degree - 2 * k), seed=an.seed, salt=f"hess:{k}")
+    verdict = _det_vanishes(an, k, kernel)
     if an.mode == "exact" and verdict.error_bound is not None:
-        return _eliminated(an, k, H, kernel)
+        return _eliminated(an, H, kernel)
     return verdict
 
 
@@ -312,18 +315,32 @@ def is_cone(an: Analysis) -> ConeReport:
 # -- determinant decisions ---------------------------------------------------
 
 
-def _det_vanishes(kernel: IntMatrix, *, degree_bound: int, seed: int, salt: str) -> VanishingVerdict:
-    """Decide whether the determinant of the compiled matrix `kernel`
-    vanishes, by evaluation.  A nonzero residue or value is exact, and zero
+def sample_point(f: Poly, seed: int, t: int) -> tuple[int, ...]:
+    """Trial t's point, the same for every order of f: its coordinates are
+    drawn by `seed` and t from [1, B_t], B_0 = 64 D and B_t =
+    64^(DEFAULT_TRIALS-1) D for t >= 1.  D bounds the determinant's degree
+    h_k (d-2k) of every order k, without a basis: h_k is at most the number
+    of degree-k monomials.  The compute body of `an.point(t)`."""
+    n, d = len(f.vars), f.degree
+    bound = max(mono_count(n, j) * (d - 2 * j) for j in range(d // 2 + 1))
+    box = 64 * bound if t == 0 else 64 ** (DEFAULT_TRIALS - 1) * bound
+    rng = random.Random(f"point:{seed}:{t}")
+    return tuple(rng.randint(1, box) for _ in range(n))
+
+
+def _det_vanishes(an: Analysis, k: int, kernel: IntMatrix) -> VanishingVerdict:
+    """Decide whether the determinant of `kernel`, an order-k Hessian of
+    `an`'s form compiled, vanishes, by evaluation at the form's shared points
+    mod its decision prime.  A nonzero residue or value is exact, and zero
     at every point probabilistic vanishing with its error bound."""
     size = len(kernel)
     if size == 0:
         raise ValueError("empty matrix")
-    p = _decision_prime(salt, seed)
+    p = _decision_prime(an.seed)
 
-    if degree_bound == 0:
+    if 2 * k == an.f.degree:
         # constant matrix: its determinant is the answer, unconditionally
-        point = (1,) * kernel.nvars
+        point = an.point(0)
         verdict = _witness(kernel, point, p)
         if verdict is not None:
             return verdict
@@ -333,19 +350,16 @@ def _det_vanishes(kernel: IntMatrix, *, degree_bound: int, seed: int, salt: str)
         return VanishingVerdict(True, transcript_hash=_hash_transcript(["constant-matrix", str(size)]))
 
     # the budget of DEFAULT_TRIALS boxes of width 64 deg, spent in at most
-    # two: the first at that width, the second 64^(t-2) times as wide
-    boxes = [64 * degree_bound, 64 ** (DEFAULT_TRIALS - 1) * degree_bound][:DEFAULT_TRIALS]
-    rng_base = f"{salt}:{seed}"
-    for trial, box in enumerate(boxes):
-        rng = random.Random(f"{rng_base}:{trial}")
-        point = tuple(rng.randint(1, box) for _ in range(kernel.nvars))
-        verdict = _witness(kernel, point, p)
+    # two: the shared points 0 and 1, whose boxes are 64 and 64^(t-1) times
+    # D >= deg wide
+    for t in range(min(DEFAULT_TRIALS, 2)):
+        verdict = _witness(kernel, an.point(t), p)
         if verdict is not None:
             return verdict
-    # Schwartz-Zippel over F_p for every box, plus the chance that p
-    # divides the content of a nonzero integer determinant polynomial: at
-    # most bits/60 primes >= 2^60 do, out of more than 2^54 to draw from
-    missed = prod(Fraction(degree_bound, box) for box in boxes)
+    # Schwartz-Zippel over F_p for every box, deg/B <= D/B each, plus the
+    # chance that p divides the content of a nonzero integer determinant
+    # polynomial: at most bits/60 primes >= 2^60 do, out of more than 2^54
+    missed = Fraction(1, 64) ** DEFAULT_TRIALS
     bad_primes = -(-kernel.norm_bound.bit_length() // 60)
     return VanishingVerdict(True, error_bound=missed + Fraction(bad_primes, 2**54))
 
@@ -370,13 +384,11 @@ def _witness(kernel: IntMatrix, point: tuple[int, ...], p: int) -> Optional[Vani
 
 
 @lru_cache(maxsize=256)
-def _decision_prime(salt: str, seed: int) -> int:
-    """A prime drawn uniformly from [2^60, 2^61), determined by salt and seed.
-
-    A draw takes about 0.3 ms, and every form analysed at one seed draws the
-    same few primes (the salt is the order), so the draws are cached.
-    """
-    rng = random.Random(f"prime:{salt}:{seed}")
+def _decision_prime(seed: int) -> int:
+    """The prime that decides every order of a form analysed at `seed`,
+    drawn uniformly from [2^60, 2^61).  A draw takes about 0.3 ms, so each
+    seed's is cached."""
+    rng = random.Random(f"prime:{seed}")
     while True:
         candidate = rng.randrange(2**60 + 1, 2**61, 2)
         if _is_prime(candidate):
@@ -408,27 +420,20 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _eliminated(an: Analysis, k: int, entries: Sequence[Sequence[Poly]], kernel: IntMatrix) -> VanishingVerdict:
-    """The exact verdict, by elimination, on the order-k matrix `entries` of
-    `an`'s form, compiled as `kernel`, which evaluation found zero at every
-    point; exact mode's replacement for the probabilistic verdict."""
+def _eliminated(an: Analysis, entries: Sequence[Sequence[Poly]], kernel: IntMatrix) -> VanishingVerdict:
+    """The exact verdict, by elimination, on a Hessian `entries` of `an`'s
+    form, compiled as `kernel`, which evaluation found zero at every point;
+    exact mode's replacement for the probabilistic verdict."""
     vanishes, transcript, _ = poly_det_vanishes(entries)
     if vanishes:
         return VanishingVerdict(True, transcript_hash=_hash_transcript(transcript), eliminated=True)
-    # nonzero, yet zero at every sampled point: search wider boxes, each
-    # twice the last, until the kernel's determinant is nonzero
-    bound = 64 * len(entries) * (an.f.degree - 2 * k)
-    attempt = 0
-    while True:
-        rng = random.Random(f"witness:hess:{k}:{an.seed}:{attempt}")
-        point = tuple(rng.randint(1, bound) for _ in range(kernel.nvars))
-        value = linalg.det_int(kernel.at(point))
-        if value:
-            return VanishingVerdict(
-                False, witness_point=point, known_value=Fraction(value, kernel.scale), eliminated=True
-            )
-        attempt += 1
-        bound *= 2
+    # nonzero, yet zero at every sampled point: the witness is the first
+    # shared point after the decision's trials at which the kernel's
+    # determinant is nonzero
+    t = DEFAULT_TRIALS
+    while not (value := linalg.det_int(kernel.at(point := an.point(t)))):
+        t += 1
+    return VanishingVerdict(False, witness_point=point, known_value=Fraction(value, kernel.scale), eliminated=True)
 
 
 def _hash_transcript(lines: Sequence[str]) -> str:

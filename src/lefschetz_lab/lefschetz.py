@@ -15,11 +15,15 @@ map: in the Gorenstein algebra of f, L is a weak Lefschetz element exactly
 when L: A_m -> A_(m+1), m = floor((d-1)/2), has maximal rank
 (Migliore-Miro-Roig-Nagel, Trans. AMS 363 (2011), Prop. 2.1), the rank of
 the mixed Hessian of (m, d-1-m) at L (Maeno-Watanabe, Illinois J. Math. 53
-(2009)).  So a nonvanishing hess^m_f settles WLP at its witness point.
-Generic verdicts combine witness searches (`_find_element`: given points,
-then seeded random forms; maximal rank is an open condition, so one success
-settles the generic statement) with structural failure certificates that
-rule out every L at once:
+(2009)).  So a nonvanishing hess^m_f settles WLP at its witness point, and
+likewise L is a strong Lefschetz element exactly when det hess^k_f(L) != 0
+for every k (Maeno-Watanabe): the profile's witnesses, all taken at the
+form's shared sample points (`an.point(t)`), are the SLP check, and
+`rank_at` ranks no order at its own verdict's witness point.  Generic
+verdicts combine witness searches (`_find_element`, over those points;
+maximal rank is an open condition, so one success settles the generic
+statement) with structural failure certificates that rule out every L at
+once:
 
   * a vanishing middle Hessian in odd socle degree,
   * a zero block in the mixed Hessian of (k, d-1-k) too large for
@@ -38,9 +42,8 @@ and `counts()`.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import compress
 from math import lcm
 from operator import mul
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
@@ -139,10 +142,14 @@ def rank_at(an: Analysis, k: int, l: int, L: LinearForm) -> int:
     every point.  A rank mod p that is maximal, min(h_k, h_l), or at that
     ceiling (a never-injective map, say) is the rank over Q; any other is
     taken over Q by elimination and counted in the Analysis's
-    `rational_ranks`.
+    `rational_ranks`.  A pure order (l = k) whose kept verdict has its
+    witness at cL has full rank, h_k, there, and is not evaluated.
     """
     c = lcm(*(x.denominator for x in L.coeffs))
-    matrix = an.kernel(k, l).at(tuple(int(x * c) for x in L.coeffs))
+    point = tuple(int(x * c) for x in L.coeffs)
+    if k == l and an.witnessed(k, point):
+        return len(an.basis(k))
+    matrix = an.kernel(k, l).at(point)
     h_k, h_l = len(matrix), len(matrix[0])
     r = linalg.rank_mod(matrix, RANK_PRIME)
     if r == min(h_k, h_l) or r == h_k + h_l - an.block(k, l).size:
@@ -202,23 +209,11 @@ class LefschetzReport(NamedTuple):
                 "unimodal": self.unimodal, **{key: v for key, v in optional.items() if v is not None}}
 
 
-def _random_linear_form(rng: random.Random, n: int, bound: int) -> LinearForm:
-    while True:
-        coeffs = [rng.randint(-bound, bound) for _ in range(n)]
-        if any(coeffs):
-            return LinearForm.from_coeffs(coeffs)
-
-
-def _find_element(an: Analysis, check: Callable, salt: str,
-                  first: Sequence[Sequence[int]] = ()) -> Optional[tuple[LinearForm, tuple[LevelCheck, ...]]]:
-    """The first element that `check` accepts and its level checks, or None.
-
-    The points `first` come first, then GENERIC_TRIALS nonzero forms with
-    coefficients in [-64(d+1), 64(d+1)], the t-th drawn from `salt:seed:t`.
-    """
-    n, bound = len(an.f.vars), 64 * (an.f.degree + 1)
-    drawn = (_random_linear_form(random.Random(f"{salt}:{an.seed}:{t}"), n, bound) for t in range(GENERIC_TRIALS))
-    for L in chain(map(LinearForm.from_coeffs, first), drawn):
+def _find_element(an: Analysis, check: Callable) -> Optional[tuple[LinearForm, tuple[LevelCheck, ...]]]:
+    """The first of the form's shared points `an.point(t)`, t < GENERIC_TRIALS,
+    that `check` accepts, as a linear form, and its level checks; or None."""
+    for t in range(GENERIC_TRIALS):
+        L = LinearForm.from_coeffs(an.point(t))
         ok, checks = check(an, L)
         if ok:
             return L, tuple(checks)
@@ -228,9 +223,11 @@ def _find_element(an: Analysis, check: Callable, salt: str,
 def slp_generic(an: Analysis) -> LefschetzReport:
     """Generic strong-Lefschetz verdict from the Hessian profile.
 
-    Holds iff no Hessian vanishes identically; the witness is found by
-    testing the nonvanishing verdicts' witness points first and seeded
-    random forms after them (`_find_element`).
+    Holds iff no Hessian vanishes identically (Maeno-Watanabe 2009); the
+    witness is the first shared point at which every order has full rank
+    (`_find_element`).  An order is not ranked at its own verdict's witness
+    point (`rank_at`), so when every order is nonzero at point 0 that point
+    is the witness, read off the profile with no evaluation.
     """
     hv = an.hilbert()
     uni = is_unimodal(hv)
@@ -239,8 +236,7 @@ def slp_generic(an: Analysis) -> LefschetzReport:
     for k, verdict in enumerate(verdicts):
         if verdict.vanishes:
             return _slp_fails(d, hv, k, verdict)
-    points = [v.witness_point for v in verdicts if v.witness_point is not None]
-    found = _find_element(an, slp_check_element, "slp", points)
+    found = _find_element(an, slp_check_element)
     if found is None:
         raise ArithmeticError("all Hessians are nonzero but no witness point was found; "
                               "this contradicts nonvanishing (bug)")
@@ -292,7 +288,7 @@ def wlp_generic(an: Analysis) -> LefschetzReport:
             cert = an.obstruction(k) if hv[k] <= hv[k + 1] else None
             if cert is not None:
                 return fails(k, cert, hv[k])
-        found = _find_element(an, wlp_check_element, "wlp")
+        found = _find_element(an, wlp_check_element)
         if found is None:
             return LefschetzReport("WLP", "undetermined", hv, uni)
         witness = found[0]

@@ -168,7 +168,7 @@ class Poly(Record):
     `_replace`, a copy or pickle rebuild from them through `__init__`.
     """
 
-    __slots__ = ("vars", "_terms", "_hash")
+    __slots__ = ("vars", "_terms", "_hash", "_degree")
 
     def __init__(self, vars: VariableSet, terms: Mapping[Monomial, Scalar]):
         clean: dict[Monomial, Scalar] = {}
@@ -182,6 +182,7 @@ class Poly(Record):
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_degree", None)
 
     @classmethod
     def _trusted(cls, vars: VariableSet, terms: dict[Monomial, Scalar]) -> "Poly":
@@ -194,6 +195,7 @@ class Poly(Record):
         terms = {e: c if type(c) is int or c.denominator != 1 else c.numerator for e, c in terms.items() if c}
         object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_degree", None)
         return self
 
     def _asdict(self) -> dict:
@@ -245,13 +247,16 @@ class Poly(Record):
 
     @property
     def degree(self) -> Optional[int]:
-        """Common degree of all terms; None for the zero polynomial."""
+        """Common degree of all terms; None for the zero polynomial.  Found
+        on first access and kept, -1 standing for "not homogeneous"."""
         if not self._terms:
             return None
-        degrees = {mono_degree(e) for e in self._terms}
-        if len(degrees) != 1:
+        if self._degree is None:
+            degrees = {mono_degree(e) for e in self._terms}
+            object.__setattr__(self, "_degree", degrees.pop() if len(degrees) == 1 else -1)
+        if self._degree < 0:
             raise HomogeneityError("polynomial is not homogeneous")
-        return degrees.pop()
+        return self._degree
 
     def supported_on(self, indices: Iterable[int]) -> bool:
         """True iff every term involves only the given variable indices."""
@@ -500,14 +505,16 @@ class IntMatrix:
     a Hessian is f differentiated by the monomial ab, so few of its cells
     differ.  Each distinct monomial of the matrix is kept once, as a sparse
     exponent: the positions of its variable powers in a per-point power
-    table.  `at(point)` evaluates each monomial and each compiled entry
-    once, then builds each row by lookup: the integer matrix whose row i is
-    row i of the polynomial matrix at `point` times that row's scale.
+    table, which holds only the powers x_i^e that some monomial uses.
+    `at(point)` computes each of those powers, each monomial and each
+    compiled entry once, then builds each row by lookup: the integer matrix
+    whose row i is row i of the polynomial matrix at `point` times that
+    row's scale.
     `scale` is the product of the row scales, so the determinant at the
     point is `det_int(at(point)) / scale`.
     """
 
-    __slots__ = ("nvars", "scale", "norm_bound", "_top", "_monos", "_entries", "_rows")
+    __slots__ = ("nvars", "scale", "norm_bound", "_powers", "_monos", "_entries", "_rows")
 
     def __init__(self, entries: Sequence[Sequence[Poly]]):
         self.nvars = len(entries[0][0].vars) if entries and entries[0] else 0
@@ -554,10 +561,9 @@ class IntMatrix:
             self._rows.append(out)
             self.scale *= denom
             self.norm_bound *= sum(map(norms.__getitem__, out))
-        self._top = top = max((e for expo in monos for e in expo), default=0)
-        self._monos = [
-            tuple(i * top + e - 1 for i, e in enumerate(expo) if e) for expo in monos
-        ]
+        self._powers = sorted({(i, e) for expo in monos for i, e in enumerate(expo) if e})
+        position = {power: j for j, power in enumerate(self._powers)}
+        self._monos = [tuple(position[i, e] for i, e in enumerate(expo) if e) for expo in monos]
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -566,13 +572,7 @@ class IntMatrix:
         """The scaled integer matrix at an integer point."""
         if len(point) != self.nvars:
             raise ValueError(f"point has {len(point)} coordinates, expected {self.nvars}")
-        table: list[int] = []
-        for x in point:
-            power = 1
-            for _ in range(self._top):
-                power *= x
-                table.append(power)
-        power_at = table.__getitem__
+        power_at = [point[i] ** e for i, e in self._powers].__getitem__
         value = [prod(map(power_at, idx)) for idx in self._monos].__getitem__
         entry_at = [0, *(sum(map(mul, coeffs, map(value, monos))) for coeffs, monos in self._entries)]
         return [list(map(entry_at.__getitem__, row)) for row in self._rows]

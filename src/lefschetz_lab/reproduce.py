@@ -48,7 +48,7 @@ from .families import (
     replay_manifest,
 )
 from .hessian import explicit_basis_verdict, is_cone, poly_det_vanishes
-from .lefschetz import _random_linear_form, mult_map, rank_at
+from .lefschetz import LinearForm, mult_map, rank_at
 from .polycore import (
     Poly,
     VariableSet,
@@ -100,6 +100,14 @@ def _named(results: Sequence[tuple[str, bool, str]]) -> tuple[bool, str]:
 
 
 MIDDLE_TRIALS = 20
+
+
+def _random_linear_form(rng: random.Random, n: int, bound: int) -> LinearForm:
+    """A nonzero linear form in n variables, coefficients drawn from [-bound, bound]."""
+    while True:
+        coeffs = [rng.randint(-bound, bound) for _ in range(n)]
+        if any(coeffs):
+            return LinearForm.from_coeffs(coeffs)
 
 
 def _middle_never_injective(inst: FamilyInstance, level: int, config: SuiteConfig) -> tuple[bool, str]:

@@ -588,12 +588,12 @@ class TestOneAnalysisPerForm:
         import lefschetz_lab.hessian as hessian_mod
         from lefschetz_lab.families import gen_wlpodd
 
-        salts = []
+        orders = []
         real = hessian_mod._det_vanishes
 
-        def counting(entries, **kwargs):
-            salts.append(kwargs["salt"])
-            return real(entries, **kwargs)
+        def counting(an, k, kernel):
+            orders.append(k)
+            return real(an, k, kernel)
 
         monkeypatch.setattr(hessian_mod, "_det_vanishes", counting)
         # from its text or its instance, the zero block decides the middle
@@ -601,13 +601,13 @@ class TestOneAnalysisPerForm:
         report = tmp_path / "r.json"
         path = write_instance(gen_wlpodd(4, 7), tmp_path)
         for source in (text_args(gen_wlpodd(4, 7)), ["--in", str(path)]):
-            salts.clear()
+            orders.clear()
             code, out, _ = run(["analyze", *source, "--json", str(report)], capsys)
             assert code == 0
             data = json.loads(report.read_text())
             assert data["hess_profile"][3]["certificate"]["type"] == "zero-block"
             assert data["slp"]["verdict"] == data["wlp"]["verdict"] == "fails"
-            assert salts == [f"hess:{k}" for k in range(3)]
+            assert orders == [0, 1, 2]
             assert data["counts"]["hessian_decisions"] == 4
             assert data["counts"]["certified"] == 1
             assert "hessian[3]      = 0   (exact)" in out and "certified" not in out.replace(str(report), "")

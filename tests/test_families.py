@@ -163,9 +163,9 @@ class TestCarriedAnalysis:
         evaluated = []
         real = hessian_mod._det_vanishes
 
-        def counting(entries, **kwargs):
-            evaluated.append(kwargs["salt"])
-            return real(entries, **kwargs)
+        def counting(an, k, kernel):
+            evaluated.append(k)
+            return real(an, k, kernel)
 
         monkeypatch.setattr(hessian_mod, "_det_vanishes", counting)
         inst = gen_exceptional(3, 5, 2)

@@ -542,9 +542,9 @@ class TestCertaintyFromTheRoute:
         evaluated = []
         real = hessian_mod._det_vanishes
 
-        def counting(entries, **kwargs):
-            evaluated.append(kwargs["salt"])
-            return real(entries, **kwargs)
+        def counting(an, k, kernel):
+            evaluated.append(k)
+            return real(an, k, kernel)
 
         with mock.patch.object(hessian_mod, "_det_vanishes", counting):
             prob_an = Analysis(f, "probabilistic", seed)
@@ -723,13 +723,11 @@ class TestRandomPrime:
     def test_prime_is_deterministic_in_range_and_prime(self):
         import sympy
 
-        for salt in ("hess:1", "hess:3", "classical"):
-            for seed in (0, 1, 7):
-                p = _decision_prime(salt, seed)
-                assert p == _decision_prime(salt, seed)
-                assert 2**60 <= p < 2**61 and sympy.isprime(p)
-        assert len({_decision_prime("hess:1", seed) for seed in range(6)}) == 6
-        assert _decision_prime("hess:1", 0) != _decision_prime("hess:2", 0)
+        for seed in (0, 1, 7):
+            p = _decision_prime(seed)
+            assert p == _decision_prime(seed)
+            assert 2**60 <= p < 2**61 and sympy.isprime(p)
+        assert len({_decision_prime(seed) for seed in range(6)}) == 6
 
     def test_miller_rabin_matches_sympy(self):
         import sympy
@@ -755,7 +753,9 @@ class TestRandomPrime:
     @pytest.mark.parametrize("trials", [0, 1, 2, 5])
     def test_vanishing_bound_is_the_product_over_the_boxes_used(self, monkeypatch, trials):
         # the budget of `trials` boxes of width 64 deg is spent in at most
-        # two evaluations, and the bound multiplies deg/B over the boxes used
+        # two evaluations, and the bound multiplies deg/B over the boxes used;
+        # the shared boxes are 64 D wide and more, and for this cubic in five
+        # variables D = max_j C(4 + j, j) (3 - 2j) = 5 = deg, the order-1 bound
         widths = []
 
         class Recording(random.Random):
@@ -765,8 +765,9 @@ class TestRandomPrime:
 
         monkeypatch.setattr(hessian_mod, "DEFAULT_TRIALS", trials)
         monkeypatch.setattr(hessian_mod, "random", types.SimpleNamespace(Random=Recording))
-        kernel = prob(PERAZZO).kernel(1, 1)
-        verdict = _det_vanishes(kernel, degree_bound=5, seed=0, salt="hess:1")
+        an = prob(PERAZZO)
+        kernel = an.kernel(1, 1)
+        verdict = _det_vanishes(an, 1, kernel)
         boxes = widths[:: kernel.nvars]
         assert len(boxes) == min(trials, 2) and boxes[:1] == [64 * 5][:trials]
         content = Fraction(-(-kernel.norm_bound.bit_length() // 60), 2**54)
@@ -812,12 +813,7 @@ def decide_by_evaluation(f, k, seed):
     """Decide the order-k Hessian in probabilistic mode, by evaluation only,
     on a kernel compiled afresh."""
     entries = prob(f).hessian(k, k)
-    verdict = _det_vanishes(
-        IntMatrix(entries),
-        degree_bound=len(entries) * (f.degree - 2 * k),
-        seed=seed,
-        salt=f"hess:{k}",
-    )
+    verdict = _det_vanishes(Analysis(f, "probabilistic", seed), k, IntMatrix(entries))
     return entries, verdict
 
 
@@ -839,7 +835,7 @@ class TestResidueWitness:
         for k in range(f.degree // 2 + 1):
             entries, verdict = decide_by_evaluation(f, k, seed)
             if not verdict.vanishes:
-                assert verdict.prime == _decision_prime(f"hess:{k}", seed)
+                assert verdict.prime == _decision_prime(seed)
                 assert residue_replays(entries, verdict)
 
     def test_rational_row_scale_is_divided_out(self):
@@ -855,7 +851,7 @@ class TestResidueWitness:
         assert not verdict.vanishes and residue_replays(entries, verdict)
 
     def test_prime_dividing_the_row_scale_keeps_the_value(self):
-        p = _decision_prime("hess:1", 0)
+        p = _decision_prime(0)
         an = prob(fermat_cubic(13, Fraction(1, p)))
         entries = an.hessian(1, 1)
         assert an.kernel(1, 1).scale == p
@@ -927,7 +923,7 @@ class TestWitnessReport:
         assert verdict.det_value == 24**13
 
     def test_constant_matrix_residue_zero_takes_the_value(self, det_int_calls):
-        p = _decision_prime("hess:2", 0)
+        p = _decision_prime(0)
         verdict = hessian_vanishes(prob(fermat_quartic(13, p)), 2)
         assert not verdict.vanishes and verdict.mode == "exact"
         assert verdict.residue is None and verdict.det_value == 24**13 * p

@@ -27,7 +27,6 @@ from lefschetz_lab.lefschetz import (
     LinearForm,
     ZeroBlock,
     key_criterion,
-    _random_linear_form,
     mult_map,
     rank_at,
     slp_check_element,
@@ -38,6 +37,7 @@ from lefschetz_lab.lefschetz import (
     wlp_obstruction,
 )
 from lefschetz_lab.polycore import Poly, VariableSet, diff_apply, eval_poly, mono_basis, parse_poly
+from lefschetz_lab.reproduce import _random_linear_form
 
 from conftest import dense_coords, homogeneous_polys, prob, rational_polys, wlp_check_all_levels
 
@@ -200,17 +200,13 @@ class TestSlpGeneric:
         assert report.verdict == "fails" and report.level == 1
 
     def test_search_gets_past_refused_points(self, monkeypatch):
-        # refuse the profile's witness points and the first two seeded
-        # forms: the first seeded form after them that passes is returned
+        # refuse the first two shared points, where the profile found its
+        # witnesses: the first shared point after them that passes is returned
         f = parse_poly("x^4 + y^4 + z^4", VariableSet(("x", "y", "z")))
         an = prob(f)
-        drawn = [
-            _random_linear_form(random.Random(f"slp:{an.seed}:{t}"), 3, 64 * 5)
-            for t in range(GENERIC_TRIALS)
-        ]
-        refused = set(drawn[:2]) | {
-            LinearForm.from_coeffs(an.verdict(k).witness_point) for k in range(3)
-        }
+        drawn = [LinearForm.from_coeffs(an.point(t)) for t in range(GENERIC_TRIALS)]
+        refused = set(drawn[:2])
+        assert {LinearForm.from_coeffs(an.verdict(k).witness_point) for k in range(3)} <= refused
 
         def check(an, L):
             return (False, []) if L in refused else slp_check_element(an, L)
@@ -218,6 +214,63 @@ class TestSlpGeneric:
         monkeypatch.setattr(lefschetz, "slp_check_element", check)
         expected = next(L for L in drawn[2:] if slp_check_element(an, L)[0])
         assert slp_generic(an).witness == expected
+
+
+class TestSharedPoints:
+    """One sample sequence per form: every order is evaluated at the same
+    points mod one prime, and the SLP witness is read off the profile."""
+
+    @given(homogeneous_polys(max_vars=3, max_degree=5), st.integers(0, 3))
+    @settings(max_examples=30)
+    def test_witness_read_off_the_profile(self, f, seed):
+        import lefschetz_lab.hessian as hessian_mod
+        from lefschetz_lab.analysis import Analysis
+
+        trials = []  # per evaluated order: the (point, prime) of each trial
+        real_det, real_witness = hessian_mod._det_vanishes, hessian_mod._witness
+
+        def deciding(an, k, kernel):
+            trials.append([])
+            return real_det(an, k, kernel)
+
+        def witnessing(kernel, point, p):
+            trials[-1].append((point, p))
+            return real_witness(kernel, point, p)
+
+        an = Analysis(f, "probabilistic", seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hessian_mod, "_det_vanishes", deciding)
+            mp.setattr(hessian_mod, "_witness", witnessing)
+            profile = hess_profile(an)
+        assert {order[0][0] for order in trials} <= {an.point(0)}
+        assert {p for order in trials for _, p in order} <= {hessian_mod._decision_prime(seed)}
+        assert {v.prime for v in profile if v.residue} <= {hessian_mod._decision_prime(seed)}
+        report = slp_generic(an)
+        if any(v.vanishes for v in profile):
+            assert report.verdict == "fails"
+            return
+        assert report.verdict == "holds"
+        assert report.witness in {LinearForm.from_coeffs(an.point(t)) for t in range(GENERIC_TRIALS)}
+        if all(v.witness_point == an.point(0) for v in profile):
+            assert report.witness == LinearForm.from_coeffs(an.point(0))
+        # the oracle: every order ranked afresh at the witness, nothing read off the profile
+        ok, checks = slp_check_element(Analysis(f, "probabilistic", seed), report.witness)
+        assert ok and tuple(checks) == report.levels
+
+    def test_no_evaluation_when_point_zero_decides_every_order(self, monkeypatch):
+        from lefschetz_lab.polycore import IntMatrix
+
+        an = prob(parse_poly("x^4 + y^4 + z^4 + x^2*y*z", VariableSet(("x", "y", "z"))))
+        profile = hess_profile(an)
+        assert all(v.witness_point == an.point(0) for v in profile)
+        evaluated = []
+        real = IntMatrix.at
+        monkeypatch.setattr(IntMatrix, "at", lambda kernel, point: evaluated.append(point) or real(kernel, point))
+        kernels = an.counts()["kernels"]
+        report = slp_generic(an)
+        assert evaluated == [] and an.counts()["kernels"] == kernels
+        assert report.verdict == "holds" and report.witness == LinearForm.from_coeffs(an.point(0))
+        assert [(c.rank, c.required) for c in report.levels] == [(1, 1), (3, 3), (6, 6)]
 
 
 class TestWlpElement:

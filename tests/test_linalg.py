@@ -211,8 +211,9 @@ def pivots_mod_oracle(rows, p):
 
 
 # small primes, where most entries are divisible; the rank prime; two primes
-# the Hessian decisions draw from [2^60, 2^61)
-KERNEL_PRIMES = [2, 3, 5, 7, MERSENNE_61, _decision_prime("hess:1", 0), _decision_prime("hess:2", 1)]
+# of [2^60, 2^61), the range the Hessian decisions draw from, and the one
+# they draw at seed 0
+KERNEL_PRIMES = [2, 3, 5, 7, MERSENNE_61, 1487386706257977359, 1796830922196939599, _decision_prime(0)]
 
 
 def assert_matches_oracle(rows, p):

@@ -83,6 +83,23 @@ class TestParse:
         with pytest.raises(HomogeneityError):
             parse_poly("x^2 + y", XY)
 
+    def test_degree_is_found_once(self, monkeypatch):
+        import lefschetz_lab.polycore as polycore_mod
+
+        f = Poly(XY, {(3, 0): 1, (1, 2): -2})
+        calls = []
+        real = polycore_mod.mono_degree
+        monkeypatch.setattr(polycore_mod, "mono_degree", lambda e: calls.append(e) or real(e))
+        assert [f.degree for _ in range(4)] == [3] * 4
+        assert len(calls) == 2
+        assert Poly(XY, f.coeff_map()) == f and hash(Poly(XY, f.coeff_map())) == hash(f)
+
+    def test_inhomogeneous_degree_raises_on_every_access(self):
+        g = Poly(XY, {(2, 0): 1, (0, 1): 1})
+        for _ in range(3):
+            with pytest.raises(HomogeneityError):
+                g.degree
+
     def test_fraction_coefficients(self):
         f = parse_poly("1/2*x^2 + 3/4*x*y", XY)
         assert f.coefficient((2, 0)) == Fraction(1, 2)
@@ -355,6 +372,18 @@ class TestIntMatrix:
     def test_rejects_a_point_of_the_wrong_length(self):
         with pytest.raises(ValueError):
             IntMatrix([[IKEDA]]).at((1, 2))
+
+    def test_high_powers_match_eval_poly(self):
+        # only the powers the monomials use are built: x^2, x^3999, x^4000
+        # and y, y^3998, y^4000
+        entries = [
+            [parse_poly("x^4000", XY), parse_poly("3*x^3999*y - y^4000", XY)],
+            [parse_poly("x^2*y^3998", XY), Poly.zero(XY)],
+        ]
+        kernel = IntMatrix(entries)
+        assert kernel._powers == [(0, 2), (0, 3999), (0, 4000), (1, 1), (1, 3998), (1, 4000)]
+        for point in ((3, -2), (0, 5), (-7, 1), (2**40, 3)):
+            assert kernel.at(point) == [[eval_poly(e, point) for e in row] for row in entries]
 
 
 @st.composite
