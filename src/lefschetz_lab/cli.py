@@ -165,26 +165,10 @@ def cmd_analyze(args) -> int:
                     if (an.decided(k) or k > 0 and an.key(k) is not None) and (verdict := an.verdict(k)).vanishes), None)
     decided = [v.certificate for v in profile] + [getattr(r, "certificate", None) for r in (slp, wlp)]
     blocks = dict.fromkeys(getattr(c, "certificate", c) for c in decided)  # a verdict's block, or a report's
-    certificates = [c.to_json_dict() for c in blocks if isinstance(c, ZeroBlock)]
+    certificates = [c for c in blocks if isinstance(c, ZeroBlock)]
 
-    report = {
-        "input": {"poly": f.to_text(), "vars": list(vs.names)},
-        "degree": d,
-        "seed": args.seed,
-        "mode": mode,
-        "tool_version": __version__,
-        "hilbert": list(hv.dims),
-        "unimodal": unimodal,
-        "cone": cone.to_json_dict(),
-        "hess_profile": [v.to_json_dict() for v in profile],
-        "slp": slp.to_json_dict() if slp else {"verdict": "undetermined", "reason": "profile capped by --max-k"},
-        "wlp": wlp.to_json_dict(),
-        "certificates": certificates,
-        "counts": an.counts(),
-        "timing_ms": timing,
-    }
-
-    print(f"polynomial      {report['input']['poly']}")
+    slp_verdict = slp.verdict if slp else "undetermined"
+    print(f"polynomial      {f.to_text()}")
     print(f"variables       {', '.join(vs.names)}")
     print(f"degree          {d}")
     print(f"hilbert vector  {tuple(hv.dims)}  unimodal={unimodal}")
@@ -192,7 +176,7 @@ def cmd_analyze(args) -> int:
     for k, verdict in enumerate(profile):
         status = "= 0" if verdict.vanishes else "!= 0"
         print(f"hessian[{k}]      {status}   ({verdict.mode})")
-    slp_line = report["slp"]["verdict"]
+    slp_line = slp_verdict
     if slp and slp.level is not None:
         slp_line += f" at order {slp.level}"
     print(f"strong property {slp_line}")
@@ -203,10 +187,27 @@ def cmd_analyze(args) -> int:
     print(f"certificates    {len(certificates)}")
 
     if args.json_path:
+        # built only when asked for: a small order's det_value evaluates its kernel again
+        report = {
+            "input": {"poly": f.to_text(), "vars": list(vs.names)},
+            "degree": d,
+            "seed": args.seed,
+            "mode": mode,
+            "tool_version": __version__,
+            "hilbert": list(hv.dims),
+            "unimodal": unimodal,
+            "cone": cone.to_json_dict(),
+            "hess_profile": [v.to_json_dict() for v in profile],
+            "slp": slp.to_json_dict() if slp else {"verdict": "undetermined", "reason": "profile capped by --max-k"},
+            "wlp": wlp.to_json_dict(),
+            "certificates": [c.to_json_dict() for c in certificates],
+            "counts": an.counts(),
+            "timing_ms": timing,
+        }
         _write_json(args.json_path, report)
         print(f"report written  {args.json_path}")
 
-    if args.strict and "undetermined" in (report["slp"]["verdict"], wlp.verdict):
+    if args.strict and "undetermined" in (slp_verdict, wlp.verdict):
         return STRICT_UNDETERMINED
     return 0
 

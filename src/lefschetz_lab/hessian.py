@@ -9,17 +9,18 @@ mode; the routes are taken in order, and only the last reads the mode:
   * certificate: for k >= 1, a zero block of the Hessian's pattern, read
     off supp(f) (`an.key(k)`), proves vanishing exactly; the Hessian is then
     neither assembled nor compiled;
-  * evaluation: evaluate the matrix's integer kernel (`polycore.IntMatrix`,
-    rows scaled to integer coefficients; the form's `Analysis` compiles it
-    once, and this route reads nothing else of the matrix) at the form's
-    sample points (`an.point(t)`, the same for every order), at most two,
-    and take the determinant modulo the form's decision prime p, drawn at
+  * evaluation: read the determinant of the matrix's integer kernel
+    (`polycore.IntMatrix`, which owns the kernel's scale and reduction; the
+    form's `Analysis` compiles it once, and this route reads nothing else
+    of the matrix) at the form's sample points (`an.point(t)`, the same for
+    every order), at most two, modulo the form's decision prime p, drawn at
     random from [2^60, 2^61) by the seed.  A nonzero residue proves the
     determinant nonzero over Q, an exact nonvanishing witness.
     The verdict carries it as (point, p, residue), the residue being that
-    of the rational determinant (the row scale is divided out mod p), so it
-    replays from the matrix alone; the exact value is not computed for the
-    decision.  When every residue is zero, the verdict is probabilistic
+    of the rational determinant, so it replays from the matrix alone; the
+    exact value is not computed for the decision.  When p divides the
+    kernel's common scale there is no residue, and the exact value decides
+    the point.  When every point reads zero, the verdict is probabilistic
     vanishing, with its error bound;
   * elimination: in exact mode only, that probabilistic verdict gives way
     to fraction-free elimination of the polynomial matrix over the rational
@@ -30,7 +31,7 @@ mode; the routes are taken in order, and only the last reads the mode:
 
 A constant matrix (the middle Hessian of even degree) is decided by its
 residue at point 0, exactly; only a zero residue, which p may produce for
-a nonzero value, sends it to the exact integer determinant.  A
+a nonzero value, sends it to the exact determinant.  A
 probabilistic vanishing verdict, whatever the matrix's size, states its
 error bound (1/64)^DEFAULT_TRIALS + ceil(bits(N)/60) / 2^54.  The first term
 is Schwartz-Zippel over F_p, deg/B for each B-wide sample box, multiplied
@@ -40,9 +41,10 @@ determinant's degree deg at every order (`sample_point`), so at least as
 sure as t boxes of width 64 deg in two evaluations.  The boxes stay below
 p while D < 2^36; a wider box, its residues within twice uniform, misses
 with chance at most 2 deg/p, still below its share while deg < 2^35.
-The second term is the chance that the prime divides the content of a
-nonzero determinant polynomial, whose coefficients are bounded by N, the
-product of the rows' coefficient 1-norms.  The prime is
+The second term is the chance that the prime divides the content of the
+nonzero integer polynomial s^n det, s the kernel's common scale, whose
+coefficients are bounded by N, the product of the scaled rows'
+coefficient 1-norms.  The prime is
 random, not fixed, because a fixed p can divide that content: 2^61-1
 divides every value of the order-1 Hessian determinant of
 (2^61-1) x0^3 + x1^3 + ... + x12^3.  The Hessians, their kernels, the
@@ -64,7 +66,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
-from . import linalg
 from .errors import DegreeRangeError
 from .polycore import DiffOp, IntMatrix, Monomial, Poly, Record, diff_apply, mono_count, mono_mul
 
@@ -94,8 +95,8 @@ class VanishingVerdict(Record):
     A nonvanishing verdict found by evaluation carries the witness
     (witness_point, prime, residue): residue = det H(witness_point) mod prime
     is nonzero, which proves det H != 0 over Q.  A witness whose prime
-    divides the kernel's row scale, or one found after elimination by exact
-    evaluation of the kernel, keeps the exact value instead.  `det_value`
+    divides the kernel's common scale, or one found after elimination by
+    exact evaluation of the kernel, keeps the exact value instead.  `det_value`
     is the exact determinant at the witness point for every nonvanishing
     verdict; unless the decision kept it, it is computed from the witness
     matrix on first access.  The JSON form shows it only up to size
@@ -158,8 +159,7 @@ class VanishingVerdict(Record):
         if self.known_value is not None or self.kernel is None:
             return self.known_value
         if self._det_value is None:
-            matrix = self.kernel.at(self.witness_point)
-            object.__setattr__(self, "_det_value", Fraction(linalg.det_int(matrix), self.kernel.scale))
+            object.__setattr__(self, "_det_value", self.kernel.det(self.witness_point))
         return self._det_value
 
     def to_json_dict(self) -> dict:
@@ -344,7 +344,7 @@ def _det_vanishes(an: Analysis, k: int, kernel: IntMatrix) -> VanishingVerdict:
         verdict = _witness(kernel, point, p)
         if verdict is not None:
             return verdict
-        value = Fraction(linalg.det_int(kernel.at(point)), kernel.scale)
+        value = kernel.det(point)
         if value:  # p divides the nonzero determinant
             return VanishingVerdict(False, witness_point=point, known_value=value)
         return VanishingVerdict(True, transcript_hash=_hash_transcript(["constant-matrix", str(size)]))
@@ -365,22 +365,19 @@ def _det_vanishes(an: Analysis, k: int, kernel: IntMatrix) -> VanishingVerdict:
 
 
 def _witness(kernel: IntMatrix, point: tuple[int, ...], p: int) -> Optional[VanishingVerdict]:
-    """The nonvanishing verdict at `point` if the kernel's integer determinant
-    there is nonzero mod p; None otherwise.
+    """The nonvanishing verdict at `point` if the kernel's determinant there
+    is nonzero mod p; None otherwise.
 
-    The residue reported is that of the rational determinant, the integer one
-    over the kernel's scale.  When p divides the scale that residue is
-    undefined, and the exact value is kept instead.
+    The residue is that of the rational determinant (`IntMatrix.det_mod`).
+    When p divides the kernel's common scale there is none, and the exact
+    value decides instead: the verdict keeps it when it is nonzero.
     """
-    matrix = kernel.at(point)
-    residue = linalg.det_mod(matrix, p)
-    if not residue:
-        return None
-    if kernel.scale % p:
-        residue = residue * pow(kernel.scale, -1, p) % p
+    residue = kernel.det_mod(point, p)
+    if residue:
         return VanishingVerdict(False, witness_point=point, prime=p, residue=residue, kernel=kernel)
-    value = Fraction(linalg.det_int(matrix), kernel.scale)
-    return VanishingVerdict(False, witness_point=point, known_value=value)
+    if residue is None and (value := kernel.det(point)):
+        return VanishingVerdict(False, witness_point=point, known_value=value)
+    return None
 
 
 @lru_cache(maxsize=256)
@@ -431,9 +428,9 @@ def _eliminated(an: Analysis, entries: Sequence[Sequence[Poly]], kernel: IntMatr
     # shared point after the decision's trials at which the kernel's
     # determinant is nonzero
     t = DEFAULT_TRIALS
-    while not (value := linalg.det_int(kernel.at(point := an.point(t)))):
+    while not (value := kernel.det(point := an.point(t))):
         t += 1
-    return VanishingVerdict(False, witness_point=point, known_value=Fraction(value, kernel.scale), eliminated=True)
+    return VanishingVerdict(False, witness_point=point, known_value=value, eliminated=True)
 
 
 def _hash_transcript(lines: Sequence[str]) -> str:

@@ -3,14 +3,14 @@
 The rank of multiplication by L^(d-k-l): A_k -> A_(d-l) is the rank of the
 mixed Hessian (a_i b_j (f)) evaluated at the coefficients of L, so every
 multiplication rank is taken by `rank_at`, over the Hessians its form's
-`Analysis` assembles once.  The Hessian is evaluated through its integer
-kernel (`polycore.IntMatrix`, compiled once by the Analysis) at L scaled to
-integers and ranked modulo 2^61-1; a maximal rank there is the rank over Q,
-and so is one at the ceiling the map's zero block puts on it; only a rank
-below both is recomputed exactly.  The
-explicit multiplication matrix (`mult_map`) is the independent reference for
-those ranks: it applies L, k times, to each basis derivative and solves the
-result in the target space, never reading a Hessian.  WLP is decided on one
+`Analysis` assembles once.  The Hessian's integer kernel
+(`polycore.IntMatrix`, compiled once by the Analysis) ranks it at L scaled
+to integers modulo 2^61-1; a maximal rank there is the rank over Q, and so
+is one at the ceiling the map's zero block puts on it; only a rank below
+both is taken again over Q.  The explicit multiplication matrix
+(`mult_map`) is the independent reference for those ranks: it applies L,
+k times, to each basis derivative and solves the result in the target
+space, never reading a Hessian.  WLP is decided on one
 map: in the Gorenstein algebra of f, L is a weak Lefschetz element exactly
 when L: A_m -> A_(m+1), m = floor((d-1)/2), has maximal rank
 (Migliore-Miro-Roig-Nagel, Trans. AMS 363 (2011), Prop. 2.1), the rank of
@@ -133,9 +133,9 @@ class LevelCheck(NamedTuple):
 def rank_at(an: Analysis, k: int, l: int, L: LinearForm) -> int:
     """Rank of L^(d-k-l): A_k -> A_(d-l), from the mixed Hessian at L.
 
-    The Hessian's kernel, read from the Analysis, has its rows scaled to
-    integer coefficients, and L is scaled to the integer point cL;
-    H(cL) = c^(d-k-l) H(L), so neither changes the rank.  The rank is first
+    The Hessian's kernel, read from the Analysis, ranks it at the integer
+    point cL; H(cL) = c^(d-k-l) H(L), so that does not change the rank,
+    and neither does the kernel's own scale.  The rank is first
     taken modulo RANK_PRIME; reduction mod a prime can only lower it, so the
     rank over Q lies between that and the structural rank of the pattern of
     (k, l), h_k + h_l less the size of its zero block, which bounds it at
@@ -149,13 +149,13 @@ def rank_at(an: Analysis, k: int, l: int, L: LinearForm) -> int:
     point = tuple(int(x * c) for x in L.coeffs)
     if k == l and an.witnessed(k, point):
         return len(an.basis(k))
-    matrix = an.kernel(k, l).at(point)
-    h_k, h_l = len(matrix), len(matrix[0])
-    r = linalg.rank_mod(matrix, RANK_PRIME)
+    kernel = an.kernel(k, l)
+    h_k, h_l = len(kernel), kernel.ncols
+    r = kernel.rank_mod(point, RANK_PRIME)
     if r == min(h_k, h_l) or r == h_k + h_l - an.block(k, l).size:
         return r
     an.rational_ranks += 1
-    return linalg.rank(matrix)
+    return kernel.rank(point)
 
 
 def slp_check_element(an: Analysis, L: LinearForm) -> tuple[bool, list[LevelCheck]]:

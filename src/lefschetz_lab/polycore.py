@@ -7,8 +7,9 @@ upper-cased, so ``x0 -> X0``, ``u1 -> U1``); `diff_apply` lets an operator act
 by plain partial differentiation, position by position.  `IntMatrix`
 compiles a matrix of polynomials once for evaluation at integer points: the
 one evaluation kernel behind the Hessian determinant decisions and the
-Lefschetz ranks (`eval_poly`, which no production path calls, is the tests'
-rational reference for it).
+Lefschetz ranks, and the one reader of its determinants and ranks at a
+point (`eval_poly`, which no production path calls, is the tests' rational
+reference for it).
 
 Conventions baked in here and relied on everywhere else:
 
@@ -495,47 +496,33 @@ def eval_poly(f: Poly, point: Sequence[Scalar]) -> Fraction:
 class IntMatrix:
     """A matrix of polynomials compiled for evaluation at integer points.
 
-    Row i is scaled by its row scale, the lcm of its coefficient
-    denominators, so every term becomes an int coefficient times a monomial.
-    Each distinct entry is compiled once, scaled by its own denominator, into
-    one list of entries, and each row is a list of positions in that list;
-    position 0 is the zero entry.  A row whose scale is larger than some of
-    its entries' denominators (only a rational form has such rows) uses a
-    copy of each, compiled once per (entry, row scale) pair.  Cell (a, b) of
-    a Hessian is f differentiated by the monomial ab, so few of its cells
+    Every entry is scaled by one common scale s, the lcm of all of the
+    matrix's coefficient denominators (1 for an integral form), so every term
+    becomes an int coefficient times a monomial.  Each distinct entry is
+    compiled once into one list of entries, and each row is a list of
+    positions in that list; position 0 is the zero entry.  Cell (a, b) of a
+    Hessian is f differentiated by the monomial ab, so few of its cells
     differ.  Each distinct monomial of the matrix is kept once, as a sparse
     exponent: the positions of its variable powers in a per-point power
     table, which holds only the powers x_i^e that some monomial uses.
     `at(point)` computes each of those powers, each monomial and each
     compiled entry once, then builds each row by lookup: the integer matrix
-    whose row i is row i of the polynomial matrix at `point` times that
-    row's scale.
-    `scale` is the product of the row scales, so the determinant at the
-    point is `det_int(at(point)) / scale`.
+    s times the polynomial matrix at `point`.
+
+    The scale is this class's format alone: the determinant over Q (`det`),
+    its residue mod a prime (`det_mod`) and the rank over Q or mod a prime
+    (`rank`, `rank_mod`) at a point are read here, each through `linalg`.
+    `norm_bound`, the product of the scaled rows' coefficient 1-norms,
+    bounds every coefficient of s^n times the determinant polynomial.
     """
 
-    __slots__ = ("nvars", "scale", "norm_bound", "_powers", "_monos", "_entries", "_rows")
+    __slots__ = ("nvars", "ncols", "scale", "norm_bound", "_powers", "_monos", "_entries", "_rows")
 
     def __init__(self, entries: Sequence[Sequence[Poly]]):
         self.nvars = len(entries[0][0].vars) if entries and entries[0] else 0
-        monos: dict[Monomial, int] = {}
-        # from position 1 on: (int coefficients, monomial positions)
-        self._entries: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        norms = [0]  # the coefficient 1-norm at each position
-        positions: dict[int, int] = {}  # id(entry) -> position, scaled by its own denominator
-        denoms: dict[int, int] = {}  # position -> the denominator of its entry, where not 1
-        rescaled: dict[tuple[int, int], int] = {}  # (id(entry), row scale) -> position
-
-        def compiled(entry: Poly, denom: int) -> int:
-            coeffs = tuple(c.numerator * (denom // c.denominator) for c in entry._terms.values())
-            self._entries.append((coeffs, tuple(monos.setdefault(e, len(monos)) for e in entry._terms)))
-            norms.append(sum(map(abs, coeffs)))
-            return len(norms) - 1
-
-        self.scale = 1
-        # product over rows of the summed |coefficients|: a bound on every
-        # coefficient of the (scaled) determinant polynomial
-        self.norm_bound = 1
+        self.ncols = len(entries[0]) if entries else 0
+        positions: dict[int, int] = {}  # id(entry) -> position
+        distinct: list[Poly] = []  # the entries at positions 1, 2, ...
         self._rows = []
         for row in entries:
             out = []
@@ -544,23 +531,21 @@ class IntMatrix:
                 if pos is None:
                     pos = 0
                     if entry._terms:
-                        denom = lcm(*(c.denominator for c in entry._terms.values()))
-                        pos = compiled(entry, denom)
-                        if denom > 1:
-                            denoms[pos] = denom
+                        distinct.append(entry)
+                        pos = len(distinct)
                     positions[id(entry)] = pos
                 out.append(pos)
-            denom = lcm(*map(denoms.__getitem__, denoms.keys() & out)) if denoms else 1
-            if denom > 1:
-                for i, (entry, pos) in enumerate(zip(row, out)):
-                    if pos and denoms.get(pos) != denom:
-                        key = (id(entry), denom)
-                        if key not in rescaled:
-                            rescaled[key] = compiled(entry, denom)
-                        out[i] = rescaled[key]
             self._rows.append(out)
-            self.scale *= denom
-            self.norm_bound *= sum(map(norms.__getitem__, out))
+        self.scale = s = lcm(*{c.denominator for entry in distinct for c in entry._terms.values()})
+        monos: dict[Monomial, int] = {}
+        # from position 1 on: (int coefficients, monomial positions)
+        self._entries: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        norms = [0]  # the coefficient 1-norm at each position
+        for entry in distinct:
+            coeffs = tuple(c.numerator * (s // c.denominator) for c in entry._terms.values())
+            self._entries.append((coeffs, tuple(monos.setdefault(e, len(monos)) for e in entry._terms)))
+            norms.append(sum(map(abs, coeffs)))
+        self.norm_bound = prod(sum(map(norms.__getitem__, row)) for row in self._rows)
         self._powers = sorted({(i, e) for expo in monos for i, e in enumerate(expo) if e})
         position = {power: j for j, power in enumerate(self._powers)}
         self._monos = [tuple(position[i, e] for i, e in enumerate(expo) if e) for expo in monos]
@@ -576,6 +561,27 @@ class IntMatrix:
         value = [prod(map(power_at, idx)) for idx in self._monos].__getitem__
         entry_at = [0, *(sum(map(mul, coeffs, map(value, monos))) for coeffs, monos in self._entries)]
         return [list(map(entry_at.__getitem__, row)) for row in self._rows]
+
+    def det(self, point: Sequence[int]) -> Fraction:
+        """The determinant over Q at `point`, of a square matrix."""
+        return Fraction(linalg.det_int(self.at(point)), self.scale ** len(self))
+
+    def det_mod(self, point: Sequence[int], p: int) -> Optional[int]:
+        """The determinant at `point` mod the prime p, in range(p); None when
+        p divides the scale, which makes the scaled determinant 0 mod p
+        whatever the determinant over Q."""
+        if not self.scale % p:
+            return None
+        return linalg.det_mod(self.at(point), p) * pow(self.scale, -len(self), p) % p
+
+    def rank(self, point: Sequence[int]) -> int:
+        """The rank over Q at `point`."""
+        return linalg.rank(self.at(point))
+
+    def rank_mod(self, point: Sequence[int], p: int) -> int:
+        """The rank mod the prime p of the scaled matrix at `point`: at most
+        the rank over Q, and equal to it for all but finitely many p."""
+        return linalg.rank_mod(self.at(point), p)
 
 
 def linear_change(f: Poly, matrix: Sequence[Sequence[Scalar]]) -> Poly:

@@ -857,6 +857,27 @@ class TestKernels:
         assert data["slp"]["verdict"] == "undetermined" and data["wlp"]["verdict"] == "holds"
         assert data["counts"]["kernels"] == len(compiled) == len(set(compiled)) == 3
 
+    def test_one_evaluation_per_order_without_json(self, capsys, monkeypatch, tmp_path):
+        """Without --json no report is built, so no order's det_value
+        evaluates its kernel a second time; with it, stdout gains one line."""
+        from lefschetz_lab.polycore import IntMatrix
+
+        calls = []
+        real = IntMatrix.at
+
+        def counting(self, point):
+            calls.append(len(self))
+            return real(self, point)
+
+        monkeypatch.setattr(IntMatrix, "at", counting)
+        args = ["analyze", "--poly", "x^600 + y^600", "--vars", "x,y"]
+        code, out, _ = run(args, capsys)
+        assert code == 0 and len(calls) == 301
+        report = tmp_path / "r.json"
+        code, with_json, _ = run(args + ["--json", str(report)], capsys)
+        assert code == 0 and len(calls) == 301 + 2 * 301
+        assert with_json == out + f"report written  {report}\n"
+
 
 class TestWitnessReplayFromReport:
     @pytest.mark.parametrize("source", ["dense-octic", "wlpodd-6-7"])

@@ -8,7 +8,7 @@ DEFAULT_EXACT_CUTOFF (the 14-variable Fermat cubic), the constant middle
 Hessian (the quartic, order 2) and, on wlpodd(4,5) after a shear of one
 u-row, which leaves no zero block, elimination in exact mode and the error
 bound in probabilistic mode.  The cubic, the perazzo cubic and the sheared
-form recur with rational coefficients, so a row scale above 1 reaches every
+form recur with rational coefficients, so a common scale above 1 reaches every
 route they take.
 
 Re-record after a deliberate change of the reports with

@@ -7,6 +7,7 @@ import sympy
 from hypothesis import given
 import hypothesis.strategies as st
 
+from lefschetz_lab import linalg
 from lefschetz_lab.errors import (
     HomogeneityError,
     PolyParseError,
@@ -294,8 +295,6 @@ class TestLinearChange:
             [data.draw(st.integers(-3, 3)) for _ in range(n)]
             for _ in range(n)
         ]
-        from lefschetz_lab import linalg
-
         if linalg.det(m) == 0:
             return
         point = [data.draw(st.integers(-3, 3)) for _ in range(n)]
@@ -332,15 +331,33 @@ def rational_poly_matrices(draw):
 class TestIntMatrix:
     @given(rational_poly_matrices())
     def test_matches_eval_poly_after_row_scaling(self, case):
+        # every row is scaled by one common scale: the lcm of all denominators
         entries, point = case
         kernel = IntMatrix(entries)
-        values = kernel.at(point)
-        scale = 1
-        for row, out in zip(entries, values):
-            row_scale = lcm(*(c.denominator for e in row for c in e.coeff_map().values()))
-            assert out == [eval_poly(e, point) * row_scale for e in row]
-            scale *= row_scale
+        scale = lcm(*(c.denominator for row in entries for e in row for c in e.coeff_map().values()))
         assert kernel.scale == scale
+        assert kernel.at(point) == [[eval_poly(e, point) * scale for e in row] for row in entries]
+
+    @given(rational_poly_matrices(), st.sampled_from((2, 3, 5, 7, 2**61 - 1)))
+    def test_determinant_and_ranks_match_the_rational_matrix(self, case, p):
+        # denominators up to 6 make 2, 3 and 5 divide the scale in many cases
+        entries, point = case
+        kernel = IntMatrix(entries)
+        values = [[eval_poly(e, point) for e in row] for row in entries]
+        rank = linalg.rank(values)
+        assert kernel.rank(point) == rank
+        if kernel.scale % p:
+            residues = [[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in values]
+            assert kernel.rank_mod(point, p) == linalg.rank_mod(residues, p) <= rank
+        else:
+            assert kernel.rank_mod(point, p) <= rank
+        if len(values) == len(values[0]):
+            det = linalg.det(values)
+            assert kernel.det(point) == det
+            if kernel.scale % p:
+                assert kernel.det_mod(point, p) == det.numerator * pow(det.denominator, -1, p) % p
+            else:
+                assert kernel.det_mod(point, p) is None
 
     def test_norm_bound_is_the_product_of_row_norms(self):
         vs = XY
@@ -348,12 +365,12 @@ class TestIntMatrix:
             [parse_poly("1/2*x - y", vs), parse_poly("3*y", vs)],
             [parse_poly("x^2", vs), Poly.zero(vs)],
         ]
-        # row scales 2 and 1: |1| + |-2| + |6| = 9 and |1| = 1
-        assert IntMatrix(entries).norm_bound == 9
+        # common scale 2: |1| + |-2| + |6| = 9 and |2| = 2
+        assert IntMatrix(entries).norm_bound == 18
 
     def test_one_poly_in_rows_of_different_scale(self):
-        # the same Poly object is compiled once per row scale: its integers
-        # differ between the row of scale 2, that of scale 1 and that of scale 3
+        # rows whose own denominators are 2, 1 and 3 share the common scale
+        # 6, so the same Poly object is compiled once, into one integer entry
         vs = XY
         shared, zero = parse_poly("x + 3*y", vs), Poly.zero(vs)
         entries = [
@@ -362,12 +379,12 @@ class TestIntMatrix:
             [parse_poly("1/3*y", vs), zero, shared],
         ]
         kernel = IntMatrix(entries)
+        assert len(kernel._entries) == 4
         for point in ((2, 5), (-3, 7)):
-            expected = [[eval_poly(e, point) * s for e in row] for row, s in zip(entries, (2, 1, 3))]
-            assert kernel.at(point) == expected
+            assert kernel.at(point) == [[eval_poly(e, point) * 6 for e in row] for row in entries]
         assert kernel.scale == 6
-        # row norms: |2| + |6| + |1|, |1| + |3| + |1|, |1| + |3| + |9|
-        assert kernel.norm_bound == 9 * 5 * 13
+        # row norms at scale 6: |6| + |18| + |3|, |6| + |18| + |6|, |2| + |6| + |18|
+        assert kernel.norm_bound == 27 * 30 * 26
 
     def test_rejects_a_point_of_the_wrong_length(self):
         with pytest.raises(ValueError):
