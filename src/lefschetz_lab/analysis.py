@@ -11,8 +11,9 @@ each order's vanishing verdict, and the sample points.  Trial t's point,
 order is evaluated at point 0 and, if zero there, at point 1, exact mode's
 witness search reads the points from DEFAULT_TRIALS on, and the SLP and WLP
 element searches the first GENERIC_TRIALS; one decision prime, drawn by the
-seed, serves every order.  A rank is not taken where a kept verdict already
-proves its order nonzero (`witnessed`), so when point 0 decides every order
+seed (`prime`), serves every order and every multiplication rank.  A rank
+is not taken where a kept verdict already proves its order nonzero
+(`witnessed`), so when point 0 decides every order
 it is the SLP witness, with no evaluation.  A kernel is the one form of a
 Hessian that evaluation holds; a Hessian's polynomial cells are kept only
 when asked for (`hessian(k, l)`), by exact elimination and the oracles.  A
@@ -42,7 +43,9 @@ from typing import Callable, Optional, TypeVar
 
 from .apolar import AkBasis, HilbertVector, ak_basis, hilbert_vector
 from .errors import DegreeRangeError, ZeroPolynomialError
-from .hessian import MODES, Matrix, VanishingVerdict, _eliminated, hessian_vanishes, mixed_hessian, sample_point
+from .hessian import (
+    MODES, Matrix, VanishingVerdict, _decision_prime, _eliminated, hessian_vanishes, mixed_hessian, sample_point,
+)
 from .lefschetz import ZeroBlock, divisor_codes, key_criterion, wlp_obstruction, zero_block, zero_pattern
 from .polycore import Derivatives, IntMatrix, Poly
 
@@ -62,6 +65,9 @@ class Analysis:
         self.f = f
         self.mode = mode
         self.seed = seed
+        # the decision prime, drawn by the seed: every order's residue and
+        # every multiplication rank (`rank_at`) are read mod it
+        self.prime = _decision_prime(seed)
         self._memo: dict[tuple, object] = {}
         self._reused = 0
         self.derivatives = Derivatives(f)

@@ -102,6 +102,15 @@ def _write_json(path: str, data) -> None:
         fh.write("\n")
 
 
+def _check_writable(path: str) -> None:
+    """Refuse a report path that cannot be written, before the work it
+    would report: a folder, a missing or unwritable folder, or an
+    unwritable file."""
+    target = path if os.path.exists(path) else os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.access(target, os.W_OK):
+        raise LefschetzLabError(f"cannot write the JSON report to {path!r}")
+
+
 def _load_input(args) -> tuple[str, VariableSet]:
     from .polycore import VariableSet
 
@@ -187,7 +196,6 @@ def cmd_analyze(args) -> int:
     print(f"certificates    {len(certificates)}")
 
     if args.json_path:
-        # built only when asked for: a small order's det_value evaluates its kernel again
         report = {
             "input": {"poly": f.to_text(), "vars": list(vs.names)},
             "degree": d,
@@ -259,6 +267,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if args.seed is None:
             args.seed = _default_seed()
+        if getattr(args, "json_path", None):
+            _check_writable(args.json_path)
         code = {"analyze": cmd_analyze, "generate": cmd_generate, "reproduce": cmd_reproduce}[args.command](args)
         if sys.stdout is None:  # fd 1 was closed at start-up, so print() wrote nothing
             return 1

@@ -14,14 +14,16 @@ mode; the routes are taken in order, and only the last reads the mode:
     form's `Analysis` compiles it once, and this route reads nothing else
     of the matrix) at the form's sample points (`an.point(t)`, the same for
     every order), at most two, modulo the form's decision prime p, drawn at
-    random from [2^60, 2^61) by the seed.  A nonzero residue proves the
-    determinant nonzero over Q, an exact nonvanishing witness.
+    random from [2^60, 2^61) by the seed (`an.prime`).  A nonzero residue
+    proves the determinant nonzero over Q, an exact nonvanishing witness.
     The verdict carries it as (point, p, residue), the residue being that
-    of the rational determinant, so it replays from the matrix alone; the
-    exact value is not computed for the decision.  When p divides the
-    kernel's common scale there is no residue, and the exact value decides
-    the point.  When every point reads zero, the verdict is probabilistic
-    vanishing, with its error bound;
+    of the rational determinant, so it replays from the matrix alone.  Each
+    point is evaluated once: a kernel of at most DEFAULT_EXACT_CUTOFF rows
+    gives the exact value, which the verdict keeps and the residue is read
+    off; a larger one gives the residue alone.  When there is no residue
+    (p divides the value's denominator, or the larger kernel's common
+    scale), the exact value decides the point.  When every point reads
+    zero, the verdict is probabilistic vanishing, with its error bound;
   * elimination: in exact mode only, that probabilistic verdict gives way
     to fraction-free elimination of the polynomial matrix over the rational
     function field (fewest-terms pivoting, early exit on a zero
@@ -73,7 +75,7 @@ if TYPE_CHECKING:
     from .analysis import Analysis
     from .lefschetz import ZeroBlock
 
-DEFAULT_EXACT_CUTOFF = 12  # the largest verdict whose JSON shows det_value
+DEFAULT_EXACT_CUTOFF = 12  # the largest kernel whose witness keeps its det_value
 DEFAULT_TRIALS = 5
 MODES = ("probabilistic", "exact")
 
@@ -94,16 +96,18 @@ class VanishingVerdict(Record):
 
     A nonvanishing verdict found by evaluation carries the witness
     (witness_point, prime, residue): residue = det H(witness_point) mod prime
-    is nonzero, which proves det H != 0 over Q.  A witness whose prime
-    divides the kernel's common scale, or one found after elimination by
-    exact evaluation of the kernel, keeps the exact value instead.  `det_value`
-    is the exact determinant at the witness point for every nonvanishing
-    verdict; unless the decision kept it, it is computed from the witness
-    matrix on first access.  The JSON form shows it only up to size
-    DEFAULT_EXACT_CUTOFF and the prime and residue above that.  A value
-    with more digits than the interpreter converts to text is shown by the
-    prime and residue too, or, without a residue, by the bit length of its
-    numerator (`det_value_bits`).
+    is nonzero, which proves det H != 0 over Q.  `det_value`, the exact
+    determinant at the witness point, is kept when the decision read it: for
+    a kernel of at most DEFAULT_EXACT_CUTOFF rows, whose one evaluation gives
+    both, for a witness whose prime divides the kernel's common scale (there
+    is no residue then), and for one found after elimination by exact
+    evaluation.  A larger verdict with a residue holds no value; the value
+    there is `an.kernel(k, k).det(witness_point)`.  Every nonvanishing
+    verdict holds a nonzero residue or a nonzero value.  The JSON form shows
+    the value when the verdict holds it, and the prime and residue
+    otherwise; a value with more digits than the interpreter converts to
+    text is shown by the prime and residue too, or, without a residue, by
+    the bit length of its numerator (`det_value_bits`).
 
     A vanishing verdict names the route that decided it: the zero block
     `certificate`, the hash of the elimination (or constant-matrix)
@@ -112,17 +116,12 @@ class VanishingVerdict(Record):
     exactly when it states an `error_bound`, else "exact", so every
     nonvanishing verdict is exact.  `eliminated` records whether polynomial
     elimination ran; it is not part of the serialized verdict.
-    `kernel`, the compiled matrix that gives the exact value at the witness
-    point on demand when the decision did not keep it (`known_value`), is
-    left out of equality, hash and repr (`_fields`); a copy or pickle
-    carries it, and computes the exact value anew.
     """
 
     __slots__ = (
         "vanishes", "witness_point", "prime", "residue", "error_bound",
-        "transcript_hash", "certificate", "eliminated", "known_value", "kernel", "_det_value",
+        "transcript_hash", "certificate", "eliminated", "det_value",
     )
-    _fields = __slots__[:-2]  # neither the kernel nor its cached value
 
     def __init__(
         self,
@@ -134,47 +133,34 @@ class VanishingVerdict(Record):
         transcript_hash: Optional[str] = None,
         certificate: Optional[ZeroBlock] = None,
         eliminated: bool = False,
-        known_value: Optional[Fraction] = None,
-        kernel: Optional[IntMatrix] = None,
+        det_value: Optional[Fraction] = None,
     ):
         if not vanishes and witness_point is None:
             raise ValueError("nonvanishing verdict requires a witness point")
-        if not vanishes and known_value is None and (not residue or kernel is None):
-            raise ValueError("nonvanishing verdict requires a nonzero residue or its value")
+        if not vanishes and not (residue or det_value):
+            raise ValueError("nonvanishing verdict requires a nonzero residue or value")
         if certificate is not None and not (vanishes and error_bound is None):
             raise ValueError("a zero block proves exact vanishing only")
         Record.__init__(
             self, vanishes, witness_point, prime, residue, error_bound,
-            transcript_hash, certificate, eliminated, known_value, kernel,
+            transcript_hash, certificate, eliminated, det_value,
         )
-        object.__setattr__(self, "_det_value", None)  # computed from the kernel on first access
 
     @property
     def mode(self) -> str:
         return "exact" if self.error_bound is None else "probabilistic"
 
-    @property
-    def det_value(self) -> Optional[Fraction]:
-        """det H(witness_point) over Q; None for a vanishing verdict."""
-        if self.known_value is not None or self.kernel is None:
-            return self.known_value
-        if self._det_value is None:
-            object.__setattr__(self, "_det_value", self.kernel.det(self.witness_point))
-        return self._det_value
-
     def to_json_dict(self) -> dict:
         out: dict = {"vanishes": self.vanishes, "mode": self.mode}
         if self.witness_point is not None:
             out["witness_point"] = list(self.witness_point)
-        value = None if self.residue and len(self.kernel) > DEFAULT_EXACT_CUTOFF else self.det_value
-        text = None if value is None else _decimal(value)
+        text = None if self.det_value is None else _decimal(self.det_value)
         if text is not None:
             out["det_value"] = text
         elif self.residue:
-            out["prime"] = self.prime
-            out["residue"] = self.residue
-        elif value is not None:
-            out["det_value_bits"] = abs(value.numerator).bit_length()
+            out.update(prime=self.prime, residue=self.residue)
+        elif self.det_value is not None:
+            out["det_value_bits"] = abs(self.det_value.numerator).bit_length()
         if self.error_bound is not None:
             out["error_bound"] = str(self.error_bound)
         if self.transcript_hash is not None:
@@ -336,24 +322,22 @@ def _det_vanishes(an: Analysis, k: int, kernel: IntMatrix) -> VanishingVerdict:
     size = len(kernel)
     if size == 0:
         raise ValueError("empty matrix")
-    p = _decision_prime(an.seed)
 
     if 2 * k == an.f.degree:
         # constant matrix: its determinant is the answer, unconditionally
         point = an.point(0)
-        verdict = _witness(kernel, point, p)
+        verdict = _witness(kernel, point, an.prime)
+        if verdict is None and (value := kernel.det(point)):  # p divides the nonzero determinant
+            verdict = VanishingVerdict(False, witness_point=point, det_value=value)
         if verdict is not None:
             return verdict
-        value = kernel.det(point)
-        if value:  # p divides the nonzero determinant
-            return VanishingVerdict(False, witness_point=point, known_value=value)
         return VanishingVerdict(True, transcript_hash=_hash_transcript(["constant-matrix", str(size)]))
 
     # the budget of DEFAULT_TRIALS boxes of width 64 deg, spent in at most
     # two: the shared points 0 and 1, whose boxes are 64 and 64^(t-1) times
     # D >= deg wide
     for t in range(min(DEFAULT_TRIALS, 2)):
-        verdict = _witness(kernel, an.point(t), p)
+        verdict = _witness(kernel, an.point(t), an.prime)
         if verdict is not None:
             return verdict
     # Schwartz-Zippel over F_p for every box, deg/B <= D/B each, plus the
@@ -366,17 +350,24 @@ def _det_vanishes(an: Analysis, k: int, kernel: IntMatrix) -> VanishingVerdict:
 
 def _witness(kernel: IntMatrix, point: tuple[int, ...], p: int) -> Optional[VanishingVerdict]:
     """The nonvanishing verdict at `point` if the kernel's determinant there
-    is nonzero mod p; None otherwise.
+    has a nonzero residue mod p, or no residue and a nonzero value; None
+    otherwise.
 
-    The residue is that of the rational determinant (`IntMatrix.det_mod`).
-    When p divides the kernel's common scale there is none, and the exact
-    value decides instead: the verdict keeps it when it is nonzero.
+    A kernel of at most DEFAULT_EXACT_CUTOFF rows is evaluated once, for the
+    exact value, which the verdict keeps, and the residue is read off it:
+    num * den^-1 mod p, none when p divides den.  A larger one gives the
+    residue alone (`IntMatrix.det_mod`), none when p divides the kernel's
+    common scale; only then is it evaluated again, for its value.
     """
-    residue = kernel.det_mod(point, p)
-    if residue:
-        return VanishingVerdict(False, witness_point=point, prime=p, residue=residue, kernel=kernel)
-    if residue is None and (value := kernel.det(point)):
-        return VanishingVerdict(False, witness_point=point, known_value=value)
+    if len(kernel) <= DEFAULT_EXACT_CUTOFF:
+        value = kernel.det(point)
+        residue = None if value.denominator % p == 0 else value.numerator * pow(value.denominator, -1, p) % p
+    else:
+        residue = kernel.det_mod(point, p)
+        value = kernel.det(point) if residue is None else None
+    if residue or residue is None and value:
+        prime = p if residue else None
+        return VanishingVerdict(False, witness_point=point, prime=prime, residue=residue, det_value=value)
     return None
 
 
@@ -430,7 +421,7 @@ def _eliminated(an: Analysis, entries: Sequence[Sequence[Poly]], kernel: IntMatr
     t = DEFAULT_TRIALS
     while not (value := kernel.det(point := an.point(t))):
         t += 1
-    return VanishingVerdict(False, witness_point=point, known_value=value, eliminated=True)
+    return VanishingVerdict(False, witness_point=point, eliminated=True, det_value=value)
 
 
 def _hash_transcript(lines: Sequence[str]) -> str:

@@ -5,7 +5,8 @@ mixed Hessian (a_i b_j (f)) evaluated at the coefficients of L, so every
 multiplication rank is taken by `rank_at`, over the Hessians its form's
 `Analysis` assembles once.  The Hessian's integer kernel
 (`polycore.IntMatrix`, compiled once by the Analysis) ranks it at L scaled
-to integers modulo 2^61-1; a maximal rank there is the rank over Q, and so
+to integers modulo the form's decision prime (`an.prime`), the one its
+vanishing verdicts read; a maximal rank there is the rank over Q, and so
 is one at the ceiling the map's zero block puts on it; only a rank below
 both is taken again over Q.  The explicit multiplication matrix
 (`mult_map`) is the independent reference for those ranks: it applies L,
@@ -51,28 +52,29 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 from . import linalg
 from .apolar import HilbertVector, _sub_exponents, first_dip, is_unimodal
 from .errors import DegreeRangeError
-from .polycore import Monomial, Poly, Record, Scalar, diff_apply, mono_mul
+from .polycore import Monomial, Poly, Record, Scalar, _coefficient, diff_apply, mono_mul
 
 if TYPE_CHECKING:
     from .analysis import Analysis
 
 GENERIC_TRIALS = 12
-RANK_PRIME = 2**61 - 1
 
 
 class LinearForm(Record):
-    """A degree-1 element a_0 X_0 + ... + a_N X_N, given by its coefficients."""
+    """A degree-1 element a_0 X_0 + ... + a_N X_N, given by its coefficients,
+    each kept as a `Fraction`; a float is refused, as a `Poly` refuses one."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: tuple[Fraction, ...]):
+    def __init__(self, coeffs: Sequence[Scalar]):
+        coeffs = tuple(Fraction(_coefficient(c)) for c in coeffs)
         if not any(coeffs):
             raise ValueError("linear form must be nonzero")
         Record.__init__(self, coeffs)
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence[Scalar]) -> "LinearForm":
-        return cls(tuple(Fraction(c) for c in coeffs))
+        return cls(coeffs)
 
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coeffs]
@@ -135,14 +137,15 @@ def rank_at(an: Analysis, k: int, l: int, L: LinearForm) -> int:
 
     The Hessian's kernel, read from the Analysis, ranks it at the integer
     point cL; H(cL) = c^(d-k-l) H(L), so that does not change the rank,
-    and neither does the kernel's own scale.  The rank is first
-    taken modulo RANK_PRIME; reduction mod a prime can only lower it, so the
-    rank over Q lies between that and the structural rank of the pattern of
-    (k, l), h_k + h_l less the size of its zero block, which bounds it at
-    every point.  A rank mod p that is maximal, min(h_k, h_l), or at that
-    ceiling (a never-injective map, say) is the rank over Q; any other is
-    taken over Q by elimination and counted in the Analysis's
-    `rational_ranks`.  A pure order (l = k) whose kept verdict has its
+    and neither does the kernel's own scale.  The rank is first taken
+    modulo the form's decision prime (`an.prime`), the one its verdicts
+    read; any prime would do, since reduction mod a prime can only lower
+    the rank, so the rank over Q lies between that and the structural rank
+    of the pattern of (k, l), h_k + h_l less the size of its zero block,
+    which bounds it at every point.  A rank mod p that is maximal,
+    min(h_k, h_l), or at that ceiling (a never-injective map, say) is the
+    rank over Q; any other is taken over Q by elimination and counted in
+    the Analysis's `rational_ranks`.  A pure order (l = k) whose kept verdict has its
     witness at cL has full rank, h_k, there, and is not evaluated.
     """
     c = lcm(*(x.denominator for x in L.coeffs))
@@ -151,7 +154,7 @@ def rank_at(an: Analysis, k: int, l: int, L: LinearForm) -> int:
         return len(an.basis(k))
     kernel = an.kernel(k, l)
     h_k, h_l = len(kernel), kernel.ncols
-    r = kernel.rank_mod(point, RANK_PRIME)
+    r = kernel.rank_mod(point, an.prime)
     if r == min(h_k, h_l) or r == h_k + h_l - an.block(k, l).size:
         return r
     an.rational_ranks += 1

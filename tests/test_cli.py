@@ -173,6 +173,17 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert err == "error: a constant form has degree 0; the analysis needs degree >= 1\n"
 
+    def test_unwritable_json_path_fails_before_the_analysis(self, capsys, monkeypatch, tmp_path):
+        """The report is written last, so its path is checked first: no
+        analysis runs and stdout stays empty."""
+        import lefschetz_lab.analysis
+
+        monkeypatch.setattr(lefschetz_lab.analysis, "Analysis", None)  # any analysis would fail
+        for path in (tmp_path / "missing" / "r.json", tmp_path):
+            code, out, err = run(IKEDA_ARGS + ["--json", str(path)], capsys)
+            assert (code, out) == (2, "")
+            assert err == f"error: cannot write the JSON report to {str(path)!r}\n"
+
 
 class TestHostileInput:
     def test_high_exponents_exit_zero(self, capsys):
@@ -455,6 +466,15 @@ class TestReproduce:
         rows = json.loads(path.read_text())
         assert all(row["passed"] for row in rows)
         assert {row["criterion"] for row in rows} == set(range(1, 10))
+
+    def test_unwritable_json_path_fails_before_the_suite(self, capsys, monkeypatch, tmp_path):
+        import lefschetz_lab.reproduce
+
+        monkeypatch.setattr(lefschetz_lab.reproduce, "run_suite", None)  # running the suite would fail
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run(["reproduce", "--json", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write the JSON report to {str(path)!r}\n"
 
 
 class TestSeedEnvFallback:
@@ -858,8 +878,9 @@ class TestKernels:
         assert data["counts"]["kernels"] == len(compiled) == len(set(compiled)) == 3
 
     def test_one_evaluation_per_order_without_json(self, capsys, monkeypatch, tmp_path):
-        """Without --json no report is built, so no order's det_value
-        evaluates its kernel a second time; with it, stdout gains one line."""
+        """Each order is evaluated once, with --json or without: a small
+        order's verdict keeps the value its decision read, so the report
+        evaluates no kernel again; with --json, stdout gains one line."""
         from lefschetz_lab.polycore import IntMatrix
 
         calls = []
@@ -875,7 +896,7 @@ class TestKernels:
         assert code == 0 and len(calls) == 301
         report = tmp_path / "r.json"
         code, with_json, _ = run(args + ["--json", str(report)], capsys)
-        assert code == 0 and len(calls) == 301 + 2 * 301
+        assert code == 0 and len(calls) == 301 + 301
         assert with_json == out + f"report written  {report}\n"
 
 

@@ -717,8 +717,10 @@ class TestRandomPrime:
         assert len(entries) > DEFAULT_EXACT_CUTOFF
         verdict = hessian_vanishes(an, 1)
         assert not verdict.vanishes and verdict.mode == "exact"
-        assert verdict.det_value == 6**13 * MERSENNE_61 * prod(verdict.witness_point)
-        assert replays(entries, verdict)
+        # above the cutoff the verdict holds its residue, and the kernel gives the value
+        value = an.kernel(1, 1).det(verdict.witness_point)
+        assert value == 6**13 * MERSENNE_61 * prod(verdict.witness_point)
+        assert replays(entries, verdict._replace(det_value=value)) and residue_replays(entries, verdict)
 
     def test_prime_is_deterministic_in_range_and_prime(self):
         import sympy
@@ -838,6 +840,29 @@ class TestResidueWitness:
                 assert verdict.prime == _decision_prime(seed)
                 assert residue_replays(entries, verdict)
 
+    @given(
+        homogeneous_polys(max_vars=3, max_degree=5),
+        st.lists(st.integers(1, 6), min_size=6, max_size=6),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=25)
+    def test_small_kernel_keeps_its_value_and_residue(self, f, dens, seed):
+        """Up to the cutoff one evaluation gives both: the verdict's value is
+        the kernel's determinant at the witness, and its residue the
+        kernel's residue there whenever that exists."""
+        f = with_rational_coefficients(f, dens)
+        an = Analysis(f, "probabilistic", seed)
+        for k in range(f.degree // 2 + 1):
+            verdict = an.verdict(k)
+            if verdict.vanishes:
+                continue
+            kernel, point = an.kernel(k, k), verdict.witness_point
+            assert len(kernel) <= DEFAULT_EXACT_CUTOFF
+            assert verdict.det_value == kernel.det(point) != 0
+            residue = kernel.det_mod(point, an.prime)
+            if residue is not None:
+                assert verdict.residue == residue and verdict.prime == an.prime
+
     def test_rational_row_scale_is_divided_out(self):
         vs = VariableSet(("x", "y", "z"))
         f = parse_poly("1/5*x^3 + 1/7*y^3 + 1/11*x*y*z + z^3", vs)
@@ -885,12 +910,16 @@ def det_int_calls(monkeypatch):
 class TestWitnessReport:
     def test_value_only_up_to_the_cutoff(self):
         for nvars in (DEFAULT_EXACT_CUTOFF, DEFAULT_EXACT_CUTOFF + 1):
-            verdict = hessian_vanishes(prob(fermat_cubic(nvars, 1)), 1)
+            an = prob(fermat_cubic(nvars, 1))
+            verdict = hessian_vanishes(an, 1)
             out = verdict.to_json_dict()
-            assert verdict.det_value == 6**nvars * prod(verdict.witness_point)
+            value = an.kernel(1, 1).det(verdict.witness_point)
+            assert value == 6**nvars * prod(verdict.witness_point)
             if nvars <= DEFAULT_EXACT_CUTOFF:
-                assert out["det_value"] == str(verdict.det_value) and "residue" not in out
+                assert verdict.det_value == value
+                assert out["det_value"] == str(value) and "residue" not in out
             else:
+                assert verdict.det_value is None
                 assert (out["prime"], out["residue"]) == (verdict.prime, verdict.residue)
                 assert "det_value" not in out
 
@@ -899,7 +928,7 @@ class TestWitnessReport:
         if not limit:
             pytest.skip("this interpreter converts ints of any length to text")
         value = Fraction(10**limit)  # one digit more than the limit
-        verdict = VanishingVerdict(False, witness_point=(1, 1), known_value=value)
+        verdict = VanishingVerdict(False, witness_point=(1, 1), det_value=value)
         assert verdict.to_json_dict() == {
             "vanishes": False,
             "mode": "exact",
@@ -908,19 +937,24 @@ class TestWitnessReport:
         }
 
     def test_value_computed_on_first_access(self, det_int_calls):
-        verdict = hessian_vanishes(prob(fermat_cubic(13, 1)), 1)
+        # above the cutoff neither the decision nor the JSON form computes
+        # the value; the kernel computes it when asked
+        an = prob(fermat_cubic(13, 1))
+        verdict = hessian_vanishes(an, 1)
         assert not verdict.vanishes and det_int_calls == []
         verdict.to_json_dict()
-        assert det_int_calls == []
-        assert verdict.det_value == 6**13 * prod(verdict.witness_point)
-        assert verdict.det_value and det_int_calls == [13]
+        assert det_int_calls == [] and verdict.det_value is None
+        value = an.kernel(1, 1).det(verdict.witness_point)
+        assert value == 6**13 * prod(verdict.witness_point)
+        assert value and det_int_calls == [13]
 
     def test_constant_matrix_decided_by_its_residue(self, det_int_calls):
         # the middle Hessian of a Fermat quartic is diagonal with entries 24
-        verdict = hessian_vanishes(prob(fermat_quartic(13, 1)), 2)
+        an = prob(fermat_quartic(13, 1))
+        verdict = hessian_vanishes(an, 2)
         assert not verdict.vanishes and verdict.mode == "exact" and verdict.residue
         assert det_int_calls == []
-        assert verdict.det_value == 24**13
+        assert an.kernel(2, 2).det(verdict.witness_point) == 24**13
 
     def test_constant_matrix_residue_zero_takes_the_value(self, det_int_calls):
         p = _decision_prime(0)

@@ -830,8 +830,8 @@ class TestKeyCriterionSoundnessRandom:
     @given(homogeneous_polys(max_vars=4, min_degree=1, max_degree=5, max_terms=6), st.data())
     @settings(max_examples=40)
     def test_block_bounds_every_rank(self, f, data):
-        """The rank mod p of every mixed Hessian at a random point is at
-        most h_k + h_l less the size of its zero block."""
+        """The rank mod the form's prime of every mixed Hessian at a random
+        point is at most h_k + h_l less the size of its zero block."""
         an = prob(f)
         d = f.degree
         point = tuple(data.draw(st.integers(-3, 3)) for _ in range(len(f.vars)))
@@ -839,11 +839,11 @@ class TestKeyCriterionSoundnessRandom:
             for l in range(k, d - k + 1):
                 matrix = an.kernel(k, l).at(point)
                 r = len(an.basis(k)) + len(an.basis(l)) - an.block(k, l).size
-                assert linalg.rank_mod(matrix, lefschetz.RANK_PRIME) <= r
+                assert linalg.rank_mod(matrix, an.prime) <= r
         for k in range(1, (d + 1) // 2):
             if wlp_obstruction(an, k) is not None:
                 matrix = an.kernel(k, d - 1 - k).at(point)
-                assert linalg.rank_mod(matrix, lefschetz.RANK_PRIME) < len(an.basis(k))
+                assert linalg.rank_mod(matrix, an.prime) < len(an.basis(k))
 
 
 # the suite's rows whose middle map is never injective (criteria 5 and 6)
@@ -869,7 +869,7 @@ def assert_rank_closed_soundly(an, k, l, L):
     before = an.rational_ranks
     assert rank_at(an, k, l, L) == exact
     grew = an.rational_ranks - before
-    assert grew == (linalg.rank_mod(matrix, lefschetz.RANK_PRIME) < ceiling)
+    assert grew == (linalg.rank_mod(matrix, an.prime) < ceiling)
     return bool(grew)
 
 

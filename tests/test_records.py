@@ -21,7 +21,7 @@ from lefschetz_lab.polycore import Poly, Record, VariableSet, parse_poly
 
 
 def verdict(**changes):
-    fields = dict(vanishes=False, witness_point=(1, 2), prime=7, residue=3, known_value=Fraction(5))
+    fields = dict(vanishes=False, witness_point=(1, 2), prime=7, residue=3, det_value=Fraction(5))
     return VanishingVerdict(**{**fields, **changes})
 
 
@@ -59,13 +59,13 @@ RECORDS = {
     ),
     "VanishingVerdict": (
         verdict(),
-        verdict(kernel=object()),  # the kernel is not compared
+        verdict(),
         [verdict(vanishes=True), verdict(witness_point=(1, 3)), verdict(prime=11),
          verdict(residue=4), verdict(error_bound=Fraction(1, 2)), verdict(transcript_hash="ab"),
-         verdict(eliminated=True), verdict(known_value=Fraction(6))],
+         verdict(eliminated=True), verdict(det_value=Fraction(6))],
         "VanishingVerdict(vanishes=False, witness_point=(1, 2), prime=7, "
         "residue=3, error_bound=None, transcript_hash=None, certificate=None, eliminated=False, "
-        "known_value=Fraction(5, 1))",
+        "det_value=Fraction(5, 1))",
     ),
     "FamilySpec": (
         SPEC,
@@ -118,6 +118,29 @@ def test_verdicts_differing_only_in_certificate():
     cert = ZeroBlock(1, 1, (), ())
     plain = VanishingVerdict(True, transcript_hash="ab")
     assert VanishingVerdict(True, transcript_hash="ab", certificate=cert) != plain
+
+
+@pytest.mark.parametrize("evidence", [{}, {"prime": 7, "residue": 0}, {"det_value": Fraction(0)},
+                                      {"prime": 7, "residue": 0, "det_value": Fraction(0)}])
+def test_nonvanishing_verdict_needs_nonzero_evidence(evidence):
+    """A witness point proves nothing without a nonzero residue or value."""
+    with pytest.raises(ValueError, match="nonzero residue or value"):
+        VanishingVerdict(False, witness_point=(1,), **evidence)
+    assert not VanishingVerdict(False, witness_point=(1,), det_value=Fraction(-1, 2)).vanishes
+
+
+def test_linear_form_refuses_floats():
+    """As a `Poly` coefficient does: `Fraction` would take a float's binary value."""
+    for coeffs in ([0.1, 1], (0.5, 1), [1, 2.0]):
+        with pytest.raises(TypeError, match="float coefficient"):
+            LinearForm.from_coeffs(coeffs)
+        with pytest.raises(TypeError, match="float coefficient"):
+            LinearForm(coeffs)
+    # ints and Fractions are kept as Fractions, whichever constructor is used
+    form = LinearForm.from_coeffs([1, Fraction(-1, 3), 0])
+    assert form == LinearForm((Fraction(1), Fraction(-1, 3), Fraction(0)))
+    assert all(type(c) is Fraction for c in form.coeffs)
+    assert form.to_json() == ["1", "-1/3", "0"]
 
 
 def test_family_spec_overrides_default_is_not_shared():
@@ -192,7 +215,7 @@ def test_arguments_are_the_constructor_parameters(cls):
     (HilbertVector((1, 2, 1)), {"dims": (1, 2)}),
     (VariableSet(("x", "y")), {"names": ("x", "x")}),
     (LinearForm.from_coeffs([1, 2]), {"coeffs": (Fraction(0), Fraction(0))}),
-    (verdict(), {"known_value": None}),
+    (verdict(), {"residue": 0, "det_value": None}),
 ], ids=["HilbertVector", "VariableSet", "LinearForm", "VanishingVerdict"])
 def test_replace_validates(record, changes):
     with pytest.raises(ValueError):
