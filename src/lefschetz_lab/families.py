@@ -766,10 +766,10 @@ def gen_prop44(case: str, h: Optional[Poly] = None, *, seed: int = 0) -> FamilyI
                 _mono(vs, {"x2": 1, "v": 3}),
             ],
         )
-        witness = LinearForm.from_coeffs((0, 0, 0, 0, 1))
+        witness = LinearForm((0, 0, 0, 0, 1))
     else:
         core = poly_sum(vs, [_mono(vs, t) for t in _PROP44_CORES[case]])
-        witness = LinearForm.from_coeffs((0, 0, 0, 1, 1))
+        witness = LinearForm((0, 0, 0, 1, 1))
     f = core + _tail(vs, ("u", "v"), 4, h, "h must be a binary quartic in u, v")
     return _instance(
         f, FamilySpec("prop44", {"case": case}, seed, _override_texts(h=h)), "prop44",

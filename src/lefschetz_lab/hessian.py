@@ -14,16 +14,15 @@ mode; the routes are taken in order, and only the last reads the mode:
     form's `Analysis` compiles it once, and this route reads nothing else
     of the matrix) at the form's sample points (`an.point(t)`, the same for
     every order), at most two, modulo the form's decision prime p, drawn at
-    random from [2^60, 2^61) by the seed (`an.prime`).  A nonzero residue
-    proves the determinant nonzero over Q, an exact nonvanishing witness.
-    The verdict carries it as (point, p, residue), the residue being that
-    of the rational determinant, so it replays from the matrix alone.  Each
-    point is evaluated once: a kernel of at most DEFAULT_EXACT_CUTOFF rows
-    gives the exact value, which the verdict keeps and the residue is read
-    off; a larger one gives the residue alone.  When there is no residue
-    (p divides the value's denominator, or the larger kernel's common
-    scale), the exact value decides the point.  When every point reads
-    zero, the verdict is probabilistic vanishing, with its error bound;
+    random from [2^60, 2^61) by the seed (`an.prime`).  The kernel is
+    evaluated mod p (`IntMatrix.det_mod`), at every size.  A nonzero
+    residue proves the determinant nonzero over Q, an exact nonvanishing
+    witness.  The verdict carries it as (point, p, residue), the residue
+    being that of the rational determinant, so it replays from the matrix
+    alone.  Only when there is no residue (p divides the kernel's common
+    scale) is the point evaluated over Q, and its exact value decides it.
+    When every point reads zero, the verdict is probabilistic vanishing,
+    with its error bound;
   * elimination: in exact mode only, that probabilistic verdict gives way
     to fraction-free elimination of the polynomial matrix over the rational
     function field (fewest-terms pivoting, early exit on a zero
@@ -75,7 +74,6 @@ if TYPE_CHECKING:
     from .analysis import Analysis
     from .lefschetz import ZeroBlock
 
-DEFAULT_EXACT_CUTOFF = 12  # the largest kernel whose witness keeps its det_value
 DEFAULT_TRIALS = 5
 MODES = ("probabilistic", "exact")
 
@@ -84,7 +82,8 @@ Matrix = tuple[tuple[Poly, ...], ...]
 
 def _decimal(x: Fraction) -> Optional[str]:
     """str(x), or None when x has more digits than the interpreter's limit
-    on converting an int to text allows."""
+    on converting an int to text allows: a value read when p divides the
+    common scale has no size bound."""
     try:
         return str(x)
     except ValueError:
@@ -96,18 +95,17 @@ class VanishingVerdict(Record):
 
     A nonvanishing verdict found by evaluation carries the witness
     (witness_point, prime, residue): residue = det H(witness_point) mod prime
-    is nonzero, which proves det H != 0 over Q.  `det_value`, the exact
-    determinant at the witness point, is kept when the decision read it: for
-    a kernel of at most DEFAULT_EXACT_CUTOFF rows, whose one evaluation gives
-    both, for a witness whose prime divides the kernel's common scale (there
-    is no residue then), and for one found after elimination by exact
-    evaluation.  A larger verdict with a residue holds no value; the value
-    there is `an.kernel(k, k).det(witness_point)`.  Every nonvanishing
-    verdict holds a nonzero residue or a nonzero value.  The JSON form shows
-    the value when the verdict holds it, and the prime and residue
-    otherwise; a value with more digits than the interpreter converts to
-    text is shown by the prime and residue too, or, without a residue, by
-    the bit length of its numerator (`det_value_bits`).
+    is nonzero, which proves det H != 0 over Q.  That is the one shape of an
+    evaluation witness, at every size; its value over Q, when wanted, is
+    `an.kernel(k, k).det(witness_point)`.  `det_value`, the exact
+    determinant at the witness point, is held only where evaluation over Q
+    was the route: a witness whose prime divides the kernel's common scale
+    (there is no residue then), a constant matrix whose residue is 0, and a
+    witness found after elimination.  Every nonvanishing verdict holds a
+    nonzero residue or a nonzero value.  The JSON form shows the prime and
+    residue, or else the value; a value with more digits than the
+    interpreter converts to text is shown by the bit length of its
+    numerator (`det_value_bits`).
 
     A vanishing verdict names the route that decided it: the zero block
     `certificate`, the hash of the elimination (or constant-matrix)
@@ -154,13 +152,14 @@ class VanishingVerdict(Record):
         out: dict = {"vanishes": self.vanishes, "mode": self.mode}
         if self.witness_point is not None:
             out["witness_point"] = list(self.witness_point)
-        text = None if self.det_value is None else _decimal(self.det_value)
-        if text is not None:
-            out["det_value"] = text
-        elif self.residue:
+        if self.residue:
             out.update(prime=self.prime, residue=self.residue)
         elif self.det_value is not None:
-            out["det_value_bits"] = abs(self.det_value.numerator).bit_length()
+            text = _decimal(self.det_value)
+            if text is not None:
+                out["det_value"] = text
+            else:
+                out["det_value_bits"] = abs(self.det_value.numerator).bit_length()
         if self.error_bound is not None:
             out["error_bound"] = str(self.error_bound)
         if self.transcript_hash is not None:
@@ -353,21 +352,16 @@ def _witness(kernel: IntMatrix, point: tuple[int, ...], p: int) -> Optional[Vani
     has a nonzero residue mod p, or no residue and a nonzero value; None
     otherwise.
 
-    A kernel of at most DEFAULT_EXACT_CUTOFF rows is evaluated once, for the
-    exact value, which the verdict keeps, and the residue is read off it:
-    num * den^-1 mod p, none when p divides den.  A larger one gives the
-    residue alone (`IntMatrix.det_mod`), none when p divides the kernel's
-    common scale; only then is it evaluated again, for its value.
+    The kernel is evaluated mod p (`IntMatrix.det_mod`), whatever its size,
+    and the verdict holds (point, p, residue).  There is no residue when p
+    divides the kernel's common scale; only then is the kernel evaluated
+    over Q, and the verdict holds the value.
     """
-    if len(kernel) <= DEFAULT_EXACT_CUTOFF:
-        value = kernel.det(point)
-        residue = None if value.denominator % p == 0 else value.numerator * pow(value.denominator, -1, p) % p
-    else:
-        residue = kernel.det_mod(point, p)
-        value = kernel.det(point) if residue is None else None
-    if residue or residue is None and value:
-        prime = p if residue else None
-        return VanishingVerdict(False, witness_point=point, prime=prime, residue=residue, det_value=value)
+    residue = kernel.det_mod(point, p)
+    if residue:
+        return VanishingVerdict(False, witness_point=point, prime=p, residue=residue)
+    if residue is None and (value := kernel.det(point)):
+        return VanishingVerdict(False, witness_point=point, det_value=value)
     return None
 
 

@@ -72,10 +72,6 @@ class LinearForm(Record):
             raise ValueError("linear form must be nonzero")
         Record.__init__(self, coeffs)
 
-    @classmethod
-    def from_coeffs(cls, coeffs: Sequence[Scalar]) -> "LinearForm":
-        return cls(coeffs)
-
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coeffs]
 
@@ -216,7 +212,7 @@ def _find_element(an: Analysis, check: Callable) -> Optional[tuple[LinearForm, t
     """The first of the form's shared points `an.point(t)`, t < GENERIC_TRIALS,
     that `check` accepts, as a linear form, and its level checks; or None."""
     for t in range(GENERIC_TRIALS):
-        L = LinearForm.from_coeffs(an.point(t))
+        L = LinearForm(an.point(t))
         ok, checks = check(an, L)
         if ok:
             return L, tuple(checks)
@@ -283,7 +279,7 @@ def wlp_generic(an: Analysis) -> LefschetzReport:
 
     middle = an.verdict(m)
     if not middle.vanishes:
-        witness = LinearForm.from_coeffs(middle.witness_point)
+        witness = LinearForm(middle.witness_point)
     elif d % 2 == 1:
         return fails(m, middle, hv[m])
     else:

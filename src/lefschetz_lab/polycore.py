@@ -507,11 +507,15 @@ class IntMatrix:
     table, which holds only the powers x_i^e that some monomial uses.
     `at(point)` computes each of those powers, each monomial and each
     compiled entry once, then builds each row by lookup: the integer matrix
-    s times the polynomial matrix at `point`.
+    s times the polynomial matrix at `point`.  `at_mod(point, p)` builds the
+    same matrix reduced mod p, with each power taken by `pow(x, e, p)` and
+    each monomial and entry reduced as it is formed, so no value grows with
+    the exponents or the point.
 
     The scale is this class's format alone: the determinant over Q (`det`),
     its residue mod a prime (`det_mod`) and the rank over Q or mod a prime
     (`rank`, `rank_mod`) at a point are read here, each through `linalg`.
+    The modular two read `at_mod`, and only the routes over Q read `at`.
     `norm_bound`, the product of the scaled rows' coefficient 1-norms,
     bounds every coefficient of s^n times the determinant polynomial.
     """
@@ -562,6 +566,15 @@ class IntMatrix:
         entry_at = [0, *(sum(map(mul, coeffs, map(value, monos))) for coeffs, monos in self._entries)]
         return [list(map(entry_at.__getitem__, row)) for row in self._rows]
 
+    def at_mod(self, point: Sequence[int], p: int) -> list[list[int]]:
+        """The scaled integer matrix at an integer point, reduced mod p."""
+        if len(point) != self.nvars:
+            raise ValueError(f"point has {len(point)} coordinates, expected {self.nvars}")
+        power_at = [pow(point[i], e, p) for i, e in self._powers].__getitem__
+        value = [prod(map(power_at, idx)) % p for idx in self._monos].__getitem__
+        entry_at = [0, *(sum(map(mul, coeffs, map(value, monos))) % p for coeffs, monos in self._entries)]
+        return [list(map(entry_at.__getitem__, row)) for row in self._rows]
+
     def det(self, point: Sequence[int]) -> Fraction:
         """The determinant over Q at `point`, of a square matrix."""
         return Fraction(linalg.det_int(self.at(point)), self.scale ** len(self))
@@ -572,7 +585,7 @@ class IntMatrix:
         whatever the determinant over Q."""
         if not self.scale % p:
             return None
-        return linalg.det_mod(self.at(point), p) * pow(self.scale, -len(self), p) % p
+        return linalg.det_mod(self.at_mod(point, p), p) * pow(self.scale, -len(self), p) % p
 
     def rank(self, point: Sequence[int]) -> int:
         """The rank over Q at `point`."""
@@ -581,7 +594,7 @@ class IntMatrix:
     def rank_mod(self, point: Sequence[int], p: int) -> int:
         """The rank mod the prime p of the scaled matrix at `point`: at most
         the rank over Q, and equal to it for all but finitely many p."""
-        return linalg.rank_mod(self.at(point), p)
+        return linalg.rank_mod(self.at_mod(point, p), p)
 
 
 def linear_change(f: Poly, matrix: Sequence[Sequence[Scalar]]) -> Poly:

@@ -107,7 +107,7 @@ def _random_linear_form(rng: random.Random, n: int, bound: int) -> LinearForm:
     while True:
         coeffs = [rng.randint(-bound, bound) for _ in range(n)]
         if any(coeffs):
-            return LinearForm.from_coeffs(coeffs)
+            return LinearForm(coeffs)
 
 
 def _middle_never_injective(inst: FamilyInstance, level: int, config: SuiteConfig) -> tuple[bool, str]:

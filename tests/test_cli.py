@@ -194,14 +194,31 @@ class TestHostileInput:
         assert "weak property   holds" in out
 
     def test_determinant_too_long_for_text_reported_by_residue(self, capsys, tmp_path):
-        """Some witness determinants of x^480 + y^480 have more digits than
-        the interpreter converts to text; the report shows their residue."""
+        """Every evaluation witness is a residue: some determinants of
+        x^480 + y^480 have more digits than the interpreter converts to
+        text, and the report shows no value at all, only each prime and
+        residue."""
         path = tmp_path / "r.json"
         code, _, err = run(["analyze", "--poly", "x^480 + y^480", "--vars", "x,y", "--json", str(path)], capsys)
         assert code == 0, err
         profile = json.loads(path.read_text())["hess_profile"]
-        assert all(("det_value" in v) != ("residue" in v) for v in profile)
-        assert any("residue" in v for v in profile)
+        assert all("residue" in v and "prime" in v and "det_value" not in v for v in profile)
+
+    def test_value_too_long_for_text_reported_by_its_bit_length(self, capsys, tmp_path):
+        """With the decision prime p dividing the common scale, as in
+        1/p x^480 + y^480, there is no residue and each witness is read over
+        Q; values with more digits than the interpreter converts to text are
+        shown by their bit length."""
+        from lefschetz_lab.hessian import _decision_prime
+
+        p = _decision_prime(0)
+        path = tmp_path / "r.json"
+        args = ["analyze", "--poly", f"1/{p}*x^480 + y^480", "--vars", "x,y", "--seed", "0", "--json", str(path)]
+        code, _, err = run(args, capsys)
+        assert code == 0, err
+        profile = json.loads(path.read_text())["hess_profile"]
+        assert not any("residue" in v for v in profile)
+        assert any("det_value_bits" in v for v in profile) and any("det_value" in v for v in profile)
 
     @pytest.mark.parametrize("command", [
         ["analyze", "--poly", "x^3 + y^3", "--vars", "x,y"],
@@ -878,19 +895,20 @@ class TestKernels:
         assert data["counts"]["kernels"] == len(compiled) == len(set(compiled)) == 3
 
     def test_one_evaluation_per_order_without_json(self, capsys, monkeypatch, tmp_path):
-        """Each order is evaluated once, with --json or without: a small
-        order's verdict keeps the value its decision read, so the report
-        evaluates no kernel again; with --json, stdout gains one line."""
+        """Each order is evaluated once, mod p, with --json or without: the
+        verdict holds its residue, so the report evaluates no kernel again
+        and nothing is evaluated over Q; with --json, stdout gains one line."""
         from lefschetz_lab.polycore import IntMatrix
 
-        calls = []
-        real = IntMatrix.at
+        calls, over_q = [], []
+        real = IntMatrix.at_mod
 
-        def counting(self, point):
+        def counting(self, point, p):
             calls.append(len(self))
-            return real(self, point)
+            return real(self, point, p)
 
-        monkeypatch.setattr(IntMatrix, "at", counting)
+        monkeypatch.setattr(IntMatrix, "at_mod", counting)
+        monkeypatch.setattr(IntMatrix, "at", lambda self, point: over_q.append(len(self)))
         args = ["analyze", "--poly", "x^600 + y^600", "--vars", "x,y"]
         code, out, _ = run(args, capsys)
         assert code == 0 and len(calls) == 301
@@ -898,6 +916,7 @@ class TestKernels:
         code, with_json, _ = run(args + ["--json", str(report)], capsys)
         assert code == 0 and len(calls) == 301 + 301
         assert with_json == out + f"report written  {report}\n"
+        assert over_q == []
 
 
 class TestWitnessReplayFromReport:

@@ -541,7 +541,7 @@ class TestVerified:
             (gen_ikeda, {"certified_orders": (1, 2)}, "no vanishing certificate at order 1"),
             (gen_ikeda, {"hess_pattern": ((1, True), (2, True))}, "order 1 did not vanish"),
             (gen_ikeda, {"hess_pattern": ((1, False), (2, False))}, "order 2 vanished"),
-            (gen_ikeda, {"wlp": "holds", "wlp_witness": LinearForm.from_coeffs((1, 1, 1, 1))}, "witness fails"),
+            (gen_ikeda, {"wlp": "holds", "wlp_witness": LinearForm((1, 1, 1, 1))}, "witness fails"),
             (lambda: gen_prop44("i"), {"wlp": "fails"}, "witness passes"),
             (lambda: gen_thmwlp(5, 4), {"never_injective_level": 2}, "no never-injective certificate at level 2"),
         ],

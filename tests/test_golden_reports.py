@@ -2,10 +2,10 @@
 
 Each case's stdout and JSON report (without `timing_ms`, which varies) must
 match the recording byte for byte.  The inputs reach the zero block
-certificate (ikeda at order 2, the perazzo cubic at order 1), the exact
-value at a witness (the cubic), the prime and residue above
-DEFAULT_EXACT_CUTOFF (the 14-variable Fermat cubic), the constant middle
-Hessian (the quartic, order 2) and, on wlpodd(4,5) after a shear of one
+certificate (ikeda at order 2, the perazzo cubic at order 1), the prime
+and residue of an evaluation witness at every size (the cubic and the
+14-variable Fermat cubic), the constant middle Hessian (the quartic,
+order 2) and, on wlpodd(4,5) after a shear of one
 u-row, which leaves no zero block, elimination in exact mode and the error
 bound in probabilistic mode.  The cubic, the perazzo cubic and the sheared
 form recur with rational coefficients, so a common scale above 1 reaches every
@@ -81,13 +81,13 @@ def test_report_matches_recording(case, recorded):
 def test_routes_covered(recorded):
     profiles = {case: recorded[case]["report"]["hess_profile"] for case in CASES}
     assert profiles["ikeda-prob"][2]["certificate"]
-    assert "det_value" in profiles["cubic-prob"][1]
+    assert "residue" in profiles["cubic-prob"][1]
     assert "residue" in profiles["fermat14-prob"][1]
     assert profiles["quartic-exact"][2]["witness_point"] == profiles["quartic-exact"][0]["witness_point"]
     for mode in ("prob", "exact"):
         assert profiles[f"perazzo-{mode}"][1]["certificate"]["type"] == "zero-block"
         assert profiles[f"perazzo-rational-{mode}"][1]["certificate"] == profiles[f"perazzo-{mode}"][1]["certificate"]
-    assert "/" in profiles["cubic-rational-prob"][0]["det_value"]
+    assert "residue" in profiles["cubic-rational-prob"][0]
     for name in ("sheared", "sheared-rational"):
         assert "transcript_hash" in profiles[f"{name}-exact"][2]
         assert "error_bound" in profiles[f"{name}-prob"][2]

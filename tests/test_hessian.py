@@ -24,7 +24,6 @@ from lefschetz_lab.families import (
     gen_wlpodd,
 )
 from lefschetz_lab.hessian import (
-    DEFAULT_EXACT_CUTOFF,
     DEFAULT_TRIALS,
     MODES,
     VanishingVerdict,
@@ -160,7 +159,7 @@ class TestVanishing:
         verdict = hessian_vanishes(prob(f), 1)
         assert not verdict.vanishes
         assert verdict.witness_point is not None
-        assert verdict.det_value != 0
+        assert verdict.residue and verdict.det_value is None
 
     def test_exact_mode_unconditional(self):
         verdict = exact(sheared_wlpodd45(0)).verdict(2)
@@ -562,7 +561,10 @@ class TestCertaintyFromTheRoute:
 
 
 def replays(entries, verdict):
-    """The witness point gives the claimed nonzero determinant over Q."""
+    """The witness point gives the claimed nonzero determinant over Q: its
+    residue mod the verdict's prime or, where there is no residue, its value."""
+    if verdict.residue is not None:
+        return residue_replays(entries, verdict)
     point = verdict.witness_point
     value = linalg.det([[eval_poly(e, point) for e in row] for row in entries])
     return value == verdict.det_value != 0
@@ -714,13 +716,13 @@ class TestRandomPrime:
         # mod 2^61-1 at every point, and probabilistic mode never eliminates
         an = prob(fermat_cubic(13, MERSENNE_61))
         entries = an.hessian(1, 1)
-        assert len(entries) > DEFAULT_EXACT_CUTOFF
         verdict = hessian_vanishes(an, 1)
         assert not verdict.vanishes and verdict.mode == "exact"
-        # above the cutoff the verdict holds its residue, and the kernel gives the value
+        # the verdict holds its residue, and the kernel gives the value
         value = an.kernel(1, 1).det(verdict.witness_point)
         assert value == 6**13 * MERSENNE_61 * prod(verdict.witness_point)
-        assert replays(entries, verdict._replace(det_value=value)) and residue_replays(entries, verdict)
+        assert verdict.det_value is None and residue_replays(entries, verdict)
+        assert residue_mod(value, verdict.prime) == verdict.residue
 
     def test_prime_is_deterministic_in_range_and_prime(self):
         import sympy
@@ -846,10 +848,10 @@ class TestResidueWitness:
         st.integers(0, 3),
     )
     @settings(max_examples=25)
-    def test_small_kernel_keeps_its_value_and_residue(self, f, dens, seed):
-        """Up to the cutoff one evaluation gives both: the verdict's value is
-        the kernel's determinant at the witness, and its residue the
-        kernel's residue there whenever that exists."""
+    def test_witness_holds_the_kernel_residue_alone(self, f, dens, seed):
+        """Every kernel is evaluated mod p: the verdict's residue is the
+        kernel's residue at the witness, and it holds no value (these
+        denominators never make p divide the common scale)."""
         f = with_rational_coefficients(f, dens)
         an = Analysis(f, "probabilistic", seed)
         for k in range(f.degree // 2 + 1):
@@ -857,11 +859,8 @@ class TestResidueWitness:
             if verdict.vanishes:
                 continue
             kernel, point = an.kernel(k, k), verdict.witness_point
-            assert len(kernel) <= DEFAULT_EXACT_CUTOFF
-            assert verdict.det_value == kernel.det(point) != 0
-            residue = kernel.det_mod(point, an.prime)
-            if residue is not None:
-                assert verdict.residue == residue and verdict.prime == an.prime
+            assert verdict.residue == kernel.det_mod(point, an.prime) != 0
+            assert verdict.prime == an.prime and verdict.det_value is None
 
     def test_rational_row_scale_is_divided_out(self):
         vs = VariableSet(("x", "y", "z"))
@@ -908,20 +907,22 @@ def det_int_calls(monkeypatch):
 
 
 class TestWitnessReport:
-    def test_value_only_up_to_the_cutoff(self):
-        for nvars in (DEFAULT_EXACT_CUTOFF, DEFAULT_EXACT_CUTOFF + 1):
+    def test_residue_at_every_size(self, det_int_calls):
+        """Kernels of 12 and 13 rows alike are decided mod p, and neither the
+        decision nor the JSON form reads a value over Q: the witness is
+        (point, p, residue)."""
+        for nvars in (12, 13):
+            det_int_calls.clear()
             an = prob(fermat_cubic(nvars, 1))
             verdict = hessian_vanishes(an, 1)
             out = verdict.to_json_dict()
+            assert det_int_calls == [] and verdict.det_value is None
+            assert verdict.prime == an.prime and verdict.residue
+            assert (out["prime"], out["residue"]) == (verdict.prime, verdict.residue)
+            assert "det_value" not in out
             value = an.kernel(1, 1).det(verdict.witness_point)
             assert value == 6**nvars * prod(verdict.witness_point)
-            if nvars <= DEFAULT_EXACT_CUTOFF:
-                assert verdict.det_value == value
-                assert out["det_value"] == str(value) and "residue" not in out
-            else:
-                assert verdict.det_value is None
-                assert (out["prime"], out["residue"]) == (verdict.prime, verdict.residue)
-                assert "det_value" not in out
+            assert residue_mod(value, verdict.prime) == verdict.residue
 
     def test_value_too_long_for_text_shows_its_bit_length(self):
         limit = sys.get_int_max_str_digits()
@@ -937,8 +938,8 @@ class TestWitnessReport:
         }
 
     def test_value_computed_on_first_access(self, det_int_calls):
-        # above the cutoff neither the decision nor the JSON form computes
-        # the value; the kernel computes it when asked
+        # neither the decision nor the JSON form computes the value; the
+        # kernel computes it when asked
         an = prob(fermat_cubic(13, 1))
         verdict = hessian_vanishes(an, 1)
         assert not verdict.vanishes and det_int_calls == []

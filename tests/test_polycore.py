@@ -4,7 +4,7 @@ from math import comb, gcd, lcm
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from lefschetz_lab import linalg
@@ -313,12 +313,12 @@ def test_composition_arbitrary_degrees(f, data):
 
 
 @st.composite
-def rational_poly_matrices(draw):
+def rational_poly_matrices(draw, max_exponent=4):
     """Small matrices of polynomials with rational coefficients and zero entries."""
     nvars = draw(st.integers(1, 3))
     vs = VariableSet(tuple(f"x{i}" for i in range(nvars)))
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    expos = st.tuples(*[st.integers(0, 4)] * nvars)
+    expos = st.tuples(*[st.integers(0, max_exponent)] * nvars)
     coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
     entries = [
         [Poly(vs, draw(st.dictionaries(expos, coeffs, max_size=4))) for _ in range(cols)]
@@ -326,6 +326,10 @@ def rational_poly_matrices(draw):
     ]
     point = draw(st.lists(st.integers(-20, 20), min_size=nvars, max_size=nvars))
     return entries, tuple(point)
+
+
+# a row of common scale 6 and exponents in the thousands, with its point
+HIGH_RATIONAL_ROW = ([[parse_poly("1/3*x^3999*y + x^2*y^3998", XY), parse_poly("5/2*y^4000", XY)]], (-17, 20))
 
 
 class TestIntMatrix:
@@ -386,9 +390,25 @@ class TestIntMatrix:
         # row norms at scale 6: |6| + |18| + |3|, |6| + |18| + |6|, |2| + |6| + |18|
         assert kernel.norm_bound == 27 * 30 * 26
 
+    @given(
+        rational_poly_matrices(max_exponent=4000) | rational_poly_matrices(),
+        st.sampled_from((2, 3, 5, 7, 2**61 - 1)),
+    )
+    @example(HIGH_RATIONAL_ROW, 3)  # 3 divides the scale 6
+    @example(HIGH_RATIONAL_ROW, 2**61 - 1)
+    def test_at_mod_is_at_reduced_mod_p(self, case, p):
+        # denominators up to 6 make 2, 3 and 5 divide the scale in many
+        # cases; the reduction is the same whether p divides it or not
+        entries, point = case
+        kernel = IntMatrix(entries)
+        assert kernel.at_mod(point, p) == [[x % p for x in row] for row in kernel.at(point)]
+
     def test_rejects_a_point_of_the_wrong_length(self):
+        kernel = IntMatrix([[IKEDA]])
         with pytest.raises(ValueError):
-            IntMatrix([[IKEDA]]).at((1, 2))
+            kernel.at((1, 2))
+        with pytest.raises(ValueError, match="point has 2 coordinates, expected 4"):
+            kernel.at_mod((1, 2), 7)
 
     def test_high_powers_match_eval_poly(self):
         # only the powers the monomials use are built: x^2, x^3999, x^4000

@@ -52,9 +52,9 @@ RECORDS = {
         "HilbertVector(dims=(1, 2, 1))",
     ),
     "LinearForm": (
-        LinearForm.from_coeffs([1, 2]),
+        LinearForm([1, 2]),
         LinearForm((Fraction(1), Fraction(2))),
-        [LinearForm.from_coeffs([1, 3]), LinearForm.from_coeffs([1, 2, 0])],
+        [LinearForm([1, 3]), LinearForm([1, 2, 0])],
         "LinearForm(coeffs=(Fraction(1, 1), Fraction(2, 1)))",
     ),
     "VanishingVerdict": (
@@ -133,11 +133,9 @@ def test_linear_form_refuses_floats():
     """As a `Poly` coefficient does: `Fraction` would take a float's binary value."""
     for coeffs in ([0.1, 1], (0.5, 1), [1, 2.0]):
         with pytest.raises(TypeError, match="float coefficient"):
-            LinearForm.from_coeffs(coeffs)
-        with pytest.raises(TypeError, match="float coefficient"):
             LinearForm(coeffs)
-    # ints and Fractions are kept as Fractions, whichever constructor is used
-    form = LinearForm.from_coeffs([1, Fraction(-1, 3), 0])
+    # ints and Fractions are kept as Fractions
+    form = LinearForm([1, Fraction(-1, 3), 0])
     assert form == LinearForm((Fraction(1), Fraction(-1, 3), Fraction(0)))
     assert all(type(c) is Fraction for c in form.coeffs)
     assert form.to_json() == ["1", "-1/3", "0"]
@@ -214,7 +212,7 @@ def test_arguments_are_the_constructor_parameters(cls):
 @pytest.mark.parametrize("record, changes", [
     (HilbertVector((1, 2, 1)), {"dims": (1, 2)}),
     (VariableSet(("x", "y")), {"names": ("x", "x")}),
-    (LinearForm.from_coeffs([1, 2]), {"coeffs": (Fraction(0), Fraction(0))}),
+    (LinearForm([1, 2]), {"coeffs": (Fraction(0), Fraction(0))}),
     (verdict(), {"residue": 0, "det_value": None}),
 ], ids=["HilbertVector", "VariableSet", "LinearForm", "VanishingVerdict"])
 def test_replace_validates(record, changes):
