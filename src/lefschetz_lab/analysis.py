@@ -4,25 +4,27 @@ An `Analysis` holds a form f with the decision mode and the seed, and
 memoizes what the profile, the Lefschetz verdicts and the certificates read:
 the monomial derivatives of f, the A_k bases (each the exponents of its
 monomial operators and the span of their derivatives), the Hilbert vector,
-the zero pattern of each (mixed) Hessian, read off supp(f), and its zero
-block, the one structural certificate, the integer kernels of the Hessians,
-each order's vanishing verdict, and the sample points.  Trial t's point,
-`point(t)`, is one pure function of (f, seed, t) (`sample_point`): every
-order is evaluated at point 0 and, if zero there, at point 1, exact mode's
-witness search reads the points from DEFAULT_TRIALS on, and the SLP and WLP
-element searches the first GENERIC_TRIALS; one decision prime, drawn by the
-seed (`prime`), serves every order and every multiplication rank.  A rank
-is not taken where a kept verdict already proves its order nonzero
-(`witnessed`), so when point 0 decides every order
-it is the SLP witness, with no evaluation.  A kernel is the one form of a
-Hessian that evaluation holds; a Hessian's polynomial cells are kept only
-when asked for (`hessian(k, l)`), by exact elimination and the oracles.  A
-piece is computed on its first request by the function or class that
-defines it (`ak_basis`, `hilbert_vector`, `divisor_codes`, `zero_pattern`,
+the divisor monomials D_j, the zero pattern of each (mixed) Hessian over
+D_k x D_l, read off supp(f), and its zero block, the one structural
+certificate, which holds for every form with support in supp(f) and h_k at
+least f's, the integer kernels of the Hessians, each order's vanishing
+verdict, and the sample points.  Trial t's point, `point(t)`, is one pure
+function of (f, seed, t) (`sample_point`): every order is evaluated at
+point 0 and, if zero there, at point 1, exact mode's witness search reads
+the points from DEFAULT_TRIALS on, and the SLP and WLP element searches the
+first GENERIC_TRIALS; one decision prime, drawn by the seed (`prime`),
+serves every order and every multiplication rank.  A rank is not taken
+where a kept verdict already proves its order nonzero (`witnessed`), so
+when point 0 decides every order it is the SLP witness, with no
+evaluation.  A kernel is the one form of a Hessian that evaluation holds; a
+Hessian's polynomial cells are kept only when asked for (`hessian(k, l)`),
+by exact elimination and the oracles.  A piece is computed on its first
+request by the function or class that defines it (`ak_basis`,
+`hilbert_vector`, `divisor_codes`, `divisor_monomials`, `zero_pattern`,
 `zero_block`, `key_criterion`, `wlp_obstruction`, `mixed_hessian`,
 `IntMatrix`, `hessian_vanishes`, `sample_point`) and reused afterwards, so
-one report decides each higher Hessian once, compiles each Hessian once for the
-vanishing decision and every multiplication rank (`rank_at`), and reads
+one report decides each higher Hessian once, compiles each Hessian once for
+the vanishing decision and every multiplication rank (`rank_at`), and reads
 each pattern once for its block, its assembly and its rank ceiling.  Only
 elimination depends on the mode: `in_mode` gives the Analysis of the same
 form and seed in another mode, which shares the memo, so a form checked in
@@ -46,8 +48,8 @@ from .errors import DegreeRangeError, ZeroPolynomialError
 from .hessian import (
     MODES, Matrix, VanishingVerdict, _decision_prime, _eliminated, hessian_vanishes, mixed_hessian, sample_point,
 )
-from .lefschetz import ZeroBlock, divisor_codes, key_criterion, wlp_obstruction, zero_block, zero_pattern
-from .polycore import Derivatives, IntMatrix, Poly
+from .lefschetz import ZeroBlock, divisor_codes, divisor_monomials, key_criterion, wlp_obstruction, zero_block, zero_pattern
+from .polycore import Derivatives, IntMatrix, Monomial, Poly
 
 T = TypeVar("T")
 
@@ -154,12 +156,16 @@ class Analysis:
         """The coded monomials of degree `degree` that divide a term of f."""
         return self._get(("divisors", degree), lambda: divisor_codes(self, degree))
 
+    def divisor_monomials(self, degree: int) -> tuple[Monomial, ...]:
+        """D_degree: the degree-`degree` monomials that divide a term of f, in descending lex order."""
+        return self._get(("divisor monomials", degree), lambda: divisor_monomials(self, degree))
+
     def pattern(self, k: int, l: int) -> list[list[int]]:
-        """Each row's nonzero columns in the mixed Hessian of (k, l)."""
+        """Each row's nonzero columns in the mixed Hessian of (k, l) over D_k x D_l."""
         return self._get(("pattern", k, l), lambda: zero_pattern(self, k, l))
 
     def block(self, k: int, l: int) -> ZeroBlock:
-        """The zero block of the pattern of (k, l)."""
+        """The zero block of the pattern of (k, l), its rows in D_k and columns in D_l."""
         return self._get(("block", k, l), lambda: zero_block(self, k, l))
 
     def key(self, k: int) -> Optional[ZeroBlock]:

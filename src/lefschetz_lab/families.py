@@ -216,10 +216,11 @@ def _structural_claims(an: Analysis, manifest: Manifest) -> Iterator[tuple[str, 
     each order of `hess_pattern` has the claimed verdict (in exact mode only
     an exact verdict passes); `never_injective_level` has a zero block
     proving its map never injective (`an.obstruction(level)`), each block
-    replayed by `verify_zero_block`; `wlp_witness` passes exactly when `wlp`
-    holds.  A failed claim's detail says what failed; a passed one's is the
-    mode of a Hessian verdict, else empty.  Lazy, so that generation stops
-    at the first failed claim.
+    replayed by `verify_zero_block`, so that it holds for every form with
+    support in supp(f) and h_k >= dims[k]; `wlp_witness` passes exactly
+    when `wlp` holds.  A failed claim's detail says what failed; a passed
+    one's is the mode of a Hessian verdict, else empty.  Lazy, so that
+    generation stops at the first failed claim.
     """
     if manifest.cone is not None:
         cone = is_cone(an).is_cone
@@ -792,11 +793,12 @@ def replay_manifest(inst: FamilyInstance, *, mode: str = "probabilistic") -> lis
     Hessian claim passes only on an exact verdict), then the Hilbert vector,
     unimodality, dim A_1, and the generic SLP report and WLP report (the
     latter unless a WLP witness stands for it).  Every certificate is
-    replayed by `verify_zero_block` on f, never trusted from the instance.  Every
-    claim reads `inst.analysis` in `mode` (`Analysis.in_mode`), so the pieces
-    generation computed are not computed again, each Hessian is decided once
-    for both modes, and the SLP and WLP claims are decided in the same mode as the
-    profile.
+    replayed by `verify_zero_block` on supp(f), never trusted from the
+    instance, so it holds for every form with support in supp(f) and
+    h_k >= dims[k].  Every claim reads `inst.analysis` in `mode`
+    (`Analysis.in_mode`), so the pieces generation computed are not
+    computed again, each Hessian is decided once for both modes, and the
+    SLP and WLP claims are decided in the same mode as the profile.
     """
     an = inst.analysis.in_mode(mode)
     man = inst.manifest

@@ -185,11 +185,17 @@ def mixed_hessian(an: Analysis, k: int, l: int) -> Matrix:
     A_(d-l) (Maeno-Watanabe); l = k gives the pure order-k Hessian.  The
     matrix for (l, k) is the transpose of the one for (k, l).  Only the
     cells of `an.pattern(k, l)` are differentiated; every other cell is the
-    form's one zero polynomial.
+    form's one zero polynomial.  The pattern is over D_k x D_l, which hold the
+    bases as descending-lex subsequences.
     """
     _require_orders(an.f.degree, k, l)
     rows, cols = an.basis(k).expos, an.basis(l).expos
     derivatives, pattern = an.derivatives, an.pattern(k, l)
+    spanning_rows, spanning_cols = an.divisor_monomials(k), an.divisor_monomials(l)
+    if len(rows) < len(spanning_rows) or len(cols) < len(spanning_cols):
+        kept, col_at = set(rows), dict(zip(cols, range(len(cols))))
+        position = [col_at.get(b, -1) for b in spanning_cols]
+        pattern = [[c for j in js if (c := position[j]) >= 0] for a, js in zip(spanning_rows, pattern) if a in kept]
 
     def cells(i: int, start: int) -> list[Poly]:  # row i from column `start` on
         out = [derivatives.zero] * (len(cols) - start)
@@ -343,7 +349,7 @@ def _det_vanishes(an: Analysis, k: int, kernel: IntMatrix) -> VanishingVerdict:
     # chance that p divides the content of a nonzero integer determinant
     # polynomial: at most bits/60 primes >= 2^60 do, out of more than 2^54
     missed = Fraction(1, 64) ** DEFAULT_TRIALS
-    bad_primes = -(-kernel.norm_bound.bit_length() // 60)
+    bad_primes = -(-kernel.norm_bound().bit_length() // 60)
     return VanishingVerdict(True, error_bound=missed + Fraction(bad_primes, 2**54))
 
 

@@ -32,13 +32,15 @@ once:
   * a non-unimodal Hilbert vector.
 
 Random sampling alone is never promoted to a failure verdict.  The
-structural certificates are zero blocks (`ZeroBlock`), read off supp(f) for
-any form by a maximum matching of a Hessian's zero pattern, and replayed by
-`verify_zero_block` with `diff_apply` on f.  `divisor_codes`,
-`zero_pattern`, `zero_block`, `key_criterion` and `wlp_obstruction` are the
-compute bodies of `an.divisors(j)`, `an.pattern(k, l)`, `an.block(k, l)`,
-`an.key(k)` and `an.obstruction(k)`; called directly, they bypass the memo
-and `counts()`.
+structural certificates are zero blocks (`ZeroBlock`) of a mixed Hessian's
+pattern over the divisor monomials D_k x D_l, found by a maximum matching;
+`verify_zero_block` replays one from supp(f) and the Hilbert vector alone,
+so it holds for every form with support in supp(f) and h_k >= dims[k].
+`divisor_codes`, `divisor_monomials`, `zero_pattern`, `zero_block`,
+`key_criterion` and `wlp_obstruction` are the compute bodies of
+`an.divisors(j)`, `an.divisor_monomials(j)`, `an.pattern(k, l)`,
+`an.block(k, l)`, `an.key(k)` and `an.obstruction(k)`; called directly,
+they bypass the memo and `counts()`.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from math import lcm
 from operator import mul
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
-from . import linalg
 from .apolar import HilbertVector, _sub_exponents, first_dip, is_unimodal
 from .errors import DegreeRangeError
 from .polycore import Monomial, Poly, Record, Scalar, _coefficient, diff_apply, mono_mul
@@ -136,22 +137,20 @@ def rank_at(an: Analysis, k: int, l: int, L: LinearForm) -> int:
     and neither does the kernel's own scale.  The rank is first taken
     modulo the form's decision prime (`an.prime`), the one its verdicts
     read; any prime would do, since reduction mod a prime can only lower
-    the rank, so the rank over Q lies between that and the structural rank
-    of the pattern of (k, l), h_k + h_l less the size of its zero block,
-    which bounds it at every point.  A rank mod p that is maximal,
-    min(h_k, h_l), or at that ceiling (a never-injective map, say) is the
-    rank over Q; any other is taken over Q by elimination and counted in
-    the Analysis's `rational_ranks`.  A pure order (l = k) whose kept verdict has its
-    witness at cL has full rank, h_k, there, and is not evaluated.
+    the rank, so the rank over Q lies between that and the ceiling, the
+    pattern's structural rank over D_k x D_l (`_ceiling`).  A rank mod p
+    that is maximal, min(h_k, h_l), or at the ceiling (a never-injective
+    map, say) is the rank over Q; any other is taken over Q by elimination
+    and counted in `an.rational_ranks`.  A pure order (l = k) whose kept
+    verdict has its witness at cL has full rank, h_k, there, unevaluated.
     """
     c = lcm(*(x.denominator for x in L.coeffs))
     point = tuple(int(x * c) for x in L.coeffs)
     if k == l and an.witnessed(k, point):
         return len(an.basis(k))
     kernel = an.kernel(k, l)
-    h_k, h_l = len(kernel), kernel.ncols
     r = kernel.rank_mod(point, an.prime)
-    if r == min(h_k, h_l) or r == h_k + h_l - an.block(k, l).size:
+    if r == min(len(kernel), kernel.ncols) or r == _ceiling(an, k, l):
         return r
     an.rational_ranks += 1
     return kernel.rank(point)
@@ -299,14 +298,13 @@ def wlp_generic(an: Analysis) -> LefschetzReport:
 
 
 class ZeroBlock(NamedTuple):
-    """Exponents of monomial operators, rows independent in A_k and columns
-    in A_l, whose cells of the mixed Hessian of (k, l) are all zero.  Over
-    bases that extend them, the rank at every point is at most
-    h_k + h_l - |rows| - |cols| (Frobenius-Koenig): below h_k once they
-    number more than h_l, so hess^k vanishes (l = k) or no L makes
-    A_k -> A_(k+1) injective (l = d-1-k; Maeno-Watanabe 2009).  Below the
-    middle the columns are drawn from the degree-l divisors of terms of f,
-    D_l, which span A_l: the bound is then h_k + |D_l| - |rows| - |cols|."""
+    """Exponents of monomial operators, rows in D_k and columns in D_l (the degree-k and
+    degree-l monomials that divide a term of f, which span A_k and A_l in characteristic 0),
+    whose cells of the mixed Hessian of (k, l) over D_k x D_l, a matrix of the rank of the
+    one over bases, are all zero.  So its rank is at most |D_k| + |D_l| - |rows| - |cols| at
+    every point (Frobenius-Koenig); below h_k, hess^k vanishes (l = k) or no L makes
+    A_k -> A_(k+1) injective (l = d-1-k; Maeno-Watanabe 2009), for every form with support
+    in supp(f) and h_k >= dims[k], as the block reads supp(f) alone."""
 
     k: int
     l: int
@@ -334,10 +332,16 @@ def _divisors(f: Poly, degree: int) -> set[Monomial]:
     return {a for e in f.coeff_map() for a in _sub_exponents(e, degree)}
 
 
+def divisor_monomials(an: Analysis, degree: int) -> tuple[Monomial, ...]:
+    """D_degree, the degree-`degree` monomials that divide a term of f, in descending lex
+    order (each greedy basis is a subsequence); the compute body of `an.divisor_monomials(degree)`."""
+    return tuple(sorted(_divisors(an.f, degree), reverse=True))
+
+
 def divisor_codes(an: Analysis, degree: int) -> frozenset[int]:
     """The codes of the degree-`degree` monomials that divide a term of f;
     the compute body of `an.divisors(degree)`."""
-    return frozenset(_codes(an, list(_divisors(an.f, degree))))
+    return frozenset(_codes(an, an.divisor_monomials(degree)))
 
 
 def _pattern(rows: list[int], cols: list[int], layer: frozenset[int]) -> list[list[int]]:
@@ -353,26 +357,20 @@ def _pattern(rows: list[int], cols: list[int], layer: frozenset[int]) -> list[li
 
 
 def zero_pattern(an: Analysis, k: int, l: int) -> list[list[int]]:
-    """For each row a of the mixed Hessian of (k, l), the columns b where
-    x^(a+b) divides a term of f: in characteristic 0 the cells X^(a+b) f that
-    are not zero (distinct terms give distinct monomials).  The compute body
-    of `an.pattern(k, l)`."""
-    return _pattern(_codes(an, an.basis(k).expos), _codes(an, an.basis(l).expos), an.divisors(k + l))
+    """For each row a in D_k, the positions of the columns b in D_l where x^(a+b) divides a term
+    of f: in characteristic 0 the nonzero cells X^(a+b) f of the mixed Hessian of (k, l) over
+    D_k x D_l (distinct terms give distinct monomials).  The compute body of `an.pattern(k, l)`."""
+    rows, cols = an.divisor_monomials(k), an.divisor_monomials(l)
+    return _pattern(_codes(an, rows), _codes(an, cols), an.divisors(k + l))
 
 
 def zero_block(an: Analysis, k: int, l: int) -> ZeroBlock:
-    """The zero block of the pattern of (k, l); the compute body of `an.block(k, l)`."""
-    return _matched_block(k, l, an.pattern(k, l), an.basis(k).expos, an.basis(l).expos)
-
-
-def _matched_block(k: int, l: int, pattern: list[list[int]], rows: Sequence[Monomial],
-                   cols: Sequence[Monomial]) -> ZeroBlock:
-    """The zero block of `pattern` left by a maximum matching, grown along
-    shortest augmenting paths in phases (Hopcroft-Karp).  Once no
-    alternating path from an unmatched row reaches an unmatched column, the
-    rows such paths reach and the columns none of them meets form a zero
-    block of size |rows| + |cols| - r, r the matching's size (Koenig), the
-    same for every maximum matching."""
+    """The zero block of the pattern of (k, l) left by a maximum matching, grown along shortest
+    augmenting paths in phases (Hopcroft-Karp); the compute body of `an.block(k, l)`.  Once no
+    alternating path from an unmatched row reaches an unmatched column, the rows such paths
+    reach and the columns none of them meets form a zero block of size |D_k| + |D_l| - r, r the
+    matching's size (Koenig), the same for every maximum matching."""
+    pattern, rows, cols = an.pattern(k, l), an.divisor_monomials(k), an.divisor_monomials(l)
     col_of, row_of = [-1] * len(rows), [-1] * len(cols)
     while True:
         # each row's distance from an unmatched row along alternating paths
@@ -415,54 +413,41 @@ def _augment(pattern: list[list[int]], col_of: list[int], row_of: list[int],
         stack.append([row_of[j], iter(pattern[row_of[j]]), -1])
 
 
+def _ceiling(an: Analysis, k: int, l: int) -> int:
+    """|D_k| + |D_l| less the size of the zero block of (k, l): the pattern's structural rank."""
+    return len(an.divisor_monomials(k)) + len(an.divisor_monomials(l)) - an.block(k, l).size
+
+
 def key_criterion(an: Analysis, k: int) -> Optional[ZeroBlock]:
-    """The zero block of (k, k), if it proves hess^k = 0; the compute body
-    of `an.key(k)`."""
+    """The zero block of (k, k), if its ceiling is below h_k, which proves
+    hess^k = 0; the compute body of `an.key(k)`."""
     top = an.f.degree // 2
     if not 1 <= k <= top:
         raise DegreeRangeError(f"k={k} out of range 1..{top}")
-    block = an.block(k, k)
-    return block if block.size > len(an.basis(k)) else None
+    return an.block(k, k) if _ceiling(an, k, k) < len(an.basis(k)) else None
 
 
 def wlp_obstruction(an: Analysis, k: int) -> Optional[ZeroBlock]:
-    """The zero block of (k, d-1-k), if it proves A_k -> A_(k+1) never
-    injective, for k in 1..(d-1)/2; the compute body of `an.obstruction(k)`.
-    Below the middle, where no basis of A_(d-1-k) is built, the columns are
-    all the degree-(d-1-k) divisors of terms of f, which span it."""
-    d = an.f.degree
-    l = d - 1 - k
+    """The zero block of (k, d-1-k), k in 1..(d-1)/2, if its ceiling is below
+    h_k: A_k -> A_(k+1) is then never injective.  The compute body of `an.obstruction(k)`."""
+    l = an.f.degree - 1 - k
     if not 1 <= k <= l:
         return None
-    if 2 * l <= d:
-        block, bound = an.block(k, l), len(an.basis(l))
-    else:
-        rows, cols = an.basis(k).expos, sorted(_divisors(an.f, l))
-        pattern = _pattern(_codes(an, rows), _codes(an, cols), an.divisors(d - 1))
-        block, bound = _matched_block(k, l, pattern, rows, cols), len(cols)
-    return block if block.size > bound else None
+    return an.block(k, l) if _ceiling(an, k, l) < len(an.basis(k)) else None
 
 
 def verify_zero_block(f: Poly, dims: Sequence[int], block: ZeroBlock) -> bool:
-    """Replay a ZeroBlock on f and the Hilbert vector `dims` as the report
-    states it, independently of the pattern: the rows are exponents of
-    independent monomial operators of degree k (applied to f by
-    `diff_apply`), the columns distinct degree-l divisors of terms of f, no
-    row times column divides a term, and there are more than h_l of them
-    and, unless more than all those divisors, the columns are independent."""
-    k, l, n, dual = block.k, block.l, len(f.vars), f.vars.dual()
-    if min(k, l) < 0 or k + l > f.degree or block.size <= dims[l]:
+    """Replay a ZeroBlock on supp(f) and the Hilbert vector `dims` as the
+    report states it, taking no derivative: the orders fit f's degree, the
+    rows are distinct members of D_k and the columns of D_l, no row times
+    column divides a term of f, and |D_k| + |D_l| - |rows| - |cols| < dims[k]."""
+    k, l = block.k, block.l
+    if min(k, l) < 0 or k + l > f.degree:
         return False
-    layer, cols = _divisors(f, l), set(map(tuple, block.cols))
-    if len(cols) < len(block.cols) or not cols <= layer:
-        return False
-    for expos, degree in ((block.rows, k), (block.cols if block.size <= len(layer) else (), l)):
-        span = linalg.SparseSpan()
-        for e in expos:
-            if len(e) != n or not all(type(x) is int and x >= 0 for x in e) or sum(e) != degree:
-                return False
-            g = diff_apply(Poly.monomial(dual, tuple(e)), f)
-            if g.is_zero() or not span.try_add(g.coeff_map()):
-                return False
-    divisors = _divisors(f, k + l)
-    return not any(mono_mul(a, b) in divisors for a in block.rows for b in block.cols)
+    ceiling = 0
+    for expos, degree in ((block.rows, k), (block.cols, l)):
+        divisors, chosen = _divisors(f, degree), set(map(tuple, expos))
+        if len(chosen) < len(expos) or not chosen <= divisors:
+            return False
+        ceiling += len(divisors) - len(chosen)
+    return ceiling < dims[k] and _divisors(f, k + l).isdisjoint(mono_mul(a, b) for a in block.rows for b in block.cols)

@@ -516,11 +516,9 @@ class IntMatrix:
     its residue mod a prime (`det_mod`) and the rank over Q or mod a prime
     (`rank`, `rank_mod`) at a point are read here, each through `linalg`.
     The modular two read `at_mod`, and only the routes over Q read `at`.
-    `norm_bound`, the product of the scaled rows' coefficient 1-norms,
-    bounds every coefficient of s^n times the determinant polynomial.
     """
 
-    __slots__ = ("nvars", "ncols", "scale", "norm_bound", "_powers", "_monos", "_entries", "_rows")
+    __slots__ = ("nvars", "ncols", "scale", "_powers", "_monos", "_entries", "_rows")
 
     def __init__(self, entries: Sequence[Sequence[Poly]]):
         self.nvars = len(entries[0][0].vars) if entries and entries[0] else 0
@@ -544,18 +542,21 @@ class IntMatrix:
         monos: dict[Monomial, int] = {}
         # from position 1 on: (int coefficients, monomial positions)
         self._entries: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        norms = [0]  # the coefficient 1-norm at each position
         for entry in distinct:
             coeffs = tuple(c.numerator * (s // c.denominator) for c in entry._terms.values())
             self._entries.append((coeffs, tuple(monos.setdefault(e, len(monos)) for e in entry._terms)))
-            norms.append(sum(map(abs, coeffs)))
-        self.norm_bound = prod(sum(map(norms.__getitem__, row)) for row in self._rows)
         self._powers = sorted({(i, e) for expo in monos for i, e in enumerate(expo) if e})
         position = {power: j for j, power in enumerate(self._powers)}
         self._monos = [tuple(position[i, e] for i, e in enumerate(expo) if e) for expo in monos]
 
     def __len__(self) -> int:
         return len(self._rows)
+
+    def norm_bound(self) -> int:
+        """The product of the scaled rows' coefficient 1-norms, which bounds every
+        coefficient of s^n times the determinant polynomial; worked out on each call."""
+        norms = [0, *(sum(map(abs, coeffs)) for coeffs, _ in self._entries)]
+        return prod(sum(map(norms.__getitem__, row)) for row in self._rows)
 
     def at(self, point: Sequence[int]) -> list[list[int]]:
         """The scaled integer matrix at an integer point."""

@@ -430,13 +430,16 @@ class TestThmWlp:
         assert gen_thmwlp(4, 6).manifest.hilbert == (1, 5, 8, 8, 8, 5, 1)
 
     def test_obstruction_sizes(self):
-        """Each regime's never-injective block has the planted operators as
-        its rows and one operator more than h_(level+1) in all."""
-        for (N, d), rows in {(5, 4): 4, (4, 6): 5, (3, 8): 6, (3, 10): 7}.items():
+        """Each regime's never-injective block has x-operators as its rows
+        and bounds the rank of A_level -> A_(level+1) at h_level - 1:
+        |D_level| + |D_(d-1-level)| less its size."""
+        for (N, d), rows in {(5, 4): 4, (4, 6): 6, (3, 8): 6, (3, 10): 7}.items():
             inst = gen_thmwlp(N, d)
             an, level = inst.analysis, inst.manifest.never_injective_level
             block = an.obstruction(level)
-            assert len(block.rows) == rows and block.size == an.hilbert()[level + 1] + 1
+            spanning = len(an.divisor_monomials(level)) + len(an.divisor_monomials(d - 1 - level))
+            assert len(block.rows) == rows and all(sum(e[:-2]) == 1 for e in block.rows)  # one x, then u, v
+            assert spanning - block.size == an.hilbert()[level] - 1
 
     def test_spare_variables(self):
         inst = gen_thmwlp(7, 4)

@@ -464,11 +464,11 @@ class TestCertificateRoute:
             # left out, which some row meets, in place of one of its own
             met = next(b for b in an.basis(k).expos if b not in cols and any(cell(a, b) for a in rows))
             assert not verify_zero_block(f, hv, forged(cert, cols=(met, *cols[1:])))
-            # a dependent operator among the rows: one of them twice
+            # a repeated row
             assert not verify_zero_block(f, hv, forged(cert, rows=(*rows[:-1], rows[0])))
-            # too small: |rows| + |cols| = h_k
+            # too small: |rows| + |cols| = h_k leaves the ceiling 2 |D_k| - h_k >= h_k
             assert not verify_zero_block(f, hv, forged(cert, cols=tuple(cols[cert.size - hv[k]:])))
-            # a non-monomial operator: a negative power, of the right degree
+            # a row outside D_k: a negative power, of the right degree
             bad = (-1, *rows[0][1:-1], rows[0][-1] + rows[0][0] + 1)
             assert not verify_zero_block(f, hv, forged(cert, rows=(bad, *rows[1:])))
 
@@ -774,7 +774,7 @@ class TestRandomPrime:
         verdict = _det_vanishes(an, 1, kernel)
         boxes = widths[:: kernel.nvars]
         assert len(boxes) == min(trials, 2) and boxes[:1] == [64 * 5][:trials]
-        content = Fraction(-(-kernel.norm_bound.bit_length() // 60), 2**54)
+        content = Fraction(-(-kernel.norm_bound().bit_length() // 60), 2**54)
         assert verdict.vanishes and verdict.error_bound - content == prod(Fraction(5, b) for b in boxes)
         assert verdict.error_bound - content == Fraction(1, 64) ** trials
 

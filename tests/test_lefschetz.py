@@ -1,5 +1,8 @@
 import functools
+import json
+import os
 import random
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -36,7 +39,7 @@ from lefschetz_lab.lefschetz import (
     wlp_generic,
     wlp_obstruction,
 )
-from lefschetz_lab.polycore import Poly, VariableSet, diff_apply, eval_poly, mono_basis, parse_poly
+from lefschetz_lab.polycore import Poly, VariableSet, diff_apply, eval_poly, mono_basis, mono_mul, parse_poly
 from lefschetz_lab.reproduce import _random_linear_form
 
 from conftest import dense_coords, homogeneous_polys, prob, rational_polys, wlp_check_all_levels
@@ -521,20 +524,20 @@ class TestWlpObstruction:
         cert = wlp_obstruction(an, 1)
         assert (cert.k, cert.l) == (1, 2)
         assert op_texts(cert.rows, f) == ["X2", "X3", "X4", "X5"]
-        assert op_texts(cert.cols, f) == ["X2*U", "X3*U", "X4*U"]
-        assert cert.size == 7 > len(an.basis(2)) == 6
+        assert op_texts(cert.cols, f) == ["X2*U", "X3*U", "X3*V", "X4*U", "X4*V", "X5*V"]
+        assert len(an.divisor_monomials(1)) + len(an.divisor_monomials(2)) - cert.size == 15 - 10 < len(an.basis(1))
         assert verify_zero_block(f, an.hilbert(), cert)
 
     def test_degree_six(self):
         f = gen_thmwlp(4, 6).f
         cert = wlp_obstruction(prob(f), 2)
-        assert (cert.k, cert.l, cert.size) == (2, 3, 9)
-        assert set(op_texts(cert.rows, f)) == {"X2*U", "X2*V", "X3*U", "X3*V", "X4*U"}
+        assert (cert.k, cert.l, cert.size) == (2, 3, 13)
+        assert set(op_texts(cert.rows, f)) == {"X2*U", "X2*V", "X3*U", "X3*V", "X4*U", "X4*V"}
 
     def test_degree_eight(self):
         f = gen_thmwlp(3, 8).f
         cert = wlp_obstruction(prob(f), 3)
-        assert (len(cert.rows), len(cert.cols)) == (6, 5)
+        assert (len(cert.rows), len(cert.cols)) == (6, 6)
 
     def test_pure_u_operators_counted(self):
         # the rows of x, y, z meet no column of x, y, z or W: W, a pure-u
@@ -591,15 +594,134 @@ class TestWlpObstruction:
             assert linalg.rank(mult_map(an, L, 1, 1)) < h1
 
 
-def oracle_block(f, k, l, cols=None):
+def nonzero_derivatives(f, degree):
+    """The degree-`degree` monomial operators that do not annihilate f, by
+    `diff_apply`, in descending lex order: D_degree by its definition."""
+    dual = f.vars.dual()
+    return tuple(e for e in mono_basis(dual, degree) if not diff_apply(Poly.monomial(dual, e), f).is_zero())
+
+
+GOLDEN_INSTANCES = os.path.join(os.path.dirname(__file__), "data", "golden_instances.json")
+
+
+@functools.lru_cache(maxsize=1)
+def golden_forms():
+    """Each recorded family instance's form, by name."""
+    with open(GOLDEN_INSTANCES, encoding="utf-8") as fh:
+        data = json.load(fh)
+    return {name: parse_poly(inst["poly"], VariableSet(tuple(inst["vars"]))) for name, inst in data.items()}
+
+
+def certificates(an):
+    """Every zero block that certifies an order or a level of `an`'s form."""
+    d = an.f.degree
+    found = [an.key(k) for k in range(1, d // 2 + 1)] + [an.obstruction(k) for k in range(1, (d + 1) // 2)]
+    return [cert for cert in found if cert is not None]
+
+
+def redrawn(f, rng, values):
+    """f with the same support and each coefficient drawn from `values`."""
+    return Poly(f.vars, {e: rng.choice(values) for e in sorted(f.coeff_map())})
+
+
+class TestZeroBlockReplay:
+    def test_certificates_hold_on_the_whole_support(self):
+        """A block reads supp(f) alone: on every recorded instance, with its
+        coefficients redrawn from the nonzero integers in -9..9, each
+        certified order and level whose h_k is at least f's is certified
+        by the same block, which replays on the new form, and the new
+        form's Hessian there has rank below h_k at a point, mod its prime."""
+        rng = random.Random(7)
+        values = [c for c in range(-9, 10) if c]
+        kept = skipped = 0
+        for f in golden_forms().values():
+            an = prob(f)
+            g = redrawn(f, rng, values)
+            other = prob(g)
+            point = other.point(0)
+            for cert in certificates(an):
+                k, l = cert.k, cert.l
+                if other.hilbert()[k] < an.hilbert()[k]:
+                    skipped += 1
+                    continue
+                assert (other.key(k) if k == l else other.obstruction(k)) == cert
+                assert verify_zero_block(g, other.hilbert(), cert)
+                assert other.kernel(k, l).rank_mod(point, other.prime) < len(other.basis(k))
+                kept += 1
+        assert (kept, skipped) == (148, 0)
+
+    def test_mutated_blocks_rejected(self):
+        """On every recorded instance, each certificate replays, and each of
+        these changes to it fails: a row outside D_k, a column outside D_l,
+        a repeated row, a row and a column whose product divides a term,
+        and a block one short, with |D_k| + |D_l| - size = h_k."""
+        tried = Counter()
+        for f in golden_forms().values():
+            an = prob(f)
+            hv, dual, terms = an.hilbert(), f.vars.dual(), f.coeff_map()
+            for cert in certificates(an):
+                k, l, rows, cols = cert.k, cert.l, cert.rows, cert.cols
+                divisors_k, divisors_l = an.divisor_monomials(k), an.divisor_monomials(l)
+                assert verify_zero_block(f, hv, cert)
+                bad = {}
+                outside_k = [e for e in mono_basis(dual, k) if e not in divisors_k]
+                outside_l = [e for e in mono_basis(dual, l) if e not in divisors_l]
+                if outside_k:
+                    bad["row outside D_k"] = cert._replace(rows=(outside_k[0], *rows[1:]))
+                if outside_l and cols:
+                    bad["column outside D_l"] = cert._replace(cols=(outside_l[0], *cols[1:]))
+                if len(rows) > 1:
+                    bad["repeated row"] = cert._replace(rows=(*rows[:-1], rows[0]))
+
+                def meets(a, b):
+                    return any(all(x <= y for x, y in zip(mono_mul(a, b), e)) for e in terms)
+
+                col = next((b for b in divisors_l if b not in cols and any(meets(a, b) for a in rows)), None)
+                row = next((a for a in divisors_k if a not in rows and any(meets(a, b) for b in cols)), None)
+                bad["a cell that is not zero"] = (cert._replace(cols=(col, *cols[1:])) if col is not None and cols
+                                                  else cert._replace(rows=(row, *rows[1:])))
+                # dropping `spare` rows or columns lifts the ceiling to h_k; one fewer keeps it below
+                spare = hv[k] - (len(divisors_k) + len(divisors_l) - cert.size)
+                side = "cols" if len(cols) >= spare else "rows"
+                assert verify_zero_block(f, hv, cert._replace(**{side: getattr(cert, side)[spare - 1:]}))
+                bad["ceiling h_k"] = cert._replace(**{side: getattr(cert, side)[spare:]})
+                for kind, block in bad.items():
+                    assert not verify_zero_block(f, hv, block), (kind, block)
+                tried.update(bad.keys())
+        assert len(tried) == 5 and sum(tried.values()) > 600
+
+    def test_replay_takes_no_derivative(self, monkeypatch):
+        """With `diff_apply` and `SparseSpan` made to raise, the certificates
+        of every recorded report and of every recorded instance replay."""
+        import lefschetz_lab.polycore as polycore_mod
+
+        with open(os.path.join(os.path.dirname(__file__), "data", "golden_reports.json"), encoding="utf-8") as fh:
+            reports = [case["report"] for case in json.load(fh).values()]
+        blocks = [(parse_poly(r["input"]["poly"], VariableSet(tuple(r["input"]["vars"]))), r["hilbert"],
+                   ZeroBlock(*c["orders"], tuple(map(tuple, c["rows"])), tuple(map(tuple, c["cols"]))))
+                  for r in reports for c in r["certificates"]]
+        for f in golden_forms().values():
+            an = prob(f)
+            blocks += [(f, an.hilbert(), cert) for cert in certificates(an)]
+
+        def refused(*args, **kwargs):
+            raise AssertionError("replay took a derivative or a span")
+
+        for module in (polycore_mod, lefschetz):
+            monkeypatch.setattr(module, "diff_apply", refused)
+        monkeypatch.setattr(linalg, "SparseSpan", refused)
+        assert len(blocks) > 150 and all(verify_zero_block(f, hv, cert) for f, hv, cert in blocks)
+
+
+def oracle_block(f, k, l, rows=None, cols=None):
     """The zero block by its definition: cells built by `diff_apply` over
-    the greedy basis of A_k of a fresh Analysis and the columns `cols` (by
-    default the greedy basis of A_l), a maximum matching by recursive
+    the rows `rows` and the columns `cols` (by default D_k and D_l, the
+    operators that do not annihilate f), a maximum matching by recursive
     augmenting paths, and Koenig's sets by a breadth-first search from the
     unmatched rows.  Those sets are the same for every maximum matching."""
-    an = prob(f)
     dual = f.vars.dual()
-    rows, cols = an.basis(k).expos, an.basis(l).expos if cols is None else cols
+    rows = nonzero_derivatives(f, k) if rows is None else rows
+    cols = nonzero_derivatives(f, l) if cols is None else cols
     ops = [Poly.monomial(dual, e) for e in cols]
     nonzero = [[not diff_apply(b, diff_apply(Poly.monomial(dual, a), f)).is_zero() for b in ops] for a in rows]
     mate = {}  # column -> row
@@ -632,31 +754,24 @@ def oracle_block(f, k, l, cols=None):
 
 def assert_searches_match_oracle(f):
     """The block of every order and of every level below the middle equals
-    the oracle's; each certificate found is that block, and replays."""
-    an = prob(f)
+    the oracle's over D_k x D_l; each certificate found is that block, its
+    ceiling |D_k| + |D_l| - size below h_k, and replays.  Over D_k x D_l the
+    bound is never stronger than over the bases, which the greedy bases of a
+    fresh Analysis check: where a block certifies, the bases' block does too."""
+    an, bases = prob(f), prob(f)
     d = f.degree
-    for k in range(1, d // 2 + 1):
-        block = an.block(k, k)
-        assert block == oracle_block(f, k, k)
-        cert = key_criterion(an, k)
-        assert cert == (block if block.size > len(an.basis(k)) else None)
-        assert cert is None or verify_zero_block(f, an.hilbert(), cert)
-    for k in range(1, (d + 1) // 2):
-        l = d - 1 - k
+    for k, l in [(k, k) for k in range(1, d // 2 + 1)] + [(k, d - 1 - k) for k in range(1, (d + 1) // 2)]:
         block = an.block(k, l)
         assert block == oracle_block(f, k, l)
-        cert = wlp_obstruction(an, k)
-        if 2 * l <= d:
-            assert cert == (block if block.size > len(an.basis(l)) else None)
-        else:
-            # above the middle the columns are every degree-l divisor of a
-            # term: a weaker bound than the basis's, never a stronger one
-            dual = f.vars.dual()
-            divisors = sorted(c for c in mono_basis(dual, l) if not diff_apply(Poly.monomial(dual, c), f).is_zero())
-            spanning = oracle_block(f, k, l, divisors)
-            assert cert == (spanning if spanning.size > len(divisors) else None)
-            assert cert is None or block.size > len(an.basis(l))
+        assert an.divisor_monomials(k) == nonzero_derivatives(f, k)
+        cert = key_criterion(an, k) if k == l else wlp_obstruction(an, k)
+        h_k = len(an.basis(k))
+        ceiling = len(an.divisor_monomials(k)) + len(an.divisor_monomials(l)) - block.size
+        assert cert == (block if ceiling < h_k else None)
         assert cert is None or verify_zero_block(f, an.hilbert(), cert)
+        if cert is not None:
+            rows, cols = bases.basis(k).expos, bases.basis(l).expos
+            assert oracle_block(f, k, l, rows, cols).size > len(cols)
 
 
 SPLIT_FAMILIES = [
@@ -688,9 +803,8 @@ class TestSingleScan:
     def test_both_certificates_of_an_order_read_one_scan(self, monkeypatch):
         """Each pattern is read off supp(f) once: the order's certificate
         and the kernel both read it, and a second read is a memo hit.  At
-        the middle of odd d, (3, 3) is both the order and the level; the
-        levels below it read no Hessian's pattern, since their columns are
-        the divisors of f's terms, not a basis."""
+        the middle of odd d, (3, 3) is both the order and the level; each
+        level below it reads the pattern of (k, d-1-k), once."""
         import lefschetz_lab.analysis as analysis_mod
 
         f = gen_wlpodd(5, 7).f
@@ -702,7 +816,7 @@ class TestSingleScan:
             an.key(k)
             an.obstruction(k)
             an.kernel(k, k)
-        assert sorted(calls) == [(1, 1), (2, 2), (3, 3)]
+        assert sorted(calls) == [(1, 1), (1, 5), (2, 2), (2, 4), (3, 3)]
         assert an.key(3) is an.obstruction(3) is an.block(3, 3)
 
     @given(homogeneous_polys(min_vars=2, max_vars=4, min_degree=2, max_degree=6))
@@ -834,14 +948,14 @@ class TestKeyCriterionSoundnessRandom:
     @settings(max_examples=40)
     def test_block_bounds_every_rank(self, f, data):
         """The rank mod the form's prime of every mixed Hessian at a random
-        point is at most h_k + h_l less the size of its zero block."""
+        point is at most |D_k| + |D_l| less the size of its zero block."""
         an = prob(f)
         d = f.degree
         point = tuple(data.draw(st.integers(-3, 3)) for _ in range(len(f.vars)))
         for k in range(d // 2 + 1):
             for l in range(k, d - k + 1):
                 matrix = an.kernel(k, l).at(point)
-                r = len(an.basis(k)) + len(an.basis(l)) - an.block(k, l).size
+                r = len(an.divisor_monomials(k)) + len(an.divisor_monomials(l)) - an.block(k, l).size
                 assert linalg.rank_mod(matrix, an.prime) <= r
         for k in range(1, (d + 1) // 2):
             if wlp_obstruction(an, k) is not None:
@@ -864,15 +978,15 @@ def point_matrix(an, k, l, L):
 def assert_rank_closed_soundly(an, k, l, L):
     """`rank_at` equals the rank over Q, the certificate ceiling is at least
     that rank, and `rational_ranks` grows exactly when the rank mod p is
-    below the ceiling; returns whether it grew."""
+    below both the ceiling and full rank; returns whether it grew."""
     matrix = point_matrix(an, k, l, L)
     exact = linalg.rank(matrix)
-    ceiling = len(matrix) + len(matrix[0]) - an.block(k, l).size
-    assert exact <= ceiling <= min(len(matrix), len(matrix[0]))
+    ceiling = len(an.divisor_monomials(k)) + len(an.divisor_monomials(l)) - an.block(k, l).size
+    assert exact <= ceiling
     before = an.rational_ranks
     assert rank_at(an, k, l, L) == exact
     grew = an.rational_ranks - before
-    assert grew == (linalg.rank_mod(matrix, an.prime) < ceiling)
+    assert grew == (linalg.rank_mod(matrix, an.prime) < min(ceiling, len(matrix), len(matrix[0])))
     return bool(grew)
 
 
@@ -902,7 +1016,7 @@ class TestRankCeiling:
         matrix = point_matrix(an, 2, 2, LinearForm((3, -5, 7, 2)))
         cert = an.key(2)
         assert cert is not None
-        ceiling = 2 * len(matrix) - an.block(2, 2).size
+        ceiling = 2 * len(an.divisor_monomials(2)) - an.block(2, 2).size
         assert cert is an.block(2, 2) and ceiling < len(matrix)
         assert linalg.rank(matrix) == ceiling
         assert rank_at(an, 2, 2, LinearForm((3, -5, 7, 2))) == ceiling

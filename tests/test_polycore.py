@@ -370,7 +370,7 @@ class TestIntMatrix:
             [parse_poly("x^2", vs), Poly.zero(vs)],
         ]
         # common scale 2: |1| + |-2| + |6| = 9 and |2| = 2
-        assert IntMatrix(entries).norm_bound == 18
+        assert IntMatrix(entries).norm_bound() == 18
 
     def test_one_poly_in_rows_of_different_scale(self):
         # rows whose own denominators are 2, 1 and 3 share the common scale
@@ -388,7 +388,7 @@ class TestIntMatrix:
             assert kernel.at(point) == [[eval_poly(e, point) * 6 for e in row] for row in entries]
         assert kernel.scale == 6
         # row norms at scale 6: |6| + |18| + |3|, |6| + |18| + |6|, |2| + |6| + |18|
-        assert kernel.norm_bound == 27 * 30 * 26
+        assert kernel.norm_bound() == 27 * 30 * 26
 
     @given(
         rational_poly_matrices(max_exponent=4000) | rational_poly_matrices(),
