@@ -21,7 +21,6 @@ _SOURCE = {
     "Analysis": "analysis",
     "AkBasis": "apolar",
     "HilbertVector": "apolar",
-    "catalecticant": "apolar",
     "is_unimodal": "apolar",
     "DegenerateInstanceError": "errors",
     "HomogeneityError": "errors",
@@ -52,19 +51,20 @@ _SOURCE = {
     "LefschetzReport": "lefschetz",
     "LinearForm": "lefschetz",
     "ZeroBlock": "lefschetz",
-    "mult_map": "lefschetz",
     "rank_at": "lefschetz",
     "slp_check_element": "lefschetz",
     "slp_generic": "lefschetz",
     "verify_zero_block": "lefschetz",
     "wlp_check_element": "lefschetz",
     "wlp_generic": "lefschetz",
+    "catalecticant": "oracles",
+    "diff_apply": "oracles",
+    "linear_change": "oracles",
+    "mult_map": "oracles",
     "DiffOp": "polycore",
     "Monomial": "polycore",
     "Poly": "polycore",
     "VariableSet": "polycore",
-    "diff_apply": "polycore",
-    "linear_change": "polycore",
     "mono_basis": "polycore",
     "parse_poly": "polycore",
 }

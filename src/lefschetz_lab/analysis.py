@@ -46,7 +46,7 @@ from typing import Callable, Optional, TypeVar
 from .apolar import AkBasis, HilbertVector, ak_basis, hilbert_vector
 from .errors import DegreeRangeError, ZeroPolynomialError
 from .hessian import (
-    MODES, Matrix, VanishingVerdict, _decision_prime, _eliminated, hessian_vanishes, mixed_hessian, sample_point,
+    MODES, Matrix, VanishingVerdict, _decision_prime, hessian_vanishes, mixed_hessian, sample_point,
 )
 from .lefschetz import ZeroBlock, divisor_codes, divisor_monomials, key_criterion, wlp_obstruction, zero_block, zero_pattern
 from .polycore import Derivatives, IntMatrix, Monomial, Poly
@@ -134,7 +134,9 @@ class Analysis:
         if self.mode == "exact" and verdict.error_bound is not None:
             key = ("elimination", k)
             if key not in self._memo:
-                self._memo[key] = _eliminated(self, self.hessian(k, k), self.kernel(k, k))
+                from . import exact
+
+                self._memo[key] = exact._eliminated(self, self.hessian(k, k), self.kernel(k, k))
             verdict = self._memo[key]
         return verdict
 

@@ -1,4 +1,4 @@
-"""Catalecticant matrices, graded bases, Hilbert vectors.
+"""Graded bases and Hilbert vectors.
 
 The graded quotient A = (operator ring)/Ann(f) is represented throughout by
 its derivative spaces: degree-k operators are identified with the polynomials
@@ -6,10 +6,8 @@ they produce from f, so dim A_k is the size of a greedy basis of the degree-k
 derivatives and multiplication never needs quotient-ring arithmetic.  The
 greedy monomials form an order ideal, so each basis grows from the one below
 it and no degree is scanned in full.  The explicit catalecticant matrix,
-whose rank (`linalg.rank`) is the same number, is kept as API and as an
-independent reference; it is filled from f's coefficients, entry (beta,
-alpha) being c_(alpha+beta) * prod_i perm(e_i, alpha_i) with e = alpha +
-beta, and differentiates nothing.  The basis (`ak_basis`) and the facts
+whose rank is the same number, is the independent reference that
+`oracles.catalecticant` builds.  The basis (`ak_basis`) and the facts
 read off the bases (the Hilbert vector here, the cone test in `hessian`)
 take the form's `Analysis`, which computes each basis once and holds the
 derivatives they read.  `ak_basis` and `hilbert_vector` are the compute
@@ -21,13 +19,11 @@ the memo and `counts()`.  Unimodality is the absence of a dip
 from __future__ import annotations
 
 from itertools import accumulate
-from math import perm, prod
-from operator import sub
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from . import linalg
-from .errors import DegreeRangeError, ZeroPolynomialError
-from .polycore import Monomial, Poly, Record, Scalar, _coefficient, mono_basis
+from .errors import DegreeRangeError
+from .polycore import Monomial, Record
 
 if TYPE_CHECKING:
     from .analysis import Analysis
@@ -55,34 +51,6 @@ class AkBasis(Record):
 
     def __len__(self) -> int:
         return len(self.expos)
-
-
-def catalecticant(f: Poly, k: int) -> list[list[Scalar]]:
-    """Explicit catalecticant matrix of f in degree k.
-
-    Rows are the degree-(d-k) monomials, columns the degree-k monomial
-    operators, both in `mono_basis` (descending lex) order; entry (i, j) is
-    the coefficient of monomial i in operator j applied to f.  With
-    beta = monomial i and alpha = operator j, that is c_e * prod_i
-    perm(e_i, alpha_i) for e = alpha + beta and c_e f's coefficient of x^e,
-    so the matrix is filled from f's coefficients: each term e of f fills
-    one entry for each alpha <= e of degree k, and every other entry is 0.
-    Entries follow `Poly`'s coefficients: an `int` when integral, else a
-    reduced `Fraction`.
-    """
-    if f.is_zero():
-        raise ZeroPolynomialError("operation undefined for the zero polynomial")
-    d = f.degree
-    if not 0 <= k <= d:
-        raise DegreeRangeError(f"k={k} out of range 0..{d}")
-    rows = {m: i for i, m in enumerate(mono_basis(f.vars, d - k))}
-    columns = {m: j for j, m in enumerate(mono_basis(f.vars, k))}
-    matrix = [[0] * len(columns) for _ in rows]
-    for e, c in f.coeff_map().items():
-        for alpha in _sub_exponents(e, k):
-            v = c * prod(map(perm, e, alpha))
-            matrix[rows[tuple(map(sub, e, alpha))]][columns[alpha]] = v if type(v) is int else _coefficient(v)
-    return matrix
 
 
 def _sub_exponents(e: Monomial, k: int) -> Iterator[Monomial]:
@@ -195,3 +163,14 @@ def first_dip(hv: HilbertVector | Sequence[int]) -> Optional[int]:
         if drop is not None and dims[i + 1] > dims[i]:
             return drop
     return None
+
+
+def __getattr__(name: str):
+    """`catalecticant`, which lives in `oracles`.  It resolves here only
+    because `perfbench/tracer.py` still lists it under `apolar` in
+    `TRACED`; no code of the package reads it from this module."""
+    if name == "catalecticant":
+        from . import oracles
+
+        return oracles.catalecticant
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,11 +9,9 @@ to integers modulo the form's decision prime (`an.prime`), the one its
 vanishing verdicts read; a maximal rank there is the rank over Q, and so
 is one at the ceiling the map's zero block puts on it; only a rank below
 both is taken again over Q.  The explicit multiplication matrix
-(`mult_map`) is the independent reference for those ranks: it applies L,
-k times, to each basis derivative and solves the result in the target
-space, never reading a Hessian.  WLP is decided on one
-map: in the Gorenstein algebra of f, L is a weak Lefschetz element exactly
-when L: A_m -> A_(m+1), m = floor((d-1)/2), has maximal rank
+(`oracles.mult_map`) is the independent reference for those ranks.  WLP is
+decided on one map: in the Gorenstein algebra of f, L is a weak Lefschetz
+element exactly when L: A_m -> A_(m+1), m = floor((d-1)/2), has maximal rank
 (Migliore-Miro-Roig-Nagel, Trans. AMS 363 (2011), Prop. 2.1), the rank of
 the mixed Hessian of (m, d-1-m) at L (Maeno-Watanabe, Illinois J. Math. 53
 (2009)).  So a nonvanishing hess^m_f settles WLP at its witness point, and
@@ -49,11 +47,11 @@ from fractions import Fraction
 from itertools import compress
 from math import lcm
 from operator import mul
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .apolar import HilbertVector, _sub_exponents, first_dip, is_unimodal
 from .errors import DegreeRangeError
-from .polycore import Monomial, Poly, Record, Scalar, _coefficient, diff_apply, mono_mul
+from .polycore import Monomial, Poly, Record, Scalar, _coefficient, mono_mul
 
 if TYPE_CHECKING:
     from .analysis import Analysis
@@ -77,45 +75,13 @@ class LinearForm(Record):
         return [str(c) for c in self.coeffs]
 
 
-def mult_map(an: Analysis, L: LinearForm, i: int, k: int) -> list[list[Fraction]]:
-    """Matrix of multiplication by L^k from the degree-i piece to degree i+k.
-
-    Rows are indexed by the target basis, columns by the source basis (both
-    the deterministic greedy bases), so the matrix has dim A_{i+k} rows and
-    dim A_i columns.  Column s is L, as an operator, applied k times to the
-    s-th basis derivative of A_i and solved against the span of the basis
-    derivatives of A_{i+k}.  The Lefschetz checks take the same ranks from
-    mixed Hessians (`rank_at`); this naive construction is their independent
-    reference and is not used to decide anything.
-    """
-    d = an.f.degree
-    if i < 0 or k < 0 or i + k > d:
-        raise DegreeRangeError(f"map degrees ({i} -> {i + k}) out of range for d={d}")
-    n = len(an.f.vars)
-    if len(L.coeffs) != n:
-        raise ValueError("linear form has the wrong number of coefficients")
-    op = Poly(an.f.vars.dual(), {tuple(int(j == t) for j in range(n)): c for t, c in enumerate(L.coeffs)})
-    target = an.basis(i + k)
-    columns = []
-    for e in an.basis(i).expos:
-        g = an.derivatives[e]
-        for _ in range(k):
-            g = diff_apply(op, g)
-        coords = target.span.dependency(g.coeff_map())
-        if coords is None:
-            raise ArithmeticError("derivative escaped the derivative space (bug)")
-        q, nums = coords
-        columns.append([Fraction(nums.get(t, 0), q) for t in range(len(target))])
-    return [list(row) for row in zip(*columns)]
-
-
-class LevelCheck(NamedTuple):
+class LevelCheck(Record):
     """One rank check `L^step : A_i -> A_{i+step}` against its maximum."""
 
-    i: int
-    step: int
-    rank: int
-    required: int
+    __slots__ = ("i", "step", "rank", "required")
+
+    def __init__(self, i: int, step: int, rank: int, required: int):
+        Record.__init__(self, i, step, rank, required)
 
     @property
     def maximal(self) -> bool:
@@ -178,19 +144,28 @@ def wlp_check_element(an: Analysis, L: LinearForm) -> tuple[bool, list[LevelChec
     return check.maximal, [check]
 
 
-class LefschetzReport(NamedTuple):
-    """Verdict on a Lefschetz property, with replayable evidence."""
+class LefschetzReport(Record):
+    """Verdict on a Lefschetz property, with replayable evidence: `property`
+    is "SLP" or "WLP", and `verdict` "holds", "fails" or "undetermined"."""
 
-    property: str  # "SLP" | "WLP"
-    verdict: str  # "holds" | "fails" | "undetermined"
-    hilbert: HilbertVector
-    unimodal: bool
-    witness: Optional[LinearForm] = None
-    levels: tuple[LevelCheck, ...] = ()
-    level: Optional[int] = None
-    map: Optional[tuple[int, int]] = None
-    required: Optional[int] = None
-    certificate: Optional[object] = None
+    __slots__ = ("property", "verdict", "hilbert", "unimodal", "witness", "levels", "level", "map",
+                 "required", "certificate")
+
+    def __init__(
+        self,
+        property: str,
+        verdict: str,
+        hilbert: HilbertVector,
+        unimodal: bool,
+        witness: Optional[LinearForm] = None,
+        levels: tuple[LevelCheck, ...] = (),
+        level: Optional[int] = None,
+        map: Optional[tuple[int, int]] = None,
+        required: Optional[int] = None,
+        certificate: Optional[object] = None,
+    ):
+        Record.__init__(self, property, verdict, hilbert, unimodal, witness, levels, level, map, required,
+                        certificate)
 
     def to_json_dict(self) -> dict:
         cert = self.certificate
@@ -297,7 +272,7 @@ def wlp_generic(an: Analysis) -> LefschetzReport:
 # -- structural certificates --------------------------------------------------
 
 
-class ZeroBlock(NamedTuple):
+class ZeroBlock(Record):
     """Exponents of monomial operators, rows in D_k and columns in D_l (the degree-k and
     degree-l monomials that divide a term of f, which span A_k and A_l in characteristic 0),
     whose cells of the mixed Hessian of (k, l) over D_k x D_l, a matrix of the rank of the
@@ -306,10 +281,10 @@ class ZeroBlock(NamedTuple):
     A_k -> A_(k+1) injective (l = d-1-k; Maeno-Watanabe 2009), for every form with support
     in supp(f) and h_k >= dims[k], as the block reads supp(f) alone."""
 
-    k: int
-    l: int
-    rows: tuple[Monomial, ...]
-    cols: tuple[Monomial, ...]
+    __slots__ = ("k", "l", "rows", "cols")
+
+    def __init__(self, k: int, l: int, rows: tuple[Monomial, ...], cols: tuple[Monomial, ...]):
+        Record.__init__(self, k, l, rows, cols)
 
     @property
     def size(self) -> int:
@@ -451,3 +426,14 @@ def verify_zero_block(f: Poly, dims: Sequence[int], block: ZeroBlock) -> bool:
             return False
         ceiling += len(divisors) - len(chosen)
     return ceiling < dims[k] and _divisors(f, k + l).isdisjoint(mono_mul(a, b) for a in block.rows for b in block.cols)
+
+
+def __getattr__(name: str):
+    """`mult_map`, which lives in `oracles`.  It resolves here only because
+    `perfbench/tracer.py` still lists it under `lefschetz` in `TRACED`; no
+    code of the package reads it from this module."""
+    if name == "mult_map":
+        from . import oracles
+
+        return oracles.mult_map
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

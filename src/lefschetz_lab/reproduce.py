@@ -32,9 +32,7 @@ import random
 import time
 from typing import BinaryIO, Callable, Iterator, NamedTuple, Optional, Sequence
 
-from . import linalg
 from .analysis import Analysis
-from .apolar import catalecticant
 from .errors import InfeasibleParametersError
 from .families import (
     FamilyInstance,
@@ -47,17 +45,11 @@ from .families import (
     generate,
     replay_manifest,
 )
-from .hessian import explicit_basis_verdict, is_cone, poly_det_vanishes
-from .lefschetz import LinearForm, mult_map, rank_at
-from .polycore import (
-    Poly,
-    VariableSet,
-    diff_apply,
-    linear_change,
-    mono_basis,
-    parse_poly,
-    poly_sum,
-)
+from .exact import poly_det_vanishes, rank
+from .hessian import is_cone
+from .lefschetz import LinearForm, rank_at
+from .oracles import catalecticant, diff_apply, explicit_basis_verdict, linear_change, mult_map
+from .polycore import Poly, VariableSet, mono_basis, parse_poly, poly_sum
 
 
 class SuiteConfig(NamedTuple):
@@ -198,7 +190,7 @@ def _prop_hilbert_symmetry(config: SuiteConfig) -> tuple[bool, str]:
     for trial in range(100):
         f = _random_form(rng, rng.randint(2, 4), rng.randint(2, 5))
         dims = Analysis(f, config.mode, config.seed).hilbert().dims
-        ranks = tuple(linalg.rank(catalecticant(f, k)) for k in range(f.degree + 1))
+        ranks = tuple(rank(catalecticant(f, k)) for k in range(f.degree + 1))
         if dims != ranks:
             return False, f"catalecticant ranks {ranks} != {dims} at trial {trial}"
     return True, "100 instances"
@@ -231,7 +223,7 @@ def _prop_rank_consistency(config: SuiteConfig) -> tuple[bool, str]:
         L = _random_linear_form(rng, len(f.vars), 5)
         an = Analysis(f, config.mode, config.seed)
         hess_rank = rank_at(an, k, k, L)
-        mult_rank = linalg.rank(mult_map(an, L, k, d - 2 * k))
+        mult_rank = rank(mult_map(an, L, k, d - 2 * k))
         if hess_rank != mult_rank:
             return False, f"rank mismatch {hess_rank} vs {mult_rank} at trial {trial}"
     return True, "50 instances"

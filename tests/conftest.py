@@ -8,7 +8,8 @@ import pytest
 
 from lefschetz_lab.analysis import Analysis
 from lefschetz_lab.lefschetz import LevelCheck, rank_at
-from lefschetz_lab.polycore import Poly, VariableSet, diff_apply, linear_change, mono_basis, poly_sum
+from lefschetz_lab.oracles import linear_change
+from lefschetz_lab.polycore import Poly, VariableSet, diff_apply, mono_basis, poly_sum
 
 hypothesis.settings.register_profile(
     "default", max_examples=30, deadline=None

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import lefschetz_lab.exact as exact_mod
 import lefschetz_lab.hessian as hessian_mod
 from lefschetz_lab import linalg
 from lefschetz_lab.analysis import Analysis
@@ -30,15 +31,15 @@ from lefschetz_lab.hessian import (
     _decision_prime,
     _det_vanishes,
     _is_prime,
-    explicit_basis_verdict,
     hess_profile,
     hessian_matrix,
     hessian_vanishes,
     is_cone,
     poly_det_vanishes,
-    poly_divexact,
 )
+from lefschetz_lab.exact import poly_divexact
 from lefschetz_lab.lefschetz import key_criterion, slp_generic, verify_zero_block, wlp_generic
+from lefschetz_lab.oracles import explicit_basis_verdict, linear_change
 from lefschetz_lab.polycore import (
     Derivatives,
     IntMatrix,
@@ -46,7 +47,6 @@ from lefschetz_lab.polycore import (
     VariableSet,
     diff_apply,
     eval_poly,
-    linear_change,
     mono_mul,
     parse_poly,
     partial,
@@ -573,13 +573,13 @@ def replays(entries, verdict):
 class TestEvaluateFirst:
     def test_exact_nonvanishing_needs_no_elimination(self, monkeypatch):
         calls = []
-        real = hessian_mod.poly_det_vanishes
+        real = exact_mod.poly_det_vanishes
 
         def counting(entries):
             calls.append(len(entries))
             return real(entries)
 
-        monkeypatch.setattr(hessian_mod, "poly_det_vanishes", counting)
+        monkeypatch.setattr(exact_mod, "poly_det_vanishes", counting)
         vs = VariableSet(("x", "y", "z"))
         an = exact(parse_poly("x^3 + y^3 + z^3", vs))
         verdict = hessian_vanishes(an, 1)
@@ -597,7 +597,7 @@ class TestEvaluateFirst:
         # a u-row shear of wlpodd(4,5): a 12x12 order-2 Hessian of dense
         # entries that vanishes; eliminating it takes minutes
         calls = []
-        monkeypatch.setattr(hessian_mod, "poly_det_vanishes", calls.append)
+        monkeypatch.setattr(exact_mod, "poly_det_vanishes", calls.append)
         f = gen_wlpodd(4, 5).f
         n, n_x = len(f.vars), sum(name[0] == "x" for name in f.vars.names)
         rng = random.Random(0)
@@ -614,7 +614,7 @@ class TestEvaluateFirst:
 
     def test_certified_vanishing_needs_no_hessian(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(hessian_mod, "poly_det_vanishes", calls.append)
+        monkeypatch.setattr(exact_mod, "poly_det_vanishes", calls.append)
         an = exact(PERAZZO)
         verdict = an.verdict(1)
         assert verdict.vanishes and not verdict.eliminated
@@ -894,15 +894,15 @@ def fermat_quartic(nvars, first_coeff):
 
 @pytest.fixture
 def det_int_calls(monkeypatch):
-    """Sizes of the matrices passed to linalg.det_int while the test runs."""
+    """Sizes of the matrices passed to exact.det_int while the test runs."""
     calls = []
-    real = linalg.det_int
+    real = exact_mod.det_int
 
     def counting(rows):
         calls.append(len(rows))
         return real(rows)
 
-    monkeypatch.setattr(linalg, "det_int", counting)
+    monkeypatch.setattr(exact_mod, "det_int", counting)
     return calls
 
 

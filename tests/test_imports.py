@@ -61,6 +61,15 @@ class TestImportGraph:
         assert "lefschetz_lab.families" not in out["modules"]
         assert "lefschetz_lab.reproduce" not in out["modules"]
 
+    @pytest.mark.parametrize("mode", ["prob", "exact"])
+    def test_analyze_without_elimination_loads_no_oracles_or_exact(self, mode):
+        """Zero blocks and evaluation decide every order of this form, so
+        neither mode loads the routes over Q or the test oracles."""
+        out = child("-c", RUN_MAIN, "analyze", "--poly", IKEDA_TEXT, "--vars", "x0,x1,u1,u2", "--mode", mode)
+        assert out["code"] == 0
+        assert "lefschetz_lab.analysis" in out["modules"]
+        assert not {"lefschetz_lab.exact", "lefschetz_lab.oracles"} & set(out["modules"])
+
     def test_analyze_loads_no_dataclasses_or_hashlib(self):
         out = child("-c", RUN_MAIN, "analyze", "--poly", IKEDA_TEXT, "--vars", "x0,x1,u1,u2")
         assert out["code"] == 0
@@ -75,6 +84,8 @@ class TestImportGraph:
                     "--mode", "exact", "--json", str(path))
         assert out["code"] == 0
         assert out["stdlib"] == ["hashlib"]
+        assert "lefschetz_lab.exact" in out["modules"]
+        assert "lefschetz_lab.oracles" not in out["modules"]
         report = json.loads(path.read_text())
         assert report["counts"]["eliminations"] == 1
         assert len(report["hess_profile"][2]["transcript_hash"]) == 64
@@ -85,6 +96,7 @@ class TestImportGraph:
         assert out["code"] == 0 and path.exists()
         assert "lefschetz_lab.families" in out["modules"]
         assert "lefschetz_lab.reproduce" not in out["modules"]
+        assert not {"lefschetz_lab.exact", "lefschetz_lab.oracles"} & set(out["modules"])
 
     @pytest.mark.parametrize("argv", [
         ("generate", "--family", "thmwlp", "--n", "6", "--d", "8"),
@@ -96,6 +108,9 @@ class TestImportGraph:
         out = child("-c", RUN_MAIN, *argv)
         assert out["code"] == 0
         assert set(out["stdlib"]) <= {"hashlib"}
+        # the suite's oracle fixtures import both; generate loads neither
+        second_routes = {"lefschetz_lab.exact", "lefschetz_lab.oracles"}
+        assert second_routes & set(out["modules"]) == (second_routes if argv[0] == "reproduce" else set())
 
     @pytest.mark.parametrize("argv", [("--version",), ("--help",), ("analyze",)],
                              ids=["version", "help", "usage-error"])
@@ -121,7 +136,7 @@ class TestImportGraph:
 # every public name of the package root and the submodule that defines it
 ROOT_NAMES = {
     "analysis": ("Analysis",),
-    "apolar": ("AkBasis", "HilbertVector", "catalecticant", "is_unimodal"),
+    "apolar": ("AkBasis", "HilbertVector", "is_unimodal"),
     "errors": (
         "DegenerateInstanceError",
         "HomogeneityError",
@@ -158,7 +173,6 @@ ROOT_NAMES = {
         "LefschetzReport",
         "LinearForm",
         "ZeroBlock",
-        "mult_map",
         "rank_at",
         "slp_check_element",
         "slp_generic",
@@ -166,13 +180,12 @@ ROOT_NAMES = {
         "wlp_check_element",
         "wlp_generic",
     ),
+    "oracles": ("catalecticant", "diff_apply", "linear_change", "mult_map"),
     "polycore": (
         "DiffOp",
         "Monomial",
         "Poly",
         "VariableSet",
-        "diff_apply",
-        "linear_change",
         "mono_basis",
         "parse_poly",
     ),

@@ -8,6 +8,7 @@ from sympy import GF, ZZ
 from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings
 
+import lefschetz_lab.exact as exact_mod
 from lefschetz_lab import linalg
 from lefschetz_lab.hessian import _decision_prime
 
@@ -128,7 +129,7 @@ def integer_matrices(draw, max_n=6):
 def test_integer_kernels_match_rational_oracles(rows):
     exact_det = linalg.det(rows)
     exact_rank = linalg.rank(rows)
-    assert linalg.det_int(rows) == exact_det
+    assert exact_mod.det_int(rows) == exact_det
     # |det| and every minor stay far below 2^61 here, so reduction mod the
     # Mersenne prime loses nothing
     assert linalg.det_mod(rows, MERSENNE_61) == exact_det % MERSENNE_61
@@ -187,7 +188,7 @@ def test_eliminations_match_sympy(p, data):
     assert linalg.rank_mod(rows, p) == modular.rank()
     if shape[0] == shape[1]:
         value = int(exact.det())
-        assert linalg.det_int(rows) == value
+        assert exact_mod.det_int(rows) == value
         assert linalg.det(rows) == value
         assert linalg.det_mod(rows, p) == value % p == int(modular.det()) % p
 
@@ -267,13 +268,13 @@ def test_packed_slots_never_carry(p):
 
 
 def test_integer_kernels_on_edge_cases():
-    assert linalg.det_int([]) == 1
+    assert exact_mod.det_int([]) == 1
     assert linalg.det_mod([], 7) == 1
     assert linalg.rank_mod([], 7) == 0
     assert linalg.det_mod([[0, 1], [1, 0]], 7) == 6
-    assert linalg.det_int([[0, 1], [1, 0]]) == -1
+    assert exact_mod.det_int([[0, 1], [1, 0]]) == -1
     assert linalg.rank_mod([[7, 14], [1, 2]], 7) == 1
     with pytest.raises(ValueError):
-        linalg.det_int([[1, 2]])
+        exact_mod.det_int([[1, 2]])
     with pytest.raises(ValueError):
         linalg.det_mod([[1, 2]], 7)

@@ -14,14 +14,14 @@ from lefschetz_lab.errors import (
     SingularMatrixError,
     VariableMismatchError,
 )
-from lefschetz_lab.hessian import poly_divexact
+from lefschetz_lab.exact import poly_divexact
+from lefschetz_lab.oracles import linear_change
 from lefschetz_lab.polycore import (
     IntMatrix,
     Poly,
     VariableSet,
     diff_apply,
     eval_poly,
-    linear_change,
     mono_basis,
     parse_poly,
     partial,
