@@ -20,9 +20,9 @@ evaluation.  A kernel is the one form of a Hessian that evaluation holds; a
 Hessian's polynomial cells are kept only when asked for (`hessian(k, l)`),
 by exact elimination and the oracles.  A piece is computed on its first
 request by the function or class that defines it (`ak_basis`,
-`hilbert_vector`, `divisor_codes`, `divisor_monomials`, `zero_pattern`,
-`zero_block`, `key_criterion`, `wlp_obstruction`, `mixed_hessian`,
-`IntMatrix`, `hessian_vanishes`, `sample_point`) and reused afterwards, so
+`hilbert_vector`, `divisor_monomials`, `zero_pattern`, `zero_block`,
+`key_criterion`, `wlp_obstruction`, `mixed_hessian`, `IntMatrix`,
+`hessian_vanishes`, `sample_point`) and reused afterwards, so
 one report decides each higher Hessian once, compiles each Hessian once for
 the vanishing decision and every multiplication rank (`rank_at`), and reads
 each pattern once for its block, its assembly and its rank ceiling.  Only
@@ -48,7 +48,7 @@ from .errors import DegreeRangeError, ZeroPolynomialError
 from .hessian import (
     MODES, Matrix, VanishingVerdict, _decision_prime, hessian_vanishes, mixed_hessian, sample_point,
 )
-from .lefschetz import ZeroBlock, divisor_codes, divisor_monomials, key_criterion, wlp_obstruction, zero_block, zero_pattern
+from .lefschetz import ZeroBlock, divisor_monomials, key_criterion, wlp_obstruction, zero_block, zero_pattern
 from .polycore import Derivatives, IntMatrix, Monomial, Poly
 
 T = TypeVar("T")
@@ -98,19 +98,7 @@ class Analysis:
         return value
 
     def basis(self, k: int) -> AkBasis:
-        """The greedy basis of A_k, grown from that of A_(k-1).
-
-        Missing bases below A_k are grown first, upward in a loop, so the
-        call depth does not grow with k.  Each of them reads the one it
-        grows from, which that loop has just stored; such a read is not
-        reuse, and `counts()` leaves it out.
-        """
-        low = k
-        while low > 0 and ("basis", low - 1) not in self._memo:
-            low -= 1
-        for j in range(low, k):
-            self._memo[("basis", j)] = ak_basis(self, j)
-        self._reused -= k - low
+        """The greedy basis of A_k, scanned over D_k; it reads no other basis."""
         return self._get(("basis", k), lambda: ak_basis(self, k))
 
     def hilbert(self) -> HilbertVector:
@@ -154,10 +142,6 @@ class Analysis:
         """Whether order k's vanishing verdict is kept: known without new work."""
         return ("verdict", k) in self._memo
 
-    def divisors(self, degree: int) -> frozenset[int]:
-        """The coded monomials of degree `degree` that divide a term of f."""
-        return self._get(("divisors", degree), lambda: divisor_codes(self, degree))
-
     def divisor_monomials(self, degree: int) -> tuple[Monomial, ...]:
         """D_degree: the degree-`degree` monomials that divide a term of f, in descending lex order."""
         return self._get(("divisor monomials", degree), lambda: divisor_monomials(self, degree))
@@ -184,7 +168,8 @@ class Analysis:
         the rest were decided by evaluation), Hessian kernels compiled, memo
         hits, exact rank fallbacks (ranks `rank_at` took over Q: the rank mod
         p was neither maximal nor at its zero block's ceiling), monomial
-        derivatives of f computed, basis candidates reduced."""
+        derivatives of f computed, basis candidates reduced (|D_k| for each
+        basis of A_k built)."""
         verdicts = [v for key, v in self._memo.items() if key[0] == "verdict"]
         return {
             "hessian_decisions": len(verdicts),

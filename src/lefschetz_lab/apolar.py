@@ -4,8 +4,9 @@ The graded quotient A = (operator ring)/Ann(f) is represented throughout by
 its derivative spaces: degree-k operators are identified with the polynomials
 they produce from f, so dim A_k is the size of a greedy basis of the degree-k
 derivatives and multiplication never needs quotient-ring arithmetic.  The
-greedy monomials form an order ideal, so each basis grows from the one below
-it and no degree is scanned in full.  The explicit catalecticant matrix,
+greedy scan reads only D_k, the degree-k monomials that divide a term of f:
+every other monomial operator kills f, so no degree is scanned in full and
+no basis is read to build another.  The explicit catalecticant matrix,
 whose rank is the same number, is the independent reference that
 `oracles.catalecticant` builds.  The basis (`ak_basis`) and the facts
 read off the bases (the Hilbert vector here, the cone test in `hessian`)
@@ -36,10 +37,11 @@ class AkBasis(Record):
     operator X^expos[i]; that operator applied to f is
     `an.derivatives[expos[i]]`.  These derivatives are linearly independent
     and their number is dim A_k.  `candidates` counts the monomial operators
-    whose derivatives were reduced to find the basis.  `span`, whose t-th
-    vector is the derivative of `expos[t]`, selected the basis; coordinates
-    in the basis (a cone's witness, the columns of an explicit
-    multiplication matrix) are solved against it.  Equality, hash and repr
+    whose derivatives were reduced to find the basis: |D_k|, so A_1's are
+    the variables that occur in f.  `span`, whose t-th vector is the
+    derivative of `expos[t]`, selected the basis; coordinates in the basis
+    (a cone's witness, the columns of an explicit multiplication matrix)
+    are solved against it.  Equality, hash and repr
     leave `span` out (`_fields`); a copy or pickle carries it.
     """
 
@@ -83,38 +85,23 @@ def _sub_exponents(e: Monomial, k: int) -> Iterator[Monomial]:
 
 
 def ak_basis(an: Analysis, k: int) -> AkBasis:
-    """Greedy monomial basis of A_k, grown from the Analysis's basis of A_(k-1).
+    """Greedy monomial basis of A_k, scanned over D_k.
 
     Greedy: in descending lex order, keep each monomial operator whose
-    derivative of f is independent of those kept before.  A rejected m is a
-    combination of larger monomials modulo the ideal Ann(f), and lex order is
-    multiplicative, so every x_i*m is rejected too: the candidates are the
-    monomials whose degree-(k-1) divisors are all in the basis of A_(k-1),
-    each derivative is a partial of its parent's, and the basis is that of a
-    full scan.  Derivatives are read from the Analysis's memo.  The compute
-    body of `an.basis(k)`, which keeps the basis; call that instead.
+    derivative of f is independent of those kept before.  In characteristic
+    0, X^m f is nonzero exactly when x^m divides a term of f, so the
+    candidates are D_k (`an.divisor_monomials(k)`, in that order) and the
+    basis is that of a scan over every degree-k monomial.  Derivatives are
+    read from the Analysis's memo.  The compute body of `an.basis(k)`,
+    which keeps the basis; call that instead.
     """
-    f = an.f
-    d = f.degree
+    d = an.f.degree
     if not 0 <= k <= d:
         raise DegreeRangeError(f"k={k} out of range 0..{d}")
-    if k == 0:
-        span = linalg.SparseSpan()
-        span.try_add(f.coeff_map())
-        return AkBasis(0, ((0,) * len(f.vars),), 0, span)
-    parents = set(an.basis(k - 1).expos)
-    found = {m[:i] + (m[i] + 1,) + m[i + 1 :] for m in parents for i in range(len(m))}
-    candidates = sorted(
-        (e for e in found if all(e[:j] + (x - 1,) + e[j + 1 :] in parents for j, x in enumerate(e) if x)),
-        reverse=True,
-    )
+    candidates = an.divisor_monomials(k)
     span = linalg.SparseSpan()
-    expos: list[Monomial] = []
-    for e in candidates:
-        h = an.derivatives[e]
-        if h and span.try_add(h.coeff_map()):
-            expos.append(e)
-    return AkBasis(k, tuple(expos), len(candidates), span)
+    expos = tuple(e for e in candidates if span.try_add(an.derivatives[e].coeff_map()))
+    return AkBasis(k, expos, len(candidates), span)
 
 
 class HilbertVector(Record):

@@ -188,8 +188,9 @@ def mixed_hessian(an: Analysis, k: int, l: int) -> Matrix:
     A_(d-l) (Maeno-Watanabe); l = k gives the pure order-k Hessian.  The
     matrix for (l, k) is the transpose of the one for (k, l).  Only the
     cells of `an.pattern(k, l)` are differentiated; every other cell is the
-    form's one zero polynomial.  The pattern is over D_k x D_l, which hold the
-    bases as descending-lex subsequences.
+    form's one zero polynomial.  The pattern is over D_k x D_l, and each
+    basis is, by construction, a descending-lex subsequence of its D_j: the
+    one that `ak_basis`'s scan of D_j keeps.
     """
     _require_orders(an.f.degree, k, l)
     rows, cols = an.basis(k).expos, an.basis(l).expos
@@ -277,11 +278,12 @@ class ConeReport(Record):
 def is_cone(an: Analysis) -> ConeReport:
     """True iff the first partials are linearly dependent, with a witness.
 
-    The candidates of the basis of A_1 are X_0, X_1, ... in that order, so f
-    is a cone exactly when some X_i is missing from it.  The partial by the
-    first missing X_i is a combination of the kept partials before it, so
-    its coordinates against the basis's span give the dependency and are
-    zero on the partials kept after it.
+    The candidates of the basis of A_1 are D_1, the X_i whose variable occurs
+    in f, in the order X_0, X_1, ..., so f is a cone exactly when some X_i is
+    missing from the basis.  The partial by the first missing X_i is zero or
+    a combination of the kept partials before it, so its coordinates
+    against the basis's span give the dependency and are zero on the
+    partials kept after it.
     """
     n = len(an.f.vars)
     a1 = an.basis(1)

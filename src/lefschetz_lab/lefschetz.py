@@ -34,11 +34,10 @@ structural certificates are zero blocks (`ZeroBlock`) of a mixed Hessian's
 pattern over the divisor monomials D_k x D_l, found by a maximum matching;
 `verify_zero_block` replays one from supp(f) and the Hilbert vector alone,
 so it holds for every form with support in supp(f) and h_k >= dims[k].
-`divisor_codes`, `divisor_monomials`, `zero_pattern`, `zero_block`,
-`key_criterion` and `wlp_obstruction` are the compute bodies of
-`an.divisors(j)`, `an.divisor_monomials(j)`, `an.pattern(k, l)`,
-`an.block(k, l)`, `an.key(k)` and `an.obstruction(k)`; called directly,
-they bypass the memo and `counts()`.
+`divisor_monomials`, `zero_pattern`, `zero_block`, `key_criterion` and
+`wlp_obstruction` are the compute bodies of `an.divisor_monomials(j)`,
+`an.pattern(k, l)`, `an.block(k, l)`, `an.key(k)` and `an.obstruction(k)`;
+called directly, they bypass the memo and `counts()`.
 """
 
 from __future__ import annotations
@@ -309,14 +308,8 @@ def _divisors(f: Poly, degree: int) -> set[Monomial]:
 
 def divisor_monomials(an: Analysis, degree: int) -> tuple[Monomial, ...]:
     """D_degree, the degree-`degree` monomials that divide a term of f, in descending lex
-    order (each greedy basis is a subsequence); the compute body of `an.divisor_monomials(degree)`."""
+    order (each greedy basis is the subsequence `ak_basis` keeps); the compute body of `an.divisor_monomials(degree)`."""
     return tuple(sorted(_divisors(an.f, degree), reverse=True))
-
-
-def divisor_codes(an: Analysis, degree: int) -> frozenset[int]:
-    """The codes of the degree-`degree` monomials that divide a term of f;
-    the compute body of `an.divisors(degree)`."""
-    return frozenset(_codes(an, an.divisor_monomials(degree)))
 
 
 def _pattern(rows: list[int], cols: list[int], layer: frozenset[int]) -> list[list[int]]:
@@ -335,8 +328,8 @@ def zero_pattern(an: Analysis, k: int, l: int) -> list[list[int]]:
     """For each row a in D_k, the positions of the columns b in D_l where x^(a+b) divides a term
     of f: in characteristic 0 the nonzero cells X^(a+b) f of the mixed Hessian of (k, l) over
     D_k x D_l (distinct terms give distinct monomials).  The compute body of `an.pattern(k, l)`."""
-    rows, cols = an.divisor_monomials(k), an.divisor_monomials(l)
-    return _pattern(_codes(an, rows), _codes(an, cols), an.divisors(k + l))
+    rows, cols, layer = an.divisor_monomials(k), an.divisor_monomials(l), an.divisor_monomials(k + l)
+    return _pattern(_codes(an, rows), _codes(an, cols), frozenset(_codes(an, layer)))
 
 
 def zero_block(an: Analysis, k: int, l: int) -> ZeroBlock:

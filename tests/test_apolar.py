@@ -122,14 +122,14 @@ def scanned_basis(f, k):
     return kept
 
 
-def assert_grown_bases_match_scan(f):
+def assert_divisor_scan_matches_full_scan(f):
     an = prob(f)
     for k in range(f.degree + 1):
-        grown = ak_basis(an, k)
-        assert list(grown.expos) == scanned_basis(f, k)
+        scanned = ak_basis(an, k)
+        assert list(scanned.expos) == scanned_basis(f, k)
         dual = f.vars.dual()
-        assert all(diff_apply(Poly.monomial(dual, e), f) == an.derivatives[e] for e in grown.expos)
-        assert an.basis(k) == grown
+        assert all(diff_apply(Poly.monomial(dual, e), f) == an.derivatives[e] for e in scanned.expos)
+        assert an.basis(k) == scanned
 
 
 SMALL_FAMILY_MEMBERS = [
@@ -144,26 +144,27 @@ SMALL_FAMILY_MEMBERS = [
 class TestAkBasis:
     @given(rational_polys(max_vars=4, max_degree=5))
     @settings(max_examples=40)
-    def test_growth_matches_full_scan(self, f):
-        assert_grown_bases_match_scan(f)
+    def test_divisor_scan_matches_full_scan(self, f):
+        assert_divisor_scan_matches_full_scan(f)
 
     @given(cone_polys())
-    def test_growth_matches_full_scan_on_cones(self, f):
-        assert_grown_bases_match_scan(f)
+    def test_divisor_scan_matches_full_scan_on_cones(self, f):
+        assert_divisor_scan_matches_full_scan(f)
 
     @pytest.mark.parametrize(
         "build", SMALL_FAMILY_MEMBERS, ids=["wlpodd-4-5", "exceptional-3-5-2", "thmwlp-5-4", "gnp-2-2-1-2", "gnp-maximal-2-1-2"]
     )
-    def test_growth_matches_full_scan_on_families(self, build):
-        assert_grown_bases_match_scan(build())
+    def test_divisor_scan_matches_full_scan_on_families(self, build):
+        assert_divisor_scan_matches_full_scan(build())
 
-    def test_growing_a_chain_is_not_reuse(self):
-        """One request for a high basis grows each basis below it once; none
-        counts as reused until it is asked for again."""
+    def test_a_basis_reads_no_other_basis(self):
+        """A request for a high basis builds that basis alone, and counts as
+        reused only when it is asked for again."""
         an = prob(parse_poly("x^12 + y^12 + x^5*y^7", VariableSet(("x", "y"))))
         an.basis(10)
+        assert [key for key in an._memo if key[0] == "basis"] == [("basis", 10)]
         assert an.counts()["reused"] == 0
-        an.basis(4)
+        an.basis(10)
         assert an.counts()["reused"] == 1
 
     def test_power(self):

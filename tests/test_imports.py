@@ -225,7 +225,6 @@ SUBMODULE_ONLY = {
     ("hessian", "mixed_hessian"): ["an", "k", "l"],
     ("hessian", "hessian_matrix"): ["an", "k"],
     ("hessian", "hessian_vanishes"): ["an", "k"],
-    ("lefschetz", "divisor_codes"): ["an", "degree"],
     ("lefschetz", "zero_pattern"): ["an", "k", "l"],
     ("lefschetz", "zero_block"): ["an", "k", "l"],
     ("lefschetz", "key_criterion"): ["an", "k"],
