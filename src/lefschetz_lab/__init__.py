@@ -50,11 +50,9 @@ _SOURCE = {
     "is_cone": "hessian",
     "LefschetzReport": "lefschetz",
     "LinearForm": "lefschetz",
-    "ZeroBlock": "lefschetz",
     "rank_at": "lefschetz",
     "slp_check_element": "lefschetz",
     "slp_generic": "lefschetz",
-    "verify_zero_block": "lefschetz",
     "wlp_check_element": "lefschetz",
     "wlp_generic": "lefschetz",
     "catalecticant": "oracles",
@@ -67,6 +65,8 @@ _SOURCE = {
     "VariableSet": "polycore",
     "mono_basis": "polycore",
     "parse_poly": "polycore",
+    "ZeroBlock": "support",
+    "verify_zero_block": "support",
 }
 
 __all__ = list(_SOURCE)

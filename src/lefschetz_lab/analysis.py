@@ -19,10 +19,11 @@ when point 0 decides every order it is the SLP witness, with no
 evaluation.  A kernel is the one form of a Hessian that evaluation holds; a
 Hessian's polynomial cells are kept only when asked for (`hessian(k, l)`),
 by exact elimination and the oracles.  A piece is computed on its first
-request by the function or class that defines it (`ak_basis`,
-`hilbert_vector`, `divisor_monomials`, `zero_pattern`, `zero_block`,
-`key_criterion`, `wlp_obstruction`, `mixed_hessian`, `IntMatrix`,
-`hessian_vanishes`, `sample_point`) and reused afterwards, so
+request by the function or class that defines it (`apolar`'s `ak_basis`
+and `hilbert_vector`; `support`'s `divisor_monomials`, `zero_pattern` and
+`zero_block`; `lefschetz`'s `key_criterion` and `wlp_obstruction`;
+`hessian`'s `mixed_hessian`, `hessian_vanishes` and `sample_point`;
+`IntMatrix`) and reused afterwards, so
 one report decides each higher Hessian once, compiles each Hessian once for
 the vanishing decision and every multiplication rank (`rank_at`), and reads
 each pattern once for its block, its assembly and its rank ceiling.  Only
@@ -48,8 +49,9 @@ from .errors import DegreeRangeError, ZeroPolynomialError
 from .hessian import (
     MODES, Matrix, VanishingVerdict, _decision_prime, hessian_vanishes, mixed_hessian, sample_point,
 )
-from .lefschetz import ZeroBlock, divisor_monomials, key_criterion, wlp_obstruction, zero_block, zero_pattern
+from .lefschetz import key_criterion, wlp_obstruction
 from .polycore import Derivatives, IntMatrix, Monomial, Poly
+from .support import ZeroBlock, divisor_monomials, zero_block, zero_pattern
 
 T = TypeVar("T")
 

@@ -4,9 +4,9 @@ The graded quotient A = (operator ring)/Ann(f) is represented throughout by
 its derivative spaces: degree-k operators are identified with the polynomials
 they produce from f, so dim A_k is the size of a greedy basis of the degree-k
 derivatives and multiplication never needs quotient-ring arithmetic.  The
-greedy scan reads only D_k, the degree-k monomials that divide a term of f:
-every other monomial operator kills f, so no degree is scanned in full and
-no basis is read to build another.  The explicit catalecticant matrix,
+greedy scan reads only D_k, the degree-k monomials that divide a term of f
+(`support.divisor_monomials`): every other monomial operator kills f, so no
+degree is scanned in full and no basis is read to build another.  The explicit catalecticant matrix,
 whose rank is the same number, is the independent reference that
 `oracles.catalecticant` builds.  The basis (`ak_basis`) and the facts
 read off the bases (the Hilbert vector here, the cone test in `hessian`)
@@ -19,8 +19,7 @@ the memo and `counts()`.  Unimodality is the absence of a dip
 
 from __future__ import annotations
 
-from itertools import accumulate
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import linalg
 from .errors import DegreeRangeError
@@ -53,35 +52,6 @@ class AkBasis(Record):
 
     def __len__(self) -> int:
         return len(self.expos)
-
-
-def _sub_exponents(e: Monomial, k: int) -> Iterator[Monomial]:
-    """The exponents alpha <= e, entry by entry, of degree k <= deg(e), in
-    descending lex order, enumerated in a loop rather than by recursion.
-
-    Each alpha fills its positions greedily, the largest values first; the
-    next one lowers the last position that can give one unit to the
-    positions after it (`tail[j]` is what positions j.. can hold) and fills
-    those greedily again.
-    """
-    n = len(e)
-    tail = [*accumulate(reversed(e))][::-1] + [0]
-    alpha = [0] * n
-    start, left = 0, k
-    while True:
-        for j in range(start, n):
-            alpha[j] = min(e[j], left)
-            left -= alpha[j]
-        yield tuple(alpha)
-        left = alpha[-1]  # the units held after position j
-        for j in range(n - 2, -1, -1):
-            if alpha[j] and left < tail[j + 1]:
-                alpha[j] -= 1
-                start, left = j + 1, left + 1
-                break
-            left += alpha[j]
-        else:
-            return
 
 
 def ak_basis(an: Analysis, k: int) -> AkBasis:

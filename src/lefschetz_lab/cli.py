@@ -140,8 +140,9 @@ def cmd_analyze(args) -> int:
     from .analysis import Analysis
     from .apolar import is_unimodal
     from .hessian import hess_profile, is_cone
-    from .lefschetz import ZeroBlock, _slp_fails, slp_generic, wlp_generic
+    from .lefschetz import _slp_fails, slp_generic, wlp_generic
     from .polycore import parse_poly
+    from .support import ZeroBlock
 
     mode = _long_mode(args.mode)
     poly_text, vs = _load_input(args)

@@ -38,14 +38,7 @@ from .analysis import Analysis
 from .apolar import is_unimodal
 from .errors import DegenerateInstanceError, InfeasibleParametersError
 from .hessian import VanishingVerdict, is_cone
-from .lefschetz import (
-    LefschetzReport,
-    LinearForm,
-    slp_generic,
-    verify_zero_block,
-    wlp_check_element,
-    wlp_generic,
-)
+from .lefschetz import LefschetzReport, LinearForm, slp_generic, wlp_check_element, wlp_generic
 from .polycore import (
     Monomial,
     Poly,
@@ -56,6 +49,7 @@ from .polycore import (
     parse_poly,
     poly_sum,
 )
+from .support import verify_zero_block
 
 
 class FamilySpec(Record):

@@ -7,8 +7,8 @@ one.  A verdict is as certain as the route that decided it, whatever the
 mode; the routes are taken in order, and only the last reads the mode:
 
   * certificate: for k >= 1, a zero block of the Hessian's pattern, read
-    off supp(f) (`an.key(k)`), proves vanishing exactly; the Hessian is then
-    neither assembled nor compiled;
+    off supp(f) (`an.key(k)`, over `support`'s patterns), proves vanishing
+    exactly; the Hessian is then neither assembled nor compiled;
   * evaluation: read the determinant of the matrix's integer kernel
     (`polycore.IntMatrix`, which owns the kernel's scale and reduction; the
     form's `Analysis` compiles it once, and this route reads nothing else
@@ -71,10 +71,10 @@ from typing import TYPE_CHECKING, Iterable, Optional
 
 from .errors import DegreeRangeError
 from .polycore import Poly, Record, mono_count, mono_mul
+from .support import ZeroBlock, _require_orders
 
 if TYPE_CHECKING:
     from .analysis import Analysis
-    from .lefschetz import ZeroBlock
     from .polycore import IntMatrix
 
 DEFAULT_TRIALS = 5
@@ -211,11 +211,6 @@ def mixed_hessian(an: Analysis, k: int, l: int) -> Matrix:
     if l != k:
         return tuple(tuple(cells(i, 0)) for i in range(len(rows)))
     return _mirrored(cells(i, i) for i in range(len(rows)))
-
-
-def _require_orders(d: int, k: int, l: int) -> None:
-    if k < 0 or l < 0 or k + l > d:
-        raise DegreeRangeError(f"orders ({k}, {l}) out of range for d={d}")
 
 
 def _mirrored(uppers: Iterable[list[Poly]]) -> Matrix:

@@ -29,28 +29,22 @@ once:
     A_k -> A_(k+1) to be injective,
   * a non-unimodal Hilbert vector.
 
-Random sampling alone is never promoted to a failure verdict.  The
-structural certificates are zero blocks (`ZeroBlock`) of a mixed Hessian's
-pattern over the divisor monomials D_k x D_l, found by a maximum matching;
-`verify_zero_block` replays one from supp(f) and the Hilbert vector alone,
-so it holds for every form with support in supp(f) and h_k >= dims[k].
-`divisor_monomials`, `zero_pattern`, `zero_block`, `key_criterion` and
-`wlp_obstruction` are the compute bodies of `an.divisor_monomials(j)`,
-`an.pattern(k, l)`, `an.block(k, l)`, `an.key(k)` and `an.obstruction(k)`;
-called directly, they bypass the memo and `counts()`.
+Random sampling alone is never promoted to a failure verdict.  Zero blocks
+and their verifier live in `support`; `key_criterion` and `wlp_obstruction`
+compare a block's ceiling with h_k, the compute bodies of `an.key(k)` and
+`an.obstruction(k)`; called directly, they bypass the memo and `counts()`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
 from math import lcm
-from operator import mul
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from .apolar import HilbertVector, _sub_exponents, first_dip, is_unimodal
+from .apolar import HilbertVector, first_dip, is_unimodal
 from .errors import DegreeRangeError
-from .polycore import Monomial, Poly, Record, Scalar, _coefficient, mono_mul
+from .polycore import Record, Scalar, _coefficient
+from .support import ZeroBlock, _ceiling
 
 if TYPE_CHECKING:
     from .analysis import Analysis
@@ -271,121 +265,6 @@ def wlp_generic(an: Analysis) -> LefschetzReport:
 # -- structural certificates --------------------------------------------------
 
 
-class ZeroBlock(Record):
-    """Exponents of monomial operators, rows in D_k and columns in D_l (the degree-k and
-    degree-l monomials that divide a term of f, which span A_k and A_l in characteristic 0),
-    whose cells of the mixed Hessian of (k, l) over D_k x D_l, a matrix of the rank of the
-    one over bases, are all zero.  So its rank is at most |D_k| + |D_l| - |rows| - |cols| at
-    every point (Frobenius-Koenig); below h_k, hess^k vanishes (l = k) or no L makes
-    A_k -> A_(k+1) injective (l = d-1-k; Maeno-Watanabe 2009), for every form with support
-    in supp(f) and h_k >= dims[k], as the block reads supp(f) alone."""
-
-    __slots__ = ("k", "l", "rows", "cols")
-
-    def __init__(self, k: int, l: int, rows: tuple[Monomial, ...], cols: tuple[Monomial, ...]):
-        Record.__init__(self, k, l, rows, cols)
-
-    @property
-    def size(self) -> int:
-        return len(self.rows) + len(self.cols)
-
-    def to_json_dict(self) -> dict:
-        return {"type": "zero-block", "orders": [self.k, self.l], "rows": list(map(list, self.rows)),
-                "cols": list(map(list, self.cols))}
-
-
-def _codes(an: Analysis, expos: Sequence[Monomial]) -> list[int]:
-    """Exponents as mixed-radix ints, radix d+1, so that they add without carry."""
-    radix = an.f.degree + 1
-    weights = [radix**i for i in range(len(an.f.vars))]
-    return [sum(map(mul, e, weights)) for e in expos]
-
-
-def _divisors(f: Poly, degree: int) -> set[Monomial]:
-    """The degree-`degree` monomials that divide a term of f."""
-    return {a for e in f.coeff_map() for a in _sub_exponents(e, degree)}
-
-
-def divisor_monomials(an: Analysis, degree: int) -> tuple[Monomial, ...]:
-    """D_degree, the degree-`degree` monomials that divide a term of f, in descending lex
-    order (each greedy basis is the subsequence `ak_basis` keeps); the compute body of `an.divisor_monomials(degree)`."""
-    return tuple(sorted(_divisors(an.f, degree), reverse=True))
-
-
-def _pattern(rows: list[int], cols: list[int], layer: frozenset[int]) -> list[list[int]]:
-    """For each coded row a, the positions of the coded columns b with a+b in
-    `layer`: a lookup per column, or, when the layer is smaller, per layer
-    element m (m-a among the columns); the 1722 x 1722 order 6 of wlpodd(8,13),
-    layer 478, takes 0.12 s the second way and 0.38-0.54 s the first."""
-    if len(layer) < len(cols):
-        position = {c: j for j, c in enumerate(cols)}.get
-        return [[j for m in layer if (j := position(m - a)) is not None] for a in rows]
-    positions = list(range(len(cols)))
-    return [list(compress(positions, map(layer.__contains__, map(a.__add__, cols)))) for a in rows]
-
-
-def zero_pattern(an: Analysis, k: int, l: int) -> list[list[int]]:
-    """For each row a in D_k, the positions of the columns b in D_l where x^(a+b) divides a term
-    of f: in characteristic 0 the nonzero cells X^(a+b) f of the mixed Hessian of (k, l) over
-    D_k x D_l (distinct terms give distinct monomials).  The compute body of `an.pattern(k, l)`."""
-    rows, cols, layer = an.divisor_monomials(k), an.divisor_monomials(l), an.divisor_monomials(k + l)
-    return _pattern(_codes(an, rows), _codes(an, cols), frozenset(_codes(an, layer)))
-
-
-def zero_block(an: Analysis, k: int, l: int) -> ZeroBlock:
-    """The zero block of the pattern of (k, l) left by a maximum matching, grown along shortest
-    augmenting paths in phases (Hopcroft-Karp); the compute body of `an.block(k, l)`.  Once no
-    alternating path from an unmatched row reaches an unmatched column, the rows such paths
-    reach and the columns none of them meets form a zero block of size |D_k| + |D_l| - r, r the
-    matching's size (Koenig), the same for every maximum matching."""
-    pattern, rows, cols = an.pattern(k, l), an.divisor_monomials(k), an.divisor_monomials(l)
-    col_of, row_of = [-1] * len(rows), [-1] * len(cols)
-    while True:
-        # each row's distance from an unmatched row along alternating paths
-        queue = [r for r, c in enumerate(col_of) if c < 0]
-        dist, free, open_ = [0 if c < 0 else -1 for c in col_of], len(queue), False
-        for r in queue:  # grows as rows are reached
-            for j in pattern[r]:
-                mate = row_of[j]
-                open_ |= mate < 0
-                if mate >= 0 and dist[mate] < 0:
-                    dist[mate] = dist[r] + 1
-                    queue.append(mate)
-        if not open_:
-            break
-        seen = bytearray(len(cols))
-        for r in queue[:free]:
-            _augment(pattern, col_of, row_of, dist, seen, r)
-    met = {j for r in queue for j in pattern[r]}
-    return ZeroBlock(k, l, tuple(rows[r] for r in sorted(queue)), tuple(b for j, b in enumerate(cols) if j not in met))
-
-
-def _augment(pattern: list[list[int]], col_of: list[int], row_of: list[int],
-             dist: list[int], seen: bytearray, root: int) -> None:
-    """Flip into the matching a path from the unmatched row `root`, one layer
-    deeper at each step, to an unmatched column, over columns not yet `seen`
-    (each visit marks one), if there is one; a loop, not a recursion."""
-    stack = [[root, iter(pattern[root]), -1]]  # row, its columns left, the column taken
-    while stack:
-        top = stack[-1]
-        depth = dist[top[0]] + 1
-        j = next((j for j in top[1] if not seen[j] and (row_of[j] < 0 or dist[row_of[j]] == depth)), -1)
-        if j < 0:
-            stack.pop()
-            continue
-        seen[j], top[2] = 1, j
-        if row_of[j] < 0:
-            for row, _, col in stack:
-                col_of[row], row_of[col] = col, row
-            return
-        stack.append([row_of[j], iter(pattern[row_of[j]]), -1])
-
-
-def _ceiling(an: Analysis, k: int, l: int) -> int:
-    """|D_k| + |D_l| less the size of the zero block of (k, l): the pattern's structural rank."""
-    return len(an.divisor_monomials(k)) + len(an.divisor_monomials(l)) - an.block(k, l).size
-
-
 def key_criterion(an: Analysis, k: int) -> Optional[ZeroBlock]:
     """The zero block of (k, k), if its ceiling is below h_k, which proves
     hess^k = 0; the compute body of `an.key(k)`."""
@@ -402,23 +281,6 @@ def wlp_obstruction(an: Analysis, k: int) -> Optional[ZeroBlock]:
     if not 1 <= k <= l:
         return None
     return an.block(k, l) if _ceiling(an, k, l) < len(an.basis(k)) else None
-
-
-def verify_zero_block(f: Poly, dims: Sequence[int], block: ZeroBlock) -> bool:
-    """Replay a ZeroBlock on supp(f) and the Hilbert vector `dims` as the
-    report states it, taking no derivative: the orders fit f's degree, the
-    rows are distinct members of D_k and the columns of D_l, no row times
-    column divides a term of f, and |D_k| + |D_l| - |rows| - |cols| < dims[k]."""
-    k, l = block.k, block.l
-    if min(k, l) < 0 or k + l > f.degree:
-        return False
-    ceiling = 0
-    for expos, degree in ((block.rows, k), (block.cols, l)):
-        divisors, chosen = _divisors(f, degree), set(map(tuple, expos))
-        if len(chosen) < len(expos) or not chosen <= divisors:
-            return False
-        ceiling += len(divisors) - len(chosen)
-    return ceiling < dims[k] and _divisors(f, k + l).isdisjoint(mono_mul(a, b) for a in block.rows for b in block.cols)
 
 
 def __getattr__(name: str):

@@ -5,7 +5,7 @@ No command but `reproduce` imports this module; its property fixtures and
 the tests check the production routes against it:
 
   * `catalecticant(f, k)`, whose rank is dim A_k, against the Hilbert
-    vector that `apolar` reads off the greedy bases;
+    vector that `apolar` reads off the greedy bases of `support`'s D_k;
   * `mult_map(an, L, i, k)`, the matrix of multiplication by L^k, whose
     rank `lefschetz.rank_at` takes from a mixed Hessian instead;
   * `explicit_basis_verdict`, the order-k verdict over another basis of
@@ -25,10 +25,10 @@ from operator import sub
 from typing import TYPE_CHECKING, Sequence
 
 from . import exact
-from .apolar import _sub_exponents
 from .errors import DegreeRangeError, SingularMatrixError, VariableMismatchError, ZeroPolynomialError
 from .hessian import VanishingVerdict, _det_vanishes, _mirrored
 from .polycore import DiffOp, IntMatrix, Monomial, Poly, Scalar, _coefficient, mono_basis, poly_sum
+from .support import _sub_exponents
 
 if TYPE_CHECKING:
     from .analysis import Analysis

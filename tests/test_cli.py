@@ -783,7 +783,7 @@ def report_of(args, capsys, tmp_path):
 
 def replays(f, data):
     """Every certificate of the report replays on f and its Hilbert vector."""
-    from lefschetz_lab.lefschetz import ZeroBlock, verify_zero_block
+    from lefschetz_lab.support import ZeroBlock, verify_zero_block
 
     for cert in data["certificates"]:
         rows, cols = (tuple(map(tuple, cert[side])) for side in ("rows", "cols"))

@@ -38,7 +38,7 @@ from lefschetz_lab.hessian import (
     poly_det_vanishes,
 )
 from lefschetz_lab.exact import poly_divexact
-from lefschetz_lab.lefschetz import key_criterion, slp_generic, verify_zero_block, wlp_generic
+from lefschetz_lab.lefschetz import key_criterion, slp_generic, wlp_generic
 from lefschetz_lab.oracles import explicit_basis_verdict, linear_change
 from lefschetz_lab.polycore import (
     Derivatives,
@@ -52,6 +52,7 @@ from lefschetz_lab.polycore import (
     partial,
     poly_sum,
 )
+from lefschetz_lab.support import verify_zero_block
 
 from conftest import cone_polys, dense_coords, exact, homogeneous_polys, prob, rational_polys, sheared_wlpodd45
 

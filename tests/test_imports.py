@@ -1,5 +1,6 @@
 """What each entry point imports, and the package root's public names."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -132,6 +133,33 @@ class TestImportGraph:
             "lefschetz_lab.polycore",
         ]
 
+    def test_support_adds_only_itself_to_polycore(self):
+        """A certificate checker can read supp(f) with no basis, Hessian or
+        Lefschetz layer loaded: no `analysis`, `apolar`, `hessian`,
+        `lefschetz`, `exact`, `oracles` or `families`."""
+        script = "import json, sys, lefschetz_lab.support; print(json.dumps(sorted(m for m in sys.modules if m.startswith('lefschetz_lab'))))"
+        assert child("-c", script) == ["lefschetz_lab", "lefschetz_lab.errors", "lefschetz_lab.linalg",
+                                       "lefschetz_lab.polycore", "lefschetz_lab.support"]
+
+    def test_support_imports_only_polycore_and_errors(self):
+        """Read from the source: every import of a package module names
+        `polycore` or `errors`, except the `Analysis` type, imported for
+        annotations alone under TYPE_CHECKING."""
+        tree = ast.parse((ROOT / "src" / "lefschetz_lab" / "support.py").read_text())
+        typing_only = [node for node in tree.body if isinstance(node, ast.If)
+                       and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING"]
+        hidden = {id(n) for block in typing_only for n in ast.walk(block)}
+
+        def package_modules(nodes):
+            return {(node.module, tuple(a.name for a in node.names)) for node in nodes
+                    if isinstance(node, ast.ImportFrom) and node.level > 0}
+
+        runtime = package_modules(n for n in ast.walk(tree) if id(n) not in hidden)
+        assert {module for module, _ in runtime} == {"polycore", "errors"}
+        assert package_modules(n for block in typing_only for n in ast.walk(block)) == {("analysis", ("Analysis",))}
+        plain = [n for n in ast.walk(tree) if isinstance(n, ast.Import)]
+        assert not [a.name for n in plain for a in n.names if a.name.startswith("lefschetz_lab")]
+
 
 # every public name of the package root and the submodule that defines it
 ROOT_NAMES = {
@@ -172,11 +200,9 @@ ROOT_NAMES = {
     "lefschetz": (
         "LefschetzReport",
         "LinearForm",
-        "ZeroBlock",
         "rank_at",
         "slp_check_element",
         "slp_generic",
-        "verify_zero_block",
         "wlp_check_element",
         "wlp_generic",
     ),
@@ -189,6 +215,7 @@ ROOT_NAMES = {
         "mono_basis",
         "parse_poly",
     ),
+    "support": ("ZeroBlock", "verify_zero_block"),
 }
 ROOT_PAIRS = [(module, name) for module, names in ROOT_NAMES.items() for name in names]
 
@@ -225,11 +252,11 @@ SUBMODULE_ONLY = {
     ("hessian", "mixed_hessian"): ["an", "k", "l"],
     ("hessian", "hessian_matrix"): ["an", "k"],
     ("hessian", "hessian_vanishes"): ["an", "k"],
-    ("lefschetz", "zero_pattern"): ["an", "k", "l"],
-    ("lefschetz", "zero_block"): ["an", "k", "l"],
     ("lefschetz", "key_criterion"): ["an", "k"],
     ("lefschetz", "wlp_obstruction"): ["an", "k"],
     ("polycore", "eval_poly"): ["f", "point"],
+    ("support", "zero_pattern"): ["an", "k", "l"],
+    ("support", "zero_block"): ["an", "k", "l"],
 }
 
 

@@ -28,19 +28,18 @@ from lefschetz_lab.hessian import hess_profile, hessian_matrix, is_cone, poly_de
 from lefschetz_lab.lefschetz import (
     GENERIC_TRIALS,
     LinearForm,
-    ZeroBlock,
     key_criterion,
     mult_map,
     rank_at,
     slp_check_element,
     slp_generic,
-    verify_zero_block,
     wlp_check_element,
     wlp_generic,
     wlp_obstruction,
 )
 from lefschetz_lab.polycore import Poly, VariableSet, diff_apply, eval_poly, mono_basis, mono_mul, parse_poly
 from lefschetz_lab.reproduce import _random_linear_form
+from lefschetz_lab.support import ZeroBlock, verify_zero_block
 
 from conftest import dense_coords, homogeneous_polys, prob, rational_polys, wlp_check_all_levels
 
@@ -654,7 +653,9 @@ class TestZeroBlockReplay:
         """On every recorded instance, each certificate replays, and each of
         these changes to it fails: a row outside D_k, a column outside D_l,
         a repeated row, a row and a column whose product divides a term,
-        and a block one short, with |D_k| + |D_l| - size = h_k."""
+        and a block one short, with |D_k| + |D_l| - size = h_k; so does the
+        certificate with a Hilbert vector cut before or after h_k or one
+        entry too long, or an order given as a float or, for 1, as True."""
         tried = Counter()
         for f in golden_forms().values():
             an = prob(f)
@@ -687,8 +688,17 @@ class TestZeroBlockReplay:
                 bad["ceiling h_k"] = cert._replace(**{side: getattr(cert, side)[spare:]})
                 for kind, block in bad.items():
                     assert not verify_zero_block(f, hv, block), (kind, block)
-                tried.update(bad.keys())
-        assert len(tried) == 5 and sum(tried.values()) > 600
+                malformed = {"vector cut before h_k": (hv.dims[:k], cert),
+                             "vector cut after h_k": (hv.dims[:k + 1], cert),
+                             "vector one too long": ((*hv.dims, 1), cert),
+                             "float order": (hv, cert._replace(k=float(k))),
+                             "float second order": (hv, cert._replace(l=float(l)))}
+                if k == 1:
+                    malformed["order True"] = (hv, cert._replace(k=True))
+                for kind, (dims, block) in malformed.items():
+                    assert not verify_zero_block(f, dims, block), (kind, dims, block)
+                tried.update([*bad, *malformed])
+        assert len(tried) == 11 and sum(tried.values()) > 1300
 
     def test_replay_takes_no_derivative(self, monkeypatch):
         """With `diff_apply` and `SparseSpan` made to raise, the certificates

@@ -15,9 +15,10 @@ import lefschetz_lab
 from lefschetz_lab.apolar import AkBasis, HilbertVector
 from lefschetz_lab.families import FamilyInstance, FamilySpec, Manifest
 from lefschetz_lab.hessian import VanishingVerdict
-from lefschetz_lab.lefschetz import LinearForm, ZeroBlock
+from lefschetz_lab.lefschetz import LinearForm
 from lefschetz_lab.linalg import SparseSpan
 from lefschetz_lab.polycore import Poly, Record, VariableSet, parse_poly
+from lefschetz_lab.support import ZeroBlock
 
 
 def verdict(**changes):
