@@ -12,13 +12,14 @@ verdict, and the sample points.  Trial t's point, `point(t)`, is one pure
 function of (f, seed, t) (`sample_point`): every order is evaluated at
 point 0 and, if zero there, at point 1, exact mode's witness search reads
 the points from DEFAULT_TRIALS on, and the SLP and WLP element searches the
-first GENERIC_TRIALS; one decision prime, drawn by the seed (`prime`),
-serves every order and every multiplication rank.  A rank is not taken
-where a kept verdict already proves its order nonzero (`witnessed`), so
-when point 0 decides every order it is the SLP witness, with no
-evaluation.  A kernel is the one form of a Hessian that evaluation holds; a
-Hessian's polynomial cells are kept only when asked for (`hessian(k, l)`),
-by exact elimination and the oracles.  A piece is computed on its first
+first GENERIC_TRIALS; one decision prime, drawn by the seed among the primes
+that divide no coefficient denominator of f (`prime`), serves every order
+and every multiplication rank.  A rank is not taken where a kept verdict
+already proves its order nonzero (`witnessed`), so when point 0 decides
+every order it is the SLP witness, with no evaluation.  A kernel is the one
+form of a Hessian that evaluation holds; a Hessian's polynomial cells are
+kept only when asked for (`hessian(k, l)`), by exact elimination and the
+oracles.  A piece is computed on its first
 request by the function or class that defines it (`apolar`'s `ak_basis`
 and `hilbert_vector`; `support`'s `divisor_monomials`, `zero_pattern` and
 `zero_block`; `lefschetz`'s `key_criterion` and `wlp_obstruction`;
@@ -42,6 +43,7 @@ alone (`catalecticant`) and the certificate verifier keep taking f.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Callable, Optional, TypeVar
 
 from .apolar import AkBasis, HilbertVector, ak_basis, hilbert_vector
@@ -69,9 +71,9 @@ class Analysis:
         self.f = f
         self.mode = mode
         self.seed = seed
-        # the decision prime, drawn by the seed: every order's residue and
-        # every multiplication rank (`rank_at`) are read mod it
-        self.prime = _decision_prime(seed)
+        # the decision prime, dividing no denominator of f, so no kernel's scale:
+        # every order's residue and every multiplication rank (`rank_at`) are read mod it
+        self.prime = _decision_prime(seed, lcm(*(c.denominator for _, c in f.terms())))
         self._memo: dict[tuple, object] = {}
         self._reused = 0
         self.derivatives = Derivatives(f)

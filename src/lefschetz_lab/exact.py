@@ -3,16 +3,16 @@ matrices, and of polynomial matrices over the rational function field.
 
 The verdicts are decided by zero blocks, evaluation mod p and ranks mod p
 (`hessian`, `lefschetz`, with `linalg`'s modular elimination), so these
-routes run rarely: an integer determinant where p divides a kernel's
-common scale or a constant matrix has residue 0 (`IntMatrix.det`), a rank
-that `rank_at` must take over Q (`IntMatrix.rank`), and, in exact mode
-only, the elimination of a Hessian that evaluation found zero at every
-point (`Analysis.verdict`, `_eliminated`).  Each of those callers imports
-this module when it takes the route, so a command that never does loads
-none of it.  With `linalg`, it holds one elimination body per ring: over Z
-it is fraction-free (Bareiss) elimination in place, `_bareiss`: `rank`
-counts its pivots on integer rows after clearing denominators, and
-`det_int` and `det` take the last.
+routes run rarely: the integer determinant of a middle Hessian whose
+residue is 0 (`IntMatrix.det`), a rank that `rank_at` must take over Q
+(`IntMatrix.rank`), and, in exact mode only, the elimination of a Hessian
+that evaluation found zero at every point (`Analysis.verdict`,
+`_eliminated`), which gives a nonzero one its witness value.  Each of
+those callers imports this module when it takes the route, so a command
+that never does loads none of it.  With `linalg`, it holds one
+elimination body per ring: over Z it is fraction-free (Bareiss)
+elimination in place, `_bareiss`: `rank` counts its pivots on integer
+rows after clearing denominators, and `det_int` and `det` take the last.
 """
 
 from __future__ import annotations
@@ -105,22 +105,17 @@ def _eliminated(an: Analysis, entries: Sequence[Sequence[Poly]], kernel: IntMatr
     exact mode's replacement for the probabilistic verdict."""
     vanishes, transcript, _ = poly_det_vanishes(entries)
     if vanishes:
-        return hessian.VanishingVerdict(True, transcript_hash=_hash_transcript(transcript), eliminated=True)
+        import hashlib  # OpenSSL: paid only by the runs that eliminate
+
+        digest = hashlib.sha256("\n".join(transcript).encode()).hexdigest()
+        return hessian.VanishingVerdict(True, transcript_hash=digest)
     # nonzero, yet zero at every sampled point: the witness is the first
     # shared point after the decision's trials at which the kernel's
     # determinant is nonzero
     t = hessian.DEFAULT_TRIALS
     while not (value := kernel.det(point := an.point(t))):
         t += 1
-    return hessian.VanishingVerdict(False, witness_point=point, eliminated=True, det_value=value)
-
-
-def _hash_transcript(lines: Sequence[str]) -> str:
-    # only elimination and the constant-matrix route hash a transcript, so the
-    # import (OpenSSL) is paid by the runs that take them
-    import hashlib
-
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return hessian.VanishingVerdict(False, witness_point=point, det_value=value)
 
 
 def poly_det_vanishes(

@@ -6,23 +6,22 @@ identically does not depend on the basis, so verdicts are reported without
 one.  A verdict is as certain as the route that decided it, whatever the
 mode; the routes are taken in order, and only the last reads the mode:
 
-  * certificate: for k >= 1, a zero block of the Hessian's pattern, read
-    off supp(f) (`an.key(k)`, over `support`'s patterns), proves vanishing
-    exactly; the Hessian is then neither assembled nor compiled;
+  * certificate: for 1 <= k < d/2, a zero block of the Hessian's pattern,
+    read off supp(f) (`an.key(k)`, over `support`'s patterns), proves
+    vanishing exactly; the Hessian is then neither assembled nor compiled;
   * evaluation: read the determinant of the matrix's integer kernel
     (`polycore.IntMatrix`, which owns the kernel's scale and reduction; the
     form's `Analysis` compiles it once, and this route reads nothing else
     of the matrix) at the form's sample points (`an.point(t)`, the same for
     every order), at most two, modulo the form's decision prime p, drawn at
-    random from [2^60, 2^61) by the seed (`an.prime`).  The kernel is
-    evaluated mod p (`IntMatrix.det_mod`), at every size.  A nonzero
-    residue proves the determinant nonzero over Q, an exact nonvanishing
-    witness.  The verdict carries it as (point, p, residue), the residue
-    being that of the rational determinant, so it replays from the matrix
-    alone.  Only when there is no residue (p divides the kernel's common
-    scale) is the point evaluated over Q, and its exact value decides it.
-    When every point reads zero, the verdict is probabilistic vanishing,
-    with its error bound;
+    random by the seed from the primes in [2^60, 2^61) that divide no
+    coefficient denominator of f (`an.prime`), so no kernel's scale.  The
+    kernel is evaluated mod p (`IntMatrix.det_mod`), at every size.  A
+    nonzero residue proves the determinant nonzero over Q, an exact
+    nonvanishing witness.  The verdict carries it as (point, p, residue),
+    the residue being that of the rational determinant, so it replays from
+    the matrix alone.  When every point reads zero, the verdict is
+    probabilistic vanishing, with its error bound;
   * elimination: in exact mode only, that probabilistic verdict gives way
     to fraction-free elimination of the polynomial matrix over the rational
     function field (`exact.poly_det_vanishes`: fewest-terms pivoting, early
@@ -32,9 +31,9 @@ mode; the routes are taken in order, and only the last reads the mode:
     over Q live in `exact`, which `an.verdict(k)` loads only when it
     eliminates.
 
-A constant matrix (the middle Hessian of even degree) is decided by its
-residue at point 0, exactly; only a zero residue, which p may produce for
-a nonzero value, sends it to the exact determinant (`exact.det_int`).  A
+The middle Hessian (2k = d) is the Gram matrix of the perfect pairing
+A_k x A_k -> A_d = Q, a nonzero constant (Maeno-Watanabe 2009), decided by
+its residue at point 0, or, where p divides it, its value.  A
 probabilistic vanishing verdict, whatever the matrix's size, states its
 error bound (1/64)^DEFAULT_TRIALS + ceil(bits(N)/60) / 2^54.  The first term
 is Schwartz-Zippel over F_p, deg/B for each B-wide sample box, multiplied
@@ -47,7 +46,9 @@ with chance at most 2 deg/p, still below its share while deg < 2^35.
 The second term is the chance that the prime divides the content of the
 nonzero integer polynomial s^n det, s the kernel's common scale, whose
 coefficients are bounded by N, the product of the scaled rows'
-coefficient 1-norms.  The prime is
+coefficient 1-norms: at most bits(N)/60 primes >= 2^60 do, out of the
+more than 2^54 in [2^60, 2^61) left after the fewer than bits(s)/60 that
+divide the lcm s of f's denominators.  The prime is
 random, not fixed, because a fixed p can divide that content: 2^61-1
 divides every value of the order-1 Hessian determinant of
 (2^61-1) x0^3 + x1^3 + ... + x12^3.  The Hessians, their kernels, the
@@ -85,8 +86,7 @@ Matrix = tuple[tuple[Poly, ...], ...]
 
 def _decimal(x: Fraction) -> Optional[str]:
     """str(x), or None when x has more digits than the interpreter's limit
-    on converting an int to text allows: a value read when p divides the
-    common scale has no size bound."""
+    on converting an int to text allows: a value over Q has no size bound."""
     try:
         return str(x)
     except ValueError:
@@ -102,26 +102,23 @@ class VanishingVerdict(Record):
     evaluation witness, at every size; its value over Q, when wanted, is
     `an.kernel(k, k).det(witness_point)`.  `det_value`, the exact
     determinant at the witness point, is held only where evaluation over Q
-    was the route: a witness whose prime divides the kernel's common scale
-    (there is no residue then), a constant matrix whose residue is 0, and a
+    was the route: a middle order (2k = d) whose residue is 0, and a
     witness found after elimination.  Every nonvanishing verdict holds a
-    nonzero residue or a nonzero value.  The JSON form shows the prime and
-    residue, or else the value; a value with more digits than the
-    interpreter converts to text is shown by the bit length of its
-    numerator (`det_value_bits`).
+    nonzero residue or a nonzero value, and a residue comes with its
+    prime.  The JSON form shows the prime and residue, or else the value;
+    a value with more digits than the interpreter converts to text is
+    shown by the bit length of its numerator (`det_value_bits`).
 
     A vanishing verdict names the route that decided it: the zero block
-    `certificate`, the hash of the elimination (or constant-matrix)
-    transcript, or, for the evaluation route alone, the compounded failure
-    bound.  `mode` is read off the verdict, never stored: "probabilistic"
-    exactly when it states an `error_bound`, else "exact", so every
-    nonvanishing verdict is exact.  `eliminated` records whether polynomial
-    elimination ran; it is not part of the serialized verdict.
+    `certificate`, the hash of the elimination transcript, or, for the
+    evaluation route alone, the compounded failure bound.  `mode` is read
+    off the verdict, never stored: "probabilistic" exactly when it states
+    an `error_bound`, else "exact", so every nonvanishing verdict is exact.
     """
 
     __slots__ = (
         "vanishes", "witness_point", "prime", "residue", "error_bound",
-        "transcript_hash", "certificate", "eliminated", "det_value",
+        "transcript_hash", "certificate", "det_value",
     )
 
     def __init__(
@@ -133,18 +130,19 @@ class VanishingVerdict(Record):
         error_bound: Optional[Fraction] = None,
         transcript_hash: Optional[str] = None,
         certificate: Optional[ZeroBlock] = None,
-        eliminated: bool = False,
         det_value: Optional[Fraction] = None,
     ):
         if not vanishes and witness_point is None:
             raise ValueError("nonvanishing verdict requires a witness point")
         if not vanishes and not (residue or det_value):
             raise ValueError("nonvanishing verdict requires a nonzero residue or value")
+        if (prime is None) != (residue is None):
+            raise ValueError("a residue is read mod its prime: give both or neither")
         if certificate is not None and not (vanishes and error_bound is None):
             raise ValueError("a zero block proves exact vanishing only")
         Record.__init__(
             self, vanishes, witness_point, prime, residue, error_bound,
-            transcript_hash, certificate, eliminated, det_value,
+            transcript_hash, certificate, det_value,
         )
 
     @property
@@ -230,7 +228,7 @@ def hessian_vanishes(an: Analysis, k: int) -> VanishingVerdict:
     An order k >= 1 with a zero block certificate (`an.key(k)`) is decided
     by it: exact vanishing, with no Hessian assembled.  Otherwise the kernel
     the Analysis compiled is evaluated at its sample points: a nonzero
-    residue or value is exact nonvanishing, and zero at every point is
+    residue is exact nonvanishing, and zero at every point is
     probabilistic vanishing.  The compute body of `an.verdict(k)`, which
     keeps the result for both modes and, in exact mode, replaces a
     probabilistic one by elimination's; call that instead.  An order outside
@@ -311,23 +309,21 @@ def sample_point(f: Poly, seed: int, t: int) -> tuple[int, ...]:
 def _det_vanishes(an: Analysis, k: int, kernel: IntMatrix) -> VanishingVerdict:
     """Decide whether the determinant of `kernel`, an order-k Hessian of
     `an`'s form compiled, vanishes, by evaluation at the form's shared points
-    mod its decision prime.  A nonzero residue or value is exact, and zero
-    at every point probabilistic vanishing with its error bound."""
-    size = len(kernel)
-    if size == 0:
+    mod its decision prime.  A nonzero residue is exact, and zero at every
+    point probabilistic vanishing with its error bound; the middle order
+    (2k = d), a nonzero constant, is nonvanishing at point 0, by its value
+    when p divides it."""
+    if not len(kernel):
         raise ValueError("empty matrix")
 
     if 2 * k == an.f.degree:
-        # constant matrix: its determinant is the answer, unconditionally
+        # the Gram matrix of the perfect pairing A_k x A_k -> A_d: constant and nonzero
         point = an.point(0)
-        verdict = _witness(kernel, point, an.prime)
-        if verdict is None and (value := kernel.det(point)):  # p divides the nonzero determinant
-            verdict = VanishingVerdict(False, witness_point=point, det_value=value)
-        if verdict is not None:
+        if (verdict := _witness(kernel, point, an.prime)) is not None:
             return verdict
-        from . import exact
-
-        return VanishingVerdict(True, transcript_hash=exact._hash_transcript(["constant-matrix", str(size)]))
+        if value := kernel.det(point):  # p divides the nonzero determinant
+            return VanishingVerdict(False, witness_point=point, det_value=value)
+        raise ArithmeticError("the middle Hessian is singular, yet A_k x A_k -> A_d is a perfect pairing (bug)")
 
     # the budget of DEFAULT_TRIALS boxes of width 64 deg, spent in at most
     # two: the shared points 0 and 1, whose boxes are 64 and 64^(t-1) times
@@ -345,32 +341,25 @@ def _det_vanishes(an: Analysis, k: int, kernel: IntMatrix) -> VanishingVerdict:
 
 
 def _witness(kernel: IntMatrix, point: tuple[int, ...], p: int) -> Optional[VanishingVerdict]:
-    """The nonvanishing verdict at `point` if the kernel's determinant there
-    has a nonzero residue mod p, or no residue and a nonzero value; None
-    otherwise.
-
-    The kernel is evaluated mod p (`IntMatrix.det_mod`), whatever its size,
-    and the verdict holds (point, p, residue).  There is no residue when p
-    divides the kernel's common scale; only then is the kernel evaluated
-    over Q, and the verdict holds the value.
-    """
+    """The nonvanishing verdict (point, p, residue) if the kernel's
+    determinant at `point` has a nonzero residue mod p (`IntMatrix.det_mod`,
+    whatever its size), else None."""
     residue = kernel.det_mod(point, p)
-    if residue:
-        return VanishingVerdict(False, witness_point=point, prime=p, residue=residue)
-    if residue is None and (value := kernel.det(point)):
-        return VanishingVerdict(False, witness_point=point, det_value=value)
-    return None
+    return VanishingVerdict(False, witness_point=point, prime=p, residue=residue) if residue else None
 
 
 @lru_cache(maxsize=256)
-def _decision_prime(seed: int) -> int:
+def _decision_prime(seed: int, denominators: int = 1) -> int:
     """The prime that decides every order of a form analysed at `seed`,
-    drawn uniformly from [2^60, 2^61).  A draw takes about 0.3 ms, so each
-    seed's is cached."""
+    drawn uniformly from the primes in [2^60, 2^61) that do not divide
+    `denominators`, the lcm of the form's coefficient denominators, which
+    every kernel's scale divides.  The seed's candidates are tried in one
+    sequence, so an integral form gets the first prime drawn.  A draw takes
+    about 0.3 ms, so each is cached."""
     rng = random.Random(f"prime:{seed}")
     while True:
         candidate = rng.randrange(2**60 + 1, 2**61, 2)
-        if _is_prime(candidate):
+        if denominators % candidate and _is_prime(candidate):
             return candidate
 
 

@@ -267,11 +267,12 @@ def wlp_generic(an: Analysis) -> LefschetzReport:
 
 def key_criterion(an: Analysis, k: int) -> Optional[ZeroBlock]:
     """The zero block of (k, k), if its ceiling is below h_k, which proves
-    hess^k = 0; the compute body of `an.key(k)`."""
+    hess^k = 0; the compute body of `an.key(k)`.  None, unread, at 2k = d:
+    hess^k is then the Gram matrix of the perfect pairing A_k x A_k -> A_d."""
     top = an.f.degree // 2
     if not 1 <= k <= top:
         raise DegreeRangeError(f"k={k} out of range 1..{top}")
-    return an.block(k, k) if _ceiling(an, k, k) < len(an.basis(k)) else None
+    return an.block(k, k) if 2 * k < an.f.degree and _ceiling(an, k, k) < len(an.basis(k)) else None
 
 
 def wlp_obstruction(an: Analysis, k: int) -> Optional[ZeroBlock]:

@@ -448,8 +448,8 @@ class IntMatrix:
     """A matrix of polynomials compiled for evaluation at integer points.
 
     Every entry is scaled by one common scale s, the lcm of all of the
-    matrix's coefficient denominators (1 for an integral form), so every term
-    becomes an int coefficient times a monomial.  Each distinct entry is
+    matrix's coefficient denominators (a divisor of the form's for a Hessian),
+    so every term becomes an int coefficient times a monomial.  Each distinct entry is
     compiled once into one list of entries, and each row is a list of
     positions in that list; position 0 is the zero entry.  Cell (a, b) of a
     Hessian is f differentiated by the monomial ab, so few of its cells
@@ -467,7 +467,7 @@ class IntMatrix:
     its residue mod a prime (`det_mod`) and the rank over Q or mod a prime
     (`rank`, `rank_mod`) at a point are read here: the modular two through
     `linalg`, from `at_mod`, and the two over Q through `exact`, which they
-    load on first use, from `at`.
+    load on first use, from `at`; a residue, from a prime that does not divide s.
     """
 
     __slots__ = ("nvars", "ncols", "scale", "_powers", "_monos", "_entries", "_rows")
@@ -534,12 +534,12 @@ class IntMatrix:
 
         return Fraction(exact.det_int(self.at(point)), self.scale ** len(self))
 
-    def det_mod(self, point: Sequence[int], p: int) -> Optional[int]:
-        """The determinant at `point` mod the prime p, in range(p); None when
-        p divides the scale, which makes the scaled determinant 0 mod p
-        whatever the determinant over Q."""
+    def det_mod(self, point: Sequence[int], p: int) -> int:
+        """The determinant at `point` mod the prime p, in range(p).  A p that
+        divides the scale, which makes the scaled determinant 0 mod p
+        whatever the determinant over Q, is refused with ValueError."""
         if not self.scale % p:
-            return None
+            raise ValueError(f"the prime {p} divides the kernel's scale {self.scale}")
         return linalg.det_mod(self.at_mod(point, p), p) * pow(self.scale, -len(self), p) % p
 
     def rank(self, point: Sequence[int]) -> int:

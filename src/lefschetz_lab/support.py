@@ -189,18 +189,26 @@ def _ceiling(an: Analysis, k: int, l: int) -> int:
     return len(an.divisor_monomials(k)) + len(an.divisor_monomials(l)) - an.block(k, l).size
 
 
+def _ints(values: object, length: int) -> bool:
+    """Whether `values` is a tuple or list of `length` ints (not bools)."""
+    return isinstance(values, (tuple, list)) and len(values) == length and all(type(x) is int for x in values)
+
+
 def verify_zero_block(f: Poly, dims: Sequence[int], block: ZeroBlock) -> bool:
     """Replay a ZeroBlock on supp(f) and the Hilbert vector `dims` as the report states it,
-    taking no derivative: `dims` has d+1 entries, the orders are ints that fit f's degree, the
+    taking no derivative: `dims` holds d+1 ints, the orders are ints that fit f's degree, the
     rows are distinct members of D_k and the columns of D_l, no row times column divides a term
-    of f, and |D_k| + |D_l| - |rows| - |cols| < dims[k].  A vector of another length gives False."""
-    k, l = block.k, block.l
-    if type(k) is not int or type(l) is not int or len(dims) != f.degree + 1 or min(k, l) < 0 or k + l > f.degree:
+    of f, and |D_k| + |D_l| - |rows| - |cols| < dims[k].  Input of any other shape gives False;
+    nothing raises."""
+    k, l, n, sides = block.k, block.l, len(f.vars), (block.rows, block.cols)
+    entries = getattr(dims, "dims", dims)  # a HilbertVector's, or `dims` itself
+    if not (_ints(entries, f.degree + 1) and _ints((k, l), 2) and min(k, l) >= 0 and k + l <= f.degree
+            and all(isinstance(side, (tuple, list)) and all(_ints(e, n) for e in side) for side in sides)):
         return False
     ceiling = 0
-    for expos, degree in ((block.rows, k), (block.cols, l)):
+    for expos, degree in zip(sides, (k, l)):
         divisors, chosen = _divisors(f, degree), set(map(tuple, expos))
         if len(chosen) < len(expos) or not chosen <= divisors:
             return False
         ceiling += len(divisors) - len(chosen)
-    return ceiling < dims[k] and _divisors(f, k + l).isdisjoint(mono_mul(a, b) for a in block.rows for b in block.cols)
+    return ceiling < entries[k] and _divisors(f, k + l).isdisjoint(mono_mul(a, b) for a in block.rows for b in block.cols)

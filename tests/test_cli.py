@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-from math import comb
+from math import comb, factorial
 
 import hypothesis.strategies as st
 import pytest
@@ -206,20 +206,25 @@ class TestHostileInput:
         assert all("residue" in v and "prime" in v and "det_value" not in v for v in profile)
 
     def test_value_too_long_for_text_reported_by_its_bit_length(self, capsys, tmp_path):
-        """With the decision prime p dividing the common scale, as in
-        1/p x^480 + y^480, there is no residue and each witness is read over
-        Q; values with more digits than the interpreter converts to text are
-        shown by their bit length."""
-        from lefschetz_lab.hessian import _decision_prime
-
-        p = _decision_prime(0)
+        """A value over Q is reported by the two routes that read one.  In
+        exact mode, with the decision prime p as the coefficient of
+        p x^480 + y^480, orders 1..239 are zero mod p at every point and
+        nonzero after elimination, which gives a witness value, and the
+        middle determinant p (480!)^2 has residue 0.  Values with more digits
+        than the interpreter converts to text are shown by their bit length;
+        order 0 keeps its prime and residue."""
+        p = hessian._decision_prime(0)
         path = tmp_path / "r.json"
-        args = ["analyze", "--poly", f"1/{p}*x^480 + y^480", "--vars", "x,y", "--seed", "0", "--json", str(path)]
+        args = ["analyze", "--poly", f"{p}*x^480 + y^480", "--vars", "x,y", "--seed", "0", "--mode", "exact",
+                "--json", str(path)]
         code, _, err = run(args, capsys)
         assert code == 0, err
-        profile = json.loads(path.read_text())["hess_profile"]
-        assert not any("residue" in v for v in profile)
-        assert any("det_value_bits" in v for v in profile) and any("det_value" in v for v in profile)
+        report = json.loads(path.read_text())
+        profile = report["hess_profile"]
+        assert report["counts"]["eliminations"] == 239
+        assert "residue" in profile[0] and profile[240]["det_value"] == str(p * factorial(480) ** 2)
+        assert not any("residue" in v or "prime" in v for v in profile[1:])
+        assert any("det_value_bits" in v for v in profile) and any("det_value" in v for v in profile[1:240])
 
     @pytest.mark.parametrize("command", [
         ["analyze", "--poly", "x^3 + y^3", "--vars", "x,y"],

@@ -4,12 +4,13 @@ Each case's stdout and JSON report (without `timing_ms`, which varies) must
 match the recording byte for byte.  The inputs reach the zero block
 certificate (ikeda at order 2, the perazzo cubic at order 1), the prime
 and residue of an evaluation witness at every size (the cubic and the
-14-variable Fermat cubic), the constant middle Hessian (the quartic,
+14-variable Fermat cubic), the middle Hessian of even degree, which no
+zero block is looked for and its residue at point 0 decides (the quartic,
 order 2) and, on wlpodd(4,5) after a shear of one
 u-row, which leaves no zero block, elimination in exact mode and the error
 bound in probabilistic mode.  The cubic, the perazzo cubic and the sheared
 form recur with rational coefficients, so a common scale above 1 reaches every
-route they take.
+route they take; the decision prime never divides it.
 
 Re-record after a deliberate change of the reports with
 `PYTHONPATH=src python tests/test_golden_reports.py`.

@@ -7,7 +7,7 @@ from math import factorial, prod
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 import lefschetz_lab.exact as exact_mod
@@ -175,8 +175,10 @@ class TestVanishing:
 
     @pytest.mark.parametrize("analysis", [prob, exact])
     def test_split_form_certified_in_both_modes(self, analysis):
-        verdict = hessian_vanishes(analysis(PERAZZO), 1)
-        assert verdict.vanishes and verdict.mode == "exact" and not verdict.eliminated
+        an = analysis(PERAZZO)
+        verdict = an.verdict(1)
+        assert verdict == hessian_vanishes(an, 1)
+        assert verdict.vanishes and verdict.mode == "exact" and an.counts()["eliminations"] == 0
         assert verdict.error_bound is None and verdict.transcript_hash is None
         assert verdict.to_json_dict()["certificate"]["type"] == "zero-block"
 
@@ -185,8 +187,11 @@ class TestVanishing:
         """The certificate is read off supp(f), so it needs no x-block
         first: the cubic with its u-block declared first is certified too."""
         uv_first = parse_poly(PERAZZO.to_text(), VariableSet(("u", "v", "x", "y", "z")))
-        verdict = hessian_vanishes(analysis(uv_first), 1)
-        assert verdict.vanishes and verdict.mode == "exact" and not verdict.eliminated
+        an = analysis(uv_first)
+        verdict = an.verdict(1)
+        assert verdict == hessian_vanishes(an, 1)
+        assert verdict.vanishes and verdict.mode == "exact" and an.counts()["eliminations"] == 0
+        assert verdict.transcript_hash is None
         assert verdict.to_json_dict()["certificate"]["type"] == "zero-block"
 
     def test_unknown_mode(self):
@@ -498,7 +503,7 @@ class TestCertificateRoute:
         monkeypatch.setattr(an, "key", searched.append)
         verdict = explicit_basis_verdict(an, 1, basis_ops(an, 1))
         assert verdict.vanishes and verdict.certificate is None
-        assert verdict.eliminated and verdict.transcript_hash
+        assert verdict.error_bound is None and verdict.transcript_hash
         assert searched == []
 
 
@@ -583,16 +588,17 @@ class TestEvaluateFirst:
         monkeypatch.setattr(exact_mod, "poly_det_vanishes", counting)
         vs = VariableSet(("x", "y", "z"))
         an = exact(parse_poly("x^3 + y^3 + z^3", vs))
-        verdict = hessian_vanishes(an, 1)
+        verdict = an.verdict(1)
         assert not verdict.vanishes and verdict.mode == "exact"
         assert verdict.error_bound is None and verdict.witness_point is not None
-        assert not verdict.eliminated
+        assert an.counts()["eliminations"] == 0 and verdict.residue and verdict.det_value is None
         assert replays(an.hessian(1, 1), verdict)
         assert calls == []
 
     def test_exact_vanishing_still_eliminates(self):
-        verdict = exact(sheared_wlpodd45(1)).verdict(2)
-        assert verdict.vanishes and verdict.eliminated and verdict.transcript_hash
+        an = exact(sheared_wlpodd45(1))
+        verdict = an.verdict(2)
+        assert verdict.vanishes and verdict.transcript_hash and an.counts()["eliminations"] == 1
 
     def test_probabilistic_vanishing_never_eliminates(self, monkeypatch):
         # a u-row shear of wlpodd(4,5): a 12x12 order-2 Hessian of dense
@@ -618,7 +624,7 @@ class TestEvaluateFirst:
         monkeypatch.setattr(exact_mod, "poly_det_vanishes", calls.append)
         an = exact(PERAZZO)
         verdict = an.verdict(1)
-        assert verdict.vanishes and not verdict.eliminated
+        assert verdict.vanishes and verdict.transcript_hash is None
         assert verdict.certificate is an.key(1)
         assert calls == []
         counts = an.counts()
@@ -633,8 +639,8 @@ class TestEvaluateFirst:
         monkeypatch.setattr(hessian_mod, "DEFAULT_TRIALS", 0)
         verdict = an.verdict(1)
         assert not verdict.vanishes and verdict.mode == "exact"
-        assert verdict.eliminated and verdict.error_bound is None
-        assert replays(entries, verdict)
+        assert an.counts()["eliminations"] == 1 and verdict.error_bound is None
+        assert verdict.residue is None and replays(entries, verdict)
 
 
 class TestPolyDet:
@@ -875,16 +881,22 @@ class TestResidueWitness:
         entries, verdict = decide_by_evaluation(fermat_cubic(13, MERSENNE_61), 1, 0)
         assert not verdict.vanishes and residue_replays(entries, verdict)
 
-    def test_prime_dividing_the_row_scale_keeps_the_value(self):
+    def test_denominator_at_the_seeds_prime_draws_the_next(self):
+        """With 1/p in f, p the seed's draw, the kernel's scale is p; the
+        form's prime is the next prime of the seed's candidate sequence, and
+        the witness is its residue, which replays."""
         p = _decision_prime(0)
+        rng = random.Random("prime:0")
+        primes = (c for c in iter(lambda: rng.randrange(2**60 + 1, 2**61, 2), None) if _is_prime(c))
+        assert next(primes) == p
         an = prob(fermat_cubic(13, Fraction(1, p)))
         entries = an.hessian(1, 1)
-        assert an.kernel(1, 1).scale == p
+        assert an.kernel(1, 1).scale == p and an.prime == next(primes) != p
         verdict = hessian_vanishes(an, 1)
-        assert not verdict.vanishes and verdict.residue is None
-        assert verdict.det_value == Fraction(6**13 * prod(verdict.witness_point), p)
-        assert replays(entries, verdict)
-        assert "det_value" in verdict.to_json_dict() and "residue" not in verdict.to_json_dict()
+        assert not verdict.vanishes and verdict.prime == an.prime and verdict.det_value is None
+        assert residue_replays(entries, verdict)
+        out = verdict.to_json_dict()
+        assert (out["prime"], out["residue"]) == (an.prime, verdict.residue) and "det_value" not in out
 
 
 def fermat_quartic(nvars, first_coeff):
@@ -965,3 +977,40 @@ class TestWitnessReport:
         assert verdict.residue is None and verdict.det_value == 24**13 * p
         assert det_int_calls == [13]
         assert verdict.to_json_dict()["det_value"] == str(24**13 * p)
+
+
+class TestMiddleOrder:
+    """In even degree d the order-d/2 Hessian is the Gram matrix of the perfect
+    pairing A_(d/2) x A_(d/2) -> A_d = Q: a nonzero constant."""
+
+    @given(rational_polys(max_vars=3, min_degree=2, max_degree=6), st.integers(0, 3))
+    @settings(max_examples=40)
+    def test_nonvanishing_with_no_zero_block_searched(self, f, seed):
+        assume(f.degree % 2 == 0)
+        m = f.degree // 2
+        fresh = Analysis(f, "probabilistic", seed)
+        assert key_criterion(fresh, m) is None and fresh._memo == {}
+        for mode in MODES:
+            an = Analysis(f, mode, seed)
+            hess_profile(an)
+            verdict = an.verdict(m)
+            assert not verdict.vanishes and verdict.mode == "exact"
+            assert residue_replays(an.hessian(m, m), verdict) and verdict.det_value is None
+            assert an.key(m) is None and ("block", m, m) not in an._memo
+
+    def test_a_singular_middle_hessian_is_a_bug(self):
+        """Were the determinant 0 over Q, the pairing would not be perfect:
+        the decision raises rather than report vanishing."""
+
+        class Singular:
+            def __len__(self):
+                return 2
+
+            def det_mod(self, point, p):
+                return 0
+
+            def det(self, point):
+                return Fraction(0)
+
+        with pytest.raises(ArithmeticError, match="perfect pairing"):
+            _det_vanishes(prob(fermat_quartic(2, 1)), 2, Singular())

@@ -654,8 +654,9 @@ class TestZeroBlockReplay:
         these changes to it fails: a row outside D_k, a column outside D_l,
         a repeated row, a row and a column whose product divides a term,
         and a block one short, with |D_k| + |D_l| - size = h_k; so does the
-        certificate with a Hilbert vector cut before or after h_k or one
-        entry too long, or an order given as a float or, for 1, as True."""
+        certificate with a Hilbert vector cut before or after h_k, one
+        entry too long or of text entries, an order given as a float or, for
+        1, as True, or a row that is an int or None."""
         tried = Counter()
         for f in golden_forms().values():
             an = prob(f)
@@ -692,13 +693,16 @@ class TestZeroBlockReplay:
                              "vector cut after h_k": (hv.dims[:k + 1], cert),
                              "vector one too long": ((*hv.dims, 1), cert),
                              "float order": (hv, cert._replace(k=float(k))),
-                             "float second order": (hv, cert._replace(l=float(l)))}
+                             "float second order": (hv, cert._replace(l=float(l))),
+                             "vector of text": (["1"] * len(hv), cert),
+                             "row an int": (hv, cert._replace(rows=(5,))),
+                             "row None": (hv, cert._replace(rows=(None,)))}
                 if k == 1:
                     malformed["order True"] = (hv, cert._replace(k=True))
                 for kind, (dims, block) in malformed.items():
                     assert not verify_zero_block(f, dims, block), (kind, dims, block)
                 tried.update([*bad, *malformed])
-        assert len(tried) == 11 and sum(tried.values()) > 1300
+        assert len(tried) == 14 and sum(tried.values()) > 1800
 
     def test_replay_takes_no_derivative(self, monkeypatch):
         """With `diff_apply` and `SparseSpan` made to raise, the certificates

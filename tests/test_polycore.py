@@ -361,7 +361,8 @@ class TestIntMatrix:
             if kernel.scale % p:
                 assert kernel.det_mod(point, p) == det.numerator * pow(det.denominator, -1, p) % p
             else:
-                assert kernel.det_mod(point, p) is None
+                with pytest.raises(ValueError, match="divides the kernel's scale"):
+                    kernel.det_mod(point, p)
 
     def test_norm_bound_is_the_product_of_row_norms(self):
         vs = XY

@@ -63,9 +63,9 @@ RECORDS = {
         verdict(),
         [verdict(vanishes=True), verdict(witness_point=(1, 3)), verdict(prime=11),
          verdict(residue=4), verdict(error_bound=Fraction(1, 2)), verdict(transcript_hash="ab"),
-         verdict(eliminated=True), verdict(det_value=Fraction(6))],
+         verdict(det_value=Fraction(6))],
         "VanishingVerdict(vanishes=False, witness_point=(1, 2), prime=7, "
-        "residue=3, error_bound=None, transcript_hash=None, certificate=None, eliminated=False, "
+        "residue=3, error_bound=None, transcript_hash=None, certificate=None, "
         "det_value=Fraction(5, 1))",
     ),
     "FamilySpec": (
@@ -128,6 +128,16 @@ def test_nonvanishing_verdict_needs_nonzero_evidence(evidence):
     with pytest.raises(ValueError, match="nonzero residue or value"):
         VanishingVerdict(False, witness_point=(1,), **evidence)
     assert not VanishingVerdict(False, witness_point=(1,), det_value=Fraction(-1, 2)).vanishes
+
+
+@pytest.mark.parametrize("vanishes", [False, True])
+@pytest.mark.parametrize("evidence", [{"residue": 5}, {"prime": 7, "det_value": Fraction(2)},
+                                      {"residue": 5, "det_value": Fraction(2)}])
+def test_residue_and_prime_come_together(vanishes, evidence):
+    """A residue without its prime cannot be replayed, and a prime without a
+    residue witnesses nothing."""
+    with pytest.raises(ValueError, match="residue is read mod its prime"):
+        VanishingVerdict(vanishes, witness_point=(1,), **evidence)
 
 
 def test_linear_form_refuses_floats():
