@@ -16,19 +16,18 @@ first GENERIC_TRIALS; one decision prime, drawn by the seed among the primes
 that divide no coefficient denominator of f (`prime`), serves every order
 and every multiplication rank.  A rank is not taken where a kept verdict
 already proves its order nonzero (`witnessed`), so when point 0 decides
-every order it is the SLP witness, with no evaluation.  A kernel is the one
-form of a Hessian that evaluation holds; a Hessian's polynomial cells are
-kept only when asked for (`hessian(k, l)`), by exact elimination and the
-oracles.  A piece is computed on its first
-request by the function or class that defines it (`apolar`'s `ak_basis`
-and `hilbert_vector`; `support`'s `divisor_monomials`, `zero_pattern` and
-`zero_block`; `lefschetz`'s `key_criterion` and `wlp_obstruction`;
-`hessian`'s `mixed_hessian`, `hessian_vanishes` and `sample_point`;
-`IntMatrix`) and reused afterwards, so
-one report decides each higher Hessian once, compiles each Hessian once for
-the vanishing decision and every multiplication rank (`rank_at`), and reads
-each pattern once for its block, its assembly and its rank ceiling.  Only
-elimination depends on the mode: `in_mode` gives the Analysis of the same
+every order it is the SLP witness, with no evaluation.  A Hessian is held
+as its kernel alone, built from its pattern (`kernel(k, l)`); exact
+elimination and the oracles read its polynomial cells back from it
+(`hessian(k, l)`).  A piece is computed on its first request by the
+function that defines it (`apolar`'s `ak_basis` and `hilbert_vector`;
+`support`'s `divisor_monomials`, `zero_pattern` and `zero_block`;
+`lefschetz`'s `key_criterion` and `wlp_obstruction`; `hessian`'s
+`mixed_hessian`, `hessian_vanishes` and `sample_point`) and reused
+afterwards, so one report decides each higher Hessian once, builds each
+Hessian once for the vanishing decision, every multiplication rank
+(`rank_at`) and elimination, and reads each pattern once for its block,
+its kernel and its rank ceiling.  Only elimination depends on the mode: `in_mode` gives the Analysis of the same
 form and seed in another mode, which shares the memo, so a form checked in
 both modes computes every piece, and decides every order, once.  A verdict
 is decided by one of three routes: the order's zero block (the Hessian is
@@ -76,6 +75,7 @@ class Analysis:
         self.prime = _decision_prime(seed, lcm(*(c.denominator for _, c in f.terms())))
         self._memo: dict[tuple, object] = {}
         self._reused = 0
+        self._depth = 0  # compute bodies running: their memo hits are not counted
         self.derivatives = Derivatives(f)
         # rank checks taken over Q: the rank mod p met neither full rank nor the zero block's ceiling
         self.rational_ranks = 0
@@ -94,11 +94,19 @@ class Analysis:
         other.derivatives, other._memo = self.derivatives, self._memo
         return other
 
-    def _get(self, key: tuple, compute: Callable[[], T]) -> T:
+    def _get(self, key: tuple, compute: Callable[[], T], counted: bool = True) -> T:
+        """The piece under `key`, computed on its first request.  A hit is
+        counted as reused only outside every compute body, so the count does
+        not follow which pieces one body reads of another."""
         if key in self._memo:
-            self._reused += 1
+            if counted and not self._depth:
+                self._reused += 1
             return self._memo[key]  # type: ignore[return-value]
-        value = self._memo[key] = compute()
+        self._depth += 1
+        try:
+            value = self._memo[key] = compute()
+        finally:
+            self._depth -= 1
         return value
 
     def basis(self, k: int) -> AkBasis:
@@ -109,14 +117,15 @@ class Analysis:
         return self._get(("hilbert",), lambda: hilbert_vector(self))
 
     def hessian(self, k: int, l: int) -> Matrix:
-        """Entries of the mixed Hessian over the bases of A_k and A_l, for
-        the readers that need polynomials: exact elimination and the oracles.
-        Evaluation reads `kernel(k, l)`, which does not keep them."""
-        return self._get(("hessian", k, l), lambda: mixed_hessian(self, k, l))
+        """Entries of the mixed Hessian over the bases of A_k and A_l, read
+        back from `kernel(k, l)` on each call, for the readers that need
+        polynomials: exact elimination and the oracles."""
+        return self.kernel(k, l).cells()
 
     def kernel(self, k: int, l: int) -> IntMatrix:
-        """The mixed Hessian over A_k and A_l compiled for integer points."""
-        return self._get(("kernel", k, l), lambda: IntMatrix(mixed_hessian(self, k, l)))
+        """The mixed Hessian over A_k and A_l compiled for integer points:
+        the one form of it that the Analysis holds."""
+        return self._get(("kernel", k, l), lambda: mixed_hessian(self, k, l))
 
     def verdict(self, k: int) -> VanishingVerdict:
         """Whether the order-k Hessian vanishes: the decision both modes share,
@@ -124,12 +133,9 @@ class Analysis:
         Either way one read is one memo hit, that of the shared decision."""
         verdict = self._get(("verdict", k), lambda: hessian_vanishes(self, k))
         if self.mode == "exact" and verdict.error_bound is not None:
-            key = ("elimination", k)
-            if key not in self._memo:
-                from . import exact
+            from . import exact
 
-                self._memo[key] = exact._eliminated(self, self.hessian(k, k), self.kernel(k, k))
-            verdict = self._memo[key]
+            verdict = self._get(("elimination", k), lambda: exact._eliminated(self, self.kernel(k, k)), counted=False)
         return verdict
 
     def point(self, t: int) -> tuple[int, ...]:
@@ -169,11 +175,11 @@ class Analysis:
     def counts(self) -> dict:
         """Hessian orders decided (in either mode), those a zero block
         decided, those eliminated in exact mode (none in probabilistic mode;
-        the rest were decided by evaluation), Hessian kernels compiled, memo
-        hits, exact rank fallbacks (ranks `rank_at` took over Q: the rank mod
-        p was neither maximal nor at its zero block's ceiling), monomial
-        derivatives of f computed, basis candidates reduced (|D_k| for each
-        basis of A_k built)."""
+        the rest were decided by evaluation), Hessian kernels built, memo
+        hits from outside the compute bodies, exact rank fallbacks (ranks
+        `rank_at` took over Q: the rank mod p was neither maximal nor at its
+        zero block's ceiling), monomial derivatives of f computed, basis
+        candidates reduced (|D_k| for each basis of A_k built)."""
         verdicts = [v for key, v in self._memo.items() if key[0] == "verdict"]
         return {
             "hessian_decisions": len(verdicts),

@@ -7,12 +7,13 @@ routes run rarely: the integer determinant of a middle Hessian whose
 residue is 0 (`IntMatrix.det`), a rank that `rank_at` must take over Q
 (`IntMatrix.rank`), and, in exact mode only, the elimination of a Hessian
 that evaluation found zero at every point (`Analysis.verdict`,
-`_eliminated`), which gives a nonzero one its witness value.  Each of
-those callers imports this module when it takes the route, so a command
-that never does loads none of it.  With `linalg`, it holds one
-elimination body per ring: over Z it is fraction-free (Bareiss)
-elimination in place, `_bareiss`: `rank` counts its pivots on integer
-rows after clearing denominators, and `det_int` and `det` take the last.
+`_eliminated`, on the cells read back from the Hessian's kernel), which
+gives a nonzero one its witness value.  Each of those callers imports this
+module when it takes the route, so a command that never does loads none of
+it.  With `linalg`, it holds one elimination body per ring: over Z it is
+fraction-free (Bareiss) elimination in place, `_bareiss`: `rank` counts its
+pivots on integer rows after clearing denominators, and `det_int` and `det`
+take the last.
 """
 
 from __future__ import annotations
@@ -99,11 +100,11 @@ def _bareiss(m: list[list[int]]) -> Iterator[int]:
             break
 
 
-def _eliminated(an: Analysis, entries: Sequence[Sequence[Poly]], kernel: IntMatrix) -> hessian.VanishingVerdict:
-    """The exact verdict, by elimination, on a Hessian `entries` of `an`'s
-    form, compiled as `kernel`, which evaluation found zero at every point;
-    exact mode's replacement for the probabilistic verdict."""
-    vanishes, transcript, _ = poly_det_vanishes(entries)
+def _eliminated(an: Analysis, kernel: IntMatrix) -> hessian.VanishingVerdict:
+    """The exact verdict, by elimination of its polynomial cells, on a
+    Hessian `kernel` of `an`'s form, which evaluation found zero at every
+    point; exact mode's replacement for the probabilistic verdict."""
+    vanishes, transcript, _ = poly_det_vanishes(kernel.cells())
     if vanishes:
         import hashlib  # OpenSSL: paid only by the runs that eliminate
 

@@ -8,28 +8,28 @@ mode; the routes are taken in order, and only the last reads the mode:
 
   * certificate: for 1 <= k < d/2, a zero block of the Hessian's pattern,
     read off supp(f) (`an.key(k)`, over `support`'s patterns), proves
-    vanishing exactly; the Hessian is then neither assembled nor compiled;
+    vanishing exactly; the Hessian is then not built;
   * evaluation: read the determinant of the matrix's integer kernel
     (`polycore.IntMatrix`, which owns the kernel's scale and reduction; the
-    form's `Analysis` compiles it once, and this route reads nothing else
-    of the matrix) at the form's sample points (`an.point(t)`, the same for
-    every order), at most two, modulo the form's decision prime p, drawn at
-    random by the seed from the primes in [2^60, 2^61) that divide no
-    coefficient denominator of f (`an.prime`), so no kernel's scale.  The
-    kernel is evaluated mod p (`IntMatrix.det_mod`), at every size.  A
-    nonzero residue proves the determinant nonzero over Q, an exact
-    nonvanishing witness.  The verdict carries it as (point, p, residue),
-    the residue being that of the rational determinant, so it replays from
-    the matrix alone.  When every point reads zero, the verdict is
-    probabilistic vanishing, with its error bound;
-  * elimination: in exact mode only, that probabilistic verdict gives way
-    to fraction-free elimination of the polynomial matrix over the rational
-    function field (`exact.poly_det_vanishes`: fewest-terms pivoting, early
-    exit on a zero row/column), which certifies vanishing unconditionally;
-    a nonzero determinant gets its witness from exact evaluation of the
-    kernel at the sample points from trial DEFAULT_TRIALS on.  The bodies
-    over Q live in `exact`, which `an.verdict(k)` loads only when it
-    eliminates.
+    form's `Analysis` builds it once, from the Hessian's pattern) at the
+    form's sample points (`an.point(t)`, the same for every order), at most
+    two, modulo the form's decision prime p, drawn at random by the seed
+    from the primes in [2^60, 2^61) that divide no coefficient denominator
+    of f (`an.prime`), so no kernel's scale.  The kernel is evaluated mod p
+    (`IntMatrix.det_mod`), at every size.  A nonzero residue proves the
+    determinant nonzero over Q, an exact nonvanishing witness.  The verdict
+    carries it as (point, p, residue), the residue being that of the
+    rational determinant, so it replays from the matrix alone.  When every
+    point reads zero, the verdict is probabilistic vanishing, with its error
+    bound;
+  * elimination: in exact mode only, that probabilistic verdict gives way to
+    fraction-free elimination of the kernel's polynomial cells over the
+    rational function field (`exact.poly_det_vanishes`: fewest-terms
+    pivoting, early exit on a zero row/column), which certifies vanishing
+    unconditionally; a nonzero determinant gets its witness from exact
+    evaluation of the kernel at the sample points from trial DEFAULT_TRIALS
+    on.  The bodies over Q live in `exact`, which `an.verdict(k)` loads only
+    when it eliminates.
 
 The middle Hessian (2k = d) is the Gram matrix of the perfect pairing
 A_k x A_k -> A_d = Q, a nonzero constant (Maeno-Watanabe 2009), decided by
@@ -48,16 +48,21 @@ nonzero integer polynomial s^n det, s the kernel's common scale, whose
 coefficients are bounded by N, the product of the scaled rows'
 coefficient 1-norms: at most bits(N)/60 primes >= 2^60 do, out of the
 more than 2^54 in [2^60, 2^61) left after the fewer than bits(s)/60 that
-divide the lcm s of f's denominators.  The prime is
-random, not fixed, because a fixed p can divide that content: 2^61-1
-divides every value of the order-1 Hessian determinant of
-(2^61-1) x0^3 + x1^3 + ... + x12^3.  The Hessians, their kernels, the
-certificates and the verdicts of one form are read through its `Analysis`,
-which builds each once, decides each order once for both modes and, in exact
-mode, eliminates each probabilistic verdict once.  `mixed_hessian` is the
-compute body of `an.kernel(k, l)`, which keeps only the compiled matrix, and
-of `an.hessian(k, l)`, which keeps the polynomial cells for elimination
-(`exact`) and the test oracles (`oracles`); `hessian_vanishes` is that of
+divide the lcm s of f's denominators.  That term holds over the seed's
+draw of p for a form chosen without knowledge of p.  A fixed seed's prime
+is public, since every report prints it, and a form built against it
+breaks the bound: at seed 0, p * x^4 + y^4 and (x+y)^4 + p * y^4 are
+reported with hess^1 = 0 and a bound below 2^-29, yet neither vanishes.
+For adversarial input use exact mode, which eliminates every such verdict,
+or an unpublished seed.  The prime is random, not fixed, because a fixed p
+divides that content for some forms: 2^61-1 divides every value of the
+order-1 Hessian determinant of (2^61-1) x0^3 + x1^3 + ... + x12^3.  The
+kernels, certificates and verdicts of one form are read through its
+`Analysis`, which builds each once, decides each order once for both modes
+and, in exact mode, eliminates each probabilistic verdict once.
+`mixed_hessian` is the compute body of `an.kernel(k, l)`, the one form of
+a Hessian held, whose polynomial cells `an.hessian(k, l)` reads back for
+elimination (`exact`) and the oracles; `hessian_vanishes` is that of
 `an.verdict(k)` before elimination, `sample_point` that of `an.point(t)`,
 and `hessian_matrix` reads `an.hessian(k, k)`.  Called directly, the
 compute bodies bypass the memo and `counts()`.
@@ -68,15 +73,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import DegreeRangeError
-from .polycore import Poly, Record, mono_count, mono_mul
+from .polycore import IntMatrix, Monomial, Poly, Record, mono_count, mono_mul
 from .support import ZeroBlock, _require_orders
 
 if TYPE_CHECKING:
     from .analysis import Analysis
-    from .polycore import IntMatrix
 
 DEFAULT_TRIALS = 5
 MODES = ("probabilistic", "exact")
@@ -176,49 +180,35 @@ def hessian_matrix(an: Analysis, k: int) -> Matrix:
     return an.hessian(k, k)
 
 
-def mixed_hessian(an: Analysis, k: int, l: int) -> Matrix:
-    """Mixed Hessian (a_i b_j (f)) over the greedy bases (a_i) of A_k, (b_j) of A_l.
+def mixed_hessian(an: Analysis, k: int, l: int) -> IntMatrix:
+    """Mixed Hessian (a_i b_j (f)) over the greedy bases (a_i) of A_k, (b_j) of A_l, as a kernel.
 
-    The compute body of `an.kernel(k, l)`, which keeps it compiled, and of
-    `an.hessian(k, l)`, which keeps the matrix; call those instead.  Its
-    entries have degree d-k-l.  Evaluated at the coefficients of a linear
-    form L, its rank is the rank of multiplication by L^(d-k-l) from A_k to
-    A_(d-l) (Maeno-Watanabe); l = k gives the pure order-k Hessian.  The
-    matrix for (l, k) is the transpose of the one for (k, l).  Only the
-    cells of `an.pattern(k, l)` are differentiated; every other cell is the
-    form's one zero polynomial.  The pattern is over D_k x D_l, and each
-    basis is, by construction, a descending-lex subsequence of its D_j: the
-    one that `ak_basis`'s scan of D_j keeps.
+    The compute body of `an.kernel(k, l)`; call that instead.  Its entries
+    have degree d-k-l.  Evaluated at the coefficients of a linear form L,
+    its rank is the rank of multiplication by L^(d-k-l) from A_k to A_(d-l)
+    (Maeno-Watanabe); l = k gives the pure order-k Hessian.  The matrix for
+    (l, k) is the transpose of the one for (k, l).  Only the cells of
+    `an.pattern(k, l)` are filled: each layer element m = a+b in D_(k+l)
+    gets a position the first time it occurs, its entry the derivative
+    X^m f; every other cell is position 0, the form's one zero polynomial.
+    The pattern is over D_k x D_l, and each basis is, by construction, a
+    descending-lex subsequence of its D_j: the one `ak_basis`'s scan keeps.
     """
     _require_orders(an.f.degree, k, l)
-    rows, cols = an.basis(k).expos, an.basis(l).expos
-    derivatives, pattern = an.derivatives, an.pattern(k, l)
+    rows, cols, pattern = an.basis(k).expos, an.basis(l).expos, an.pattern(k, l)
     spanning_rows, spanning_cols = an.divisor_monomials(k), an.divisor_monomials(l)
     if len(rows) < len(spanning_rows) or len(cols) < len(spanning_cols):
         kept, col_at = set(rows), dict(zip(cols, range(len(cols))))
         position = [col_at.get(b, -1) for b in spanning_cols]
         pattern = [[c for j in js if (c := position[j]) >= 0] for a, js in zip(spanning_rows, pattern) if a in kept]
-
-    def cells(i: int, start: int) -> list[Poly]:  # row i from column `start` on
-        out = [derivatives.zero] * (len(cols) - start)
-        for j in pattern[i]:
-            if j >= start:
-                out[j - start] = derivatives[mono_mul(rows[i], cols[j])]
-        return out
-
-    if l != k:
-        return tuple(tuple(cells(i, 0)) for i in range(len(rows)))
-    return _mirrored(cells(i, i) for i in range(len(rows)))
-
-
-def _mirrored(uppers: Iterable[list[Poly]]) -> Matrix:
-    """The symmetric matrix whose i-th row ends with the i-th of `uppers`,
-    its cells from the diagonal on; the cells left of the diagonal are
-    those of the rows above."""
-    out: list[list[Poly]] = []
-    for i, upper in enumerate(uppers):
-        out.append([row[i] for row in out] + upper)
-    return tuple(map(tuple, out))
+    index: dict[Monomial, int] = {}  # layer element -> its position in the entries
+    cells = []
+    for a, js in zip(rows, pattern):
+        row = [0] * len(cols)
+        for j in js:
+            row[j] = index.setdefault(mono_mul(a, cols[j]), len(index) + 1)
+        cells.append(row)
+    return IntMatrix([an.derivatives.zero, *map(an.derivatives.__getitem__, index)], cells)
 
 
 def hessian_vanishes(an: Analysis, k: int) -> VanishingVerdict:
@@ -313,9 +303,6 @@ def _det_vanishes(an: Analysis, k: int, kernel: IntMatrix) -> VanishingVerdict:
     point probabilistic vanishing with its error bound; the middle order
     (2k = d), a nonzero constant, is nonvanishing at point 0, by its value
     when p divides it."""
-    if not len(kernel):
-        raise ValueError("empty matrix")
-
     if 2 * k == an.f.degree:
         # the Gram matrix of the perfect pairing A_k x A_k -> A_d: constant and nonzero
         point = an.point(0)

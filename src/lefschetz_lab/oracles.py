@@ -22,11 +22,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import perm, prod
 from operator import sub
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import exact
 from .errors import DegreeRangeError, SingularMatrixError, VariableMismatchError, ZeroPolynomialError
-from .hessian import VanishingVerdict, _det_vanishes, _mirrored
+from .hessian import VanishingVerdict, _det_vanishes
 from .polycore import DiffOp, IntMatrix, Monomial, Poly, Scalar, _coefficient, mono_basis, poly_sum
 from .support import _sub_exponents
 
@@ -148,12 +148,19 @@ def explicit_basis_verdict(an: Analysis, k: int, ops: Sequence[DiffOp]) -> Vanis
     evaluation and, in exact mode, elimination; the zero block is not
     consulted.  Cell (i, j) is ops[i] applied to ops[j] (f)."""
     derived = [diff_apply(a, an.f) for a in ops]
-    H = _mirrored([diff_apply(a, g) for g in derived[i:]] for i, a in enumerate(ops))
-    kernel = IntMatrix(H)
+    kernel = IntMatrix.of(_mirrored([diff_apply(a, g) for g in derived[i:]] for i, a in enumerate(ops)))
     verdict = _det_vanishes(an, k, kernel)
     if an.mode == "exact" and verdict.error_bound is not None:
-        return exact._eliminated(an, H, kernel)
+        return exact._eliminated(an, kernel)
     return verdict
+
+
+def _mirrored(uppers: Iterable[list[Poly]]) -> list[list[Poly]]:
+    """The symmetric matrix whose i-th row ends with the i-th of `uppers`, from the diagonal on."""
+    out: list[list[Poly]] = []
+    for i, upper in enumerate(uppers):
+        out.append([row[i] for row in out] + upper)
+    return out
 
 
 def mult_map(an: Analysis, L: LinearForm, i: int, k: int) -> list[list[Fraction]]:

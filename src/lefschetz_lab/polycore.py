@@ -8,10 +8,11 @@ upper-cased, so ``x0 -> X0``, ``u1 -> U1``); the monomial derivatives of a
 form are taken one partial at a time (`Derivatives`), and an operator acts
 on a polynomial by plain partial differentiation in `oracles.diff_apply`.
 `IntMatrix` compiles a matrix of polynomials once for evaluation at integer
-points: the one evaluation kernel behind the Hessian determinant decisions
-and the Lefschetz ranks, and the one reader of its determinants and ranks
-at a point (`oracles.eval_poly`, which no production path calls, is the
-tests' rational reference for it).
+points: the one held form of each Hessian, behind its determinant
+decisions, the Lefschetz ranks and, read back as polynomial cells, exact
+elimination, and the one reader of its determinants and ranks at a point
+(`oracles.eval_poly`, which no production path calls, is the tests'
+rational reference for it).
 
 Conventions baked in here and relied on everywhere else:
 
@@ -447,21 +448,21 @@ class Derivatives(dict):
 class IntMatrix:
     """A matrix of polynomials compiled for evaluation at integer points.
 
-    Every entry is scaled by one common scale s, the lcm of all of the
-    matrix's coefficient denominators (a divisor of the form's for a Hessian),
-    so every term becomes an int coefficient times a monomial.  Each distinct entry is
-    compiled once into one list of entries, and each row is a list of
-    positions in that list; position 0 is the zero entry.  Cell (a, b) of a
-    Hessian is f differentiated by the monomial ab, so few of its cells
-    differ.  Each distinct monomial of the matrix is kept once, as a sparse
-    exponent: the positions of its variable powers in a per-point power
+    It is given compiled: `entries[0]` is the zero polynomial, `entries[1:]`
+    the matrix's distinct nonzero cells, and `rows[i][j]` the position of
+    cell (i, j) in `entries`.  A Hessian is built so from its pattern
+    (`hessian.mixed_hessian`), any grid of polynomials by `IntMatrix.of`,
+    and `cells()` reads the polynomial rows back.  Every entry is scaled by
+    one common scale s, the lcm of all of the matrix's coefficient
+    denominators (a divisor of the form's for a Hessian), so every term
+    becomes an int coefficient times a monomial.  Each distinct monomial is
+    kept once, as the positions of its variable powers in a per-point power
     table, which holds only the powers x_i^e that some monomial uses.
-    `at(point)` computes each of those powers, each monomial and each
-    compiled entry once, then builds each row by lookup: the integer matrix
-    s times the polynomial matrix at `point`.  `at_mod(point, p)` builds the
-    same matrix reduced mod p, with each power taken by `pow(x, e, p)` and
-    each monomial and entry reduced as it is formed, so no value grows with
-    the exponents or the point.
+    `at(point)` computes each power, monomial and entry once, then builds
+    each row by lookup: s times the polynomial matrix at `point`.
+    `at_mod(point, p)` builds it reduced mod p, each power by
+    `pow(x, e, p)` and each monomial and entry reduced as it is formed, so
+    no value grows with the exponents or the point.
 
     The scale is this class's format alone: the determinant over Q (`det`),
     its residue mod a prime (`det_mod`) and the rank over Q or mod a prime
@@ -470,36 +471,33 @@ class IntMatrix:
     load on first use, from `at`; a residue, from a prime that does not divide s.
     """
 
-    __slots__ = ("nvars", "ncols", "scale", "_powers", "_monos", "_entries", "_rows")
+    __slots__ = ("nvars", "ncols", "scale", "_cells", "_powers", "_monos", "_entries", "_rows")
 
-    def __init__(self, entries: Sequence[Sequence[Poly]]):
-        self.nvars = len(entries[0][0].vars) if entries and entries[0] else 0
-        self.ncols = len(entries[0]) if entries else 0
-        positions: dict[int, int] = {}  # id(entry) -> position
-        distinct: list[Poly] = []  # the entries at positions 1, 2, ...
-        self._rows = []
-        for row in entries:
-            out = []
-            for entry in row:
-                pos = positions.get(id(entry))
-                if pos is None:
-                    pos = 0
-                    if entry._terms:
-                        distinct.append(entry)
-                        pos = len(distinct)
-                    positions[id(entry)] = pos
-                out.append(pos)
-            self._rows.append(out)
-        self.scale = s = lcm(*{c.denominator for entry in distinct for c in entry._terms.values()})
+    def __init__(self, entries: Sequence[Poly], rows: list[list[int]]):
+        self.nvars = len(entries[0].vars)
+        self.ncols = len(rows[0]) if rows else 0
+        self._cells, self._rows = entries, rows
+        self.scale = s = lcm(*{c.denominator for entry in entries for c in entry._terms.values()})
         monos: dict[Monomial, int] = {}
         # from position 1 on: (int coefficients, monomial positions)
         self._entries: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        for entry in distinct:
+        for entry in entries[1:]:
             coeffs = tuple(c.numerator * (s // c.denominator) for c in entry._terms.values())
             self._entries.append((coeffs, tuple(monos.setdefault(e, len(monos)) for e in entry._terms)))
         self._powers = sorted({(i, e) for expo in monos for i, e in enumerate(expo) if e})
         position = {power: j for j, power in enumerate(self._powers)}
         self._monos = [tuple(position[i, e] for i, e in enumerate(expo) if e) for expo in monos]
+
+    @classmethod
+    def of(cls, grid: Sequence[Sequence[Poly]]) -> "IntMatrix":
+        """The nonempty grid of polynomials compiled, each distinct value once."""
+        index = {Poly.zero(grid[0][0].vars): 0}
+        rows = [[index.setdefault(cell, len(index)) for cell in row] for row in grid]
+        return cls(list(index), rows)
+
+    def cells(self) -> tuple[tuple[Poly, ...], ...]:
+        """The polynomial rows, each cell taken from `entries` by its position."""
+        return tuple(tuple(map(self._cells.__getitem__, row)) for row in self._rows)
 
     def __len__(self) -> int:
         return len(self._rows)

@@ -873,9 +873,9 @@ class TestKernels:
         compiled = []
         real = IntMatrix.__init__
 
-        def counting(self, entries):
-            compiled.append((len(entries), len(entries[0])))
-            real(self, entries)
+        def counting(self, entries, rows):
+            compiled.append((len(rows), len(rows[0])))
+            real(self, entries, rows)
 
         monkeypatch.setattr(IntMatrix, "__init__", counting)
         report = tmp_path / "r.json"

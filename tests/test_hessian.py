@@ -402,6 +402,41 @@ class TestDerivativeMemo:
                     assert cells.setdefault(mono_mul(a, b), cell) is cell
 
 
+def diff_apply_grid(an, k, l):
+    """The mixed Hessian of (k, l) over the bases, each cell a_i applied to
+    b_j applied to f by plain differentiation."""
+    derived = [diff_apply(b, an.f) for b in basis_ops(an, l)]
+    return tuple(tuple(diff_apply(a, g) for g in derived) for a in basis_ops(an, k))
+
+
+class TestKernelFromPattern:
+    @given(
+        st.one_of(
+            rational_polys(max_vars=4, max_degree=5),
+            cone_polys(),
+            cone_polys().map(lambda f: f.scale(Fraction(2, 3))),
+        ),
+        st.data(),
+    )
+    @settings(max_examples=30)
+    def test_kernel_is_the_one_compiled_from_the_oracle_grid(self, f, data):
+        """The kernel built from the pattern at the basis positions holds the
+        cells that plain differentiation gives, and reads at every point, mod
+        a prime that divides its scale or not, as that grid compiled does."""
+        an = prob(f)
+        n, d = len(f.vars), f.degree
+        point = tuple(data.draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n)))
+        p = data.draw(st.sampled_from((2, 3, 5, an.prime)))
+        for k in range(d // 2 + 1):
+            for l in (k, d - 1 - k):
+                kernel, grid = an.kernel(k, l), diff_apply_grid(an, k, l)
+                assert kernel.cells() == grid
+                oracle = IntMatrix.of(grid)
+                assert (kernel.scale, kernel.norm_bound()) == (oracle.scale, oracle.norm_bound())
+                assert kernel.at(point) == oracle.at(point)
+                assert kernel.at_mod(point, p) == oracle.at_mod(point, p)
+
+
 class TestKeyCriterionSoundness:
     @pytest.mark.parametrize(
         "build,k",
@@ -824,7 +859,7 @@ def decide_by_evaluation(f, k, seed):
     """Decide the order-k Hessian in probabilistic mode, by evaluation only,
     on a kernel compiled afresh."""
     entries = prob(f).hessian(k, k)
-    verdict = _det_vanishes(Analysis(f, "probabilistic", seed), k, IntMatrix(entries))
+    verdict = _det_vanishes(Analysis(f, "probabilistic", seed), k, IntMatrix.of(entries))
     return entries, verdict
 
 
@@ -873,7 +908,7 @@ class TestResidueWitness:
         vs = VariableSet(("x", "y", "z"))
         f = parse_poly("1/5*x^3 + 1/7*y^3 + 1/11*x*y*z + z^3", vs)
         entries, verdict = decide_by_evaluation(f, 1, 0)
-        assert IntMatrix(entries).scale % verdict.prime != 1
+        assert IntMatrix.of(entries).scale % verdict.prime != 1
         assert residue_replays(entries, verdict)
 
     def test_fixed_prime_content(self):

@@ -337,7 +337,7 @@ class TestIntMatrix:
     def test_matches_eval_poly_after_row_scaling(self, case):
         # every row is scaled by one common scale: the lcm of all denominators
         entries, point = case
-        kernel = IntMatrix(entries)
+        kernel = IntMatrix.of(entries)
         scale = lcm(*(c.denominator for row in entries for e in row for c in e.coeff_map().values()))
         assert kernel.scale == scale
         assert kernel.at(point) == [[eval_poly(e, point) * scale for e in row] for row in entries]
@@ -346,7 +346,7 @@ class TestIntMatrix:
     def test_determinant_and_ranks_match_the_rational_matrix(self, case, p):
         # denominators up to 6 make 2, 3 and 5 divide the scale in many cases
         entries, point = case
-        kernel = IntMatrix(entries)
+        kernel = IntMatrix.of(entries)
         values = [[eval_poly(e, point) for e in row] for row in entries]
         rank = linalg.rank(values)
         assert kernel.rank(point) == rank
@@ -371,7 +371,7 @@ class TestIntMatrix:
             [parse_poly("x^2", vs), Poly.zero(vs)],
         ]
         # common scale 2: |1| + |-2| + |6| = 9 and |2| = 2
-        assert IntMatrix(entries).norm_bound() == 18
+        assert IntMatrix.of(entries).norm_bound() == 18
 
     def test_one_poly_in_rows_of_different_scale(self):
         # rows whose own denominators are 2, 1 and 3 share the common scale
@@ -383,7 +383,7 @@ class TestIntMatrix:
             [zero, shared, parse_poly("y", vs)],
             [parse_poly("1/3*y", vs), zero, shared],
         ]
-        kernel = IntMatrix(entries)
+        kernel = IntMatrix.of(entries)
         assert len(kernel._entries) == 4
         for point in ((2, 5), (-3, 7)):
             assert kernel.at(point) == [[eval_poly(e, point) * 6 for e in row] for row in entries]
@@ -401,11 +401,11 @@ class TestIntMatrix:
         # denominators up to 6 make 2, 3 and 5 divide the scale in many
         # cases; the reduction is the same whether p divides it or not
         entries, point = case
-        kernel = IntMatrix(entries)
+        kernel = IntMatrix.of(entries)
         assert kernel.at_mod(point, p) == [[x % p for x in row] for row in kernel.at(point)]
 
     def test_rejects_a_point_of_the_wrong_length(self):
-        kernel = IntMatrix([[IKEDA]])
+        kernel = IntMatrix.of([[IKEDA]])
         with pytest.raises(ValueError):
             kernel.at((1, 2))
         with pytest.raises(ValueError, match="point has 2 coordinates, expected 4"):
@@ -418,7 +418,7 @@ class TestIntMatrix:
             [parse_poly("x^4000", XY), parse_poly("3*x^3999*y - y^4000", XY)],
             [parse_poly("x^2*y^3998", XY), Poly.zero(XY)],
         ]
-        kernel = IntMatrix(entries)
+        kernel = IntMatrix.of(entries)
         assert kernel._powers == [(0, 2), (0, 3999), (0, 4000), (1, 1), (1, 3998), (1, 4000)]
         for point in ((3, -2), (0, 5), (-7, 1), (2**40, 3)):
             assert kernel.at(point) == [[eval_poly(e, point) for e in row] for row in entries]
