@@ -8,13 +8,13 @@ the divisor monomials D_j, the zero pattern of each (mixed) Hessian over
 D_k x D_l, read off supp(f), and its zero block, the one structural
 certificate, which holds for every form with support in supp(f) and h_k at
 least f's, the integer kernels of the Hessians, each order's vanishing
-verdict, and the sample points.  Trial t's point, `point(t)`, is one pure
-function of (f, seed, t) (`sample_point`): every order is evaluated at
-point 0 and, if zero there, at point 1, exact mode's witness search reads
-the points from DEFAULT_TRIALS on, and the SLP and WLP element searches the
-first GENERIC_TRIALS; one decision prime, drawn by the seed among the primes
-that divide no coefficient denominator of f (`prime`), serves every order
-and every multiplication rank.  A rank is not taken where a kept verdict
+verdict, and the sample points.  One decision prime p, drawn by the seed
+among the primes that divide no coefficient denominator of f (`prime`),
+serves every order and every multiplication rank.  Trial t's point,
+`point(t)`, is one pure function of (f, seed, t, p) (`sample_point`), a
+point of (F_p^*)^n: every order is evaluated at point 0 alone, exact mode's
+witness search reads the points from 1 on, and the SLP and WLP element
+searches the first GENERIC_TRIALS.  A rank is not taken where a kept verdict
 already proves its order nonzero (`witnessed`), so when point 0 decides
 every order it is the SLP witness, with no evaluation.  A Hessian is held
 as its kernel alone, built from its pattern (`kernel(k, l)`); exact
@@ -32,7 +32,7 @@ form and seed in another mode, which shares the memo, so a form checked in
 both modes computes every piece, and decides every order, once.  A verdict
 is decided by one of three routes: the order's zero block (the Hessian is
 then neither assembled nor compiled), evaluation of the kernel, or, in
-exact mode only, elimination after every evaluation was zero; `counts()`
+exact mode only, elimination after point 0 read zero; `counts()`
 reports the first and the last.
 
 Every function that reads the bases or the derivatives takes the Analysis in
@@ -141,7 +141,7 @@ class Analysis:
     def point(self, t: int) -> tuple[int, ...]:
         """Trial t's sample point (`sample_point`), shared by every order,
         every element search and both modes."""
-        return self._get(("point", t), lambda: sample_point(self.f, self.seed, t))
+        return self._get(("point", t), lambda: sample_point(self.f, self.seed, t, self.prime))
 
     def witnessed(self, k: int, point: tuple[int, ...]) -> bool:
         """Whether a kept verdict proves the order-k Hessian nonzero at `point`."""

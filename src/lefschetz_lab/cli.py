@@ -144,6 +144,8 @@ def cmd_analyze(args) -> int:
     from .polycore import parse_poly
     from .support import ZeroBlock
 
+    if args.max_k is not None and args.max_k < 0:  # before any stage; hess_profile says the same
+        raise LefschetzLabError(f"max_k={args.max_k} is negative")
     mode = _long_mode(args.mode)
     poly_text, vs = _load_input(args)
     f = parse_poly(poly_text, vs)
@@ -171,8 +173,15 @@ def cmd_analyze(args) -> int:
     slp = stage("slp", lambda: slp_generic(an)) if full_profile else None
     wlp = stage("wlp", lambda: wlp_generic(an))
     if slp is None:  # capped: SLP fails at the lowest order decided, or proved by a zero block, to vanish
-        slp = next((_slp_fails(d, hv, k, verdict) for k in range(d // 2 + 1)
-                    if (an.decided(k) or k > 0 and an.key(k) is not None) and (verdict := an.verdict(k)).vanishes), None)
+        unsettled = False
+        for k in range(d // 2 + 1):
+            if not (an.decided(k) or k > 0 and an.key(k) is not None):
+                unsettled = True
+            elif (verdict := an.verdict(k)).vanishes:
+                slp = _slp_fails(d, hv, k, verdict)
+                break
+        if slp is None and not unsettled:  # every order settled, none vanishing: the full verdict
+            slp = stage("slp", lambda: slp_generic(an))
     decided = [v.certificate for v in profile] + [getattr(r, "certificate", None) for r in (slp, wlp)]
     blocks = dict.fromkeys(getattr(c, "certificate", c) for c in decided)  # a verdict's block, or a report's
     certificates = [c for c in blocks if isinstance(c, ZeroBlock)]

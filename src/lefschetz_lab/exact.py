@@ -6,7 +6,7 @@ The verdicts are decided by zero blocks, evaluation mod p and ranks mod p
 routes run rarely: the integer determinant of a middle Hessian whose
 residue is 0 (`IntMatrix.det`), a rank that `rank_at` must take over Q
 (`IntMatrix.rank`), and, in exact mode only, the elimination of a Hessian
-that evaluation found zero at every point (`Analysis.verdict`,
+that evaluation found zero at point 0 (`Analysis.verdict`,
 `_eliminated`, on the cells read back from the Hessian's kernel), which
 gives a nonzero one its witness value.  Each of those callers imports this
 module when it takes the route, so a command that never does loads none of
@@ -102,18 +102,17 @@ def _bareiss(m: list[list[int]]) -> Iterator[int]:
 
 def _eliminated(an: Analysis, kernel: IntMatrix) -> hessian.VanishingVerdict:
     """The exact verdict, by elimination of its polynomial cells, on a
-    Hessian `kernel` of `an`'s form, which evaluation found zero at every
-    point; exact mode's replacement for the probabilistic verdict."""
+    Hessian `kernel` of `an`'s form, which evaluation found zero mod p at
+    point 0; exact mode's replacement for the probabilistic verdict."""
     vanishes, transcript, _ = poly_det_vanishes(kernel.cells())
     if vanishes:
         import hashlib  # OpenSSL: paid only by the runs that eliminate
 
         digest = hashlib.sha256("\n".join(transcript).encode()).hexdigest()
         return hessian.VanishingVerdict(True, transcript_hash=digest)
-    # nonzero, yet zero at every sampled point: the witness is the first
-    # shared point after the decision's trials at which the kernel's
-    # determinant is nonzero
-    t = hessian.DEFAULT_TRIALS
+    # nonzero, yet zero mod p at point 0: the witness is the first shared
+    # point after it at which the kernel's determinant is nonzero
+    t = 1
     while not (value := kernel.det(point := an.point(t))):
         t += 1
     return hessian.VanishingVerdict(False, witness_point=point, det_value=value)

@@ -12,37 +12,32 @@ mode; the routes are taken in order, and only the last reads the mode:
   * evaluation: read the determinant of the matrix's integer kernel
     (`polycore.IntMatrix`, which owns the kernel's scale and reduction; the
     form's `Analysis` builds it once, from the Hessian's pattern) at the
-    form's sample points (`an.point(t)`, the same for every order), at most
-    two, modulo the form's decision prime p, drawn at random by the seed
-    from the primes in [2^60, 2^61) that divide no coefficient denominator
-    of f (`an.prime`), so no kernel's scale.  The kernel is evaluated mod p
-    (`IntMatrix.det_mod`), at every size.  A nonzero residue proves the
-    determinant nonzero over Q, an exact nonvanishing witness.  The verdict
-    carries it as (point, p, residue), the residue being that of the
-    rational determinant, so it replays from the matrix alone.  When every
-    point reads zero, the verdict is probabilistic vanishing, with its error
-    bound;
+    form's point 0 (`an.point(0)`, the same for every order), modulo the
+    form's decision prime p, drawn at random by the seed from the primes in
+    [2^60, 2^61) that divide no coefficient denominator of f (`an.prime`),
+    so no kernel's scale.  Every sample point lies in (F_p^*)^n.  The kernel
+    is evaluated mod p (`IntMatrix.det_mod`), at every size.  A nonzero
+    residue proves the determinant nonzero over Q, an exact nonvanishing
+    witness.  The verdict carries it as (point, p, residue), the residue
+    being that of the rational determinant, so it replays from the matrix
+    alone.  A zero residue is probabilistic vanishing, with its error bound;
   * elimination: in exact mode only, that probabilistic verdict gives way to
     fraction-free elimination of the kernel's polynomial cells over the
     rational function field (`exact.poly_det_vanishes`: fewest-terms
     pivoting, early exit on a zero row/column), which certifies vanishing
     unconditionally; a nonzero determinant gets its witness from exact
-    evaluation of the kernel at the sample points from trial DEFAULT_TRIALS
-    on.  The bodies over Q live in `exact`, which `an.verdict(k)` loads only
-    when it eliminates.
+    evaluation of the kernel at the sample points from point 1 on.  The
+    bodies over Q live in `exact`, which `an.verdict(k)` loads only when it
+    eliminates.
 
 The middle Hessian (2k = d) is the Gram matrix of the perfect pairing
 A_k x A_k -> A_d = Q, a nonzero constant (Maeno-Watanabe 2009), decided by
 its residue at point 0, or, where p divides it, its value.  A
 probabilistic vanishing verdict, whatever the matrix's size, states its
-error bound (1/64)^DEFAULT_TRIALS + ceil(bits(N)/60) / 2^54.  The first term
-is Schwartz-Zippel over F_p, deg/B for each B-wide sample box, multiplied
-over the boxes: t = DEFAULT_TRIALS buys one box of width 64 D and, when its
-point reads zero and t >= 2, one of width 64^(t-1) D, where D bounds the
-determinant's degree deg at every order (`sample_point`), so at least as
-sure as t boxes of width 64 deg in two evaluations.  The boxes stay below
-p while D < 2^36; a wider box, its residues within twice uniform, misses
-with chance at most 2 deg/p, still below its share while deg < 2^35.
+error bound h_k (d-2k) / (p-1) + ceil(bits(N)/60) / 2^54.  The first term
+is Schwartz-Zippel over F_p (Schwartz, J. ACM 27 (1980)): a nonzero
+polynomial over F_p of degree at most h_k (d-2k) is zero at a uniform
+point of (F_p^*)^n with chance at most its degree over p-1.
 The second term is the chance that the prime divides the content of the
 nonzero integer polynomial s^n det, s the kernel's common scale, whose
 coefficients are bounded by N, the product of the scaled rows'
@@ -52,7 +47,7 @@ divide the lcm s of f's denominators.  That term holds over the seed's
 draw of p for a form chosen without knowledge of p.  A fixed seed's prime
 is public, since every report prints it, and a form built against it
 breaks the bound: at seed 0, p * x^4 + y^4 and (x+y)^4 + p * y^4 are
-reported with hess^1 = 0 and a bound below 2^-29, yet neither vanishes.
+reported with hess^1 = 0 and a bound below 2^-52, yet neither vanishes.
 For adversarial input use exact mode, which eliminates every such verdict,
 or an unpublished seed.  The prime is random, not fixed, because a fixed p
 divides that content for some forms: 2^61-1 divides every value of the
@@ -76,13 +71,12 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Optional
 
 from .errors import DegreeRangeError
-from .polycore import IntMatrix, Monomial, Poly, Record, mono_count, mono_mul
+from .polycore import IntMatrix, Monomial, Poly, Record, mono_mul
 from .support import ZeroBlock, _require_orders
 
 if TYPE_CHECKING:
     from .analysis import Analysis
 
-DEFAULT_TRIALS = 5
 MODES = ("probabilistic", "exact")
 
 Matrix = tuple[tuple[Poly, ...], ...]
@@ -115,7 +109,7 @@ class VanishingVerdict(Record):
 
     A vanishing verdict names the route that decided it: the zero block
     `certificate`, the hash of the elimination transcript, or, for the
-    evaluation route alone, the compounded failure bound.  `mode` is read
+    evaluation route alone, its failure bound.  `mode` is read
     off the verdict, never stored: "probabilistic" exactly when it states
     an `error_bound`, else "exact", so every nonvanishing verdict is exact.
     """
@@ -217,11 +211,11 @@ def hessian_vanishes(an: Analysis, k: int) -> VanishingVerdict:
 
     An order k >= 1 with a zero block certificate (`an.key(k)`) is decided
     by it: exact vanishing, with no Hessian assembled.  Otherwise the kernel
-    the Analysis compiled is evaluated at its sample points: a nonzero
-    residue is exact nonvanishing, and zero at every point is
-    probabilistic vanishing.  The compute body of `an.verdict(k)`, which
-    keeps the result for both modes and, in exact mode, replaces a
-    probabilistic one by elimination's; call that instead.  An order outside
+    the Analysis compiled is evaluated at point 0: a nonzero residue is
+    exact nonvanishing, and a zero one probabilistic vanishing.  The
+    compute body of `an.verdict(k)`, which keeps the result for both modes
+    and, in exact mode, replaces a probabilistic one by elimination's; call
+    that instead.  An order outside
     0..d/2 is refused first, in `mixed_hessian`'s words.
     """
     _require_orders(an.f.degree, k, k)
@@ -283,46 +277,35 @@ def is_cone(an: Analysis) -> ConeReport:
 # -- determinant decisions ---------------------------------------------------
 
 
-def sample_point(f: Poly, seed: int, t: int) -> tuple[int, ...]:
-    """Trial t's point, the same for every order of f: its coordinates are
-    drawn by `seed` and t from [1, B_t], B_0 = 64 D and B_t =
-    64^(DEFAULT_TRIALS-1) D for t >= 1.  D bounds the determinant's degree
-    h_k (d-2k) of every order k, without a basis: h_k is at most the number
-    of degree-k monomials.  The compute body of `an.point(t)`."""
-    n, d = len(f.vars), f.degree
-    bound = max(mono_count(n, j) * (d - 2 * j) for j in range(d // 2 + 1))
-    box = 64 * bound if t == 0 else 64 ** (DEFAULT_TRIALS - 1) * bound
+def sample_point(f: Poly, seed: int, t: int, p: int) -> tuple[int, ...]:
+    """Trial t's point of (F_p^*)^n, the same for every order of f: its
+    coordinates are drawn by `seed` and t from [1, p-1], p the decision
+    prime.  The compute body of `an.point(t)`."""
     rng = random.Random(f"point:{seed}:{t}")
-    return tuple(rng.randint(1, box) for _ in range(n))
+    return tuple(rng.randrange(1, p) for _ in range(len(f.vars)))
 
 
 def _det_vanishes(an: Analysis, k: int, kernel: IntMatrix) -> VanishingVerdict:
     """Decide whether the determinant of `kernel`, an order-k Hessian of
-    `an`'s form compiled, vanishes, by evaluation at the form's shared points
-    mod its decision prime.  A nonzero residue is exact, and zero at every
-    point probabilistic vanishing with its error bound; the middle order
-    (2k = d), a nonzero constant, is nonvanishing at point 0, by its value
-    when p divides it."""
+    `an`'s form compiled, vanishes, by its residue at point 0 mod the
+    form's decision prime p.  A nonzero residue is exact nonvanishing.  A
+    zero one is probabilistic vanishing with its error bound, except at the
+    middle order (2k = d), a nonzero constant, which p divides: it is
+    nonvanishing by its value."""
+    point = an.point(0)
+    if (verdict := _witness(kernel, point, an.prime)) is not None:
+        return verdict
     if 2 * k == an.f.degree:
-        # the Gram matrix of the perfect pairing A_k x A_k -> A_d: constant and nonzero
-        point = an.point(0)
-        if (verdict := _witness(kernel, point, an.prime)) is not None:
-            return verdict
-        if value := kernel.det(point):  # p divides the nonzero determinant
+        # the Gram matrix of the perfect pairing A_k x A_k -> A_d: constant
+        # and nonzero, so p divides it
+        if value := kernel.det(point):
             return VanishingVerdict(False, witness_point=point, det_value=value)
         raise ArithmeticError("the middle Hessian is singular, yet A_k x A_k -> A_d is a perfect pairing (bug)")
-
-    # the budget of DEFAULT_TRIALS boxes of width 64 deg, spent in at most
-    # two: the shared points 0 and 1, whose boxes are 64 and 64^(t-1) times
-    # D >= deg wide
-    for t in range(min(DEFAULT_TRIALS, 2)):
-        verdict = _witness(kernel, an.point(t), an.prime)
-        if verdict is not None:
-            return verdict
-    # Schwartz-Zippel over F_p for every box, deg/B <= D/B each, plus the
-    # chance that p divides the content of a nonzero integer determinant
-    # polynomial: at most bits/60 primes >= 2^60 do, out of more than 2^54
-    missed = Fraction(1, 64) ** DEFAULT_TRIALS
+    # Schwartz-Zippel over F_p at a point of (F_p^*)^n, deg/(p-1) for the
+    # degree h_k (d-2k), plus the chance that p divides the content of a
+    # nonzero integer determinant polynomial: at most bits/60 primes >= 2^60
+    # do, out of more than 2^54
+    missed = Fraction(len(kernel) * (an.f.degree - 2 * k), an.prime - 1)
     bad_primes = -(-kernel.norm_bound().bit_length() // 60)
     return VanishingVerdict(True, error_bound=missed + Fraction(bad_primes, 2**54))
 

@@ -589,7 +589,7 @@ class _Parser:
     def read_uint(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise self.error("expected a number")
@@ -613,7 +613,7 @@ class _Parser:
         self.skip_ws()
         coeff = Fraction(1)
         expo = [0] * len(self.vars)
-        if self.peek().isdigit():
+        if self.peek().isdecimal():
             num = self.read_uint()
             denom = self.read_uint() if self.take("/") else 1
             if denom == 0:

@@ -90,6 +90,11 @@ class TestAnalyze:
         assert code == 2
         assert "undeclared" in err
 
+    def test_superscript_exponent_is_a_parse_error(self, capsys):
+        code, _, err = run(["analyze", "--poly", "x^\u00b2", "--vars", "x"], capsys)
+        assert code == 2
+        assert "expected a number (at position 2)" in err
+
     def test_deterministic_report(self, capsys, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for path in paths:
@@ -595,7 +600,25 @@ class TestMaxK:
         assert data["certificates"][1] == data["wlp"]["certificate"] and len(data["certificates"]) == 2
         assert data["counts"]["hessian_decisions"] == 3  # orders 0, 1 and 2
 
-    def test_negative_cap_exit_two(self, capsys):
+    def test_capped_slp_holds_when_every_order_is_decided(self, capsys, tmp_path):
+        """x^3 + y^3 capped at order 0: the profile decides order 0 and WLP
+        order 1, both nonzero, so SLP holds as without the cap."""
+        report = tmp_path / "r.json"
+        code, out, _ = run(["analyze", "--poly", "x^3+y^3", "--vars", "x,y", "--max-k", "0", "--strict",
+                            "--json", str(report)], capsys)
+        assert code == 0
+        assert "hessian[1]" not in out
+        assert "strong property holds" in out and "weak property   holds" in out
+        data = json.loads(report.read_text())
+        assert data["slp"]["verdict"] == "holds" and data["counts"]["hessian_decisions"] == 2
+        assert run(["analyze", "--poly", "x^3+y^3", "--vars", "x,y", "--json", str(report)], capsys)[0] == 0
+        assert json.loads(report.read_text())["slp"] == data["slp"]
+
+    def test_negative_cap_exit_two(self, capsys, monkeypatch):
+        import lefschetz_lab.analysis as analysis_mod
+
+        # refused before any stage: no Hilbert vector is computed
+        monkeypatch.setattr(analysis_mod.Analysis, "hilbert", lambda an: pytest.fail("hilbert computed"))
         code, out, err = run(IKEDA_ARGS + ["--max-k", "-1", "--strict"], capsys)
         assert code == 2
         assert "max_k=-1" in err and "hessian[" not in out

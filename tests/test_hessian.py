@@ -25,7 +25,6 @@ from lefschetz_lab.families import (
     gen_wlpodd,
 )
 from lefschetz_lab.hessian import (
-    DEFAULT_TRIALS,
     MODES,
     VanishingVerdict,
     _decision_prime,
@@ -671,7 +670,8 @@ class TestEvaluateFirst:
         vs = VariableSet(("x", "y", "z"))
         an = exact(parse_poly("x^3 + y^3 + z^3 + x*y*z", vs))
         entries = an.hessian(1, 1)
-        monkeypatch.setattr(hessian_mod, "DEFAULT_TRIALS", 0)
+        # point 0 reads zero, so elimination decides, and its witness is a later point
+        monkeypatch.setattr(IntMatrix, "det_mod", lambda self, point, p: 0)
         verdict = an.verdict(1)
         assert not verdict.vanishes and verdict.mode == "exact"
         assert an.counts()["eliminations"] == 1 and verdict.error_bound is None
@@ -789,36 +789,35 @@ class TestRandomPrime:
             assert _is_prime(n) == sympy.isprime(n), n
 
     def test_probabilistic_vanishing_error_bound(self):
-        from lefschetz_lab.families import gen_wlpodd
-
-        verdict = hessian_vanishes(prob(sheared_wlpodd45(0)), 2)
+        an = prob(sheared_wlpodd45(0))
+        verdict = hessian_vanishes(an, 2)
         assert verdict.vanishes and verdict.mode == "probabilistic"
-        # Schwartz-Zippel alone gives (1/64)^5; the content term adds to it
-        assert Fraction(1, 64) ** DEFAULT_TRIALS < verdict.error_bound < Fraction(1, 10**9)
+        # Schwartz-Zippel alone gives h_2 (d - 4) / (p - 1); the content term adds to it
+        deg = len(an.kernel(2, 2)) * (an.f.degree - 4)
+        assert Fraction(deg, an.prime - 1) < verdict.error_bound < Fraction(1, 10**9)
 
-    @pytest.mark.parametrize("trials", [0, 1, 2, 5])
-    def test_vanishing_bound_is_the_product_over_the_boxes_used(self, monkeypatch, trials):
-        # the budget of `trials` boxes of width 64 deg is spent in at most
-        # two evaluations, and the bound multiplies deg/B over the boxes used;
-        # the shared boxes are 64 D wide and more, and for this cubic in five
-        # variables D = max_j C(4 + j, j) (3 - 2j) = 5 = deg, the order-1 bound
-        widths = []
+    def test_vanishing_bound_is_one_point_over_f_p(self, monkeypatch):
+        # one point of (F_p^*)^n is drawn and one residue read, and the bound
+        # is deg/(p-1) for the determinant's degree h_1 (d - 2) = 5 of this
+        # cubic in five variables, plus the content term
+        an = prob(PERAZZO)  # its prime drawn before the recording starts
+        kernel = an.kernel(1, 1)
+        drawn, residues = [], []
 
         class Recording(random.Random):
-            def randint(self, a, b):
-                widths.append(b)
-                return super().randint(a, b)
+            def randrange(self, *bounds):
+                drawn.append((bounds, value := super().randrange(*bounds)))
+                return value
 
-        monkeypatch.setattr(hessian_mod, "DEFAULT_TRIALS", trials)
+        det_mod = IntMatrix.det_mod
         monkeypatch.setattr(hessian_mod, "random", types.SimpleNamespace(Random=Recording))
-        an = prob(PERAZZO)
-        kernel = an.kernel(1, 1)
+        monkeypatch.setattr(IntMatrix, "det_mod", lambda self, point, p: residues.append(point) or det_mod(self, point, p))
         verdict = _det_vanishes(an, 1, kernel)
-        boxes = widths[:: kernel.nvars]
-        assert len(boxes) == min(trials, 2) and boxes[:1] == [64 * 5][:trials]
+        assert len(drawn) == kernel.nvars and residues == [an.point(0)]
+        assert all(bounds == (1, an.prime) and 1 <= x <= an.prime - 1 for bounds, x in drawn)
         content = Fraction(-(-kernel.norm_bound().bit_length() // 60), 2**54)
-        assert verdict.vanishes and verdict.error_bound - content == prod(Fraction(5, b) for b in boxes)
-        assert verdict.error_bound - content == Fraction(1, 64) ** trials
+        assert len(kernel) * (PERAZZO.degree - 2) == 5
+        assert verdict.vanishes and verdict.error_bound - content == Fraction(5, an.prime - 1)
 
     def test_split_vanishing_needs_no_error_bound(self):
         from lefschetz_lab.families import gen_wlpodd

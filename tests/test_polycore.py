@@ -76,6 +76,16 @@ class TestParse:
             parse_poly("x + ", XY)
         assert err.value.position == 4
 
+    @pytest.mark.parametrize("text, message, position", [
+        ("x^\u00b2", "expected a number", 2),
+        ("\u00b2*x", "expected a variable name", 0),
+    ], ids=["exponent", "coefficient"])
+    def test_superscript_digit_is_a_parse_error(self, text, message, position):
+        # str.isdigit accepts a superscript two, which int() refuses
+        with pytest.raises(PolyParseError, match=message) as err:
+            parse_poly(text, XY)
+        assert err.value.position == position
+
     def test_undeclared_variable(self):
         with pytest.raises(PolyParseError, match="undeclared"):
             parse_poly("x*q", XY)
