@@ -796,11 +796,13 @@ class TestRandomPrime:
         deg = len(an.kernel(2, 2)) * (an.f.degree - 4)
         assert Fraction(deg, an.prime - 1) < verdict.error_bound < Fraction(1, 10**9)
 
-    def test_vanishing_bound_is_one_point_over_f_p(self, monkeypatch):
-        # one point of (F_p^*)^n is drawn and one residue read, and the bound
-        # is deg/(p-1) for the determinant's degree h_1 (d - 2) = 5 of this
-        # cubic in five variables, plus the content term
-        an = prob(PERAZZO)  # its prime drawn before the recording starts
+    @pytest.mark.parametrize("seed", [0, 1, 2, 5])
+    def test_vanishing_bound_is_the_product_over_the_boxes_used(self, monkeypatch, seed):
+        # one box, (F_p^*)^n, is used: one point is drawn from it and one
+        # residue read, and the bound multiplies deg/(p-1) over that one box,
+        # deg = h_1 (d - 2) = 5 for this cubic in five variables, plus the
+        # content term
+        an = Analysis(PERAZZO, "probabilistic", seed)  # its prime drawn before the recording starts
         kernel = an.kernel(1, 1)
         drawn, residues = [], []
 
@@ -815,9 +817,10 @@ class TestRandomPrime:
         verdict = _det_vanishes(an, 1, kernel)
         assert len(drawn) == kernel.nvars and residues == [an.point(0)]
         assert all(bounds == (1, an.prime) and 1 <= x <= an.prime - 1 for bounds, x in drawn)
+        boxes = [bounds[1] - 1 for bounds, _ in drawn[:: kernel.nvars]]
         content = Fraction(-(-kernel.norm_bound().bit_length() // 60), 2**54)
-        assert len(kernel) * (PERAZZO.degree - 2) == 5
-        assert verdict.vanishes and verdict.error_bound - content == Fraction(5, an.prime - 1)
+        assert len(kernel) * (PERAZZO.degree - 2) == 5 and boxes == [an.prime - 1]
+        assert verdict.vanishes and verdict.error_bound - content == prod(Fraction(5, b) for b in boxes)
 
     def test_split_vanishing_needs_no_error_bound(self):
         from lefschetz_lab.families import gen_wlpodd
