@@ -4,13 +4,14 @@ An `Analysis` holds a form f with the decision mode and the seed, and
 memoizes what the profile, the Lefschetz verdicts and the certificates read:
 the monomial derivatives of f, the A_k bases (each the exponents of its
 monomial operators and the span of their derivatives), the Hilbert vector,
-the divisor monomials D_j, the zero pattern of each (mixed) Hessian over
-D_k x D_l, read off supp(f), and its zero block, the one structural
-certificate, which holds for every form with support in supp(f) and h_k at
-least f's, the integer kernels of the Hessians, each order's vanishing
-verdict, and the sample points.  One decision prime p, drawn by the seed
-among the primes that divide no coefficient denominator of f (`prime`),
-serves every order and every multiplication rank.  Trial t's point,
+the divisor monomials D_0 .. D_d, found in one downward pass over supp(f)
+and each D_j sorted on its first request, the zero pattern of each (mixed)
+Hessian over D_k x D_l, read off supp(f), and its zero block, the one
+structural certificate, which holds for every form with support in supp(f)
+and h_k at least f's, the integer kernels of the Hessians, each order's
+vanishing verdict, and the sample points.  One decision prime p, drawn by
+the seed among the primes that divide no coefficient denominator of f
+(`prime`), serves every order and every multiplication rank.  Trial t's point,
 `point(t)`, is one pure function of (f, seed, t, p) (`sample_point`), a
 point of (F_p^*)^n: every order is evaluated at point 0 alone, exact mode's
 witness search reads the points from 1 on, and the SLP and WLP element

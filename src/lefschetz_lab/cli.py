@@ -102,13 +102,13 @@ def _write_json(path: str, data) -> None:
         fh.write("\n")
 
 
-def _check_writable(path: str) -> None:
-    """Refuse a report path that cannot be written, before the work it
-    would report: a folder, a missing or unwritable folder, or an
-    unwritable file."""
+def _check_writable(path: str, what: str) -> None:
+    """Refuse a path for `what` that cannot be written, before the work that
+    makes it: a folder, a missing or unwritable folder, or an unwritable
+    file."""
     target = path if os.path.exists(path) else os.path.dirname(path) or "."
     if os.path.isdir(path) or not os.access(target, os.W_OK):
-        raise LefschetzLabError(f"cannot write the JSON report to {path!r}")
+        raise LefschetzLabError(f"cannot write {what} to {path!r}")
 
 
 def _load_input(args) -> tuple[str, VariableSet]:
@@ -278,7 +278,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.seed is None:
             args.seed = _default_seed()
         if getattr(args, "json_path", None):
-            _check_writable(args.json_path)
+            _check_writable(args.json_path, "the JSON report")
+        if getattr(args, "out", None):
+            _check_writable(args.out, "the instance")
         code = {"analyze": cmd_analyze, "generate": cmd_generate, "reproduce": cmd_reproduce}[args.command](args)
         if sys.stdout is None:  # fd 1 was closed at start-up, so print() wrote nothing
             return 1

@@ -396,17 +396,12 @@ def gen_gnp(
 
 
 def _covering_monomials(m: int, degree: int, count: int) -> list[Monomial]:
-    """First `count` degree monomials in m variables, patched to use them all.
+    """The first `count` degree-`degree` monomials in m variables, in descending lex order.
 
-    Every caller has required that `count` such monomials exist."""
-    chosen = mono_basis(VariableSet(tuple(f"u{j}" for j in range(1, m + 1))), degree)[:count]
-    covered = {i for mo in chosen for i, ee in enumerate(mo) if ee}
-    missing = [i for i in range(m) if i not in covered]
-    for slot, i in enumerate(missing, start=1):
-        replacement = _pure(m, i, degree)
-        if replacement not in chosen:
-            chosen[-slot] = replacement
-    return chosen
+    Every caller has required that `count` such monomials exist, and passes
+    count > m and degree D >= 2, so they use every variable: the first m are
+    u1^D, u1^(D-1)*u2, ..., u1^(D-1)*um."""
+    return mono_basis(VariableSet(tuple(f"u{j}" for j in range(1, m + 1))), degree)[:count]
 
 
 # -- classical vanishing-Hessian families --------------------------------------

@@ -5,7 +5,8 @@ No command but `reproduce` imports this module; its property fixtures and
 the tests check the production routes against it:
 
   * `catalecticant(f, k)`, whose rank is dim A_k, against the Hilbert
-    vector that `apolar` reads off the greedy bases of `support`'s D_k;
+    vector that `apolar` reads off the greedy bases of `support`'s D_k,
+    with columns of its own;
   * `mult_map(an, L, i, k)`, the matrix of multiplication by L^k, whose
     rank `lefschetz.rank_at` takes from a mixed Hessian instead;
   * `explicit_basis_verdict`, the order-k verdict over another basis of
@@ -21,14 +22,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import perm, prod
-from operator import sub
+from operator import le, sub
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import exact
 from .errors import DegreeRangeError, SingularMatrixError, VariableMismatchError, ZeroPolynomialError
 from .hessian import VanishingVerdict, _det_vanishes
 from .polycore import DiffOp, IntMatrix, Monomial, Poly, Scalar, _coefficient, mono_basis, poly_sum
-from .support import _sub_exponents
 
 if TYPE_CHECKING:
     from .analysis import Analysis
@@ -123,7 +123,9 @@ def catalecticant(f: Poly, k: int) -> list[list[Scalar]]:
     beta = monomial i and alpha = operator j, that is c_e * prod_i
     perm(e_i, alpha_i) for e = alpha + beta and c_e f's coefficient of x^e,
     so the matrix is filled from f's coefficients: each term e of f fills
-    one entry for each alpha <= e of degree k, and every other entry is 0.
+    one entry for each column alpha <= e, entry by entry, and every other
+    entry is 0.  The columns are tested one by one, so the oracle shares
+    no code with the D_k of `support` that it checks.
     Entries follow `Poly`'s coefficients: an `int` when integral, else a
     reduced `Fraction`.
     """
@@ -133,12 +135,13 @@ def catalecticant(f: Poly, k: int) -> list[list[Scalar]]:
     if not 0 <= k <= d:
         raise DegreeRangeError(f"k={k} out of range 0..{d}")
     rows = {m: i for i, m in enumerate(mono_basis(f.vars, d - k))}
-    columns = {m: j for j, m in enumerate(mono_basis(f.vars, k))}
+    columns = mono_basis(f.vars, k)
     matrix = [[0] * len(columns) for _ in rows]
     for e, c in f.coeff_map().items():
-        for alpha in _sub_exponents(e, k):
-            v = c * prod(map(perm, e, alpha))
-            matrix[rows[tuple(map(sub, e, alpha))]][columns[alpha]] = v if type(v) is int else _coefficient(v)
+        for j, alpha in enumerate(columns):
+            if all(map(le, alpha, e)):
+                v = c * prod(map(perm, e, alpha))
+                matrix[rows[tuple(map(sub, e, alpha))]][j] = v if type(v) is int else _coefficient(v)
     return matrix
 
 

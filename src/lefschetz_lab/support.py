@@ -2,8 +2,10 @@
 
 In characteristic 0, X^m f is nonzero exactly when x^m divides a term of f,
 so the degree-j monomials that divide a term, D_j (`divisor_monomials`),
-span A_j, and cell (a, b) of the mixed Hessian of (k, l) over D_k x D_l,
-X^(a+b) f, is nonzero exactly when a+b lies in D_(k+l) (`zero_pattern`).
+span A_j.  D_0 .. D_d are found once per form, in one downward pass from
+D_d = supp(f) that lowers one exponent at a time (`_layers`).  Cell (a, b)
+of the mixed Hessian of (k, l) over D_k x D_l, X^(a+b) f, is nonzero
+exactly when a+b lies in D_(k+l) (`zero_pattern`).
 A zero block of that pattern (`ZeroBlock`), rows in D_k and columns in D_l,
 bounds the Hessian's rank at every point by |D_k| + |D_l| - |rows| - |cols|
 (Frobenius-Koenig).  The largest one is read off a maximum matching
@@ -11,7 +13,8 @@ bounds the Hessian's rank at every point by |D_k| + |D_l| - |rows| - |cols|
 falls below h_k proves hess^k = 0 (l = k) or that no L makes
 A_k -> A_(k+1) injective (l = d-1-k; Maeno-Watanabe, Illinois J. Math. 53
 (2009)), for every form with support in supp(f) and h_k at least f's.
-`verify_zero_block` replays one from supp(f) and the Hilbert vector alone.
+`verify_zero_block` replays one from supp(f) and the Hilbert vector alone,
+with one pass of its own.
 Nothing here reads a derivative or a basis.  `divisor_monomials`,
 `zero_pattern` and `zero_block` are the compute bodies of
 `an.divisor_monomials(j)`, `an.pattern(k, l)` and `an.block(k, l)`; called
@@ -20,46 +23,15 @@ directly, they bypass the memo and `counts()`.
 
 from __future__ import annotations
 
-from itertools import accumulate, compress
+from itertools import compress
 from operator import mul
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DegreeRangeError
 from .polycore import Monomial, Poly, Record, mono_mul
 
 if TYPE_CHECKING:
     from .analysis import Analysis
-
-
-def _sub_exponents(e: Monomial, k: int) -> Iterator[Monomial]:
-    """The exponents alpha <= e, entry by entry, of degree k (none unless 0 <= k <= deg(e)),
-    in descending lex order, enumerated in a loop rather than by recursion.
-
-    Each alpha fills its positions greedily, the largest values first; the
-    next one lowers the last position that can give one unit to the
-    positions after it (`tail[j]` is what positions j.. can hold) and fills
-    those greedily again.
-    """
-    n = len(e)
-    tail = [*accumulate(reversed(e))][::-1] + [0]
-    if not 0 <= k <= tail[0]:
-        return
-    alpha = [0] * n
-    start, left = 0, k
-    while True:
-        for j in range(start, n):
-            alpha[j] = min(e[j], left)
-            left -= alpha[j]
-        yield tuple(alpha)
-        left = alpha[-1]  # the units held after position j
-        for j in range(n - 2, -1, -1):
-            if alpha[j] and left < tail[j + 1]:
-                alpha[j] -= 1
-                start, left = j + 1, left + 1
-                break
-            left += alpha[j]
-        else:
-            return
 
 
 class ZeroBlock(Record):
@@ -92,15 +64,22 @@ def _codes(an: Analysis, expos: Sequence[Monomial]) -> list[int]:
     return [sum(map(mul, e, weights)) for e in expos]
 
 
-def _divisors(f: Poly, degree: int) -> set[Monomial]:
-    """The degree-`degree` monomials that divide a term of f."""
-    return {a for e in f.coeff_map() for a in _sub_exponents(e, degree)}
+def _layers(f: Poly) -> list[set[Monomial]]:
+    """D_0 .. D_d, in one downward pass from D_d = supp(f): D_(j-1) is every a - e_i with a in
+    D_j and a_i > 0, since an alpha <= e of degree j-1 < |e| has some alpha_i < e_i, and
+    alpha + e_i lies in D_j."""
+    layers = [set(f.coeff_map())]
+    for _ in range(f.degree):
+        layers.append({a[:i] + (ai - 1,) + a[i + 1:] for a in layers[-1] for i, ai in enumerate(a) if ai})
+    return layers[::-1]
 
 
 def divisor_monomials(an: Analysis, degree: int) -> tuple[Monomial, ...]:
     """D_degree, the degree-`degree` monomials that divide a term of f, in descending lex
-    order (each greedy basis is the subsequence `ak_basis` keeps); the compute body of `an.divisor_monomials(degree)`."""
-    return tuple(sorted(_divisors(an.f, degree), reverse=True))
+    order (each greedy basis is the subsequence `ak_basis` keeps), and () outside 0..d; the
+    compute body of `an.divisor_monomials(degree)`, which sorts one layer of the form's pass."""
+    layers = an._get(("divisor layers",), lambda: _layers(an.f))
+    return tuple(sorted(layers[degree], reverse=True)) if 0 <= degree < len(layers) else ()
 
 
 def _require_orders(d: int, k: int, l: int) -> None:
@@ -205,10 +184,10 @@ def verify_zero_block(f: Poly, dims: Sequence[int], block: ZeroBlock) -> bool:
     if not (_ints(entries, f.degree + 1) and _ints((k, l), 2) and min(k, l) >= 0 and k + l <= f.degree
             and all(isinstance(side, (tuple, list)) and all(_ints(e, n) for e in side) for side in sides)):
         return False
-    ceiling = 0
+    layers, ceiling = _layers(f), 0
     for expos, degree in zip(sides, (k, l)):
-        divisors, chosen = _divisors(f, degree), set(map(tuple, expos))
-        if len(chosen) < len(expos) or not chosen <= divisors:
+        chosen = set(map(tuple, expos))
+        if len(chosen) < len(expos) or not chosen <= layers[degree]:
             return False
-        ceiling += len(divisors) - len(chosen)
-    return ceiling < entries[k] and _divisors(f, k + l).isdisjoint(mono_mul(a, b) for a in block.rows for b in block.cols)
+        ceiling += len(layers[degree]) - len(chosen)
+    return ceiling < entries[k] and layers[k + l].isdisjoint(mono_mul(a, b) for a in block.rows for b in block.cols)

@@ -192,9 +192,9 @@ class TestAnalyze:
 
 class TestHostileInput:
     def test_high_exponents_exit_zero(self, capsys):
-        """Derivatives of high degree are computed, and the divisors of a
-        term enumerated, in loops, so the call depth does not grow with the
-        exponent."""
+        """Derivatives of high degree are computed, and the divisor layers
+        found in one downward pass, in loops, so the call depth does not
+        grow with the exponent."""
         code, out, err = run(["analyze", "--poly", "x^500 + y^500", "--vars", "x,y"], capsys)
         assert code == 0, err
         assert "weak property   holds" in out
@@ -421,6 +421,17 @@ class TestGenerate:
         assert json.loads(path.read_text())["seed"] == 1
         assert json.loads("\n".join(out.splitlines()[1:]))["seed"] == 1
         assert checked == [1]
+
+    def test_unwritable_out_path_fails_before_the_instance(self, capsys, monkeypatch, tmp_path):
+        """The instance is written last, so its path is checked first: nothing
+        is generated and stdout stays empty."""
+        import lefschetz_lab.families
+
+        monkeypatch.setattr(lefschetz_lab.families, "generate", None)  # generating would fail
+        for path in (tmp_path / "missing" / "x.json", tmp_path):
+            code, out, err = run(["generate", "--family", "wlpodd", "--n", "4", "--d", "5", "--out", str(path)], capsys)
+            assert (code, out) == (2, "")
+            assert err == f"error: cannot write the instance to {str(path)!r}\n"
 
 
 # one small instance per family: its generate flags and the FamilySpec params

@@ -386,6 +386,15 @@ class TestGn:
         assert hessian_vanishes(exact(inst.f), 1).vanishes
         assert linalg.rank(catalecticant(inst.f, 1)) == 6
 
+    def test_covering_patch_keeps_every_u_variable(self):
+        """Both groups of three x-variables take u1, u2 and u3, so u4 is
+        patched into the last group, and the form is no cone."""
+        inst = generate(FamilySpec("gn", {"m": 4, "n": 5, "r": 3, "e": 2, "d": 4}))
+        assert _verified(inst, "test") is inst
+        assert inst.analysis.hilbert().dims[1] == len(inst.f.vars) == 10
+        for mode in ("exact", "probabilistic"):
+            assert_replays(inst, mode=mode)
+
     def test_degenerate_parameters_rejected(self):
         with pytest.raises(InfeasibleParametersError):
             gen_gn(2, 2, 1, 2, 3)  # three x-variables, two degree-1 forms

@@ -1,14 +1,17 @@
 """The support layer: D_k, zero patterns and the matcher, on supp(f) and on plain patterns."""
 
+from operator import le
+
 import pytest
 from hypothesis import example, given
 import hypothesis.strategies as st
 
 from lefschetz_lab.errors import DegreeRangeError
-from lefschetz_lab.polycore import VariableSet, parse_poly
-from lefschetz_lab.support import _sub_exponents, zero_cover
+from lefschetz_lab.polycore import VariableSet, mono_basis, parse_poly
+from lefschetz_lab import support
+from lefschetz_lab.support import zero_cover
 
-from conftest import exact, prob
+from conftest import exact, homogeneous_polys, prob
 
 CUBIC = parse_poly("x^3 + y^3", VariableSet(("x", "y")))
 
@@ -16,8 +19,9 @@ CUBIC = parse_poly("x^3 + y^3", VariableSet(("x", "y")))
 class TestOrdersOutsideTheForm:
     @pytest.mark.parametrize("k", [-2, -1, 4, 5])
     def test_no_sub_exponents_outside_0_to_the_degree(self, k):
-        assert list(_sub_exponents((3, 0), k)) == list(_sub_exponents((2, 1), k)) == []
-        assert list(_sub_exponents((2, 1), 0)) == [(0, 0)] and list(_sub_exponents((2, 1), 3)) == [(2, 1)]
+        cube, mixed = (prob(parse_poly(text, VariableSet(("x", "y")))) for text in ("x^3", "x^2*y"))
+        assert cube.divisor_monomials(k) == mixed.divisor_monomials(k) == ()
+        assert mixed.divisor_monomials(0) == ((0, 0),) and mixed.divisor_monomials(3) == ((2, 1),)
 
     @pytest.mark.parametrize("degree", [-1, 4, 7])
     def test_no_divisor_monomials_outside_0_to_d(self, degree):
@@ -36,6 +40,26 @@ class TestOrdersOutsideTheForm:
                 read(k, l)
             assert str(info.value) == f"orders ({k}, {l}) out of range for d=3"
         assert an.counts() == before
+
+
+class TestLayers:
+    @given(homogeneous_polys(min_vars=1, max_vars=4, max_degree=6, max_terms=8))
+    def test_each_layer_is_the_monomials_below_a_term(self, f):
+        """D_j, read off the downward pass, is the degree-j monomials alpha
+        with some term e >= alpha, entry by entry, in descending lex order."""
+        an = prob(f)
+        for j in range(f.degree + 1):
+            below = [alpha for alpha in mono_basis(f.vars, j) if any(all(map(le, alpha, e)) for e in f.coeff_map())]
+            assert an.divisor_monomials(j) == tuple(below)
+
+    def test_one_pass_serves_every_degree(self, monkeypatch):
+        passes = []
+        real = support._layers
+        monkeypatch.setattr(support, "_layers", lambda f: passes.append(f) or real(f))
+        an = prob(CUBIC)
+        before = an.counts()
+        assert [len(an.divisor_monomials(j)) for j in range(-1, 5)] == [0, 1, 2, 2, 2, 0]
+        assert passes == [CUBIC] and an.counts() == before
 
 
 def reference_matching(pattern, ncols):
